@@ -13,11 +13,11 @@ Figures 2 and 3 of the paper).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Point", "Rect", "Domain", "coerce_point"]
+__all__ = ["Point", "Rect", "Domain", "coerce_point", "coalesce_rects"]
 
 Coord = Union[int, np.integer]
 
@@ -213,6 +213,61 @@ class Rect:
 
     def __repr__(self) -> str:
         return f"Rect({tuple(self.lo)}, {tuple(self.hi)})"
+
+
+def coalesce_rects(rects: Iterable[Rect]) -> List[Rect]:
+    """A short, deterministic list of rects with the same union.
+
+    Empty and repeated rects are dropped; rects that abut exactly along one
+    axis and agree on every other merge into one (repeatedly, so a tiling
+    collapses to its bounding rect); a rect contained in another is
+    dropped.  Rects that merely overlap — two halos sharing a strip — or
+    touch at a corner stay as they are: their union is not a rect.
+    """
+    boxes = {(tuple(r.lo), tuple(r.hi)) for r in rects if not r.empty}
+    merged = len(boxes) > 1
+    while merged:
+        merged = False
+        for d in range(len(next(iter(boxes))[0])):
+            runs: dict = {}
+            for lo, hi in boxes:
+                rest = (lo[:d], lo[d + 1:], hi[:d], hi[d + 1:])
+                runs.setdefault(rest, []).append((lo[d], hi[d]))
+            boxes = set()
+            for (lo_a, lo_b, hi_a, hi_b), spans in runs.items():
+                spans.sort()
+                start, end = spans[0]
+                for l, h in spans[1:]:
+                    if l == end + 1:
+                        end, merged = h, True
+                        continue
+                    boxes.add((lo_a + (start,) + lo_b, hi_a + (end,) + hi_b))
+                    start, end = l, h
+                boxes.add((lo_a + (start,) + lo_b, hi_a + (end,) + hi_b))
+
+    def volume(box) -> int:
+        v = 1
+        for l, h in zip(*box):
+            v *= h - l + 1
+        return v
+
+    kept: List[tuple] = []          # (volume, box), largest first
+
+    def contained(v: int, lo: tuple, hi: tuple) -> bool:
+        # Only a strictly larger rect can contain a distinct one.
+        for kv, (klo, khi) in kept:
+            if kv == v:
+                return False
+            if all(a <= b for a, b in zip(klo, lo)) and all(
+                a >= b for a, b in zip(khi, hi)
+            ):
+                return True
+        return False
+
+    for v, (lo, hi) in sorted(((volume(b), b) for b in boxes), reverse=True):
+        if not contained(v, lo, hi):
+            kept.append((v, (lo, hi)))
+    return [Rect(lo, hi) for lo, hi in sorted(box for _, box in kept)]
 
 
 class Domain:

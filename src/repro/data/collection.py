@@ -17,15 +17,22 @@ the paper's applications:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.domain import Point, Rect, coerce_point
+from repro.core.domain import Point, Rect, coalesce_rects, coerce_point
 from repro.data.fields import FieldSpace
 from repro.data.privileges import ReductionOp
 
-__all__ = ["Region", "Subregion", "IndexSubset", "RectSubset", "SparseSubset"]
+__all__ = [
+    "Region",
+    "Subregion",
+    "IndexSubset",
+    "RectSubset",
+    "SparseSubset",
+    "covering_subregions",
+]
 
 _next_region_id = itertools.count()
 _next_subset_id = itertools.count()
@@ -85,6 +92,29 @@ class RectSubset(IndexSubset):
 
     def volume(self) -> int:
         return self.rect.volume
+
+    def box(self, bounds: Rect) -> tuple:
+        """``(index, extents)`` addressing this rect inside flat storage.
+
+        ``extents is None``: ``storage[index]`` with one plain slice (1-D
+        regions — no reshape).  Otherwise ``storage.reshape(extents)[index]``
+        with one slice per axis.  Either way the view enumerates the rect in
+        row-major order, i.e. in :meth:`linear_indices` order, so dense
+        footprints move as one strided copy and no index array is built.
+        Pure in ``(rect, bounds)``; a :class:`Subregion` computes it once.
+        """
+        rect = self.rect
+        if rect.empty:
+            # No points to address; keep the zero-extent shape of the rect.
+            index = tuple(slice(0, e) for e in rect.extents)
+        elif not bounds.contains_rect(rect):
+            raise ValueError(f"{rect} not contained in region bounds {bounds}")
+        else:
+            index = tuple(
+                slice(l - bl, h - bl + 1)
+                for l, h, bl in zip(rect.lo, rect.hi, bounds.lo)
+            )
+        return (index[0], None) if bounds.dim == 1 else (index, bounds.extents)
 
     def linear_indices(self, bounds: Rect) -> np.ndarray:
         # Pure in (rect, bounds) and recomputed on every replay's footprint
@@ -229,7 +259,7 @@ class Subregion:
     partition's color space (None for a root subregion).
     """
 
-    __slots__ = ("region", "subset", "color", "partition")
+    __slots__ = ("region", "subset", "color", "partition", "_box")
 
     def __init__(self, region: Region, subset: IndexSubset, color: Optional[Point],
                  partition):
@@ -237,6 +267,7 @@ class Subregion:
         self.subset = subset
         self.color = color
         self.partition = partition
+        self._box = None    # RectSubset.box(region.bounds), on first access
 
     @property
     def volume(self) -> int:
@@ -246,43 +277,75 @@ class Subregion:
     def _indices(self) -> np.ndarray:
         return self.subset.linear_indices(self.region.bounds)
 
+    def _view(self, field: str) -> np.ndarray:
+        """Rect subsets only: a view of ``field`` shaped like the rect."""
+        box = self._box
+        if box is None:
+            box = self._box = self.subset.box(self.region.bounds)
+        index, extents = box
+        store = self.region.storage(field)
+        return store[index] if extents is None else store.reshape(extents)[index]
+
+    def gather(self, field: str, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """This subregion's values of ``field``: a flat copy in
+        :meth:`IndexSubset.linear_indices` order, written into ``out`` (flat,
+        ``volume`` long) when given.
+
+        A rect subset is one strided slice copy; only a sparse subset
+        gathers through its index array.
+        """
+        if isinstance(self.subset, RectSubset):
+            view = self._view(field)
+            if out is None:
+                return view.flatten()
+            # reshape raises unless ``out`` is exactly volume long
+            dst = out if out.shape == view.shape else out.reshape(view.shape)
+            dst[...] = view
+            return out
+        return np.take(self.region.storage(field), self._indices(), out=out)
+
+    def scatter(self, field: str, values) -> None:
+        """Store ``values`` — ``volume`` of them in :meth:`gather` order, any
+        shape, or a single value for all — into this subregion's ``field``."""
+        values = np.asarray(values)
+        if not isinstance(self.subset, RectSubset):
+            self.region.storage(field)[self._indices()] = (
+                values.ravel() if values.ndim > 1 else values
+            )
+            return
+        view = self._view(field)
+        if values.shape != view.shape:
+            if values.size == view.size:
+                values = values.reshape(view.shape)
+            elif values.size != 1:
+                raise ValueError(
+                    f"cannot scatter {values.size} values into {self!r}"
+                )
+        view[...] = values
+
     def read(self, field: str) -> np.ndarray:
         """Gather this subregion's values of ``field``.
 
         Rect-backed subsets of 1-D regions return a writable view; everything
         else returns a gathered copy (use :meth:`write` to store back).
         """
-        store = self.region.storage(field)
         if isinstance(self.subset, RectSubset) and self.region.bounds.dim == 1:
-            lo = self.subset.rect.lo[0] - self.region.bounds.lo[0]
-            hi = self.subset.rect.hi[0] - self.region.bounds.lo[0]
-            return store[lo : hi + 1]
-        return store[self._indices()]
+            return self._view(field)
+        return self.gather(field)
 
     def read_nd(self, field: str) -> np.ndarray:
         """Rect subsets only: the field as an N-D *view* shaped like the rect."""
         if not isinstance(self.subset, RectSubset):
             raise TypeError("read_nd requires a rectangular subset")
-        nd = self.region.field_nd(field)
-        slices = tuple(
-            slice(l - bl, h - bl + 1)
-            for l, h, bl in zip(self.subset.rect.lo, self.subset.rect.hi,
-                                self.region.bounds.lo)
-        )
-        return nd[slices]
+        return self._view(field)
 
     def write(self, field: str, values) -> None:
         """Scatter ``values`` into this subregion's points of ``field``."""
-        store = self.region.storage(field)
-        idx = self._indices()
-        values = np.asarray(values)
-        if values.ndim > 1:
-            values = values.ravel()
-        store[idx] = values
+        self.scatter(field, values)
 
     def fill(self, field: str, value) -> None:
         """Set every point of ``field`` in this subregion to ``value``."""
-        self.region.storage(field)[self._indices()] = value
+        self.scatter(field, value)
 
     def reduce(self, field: str, values, op: ReductionOp) -> None:
         """Fold ``values`` into ``field`` with a commutative operator.
@@ -291,19 +354,10 @@ class Subregion:
         produced by partitions, but possible through aliased views) still
         reduce correctly for ``+``.
         """
-        store = self.region.storage(field)
-        idx = self._indices()
-        values = np.asarray(values).ravel()
-        if op.name == "+":
-            np.add.at(store, idx, values)
-        elif op.name == "*":
-            np.multiply.at(store, idx, values)
-        elif op.name == "min":
-            np.minimum.at(store, idx, values)
-        elif op.name == "max":
-            np.maximum.at(store, idx, values)
-        else:
-            store[idx] = op.apply(store[idx], values)
+        op.fold_at(
+            self.region.storage(field), self._indices(),
+            np.asarray(values).ravel(),
+        )
 
     def overlaps(self, other: "Subregion") -> bool:
         """Whether two subregions can share data (same region and intersecting)."""
@@ -314,3 +368,36 @@ class Subregion:
     def __repr__(self) -> str:
         pname = self.partition.name if self.partition is not None else "<root>"
         return f"Subregion({self.region.name}/{pname}[{self.color}], n={self.volume})"
+
+
+def covering_subregions(subs: Sequence[Subregion]) -> List[List[Subregion]]:
+    """Subregions of one region covering the union of ``subs``, grouped by
+    how they move: one list of boxes, then one single sparse subregion.
+
+    Rect subsets become boxes: repeated and contained ones dropped, abutting
+    ones coalesced (:func:`~repro.core.domain.coalesce_rects`); boxes that
+    genuinely overlap stay separate, so moving each in turn copies the shared
+    cells twice — harmless when every copy carries the same bytes.  Sparse
+    subsets union into one index set.  A result that equals an input *is*
+    that input, so its cached geometry is reused.
+    """
+    rects: Dict[Rect, Subregion] = {}
+    sparse: Dict[int, Subregion] = {}
+    for sub in subs:
+        if isinstance(sub.subset, RectSubset):
+            rects.setdefault(sub.subset.rect, sub)
+        else:
+            sparse.setdefault(sub.subset.uid, sub)
+    groups = []
+    if rects:
+        groups.append([
+            rects.get(rect)
+            or Subregion(subs[0].region, RectSubset(rect), None, None)
+            for rect in coalesce_rects(rects)
+        ])
+    if len(sparse) == 1:
+        groups.append(list(sparse.values()))
+    elif sparse:
+        union = SparseSubset(np.concatenate([s._indices() for s in sparse.values()]))
+        groups.append([Subregion(subs[0].region, union, None, None)])
+    return [group for group in groups if group]

@@ -55,9 +55,25 @@ class ReductionOp:
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     identity: float
 
+    def fold_at(self, store: np.ndarray, idx: np.ndarray, values) -> None:
+        """Fold ``values`` into ``store[idx]``.
+
+        The built-in operators go through ``np.ufunc.at``, which applies
+        repeated indices one after another in index-array order — that
+        order is part of the serial/parallel byte-identity contract, so
+        every reduction, live or replayed, is applied here.
+        """
+        ufunc = _UFUNCS.get(self.name)
+        if ufunc is not None:
+            ufunc.at(store, idx, values)
+        else:
+            store[idx] = self.apply(store[idx], values)
+
     def __repr__(self) -> str:
         return f"ReductionOp({self.name!r})"
 
+
+_UFUNCS = {"+": np.add, "*": np.multiply, "min": np.minimum, "max": np.maximum}
 
 REDUCTION_OPS: Dict[str, ReductionOp] = {
     "+": ReductionOp("+", lambda acc, v: acc + v, 0.0),

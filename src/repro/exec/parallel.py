@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.domain import Point
+from repro.data.collection import covering_subregions
 from repro.data.privileges import REDUCTION_OPS, Privilege
 from repro.exec.backend import ExecutionBackend, SerialBackend
 from repro.fault.plan import InjectedFaultError, RetryPolicy
@@ -77,7 +78,7 @@ from repro.exec.plan import (
     subset_ref,
 )
 from repro.exec.pool import get_pool
-from repro.exec.shm import shm_env_enabled
+from repro.exec.shm import Footprint, shm_env_enabled
 from repro.runtime.futures import FutureMap
 from repro.runtime.physical import (
     AccessOp,
@@ -130,6 +131,16 @@ def resolve_pipeline_depth(configured: Optional[int]) -> int:
     return value
 
 
+def _empty_delta() -> Dict[str, set]:
+    """A shard attempt's staged worker-cache delta, nothing staged yet."""
+    return {
+        "tasks": set(),
+        "regions": set(),
+        "partition_colors": set(),
+        "subsets": set(),
+    }
+
+
 class _ParallelBail(Exception):
     """Abandon a dispatch and fall back to the serial backend."""
 
@@ -155,6 +166,47 @@ class _InfraFailure(Exception):
 
 
 @dataclass
+class _Footprints:
+    """The data one shard moves — pure in (launch signature, shard), so a
+    valid :class:`_PlanMemo` keeps it across issues.  A verified launch's
+    write footprints are pairwise-disjoint subregions, so they are written
+    back as subregions, order-free; none becomes an index set on the way."""
+
+    #: everything the shard reads, plus current write-footprint bytes so
+    #: partial writes gather back intact (see ``covering_subregions``).
+    reads: List[Footprint]
+    #: per local point, one per (WRITE/READ_WRITE requirement, field), in
+    #: the worker's gather order.
+    writes: List[List[Footprint]]
+    nbytes: int                     # arena bytes one staging of it takes
+
+
+def _shard_footprints(requirements, local_projs) -> _Footprints:
+    groups: Dict[Tuple[int, str], list] = {}
+    writes: List[List[Footprint]] = [[] for _ in local_projs]
+    for ri, req in enumerate(requirements):
+        priv = req.privilege.privilege
+        if priv is Privilege.REDUCE:
+            continue
+        for li, subs in enumerate(local_projs):
+            for fname in req.resolved_fields():
+                groups.setdefault((req.region.uid, fname), []).append(subs[ri])
+                if priv is not Privilege.READ:
+                    writes[li].append(Footprint([subs[ri]], fname))
+    covers: Dict[tuple, list] = {}  # fields of one requirement share a cover
+    reads: List[Footprint] = []
+    for (uid, fname), subs in groups.items():
+        key = (uid, *(sub.subset.uid for sub in subs))
+        if key not in covers:
+            covers[key] = covering_subregions(subs)
+        reads.extend(Footprint(group, fname) for group in covers[key])
+    nbytes = sum(fp.val_off + fp.nbytes for fp in reads if fp.nbytes) + sum(
+        fp.nbytes for point in writes for fp in point
+    )
+    return _Footprints(reads, writes, nbytes)
+
+
+@dataclass
 class _ShardJob:
     """One shard's dispatch state across retry attempts."""
 
@@ -164,15 +216,16 @@ class _ShardJob:
     local: list                              # the node's domain points
     ordinals: List[int]
     local_projs: List[List[Any]]
+    footprints: _Footprints
     gen: int = -1                            # worker generation at submit
     mark: float = 0.0                        # profiler mark at submit
     future: Any = None
     staged: Optional[dict] = None            # cache delta of this attempt
     payload: Any = None
     #: parent-side shm gather-back map of the *current* attempt:
-    #: global ordinal -> [(region uid, field, idx, shm view)], rebuilt on
+    #: global ordinal -> [(subregion, field, shm view)], rebuilt on
     #: every (re)submission so commit always reads the attempt it awaited.
-    shm_writes: Optional[Dict[int, list]] = None
+    shm_writes: Dict[int, list] = field(default_factory=dict)
 
 
 @dataclass
@@ -211,17 +264,10 @@ class _PlanMemoShard:
     gen: int                        # worker generation the skeleton targets
     shm_on: bool                    # arena staging state at build
     plan: ShardPlan                 # empty-delta skeleton (analyze=False)
-    blob: Optional[bytes]           # pickled skeleton; None = never reusable
-    #: ordered read-gather layout: (region uid, field, unique idx array),
-    #: exactly the slow path's ``shipped.items()`` iteration order.
-    reads: List[tuple]
-    #: the shm descriptor each read staged at build (None for any entry
-    #: that traveled as a pickled tuple); blob reuse requires the fresh
-    #: descriptors to repeat these byte for byte.
-    built: List[Optional[tuple]]
-    #: per local point: [(region uid, field, idx array, dtype str), ...]
-    #: in the worker's gather order; None when built with shm off.
-    write_layout: Optional[List[List[tuple]]]
+    #: pickled ``plan``, set only when every footprint went through the
+    #: arena at build: blob reuse requires the fresh entries and slots to
+    #: repeat ``plan.read_data`` / ``plan.write_slots`` byte for byte.
+    blob: Optional[bytes]
 
 
 @dataclass
@@ -251,6 +297,7 @@ class _PlanMemo:
     nodes: List[int]
     flat_points: List[Tuple[int, Point]]
     projections: Optional[List[List[Any]]] = None
+    footprints: Dict[int, _Footprints] = field(default_factory=dict)
     shards: Dict[int, _PlanMemoShard] = field(default_factory=dict)
 
 
@@ -268,9 +315,12 @@ class _Dispatch:
     # committed only while the generation still holds — a respawn wipes the
     # worker state a stale shipment would otherwise claim it has.
     shipments: List[Tuple[int, int, dict]] = field(default_factory=list)
-    #: global ordinal -> [(uid, field, idx, shm view)] write-backs that
+    #: per global ordinal, the subregion each requirement projects to:
+    #: pickled write-backs name their requirement, not an index set.
+    projections: List[List[Any]] = field(default_factory=list)
+    #: global ordinal -> [(subregion, field, shm view)] write-backs that
     #: traveled through shared memory instead of the result blob.
-    shm_writes: Optional[Dict[int, list]] = None
+    shm_writes: Dict[int, list] = field(default_factory=dict)
 
 
 @dataclass
@@ -279,6 +329,7 @@ class _InFlight:
 
     nodes: List[int]
     flat_points: List[Tuple[int, Point]]
+    projections: List[List[Any]]
     jobs: List[_ShardJob]
     analyzed: bool
     #: per-job rebuild-and-resubmit closure for the recovery ladder.
@@ -836,8 +887,15 @@ class ParallelBackend(ExecutionBackend):
 
         jobs: List[_ShardJob] = []
         ordinal = 0
+        known_footprints = memo.footprints if memo is not None else {}
         for shard_index, node in enumerate(nodes):
             local = assignment[node]
+            local_projs = projections[ordinal : ordinal + len(local)]
+            footprints = known_footprints.get(shard_index)
+            if footprints is None:
+                footprints = known_footprints[shard_index] = _shard_footprints(
+                    launch.requirements, local_projs
+                )
             jobs.append(
                 _ShardJob(
                     shard_index=shard_index,
@@ -845,105 +903,22 @@ class ParallelBackend(ExecutionBackend):
                     k=shard_index % self.workers,
                     local=local,
                     ordinals=list(range(ordinal, ordinal + len(local))),
-                    local_projs=projections[ordinal : ordinal + len(local)],
+                    local_projs=local_projs,
+                    footprints=footprints,
                 )
             )
             ordinal += len(local)
 
-        def build_plan(job: _ShardJob) -> Tuple[bytes, ShardPlan]:
-            """(Re)build one shard plan against the worker's *current*
-            committed cache view.  Retries rebuild from scratch: a
-            respawned worker's caches are empty, so the fresh plan ships
-            everything it needs; a surviving worker's install is
-            idempotent, so re-shipped state is harmless."""
-            k, node = job.k, job.node
-
-            # Memoized skeleton fast path: the plan's structural payload
-            # (reqs, regions, partitions, points, snapshot) is a pure
-            # function of the launch signature once the worker caches are
-            # warm, so only the footprint data and shm slots are live.
-            # Validity: same worker generation (a respawn empties the
-            # caches the skeleton assumes warm) and the same shm mode.
-            sm = memo.shards.get(job.shard_index) if memo is not None else None
-            if (
-                sm is not None
-                and sm.gen == pool.generation(k)
-                and sm.shm_on == shm_on
-            ):
-                gen = sm.gen
-                read_data = []
-                identical = sm.blob is not None
-                for (uid, fname, idx), built in zip(sm.reads, sm.built):
-                    vals = region_by_uid[uid].storage(fname)[idx]
-                    entry = (
-                        arena.stage_read(k, gen, uid, fname, idx, vals)
-                        if shm_on
-                        else None
-                    )
-                    if entry is None or entry != built:
-                        identical = False
-                    read_data.append(entry or (uid, fname, idx, vals))
-                write_slots = None
-                job.shm_writes = None
-                if shm_on and sm.write_layout is not None:
-                    write_slots = []
-                    shm_writes: Dict[int, list] = {}
-                    for li, layout in enumerate(sm.write_layout):
-                        slots: List[Optional[tuple]] = []
-                        parent_slots = []
-                        for uid, fname, idx, dtype_str in layout:
-                            slot = arena.alloc_write_slot(
-                                k, gen, len(idx), np.dtype(dtype_str)
-                            )
-                            if slot is None:
-                                slots.append(None)
-                            else:
-                                desc, view = slot
-                                slots.append(desc)
-                                parent_slots.append((uid, fname, idx, view))
-                        write_slots.append(slots)
-                        if parent_slots:
-                            shm_writes[job.ordinals[li]] = parent_slots
-                    if shm_writes:
-                        job.shm_writes = shm_writes
-                self.stats.plan_memo_hits += 1
-                if identical and write_slots == sm.plan.write_slots:
-                    # Steady state: the arena rewound to the same offsets,
-                    # so every descriptor matches the memoized plan and the
-                    # pickle blob can be resent byte-for-byte.
-                    plan, blob = sm.plan, sm.blob
-                    self.stats.plan_memo_blob_reuse += 1
-                else:
-                    plan = replace(
-                        sm.plan, read_data=read_data, write_slots=write_slots
-                    )
-                    try:
-                        blob = dumps(plan)
-                    except Exception as exc:
-                        raise _ParallelBail(
-                            f"plan not picklable: {exc}", poison=True
-                        )
-                job.staged = {
-                    "tasks": set(),
-                    "regions": set(),
-                    "partition_colors": set(),
-                    "subsets": set(),
-                }
-                job.gen = gen
-                job.mark = prof.now() if prof.enabled else 0.0
-                return blob, plan
-
-            caches = pool.caches[k]
-            staged = {
-                "tasks": set(),
-                "regions": set(),
-                "partition_colors": set(),
-                "subsets": set(),
-            }
-            known_subsets = caches.subsets | staged["subsets"]
-            local = job.local
-            ordinals = job.ordinals
+        def build_skeleton(
+            job: _ShardJob, read_data, write_slots
+        ) -> Tuple[ShardPlan, dict]:
+            """The plan against the worker's *current* committed cache
+            view, and the cache delta shipping it stages."""
+            k, node, local = job.k, job.node, job.local
             local_projs = job.local_projs
+            caches = pool.caches[k]
+            staged = _empty_delta()
+            known_subsets = set(caches.subsets)
 
             # Region skeletons new to this worker.
             regions = []
@@ -1018,84 +993,6 @@ class ParallelBackend(ExecutionBackend):
                     snapshot[uid] = refs
                 staged["subsets"] = known_subsets - caches.subsets
 
-            # Footprint data: everything the shard reads, plus current
-            # write-footprint bytes so partial writes gather back intact.
-            # With shm on, each entry travels through the worker's arena
-            # segment as a descriptor; any entry the arena declines (odd
-            # dtype, allocation failure) stays a pickled tuple.
-            gen = pool.generation(k)
-            read_data = []
-            shipped: Dict[Tuple[int, str], List[np.ndarray]] = {}
-            for ri, req in enumerate(launch.requirements):
-                if req.privilege.privilege is Privilege.REDUCE:
-                    continue
-                for subs in local_projs:
-                    sub = subs[ri]
-                    for fname in req.resolved_fields():
-                        shipped.setdefault(
-                            (req.region.uid, fname), []
-                        ).append(sub._indices())
-            reads_memo: List[tuple] = []
-            built_descs: List[Optional[tuple]] = []
-            for (uid, fname), idx_parts in shipped.items():
-                idx = np.unique(np.concatenate(idx_parts))
-                vals = region_by_uid[uid].storage(fname)[idx]
-                entry = (
-                    arena.stage_read(k, gen, uid, fname, idx, vals)
-                    if shm_on
-                    else None
-                )
-                reads_memo.append((uid, fname, idx))
-                built_descs.append(entry)
-                read_data.append(entry or (uid, fname, idx, vals))
-
-            # Gather-back slots: projection is pure, so the parent derives
-            # the same write indices the worker will, pre-allocates one shm
-            # slot per (point, requirement, field) in the worker's gather
-            # order, and keeps (uid, field, idx, view) for commit.
-            write_slots = None
-            write_layout: Optional[List[List[tuple]]] = None
-            job.shm_writes = None
-            if shm_on:
-                write_slots = []
-                write_layout = []
-                shm_writes: Dict[int, list] = {}
-                for li, subs in enumerate(local_projs):
-                    slots: List[Optional[tuple]] = []
-                    parent_slots = []
-                    layout: List[tuple] = []
-                    for ri, req in enumerate(launch.requirements):
-                        if req.privilege.privilege not in (
-                            Privilege.WRITE,
-                            Privilege.READ_WRITE,
-                        ):
-                            continue
-                        sub = subs[ri]
-                        idx = sub._indices()
-                        store_of = req.region.storage
-                        for fname in req.resolved_fields():
-                            dtype = store_of(fname).dtype
-                            layout.append(
-                                (req.region.uid, fname, idx, dtype.str)
-                            )
-                            slot = arena.alloc_write_slot(
-                                k, gen, len(idx), dtype
-                            )
-                            if slot is None:
-                                slots.append(None)
-                            else:
-                                desc, view = slot
-                                slots.append(desc)
-                                parent_slots.append(
-                                    (req.region.uid, fname, idx, view)
-                                )
-                    write_slots.append(slots)
-                    write_layout.append(layout)
-                    if parent_slots:
-                        shm_writes[ordinals[li]] = parent_slots
-                if shm_writes:
-                    job.shm_writes = shm_writes
-
             extra = None
             if launch.point_args is not None:
                 extra = [launch.point_args.get(p) for p in local]
@@ -1103,7 +1000,7 @@ class ParallelBackend(ExecutionBackend):
             plan = ShardPlan(
                 node=node,
                 points=[tuple(p) for p in local],
-                ordinals=ordinals,
+                ordinals=job.ordinals,
                 task_uid=launch.task.uid,
                 task_blob=(
                     None
@@ -1124,10 +1021,55 @@ class ParallelBackend(ExecutionBackend):
             staged["tasks"].add(launch.task.uid)
             if injector is not None:
                 plan.faults = injector.arm_shard(k, node, local)
-            try:
-                blob = dumps(plan)
-            except Exception as exc:
-                raise _ParallelBail(f"plan not picklable: {exc}", poison=True)
+            return plan, staged
+
+        def build_plan(job: _ShardJob) -> Tuple[bytes, ShardPlan]:
+            """(Re)build one shard plan.  Retries rebuild from scratch: a
+            respawned worker's caches are empty, so the fresh plan ships
+            everything it needs; a surviving worker's install is
+            idempotent, so re-shipped state is harmless."""
+            gen = pool.generation(job.k)
+            # The live part of every plan: footprints travel through the
+            # arena as references, or pickled where it declines or is off.
+            read_data, write_slots, all_shm = self._stage_footprints(
+                arena if shm_on else None, job, gen
+            )
+
+            # Memoized skeleton fast path: the plan's structural payload
+            # (reqs, regions, partitions, points, snapshot) is a pure
+            # function of the launch signature once the worker caches are
+            # warm, so only the footprint data and shm slots are live.
+            # Validity: same worker generation (a respawn empties the
+            # caches the skeleton assumes warm) and the same shm mode.
+            sm = memo.shards.get(job.shard_index) if memo is not None else None
+            if sm is not None and (sm.gen != gen or sm.shm_on != shm_on):
+                sm = None
+            blob = None
+            if sm is None:
+                plan, staged = build_skeleton(job, read_data, write_slots)
+            else:
+                self.stats.plan_memo_hits += 1
+                staged = _empty_delta()
+                if (
+                    sm.blob is not None
+                    and all_shm
+                    and read_data == sm.plan.read_data
+                    and write_slots == sm.plan.write_slots
+                ):
+                    # Steady state: the arena rewound to the same offsets,
+                    # so every reference matches the memoized plan and the
+                    # pickle blob can be resent byte-for-byte.
+                    plan, blob = sm.plan, sm.blob
+                    self.stats.plan_memo_blob_reuse += 1
+                else:
+                    plan = replace(
+                        sm.plan, read_data=read_data, write_slots=write_slots
+                    )
+            if blob is None:
+                try:
+                    blob = dumps(plan)
+                except Exception as exc:
+                    raise _ParallelBail(f"plan not picklable: {exc}", poison=True)
             job.staged = staged
             job.gen = gen
             job.mark = prof.now() if prof.enabled else 0.0
@@ -1136,72 +1078,49 @@ class ParallelBackend(ExecutionBackend):
             # the plan assumes (no staged deltas, task blob already
             # cached) and no fault directives were baked in — then the
             # fast path's empty delta is exact, not an approximation.
-            if (
-                memo is not None
-                and plan.task_blob is None
-                and not plan.faults
-                and not staged["regions"]
-                and not staged["partition_colors"]
-                and not staged["subsets"]
+            if sm is None and memo is not None and plan.task_blob is None and not (
+                plan.faults
+                or staged["regions"]
+                or staged["partition_colors"]
+                or staged["subsets"]
             ):
-                reusable = shm_on and all(
-                    d is not None for d in built_descs
-                )
                 memo.shards[job.shard_index] = _PlanMemoShard(
                     gen=gen,
                     shm_on=shm_on,
                     plan=(
                         plan
-                        if reusable
+                        if all_shm
                         else replace(plan, read_data=(), write_slots=None)
                     ),
-                    blob=blob if reusable else None,
-                    reads=reads_memo,
-                    built=built_descs,
-                    write_layout=write_layout,
+                    blob=blob if all_shm else None,
                 )
             return blob, plan
 
-        def build_and_submit(job: _ShardJob, depth: int = 0) -> None:
-            """Ladder resubmission: rebuild one shard and submit it alone."""
-            blob, plan = build_plan(job)
-            self._observe("submit", shard=job.node, worker=job.k, gen=job.gen)
-            try:
-                job.future = pool.submit_shard(job.k, blob, plan=plan)
-            except BrokenProcessPool:
-                # The worker's death surfaced at *submit* time (the
-                # transport noticed its child was gone before we handed it
-                # this plan).  Respawn and rebuild against the emptied
-                # caches; deaths that surface at result time go through
-                # the capped ladder in _collect_shard instead.
-                if depth >= 3:
-                    raise _ParallelBail(
-                        f"worker {job.k} broken at submit {depth} times"
-                    )
-                pool.reset_worker(job.k)
-                self.stats.worker_respawns += 1
-                self._note_recovery(
-                    "respawn", launch, job,
-                    _InfraFailure("broken", "pool broken at submit"),
-                )
-                self._backoff(depth + 1)
-                build_and_submit(job, depth + 1)
-            except Exception as exc:
-                raise _ParallelBail(f"submit failed: {exc}")
-
-        def submit_batch(worker_jobs: List[_ShardJob], depth: int = 0) -> None:
-            """Initial submission: one worker's whole shard batch, one
-            vectored write where the transport supports it.  Building per
-            worker in shard order preserves both the fault-injector's
+        def submit(worker_jobs: List[_ShardJob], depth: int = 0) -> None:
+            """Build and submit shards of one worker: its whole batch at
+            first (one vectored write where the transport supports it), a
+            single shard on a ladder resubmission.  Building per worker in
+            shard order preserves both the fault-injector's
             directive-consumption order and the arena's per-worker
             allocation order."""
-            items = [build_plan(job) for job in worker_jobs]
             k = worker_jobs[0].k
+            if shm_on:
+                # One segment per worker per dispatch: its shards' bytes
+                # are known before the first footprint is staged.
+                arena.reserve(k, pool.generation(k), sum(
+                    job.footprints.nbytes for job in worker_jobs
+                ))
+            items = [build_plan(job) for job in worker_jobs]
             for job in worker_jobs:
                 self._observe("submit", shard=job.node, worker=k, gen=job.gen)
             try:
                 futures = pool.submit_shards(k, items)
             except BrokenProcessPool:
+                # The worker's death surfaced at *submit* time (the
+                # transport noticed its child was gone before we handed it
+                # these plans).  Respawn and rebuild against the emptied
+                # caches; deaths that surface at result time go through
+                # the capped ladder in _collect_shard instead.
                 if depth >= 3:
                     raise _ParallelBail(
                         f"worker {k} broken at submit {depth} times"
@@ -1215,7 +1134,7 @@ class ParallelBackend(ExecutionBackend):
                 # Same pause the collect-path ladder takes: a respawn is a
                 # respawn, wherever the death happened to surface.
                 self._backoff(depth + 1)
-                submit_batch(worker_jobs, depth + 1)
+                submit(worker_jobs, depth + 1)
                 return
             except Exception as exc:
                 raise _ParallelBail(f"submit failed: {exc}")
@@ -1226,15 +1145,44 @@ class ParallelBackend(ExecutionBackend):
         for job in jobs:
             by_worker.setdefault(job.k, []).append(job)
         for k in sorted(by_worker):
-            submit_batch(by_worker[k])
+            submit(by_worker[k])
         return _InFlight(
             nodes=nodes,
             flat_points=flat_points,
+            projections=projections,
             jobs=jobs,
             analyzed=analyzed,
-            resubmit=build_and_submit,
+            resubmit=lambda job: submit([job]),
             used_shm=shm_on,
         )
+
+    @staticmethod
+    def _stage_footprints(arena, job: _ShardJob, gen: int):
+        """Stage one attempt's read footprints and allocate its gather-back
+        slots (``arena`` None: everything travels pickled, no slots) as
+        ``(read_data, write_slots, all_shm)``, rebinding ``job.shm_writes``;
+        ``all_shm``: every read entry holds shm references only."""
+        k, footprints = job.k, job.footprints
+        read_data, all_shm = [], arena is not None
+        for fp in footprints.reads:
+            entry = arena.stage_read(k, gen, fp) if arena is not None else None
+            if entry is None:
+                entry, all_shm = fp.inline(), False
+            read_data.append(entry)
+        job.shm_writes = shm_writes = {}
+        if arena is None:
+            return read_data, None, all_shm
+        write_slots = []
+        for g, point in zip(job.ordinals, footprints.writes):
+            slots = [arena.alloc_write_slot(k, gen, fp) for fp in point]
+            write_slots.append([slot and slot[0] for slot in slots])
+            views = [
+                (fp.sub, fp.fname, slot[1])
+                for fp, slot in zip(point, slots) if slot is not None
+            ]
+            if views:
+                shm_writes[g] = views
+        return read_data, write_slots, all_shm
 
     def _collect_launch(self, launch, inflight: _InFlight) -> _Dispatch:
         """Await every shard of one submitted launch and validate the
@@ -1267,6 +1215,7 @@ class ParallelBackend(ExecutionBackend):
         task_worker: List[Tuple[int, float]] = [(0, 0.0)] * total
         for job in jobs:
             result = job.payload
+            pool.arena.stats.worker_closes += result.shm_closed
             offset = job.mark - result.t0
             for trec in result.tasks:
                 if not 0 <= trec.ordinal < total or tasks[trec.ordinal] is not None:
@@ -1282,12 +1231,9 @@ class ParallelBackend(ExecutionBackend):
         except Exception as exc:
             raise _ParallelBail(f"future value not unpicklable: {exc}",
                                 poison=True)
-        shm_writes: Optional[Dict[int, list]] = None
+        shm_writes: Dict[int, list] = {}
         for job in jobs:
-            if job.shm_writes:
-                if shm_writes is None:
-                    shm_writes = {}
-                shm_writes.update(job.shm_writes)
+            shm_writes.update(job.shm_writes)
         return _Dispatch(
             nodes=inflight.nodes,
             points=flat_points,
@@ -1296,6 +1242,7 @@ class ParallelBackend(ExecutionBackend):
             task_worker=task_worker,
             analyzed=analyzed,
             shipments=shipments,
+            projections=inflight.projections,
             shm_writes=shm_writes,
         )
 
@@ -1585,17 +1532,7 @@ class ParallelBackend(ExecutionBackend):
         region_by_uid = {
             req.region.uid: req.region for req in launch.requirements
         }
-        if cfg.batched_commit:
-            self._commit_effects_batched(dispatch, order, region_by_uid)
-        else:
-            for g in order:
-                trec = dispatch.tasks[g]
-                for uid, fname, idx, vals in self._task_writes(dispatch, g):
-                    region_by_uid[uid].storage(fname)[idx] = vals
-                for uid, fname, idx, vals, opname in trec.reduces:
-                    self._apply_reduce(
-                        region_by_uid[uid], fname, idx, vals, opname
-                    )
+        self._commit_effects(dispatch, order, region_by_uid, cfg.batched_commit)
         for g in order:
             trec = dispatch.tasks[g]
             fmap.set(Point(*trec.point), dispatch.values[g])
@@ -1623,92 +1560,79 @@ class ParallelBackend(ExecutionBackend):
                 )
         return fmap
 
-    @staticmethod
-    def _apply_reduce(region, fname, idx, values, opname) -> None:
-        """Replay one recorded reduce call — exact mirror of
-        ``Subregion.reduce`` so duplicate-index accumulation order (and
-        therefore floating point) matches the serial backend bit for bit."""
-        store = region.storage(fname)
-        values = np.asarray(values).ravel()
-        if opname == "+":
-            np.add.at(store, idx, values)
-        elif opname == "*":
-            np.multiply.at(store, idx, values)
-        elif opname == "min":
-            np.minimum.at(store, idx, values)
-        elif opname == "max":
-            np.maximum.at(store, idx, values)
-        else:  # pragma: no cover - custom operators never reach workers
-            store[idx] = REDUCTION_OPS[opname].apply(store[idx], values)
+    def _commit_effects(self, dispatch, order, region_by_uid, batched) -> None:
+        """Apply shard write-backs and recorded reduces in commit order.
 
-    def _commit_effects_batched(self, dispatch, order, region_by_uid) -> None:
-        """Launch-granularity application of shard write-backs and reduces.
-
-        Byte-identity with the per-task loop rests on two facts.  Writes:
-        only verified launches are dispatched, and the cross-check proves
-        all write footprints of a launch pairwise disjoint, so scattering
-        one concatenated (idx, values) pair per (region, field) is
-        order-free and lands the same bytes.  Reduces: ``np.ufunc.at``
-        applies duplicate indices sequentially in index-array order, so
-        concatenating recorded calls per (region, field, operator) in
-        commit order accumulates bit-identically; a group is flushed early
-        whenever the *operator* on its (region, field) changes, preserving
-        the interleaving the per-task loop would produce.  Eligibility
-        already guarantees writes and reduces never share a (region,
-        field), so the two phases commute.
+        Writes: only verified launches are dispatched, and the cross-check
+        proves all write footprints of a launch pairwise disjoint, so each
+        lands in its own subregion, order-free — a box as one slice copy,
+        with no index set built or concatenated — and counts one batched
+        op per (region, field) however many footprints that is.  Reduces,
+        ``batched``: ``np.ufunc.at`` applies duplicate indices sequentially
+        in index-array order, so concatenating recorded calls per (region,
+        field, operator) in commit order accumulates bit-identically to
+        replaying them one by one; a group is flushed early whenever the
+        *operator* on its (region, field) changes, preserving the
+        interleaving.  Eligibility already guarantees writes and reduces
+        never share a (region, field), so the two commute.
         """
-        writes: Dict[Tuple[int, str], List[tuple]] = {}
         reduces: Dict[Tuple[int, str], Tuple[str, list, list]] = {}
         stats = self.stats
         for g in order:
             trec = dispatch.tasks[g]
-            for uid, fname, idx, vals in self._task_writes(dispatch, g):
-                writes.setdefault((uid, fname), []).append((idx, vals))
+            for sub, fname, vals in self._task_writes(dispatch, g):
+                sub.scatter(fname, vals)
             for uid, fname, idx, vals, opname in trec.reduces:
                 key = (uid, fname)
+                vals = np.asarray(vals).ravel()
+                if not batched:
+                    self._apply_reduces(region_by_uid, key, (opname, [idx], [vals]))
+                    continue
                 pending = reduces.get(key)
                 if pending is not None and pending[0] != opname:
-                    self._flush_reduce_group(region_by_uid, key, pending)
+                    self._apply_reduces(region_by_uid, key, pending)
                     stats.batched_commit_ops += 1
                     pending = None
                 if pending is None:
-                    reduces[key] = (opname, [idx], [np.asarray(vals).ravel()])
+                    reduces[key] = (opname, [idx], [vals])
                 else:
                     pending[1].append(idx)
-                    pending[2].append(np.asarray(vals).ravel())
-        for (uid, fname), parts in writes.items():
-            store = region_by_uid[uid].storage(fname)
-            if len(parts) == 1:
-                idx, vals = parts[0]
-                store[idx] = vals
-            else:
-                store[np.concatenate([p[0] for p in parts])] = np.concatenate(
-                    [np.asarray(p[1]) for p in parts]
-                )
-            stats.batched_commit_ops += 1
-        for key, pending in reduces.items():
-            self._flush_reduce_group(region_by_uid, key, pending)
-            stats.batched_commit_ops += 1
-        stats.batched_commit_tasks += len(order)
+                    pending[2].append(vals)
+        if batched:
+            for key, pending in reduces.items():
+                self._apply_reduces(region_by_uid, key, pending)
+            # Every task writes back the same (requirement, field) list.
+            written = {
+                (sub.region.uid, fname)
+                for sub, fname, _ in self._task_writes(dispatch, order[0])
+            }
+            stats.batched_commit_ops += len(written) + len(reduces)
+            stats.batched_commit_tasks += len(order)
 
     @staticmethod
     def _task_writes(dispatch, g) -> list:
-        """One task's write-back footprints, whichever transport each used."""
+        """One task's write-backs as ``(subregion, field, values)``,
+        whichever transport each used."""
         trec = dispatch.tasks[g]
-        shm = dispatch.shm_writes
-        if shm is None:
-            return trec.writes
-        extra = shm.get(g)
-        if extra is None:
-            return trec.writes
-        return extra + trec.writes if trec.writes else extra
+        out = dispatch.shm_writes.get(g, [])
+        if trec.writes:
+            projs = dispatch.projections[g]
+            out = out + [
+                (projs[ri], fname, vals) for ri, fname, vals in trec.writes
+            ]
+        return out
 
-    def _flush_reduce_group(self, region_by_uid, key, pending) -> None:
+    @staticmethod
+    def _apply_reduces(region_by_uid, key, pending) -> None:
+        """Replay recorded reduce calls on one (region, field), concatenated
+        in commit order, exactly as ``Subregion.reduce`` applies a live one:
+        duplicate-index accumulation order (and therefore floating point)
+        matches the serial backend bit for bit."""
         opname, idx_parts, val_parts = pending
         uid, fname = key
         idx = idx_parts[0] if len(idx_parts) == 1 else np.concatenate(idx_parts)
         vals = val_parts[0] if len(val_parts) == 1 else np.concatenate(val_parts)
-        self._apply_reduce(region_by_uid[uid], fname, idx, vals, opname)
+        REDUCTION_OPS[opname].fold_at(region_by_uid[uid].storage(fname), idx, vals)
 
     # --------------------------------------------------------------- merge
     def _merge_analysis(

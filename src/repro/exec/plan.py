@@ -181,9 +181,10 @@ class ShardPlan:
     partitions: List[PartitionEntry]
     snapshot: Dict[int, List[UserRef]]  # region uid -> pre-launch users
     analyze: bool                   # run physical analysis (no template replay)
-    #: read footprints: legacy pickle tuples (region_uid, field, idx array,
-    #: values) or shm descriptors ("shm", uid, field, segment, idx_off,
-    #: count, idx_dtype, val_off, val_dtype) — see repro.exec.shm.
+    #: read footprints: ("box", region_uid, field, corners, values) — one
+    #: lo..., hi... row per box, the boxes' cells back to back — or, sparse,
+    #: ("idx", region_uid, field, indices, values); each array slot is the
+    #: array or an shm reference (segment, offset, count, dtype): exec/shm.py
     read_data: List[tuple]
     profile: bool
     #: armed fault directives (kind, phase, point|None, hang_s) — injected
@@ -210,7 +211,7 @@ class TaskResult:
     value_blob: bytes               # future value (pickled separately)
     deps: List[Tuple[int, int]]     # (earlier real task id, region uid)
     ops: Optional[List[tuple]]      # per-access op records when analyze
-    writes: List[tuple]             # (region_uid, field, idx, final values)
+    writes: List[tuple]             # (requirement index, field, final values)
     reduces: List[tuple]            # (region_uid, field, idx, values, op name)
     span: Optional[tuple]           # (start, end) on the worker clock
 
@@ -222,6 +223,7 @@ class ShardResult:
     node: int
     t0: float                       # worker perf_counter at shard start
     tasks: List[TaskResult] = field(default_factory=list)
+    shm_closed: int = 0             # stale segment attachments released
 
 
 # Per-access op record layout inside TaskResult.ops:

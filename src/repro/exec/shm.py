@@ -9,24 +9,27 @@ traveled as pickled numpy arrays inside the plan/result blobs; this module
 moves them through per-worker ``multiprocessing.shared_memory`` segments so
 the plan and result carry only small descriptors:
 
-* read descriptor (in ``ShardPlan.read_data``)::
+* read footprint (in ``ShardPlan.read_data``; see :class:`Footprint`)::
 
-      ("shm", region_uid, field, segment, idx_off, count, idx_dtype,
-       val_off, val_dtype)
+      ("box", region_uid, field, corners, values)
+      ("idx", region_uid, field, indices, values)
 
-  The parent copies the index array and the values into the segment; the
-  worker maps views and scatters ``storage[idx] = vals``.
+  where each array slot holds an shm reference ``(segment, offset, count,
+  dtype)``.  A rectangular footprint is a short list of *boxes*: one
+  ``lo..., hi...`` row of ``corners`` each, their cells back to back in
+  ``values``, each copied out of the region — and, by the worker, into its
+  own storage — with one strided slice copy; no index array exists on
+  either side.  Only a sparse footprint ships one index per cell.
 
 * write slot (in ``ShardPlan.write_slots``, one entry per (requirement,
   field) in the worker's gather order)::
 
       (segment, val_off, count, val_dtype)
 
-  The parent pre-computes each write footprint's index array (projection is
-  pure, so parent and worker derive identical indices), allocates an
-  uninitialized slot, and keeps an ``(uid, field, idx, view)`` record; the
-  worker fills the slot with its final bytes instead of pickling them, and
-  the parent commits straight from its own view.
+  The parent allocates an uninitialized slot per write footprint
+  (projection is pure, so parent and worker derive identical subregions);
+  the worker gathers its final bytes into it instead of pickling them, and
+  the parent commits its view of the slot straight into the subregion.
 
 Ownership and lifecycle — designed so the PR 5/6 stale-shipment protocol
 carries over unchanged:
@@ -48,19 +51,21 @@ carries over unchanged:
   dispatch starts on fresh segments.
 
 Fallback: every entry degrades independently to the pickle transport —
-object/void dtypes, zero-length footprints, allocation failures, or shm
-being unavailable (``REPRO_SHM=0``, ``RuntimeConfig.shm=False``, or no
-platform support) simply leave the legacy tuples in place, and the worker
-handles both forms unconditionally.  CI exercises both paths.
+object/void dtypes, zero-length write footprints, allocation failures, or
+shm being unavailable (``REPRO_SHM=0``, ``RuntimeConfig.shm=False``, or no
+platform support) put the arrays themselves where the references would be
+(:meth:`Footprint.inline`); the worker accepts either, and CI runs both.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.data.collection import RectSubset, Subregion
 from repro.obs.profiler import NULL_PROFILER
 
 try:  # pragma: no cover - exercised on every POSIX CI leg
@@ -68,7 +73,7 @@ try:  # pragma: no cover - exercised on every POSIX CI leg
 except ImportError:  # pragma: no cover - exotic platforms only
     _shared_memory = None
 
-__all__ = ["ShmArena", "ShmStats", "shm_env_enabled"]
+__all__ = ["Footprint", "ShmArena", "ShmStats", "shm_env_enabled"]
 
 
 def shm_env_enabled() -> bool:
@@ -81,6 +86,8 @@ class ShmStats:
 
     __slots__ = (
         "read_entries",
+        "read_boxes",       # staged as box corners + values
+        "read_indexed",     # staged as index array + values (sparse subsets)
         "read_fallbacks",
         "write_slots",
         "write_fallbacks",
@@ -91,6 +98,7 @@ class ShmStats:
         "rewinds",
         "abandons",
         "teardown_errors",
+        "worker_closes",    # stale attachments workers reported releasing
     )
 
     def __init__(self):
@@ -115,6 +123,56 @@ _ARENA_COUNTER = [0]
 #: Smallest segment; grows geometrically per worker as dispatches demand.
 _MIN_SEGMENT = 1 << 16
 _ALIGN = 64
+
+
+def _aligned(n: int) -> int:
+    return (n + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+class Footprint:
+    """What a shard moves of one ``(region, field)`` — a list of rect
+    subregions (boxes) or one sparse subregion, values back to back in that
+    order — with everything moving it needs worked out once."""
+
+    __slots__ = ("sub", "parts", "fname", "count", "dtype", "where", "head",
+                 "nbytes", "val_off")
+
+    def __init__(self, subs: List[Subregion], fname: str):
+        self.sub = first = subs[0]      # a write footprint's one subregion
+        self.fname = fname
+        self.dtype = first.region.storage(fname).dtype
+        ends = list(accumulate(sub.volume for sub in subs))
+        self.parts = list(zip(subs, [0] + ends, ends))
+        self.count = ends[-1]
+        if isinstance(first.subset, RectSubset):
+            kind = "box"
+            self.where = np.array(
+                [(*sub.subset.rect.lo, *sub.subset.rect.hi) for sub in subs],
+                dtype=np.int64,
+            ).ravel()
+        else:
+            kind, self.where = "idx", first._indices()
+        self.head = (kind, first.region.uid, fname)
+        #: arena bytes of the values; 0 = travels by pickle only.  A staged
+        #: read puts ``where`` in front of them, values at ``val_off``.
+        self.nbytes = 0
+        self.val_off = _aligned(self.where.nbytes)
+        if self.count > 0 and not self.dtype.hasobject and self.dtype.kind != "V":
+            self.nbytes = _aligned(self.count * self.dtype.itemsize)
+
+    def gather(self, out: np.ndarray) -> np.ndarray:
+        """The current values, each part through its own accessor."""
+        if len(self.parts) == 1:
+            return self.sub.gather(self.fname, out)
+        for sub, start, end in self.parts:
+            sub.gather(self.fname, out[start:end])
+        return out
+
+    def inline(self) -> tuple:
+        """The read entry with the arrays themselves in it (pickle form)."""
+        return self.head + (
+            self.where, self.gather(np.empty(self.count, self.dtype))
+        )
 
 
 class ShmArena:
@@ -189,55 +247,55 @@ class ShmArena:
         seg.used = nbytes
         return seg, 0
 
-    @staticmethod
-    def _shippable(arr: np.ndarray) -> bool:
-        return arr.dtype.hasobject is False and arr.dtype.kind != "V"
+    def reserve(self, k: int, gen: int, nbytes: int) -> None:
+        """Make room for a whole dispatch's staging on worker ``k`` at once;
+        sizing a new segment for the entry in hand instead walks
+        8 -> 16 -> 32 MB, retiring two segments it just filled."""
+        slice_ = self._alloc(k, gen, nbytes) if nbytes else None
+        if slice_ is not None:
+            slice_[0].used = slice_[1]      # hand the room straight back
 
     def view(self, seg: _Segment, offset: int, count: int, dtype):
         return np.ndarray(count, dtype=dtype, buffer=seg.shm.buf, offset=offset)
 
     # -------------------------------------------------------------- staging
-    def stage_read(
-        self, k: int, gen: int, uid: int, fname: str,
-        idx: np.ndarray, vals: np.ndarray,
-    ) -> Optional[tuple]:
-        """Copy one read footprint into shm; returns its wire descriptor."""
-        if not (self._shippable(idx) and self._shippable(vals)):
-            self.stats.read_fallbacks += 1
-            return None
-        nbytes = idx.nbytes + _ALIGN + vals.nbytes
-        slice_ = self._alloc(k, gen, nbytes)
+    def stage_read(self, k: int, gen: int, fp: Footprint) -> Optional[tuple]:
+        """Gather one read footprint into shm; returns its wire entry."""
+        where, val_off = fp.where, fp.val_off
+        slice_ = self._alloc(k, gen, val_off + fp.nbytes) if fp.nbytes else None
         if slice_ is None:
             self.stats.read_fallbacks += 1
             return None
-        seg, idx_off = slice_
-        val_off = (idx_off + idx.nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
-        self.view(seg, idx_off, len(idx), idx.dtype)[:] = idx
-        self.view(seg, val_off, len(vals), vals.dtype)[:] = vals
-        self.stats.read_entries += 1
-        self.stats.bytes_staged += idx.nbytes + vals.nbytes
-        return (
-            "shm", uid, fname, seg.shm.name, idx_off, len(idx),
-            idx.dtype.str, val_off, vals.dtype.str,
+        seg, offset = slice_
+        name = seg.shm.name
+        self.view(seg, offset, where.size, where.dtype)[:] = where
+        fp.gather(self.view(seg, offset + val_off, fp.count, fp.dtype))
+        stats = self.stats
+        stats.read_entries += 1
+        stats.bytes_staged += fp.count * fp.dtype.itemsize
+        if fp.head[0] == "box":
+            stats.read_boxes += 1
+        else:
+            stats.read_indexed += 1
+            stats.bytes_staged += where.nbytes
+        return fp.head + (
+            (name, offset, where.size, where.dtype.str),
+            (name, offset + val_off, fp.count, fp.dtype.str),
         )
 
     def alloc_write_slot(
-        self, k: int, gen: int, count: int, dtype
+        self, k: int, gen: int, fp: Footprint
     ) -> Optional[Tuple[tuple, np.ndarray]]:
         """An uninitialized gather-back slot: (wire descriptor, parent view)."""
-        dtype = np.dtype(dtype)
-        if count <= 0 or dtype.hasobject or dtype.kind == "V":
-            self.stats.write_fallbacks += 1
-            return None
-        slice_ = self._alloc(k, gen, count * dtype.itemsize)
+        slice_ = self._alloc(k, gen, fp.nbytes) if fp.nbytes else None
         if slice_ is None:
             self.stats.write_fallbacks += 1
             return None
         seg, offset = slice_
-        view = self.view(seg, offset, count, dtype)
+        view = self.view(seg, offset, fp.count, fp.dtype)
         self.stats.write_slots += 1
-        self.stats.bytes_slotted += count * dtype.itemsize
-        return (seg.shm.name, offset, count, dtype.str), view
+        self.stats.bytes_slotted += view.nbytes
+        return (seg.shm.name, offset, fp.count, fp.dtype.str), view
 
     # ------------------------------------------------------------ lifecycle
     def _retire(self, seg: _Segment) -> None:

@@ -91,7 +91,8 @@ MAGIC = b"RPRO"
 #: v2 added the SHARDS batched-submit message.
 #: v3 added the service messages: CALL (client command) and BUSY
 #: (admission-control backpressure, echoes the rejected seq).
-PROTOCOL_VERSION = 3
+#: v4 changed the ShardPlan/ShardResult payloads (box footprints).
+PROTOCOL_VERSION = 4
 
 (
     HELLO,

@@ -16,8 +16,9 @@ Determinism notes:
 * Reductions are *recorded, not applied*: ``np.add.at`` with duplicate
   indices is order-sensitive, so the parent replays the recorded calls in
   serial task order for bit-identical floating point results.
-* Write-backs return final values *with* their indices, so the parent can
-  scatter without re-deriving footprints.
+* Write-backs return final values addressed by (requirement, field):
+  projection is pure, so the parent holds the very subregion they belong to
+  and no index set travels back.
 * Workers never see ``ctx.runtime`` (it is None): a task attempting a
   nested launch fails here, and the parent falls back to the serial
   backend, which reproduces the serial behavior exactly.
@@ -34,7 +35,7 @@ import numpy as np
 
 from repro.core.domain import Point, Rect
 from repro.core.launch import RegionRequirement
-from repro.data.collection import Region, SparseSubset, Subregion
+from repro.data.collection import RectSubset, Region, SparseSubset, Subregion
 from repro.data.privileges import Privilege
 from repro.exec.plan import (
     ShardPlan,
@@ -66,6 +67,10 @@ _SUBSETS: Dict[int, Any] = {}
 _PARTITIONS: Dict[int, "_PartitionStub"] = {}
 _TASKS: Dict[int, Any] = {}
 _SHM: Dict[str, Any] = {}  # attached parent-owned segments, by name
+_SHM_NAMED: set = set()    # the segments the shard being run has named
+#: read-footprint boxes by (region uid, corner bytes), as (subregion, start,
+#: end) into the values: slice geometry is worked out once per box.
+_BOXES: Dict[tuple, list] = {}
 
 
 def reset_state() -> None:
@@ -79,12 +84,8 @@ def reset_state() -> None:
     _SUBSETS.clear()
     _PARTITIONS.clear()
     _TASKS.clear()
-    for shm in _SHM.values():
-        try:
-            shm.close()
-        except Exception:  # pragma: no cover - segment already gone
-            pass
-    _SHM.clear()
+    _BOXES.clear()
+    _release_shm(keep=())
 
 
 def _attach_shm(name: str):
@@ -94,6 +95,7 @@ def _attach_shm(name: str):
     tracker: segments are parent-owned, and a worker death must never let a
     tracker cleanup unlink memory the parent still uses.
     """
+    _SHM_NAMED.add(name)
     shm = _SHM.get(name)
     if shm is None:
         from multiprocessing import resource_tracker, shared_memory
@@ -112,6 +114,25 @@ def _shm_view(name: str, offset: int, count: int, dtype: str) -> np.ndarray:
         count, dtype=np.dtype(dtype), buffer=_attach_shm(name).buf,
         offset=offset,
     )
+
+
+def _array(slot) -> np.ndarray:
+    """An array slot of a read entry: the array itself or an shm reference."""
+    return slot if isinstance(slot, np.ndarray) else _shm_view(*slot)
+
+
+def _release_shm(keep) -> int:
+    """Close every cached attachment not named in ``keep``: the parent
+    retires (unlinks) segments without telling anyone, and a mapping kept
+    here is then what keeps the pages resident.  Views are transient — made
+    and dropped inside install and gather-back — so none outlives this."""
+    stale = [name for name in _SHM if name not in keep]
+    for name in stale:
+        try:
+            _SHM.pop(name).close()
+        except Exception:  # pragma: no cover - segment already gone
+            pass
+    return len(stale)
 
 
 class _PartitionStub:
@@ -143,16 +164,7 @@ class _RecordingRegion(PhysicalRegion):
         super().__init__(subregion, privilege, fields)
         self._log = log
 
-    def reduce(self, fname: str, values) -> None:
-        self._check_field(fname)
-        # Same privilege gate as PhysicalRegion.reduce, same error text.
-        from repro.runtime.task import PrivilegeError
-
-        if self.privilege.privilege is not Privilege.REDUCE:
-            raise PrivilegeError(
-                f"task holds {self.privilege!r} on {self.subregion!r}; "
-                f"reduce denied"
-            )
+    def _fold(self, fname: str, values) -> None:
         self._log.append(
             (
                 self.subregion.region.uid,
@@ -168,8 +180,6 @@ class _RecordingRegion(PhysicalRegion):
 def _resolve_subset(ref: tuple):
     kind = ref[0]
     if kind == "rect":
-        from repro.data.collection import RectSubset
-
         subset = RectSubset(Rect(ref[1], ref[2]))
         subset.uid = ref[3]
         return subset
@@ -217,15 +227,28 @@ def _install_plan_state(plan: ShardPlan) -> None:
     install_partitions(plan.partitions)
     if plan.task_blob is not None:
         install_task(plan.task_uid, plan.task_blob)
-    for entry in plan.read_data:
-        if entry[0] == "shm":
-            (_, region_uid, fname, seg, idx_off, count,
-             idx_dtype, val_off, val_dtype) = entry
-            idx = _shm_view(seg, idx_off, count, idx_dtype)
-            values = _shm_view(seg, val_off, count, val_dtype)
-        else:
-            region_uid, fname, idx, values = entry
-        _REGIONS[region_uid].storage(fname)[idx] = values
+    for kind, region_uid, fname, where, values in plan.read_data:
+        where, values = _array(where), _array(values)
+        if kind == "idx":
+            _REGIONS[region_uid].storage(fname)[where] = values
+            continue
+        key = region_uid, where.tobytes()
+        boxes = _BOXES.get(key)
+        if boxes is None:
+            boxes = _BOXES[key] = _resolve_boxes(_REGIONS[region_uid], where)
+        for box, start, end in boxes:
+            box.scatter(fname, values[start:end])
+
+
+def _resolve_boxes(region: Region, corners: np.ndarray) -> list:
+    dim = region.bounds.dim
+    boxes, start = [], 0
+    for row in corners.reshape(-1, 2 * dim).tolist():
+        subset = RectSubset(Rect(row[:dim], row[dim:]))
+        boxes.append((Subregion(region, subset, None, None), start,
+                      start + subset.volume()))
+        start += subset.volume()
+    return boxes
 
 
 def _snapshot_analyzer(plan: ShardPlan) -> PhysicalAnalyzer:
@@ -305,6 +328,7 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
     t0 = time.perf_counter()
     faults = plan.faults or []
     _fire_faults(faults, "install")
+    _SHM_NAMED.clear()
     _install_plan_state(plan)
     task = _TASKS[plan.task_uid]
     result = ShardResult(node=plan.node, t0=t0)
@@ -385,31 +409,20 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
         end = time.perf_counter() if plan.profile else 0.0
 
         writes: List[tuple] = []
-        slots = (
-            plan.write_slots[i] if plan.write_slots is not None else None
-        )
-        slot_i = 0
-        for sub, req, rf in zip(subregions, reqs, resolved_fields):
-            if req.privilege.privilege not in (
-                Privilege.WRITE,
-                Privilege.READ_WRITE,
-            ):
+        slots = iter(plan.write_slots[i] if plan.write_slots else ())
+        for ri, (sub, req, rf) in enumerate(
+            zip(subregions, reqs, resolved_fields)
+        ):
+            if req.privilege.privilege in (Privilege.READ, Privilege.REDUCE):
                 continue
-            idx = sub._indices()
             for fname in rf:
-                slot = None
-                if slots is not None and slot_i < len(slots):
-                    slot = slots[slot_i]
-                slot_i += 1
-                # Fancy indexing materializes a fresh copy either way.
-                data = sub.region.storage(fname)[idx]
-                if slot is not None and slot[2] == len(idx):
-                    # Parent pre-allocated a gather-back slot (same idx by
-                    # pure projection); fill it and ship nothing.
-                    seg, val_off, count, val_dtype = slot
-                    _shm_view(seg, val_off, count, val_dtype)[:] = data
-                    continue
-                writes.append((sub.region.uid, fname, idx, data))
+                slot = next(slots, None)
+                if slot is not None:
+                    # Parent pre-allocated a gather-back slot (same
+                    # subregion by pure projection); fill it, ship nothing.
+                    sub.gather(fname, _shm_view(*slot))
+                else:
+                    writes.append((ri, fname, sub.gather(fname)))
         result.tasks.append(
             TaskResult(
                 ordinal=plan.ordinals[i],
@@ -422,6 +435,8 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
                 span=(start, end) if plan.profile else None,
             )
         )
+    if _SHM_NAMED:  # a plan naming none (pipelined ahead) says nothing
+        result.shm_closed = _release_shm(keep=_SHM_NAMED)
     return result
 
 

@@ -146,6 +146,10 @@ class PhysicalRegion:
             raise PrivilegeError(
                 f"task holds {self.privilege!r} on {self.subregion!r}; reduce denied"
             )
+        self._fold(fname, values)
+
+    def _fold(self, fname: str, values) -> None:
+        """Apply one permitted reduction (worker accessors record it)."""
         self.subregion.reduce(fname, values, self.privilege.redop)
 
     def __repr__(self) -> str:
