@@ -113,7 +113,10 @@ class Rect:
     @property
     def empty(self) -> bool:
         """True when the rectangle contains no points."""
-        return self.volume == 0
+        for l, h in zip(self.lo, self.hi):
+            if h < l:
+                return True
+        return False
 
     def contains(self, point: Union[Coord, Sequence[Coord]]) -> bool:
         """Whether ``point`` lies within the inclusive bounds."""
@@ -124,7 +127,14 @@ class Rect:
         """Whether ``other`` is fully contained in ``self``."""
         if other.empty:
             return True
-        return self.contains(other.lo) and self.contains(other.hi)
+        if len(self.lo) != len(other.lo):
+            raise ValueError("dimension mismatch in Rect.contains_rect")
+        # ``other`` is non-empty, so lo <= hi there: two comparisons per
+        # axis decide it.
+        for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi):
+            if ol < sl or sh < oh:
+                return False
+        return True
 
     def intersection(self, other: "Rect") -> "Rect":
         """The overlapping rectangle (possibly empty)."""
@@ -135,8 +145,19 @@ class Rect:
         return Rect(lo, hi)
 
     def overlaps(self, other: "Rect") -> bool:
-        """Whether the two rectangles share at least one point."""
-        return not self.intersection(other).empty
+        """Whether the two rectangles share at least one point.
+
+        Same answer as ``not self.intersection(other).empty`` — an empty
+        operand overlaps nothing — decided on the coordinates, because the
+        physical analysis asks this once per candidate user.
+        """
+        if len(self.lo) != len(other.lo):
+            raise ValueError("dimension mismatch in Rect.overlaps")
+        # max(a, c) <= min(b, d) on every axis, spelled as its four pairs.
+        for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi):
+            if b < a or d < a or b < c or d < c:
+                return False
+        return True
 
     def linearize(self, point: Union[Coord, Sequence[Coord]]) -> int:
         """Bijectively map a contained point to ``[0, volume)`` (row-major).

@@ -57,6 +57,11 @@ class IndexSubset:
         """Row-major linear indices of the subset within ``bounds``."""
         raise NotImplementedError
 
+    def bounding_box(self, bounds: Rect) -> Optional[Tuple[tuple, tuple]]:
+        """Tight ``(lo, hi)`` corners around the subset's points, as plain
+        tuples; None when the subset is empty."""
+        raise NotImplementedError
+
     def overlaps(self, other: "IndexSubset", bounds: Rect) -> bool:
         """Whether the two subsets share any point of the same index space."""
         if isinstance(self, RectSubset) and isinstance(other, RectSubset):
@@ -115,6 +120,10 @@ class RectSubset(IndexSubset):
                 for l, h, bl in zip(rect.lo, rect.hi, bounds.lo)
             )
         return (index[0], None) if bounds.dim == 1 else (index, bounds.extents)
+
+    def bounding_box(self, bounds: Rect) -> Optional[Tuple[tuple, tuple]]:
+        rect = self.rect
+        return None if rect.empty else (tuple(rect.lo), tuple(rect.hi))
 
     def linear_indices(self, bounds: Rect) -> np.ndarray:
         # Pure in (rect, bounds) and recomputed on every replay's footprint
@@ -185,6 +194,15 @@ class SparseSubset(IndexSubset):
 
     def linear_indices(self, bounds: Rect) -> np.ndarray:
         return self.indices
+
+    def bounding_box(self, bounds: Rect) -> Optional[Tuple[tuple, tuple]]:
+        if len(self.indices) == 0:
+            return None
+        axes = np.unravel_index(self.indices, bounds.extents)
+        return (
+            tuple(l + int(axis.min()) for l, axis in zip(bounds.lo, axes)),
+            tuple(l + int(axis.max()) for l, axis in zip(bounds.lo, axes)),
+        )
 
     def __repr__(self) -> str:
         return f"SparseSubset(<{len(self.indices)} indices>)"
@@ -259,7 +277,7 @@ class Subregion:
     partition's color space (None for a root subregion).
     """
 
-    __slots__ = ("region", "subset", "color", "partition", "_box")
+    __slots__ = ("region", "subset", "color", "partition", "_box", "_bbox")
 
     def __init__(self, region: Region, subset: IndexSubset, color: Optional[Point],
                  partition):
@@ -268,6 +286,7 @@ class Subregion:
         self.color = color
         self.partition = partition
         self._box = None    # RectSubset.box(region.bounds), on first access
+        self._bbox = None   # (bounding_box(),), on first access
 
     @property
     def volume(self) -> int:
@@ -358,6 +377,17 @@ class Subregion:
             self.region.storage(field), self._indices(),
             np.asarray(values).ravel(),
         )
+
+    def bounding_box(self) -> Optional[Tuple[tuple, tuple]]:
+        """Tight ``(lo, hi)`` corners around this subregion's points in the
+        region's index space; None when it has no points.  Two subregions of
+        one region whose boxes are disjoint cannot :meth:`overlaps`."""
+        cached = self._bbox
+        if cached is None:
+            cached = self._bbox = (
+                self.subset.bounding_box(self.region.bounds),
+            )
+        return cached[0]
 
     def overlaps(self, other: "Subregion") -> bool:
         """Whether two subregions can share data (same region and intersecting)."""

@@ -83,7 +83,6 @@ from repro.runtime.futures import FutureMap
 from repro.runtime.physical import (
     AccessOp,
     TaskDependence,
-    _footprint_key,
     _same_subset,
     _User,
     make_template,
@@ -362,6 +361,52 @@ class _PendingLaunch:
     touched: frozenset
     written: frozenset
     used_shm: bool
+
+
+class _MergeBucket:
+    """One region bucket under :meth:`ParallelBackend._merge_analysis`:
+    cloned users in bucket order, addressable by footprint key.
+
+    ``users`` maps a slot number to its user.  Slots rise with bucket
+    position and a retire leaves the other slots alone, so ``by_key``
+    (footprint key -> the slots holding it) stays valid across every op of
+    a launch.  ``dup_keys`` counts keys held by more than one user; only
+    uniquely held keys are ever retired, so it never falls.
+    """
+
+    __slots__ = ("users", "by_key", "dup_keys", "_next_slot")
+
+    def __init__(self, originals: List[_User]):
+        self.users: Dict[int, _User] = {}
+        self.by_key: Dict[tuple, List[int]] = {}
+        self.dup_keys = 0
+        self._next_slot = 0
+        for user in originals:
+            self.append(user.clone())
+
+    def append(self, user: _User) -> None:
+        slot = self._next_slot
+        self._next_slot = slot + 1
+        self.users[slot] = user
+        slots = self.by_key.setdefault(user.footprint_key(), [])
+        slots.append(slot)
+        if len(slots) == 2:
+            self.dup_keys += 1
+
+    def only(self, key: tuple) -> Optional[_User]:
+        """The one user holding ``key``; None when none or several do."""
+        slots = self.by_key.get(key)
+        if slots is None or len(slots) != 1:
+            return None
+        return self.users[slots[0]]
+
+    def retire(self, key: tuple) -> bool:
+        """Drop the one user holding ``key``; False when none or several do."""
+        slots = self.by_key.get(key)
+        if slots is None or len(slots) != 1:
+            return False
+        del self.users[slots[0]], self.by_key[key]
+        return True
 
 
 class ParallelBackend(ExecutionBackend):
@@ -1646,22 +1691,13 @@ class ParallelBackend(ExecutionBackend):
         """
         rt = self.rt
         phys = rt.physical
-        # Clones carry their footprint keys alongside, maintained
-        # incrementally across ops: footprint keys are pure in the user's
-        # (subregion, privilege, fields), none of which the merge mutates,
-        # so one computation per user replaces one per (op, user) pair.
-        clones: Dict[int, Tuple[List[_User], List[tuple]]] = {}
+        clones: Dict[int, _MergeBucket] = {}
 
-        def bucket_for(uid: int) -> Tuple[List[_User], List[tuple]]:
-            entry = clones.get(uid)
-            if entry is None:
-                bucket = [
-                    _User(list(u.task_ids), u.subregion, u.privilege, u.fields)
-                    for u in phys._users.get(uid, [])
-                ]
-                entry = (bucket, [u.footprint_key() for u in bucket])
-                clones[uid] = entry
-            return entry
+        def bucket_for(uid: int) -> _MergeBucket:
+            bucket = clones.get(uid)
+            if bucket is None:
+                bucket = clones[uid] = _MergeBucket(phys._users.get(uid, []))
+            return bucket
 
         added_queries = 0
         tdeps_lists: List[List[TaskDependence]] = []
@@ -1681,33 +1717,28 @@ class ParallelBackend(ExecutionBackend):
                 dep_keys, retire_keys, coalesce_key, created_key, region_uid = (
                     record
                 )
-                bucket, keys = bucket_for(region_uid)
-                added_queries += len(bucket)
+                bucket = bucket_for(region_uid)
+                added_queries += len(bucket.users)
                 op = AccessOp(
                     region_uid=region_uid,
-                    n_scanned=len(bucket),
+                    n_scanned=len(bucket.users),
                     dep_keys=list(dep_keys),
                     retire_keys=list(retire_keys),
                     coalesce_key=coalesce_key,
-                    ambiguous=len(set(keys)) != len(keys),
+                    ambiguous=bucket.dup_keys > 0,
                 )
                 for key in retire_keys:
-                    matches = [i for i, k in enumerate(keys) if k == key]
-                    if len(matches) != 1:
+                    if not bucket.retire(key):
                         return None
-                    del bucket[matches[0]]
-                    del keys[matches[0]]
                 if coalesce_key is not None:
-                    matches = [
-                        i for i, k in enumerate(keys) if k == coalesce_key
-                    ]
-                    if len(matches) != 1:
+                    user = bucket.only(coalesce_key)
+                    if user is None:
                         return None
-                    bucket[matches[0]].task_ids.append(tid)
+                    user.task_ids.append(tid)
                 if created_key is not None:
                     sub, priv, fields = accesses[ai]
-                    fieldset = frozenset(fields)
-                    if _footprint_key(sub, priv, fieldset) != created_key:
+                    fresh = _User([tid], sub, priv, frozenset(fields))
+                    if fresh.footprint_key() != created_key:
                         return None  # cross-process key drift: do not trust
                     # The serial scan may coalesce this access into a user
                     # another shard created (the worker could not see it);
@@ -1715,11 +1746,11 @@ class ParallelBackend(ExecutionBackend):
                     # field-disjoint user is skipped before the coalesce
                     # test there, so an empty field set never coalesces.
                     target = None
-                    if fieldset:
-                        for user in bucket:
+                    if fresh.fields:
+                        for user in bucket.users.values():
                             if (
                                 user.privilege.compatible_with(priv)
-                                and user.fields == fieldset
+                                and user.fields == fresh.fields
                                 and _same_subset(
                                     user.subregion.subset, sub.subset
                                 )
@@ -1727,9 +1758,8 @@ class ParallelBackend(ExecutionBackend):
                                 target = user
                                 break
                     if target is None:
-                        bucket.append(_User([tid], sub, priv, fieldset))
-                        keys.append(created_key)
-                        op.create = (sub, priv, fieldset)
+                        bucket.append(fresh)
+                        op.create = (sub, priv, fresh.fields)
                     elif target.footprint_key() == created_key:
                         target.task_ids.append(tid)
                         op.coalesce_key = created_key
@@ -1743,8 +1773,8 @@ class ParallelBackend(ExecutionBackend):
             synthesized.append(ops_out)
 
         # Commit: install the merged buckets and the query accounting.
-        for uid, (bucket, _keys) in clones.items():
-            phys.install_bucket(uid, bucket)
+        for uid, bucket in clones.items():
+            phys.install_bucket(uid, list(bucket.users.values()))
         phys.overlap_queries += added_queries
         if capture is not None:
             capture.extend(synthesized)

@@ -282,7 +282,7 @@ def _snapshot_analyzer(plan: ShardPlan) -> PhysicalAnalyzer:
                     f"{user.footprint_key()} != {ref.key}"
                 )
             users.append(user)
-        analyzer._users[region_uid] = users
+        analyzer.install_bucket(region_uid, users)
     return analyzer
 
 

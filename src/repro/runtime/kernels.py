@@ -173,9 +173,7 @@ class DependenceKernel:
                     bucket.append(
                         user_cls(created[-1 - src], subregion, privilege, fieldset)
                     )
-            analyzer._users[uid] = bucket
-            bumped = versions.get(uid, 0) + 1
-            versions[uid] = bumped
+            bumped = analyzer.install_bucket(uid, bucket)
             # Permute-committing buckets stay on the revalidation path: the
             # version we just minted describes the *committed* order, not
             # the entry order the slot program needs.

@@ -4,12 +4,19 @@ After distribution, dependencies are refined to *specific tasks*: the
 runtime tracks the last tasks to have read, written, or reduced each
 sub-collection, and a new task depends on the precise prior tasks whose
 footprints overlap its own.  Legion performs this with a distributed
-bounding volume hierarchy in O(|D|_local * log |P|); here the same
-information is computed with interval/index intersection (the complexity is
-charged by the machine model, not measured from this Python code).
+bounding volume hierarchy in O(|D|_local * log |P|).  Here each region's
+active users are an ordered list (the *bucket*), and the live path finds
+the users one access can touch through a geometric candidate index over
+that bucket (:class:`_BucketIndex`, a multi-level grid of bounding boxes):
+an access costs O(levels + candidates), not O(|P|), so a launch over a
+disjoint partition runs |D| exact overlap tests whatever |P| is — measured,
+see ``live_analysis_scaling`` in ``results/BENCH_runtime.json``.
 
-The analyzer also records how many overlap queries it performed so tests
-can verify the claimed access patterns.
+Two counters keep the two notions apart.  ``overlap_queries`` is the
+*charged* scan length — ``len(bucket)`` per access, what a linear scan would
+have asked and what template replay, dependence kernels and the parallel
+merge charge without performing; it feeds ``PipelineStats`` and the machine
+model.  ``overlap_tests`` counts the exact footprint tests actually run.
 
 Replay support (tracing [20]): when an identical launch is reissued inside
 a validated trace, its dependence structure is the same *shape* — only the
@@ -28,6 +35,8 @@ uniquely) and bails to the live path on any mismatch.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -120,9 +129,27 @@ class _User:
     subregion: Subregion
     privilege: PrivilegeSpec
     fields: frozenset
+    #: memoised :meth:`footprint_key` — pure in the three fields above,
+    #: which nothing reassigns after construction.
+    _key: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def footprint_key(self):
-        return _footprint_key(self.subregion, self.privilege, self.fields)
+        key = self._key
+        if key is None:
+            key = self._key = _footprint_key(
+                self.subregion, self.privilege, self.fields
+            )
+        return key
+
+    def clone(self) -> "_User":
+        """A copy with its own ``task_ids`` list (and the memoised key)."""
+        twin = _User(
+            list(self.task_ids), self.subregion, self.privilege, self.fields
+        )
+        twin._key = self._key
+        return twin
 
 
 @dataclass
@@ -201,6 +228,155 @@ class _OverlayEntry:
         return base + self.pending
 
 
+def _cell_spans(lo: tuple, hi: tuple, shifts: tuple) -> List[range]:
+    """Per axis, the grid coordinates a box touches at one level (cell side
+    ``2**shift``); their product is the cells it touches."""
+    return [range(l >> s, (h >> s) + 1) for l, h, s in zip(lo, hi, shifts)]
+
+
+class _BucketIndex:
+    """Geometric candidate index over one region bucket.
+
+    Derived from the ordered ``List[_User]`` and private to the analyzer:
+    the list stays the representation of record that kernels and the
+    parallel backend read.  An index describes exactly one (list object,
+    bucket version) pair — ``users`` / ``version`` — and the analyzer
+    rebuilds it when either differs, so a bucket installed from outside
+    (template replay, a dependence kernel, the parallel merge) costs nothing
+    until the next live access to that region.
+
+    The structure is a multi-level grid over the users' bounding boxes
+    (:meth:`Subregion.bounding_box`).  A user lives at the level whose
+    power-of-two cell side is the smallest not below its box's extent, per
+    axis, so it touches at most two cells per axis; a query probes, per
+    level in use, the cells its own box touches — or that level's users
+    directly when there are fewer of them.  Over a disjoint partition that
+    is a handful of dict probes, whatever |P|.  Users are named by a
+    sequence number that rises with bucket position (``seqs`` parallels
+    the list), which survives the position shifts of a retire.
+
+    ``dup_keys`` counts footprint keys held by two or more users
+    (``AccessOp.ambiguous``) without rescanning the bucket.
+    """
+
+    __slots__ = (
+        "users", "version", "seqs", "levels", "empties", "key_counts",
+        "dup_keys",
+    )
+
+    def __init__(self, users: List["_User"], version: int):
+        self.users = users
+        self.version = version
+        self.seqs = list(range(len(users)))
+        #: per-axis shifts -> (seq -> entry, cell -> seq -> entry), an entry
+        #: being (user, box lo, box hi).
+        self.levels: Dict[tuple, Tuple[dict, dict]] = {}
+        #: seq -> user for footprints with no points: no box to file them
+        #: under, and an empty access may still coalesce with one.
+        self.empties: Dict[int, _User] = {}
+        self.key_counts: Dict[tuple, int] = {}
+        self.dup_keys = 0
+        for seq, user in enumerate(users):
+            self._insert(seq, user)
+
+    def _insert(self, seq: int, user: "_User") -> None:
+        key = user.footprint_key()
+        held = self.key_counts.get(key, 0)
+        self.key_counts[key] = held + 1
+        if held == 1:
+            self.dup_keys += 1
+        box = user.subregion.bounding_box()
+        if box is None:
+            self.empties[seq] = user
+            return
+        lo, hi = box
+        shifts = tuple((h - l).bit_length() for l, h in zip(lo, hi))
+        level = self.levels.get(shifts)
+        if level is None:
+            level = self.levels[shifts] = ({}, {})
+        members, cells = level
+        members[seq] = entry = (user, lo, hi)
+        for cell in itertools.product(*_cell_spans(lo, hi, shifts)):
+            cells.setdefault(cell, {})[seq] = entry
+
+    def _discard(self, seq: int, user: "_User") -> None:
+        key = user.footprint_key()
+        held = self.key_counts[key]
+        if held == 1:
+            del self.key_counts[key]
+        else:
+            self.key_counts[key] = held - 1
+            if held == 2:
+                self.dup_keys -= 1
+        box = user.subregion.bounding_box()
+        if box is None:
+            del self.empties[seq]
+            return
+        lo, hi = box
+        shifts = tuple((h - l).bit_length() for l, h in zip(lo, hi))
+        members, cells = self.levels[shifts]
+        del members[seq]
+        if not members:
+            del self.levels[shifts]     # its cells go with it
+            return
+        for cell in itertools.product(*_cell_spans(lo, hi, shifts)):
+            group = cells[cell]
+            del group[seq]
+            if not group:
+                del cells[cell]
+
+    def candidates(
+        self, box: Optional[Tuple[tuple, tuple]]
+    ) -> List[Tuple[int, "_User"]]:
+        """``(seq, user)`` in bucket order for every user an access with
+        bounding box ``box`` can depend on, retire or coalesce into: those
+        whose own box meets it, plus every empty footprint."""
+        found = dict(self.empties)
+        if box is not None:
+            qlo, qhi = box
+            for shifts, (members, cells) in self.levels.items():
+                spans = _cell_spans(qlo, qhi, shifts)
+                n_cells = 1
+                for span in spans:
+                    n_cells *= len(span)
+                if n_cells < len(members):
+                    groups = [
+                        cells[cell]
+                        for cell in itertools.product(*spans)
+                        if cell in cells
+                    ]
+                else:
+                    groups = [members]
+                for group in groups:
+                    for seq, (user, lo, hi) in group.items():
+                        for a, b, c, d in zip(lo, hi, qlo, qhi):
+                            if d < a or b < c:
+                                break
+                        else:
+                            found[seq] = user
+        return sorted(found.items())
+
+    def advance(
+        self, retired: List[int], created: Optional["_User"]
+    ) -> List["_User"]:
+        """Apply one access — drop the ``retired`` seqs, append ``created``
+        — and return the bucket that results, as a fresh list (a pipelined
+        dispatch may still hold the old one)."""
+        users = self.users[:]
+        seqs = self.seqs
+        for seq in retired:
+            pos = bisect_left(seqs, seq)
+            self._discard(seq, users[pos])
+            del seqs[pos], users[pos]
+        if created is not None:
+            seq = seqs[-1] + 1 if seqs else 0
+            self._insert(seq, created)
+            seqs.append(seq)
+            users.append(created)
+        self.users = users
+        return users
+
+
 class PhysicalAnalyzer:
     """Per-subregion last-user tracking.
 
@@ -215,7 +391,11 @@ class PhysicalAnalyzer:
         #: per-region bucket version, bumped on every mutation; dependence
         #: kernels compare versions instead of re-snapshotting keys.
         self._versions: Dict[int, int] = {}
+        self._indexes: Dict[int, _BucketIndex] = {}
+        #: charged scan length: ``len(bucket)`` per access, performed or not.
         self.overlap_queries = 0
+        #: exact footprint tests the live path actually ran.
+        self.overlap_tests = 0
         self.kernels_enabled = kernels
         self.kernel_replays = 0
         self._profiler = profiler
@@ -242,31 +422,36 @@ class PhysicalAnalyzer:
         region_uid = subregion.region.uid
         fieldset = frozenset(fields)
         users = self._users.setdefault(region_uid, [])
+        version = self._versions.get(region_uid, 0)
+        index = self._indexes.get(region_uid)
+        if index is None or index.users is not users or index.version != version:
+            index = self._indexes[region_uid] = _BucketIndex(users, version)
+        self.overlap_queries += len(users)
         op: Optional[AccessOp] = None
-        keys: List[tuple] = []
         if _capture is not None:
-            keys = [u.footprint_key() for u in users]
             op = AccessOp(
                 region_uid=region_uid,
                 n_scanned=len(users),
-                ambiguous=len(set(keys)) != len(keys),
+                ambiguous=index.dup_keys > 0,
             )
             _capture.append(op)
         deps: List[TaskDependence] = []
-        survivors: List[_User] = []
+        retired: List[int] = []
         coalesced = False
-        for idx, user in enumerate(users):
-            self.overlap_queries += 1
+        # Users the index does not return survive in place: a footprint
+        # with points whose box misses this one neither overlaps it nor
+        # is the same subset.
+        for seq, user in index.candidates(subregion.bounding_box()):
             if not (user.fields & fieldset):
-                survivors.append(user)
                 continue
+            self.overlap_tests += 1
             overlapping = user.subregion.overlaps(subregion)
             if overlapping and _conflicts(user.privilege, privilege):
                 for tid in user.task_ids:
                     if tid != task_id:
                         deps.append(TaskDependence(tid, task_id, region_uid))
                 if op is not None:
-                    op.dep_keys.append(keys[idx])
+                    op.dep_keys.append(user.footprint_key())
             # A writing access retires prior users whose footprint and field
             # set it fully covers (their data is superseded for dependence
             # purposes; partial overlap must keep the old user alive for
@@ -281,8 +466,9 @@ class PhysicalAnalyzer:
                 )
             ):
                 if op is not None:
-                    op.retire_keys.append(keys[idx])
-                continue  # retired
+                    op.retire_keys.append(user.footprint_key())
+                retired.append(seq)
+                continue
             # Coalesce into an existing identical compatible footprint.
             if (
                 not coalesced
@@ -293,14 +479,15 @@ class PhysicalAnalyzer:
                 user.task_ids.append(task_id)
                 coalesced = True
                 if op is not None:
-                    op.coalesce_key = keys[idx]
-            survivors.append(user)
+                    op.coalesce_key = user.footprint_key()
+        created: Optional[_User] = None
         if not coalesced:
-            survivors.append(_User([task_id], subregion, privilege, fieldset))
+            created = _User([task_id], subregion, privilege, fieldset)
             if op is not None:
                 op.create = (subregion, privilege, fieldset)
-        self._users[region_uid] = survivors
-        self._versions[region_uid] = self._versions.get(region_uid, 0) + 1
+        index.version = self.install_bucket(
+            region_uid, index.advance(retired, created)
+        )
         return deps
 
     def record_task(
@@ -452,8 +639,7 @@ class PhysicalAnalyzer:
                     new_users.append(
                         _User(list(entry.pending), subregion, privilege, fieldset)
                     )
-            self._users[uid] = new_users
-            self._versions[uid] = self._versions.get(uid, 0) + 1
+            self.install_bucket(uid, new_users)
             if compile_steps is not None:
                 final_order[uid] = [e.src for e in entries]
                 # A bucket whose commit reproduces the entry snapshot is at
@@ -491,13 +677,19 @@ class PhysicalAnalyzer:
             prof.count("physical.template_tasks", float(len(task_ids)))
         return results
 
-    def install_bucket(self, region_uid: int, users: List[_User]) -> None:
-        """Replace a region's user bucket wholesale (parallel-merge commit).
+    def install_bucket(self, region_uid: int, users: List[_User]) -> int:
+        """Replace a region's user bucket wholesale; returns its new version.
 
-        Every external mutation must go through here so the bucket version
-        advances and stale dependence kernels notice."""
+        The one write path for buckets — the live path, template replay,
+        dependence kernels, the parallel merge and worker snapshots all
+        come through here — so the version advances on every change and
+        whatever was derived from the old bucket (a dependence kernel's
+        expectations, the candidate index) notices."""
         self._users[region_uid] = users
-        self._versions[region_uid] = self._versions.get(region_uid, 0) + 1
+        version = self._versions[region_uid] = (
+            self._versions.get(region_uid, 0) + 1
+        )
+        return version
 
     def active_users(self, region_uid: int) -> int:
         """Number of live users tracked for a region (test hook)."""

@@ -55,6 +55,13 @@ class TestCoercePoint:
             coerce_point("nope")
 
 
+@st.composite
+def small_rects(draw, dim=2):
+    """Rects with corners in [-3, 4]^dim; ``hi < lo`` (empty) included."""
+    corner = st.tuples(*[st.integers(-3, 4)] * dim)
+    return Rect(draw(corner), draw(corner))
+
+
 class TestRect:
     def test_volume_inclusive_bounds(self):
         # [0,3] has 4 points, as drawn in Figures 2 and 3.
@@ -128,6 +135,32 @@ class TestRect:
     def test_equality_of_empty_rects(self):
         assert Rect((0,), (-1,)) == Rect((5,), (2,))
         assert Rect((0,), (-1,)) != Rect((0, 0), (-1, -1))
+
+    # The predicates below compare coordinates directly (the physical
+    # analysis calls them once per candidate user); these pin them to the
+    # definitions they replaced.  Corners are drawn independently, so about
+    # half the rects are empty.
+    @given(a=small_rects(), b=small_rects())
+    def test_overlaps_is_nonempty_intersection(self, a, b):
+        assert a.overlaps(b) == (not a.intersection(b).empty)
+        assert a.overlaps(b) == bool(set(a) & set(b))
+
+    @given(a=small_rects(), b=small_rects())
+    def test_contains_rect_is_pointwise(self, a, b):
+        assert a.contains_rect(b) == (set(b) <= set(a))
+
+    @given(a=small_rects())
+    def test_empty_is_zero_volume(self, a):
+        assert a.empty == (a.volume == 0) == (not list(a))
+
+    def test_predicates_reject_dim_mismatch(self):
+        flat, square = Rect((0,), (1,)), Rect((0, 0), (1, 1))
+        with pytest.raises(ValueError):
+            flat.overlaps(square)
+        with pytest.raises(ValueError):
+            square.contains_rect(flat)
+        # An empty rect fits anywhere, whatever its dimension (as before).
+        assert flat.contains_rect(Rect((0, 0), (-1, -1)))
 
 
 class TestDomain:
