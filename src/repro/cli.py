@@ -49,6 +49,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.exec.transport import TRANSPORTS
+
+#: every ``--transport`` flag offers exactly what the engine can spawn
+TRANSPORT_CHOICES = tuple(sorted(TRANSPORTS))
+
 __all__ = ["main"]
 
 
@@ -558,10 +563,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_val.add_argument("--workers", type=int, default=None,
                        help="pipeline worker processes per run (default: "
                             "env REPRO_WORKERS, else 1 = serial)")
-    p_val.add_argument("--transport", choices=("local", "pipe", "socket"),
+    p_val.add_argument("--transport", choices=TRANSPORT_CHOICES,
                        default=None,
                        help="worker transport (default: env "
-                            "REPRO_TRANSPORT, else local)")
+                            "REPRO_TRANSPORT, else pipe)")
     p_val.set_defaults(fn=_cmd_validate)
 
     p_pat = sub.add_parser(
@@ -599,10 +604,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_prof.add_argument("--workers", type=int, default=None,
                         help="pipeline worker processes per run (default: "
                              "env REPRO_WORKERS, else 1 = serial)")
-    p_prof.add_argument("--transport", choices=("local", "pipe", "socket"),
+    p_prof.add_argument("--transport", choices=TRANSPORT_CHOICES,
                         default=None,
                         help="worker transport (default: env "
-                             "REPRO_TRANSPORT, else local)")
+                             "REPRO_TRANSPORT, else pipe)")
     p_prof.add_argument("--steps", type=int, default=5,
                         help="application time steps (default 5)")
     p_prof.add_argument("--no-dcr", action="store_true",
@@ -628,10 +633,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "random fault from --seed")
     p_fault.add_argument("--workers", type=int, default=2,
                          help="worker pool size (default 2)")
-    p_fault.add_argument("--transport", choices=("local", "pipe", "socket"),
+    p_fault.add_argument("--transport", choices=TRANSPORT_CHOICES,
                          default=None,
                          help="worker transport (default: env "
-                              "REPRO_TRANSPORT, else local)")
+                              "REPRO_TRANSPORT, else pipe)")
     p_fault.add_argument("--steps", type=int, default=None,
                          help="application time steps (default: app's)")
     p_fault.add_argument("--seed", type=int, default=0,
@@ -654,10 +659,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--workers", type=int, default=None,
                          help="shared worker-pool size (default: env "
                               "REPRO_WORKERS, else 1)")
-    p_serve.add_argument("--transport", choices=("local", "pipe", "socket"),
+    p_serve.add_argument("--transport", choices=TRANSPORT_CHOICES,
                          default=None,
                          help="worker transport (default: env "
-                              "REPRO_TRANSPORT, else local)")
+                              "REPRO_TRANSPORT, else pipe)")
     p_serve.add_argument("--queue-limit", type=int, default=8,
                          help="per-session admitted-command bound; beyond "
                               "it calls get BUSY (default 8)")

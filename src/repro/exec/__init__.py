@@ -8,7 +8,6 @@ from repro.exec.pool import (
     shutdown_pools,
 )
 from repro.exec.transport import (
-    LocalTransport,
     SocketTransport,
     Transport,
     resolve_transport,
@@ -24,7 +23,6 @@ __all__ = [
     "active_pool_count",
     "resolve_workers",
     "Transport",
-    "LocalTransport",
     "SocketTransport",
     "resolve_transport",
 ]

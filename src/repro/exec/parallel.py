@@ -53,9 +53,6 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import CancelledError
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -79,6 +76,12 @@ from repro.exec.plan import (
 )
 from repro.exec.pool import get_pool
 from repro.exec.shm import Footprint, shm_env_enabled
+from repro.exec.transport import (
+    ResultCancelled,
+    ResultTimeout,
+    WorkerLost,
+    resolve_transport,
+)
 from repro.runtime.futures import FutureMap
 from repro.runtime.physical import (
     AccessOp,
@@ -419,8 +422,6 @@ class ParallelBackend(ExecutionBackend):
         self.workers = workers
         # Resolved eagerly so a bad RuntimeConfig.transport/REPRO_TRANSPORT
         # fails at Runtime construction, not mid-dispatch.
-        from repro.exec.transport import resolve_transport
-
         self.transport = resolve_transport(
             getattr(rt.config, "transport", None)
         )
@@ -1143,7 +1144,7 @@ class ParallelBackend(ExecutionBackend):
 
         def submit(worker_jobs: List[_ShardJob], depth: int = 0) -> None:
             """Build and submit shards of one worker: its whole batch at
-            first (one vectored write where the transport supports it), a
+            first (one vectored write), a
             single shard on a ladder resubmission.  Building per worker in
             shard order preserves both the fault-injector's
             directive-consumption order and the arena's per-worker
@@ -1160,7 +1161,7 @@ class ParallelBackend(ExecutionBackend):
                 self._observe("submit", shard=job.node, worker=k, gen=job.gen)
             try:
                 futures = pool.submit_shards(k, items)
-            except BrokenProcessPool:
+            except WorkerLost:
                 # The worker's death surfaced at *submit* time (the
                 # transport noticed its child was gone before we handed it
                 # these plans).  Respawn and rebuild against the emptied
@@ -1310,14 +1311,14 @@ class ParallelBackend(ExecutionBackend):
             payload = None
             try:
                 raw = job.future.result(timeout=policy.shard_timeout_s)
-            except BrokenProcessPool as exc:
+            except WorkerLost as exc:
                 failure = _InfraFailure("broken", str(exc) or "worker died")
-            except FuturesTimeout:
+            except ResultTimeout:
                 failure = _InfraFailure(
                     "timeout",
                     f"no result within {policy.shard_timeout_s}s",
                 )
-            except CancelledError:
+            except ResultCancelled:
                 failure = _InfraFailure(
                     "cancelled", "future cancelled by a worker reset"
                 )
@@ -1383,7 +1384,7 @@ class ParallelBackend(ExecutionBackend):
         """Tier 3: abandon the dispatch for the serial fallback.
 
         Every worker is reset — in-flight futures of sibling shards die
-        with their executors, and nothing about any worker's state can be
+        with their workers, and nothing about any worker's state can be
         trusted after a dispatch this broken."""
         self._observe("ladder.bail", shard=job.node, worker=job.k,
                       failure=failure.kind, retries=retries,

@@ -1,19 +1,17 @@
 """Persistent worker pools for the parallel execution backend.
 
-A :class:`WorkerPool` owns ``n`` worker slots rather than one
-``ProcessPoolExecutor(max_workers=n)``: shard ``i`` of every launch is
-always submitted to slot ``i % n``, which makes worker-side caches
-(task functions, partition colors, sparse subsets, region skeletons)
-deterministic — the parent knows exactly what each worker already holds and
-ships only deltas, mirroring how DCR's control replicas keep persistent
-per-node state across launches.
+A :class:`WorkerPool` owns ``n`` worker slots rather than one shared work
+queue: shard ``i`` of every launch is always submitted to slot ``i % n``,
+which makes worker-side caches (task functions, partition colors, sparse
+subsets, region skeletons) deterministic — the parent knows exactly what
+each worker already holds and ships only deltas, mirroring how DCR's
+control replicas keep persistent per-node state across launches.
 
 *How* a slot is reached is the transport's business
-(:mod:`repro.exec.transport`): ``local`` is the original fork
-``ProcessPoolExecutor`` path, ``pipe`` forks persistent workers wired by
-raw pipes with a selector-driven collector (no executor wake), ``socket``
-runs standalone worker processes over framed loopback sockets (see
-``docs/distributed-transport.md``).
+(:mod:`repro.exec.transport`): one selector-driven engine over framed
+fds, with ``pipe`` forking persistent workers wired by raw pipes and
+``socket`` running standalone worker processes over loopback sockets
+(see ``docs/distributed-transport.md``).
 The pool keeps everything transport-independent: cache bookkeeping,
 respawn generations, the shm arena, and failure metrics.
 
@@ -29,15 +27,17 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exec.plan import dumps, loads
 from repro.exec.shm import ShmArena
-from repro.exec.transport import make_transport, resolve_transport
+from repro.exec.transport import (
+    WorkerLost,
+    make_transport,
+    resolve_transport,
+)
 from repro.obs.profiler import NULL_PROFILER
 
 __all__ = [
@@ -99,11 +99,7 @@ class WorkerPool:
         if n < 1:
             raise ValueError("WorkerPool needs at least one worker")
         self.n = n
-        #: ``None`` means local here (not the env default): directly
-        #: constructed pools — unit tests poking executor internals —
-        #: stay on the fork path regardless of ``REPRO_TRANSPORT``; the
-        #: registry resolves the env before constructing.
-        self.transport_name = transport or "local"
+        self.transport_name = resolve_transport(transport)
         self._transport = make_transport(self.transport_name, n)
         self.caches: List[_WorkerCaches] = [_WorkerCaches() for _ in range(n)]
         self._closed = False
@@ -149,21 +145,7 @@ class WorkerPool:
     def transport(self):
         return self._transport
 
-    @property
-    def _executors(self):
-        """The local transport's executor slots (unit-test hook; socket
-        pools expose their worker handles the same way)."""
-        return self._transport._slots if hasattr(
-            self._transport, "_slots"
-        ) else self._transport._handles
-
     # ----------------------------------------------------------- lifecycle
-    def executor(self, k: int) -> ProcessPoolExecutor:
-        """Lazily start worker ``k``'s process (local transport only)."""
-        if self._closed:
-            raise RuntimeError("worker pool is shut down")
-        return self._transport.executor(k)
-
     def reset_worker(self, k: int) -> None:
         """Discard a broken worker process and everything it cached."""
         self.caches[k].clear()
@@ -190,7 +172,7 @@ class WorkerPool:
     def _note_shutdown_error(self, exc: BaseException) -> None:
         """A teardown step failed.  Historically swallowed with a bare
         ``except: pass``; now every one is counted and emitted as an obs
-        instant so leaked executors/processes are diagnosable."""
+        instant so leaked worker processes are diagnosable."""
         self.shutdown_errors += 1
         prof = self._profiler
         if prof.enabled:
@@ -204,21 +186,15 @@ class WorkerPool:
         return self._closed
 
     # ------------------------------------------------------------- dispatch
-    def submit_shard(self, k: int, plan_blob: bytes, plan=None):
-        """Submit one shard blob to worker ``k``; returns the future.
-
-        ``plan`` (when given) lets the transport peel cache deltas into
-        explicit wire messages instead of re-shipping them inside the
-        blob; the local transport ignores it.
-        """
+    def submit_shard(self, k: int, plan_blob: bytes):
+        """Submit one shard blob to worker ``k``; returns the future."""
         if self._closed:
             raise RuntimeError("worker pool is shut down")
-        return self._transport.submit_shard(k, plan_blob, plan)
+        return self._transport.submit_shard(k, plan_blob)
 
     def submit_shards(self, k: int, items):
         """Submit a whole per-worker batch ``[(plan_blob, plan), ...]`` in
-        one vectored write where the transport supports it; returns one
-        future per shard, in order."""
+        one vectored write; returns one future per shard, in order."""
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         return self._transport.submit_shards(k, items)
@@ -247,8 +223,8 @@ class WorkerPool:
         *Infrastructure* failures — a dead worker process, a functor that
         cannot be pickled, a corrupted result blob — fall back to inline
         evaluation (which is exact) and are counted in ``pool_failures``.
-        A functor that *raises* is an application bug: the exception
-        propagates exactly as the inline call would have raised it.
+        A functor that *raises* is an application bug: the worker answers
+        ``None`` and the inline call here raises it for the caller.
         """
         n_points = len(points)
         if n_points < CHECK_CHUNK_MIN or self.n < 2 or self._closed:
@@ -269,7 +245,7 @@ class WorkerPool:
                 if len(chunk)
             ]
             parts = [loads(f.result()) for f in futures]
-        except BrokenProcessPool:
+        except WorkerLost:
             self._cancel(futures)
             self._note_failure("broken_pool")
             for k in range(self.n):
@@ -281,11 +257,13 @@ class WorkerPool:
             self._note_failure("transport")
             return functor.apply_batch(points)
         except BaseException:
-            # The functor itself raised (the worker re-raises it through
-            # the future): surface it exactly as inline evaluation would,
-            # instead of "succeeding" inline only to raise again later.
             self._cancel(futures)
             raise
+        if any(part is None for part in parts):
+            # The functor itself raised on a worker: not a failure to
+            # count, and inline evaluation raises it exactly as it would
+            # have without a pool.
+            return functor.apply_batch(points)
         return np.concatenate(parts, axis=0)
 
 
@@ -296,7 +274,7 @@ _POOLS: Dict[Tuple[int, str], WorkerPool] = {}
 def get_pool(n: int, transport: Optional[str] = None) -> WorkerPool:
     """The shared pool for ``(n, transport)``, creating it on first use.
 
-    ``transport=None`` resolves ``REPRO_TRANSPORT`` (default ``local``).
+    ``transport=None`` resolves ``REPRO_TRANSPORT`` (default ``pipe``).
     """
     name = resolve_transport(transport)
     key = (n, name)

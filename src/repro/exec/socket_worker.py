@@ -1,19 +1,20 @@
 """Standalone socket-connected worker: ``python -m repro.exec.socket_worker``.
 
-The socket analogue of the fork worker: one process per pool slot,
-connected back to the parent over a loopback TCP stream (standing in for
-a cluster interconnect), speaking the framed protocol in
-:mod:`repro.exec.wire`.  Unlike a fork worker it inherits *nothing* — the
-parent ships its ``sys.path`` via ``PYTHONPATH`` so by-reference pickles
-(task functions defined in importable modules) resolve, and every piece
-of cached state arrives as an explicit REGIONS / PARTITIONS / TASK delta
-frame installed into the same persistent module caches the fork path
-uses.
+The ``socket`` spawn strategy's worker: one process per pool slot,
+connected to the parent over a loopback TCP stream (standing in for a
+cluster interconnect).  This module is only the edge — argument
+parsing, dial or ``--listen``, and the HELLO/WELCOME handshake; once
+admitted, the connection's fd is handed to the same
+:func:`repro.exec.worker.serve` loop a forked pipe worker runs.  Unlike
+a forked worker it inherits *nothing*: the parent ships its ``sys.path``
+via ``PYTHONPATH`` so by-reference pickles (task functions defined in
+importable modules) resolve, and every piece of cached state arrives as
+a delta inside the shard plans.
 
 Exit codes: 0 on SHUTDOWN or clean EOF, 3 on a failed handshake, 4 on a
 malformed invocation.  Injected ``kill`` faults still hard-exit with 13
-inside :func:`repro.exec.worker.run_shard_bytes`, exactly like the fork
-path — the parent observes the dropped connection as a ``broken`` worker.
+inside :func:`repro.exec.worker.run_shard_bytes`, exactly like a pipe
+worker — the parent reads EOF and raises ``WorkerLost``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 from repro.exec import wire
 
-__all__ = ["main", "serve"]
+__all__ = ["main"]
 
 
 def _handshake(sock: socket.socket, worker: int, token: str) -> bool:
@@ -61,31 +62,6 @@ def _handshake(sock: socket.socket, worker: int, token: str) -> bool:
         )
         return False
     return True
-
-
-def serve(sock: socket.socket) -> bool:
-    """Frame loop: install deltas, run shards, answer with RESULT frames.
-
-    Returns True on a deliberate SHUTDOWN, False when the connection
-    dropped — ``--listen`` mode uses the distinction to decide between
-    exiting and going back to accept the next parent.
-    """
-    # Imported here, after the handshake, so a refused worker never pays
-    # for numpy; the import also primes everything a shard will touch.
-    from repro.exec import worker as w
-
-    def reply(seq: int, payload: bytes) -> None:
-        wire.send_frame(sock, wire.RESULT, seq, payload)
-
-    while True:
-        try:
-            frame = wire.recv_frame(sock)
-        except (wire.WireError, ConnectionError, OSError):
-            return False  # parent went away; nothing left to serve
-        if not w.handle_frame(frame, reply):
-            return True
-        # Anything else (HELLO/WELCOME/... out of band) is a protocol bug;
-        # handle_frame ignores it, which beats dying with shards pending.
 
 
 def _serve_listener(host: str, port: int, worker: int, token: str) -> int:
@@ -125,7 +101,7 @@ def _serve_listener(host: str, port: int, worker: int, token: str) -> int:
                 w.reset_state()
                 if not _handshake(conn, worker, token):
                     continue  # refused parent; await the next one
-                if serve(conn):
+                if w.serve(conn.fileno(), conn.fileno()):
                     return 0
             finally:
                 try:
@@ -169,7 +145,10 @@ def main(argv: Optional[list] = None) -> int:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if not _handshake(sock, args.worker, token):
             return 3
-        serve(sock)
+        # Imported only now, so a refused worker never pays for numpy.
+        from repro.exec.worker import serve
+
+        serve(sock.fileno(), sock.fileno())
         return 0
     finally:
         try:

@@ -1,43 +1,46 @@
-"""Pluggable worker transports beneath :class:`~repro.exec.pool.WorkerPool`.
+"""The worker transport beneath :class:`~repro.exec.pool.WorkerPool`:
+one framed-stream engine, two ways to spawn what it talks to.
 
-A transport owns how worker processes are started, how shard plans and
-cache deltas reach them, and how result bytes come back.  The pool keeps
-everything else — affinity, cache bookkeeping, generations, the shm
-arena, failure metrics — so the PR 5 recovery ladder in
-``parallel._collect_shard`` works unchanged on any transport.  The
-contract that makes that possible is the *exception mapping*: every
-transport surfaces infrastructure failures through the same classes the
-fork path produces —
+A spawned worker is a read fd, a write fd and (when the parent owns the
+process) a pid to kill and reap.  Both fds carry :mod:`repro.exec.wire`
+frames; the worker on the other end runs the one serve loop in
+:mod:`repro.exec.worker`.  :class:`Transport` is the engine: all
+parent-side I/O is non-blocking, submits append to a per-worker write
+backlog and flush opportunistically, and one ``selectors`` loop — run
+inline from ``future.result()`` on the caller's own thread, no helper
+thread anywhere — drains every worker's RESULT frames and finishes
+stalled writes.  Collecting a shard costs one ``epoll_wait`` + one
+``read``, and completion order is decided by that single loop, not by
+the host's thread scheduler.
 
-* a dead worker (or lost connection) raises ``BrokenProcessPool``, at
-  submit time or from a collected future;
-* a worker discarded mid-flight cancels its pending futures
-  (``CancelledError`` at collect — the free same-worker retry);
-* a slow result is the caller's ``future.result(timeout)`` raising
-  ``concurrent.futures.TimeoutError``.
+The pool keeps everything else — affinity, cache bookkeeping,
+generations, the shm arena, failure metrics — so the recovery ladder in
+``parallel._collect_shard`` sees one failure vocabulary, the three
+exceptions defined here:
 
-Three implementations:
+* :class:`WorkerLost` — the worker died, its stream hit EOF or a reset,
+  a frame failed to parse, or it could not be spawned (accept timeout,
+  refused handshake).  Raised at submit time or from a collected future;
+  the ladder answers with a tier-2 respawn.
+* :class:`ResultCancelled` — the worker was discarded with this future
+  still pending (another shard's recovery reset it); the collect path's
+  free same-worker retry.
+* :class:`ResultTimeout` — ``future.result(timeout)`` ran out of time.
 
-* :class:`LocalTransport` — the original fork/``ProcessPoolExecutor``
-  path, one single-process executor per slot (``local_shm=True``: parent
-  and workers share the machine-local shm segment namespace).
-* :class:`PipeTransport` — persistent workers forked once per pool, each
-  wired to the parent by a pair of raw ``os.pipe`` fds speaking the
-  framed wire protocol.  No ``concurrent.futures`` anywhere: the parent
-  does non-blocking batched writes and drains every worker's RESULT
-  frames through one ``selectors`` loop driven inline from
-  ``future.result()`` — zero helper threads, so collecting a shard costs
-  one ``epoll_wait`` + one ``read`` instead of the stdlib executor's
-  queue-feeder/condition-variable wake (~0.25 ms per submit).
-  ``local_shm=True``: forked children attach the parent's segments.
-* :class:`SocketTransport` — standalone ``python -m
-  repro.exec.socket_worker`` processes connected over length-prefixed
-  framed loopback sockets (:mod:`repro.exec.wire`), standing in for
-  cluster nodes.  ``local_shm=False``: shm descriptors degrade to wire
-  payloads because a remote node cannot map the parent's segments.
+Two spawn strategies:
+
+* :class:`PipeTransport` (``pipe``, the default) — ``os.fork`` plus an
+  ``os.pipe`` pair per worker.  The child is this very interpreter (warm
+  numpy and module state, protocol version guaranteed), so there is no
+  handshake, and ``local_shm=True``: it attaches the parent's segments.
+* :class:`SocketTransport` (``socket``) — standalone ``python -m
+  repro.exec.socket_worker`` processes over loopback TCP, standing in
+  for cluster nodes, admitted by the HELLO/WELCOME handshake.
+  ``local_shm=False``: shm descriptors degrade to wire payloads because
+  a remote node cannot map the parent's segments.
   ``REPRO_SOCKET_HOSTS=host:port,...`` assigns slots to *pre-started*
-  remote workers (``socket_worker --listen``) instead of spawning
-  locally — the first real step off the single machine.
+  remote workers (``socket_worker --listen``) that the parent dials
+  instead of spawning — it then owns the connection, never the process.
 """
 
 from __future__ import annotations
@@ -48,31 +51,21 @@ import select
 import selectors
 import signal
 import socket
-import subprocess
 import sys
-import threading
 import time
-from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    InvalidStateError,
-    ProcessPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.exec import wire
 from repro.exec.plan import dumps
 
 __all__ = [
     "Transport",
-    "LocalTransport",
     "PipeTransport",
     "SocketTransport",
+    "WorkerLost",
+    "ResultCancelled",
+    "ResultTimeout",
     "TRANSPORTS",
     "make_transport",
     "resolve_transport",
@@ -83,12 +76,24 @@ __all__ = [
 SPAWN_TIMEOUT_S = 60.0
 
 
+class WorkerLost(Exception):
+    """The worker process or its stream is gone (or never came up)."""
+
+
+class ResultCancelled(Exception):
+    """The worker was discarded while this result was still pending."""
+
+
+class ResultTimeout(Exception):
+    """``future.result(timeout)`` expired before the RESULT frame came."""
+
+
 def resolve_transport(configured: Optional[str]) -> str:
     """Effective transport name: explicit config wins, else
-    ``REPRO_TRANSPORT``, else ``local``."""
+    ``REPRO_TRANSPORT``, else ``pipe``."""
     name = configured
     if name is None:
-        name = os.environ.get("REPRO_TRANSPORT", "").strip() or "local"
+        name = os.environ.get("REPRO_TRANSPORT", "").strip() or "pipe"
     name = str(name).lower()
     if name not in TRANSPORTS:
         raise ValueError(
@@ -101,128 +106,6 @@ def make_transport(name: str, n: int) -> "Transport":
     return TRANSPORTS[name](n)
 
 
-class Transport(ABC):
-    """How ``n`` worker slots are reached; see the module docstring for
-    the exception-mapping contract every implementation must keep."""
-
-    #: Whether workers share the parent's shared-memory segment namespace.
-    #: False degrades every shm descriptor to a pickled wire payload.
-    local_shm = True
-    name = "abstract"
-
-    def __init__(self, n: int):
-        self.n = n
-        #: Optional obs profiler, wired in by the pool; transports with a
-        #: dispatch loop count their wakes (``dispatch.wake``) on it.
-        self.profiler = None
-
-    def executor(self, k: int) -> ProcessPoolExecutor:
-        raise RuntimeError(
-            f"{type(self).__name__} has no in-process executor"
-        )
-
-    @abstractmethod
-    def submit_shard(self, k: int, plan_blob: bytes, plan=None) -> Future:
-        """Ship one shard to worker ``k``; future resolves to result bytes."""
-
-    def submit_shards(self, k: int, items) -> List[Future]:
-        """Ship a whole per-worker shard batch ``[(plan_blob, plan), ...]``.
-
-        The default just loops :meth:`submit_shard`; transports with a
-        vectored write path (pipe) override this to send one frame
-        carrying the batch, amortizing serialization and syscalls."""
-        return [
-            self.submit_shard(k, plan_blob, plan=plan)
-            for plan_blob, plan in items
-        ]
-
-    @abstractmethod
-    def submit_batch(self, k: int, functor_blob: bytes, points) -> Future:
-        """Chunked dynamic-check evaluation; future resolves to result bytes."""
-
-    @abstractmethod
-    def discard_worker(self, k: int) -> None:
-        """Abandon worker ``k``: cancel its pending futures, drop the
-        process.  The pool has already cleared caches and bumped the
-        generation; a later submit spawns a fresh worker."""
-
-    @abstractmethod
-    def shutdown(self) -> List[BaseException]:
-        """Tear everything down; returns the exceptions swallowed doing it
-        (counted by the pool as ``shutdown_errors`` — never silent)."""
-
-
-# --------------------------------------------------------------------- local
-def _mp_context():
-    """Fork keeps warm numpy/module state and makes spin-up cheap; fall
-    back to the platform default where fork is unavailable."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-class LocalTransport(Transport):
-    """One persistent single-process fork executor per slot."""
-
-    local_shm = True
-    name = "local"
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._slots: List[Optional[ProcessPoolExecutor]] = [None] * n
-        #: executors abandoned by discard_worker, drained at shutdown so
-        #: their manager threads are joined before interpreter teardown
-        #: (CPython's process-pool atexit hook prints "Exception ignored"
-        #: noise when it pokes a broken, never-joined executor).
-        self._retired: List[ProcessPoolExecutor] = []
-
-    def executor(self, k: int) -> ProcessPoolExecutor:
-        if self._slots[k] is None:
-            self._slots[k] = ProcessPoolExecutor(
-                max_workers=1, mp_context=_mp_context()
-            )
-        return self._slots[k]
-
-    def submit_shard(self, k: int, plan_blob: bytes, plan=None) -> Future:
-        from repro.exec.worker import run_shard_bytes
-
-        return self.executor(k).submit(run_shard_bytes, plan_blob)
-
-    def submit_batch(self, k: int, functor_blob: bytes, points) -> Future:
-        from repro.exec.worker import apply_batch_bytes
-
-        return self.executor(k).submit(apply_batch_bytes, functor_blob, points)
-
-    def discard_worker(self, k: int) -> None:
-        executor = self._slots[k]
-        self._slots[k] = None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-            self._retired.append(executor)
-
-    def shutdown(self) -> List[BaseException]:
-        errors: List[BaseException] = []
-        for k in range(self.n):
-            executor = self._slots[k]
-            self._slots[k] = None
-            if executor is not None:
-                try:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                except Exception as exc:
-                    errors.append(exc)
-        for executor in self._retired:
-            try:
-                executor.shutdown(wait=True, cancel_futures=True)
-            except Exception as exc:
-                errors.append(exc)
-        self._retired.clear()
-        return errors
-
-
-# ---------------------------------------------------------------------- pipe
 _PENDING = "pending"
 _CANCELLED = "cancelled"
 _RESULT = "result"
@@ -230,21 +113,19 @@ _EXCEPTION = "exception"
 
 
 class _PipeFuture:
-    """A future settled by :class:`PipeTransport`'s inline selector loop.
+    """A future settled by :class:`Transport`'s inline selector loop.
 
     There is no worker-side thread to wake us: ``result()`` *is* the
     event loop — it drives the owning transport's selector until this
-    future settles, servicing every pipe worker's reads and writes along
-    the way.  The surface mirrors what the backend and the pool's
-    ``apply_batch_chunked`` actually use of ``concurrent.futures.Future``
-    (``result``/``cancel``/``done``), with the same exception mapping:
-    ``CancelledError`` for a discarded worker, ``FuturesTimeout`` past
-    the deadline, and whatever ``set_exception`` recorded otherwise.
+    future settles, servicing every worker's reads and writes along the
+    way.  ``result`` raises :class:`ResultCancelled` for a discarded
+    worker, :class:`ResultTimeout` past the deadline, and whatever
+    ``set_exception`` recorded (:class:`WorkerLost`) otherwise.
     """
 
     __slots__ = ("_transport", "_state", "_value")
 
-    def __init__(self, transport: "PipeTransport"):
+    def __init__(self, transport: "Transport"):
         self._transport = transport
         self._state = _PENDING
         self._value = None
@@ -275,21 +156,24 @@ class _PipeFuture:
         if self._state is _PENDING:
             self._transport._drive_until(self, timeout)
         if self._state is _CANCELLED:
-            raise CancelledError()
+            raise ResultCancelled()
         if self._state is _EXCEPTION:
             raise self._value
         return self._value
 
 
-class _PipeWorker:
-    """Parent-side bookkeeping for one forked pipe worker."""
+class _Worker:
+    """Parent-side bookkeeping for one spawned worker.
+
+    ``pid`` is ``None`` for a dialled remote worker: the parent owns the
+    two fds, never the process."""
 
     __slots__ = (
         "k", "pid", "rfd", "wfd", "decoder", "pending", "seq",
         "backlog", "broken", "closing", "write_waiting",
     )
 
-    def __init__(self, k: int, pid: int, rfd: int, wfd: int):
+    def __init__(self, k: int, pid: Optional[int], rfd: int, wfd: int):
         self.k = k
         self.pid = pid
         self.rfd = rfd
@@ -303,97 +187,68 @@ class _PipeWorker:
         self.write_waiting = False      # wfd registered for EVENT_WRITE
 
 
-class PipeTransport(Transport):
-    """Forked persistent workers over raw pipes — no executor, no threads.
+class Transport:
+    """The selector engine over ``n`` worker slots; see the module
+    docstring for the failure contract.  A subclass supplies
+    :meth:`_spawn` and says whether its workers can map parent shm."""
 
-    Each slot is one child forked from this very interpreter (warm numpy
-    and module state, guaranteed protocol-version match, shared shm
-    namespace), connected by an ``os.pipe`` pair carrying the framed wire
-    protocol.  All parent-side I/O is non-blocking: submits append to a
-    per-worker write backlog and flush opportunistically; one shared
-    ``selectors`` loop — run inline from ``_PipeFuture.result()`` on the
-    caller's own thread — drains every worker's RESULT frames and
-    finishes stalled writes.  A worker death surfaces as EOF on its read
-    pipe (sibling children close each other's fds at fork so the EOF is
-    prompt), mapped to ``BrokenProcessPool`` per the transport contract;
-    a framing desync (garbled stream) poisons the pipe the same way.
-    """
-
+    #: Whether workers share the parent's shared-memory segment namespace.
+    #: False degrades every shm descriptor to a pickled wire payload.
     local_shm = True
-    name = "pipe"
+    name = "abstract"
 
     def __init__(self, n: int):
-        super().__init__(n)
-        self._handles: List[Optional[_PipeWorker]] = [None] * n
+        self.n = n
+        #: Optional obs profiler, wired in by the pool; the dispatch loop
+        #: counts its wakes (``dispatch.wake``) on it.
+        self.profiler = None
+        self._handles: List[Optional[_Worker]] = [None] * n
         self._selector = selectors.DefaultSelector()
 
     # ----------------------------------------------------------- spawning
-    def _spawn(self, k: int) -> _PipeWorker:
-        sys.stdout.flush()
-        sys.stderr.flush()
-        child_read, parent_write = os.pipe()
-        parent_read, child_write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # Child: serve frames until SHUTDOWN or EOF, then _exit so no
-            # parent atexit hook (pools, pytest, shm cleanup) ever runs
-            # twice.  Closing sibling workers' fds is what makes a sibling
-            # death observable as EOF in the parent.
-            status = 0
-            try:
-                os.close(parent_write)
-                os.close(parent_read)
-                for sibling in self._handles:
-                    if sibling is not None:
-                        for fd in (sibling.rfd, sibling.wfd):
-                            try:
-                                os.close(fd)
-                            except OSError:
-                                pass
-                from repro.exec.worker import serve_pipe
+    def _spawn(self, k: int) -> Tuple[Optional[int], int, int]:
+        """Start (or dial) worker ``k``; returns ``(pid, rfd, wfd)`` with
+        two *distinct* fds (the selector registers each once).  Raises
+        :class:`WorkerLost`, leaving nothing behind, if it cannot."""
+        raise NotImplementedError
 
-                serve_pipe(child_read, child_write)
-            except BaseException:
-                status = 1
-            finally:
-                os._exit(status)
-        os.close(child_read)
-        os.close(child_write)
-        os.set_blocking(parent_read, False)
-        os.set_blocking(parent_write, False)
-        worker = _PipeWorker(k, pid, parent_read, parent_write)
-        self._selector.register(parent_read, selectors.EVENT_READ, worker)
-        return worker
-
-    def _handle(self, k: int) -> _PipeWorker:
+    def _handle(self, k: int) -> _Worker:
         worker = self._handles[k]
         if worker is not None and (worker.broken or worker.closing):
-            # Same discipline as the socket transport: never respawn
-            # transparently — the ladder's reset_worker must wipe cache
-            # beliefs and bump the generation first.
-            raise BrokenProcessPool(f"pipe worker {k} is down")
+            # Never respawn transparently: the parent's cache bookkeeping
+            # still believes this worker holds shipped state.  Surfacing
+            # WorkerLost routes the failure through the backend's ladder,
+            # whose respawn (``pool.reset_worker``) discards the handle
+            # *and* wipes beliefs + bumps the generation before anything
+            # is resubmitted.
+            raise WorkerLost(f"{self.name} worker {k} is down")
         if worker is None:
-            worker = self._spawn(k)
+            pid, rfd, wfd = self._spawn(k)
+            os.set_blocking(rfd, False)
+            os.set_blocking(wfd, False)
+            worker = _Worker(k, pid, rfd, wfd)
+            self._selector.register(rfd, selectors.EVENT_READ, worker)
             self._handles[k] = worker
         return worker
 
     # ----------------------------------------------------------- dispatch
-    def _register_future(self, worker: _PipeWorker):
+    def _register_future(self, worker: _Worker):
         worker.seq += 1
         future = _PipeFuture(self)
         worker.pending[worker.seq] = future
         return worker.seq, future
 
-    def submit_shard(self, k: int, plan_blob: bytes, plan=None) -> _PipeFuture:
+    def submit_shard(self, k: int, plan_blob: bytes) -> _PipeFuture:
+        """Ship one shard to worker ``k``; future resolves to result bytes."""
         worker = self._handle(k)
         seq, future = self._register_future(worker)
         self._send(worker, wire.pack_frame(wire.SHARD, seq, plan_blob))
         return future
 
     def submit_shards(self, k: int, items) -> List[_PipeFuture]:
-        """The vectored path: one SHARDS frame carries the whole batch in
-        a single write; the worker answers one RESULT per shard so the
-        fault ladder keeps per-shard granularity."""
+        """Ship a whole per-worker batch ``[(plan_blob, plan), ...]``: one
+        SHARDS frame in a single write; the worker answers one RESULT per
+        shard so the fault ladder keeps per-shard granularity."""
         worker = self._handle(k)
         futures: List[_PipeFuture] = []
         pairs = []
@@ -405,6 +260,7 @@ class PipeTransport(Transport):
         return futures
 
     def submit_batch(self, k: int, functor_blob: bytes, points) -> _PipeFuture:
+        """Chunked dynamic-check evaluation; future resolves to result bytes."""
         worker = self._handle(k)
         seq, future = self._register_future(worker)
         self._send(
@@ -414,13 +270,13 @@ class PipeTransport(Transport):
         return future
 
     # ------------------------------------------------------------- writes
-    def _send(self, worker: _PipeWorker, data: bytes) -> None:
+    def _send(self, worker: _Worker, data: bytes) -> None:
         worker.backlog.append(memoryview(data))
         self._flush(worker)
         if worker.broken:
-            raise BrokenProcessPool(f"pipe worker {worker.k} is gone")
+            raise WorkerLost(f"{self.name} worker {worker.k} is gone")
 
-    def _flush(self, worker: _PipeWorker) -> None:
+    def _flush(self, worker: _Worker) -> None:
         backlog = worker.backlog
         while backlog:
             head = backlog[0]
@@ -437,7 +293,7 @@ class PipeTransport(Transport):
                 backlog[0] = head[n:]
         self._update_write_interest(worker)
 
-    def _update_write_interest(self, worker: _PipeWorker) -> None:
+    def _update_write_interest(self, worker: _Worker) -> None:
         want = bool(worker.backlog)
         if want and not worker.write_waiting:
             self._selector.register(
@@ -477,12 +333,12 @@ class PipeTransport(Transport):
                 continue
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise FuturesTimeout(
-                    f"pipe worker result not ready after {timeout}s"
+                raise ResultTimeout(
+                    f"worker result not ready after {timeout}s"
                 )
             self._drive(remaining)
 
-    def _on_readable(self, worker: _PipeWorker) -> None:
+    def _on_readable(self, worker: _Worker) -> None:
         try:
             chunk = os.read(worker.rfd, 1 << 20)
         except BlockingIOError:
@@ -510,7 +366,7 @@ class PipeTransport(Transport):
                 future.set_result(frame.payload)
 
     # ------------------------------------------------------------ failure
-    def _mark_broken(self, worker: _PipeWorker) -> None:
+    def _mark_broken(self, worker: _Worker) -> None:
         if worker.broken or worker.closing:
             return
         worker.broken = True
@@ -518,21 +374,13 @@ class PipeTransport(Transport):
         pending, worker.pending = worker.pending, {}
         for future in pending.values():
             future.set_exception(
-                BrokenProcessPool(f"pipe worker {worker.k} died")
+                WorkerLost(f"{self.name} worker {worker.k} died")
             )
         worker.backlog.clear()
-        for fd in (worker.rfd, worker.wfd):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        try:
-            os.kill(worker.pid, signal.SIGKILL)
-        except (ProcessLookupError, OSError):
-            pass
-        self._reap(worker.pid, timeout=5.0)
+        self._close_fds(worker)
+        self._kill_and_reap(worker.pid)
 
-    def _unregister(self, worker: _PipeWorker) -> None:
+    def _unregister(self, worker: _Worker) -> None:
         try:
             self._selector.unregister(worker.rfd)
         except (KeyError, ValueError):
@@ -545,7 +393,27 @@ class PipeTransport(Transport):
             worker.write_waiting = False
 
     @staticmethod
-    def _reap(pid: int, timeout: float) -> bool:
+    def _close_fds(worker: _Worker) -> None:
+        for fd in (worker.rfd, worker.wfd):
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+
+    @staticmethod
+    def _kill(pid: Optional[int]) -> None:
+        if pid is not None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    @staticmethod
+    def _reap(pid: Optional[int], timeout: float = 5.0) -> bool:
+        """Wait for ``pid`` to exit; a worker we never owned (``None``)
+        has nothing to wait for."""
+        if pid is None:
+            return True
         end = time.monotonic() + timeout
         while True:
             try:
@@ -558,28 +426,43 @@ class PipeTransport(Transport):
                 return False
             time.sleep(0.005)
 
+    def _kill_and_reap(self, pid: Optional[int]) -> bool:
+        """The one way a worker process is put down — a broken stream, a
+        discard and a failed spawn all end here, so none leaves a zombie."""
+        self._kill(pid)
+        return self._reap(pid)
+
     # ---------------------------------------------------------- lifecycle
     def discard_worker(self, k: int) -> None:
+        """Abandon worker ``k``: cancel its pending futures, drop the
+        process.  The pool has already cleared caches and bumped the
+        generation; a later submit spawns a fresh worker."""
         worker = self._handles[k]
         self._handles[k] = None
         if worker is not None:
             self._close_worker(worker, graceful=False)
 
     def drop_connection(self, k: int) -> None:
-        """Kill worker ``k`` without settling anything — the pipe
-        analogue of the socket transport's severed connection.  The next
+        """Lose worker ``k`` without settling anything — the
+        fault-injection hook for "the network ate this node".  The next
         selector pass reads EOF and fails the pending futures with
-        BrokenProcessPool, which the ladder recovers as a tier-2
+        :class:`WorkerLost`, which the ladder recovers as a tier-2
         respawn."""
         worker = self._handles[k]
-        if worker is not None:
+        if worker is None:
+            return
+        if worker.pid is not None:
+            self._kill(worker.pid)
+        else:
+            # Not our process to kill: sever its stream instead.
+            conn = socket.socket(fileno=os.dup(worker.rfd))
             try:
-                os.kill(worker.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):
-                pass
+                conn.shutdown(socket.SHUT_RDWR)
+            finally:
+                conn.close()
 
     def _close_worker(
-        self, worker: _PipeWorker, graceful: bool
+        self, worker: _Worker, graceful: bool
     ) -> List[BaseException]:
         errors: List[BaseException] = []
         was_broken = worker.broken
@@ -598,33 +481,20 @@ class PipeTransport(Transport):
                 errors.append(exc)
         worker.backlog.clear()
         if not was_broken:
-            for fd in (worker.rfd, worker.wfd):
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            if not graceful:
-                try:
-                    os.kill(worker.pid, signal.SIGKILL)
-                except (ProcessLookupError, OSError):
-                    pass
-            if not self._reap(worker.pid, timeout=5.0):
-                try:
-                    os.kill(worker.pid, signal.SIGKILL)
-                except (ProcessLookupError, OSError):
-                    pass
-                if not self._reap(worker.pid, timeout=5.0):
-                    errors.append(
-                        TimeoutError(
-                            f"pipe worker {worker.k} "
-                            f"(pid {worker.pid}) did not exit"
-                        )
+            self._close_fds(worker)
+            exited = graceful and self._reap(worker.pid)
+            if not exited and not self._kill_and_reap(worker.pid):
+                errors.append(
+                    TimeoutError(
+                        f"{self.name} worker {worker.k} "
+                        f"(pid {worker.pid}) did not exit"
                     )
+                )
         return errors
 
     @staticmethod
     def _write_deadline(
-        worker: _PipeWorker, data: bytes, deadline_s: float = 2.0
+        worker: _Worker, data: bytes, deadline_s: float = 2.0
     ) -> None:
         """Best-effort bounded write for the graceful-shutdown frame; the
         fd stays non-blocking so a wedged child cannot hang teardown."""
@@ -636,10 +506,12 @@ class PipeTransport(Transport):
             except BlockingIOError:
                 remaining = end - time.monotonic()
                 if remaining <= 0:
-                    raise TimeoutError("pipe shutdown write stalled")
+                    raise TimeoutError("worker shutdown write stalled")
                 select.select([], [worker.wfd], [], remaining)
 
     def shutdown(self) -> List[BaseException]:
+        """Tear everything down; returns the exceptions swallowed doing it
+        (counted by the pool as ``shutdown_errors`` — never silent)."""
         errors: List[BaseException] = []
         for k in range(self.n):
             worker = self._handles[k]
@@ -654,134 +526,51 @@ class PipeTransport(Transport):
         return errors
 
 
+# ---------------------------------------------------------------------- pipe
+class PipeTransport(Transport):
+    """Spawn strategy: fork this interpreter, wire it by two pipes."""
+
+    local_shm = True
+    name = "pipe"
+
+    def _spawn(self, k: int) -> Tuple[int, int, int]:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        child_read, parent_write = os.pipe()
+        parent_read, child_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # Child: serve frames until SHUTDOWN or EOF, then _exit so no
+            # parent atexit hook (pools, pytest, shm cleanup) ever runs
+            # twice.  Closing the inherited parent-side ends of sibling
+            # workers' pipes is what lets a sibling read EOF (and a late
+            # writer get EPIPE) once the parent lets go of it.
+            status = 0
+            try:
+                os.close(parent_write)
+                os.close(parent_read)
+                for sibling in self._handles:
+                    if sibling is not None:
+                        self._close_fds(sibling)
+                from repro.exec.worker import serve
+
+                serve(child_read, child_write)
+            except BaseException:
+                status = 1
+            finally:
+                os._exit(status)
+        os.close(child_read)
+        os.close(child_write)
+        return pid, parent_read, parent_write
+
+
 # -------------------------------------------------------------------- socket
-class _SocketWorker:
-    """Parent-side handle for one connected socket worker process.
-
-    ``proc`` is ``None`` for a pre-started remote worker (see
-    ``REPRO_SOCKET_HOSTS``): the parent owns only the connection, never
-    the process."""
-
-    def __init__(
-        self, k: int, proc: Optional[subprocess.Popen], conn: socket.socket
-    ):
-        self.k = k
-        self.proc = proc
-        self.conn = conn
-        self.pending: Dict[int, Future] = {}
-        self.lock = threading.Lock()       # guards pending + seq + sends
-        self.seq = 0
-        self.broken = False                # connection lost unexpectedly
-        self.closing = False               # deliberate discard/shutdown
-        self.reader = threading.Thread(
-            target=self._read_loop, name=f"repro-sock-w{k}", daemon=True
-        )
-        self.reader.start()
-
-    # The reader thread is the only receiver; it completes futures by seq.
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                frame = wire.recv_frame(self.conn)
-            except (wire.WireError, ConnectionError, OSError):
-                self._fail_pending()
-                return
-            if frame.msg != wire.RESULT:
-                continue  # stray frame; only RESULT flows worker -> parent
-            with self.lock:
-                future = self.pending.pop(frame.seq, None)
-            if future is not None:
-                try:
-                    future.set_result(frame.payload)
-                except InvalidStateError:
-                    pass  # cancelled by apply_batch_chunked's unwind
-
-    def _fail_pending(self) -> None:
-        with self.lock:
-            if self.closing:
-                return  # discard/shutdown already settled the futures
-            self.broken = True
-            pending, self.pending = self.pending, {}
-        for future in pending.values():
-            try:
-                future.set_exception(
-                    BrokenProcessPool(
-                        f"socket worker {self.k} connection lost"
-                    )
-                )
-            except InvalidStateError:
-                pass  # lost the race with a cancel; either way it's dead
-
-    def submit(self, frames_payloads) -> Future:
-        """Send ``[(msg, payload), ...]``; the last one carries the reply
-        seq.  Raises ``BrokenProcessPool`` if the worker is gone."""
-        future: Future = Future()
-        with self.lock:
-            if self.broken or self.closing:
-                raise BrokenProcessPool(
-                    f"socket worker {self.k} is not connected"
-                )
-            self.seq += 1
-            seq = self.seq
-            self.pending[seq] = future
-            try:
-                for msg, payload in frames_payloads[:-1]:
-                    wire.send_frame(self.conn, msg, 0, payload)
-                msg, payload = frames_payloads[-1]
-                wire.send_frame(self.conn, msg, seq, payload)
-            except OSError:
-                self.broken = True
-                self.pending.pop(seq, None)
-                raise BrokenProcessPool(
-                    f"socket worker {self.k} send failed"
-                ) from None
-        return future
-
-    def discard(self, graceful: bool = False) -> List[BaseException]:
-        """Stop the worker.  Pending futures are *cancelled* (the collect
-        path's free same-worker retry), mirroring the local transport's
-        ``shutdown(cancel_futures=True)``.  Returns swallowed errors."""
-        errors: List[BaseException] = []
-        with self.lock:
-            self.closing = True
-            pending, self.pending = self.pending, {}
-            if graceful and not self.broken:
-                try:
-                    wire.send_frame(self.conn, wire.SHUTDOWN, 0)
-                except OSError as exc:
-                    errors.append(exc)
-        for future in pending.values():
-            future.cancel()
-        try:
-            self.conn.close()
-        except OSError as exc:  # pragma: no cover - close on dead socket
-            errors.append(exc)
-        if self.proc is None:
-            # Pre-started remote worker: closing the connection is all we
-            # own; its --listen loop goes back to accepting.
-            return errors
-        try:
-            if graceful:
-                self.proc.wait(timeout=5)
-            else:
-                self.proc.kill()
-                self.proc.wait(timeout=5)
-        except Exception as exc:
-            errors.append(exc)
-            try:
-                self.proc.kill()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        return errors
-
-
 class SocketTransport(Transport):
-    """Standalone worker processes over framed loopback sockets.
+    """Spawn strategy: a standalone worker process over loopback TCP.
 
-    Loopback TCP stands in for a cluster interconnect: workers inherit no
-    parent state, all caches travel as explicit delta frames, and shm is
-    off (``local_shm=False``) because a remote node could not map the
-    parent's segments — every footprint degrades to a wire payload.
+    Workers inherit no parent state: every cache delta travels inside
+    the shard plans, and shm is off (``local_shm=False``) because a
+    remote node could not map the parent's segments.
     """
 
     local_shm = False
@@ -789,7 +578,6 @@ class SocketTransport(Transport):
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._handles: List[Optional[_SocketWorker]] = [None] * n
         self._hosts = self._parse_hosts(
             os.environ.get("REPRO_SOCKET_HOSTS", "")
         )
@@ -816,81 +604,56 @@ class SocketTransport(Transport):
             hosts.append((host, int(port)))
         return hosts
 
-    # ----------------------------------------------------------- spawning
-    def _spawn(self, k: int) -> _SocketWorker:
-        if k < len(self._hosts):
-            return self._connect(k, *self._hosts[k])
-        return self._spawn_local(k)
+    def _spawn(self, k: int) -> Tuple[Optional[int], int, int]:
+        pid = None
+        try:
+            if k < len(self._hosts):
+                # A pre-started ``socket_worker --listen`` process: dial
+                # it; it sends HELLO on accept, so the handshake below is
+                # direction-agnostic.
+                conn = socket.create_connection(
+                    self._hosts[k], timeout=SPAWN_TIMEOUT_S
+                )
+            else:
+                with socket.socket(
+                    socket.AF_INET, socket.SOCK_STREAM
+                ) as listener:
+                    listener.bind(("127.0.0.1", 0))
+                    listener.listen(1)
+                    listener.settimeout(SPAWN_TIMEOUT_S)
+                    pid = self._launch(k, listener.getsockname()[1])
+                    conn, _ = listener.accept()
+            with conn:
+                self._verify_hello(conn, k)
+                wfd = os.dup(conn.fileno())
+                return pid, conn.detach(), wfd
+        except OSError as exc:  # unreachable, accept timeout, WireError
+            self._kill_and_reap(pid)
+            raise WorkerLost(
+                f"socket worker {k} could not be connected: {exc}"
+            ) from exc
 
-    def _connect(self, k: int, host: str, port: int) -> _SocketWorker:
-        """Adopt a pre-started ``socket_worker --listen`` process: dial
-        it, then run the usual HELLO/WELCOME handshake (the worker sends
-        HELLO on accept, so the frames are direction-agnostic).  Version
-        or token mismatches get the same descriptive REJECT a spawned
-        worker would."""
-        try:
-            conn = socket.create_connection(
-                (host, port), timeout=SPAWN_TIMEOUT_S
-            )
-        except OSError as exc:
-            raise BrokenProcessPool(
-                f"socket worker {k} at {host}:{port} is unreachable: {exc}"
-            ) from None
-        try:
-            self._verify_hello(conn, k)
-        except Exception:
-            conn.close()
-            raise
-        return _SocketWorker(k, None, conn)
-
-    def _spawn_local(self, k: int) -> _SocketWorker:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        proc = None
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(1)
-            port = listener.getsockname()[1]
-            env = dict(os.environ)
-            # Ship the parent's import universe: by-reference pickles
-            # (tasks defined in importable modules, e.g. under pytest)
-            # must resolve in a process that inherited nothing.
-            env["PYTHONPATH"] = os.pathsep.join(
-                p if p else os.getcwd() for p in sys.path
-            )
-            env["REPRO_SOCKET_TOKEN"] = self._token
-            proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.exec.socket_worker",
-                    "--port",
-                    str(port),
-                    "--worker",
-                    str(k),
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
-            )
-            listener.settimeout(SPAWN_TIMEOUT_S)
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                raise BrokenProcessPool(
-                    f"socket worker {k} never connected"
-                ) from None
-        except Exception:
-            if proc is not None:
-                proc.kill()
-            raise
-        finally:
-            listener.close()
-        try:
-            self._verify_hello(conn, k)
-        except Exception:
-            conn.close()
-            proc.kill()
-            raise
-        return _SocketWorker(k, proc, conn)
+    def _launch(self, k: int, port: int) -> int:
+        """Start a local ``socket_worker`` that dials ``port``."""
+        env = dict(os.environ)
+        # Ship the parent's import universe: by-reference pickles (tasks
+        # defined in importable modules, e.g. under pytest) must resolve
+        # in a process that inherited nothing.
+        env["PYTHONPATH"] = os.pathsep.join(
+            p if p else os.getcwd() for p in sys.path
+        )
+        env["REPRO_SOCKET_TOKEN"] = self._token
+        return os.posix_spawn(
+            sys.executable,
+            [
+                sys.executable, "-m", "repro.exec.socket_worker",
+                "--port", str(port), "--worker", str(k),
+            ],
+            env,
+            file_actions=[
+                (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)
+            ],
+        )
 
     def _verify_hello(self, conn: socket.socket, k: int) -> None:
         """Receive and validate the worker's HELLO; answer WELCOME, or a
@@ -922,87 +685,9 @@ class SocketTransport(Transport):
             )
             raise wire.WireError(f"socket worker {k} sent a bad token")
         wire.send_frame(conn, wire.WELCOME, 0)
-        conn.settimeout(None)
-
-    def _handle(self, k: int) -> _SocketWorker:
-        handle = self._handles[k]
-        if handle is not None and (handle.broken or handle.closing):
-            # Do NOT transparently respawn here: the parent's cache
-            # bookkeeping still believes this worker holds shipped state,
-            # and a silently-fresh process cannot apply the next delta.
-            # Surfacing BrokenProcessPool routes the failure through the
-            # backend's ladder, whose respawn (``pool.reset_worker``)
-            # discards the handle *and* wipes beliefs + bumps the
-            # generation before anything is resubmitted.
-            raise BrokenProcessPool(
-                f"socket worker {k} connection is down"
-            )
-        if handle is None:
-            handle = self._spawn(k)
-            self._handles[k] = handle
-        return handle
-
-    # ----------------------------------------------------------- dispatch
-    def submit_shard(self, k: int, plan_blob: bytes, plan=None) -> Future:
-        frames = []
-        if plan is not None and (
-            plan.regions or plan.partitions or plan.task_blob is not None
-        ):
-            # First shipment to this worker generation: peel the cache
-            # deltas out of the plan into their explicit message types.
-            # Steady-state plans carry no deltas and skip straight to the
-            # (already serialized) SHARD frame below.
-            if plan.regions:
-                frames.append((wire.REGIONS, dumps(plan.regions)))
-            if plan.partitions:
-                frames.append((wire.PARTITIONS, dumps(plan.partitions)))
-            if plan.task_blob is not None:
-                frames.append(
-                    (wire.TASK, dumps((plan.task_uid, plan.task_blob)))
-                )
-            plan_blob = dumps(
-                replace(plan, regions=(), partitions=(), task_blob=None)
-            )
-        frames.append((wire.SHARD, plan_blob))
-        return self._handle(k).submit(frames)
-
-    def submit_batch(self, k: int, functor_blob: bytes, points) -> Future:
-        return self._handle(k).submit(
-            [(wire.BATCH, dumps((functor_blob, points)))]
-        )
-
-    # ---------------------------------------------------------- lifecycle
-    def discard_worker(self, k: int) -> None:
-        handle = self._handles[k]
-        self._handles[k] = None
-        if handle is not None:
-            handle.discard()
-
-    def drop_connection(self, k: int) -> None:
-        """Sever worker ``k``'s connection *without* settling anything —
-        the fault-injection hook for "the network ate this node".  The
-        reader thread fails the pending futures with BrokenProcessPool,
-        exactly what a mid-run connection loss looks like."""
-        handle = self._handles[k]
-        if handle is not None:
-            try:
-                handle.conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            handle.conn.close()
-
-    def shutdown(self) -> List[BaseException]:
-        errors: List[BaseException] = []
-        for k in range(self.n):
-            handle = self._handles[k]
-            self._handles[k] = None
-            if handle is not None:
-                errors.extend(handle.discard(graceful=True))
-        return errors
 
 
 TRANSPORTS = {
-    LocalTransport.name: LocalTransport,
     PipeTransport.name: PipeTransport,
     SocketTransport.name: SocketTransport,
 }

@@ -1,13 +1,14 @@
-"""Framed wire protocol for socket-connected workers.
+"""Framed wire protocol: what travels on a worker's two fds.
 
-The fork-based :class:`~repro.exec.transport.LocalTransport` ships shard
-plans and cache deltas implicitly: everything rides inside one pickled
-``ShardPlan`` handed to a ``ProcessPoolExecutor``.  Over a real transport
-the delta-shipped worker caches (task blobs, region skeletons, partition
-colors, sparse subsets) become *explicit, versioned messages* so that a
-worker on another machine — loopback stands in for a cluster node here —
-can maintain exactly the persistent state the parent's
-``_WorkerCaches`` bookkeeping believes it holds.
+Every worker — a forked child on a pipe pair, a standalone process on a
+loopback socket — and every ``repro serve`` session speaks these frames.
+Worker-cache deltas (task blobs, region skeletons, partition colors,
+sparse subsets) need no messages of their own: they ride inside the
+pickled ``ShardPlan`` a SHARD/SHARDS frame carries, and the worker
+installs them before running the shard, so a worker on another machine —
+loopback stands in for a cluster node here — holds exactly the
+persistent state the parent's ``_WorkerCaches`` bookkeeping believes it
+does.
 
 Frame layout (big-endian, ``_HEADER.size`` bytes then the payload)::
 
@@ -23,11 +24,9 @@ Message types:
 HELLO       worker -> parent: JSON ``{worker, token, pid, version}``
 WELCOME     parent -> worker: handshake accepted
 REJECT      parent -> worker: JSON ``{reason}``; the worker exits
-REGIONS     parent -> worker: pickled region skeleton delta
-PARTITIONS  parent -> worker: pickled partition color delta
-TASK        parent -> worker: pickled ``(task_uid, task_blob)``
-SHARD       parent -> worker: pickled ``ShardPlan`` (deltas stripped)
-BATCH       parent -> worker: pickled ``(functor_blob, points)``
+SHARD       parent -> worker: pickled ``ShardPlan``, cache deltas included
+BATCH       parent -> worker: pickled ``(functor_blob, points)``; the
+            RESULT is the pickled array, or ``None`` if the functor raised
 RESULT      worker -> parent: raw result bytes for ``seq``
 SHUTDOWN    parent -> worker: drain and exit cleanly
 SHARDS      parent -> worker: pickled ``[(seq, plan_blob), ...]`` — one
@@ -63,9 +62,6 @@ __all__ = [
     "HELLO",
     "WELCOME",
     "REJECT",
-    "REGIONS",
-    "PARTITIONS",
-    "TASK",
     "SHARD",
     "BATCH",
     "RESULT",
@@ -92,15 +88,14 @@ MAGIC = b"RPRO"
 #: v3 added the service messages: CALL (client command) and BUSY
 #: (admission-control backpressure, echoes the rejected seq).
 #: v4 changed the ShardPlan/ShardResult payloads (box footprints).
-PROTOCOL_VERSION = 4
+#: v5 removed REGIONS/PARTITIONS/TASK (deltas ride in the plan) and
+#: renumbered the messages after them.
+PROTOCOL_VERSION = 5
 
 (
     HELLO,
     WELCOME,
     REJECT,
-    REGIONS,
-    PARTITIONS,
-    TASK,
     SHARD,
     BATCH,
     RESULT,
@@ -108,15 +103,12 @@ PROTOCOL_VERSION = 4
     SHARDS,
     CALL,
     BUSY,
-) = range(1, 14)
+) = range(1, 11)
 
 MSG_NAMES = {
     HELLO: "HELLO",
     WELCOME: "WELCOME",
     REJECT: "REJECT",
-    REGIONS: "REGIONS",
-    PARTITIONS: "PARTITIONS",
-    TASK: "TASK",
     SHARD: "SHARD",
     BATCH: "BATCH",
     RESULT: "RESULT",
@@ -201,7 +193,7 @@ def recv_frame(sock: socket.socket, check_version: bool = True) -> Frame:
 class FrameDecoder:
     """Incremental frame reassembly for non-blocking byte streams.
 
-    The pipe transport reads whatever ``os.read`` hands it — arbitrary
+    The transport engine reads whatever ``os.read`` hands it — arbitrary
     byte runs with no message alignment — so frames are reassembled
     statefully: :meth:`feed` appends raw bytes, :meth:`next` yields one
     complete :class:`Frame` (or ``None`` until enough bytes arrive).

@@ -51,12 +51,8 @@ from repro.runtime.task import PhysicalRegion, TaskContext
 
 __all__ = [
     "run_shard_bytes",
-    "apply_batch_bytes",
-    "install_regions",
-    "install_partitions",
-    "install_task",
     "handle_frame",
-    "serve_pipe",
+    "serve",
     "reset_state",
 ]
 
@@ -193,8 +189,8 @@ def _resolve_subset(ref: tuple):
     raise ValueError(f"unknown subset ref {ref[0]!r}")
 
 
-def install_regions(entries) -> None:
-    """Install region-skeleton deltas (plan field or REGIONS wire frame)."""
+def _install_regions(entries) -> None:
+    """Install the plan's region-skeleton deltas."""
     for uid, name, lo, hi, fields in entries:
         # Never replace an installed region: partition stubs hold references
         # to it, and a bailed dispatch can make the parent re-ship skeletons
@@ -206,8 +202,8 @@ def install_regions(entries) -> None:
         _REGIONS[uid] = region
 
 
-def install_partitions(entries) -> None:
-    """Install partition-color deltas (plan field or PARTITIONS frame)."""
+def _install_partitions(entries) -> None:
+    """Install the plan's partition-color deltas."""
     for entry in entries:
         stub = _PARTITIONS.get(entry.uid)
         if stub is None:
@@ -217,16 +213,11 @@ def install_partitions(entries) -> None:
             stub.add_color(color, _resolve_subset(ref))
 
 
-def install_task(uid: int, blob: bytes) -> None:
-    """Install one task function (plan field or TASK wire frame)."""
-    _TASKS[uid] = loads(blob)
-
-
 def _install_plan_state(plan: ShardPlan) -> None:
-    install_regions(plan.regions)
-    install_partitions(plan.partitions)
+    _install_regions(plan.regions)
+    _install_partitions(plan.partitions)
     if plan.task_blob is not None:
-        install_task(plan.task_uid, plan.task_blob)
+        _TASKS[plan.task_uid] = loads(plan.task_blob)
     for kind, region_uid, fname, where, values in plan.read_data:
         where, values = _array(where), _array(values)
         if kind == "idx":
@@ -302,7 +293,7 @@ def _fire_faults(
 
     Real effects only — this is the injected analogue of actual worker
     failures: ``kill`` hard-exits the process (the parent observes a
-    ``BrokenProcessPool``), ``hang`` sleeps (the parent's shard timeout
+    ``WorkerLost``), ``hang`` sleeps (the parent's shard timeout
     converts a long enough sleep into a respawn), ``corrupt`` makes the
     result blob unreadable (the parent retries the same worker).
     """
@@ -441,7 +432,7 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
 
 
 def run_shard_bytes(blob: bytes) -> bytes:
-    """Executor entry point: blob in, ("ok", result) | ("error", ...) out."""
+    """One shard, bytes to bytes: ("ok", result) | ("error", ...) pickled."""
     try:
         plan = loads(blob)
         result = _run_shard(plan)
@@ -459,20 +450,12 @@ def run_shard_bytes(blob: bytes) -> bytes:
             return dumps(("error", type(exc).__name__, ""))
 
 
-def apply_batch_bytes(functor_blob: bytes, points: np.ndarray) -> bytes:
-    """Executor entry point for chunked dynamic-check evaluation."""
-    functor = loads(functor_blob)
-    return dumps(functor.apply_batch(points))
-
-
-# ------------------------------------------------------- framed serve loops
+# --------------------------------------------------------- framed serve loop
 def handle_frame(frame, reply) -> bool:
-    """Dispatch one wire frame against the persistent worker state.
-
-    Shared by the socket serve loop and the pipe serve loop so both
-    transports run the exact same worker: ``reply(seq, payload)`` sends
-    one RESULT frame back.  Returns ``False`` on SHUTDOWN.
-    """
+    """Dispatch one wire frame against the persistent worker state;
+    ``reply(seq, payload)`` sends one RESULT frame back.  Returns
+    ``False`` on SHUTDOWN.  Cache deltas need no frames of their own:
+    they ride inside the shard plans (``_install_plan_state``)."""
     from repro.exec import wire
 
     if frame.msg == wire.SHUTDOWN:
@@ -487,23 +470,25 @@ def handle_frame(frame, reply) -> bool:
             reply(seq, run_shard_bytes(blob))
     elif frame.msg == wire.BATCH:
         functor_blob, points = loads(frame.payload)
-        reply(frame.seq, apply_batch_bytes(functor_blob, points))
-    elif frame.msg == wire.REGIONS:
-        install_regions(loads(frame.payload))
-    elif frame.msg == wire.PARTITIONS:
-        install_partitions(loads(frame.payload))
-    elif frame.msg == wire.TASK:
-        uid, blob = loads(frame.payload)
-        install_task(uid, blob)
+        try:
+            out = loads(functor_blob).apply_batch(points)
+        except Exception:
+            # The functor raised: an application bug, not a dead worker.
+            # ``None`` tells the parent to evaluate inline, which raises
+            # the very same exception where the caller can see it.
+            out = None
+        reply(frame.seq, dumps(out))
     return True
 
 
-def serve_pipe(rfd: int, wfd: int) -> None:
-    """Blocking serve loop for a pipe-connected (forked) worker child.
+def serve(rfd: int, wfd: int) -> bool:
+    """Blocking serve loop over two fds — a forked child's pipe pair or
+    a socket worker's connection (the same fd twice).
 
-    No handshake: the child was forked from this very interpreter, so
-    version and code identity are guaranteed.  EOF on the read pipe
-    (parent died or discarded us) ends the loop like a SHUTDOWN.
+    Returns ``True`` on a deliberate SHUTDOWN and ``False`` when the
+    stream ended (EOF, reset, a frame that does not parse): a
+    ``--listen`` socket worker exits on the first and goes back to
+    ``accept`` on the second.
     """
     from repro.exec import wire
 
@@ -514,13 +499,16 @@ def serve_pipe(rfd: int, wfd: int) -> None:
             view = view[os.write(wfd, view):]
 
     decoder = wire.FrameDecoder()
-    while True:
-        frame = decoder.next()
-        if frame is None:
-            chunk = os.read(rfd, 1 << 20)
-            if not chunk:
-                return
-            decoder.feed(chunk)
-            continue
-        if not handle_frame(frame, reply):
-            return
+    try:
+        while True:
+            frame = decoder.next()
+            if frame is None:
+                chunk = os.read(rfd, 1 << 20)
+                if not chunk:
+                    return False
+                decoder.feed(chunk)
+                continue
+            if not handle_frame(frame, reply):
+                return True
+    except OSError:  # includes wire.WireError: the parent is gone or alien
+        return False

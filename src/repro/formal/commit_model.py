@@ -352,7 +352,8 @@ class CommitModel:
             flags = flags | {"double_respawn"}
         gen = s.gens[k] + 1
         shards = list(s.shards)
-        # cancel_futures on the retired executor: queued siblings die.
+        # The retired worker's pending results are cancelled: queued
+        # siblings die.
         for q in s.queues[k]:
             if q != i:
                 shards[q] = shards[q]._replace(status="cancelled")
@@ -377,7 +378,7 @@ class CommitModel:
         k = sh.worker
         gens, alive, actual, belief = s.gens, s.alive, s.actual, s.belief
         if not s.alive[k]:
-            # Submitting to a dead executor surfaces BrokenProcessPool at
+            # Submitting to a dead worker surfaces WorkerLost at
             # submit time; the real backend revives it out-of-ladder
             # (bounded submit-path respawn) and resubmits.
             gens = self._tup(gens, k, s.gens[k] + 1)

@@ -188,7 +188,7 @@ class _ReplayableFaults:
       shard body before dying), and (b) the victim is the *last* shard in
       the worker's queue.  A kill on a worker with further queued shards
       can beat the parent's remaining submits to that worker — the death
-      then surfaces as a BrokenProcessPool at a sibling's *submit*
+      then surfaces as a WorkerLost at a sibling's *submit*
       (uncapped submit-path respawn) instead of at collect (capped
       ladder), and the two interleavings reach different terminal
       classes.  With no submits left to race, the death always waits at

@@ -146,17 +146,15 @@ class RuntimeConfig:
             env ``REPRO_SHM`` (unset/1 = on, 0 = off); pickle transport
             remains the automatic fallback whenever a buffer or platform
             cannot use shm.
-        transport: how the parallel backend reaches its workers.
-            ``"local"`` is the fork ``ProcessPoolExecutor`` path;
-            ``"pipe"`` forks persistent workers wired over raw ``os.pipe``
-            pairs speaking the framed wire protocol, with a single
-            ``selectors``-based collector instead of one executor wake per
-            submit; ``"socket"`` runs standalone worker processes over
-            framed loopback sockets standing in for cluster nodes (shm
-            degrades to wire payloads; see
-            ``docs/distributed-transport.md``).  ``None`` (default) reads
-            env ``REPRO_TRANSPORT`` (default ``local``).  Byte-identical
-            results on every transport.
+        transport: how the parallel backend spawns the workers its one
+            selector-driven engine talks to.  ``"pipe"`` forks persistent
+            workers wired over raw ``os.pipe`` pairs; ``"socket"`` runs
+            standalone worker processes over loopback sockets standing in
+            for cluster nodes (shm degrades to wire payloads; see
+            ``docs/distributed-transport.md``).  Both speak the framed
+            wire protocol.  ``None`` (default) reads env
+            ``REPRO_TRANSPORT`` (default ``pipe``).  Byte-identical
+            results on either.
         cache_entry_budget: LRU entry budget for the launch-replay cache
             and the dynamic-check memo (each counted separately): at most
             this many distinct launch signatures / check keys stay

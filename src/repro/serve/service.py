@@ -55,7 +55,7 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port is ``service.port``
     token: str = "repro"
     workers: Optional[int] = None  # None = env REPRO_WORKERS, else 1
-    transport: Optional[str] = None
+    transport: Optional[str] = None  # None = env REPRO_TRANSPORT, else pipe
     #: simulated node count for each session runtime's mapper; > 1 so
     #: multi-shard launches shard across nodes and take the parallel path.
     n_nodes: int = 4

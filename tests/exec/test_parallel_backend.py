@@ -193,7 +193,7 @@ class TestPoolLifecycle:
         pool = WorkerPool(2)
         pool.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
-            pool.executor(0)
+            pool.submit_shards(0, [])
 
     def test_backend_survives_external_shutdown(self):
         """A mid-run ``shutdown_pools()`` (e.g. another runtime tearing
@@ -230,7 +230,7 @@ class TestChunkedChecks:
             functor = ModularFunctor(16, 1)
             out = pool.apply_batch_chunked(functor, points)
             assert out.tobytes() == functor.apply_batch(points).tobytes()
-            assert pool._executors == [None, None]
+            assert pool.transport._handles == [None, None]
         finally:
             pool.shutdown()
 

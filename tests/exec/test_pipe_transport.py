@@ -1,59 +1,21 @@
-"""Pipe transport conformance: byte-identity, faults, dropped pipes.
+"""The ``pipe`` spawn strategy's own cases.
 
-The raw-pipe transport forks one persistent worker per slot and speaks
-the framed wire protocol over ``os.pipe`` pairs, with a single
-``selectors``-based collector in the parent instead of one executor
-thread wake per submitted shard.  Like every transport it must be a pure
-execution strategy: for randomized launch programs a ``transport="pipe"``
-run must leave every functional observable — region contents, future
-values, dependence edges, every ``PipelineStats`` counter —
-byte-identical to the serial run, including while the recovery ladder is
-climbing over injected kills/corrupts and over a severed pipe (the
-parent reads EOF, the ladder respawns the worker at tier 2).
-
-The incremental :class:`~repro.exec.wire.FrameDecoder` underneath gets
-its own unit tests here: byte-at-a-time reassembly, back-to-back frames
-in one read, and the same rejection rules as ``recv_frame``.
+Everything a transport owes the engine — byte-identity with serial,
+the fault ladder, the failure contract, no leaks — is asserted for both
+strategies in ``test_transports.py``.  What is left here is what only
+pipes have: the incremental :class:`~repro.exec.wire.FrameDecoder` that
+reassembles whatever ``os.read`` hands the engine (byte-at-a-time,
+back-to-back frames in one read, the same rejection rules as
+``recv_frame``), and the fork-time discipline that lets a worker read
+EOF although a sibling was forked while the parent's end was open.
 """
 
-import time
+import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exec import wire
 from repro.exec.transport import PipeTransport
-from repro.fault import FaultPlan, FaultSpec, RetryPolicy
-
-from tests.exec.test_parallel_equivalence import (
-    full_stats,
-    program_strategy,
-    run_program,
-)
-
-FAST_RETRY = RetryPolicy(
-    same_worker_retries=1,
-    respawns=2,
-    backoff_base_s=1e-4,
-    backoff_cap_s=1e-3,
-    shard_timeout_s=30.0,
-)
-
-FAULTS = [
-    FaultSpec(kind="kill", scope="worker", target=(0,), phase="execution"),
-    FaultSpec(kind="corrupt", scope="worker", target=(0,), phase="execution"),
-    FaultSpec(kind="kill", scope="shard", target=(0,), phase="expansion"),
-]
-
-
-def _observables(ops, iters, cfg, workers, **extra):
-    merged = dict(cfg)
-    merged.update(extra)
-    rt, x, y, futures, edges = run_program(
-        ops, iters, None, merged, workers=workers
-    )
-    return rt, (x.tobytes(), y.tobytes(), futures, edges)
 
 
 # ---------------------------------------------------------- frame decoder
@@ -124,96 +86,21 @@ class TestFrameDecoder:
             dec.next()
 
 
-# ------------------------------------------------------- byte identity
-class TestPipeIdentity:
-    @settings(max_examples=5, deadline=None)
-    @given(program=program_strategy)
-    def test_pipe_is_byte_identical_to_serial(self, program):
-        ops, iters, _, cfg = program
-        ref_rt, ref_out = _observables(ops, iters, cfg, 1)
-        rt, out = _observables(ops, iters, cfg, 2, transport="pipe")
-        assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
-
-    @settings(max_examples=4, deadline=None)
-    @given(program=program_strategy, spec=st.sampled_from(FAULTS))
-    def test_pipe_identical_under_faults(self, program, spec):
-        """Kill and corrupt plans ride the same recovery ladder over raw
-        pipes: the recovered run must not differ in a single observable."""
-        ops, iters, _, cfg = program
-        plan = FaultPlan(specs=(spec,))
-        ref_rt, ref_out = _observables(ops, iters, cfg, 1)
-        rt, out = _observables(
-            ops, iters, cfg, 2,
-            transport="pipe", fault_plan=plan, retry=FAST_RETRY,
-        )
-        assert rt.fault_injector.fired_count >= 1
-        assert rt.stats.launches_poisoned == 0
-        assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
-
-
-class TestDroppedPipe:
-    def test_dropped_pipe_respawns_and_stays_identical(self):
-        """SIGKILL worker 0 between launches: the selector reads EOF on
-        the next dispatch, the pending shard fails as a broken worker,
-        the ladder climbs to the tier-2 respawn (a fresh fork), and the
-        run commits byte-identically to the serial reference."""
-        import numpy as np
-
-        from repro.data.partition import equal_partition
-        from repro.runtime import Runtime, RuntimeConfig
-        from tests.exec.test_parallel_equivalence import bump
-
-        def run(workers, drop=False):
-            rt = Runtime(RuntimeConfig(
-                workers=workers, n_nodes=4, transport="pipe",
-                retry=FAST_RETRY,
-            ))
-            r = rt.create_region("dp", 16, {"x": "f8"})
-            r.storage("x")[:] = np.arange(16.0)
-            p = equal_partition(f"dpp{r.uid}", r, 4)
-            for i in range(4):
-                if drop and i == 2:
-                    transport = rt.backend.pool().transport
-                    assert isinstance(transport, PipeTransport)
-                    transport.drop_connection(0)
-                rt.index_launch(bump, 4, p)
-            return rt, r.storage("x").tobytes()
-
-        ref_rt, ref_bytes = run(1)
-        rt, out_bytes = run(2, drop=True)
-        assert rt.backend.stats.worker_respawns >= 1
-        assert rt.stats.launches_poisoned == 0
-        assert out_bytes == ref_bytes
-        assert full_stats(rt) == full_stats(ref_rt)
-
-
-class TestEventDrivenWaits:
-    def test_dispatch_never_polls_with_sleep(self, monkeypatch):
-        """Regression guard: every fault-free parent-side wait — shard
-        collection, the selector loop, chunked batch evaluation — must be
-        event-driven.  ``time.sleep`` in the hot path would put a latency
-        floor under every launch, so a fault-free traced program must
-        complete without a single parent-side sleep (backoff sleeps are
-        reserved for the recovery ladder)."""
-
-        def no_sleep(_s):
-            raise AssertionError(
-                "time.sleep called on the fault-free dispatch path"
-            )
-
-        monkeypatch.setattr(time, "sleep", no_sleep)
-        # "shifted" exercises the dynamic-check path, whose large functor
-        # sweeps are chunk-evaluated on the pool; "reduce"/"total" force
-        # result collection every iteration.
-        rt, out = _observables(
-            ("bump8", "shifted", "copy", "total", "reduce"), 3,
-            dict(n_nodes=4), 2, transport="pipe",
-        )
-        ref_rt, ref_out = _observables(
-            ("bump8", "shifted", "copy", "total", "reduce"), 3,
-            dict(n_nodes=4), 1,
-        )
-        assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
+class TestSiblingFds:
+    def test_worker_reads_eof_despite_later_sibling(self):
+        """Worker 1 is forked while the parent's ends of worker 0's pipes
+        are open, so it inherits copies.  Unless it closes them, worker 0
+        never reads EOF when the parent lets go — a discarded worker
+        would linger until killed."""
+        engine = PipeTransport(2)
+        try:
+            w0 = engine._handle(0)
+            engine._handle(1)
+            engine._handles[0] = None
+            engine._selector.unregister(w0.rfd)
+            os.close(w0.wfd)
+            # Nobody signals worker 0: it exits because its read hit EOF.
+            assert engine._reap(w0.pid, timeout=10.0)
+            os.close(w0.rfd)
+        finally:
+            assert engine.shutdown() == []

@@ -90,7 +90,7 @@ class TestInfrastructureFallback:
         assert pool.pool_failures == 1
         assert _failure_reasons(pool) == {"functor_unpicklable"}
         # No worker ever had to start for an inline evaluation.
-        assert all(ex is None for ex in pool._executors)
+        assert pool.transport._handles == [None, None]
 
     def test_corrupt_result_transport_falls_back(self, pool, monkeypatch):
         monkeypatch.setattr(
@@ -126,7 +126,7 @@ class TestInlinePaths:
         small = np.arange(16, dtype=np.int64)
         result = pool.apply_batch_chunked(Doubler(), small)
         np.testing.assert_array_equal(result, small * 2)
-        assert all(ex is None for ex in pool._executors)
+        assert pool.transport._handles == [None, None]
         assert pool.pool_failures == 0
 
     def test_closed_pool_evaluates_inline(self, pool):
@@ -154,21 +154,24 @@ class TestTeardownErrorCounting:
     they must now be counted and surfaced as obs instants."""
 
     def test_executor_shutdown_failure_is_counted(self, pool, monkeypatch):
-        executor = pool.executor(0)
-        monkeypatch.setattr(
-            executor,
-            "shutdown",
-            lambda *a, **kw: (_ for _ in ()).throw(
-                RuntimeError("leaked executor")
-            ),
-        )
+        """The graceful SHUTDOWN write to a live worker fails: the worker
+        is still killed and reaped, and the swallowed error is counted,
+        never silent."""
+        worker = pool.transport._handle(0)
+
+        def stalled(_worker, _data, deadline_s=2.0):
+            raise TimeoutError("worker shutdown write stalled")
+
+        monkeypatch.setattr(pool.transport, "_write_deadline", stalled)
         pool.shutdown()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)
         assert pool.shutdown_errors == 1
-        assert "RuntimeError" in _counter_kinds(pool, "pool.shutdown_errors")
+        assert "TimeoutError" in _counter_kinds(pool, "pool.shutdown_errors")
         assert "pool.shutdown_error" in [i.name for i in pool.profiler.instants]
 
     def test_clean_shutdown_counts_nothing(self, pool):
-        pool.executor(0)
+        pool.transport._handle(0)
         pool.shutdown()
         assert pool.shutdown_errors == 0
         assert _counter_kinds(pool, "pool.shutdown_errors") == set()

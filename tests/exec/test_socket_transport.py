@@ -1,57 +1,42 @@
-"""Socket transport conformance: byte-identity, faults, connection loss.
+"""The ``socket`` spawn strategy's own cases.
 
-The socket transport is a pure execution strategy, exactly like the fork
-transport it stands beside: for randomized launch programs a
-``transport="socket"`` run must leave every functional observable —
-region contents, future values, dependence edges, every ``PipelineStats``
-counter — byte-identical to the serial run, including while the recovery
-ladder is climbing over injected kills/corrupts and over a severed
-connection (the "network ate this node" case, which must surface as a
-tier-2 respawn and reconnect).
-
-The wire layer underneath gets its own unit tests: framing round-trips,
-partial-recv reassembly, alien-peer rejection, and the version handshake.
+Everything a transport owes the engine — byte-identity with serial,
+the fault ladder, the failure contract, no leaks — is asserted for both
+strategies in ``test_transports.py``.  What is left here is the edge
+only sockets have: blocking ``send_frame`` / ``recv_frame`` framing
+(round-trips, partial-recv reassembly, alien-peer rejection), both sides
+of the HELLO/WELCOME handshake, every way a spawn can fail (and that
+none leaves a zombie or an open fd behind), transport-name resolution,
+and dialling a pre-started ``--listen`` worker via
+``REPRO_SOCKET_HOSTS``.
 """
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.exec import transport as transport_mod
 from repro.exec import wire
+from repro.exec.plan import dumps, loads
+from repro.exec.pool import WorkerPool
 from repro.exec.socket_worker import _handshake
-from repro.exec.transport import SocketTransport, resolve_transport
-from repro.fault import FaultPlan, FaultSpec, RetryPolicy
-
-from tests.exec.test_parallel_equivalence import (
-    full_stats,
-    program_strategy,
-    run_program,
+from repro.exec.transport import (
+    SocketTransport,
+    WorkerLost,
+    resolve_transport,
 )
 
-FAST_RETRY = RetryPolicy(
-    same_worker_retries=1,
-    respawns=2,
-    backoff_base_s=1e-4,
-    backoff_cap_s=1e-3,
-    shard_timeout_s=30.0,
+from tests.exec.test_transports import (
+    POINTS,
+    Doubler,
+    children,
+    open_fds,
 )
-
-FAULTS = [
-    FaultSpec(kind="kill", scope="worker", target=(0,), phase="execution"),
-    FaultSpec(kind="corrupt", scope="worker", target=(0,), phase="execution"),
-]
-
-
-def _observables(ops, iters, cfg, workers, **extra):
-    merged = dict(cfg)
-    merged.update(extra)
-    rt, x, y, futures, edges = run_program(
-        ops, iters, None, merged, workers=workers
-    )
-    return rt, (x.tobytes(), y.tobytes(), futures, edges)
 
 
 # ------------------------------------------------------------- wire layer
@@ -198,73 +183,170 @@ class TestTransportResolution:
 
     def test_config_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRANSPORT", "socket")
-        assert resolve_transport("local") == "local"
+        assert resolve_transport("pipe") == "pipe"
+
+    def test_unset_env_resolves_to_pipe(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
+        assert resolve_transport(None) == "pipe"
+
+    def test_directly_built_pool_follows_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRANSPORT", "socket")
+        pool = WorkerPool(2)
+        try:
+            assert pool.transport_name == "socket"
+            assert isinstance(pool.transport, SocketTransport)
+            assert not pool.arena.available
+        finally:
+            pool.shutdown()
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError):
             resolve_transport("carrier-pigeon")
 
+    @pytest.mark.parametrize("via", ["config", "env"])
+    def test_local_is_gone_not_aliased(self, via, monkeypatch):
+        monkeypatch.setenv("REPRO_TRANSPORT", "local")
+        with pytest.raises(
+            ValueError,
+            match=r"unknown transport 'local'; "
+                  r"choose from \['pipe', 'socket'\]",
+        ):
+            resolve_transport("local" if via == "config" else None)
 
-# ------------------------------------------------------- byte identity
-class TestSocketIdentity:
-    @settings(max_examples=5, deadline=None)
-    @given(program=program_strategy)
-    def test_socket_is_byte_identical_to_serial(self, program):
-        ops, iters, _, cfg = program
-        ref_rt, ref_out = _observables(ops, iters, cfg, 1)
-        rt, out = _observables(ops, iters, cfg, 2, transport="socket")
-        assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
 
-    @settings(max_examples=4, deadline=None)
-    @given(program=program_strategy, spec=st.sampled_from(FAULTS))
-    def test_socket_identical_under_faults(self, program, spec):
-        """Kill and corrupt plans ride the same ladder over sockets: the
-        recovered run must not differ in a single observable."""
-        ops, iters, _, cfg = program
-        plan = FaultPlan(specs=(spec,))
-        ref_rt, ref_out = _observables(ops, iters, cfg, 1)
-        rt, out = _observables(
-            ops, iters, cfg, 2,
-            transport="socket", fault_plan=plan, retry=FAST_RETRY,
+# --------------------------------------------------------- spawn failures
+class TestSpawnFailures:
+    """Every way ``_spawn`` can fail ends in the engine's one
+    kill-and-reap path: ``WorkerLost``, no zombie, no fd left open."""
+
+    def _assert_spawn_fails_clean(self, engine, cause):
+        fds, kids = open_fds(), children()
+        with pytest.raises(WorkerLost) as info:
+            engine.submit_batch(0, dumps(Doubler()), POINTS)
+        assert isinstance(info.value.__cause__, cause)
+        assert engine._handles == [None]
+        assert children() == kids       # killed *and* reaped
+        assert open_fds() == fds        # connection and listener closed
+
+    def test_bad_token_worker_is_rejected_and_reaped(self, monkeypatch):
+        launch = SocketTransport._launch
+
+        def launch_then_rotate(self, k, port):
+            pid = launch(self, k, port)
+            self._token = "rotated-after-launch"
+            return pid
+
+        monkeypatch.setattr(SocketTransport, "_launch", launch_then_rotate)
+        engine = SocketTransport(1)
+        self._assert_spawn_fails_clean(engine, wire.WireError)
+        assert engine.shutdown() == []
+
+    def test_worker_that_never_connects_is_reaped(self, monkeypatch):
+        monkeypatch.setattr(transport_mod, "SPAWN_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(
+            SocketTransport, "_launch",
+            lambda self, k, port: os.posix_spawn(
+                sys.executable,
+                [sys.executable, "-c", "import time; time.sleep(60)"],
+                os.environ,
+            ),
         )
-        assert rt.fault_injector.fired_count >= 1
-        assert rt.stats.launches_poisoned == 0
-        assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
+        engine = SocketTransport(1)
+        self._assert_spawn_fails_clean(engine, socket.timeout)
+        assert engine.shutdown() == []
+
+    def test_alien_version_gets_descriptive_reject(self, monkeypatch):
+        """The parent side of the version handshake, against a scripted
+        peer reached the way a pre-started worker is: by dialling."""
+        seen = {}
+
+        def alien(listener):
+            conn, _ = listener.accept()
+            with conn:
+                wire.send_frame(
+                    conn, wire.HELLO, 0, wire.json_payload(token=""),
+                    version=wire.PROTOCOL_VERSION + 1,
+                )
+                seen["reply"] = wire.recv_frame(conn)
+
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            peer = threading.Thread(target=alien, args=(listener,))
+            peer.start()
+            monkeypatch.setenv(
+                "REPRO_SOCKET_HOSTS",
+                "127.0.0.1:%d" % listener.getsockname()[1],
+            )
+            engine = SocketTransport(1)
+            self._assert_spawn_fails_clean(engine, wire.VersionMismatch)
+            peer.join(timeout=10.0)
+            assert not peer.is_alive()
+        assert seen["reply"].msg == wire.REJECT
+        assert "protocol version" in wire.parse_json(
+            seen["reply"].payload
+        )["reason"]
+        assert engine.shutdown() == []
+
+    def test_unreachable_host_is_worker_lost(self, monkeypatch):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as placeholder:
+            placeholder.bind(("127.0.0.1", 0))   # bound, never listening
+            monkeypatch.setenv(
+                "REPRO_SOCKET_HOSTS",
+                "127.0.0.1:%d" % placeholder.getsockname()[1],
+            )
+            engine = SocketTransport(1)
+            self._assert_spawn_fails_clean(engine, ConnectionRefusedError)
+        assert engine.shutdown() == []
 
 
-class TestConnectionDrop:
-    def test_dropped_connection_respawns_and_stays_identical(self):
-        """Sever worker 0's socket between launches: the next dispatch
-        must observe the loss as a broken worker, climb to the tier-2
-        respawn (a fresh process reconnects, caches re-ship from scratch),
-        and commit byte-identically to the serial run."""
-        import numpy as np
+# ------------------------------------------------------- pre-started worker
+class TestDialledWorker:
+    def test_socket_hosts_dial_drop_redial_shutdown(
+        self, monkeypatch
+    ):
+        """Slot 0 is a ``--listen`` worker this test started, slot 1 a
+        locally spawned fill-in.  The parent owns slot 0's connection,
+        never its process: a dropped connection sends the worker back to
+        ``accept`` and the respawn re-dials it; only the pool's graceful
+        SHUTDOWN ends it, with exit code 0."""
+        env = dict(os.environ, REPRO_SOCKET_TOKEN="prestarted")
+        env["PYTHONPATH"] = os.pathsep.join(p or os.getcwd() for p in sys.path)
+        listen = subprocess.Popen(
+            [sys.executable, "-m", "repro.exec.socket_worker",
+             "--listen", "--port", "0", "--worker", "0"],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = listen.stderr.readline()   # "... listening on host:port"
+            assert "listening on" in banner
+            monkeypatch.setenv("REPRO_SOCKET_TOKEN", "prestarted")
+            monkeypatch.setenv(
+                "REPRO_SOCKET_HOSTS", banner.rsplit(" ", 1)[1].strip()
+            )
+            pool = WorkerPool(2, "socket")
+            engine = pool.transport
 
-        from repro.data.partition import equal_partition
-        from repro.runtime import Runtime, RuntimeConfig
-        from tests.exec.test_parallel_equivalence import bump
+            def double(k):
+                future = engine.submit_batch(k, dumps(Doubler()), POINTS)
+                return loads(future.result(timeout=60.0))
 
-        def run(workers, drop=False):
-            rt = Runtime(RuntimeConfig(
-                workers=workers, n_nodes=4, transport="socket",
-                retry=FAST_RETRY,
-            ))
-            r = rt.create_region("dc", 16, {"x": "f8"})
-            r.storage("x")[:] = np.arange(16.0)
-            p = equal_partition(f"dcp{r.uid}", r, 4)
-            for i in range(4):
-                if drop and i == 2:
-                    transport = rt.backend.pool().transport
-                    assert isinstance(transport, SocketTransport)
-                    transport.drop_connection(0)
-                rt.index_launch(bump, 4, p)
-            return rt, r.storage("x").tobytes()
+            for k in range(2):
+                np.testing.assert_array_equal(double(k), POINTS * 2)
+            assert engine._handles[0].pid is None
+            assert engine._handles[1].pid is not None
 
-        ref_rt, ref_bytes = run(1)
-        rt, out_bytes = run(2, drop=True)
-        assert rt.backend.stats.worker_respawns >= 1
-        assert rt.stats.launches_poisoned == 0
-        assert out_bytes == ref_bytes
-        assert full_stats(rt) == full_stats(ref_rt)
+            engine.drop_connection(0)
+            with pytest.raises(WorkerLost):
+                double(0)
+            assert listen.poll() is None        # not ours to kill
+            pool.reset_worker(0)
+            np.testing.assert_array_equal(double(0), POINTS * 2)
+
+            pool.shutdown()
+            assert pool.shutdown_errors == 0
+            assert listen.wait(timeout=30.0) == 0
+        finally:
+            listen.kill()
+            listen.wait()
+            listen.stderr.close()
