@@ -1,13 +1,16 @@
-"""Pluggable execution backends for the pipeline tail of an index launch.
+"""Execution backends for the pipeline tail of an index launch.
 
 ``Runtime._issue_index_launch`` handles the launch-level stages — issuance,
 safety, logical analysis, distribution — and then hands the per-node tail
-(expansion, physical analysis, task-body execution) to its backend:
+(expansion, physical analysis, task-body execution) to its backend.
+:class:`ExecutionBackend` owns the part of that tail every backend shares
+— expansion, physical analysis on the parent's one analyzer, and their
+accounting — so the two backends hold only what differs:
 
-* :class:`SerialBackend` — the original in-process behavior, verbatim.
-* :class:`~repro.exec.parallel.ParallelBackend` — fans shards out across a
-  persistent process pool and merges results deterministically; selected
-  with ``RuntimeConfig.workers > 1`` (or env ``REPRO_WORKERS``).
+* :class:`SerialBackend` runs the task bodies in-process.
+* :class:`~repro.exec.parallel.ParallelBackend` has workers run them and
+  applies their effects at commit; selected with
+  ``RuntimeConfig.workers > 1`` (or env ``REPRO_WORKERS``).
 
 The backend boundary is *after* distribution on purpose: everything up to
 the assignment is O(launch) work the paper's control replicas replicate
@@ -17,20 +20,28 @@ Section 5 distributes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Tuple
 
 from repro.fault.plan import InjectedFaultError
 from repro.runtime.futures import FutureMap
 from repro.runtime.physical import make_template
 from repro.runtime.pipeline import Stage
 from repro.runtime.replay import ExpansionTemplate, PointPlan
-from repro.runtime.task import PhysicalRegion
 
 __all__ = ["ExecutionBackend", "SerialBackend", "resolve_backend"]
 
 
 class ExecutionBackend:
-    """Interface: finish one distributed index launch."""
+    """Finish one distributed index launch.
+
+    Everything between distribution and the task bodies is the same on
+    every backend and is written once, here: :meth:`analyze_launch` runs
+    expansion, then physical analysis against the runtime's one live
+    analyzer in serial plan order (sorted node, then the node's points),
+    then the accounting both leave behind.  A backend adds only how the
+    bodies run and how their effects reach the parent's regions.
+    """
 
     name = "abstract"
 
@@ -63,6 +74,168 @@ class ExecutionBackend:
         region ``uids`` a new operation is about to touch.  No-op for
         backends that commit eagerly."""
 
+    # ------------------------------------------------- the shared launch tail
+    def analyze_launch(self, launch, sig, op_id, assignment, replay, cache):
+        """Expansion, physical analysis and their accounting.
+
+        Returns ``(task_ids, plans, per_node)``: the fresh task ids in
+        serial plan order, a callable giving the ``[(node, PointPlan)]``
+        list in that order (see :meth:`_expansion`), and the task count of
+        every node that has any.
+        """
+        rt = self.rt
+        per_node = {
+            node: len(assignment[node])
+            for node in sorted(assignment) if assignment[node]
+        }
+        total = sum(per_node.values())
+        plans = self._expansion(launch, sig, assignment, cache, total)
+        t_phys = rt.profiler.mark()
+        task_ids = list(islice(rt._task_counter, total))
+        tdeps_lists, replayed = self._physical(
+            launch, sig, replay, cache, task_ids, plans
+        )
+        self._account(
+            launch, op_id, assignment, per_node, task_ids, tdeps_lists,
+            replayed, t_phys,
+        )
+        return task_ids, plans, per_node
+
+    def _expansion(self, launch, sig, assignment, cache, total):
+        """Post-distribution expansion: reuse the memoized template
+        (requirement footprints, analyzer access triples, PhysicalRegion
+        views) or build and store it on the first issue.
+
+        Returns a callable giving the ordered ``[(node, PointPlan)]`` list.
+        On a template hit the list is materialised on first call only, so
+        a launch that replays its physical template and runs its bodies
+        elsewhere never builds it.
+        """
+        rt = self.rt
+        prof = rt.profiler
+        t_expand = prof.mark()
+        template = cache.get_expansion(sig) if cache is not None else None
+        cached = template is not None
+        if cached:
+            rt.stats.analysis_cache_hits += 1
+        else:
+            template = ExpansionTemplate(
+                base_args=launch.args,
+                had_point_args=launch.point_args is not None,
+            )
+        plan_list = None
+
+        def plans() -> List[Tuple[int, PointPlan]]:
+            nonlocal plan_list
+            if plan_list is None and cached:
+                plan_list = template.ordered_plans(launch, assignment)
+            if plan_list is None:
+                make = template.point_plan if cached else template.add_point
+                plan_list = [
+                    (node, make(launch, point))
+                    for node in sorted(assignment)
+                    for point in assignment[node]
+                ]
+                template.store_plans(launch, assignment, plan_list)
+            return plan_list
+
+        if not cached:
+            plans()
+            if cache is not None:
+                cache.put_expansion(sig, template)
+        if prof.enabled:
+            prof.phase("expansion", "expansion", t_expand,
+                       launch=launch.name, cached=cached, points=total)
+            if cached:
+                prof.instant("cache.expansion_hit", "expansion",
+                             launch=launch.name)
+        return plans
+
+    def _physical(self, launch, sig, replay, cache, task_ids, plans):
+        """Physical analysis, as ``(dependences per task, replayed)``.
+
+        On a trace-validated replay, re-stamp the recorded dependence
+        template with the fresh task ids; otherwise — no template yet, or
+        one whose validation failed — run the live analyzer, capturing a
+        template on a validated replay so the next one can skip it.
+        """
+        rt = self.rt
+        prof = rt.profiler
+        templated = replay and cache is not None
+        if templated:
+            ptemplate = cache.get_physical(sig)
+            if ptemplate is not None:
+                tdeps_lists = rt.physical.replay_tasks(task_ids, ptemplate)
+                if tdeps_lists is not None:
+                    rt.stats.analysis_cache_hits += 1
+                    if prof.enabled:
+                        prof.instant("cache.physical_replay", Stage.PHYSICAL,
+                                     launch=launch.name)
+                    return tdeps_lists, True
+                # Validation failed (foreign state change): drop the
+                # template and fall back to live analysis below.
+                cache.drop_physical_for(sig)
+                rt.stats.analysis_cache_invalidations += 1
+                if prof.enabled:
+                    prof.instant("cache.physical_bail", Stage.PHYSICAL,
+                                 launch=launch.name)
+        capture = entry_keys = None
+        if templated:
+            region_uids = {req.region.uid for req in launch.requirements}
+            entry_keys = rt.physical.snapshot_keys(region_uids)
+            capture = []
+        tdeps_lists = [
+            rt.physical.record_task(tid, plan.accesses, _capture=capture)
+            for tid, (_, plan) in zip(task_ids, plans())
+        ]
+        if capture is not None:
+            ptemplate = make_template(capture, entry_keys)
+            if ptemplate is not None:
+                cache.put_physical(sig, ptemplate)
+        return tdeps_lists, False
+
+    def _account(
+        self, launch, op_id, assignment, per_node, task_ids, tdeps_lists,
+        replayed, t_phys,
+    ) -> None:
+        """What physical analysis leaves in ``PipelineStats``, the graph
+        recorder and the profiler.  The representation table is a pure
+        additive counter, so one call per node lands the same totals as
+        one call per task."""
+        rt = self.rt
+        prof = rt.profiler
+        rt.stats.physical_dependences += sum(len(t) for t in tdeps_lists)
+        for node, local in per_node.items():
+            rt.stats.add_representation(Stage.PHYSICAL, node, local)
+        if rt.graph_recorder is not None:
+            points = (
+                (node, point)
+                for node in per_node for point in assignment[node]
+            )
+            for tid, (node, point), tdeps in zip(
+                task_ids, points, tdeps_lists
+            ):
+                rt.graph_recorder.record_task(
+                    tid, f"{launch.task.name}{tuple(point)}", op_id, node
+                )
+                rt.graph_recorder.record_physical_edges(tdeps)
+        rt.stats.overlap_queries = rt.physical.overlap_queries
+        if prof.enabled:
+            cost = prof.costmodel
+            for node, local in per_node.items():
+                attrs = dict(op=op_id, launch=launch.name, tasks=local,
+                             replayed=replayed)
+                if cost is not None:
+                    attrs["sim_cost_s"] = (
+                        cost.t_replay_cache_hit
+                        + cost.t_trace_replay_task * local
+                        if replayed
+                        else cost.physical_task_time(launch.domain.volume)
+                        * local
+                    )
+                prof.phase("physical", Stage.PHYSICAL, t_phys,
+                           node=node, **attrs)
+
 
 class SerialBackend(ExecutionBackend):
     """The in-process pipeline tail — reference semantics for every backend."""
@@ -73,142 +246,15 @@ class SerialBackend(ExecutionBackend):
         self, launch, sig, op_id, assignment, replay, safe_order_free, cache
     ) -> FutureMap:
         rt = self.rt
-        cfg = rt.config
-        prof = rt.profiler
-        cost = prof.costmodel if prof.enabled else None
-
-        # --- expansion, post-distribution: materialize per-point plans, or
-        # reuse the memoized template (requirement footprints, analyzer
-        # access triples, PhysicalRegion views) built on the first issue.
-        t_expand = prof.mark()
-        expansion = cache.get_expansion(sig) if cache is not None else None
-        expansion_cached = expansion is not None
-        plan_list: Optional[List[Tuple[int, PointPlan]]] = None
-        if expansion is not None:
-            rt.stats.analysis_cache_hits += 1
-            plan_list = expansion.ordered_plans(launch, assignment)
-            if plan_list is None:
-                plan_list = []
-                for node in sorted(assignment):
-                    for point in assignment[node]:
-                        plan_list.append(
-                            (node, expansion.point_plan(launch, point))
-                        )
-                expansion.store_plans(launch, assignment, plan_list)
-        else:
-            expansion = ExpansionTemplate(
-                base_args=launch.args,
-                had_point_args=launch.point_args is not None,
-            )
-            plan_list = []
-            for node in sorted(assignment):
-                for point in assignment[node]:
-                    point_task = launch.point_task(point)
-                    triples = [
-                        (req.subregion, req.privilege, req.resolved_fields())
-                        for req in point_task.requirements
-                    ]
-                    plan = PointPlan(
-                        task_launch=point_task,
-                        requirements=list(point_task.requirements),
-                        accesses=triples,
-                        regions=[PhysicalRegion(*t) for t in triples],
-                    )
-                    expansion.plans[tuple(point)] = plan
-                    plan_list.append((node, plan))
-            expansion.store_plans(launch, assignment, plan_list)
-            if cache is not None:
-                cache.put_expansion(sig, expansion)
-        if prof.enabled:
-            prof.phase("expansion", "expansion", t_expand,
-                       launch=launch.name, cached=expansion_cached,
-                       points=len(plan_list))
-            if expansion_cached:
-                prof.instant("cache.expansion_hit", "expansion",
-                             launch=launch.name)
-
-        # --- physical analysis.  On a trace-validated replay, re-stamp the
-        # recorded dependence template with fresh task ids; otherwise run
-        # the live analyzer (capturing a template when this is the first
-        # validated replay, so the next one can skip it).
-        t_phys = prof.mark()
-        template_replayed = False
-        task_ids = [next(rt._task_counter) for _ in plan_list]
-        tdeps_lists = None
-        if replay and cache is not None:
-            ptemplate = cache.get_physical(sig)
-            if ptemplate is not None:
-                tdeps_lists = rt.physical.replay_tasks(task_ids, ptemplate)
-                if tdeps_lists is None:
-                    # Validation failed (foreign state change): drop the
-                    # template and fall back to live analysis below.
-                    cache.drop_physical_for(sig)
-                    rt.stats.analysis_cache_invalidations += 1
-                    if prof.enabled:
-                        prof.instant("cache.physical_bail", Stage.PHYSICAL,
-                                     launch=launch.name)
-                else:
-                    rt.stats.analysis_cache_hits += 1
-                    template_replayed = True
-                    if prof.enabled:
-                        prof.instant("cache.physical_replay", Stage.PHYSICAL,
-                                     launch=launch.name)
-        if tdeps_lists is None:
-            capture = entry_keys = None
-            if replay and cache is not None:
-                region_uids = {req.region.uid for req in launch.requirements}
-                entry_keys = rt.physical.snapshot_keys(region_uids)
-                capture = []
-            tdeps_lists = [
-                rt.physical.record_task(tid, plan.accesses, _capture=capture)
-                for tid, (_, plan) in zip(task_ids, plan_list)
-            ]
-            if capture is not None:
-                ptemplate = make_template(capture, entry_keys)
-                if ptemplate is not None:
-                    cache.put_physical(sig, ptemplate)
-
+        task_ids, plans, _ = self.analyze_launch(
+            launch, sig, op_id, assignment, replay, cache
+        )
         fmap = FutureMap(label=launch.name)
-        # Per-node batched accounting: the representation table is a pure
-        # additive counter, so one call per node lands the same totals as
-        # one call per task.
-        per_node: Dict[int, int] = {}
-        for node, _ in plan_list:
-            per_node[node] = per_node.get(node, 0) + 1
-        rt.stats.physical_dependences += sum(len(t) for t in tdeps_lists)
-        for node in sorted(per_node):
-            rt.stats.add_representation(Stage.PHYSICAL, node, per_node[node])
-        if rt.graph_recorder is not None:
-            for tid, (node, plan), tdeps in zip(
-                task_ids, plan_list, tdeps_lists
-            ):
-                rt.graph_recorder.record_task(
-                    tid, plan.task_launch.name, op_id, node
-                )
-                rt.graph_recorder.record_physical_edges(tdeps)
-        rt.stats.overlap_queries = rt.physical.overlap_queries
-        if prof.enabled:
-            for node in sorted(per_node):
-                local = per_node[node]
-                attrs = dict(op=op_id, launch=launch.name, tasks=local,
-                             replayed=template_replayed)
-                if cost is not None:
-                    attrs["sim_cost_s"] = (
-                        cost.t_replay_cache_hit
-                        + cost.t_trace_replay_task * local
-                        if template_replayed
-                        else cost.physical_task_time(launch.domain.volume)
-                        * local
-                    )
-                prof.phase("physical", Stage.PHYSICAL, t_phys,
-                           node=node, **attrs)
-
         # --- execution (functionally; order free for verified launches).
-        if cfg.shuffle_intra_launch and safe_order_free:
-            executed = list(zip(task_ids, plan_list))
+        executed = zip(task_ids, plans())
+        if rt.config.shuffle_intra_launch and safe_order_free:
+            executed = list(executed)
             rt._rng.shuffle(executed)
-        else:
-            executed = zip(task_ids, plan_list)
         for tid, (node, plan) in executed:
             try:
                 fmap.set(

@@ -1,11 +1,13 @@
 """The shard-parallel execution backend.
 
-Fans the pipeline tail of a verified index launch out across the worker
+Fans the task bodies of a verified index launch out across the worker
 pool — one shard per node of the distribution assignment, worker affinity
-``shard % workers`` — and merges the results so that every observable is
+``shard % workers`` — and commits the results so that every observable is
 byte-identical to :class:`~repro.exec.backend.SerialBackend`: region
 contents, future values, dependence edges, ``PipelineStats``, analyzer
-state, RNG consumption, and Chrome-trace schema.
+state, RNG consumption, and Chrome-trace schema.  Workers expand and
+execute; physical analysis is the parent's, at commit, through the tail
+both backends share (:meth:`ExecutionBackend.analyze_launch`).
 
 The determinism contract rests on three rules:
 
@@ -15,15 +17,18 @@ The determinism contract rests on three rules:
    exception, pickling error, broken pool) abandons the dispatch and
    re-runs the launch through the owned serial backend, which reproduces
    serial behavior exactly, including exceptions and their partial effects.
-2. **Merge in serial order.**  Shard results are committed in sorted node
-   order (the serial plan order): worker analyzer ops replay against the
-   parent's analyzer task by task, write-backs scatter and recorded
-   reductions re-apply in the serial (then optionally shuffled) execution
-   order, and futures fill the FutureMap in that same order.
+2. **Commit in serial order.**  Shard results are committed in sorted node
+   order (the serial plan order): the parent's analyzer records the tasks
+   one by one, write-backs scatter and recorded reductions re-apply in the
+   serial (then optionally shuffled) execution order, and futures fill the
+   FutureMap in that same order.
 3. **Only verified launches.**  Eligibility requires a launch the safety
    analysis verified (static or hybrid): point tasks are pairwise
-   non-interfering, so no dependence edge, retirement, or footprint can
-   cross shards — which is precisely what makes the merge exact.  Anything
+   non-interfering — their write footprints are disjoint, exclusive
+   capabilities — so no dependence edge, retirement, or footprint can
+   cross shards, the bodies may run anywhere in any order, and a worker
+   could learn nothing about analyzer state that the parent's own scan
+   does not decide.  Anything
    else — unverified, trusted-without-validation, single-shard, or a
    launch whose REDUCE requirement shares fields of a region with another
    requirement (its bodies would observe half-applied reductions) — runs
@@ -67,7 +72,6 @@ from repro.exec.plan import (
     PartitionEntry,
     ReqTemplate,
     ShardPlan,
-    UserRef,
     dumps,
     loads,
     priv_token,
@@ -83,16 +87,7 @@ from repro.exec.transport import (
     resolve_transport,
 )
 from repro.runtime.futures import FutureMap
-from repro.runtime.physical import (
-    AccessOp,
-    TaskDependence,
-    _same_subset,
-    _User,
-    make_template,
-)
 from repro.runtime.pipeline import Stage
-from repro.runtime.replay import ExpansionTemplate, PointPlan
-from repro.runtime.task import PhysicalRegion
 
 __all__ = [
     "ParallelBackend",
@@ -242,7 +237,6 @@ class ParallelExecStats:
     parallel_launches: int = 0      # launches committed from shard results
     serial_launches: int = 0        # ineligible launches run serially
     fallbacks: int = 0              # dispatches abandoned mid-flight
-    merge_fallbacks: int = 0        # merges replaced by live analysis
     shards_dispatched: int = 0
     tasks_shipped: int = 0
     # --- recovery ladder (see docs/fault-tolerance.md)
@@ -265,7 +259,7 @@ class _PlanMemoShard:
 
     gen: int                        # worker generation the skeleton targets
     shm_on: bool                    # arena staging state at build
-    plan: ShardPlan                 # empty-delta skeleton (analyze=False)
+    plan: ShardPlan                 # empty-delta skeleton
     #: pickled ``plan``, set only when every footprint went through the
     #: arena at build: blob reuse requires the fresh entries and slots to
     #: repeat ``plan.read_data`` / ``plan.write_slots`` byte for byte.
@@ -276,11 +270,11 @@ class _PlanMemoShard:
 class _PlanMemo:
     """Memoized shard-plan construction for one launch signature.
 
-    ROADMAP item 3's last parent-side cost: on the steady replay path the
-    ``ShardPlan`` rebuild + pickle dominates dispatch (~1.4 ms per 8-shard
-    launch).  Everything in the plan except the footprint bytes is pure in
-    (signature, assignment, args): projections, requirement templates, and
-    the empty cache deltas of a warm worker.  This memo keeps the skeleton
+    On a repeated launch the ``ShardPlan`` rebuild + pickle dominates
+    dispatch (~1.4 ms per 8-shard launch).  Everything in the plan except
+    the footprint bytes is pure in (signature, assignment, args):
+    projections, requirement templates, and the empty cache deltas of a
+    warm worker.  This memo keeps the skeleton
     per shard and re-stamps only the live parts — fresh footprint values
     (and their arena slots) per issue.  In shm steady state the arena
     rewinds offsets to zero after every commit, so the staged descriptors
@@ -312,7 +306,6 @@ class _Dispatch:
     tasks: List[Any]                          # TaskResult per global ordinal
     values: List[Any]                         # decoded future values
     task_worker: List[Tuple[int, float]]      # (worker index, span offset)
-    analyzed: bool
     # (worker index, worker generation at success, staged cache delta):
     # committed only while the generation still holds — a respawn wipes the
     # worker state a stale shipment would otherwise claim it has.
@@ -333,7 +326,6 @@ class _InFlight:
     flat_points: List[Tuple[int, Point]]
     projections: List[List[Any]]
     jobs: List[_ShardJob]
-    analyzed: bool
     #: per-job rebuild-and-resubmit closure for the recovery ladder.
     resubmit: Any
     #: whether any footprint of this submission holds arena slots (decides
@@ -366,54 +358,8 @@ class _PendingLaunch:
     used_shm: bool
 
 
-class _MergeBucket:
-    """One region bucket under :meth:`ParallelBackend._merge_analysis`:
-    cloned users in bucket order, addressable by footprint key.
-
-    ``users`` maps a slot number to its user.  Slots rise with bucket
-    position and a retire leaves the other slots alone, so ``by_key``
-    (footprint key -> the slots holding it) stays valid across every op of
-    a launch.  ``dup_keys`` counts keys held by more than one user; only
-    uniquely held keys are ever retired, so it never falls.
-    """
-
-    __slots__ = ("users", "by_key", "dup_keys", "_next_slot")
-
-    def __init__(self, originals: List[_User]):
-        self.users: Dict[int, _User] = {}
-        self.by_key: Dict[tuple, List[int]] = {}
-        self.dup_keys = 0
-        self._next_slot = 0
-        for user in originals:
-            self.append(user.clone())
-
-    def append(self, user: _User) -> None:
-        slot = self._next_slot
-        self._next_slot = slot + 1
-        self.users[slot] = user
-        slots = self.by_key.setdefault(user.footprint_key(), [])
-        slots.append(slot)
-        if len(slots) == 2:
-            self.dup_keys += 1
-
-    def only(self, key: tuple) -> Optional[_User]:
-        """The one user holding ``key``; None when none or several do."""
-        slots = self.by_key.get(key)
-        if slots is None or len(slots) != 1:
-            return None
-        return self.users[slots[0]]
-
-    def retire(self, key: tuple) -> bool:
-        """Drop the one user holding ``key``; False when none or several do."""
-        slots = self.by_key.get(key)
-        if slots is None or len(slots) != 1:
-            return False
-        del self.users[slots[0]], self.by_key[key]
-        return True
-
-
 class ParallelBackend(ExecutionBackend):
-    """Multi-process pipeline tail with deterministic merge."""
+    """Task bodies on the worker pool, committed in serial order."""
 
     name = "parallel"
 
@@ -539,7 +485,7 @@ class ParallelBackend(ExecutionBackend):
         prof = self.rt.profiler
         t_par = prof.mark()
         try:
-            dispatch = self._dispatch(launch, sig, assignment, replay, cache)
+            dispatch = self._dispatch(launch, sig, assignment)
         except _ParallelBail as bail:
             return self._fallback(
                 launch, sig, op_id, assignment, replay, safe_order_free,
@@ -630,9 +576,10 @@ class ParallelBackend(ExecutionBackend):
     # --------------------------------------------------- pipelined dispatch
     def _can_pipeline(self, sig, replay, cache) -> bool:
         """Only replayed launches with a live physical template pipeline:
-        their workers skip analysis (``analyzed=False``), so nothing about
-        the submission reads analyzer state that earlier uncommitted
-        launches will mutate at their commit."""
+        their commit re-stamps recorded dependences instead of scanning
+        user buckets, which is the steady state pipelining was measured
+        on.  Submission reads no analyzer state, so correctness does not
+        need the restriction; widening it is a separate change."""
         return (
             replay
             and cache is not None
@@ -650,9 +597,7 @@ class ParallelBackend(ExecutionBackend):
         try:
             self._draining = True
             try:
-                inflight = self._submit_launch(
-                    launch, sig, assignment, replay, cache
-                )
+                inflight = self._submit_launch(launch, sig, assignment)
             finally:
                 self._draining = False
         except _ParallelBail as bail:
@@ -827,26 +772,17 @@ class ParallelBackend(ExecutionBackend):
             self._uninstall_hook()
 
     # ------------------------------------------------------------ dispatch
-    def _dispatch(self, launch, sig, assignment, replay, cache) -> _Dispatch:
+    def _dispatch(self, launch, sig, assignment) -> _Dispatch:
         """Submit and collect in one breath (the depth-1 path)."""
         return self._collect_launch(
-            launch, self._submit_launch(launch, sig, assignment, replay, cache)
+            launch, self._submit_launch(launch, sig, assignment)
         )
 
-    def _submit_launch(
-        self, launch, sig, assignment, replay, cache
-    ) -> _InFlight:
+    def _submit_launch(self, launch, sig, assignment) -> _InFlight:
         rt = self.rt
         cfg = rt.config
         prof = rt.profiler
         pool = self.pool()
-
-        # Predict (without touching counters) whether a physical template
-        # will replay at commit; workers skip analysis in that case.
-        ptemplate = (
-            cache._physical.get(sig) if (replay and cache is not None) else None
-        )
-        analyzed = ptemplate is None
 
         nodes = sorted(assignment)
         flat_points: List[Tuple[int, Point]] = []
@@ -856,16 +792,15 @@ class ParallelBackend(ExecutionBackend):
 
         injector = getattr(rt, "fault_injector", None)
 
-        # Shard-plan memo (replay path only): valid while nothing the plan
-        # bakes in can have moved — same assignment object (the sharding
-        # cache returns a stable dict per mapping decision), same broadcast
-        # args, no per-point args, workers skipping analysis (no snapshot),
-        # no armed fault injector (directive-consumption order is sacred),
-        # and the same profiler state.  Stale memos are overwritten.
+        # Shard-plan memo: valid while nothing the plan bakes in can have
+        # moved — same assignment object (the sharding cache returns a
+        # stable dict per mapping decision), same broadcast args, no
+        # per-point args, no armed fault injector (directive-consumption
+        # order is sacred), and the same profiler state.  Stale memos are
+        # overwritten.
         memo: Optional[_PlanMemo] = None
         if (
             self.plan_memo_enabled
-            and not analyzed
             and injector is None
             and launch.point_args is None
         ):
@@ -902,16 +837,6 @@ class ParallelBackend(ExecutionBackend):
             if memo is not None:
                 memo.projections = projections
         region_by_uid = {req.region.uid: req.region for req in launch.requirements}
-
-        # Snapshot of the analyzer state the workers must analyze against.
-        snapshot_users = (
-            {
-                uid: rt.physical._users.get(uid, [])
-                for uid in region_by_uid
-            }
-            if analyzed
-            else {}
-        )
 
         try:
             task_blob = self._task_blobs.get(launch.task.uid)
@@ -961,7 +886,6 @@ class ParallelBackend(ExecutionBackend):
             """The plan against the worker's *current* committed cache
             view, and the cache delta shipping it stages."""
             k, node, local = job.k, job.node, job.local
-            local_projs = job.local_projs
             caches = pool.caches[k]
             staged = _empty_delta()
             known_subsets = set(caches.subsets)
@@ -987,7 +911,7 @@ class ParallelBackend(ExecutionBackend):
                         functor=req.functor,
                     )
                 )
-                for subs in local_projs:
+                for subs in job.local_projs:
                     sub = subs[ri]
                     color_key = (req.partition.uid, tuple(sub.color))
                     if (
@@ -1009,36 +933,6 @@ class ParallelBackend(ExecutionBackend):
                     )
             staged["subsets"] = known_subsets - caches.subsets
 
-            # Analyzer snapshot (only when the workers must analyze).
-            snapshot: Dict[int, List[UserRef]] = {}
-            if analyzed:
-                for uid, users in snapshot_users.items():
-                    refs = []
-                    for user in users:
-                        sub = user.subregion
-                        refs.append(
-                            UserRef(
-                                key=user.footprint_key(),
-                                task_ids=list(user.task_ids),
-                                region_uid=uid,
-                                partition_uid=(
-                                    sub.partition.uid
-                                    if sub.partition is not None
-                                    else None
-                                ),
-                                color=(
-                                    tuple(sub.color)
-                                    if sub.color is not None
-                                    else None
-                                ),
-                                subset=subset_ref(sub.subset, known_subsets),
-                                priv=priv_token(user.privilege),
-                                fields=user.fields,
-                            )
-                        )
-                    snapshot[uid] = refs
-                staged["subsets"] = known_subsets - caches.subsets
-
             extra = None
             if launch.point_args is not None:
                 extra = [launch.point_args.get(p) for p in local]
@@ -1058,8 +952,6 @@ class ParallelBackend(ExecutionBackend):
                 reqs=reqs,
                 regions=regions,
                 partitions=list(part_entries.values()),
-                snapshot=snapshot,
-                analyze=analyzed,
                 read_data=read_data,
                 profile=prof.enabled,
                 write_slots=write_slots,
@@ -1082,9 +974,9 @@ class ParallelBackend(ExecutionBackend):
             )
 
             # Memoized skeleton fast path: the plan's structural payload
-            # (reqs, regions, partitions, points, snapshot) is a pure
-            # function of the launch signature once the worker caches are
-            # warm, so only the footprint data and shm slots are live.
+            # (reqs, regions, partitions, points) is a pure function of the
+            # launch signature once the worker caches are warm, so only the
+            # footprint data and shm slots are live.
             # Validity: same worker generation (a respawn empties the
             # caches the skeleton assumes warm) and the same shm mode.
             sm = memo.shards.get(job.shard_index) if memo is not None else None
@@ -1197,7 +1089,6 @@ class ParallelBackend(ExecutionBackend):
             flat_points=flat_points,
             projections=projections,
             jobs=jobs,
-            analyzed=analyzed,
             resubmit=lambda job: submit([job]),
             used_shm=shm_on,
         )
@@ -1238,7 +1129,6 @@ class ParallelBackend(ExecutionBackend):
         rt = self.rt
         pool = self.pool()
         jobs = inflight.jobs
-        analyzed = inflight.analyzed
         flat_points = inflight.flat_points
         policy = getattr(rt, "retry_policy", None) or RetryPolicy()
         shipments: List[Tuple[int, int, dict]] = []
@@ -1266,8 +1156,6 @@ class ParallelBackend(ExecutionBackend):
             for trec in result.tasks:
                 if not 0 <= trec.ordinal < total or tasks[trec.ordinal] is not None:
                     raise _ParallelBail("shard result ordinals inconsistent")
-                if analyzed and trec.ops is None:
-                    raise _ParallelBail("missing analyzer ops in shard result")
                 tasks[trec.ordinal] = trec
                 task_worker[trec.ordinal] = (job.k, offset)
         if any(t is None for t in tasks):
@@ -1286,7 +1174,6 @@ class ParallelBackend(ExecutionBackend):
             tasks=tasks,
             values=values,
             task_worker=task_worker,
-            analyzed=analyzed,
             shipments=shipments,
             projections=inflight.projections,
             shm_writes=shm_writes,
@@ -1427,149 +1314,12 @@ class ParallelBackend(ExecutionBackend):
         rt = self.rt
         cfg = rt.config
         prof = rt.profiler
-        cost = prof.costmodel if prof.enabled else None
         total = len(dispatch.points)
-
-        # --- expansion: identical counter discipline to the serial tail;
-        # plan materialization is deferred because a successful template
-        # replay never touches the per-point plans.
-        t_expand = prof.mark()
-        expansion = cache.get_expansion(sig) if cache is not None else None
-        expansion_cached = expansion is not None
-        if expansion_cached:
-            rt.stats.analysis_cache_hits += 1
-        plan_holder: List[Optional[List[Tuple[int, PointPlan]]]] = [None]
-
-        def plan_list() -> List[Tuple[int, PointPlan]]:
-            if plan_holder[0] is not None:
-                return plan_holder[0]
-            template = expansion
-            plans: List[Tuple[int, PointPlan]] = []
-            if template is not None:
-                cached_plans = template.ordered_plans(launch, assignment)
-                if cached_plans is not None:
-                    plans = cached_plans
-                else:
-                    for node, point in dispatch.points:
-                        plans.append(
-                            (node, template.point_plan(launch, point))
-                        )
-                    template.store_plans(launch, assignment, plans)
-            else:
-                template = ExpansionTemplate(
-                    base_args=launch.args,
-                    had_point_args=launch.point_args is not None,
-                )
-                for node, point in dispatch.points:
-                    point_task = launch.point_task(point)
-                    triples = [
-                        (req.subregion, req.privilege, req.resolved_fields())
-                        for req in point_task.requirements
-                    ]
-                    plan = PointPlan(
-                        task_launch=point_task,
-                        requirements=list(point_task.requirements),
-                        accesses=triples,
-                        regions=[PhysicalRegion(*t) for t in triples],
-                    )
-                    template.plans[tuple(point)] = plan
-                    plans.append((node, plan))
-                template.store_plans(launch, assignment, plans)
-                if cache is not None:
-                    cache.put_expansion(sig, template)
-            plan_holder[0] = plans
-            return plans
-
-        if not expansion_cached:
-            plan_list()  # first issue: build and store, like the serial path
-        if prof.enabled:
-            prof.phase("expansion", "expansion", t_expand,
-                       launch=launch.name, cached=expansion_cached,
-                       points=total)
-            if expansion_cached:
-                prof.instant("cache.expansion_hit", "expansion",
-                             launch=launch.name)
-
-        # --- physical analysis: template replay, worker-op merge, or live.
-        t_phys = prof.mark()
-        template_replayed = False
-        task_ids = [next(rt._task_counter) for _ in range(total)]
-        tdeps_lists = None
-        if replay and cache is not None:
-            ptemplate = cache.get_physical(sig)
-            if ptemplate is not None:
-                tdeps_lists = rt.physical.replay_tasks(task_ids, ptemplate)
-                if tdeps_lists is None:
-                    cache.drop_physical_for(sig)
-                    rt.stats.analysis_cache_invalidations += 1
-                    if prof.enabled:
-                        prof.instant("cache.physical_bail", Stage.PHYSICAL,
-                                     launch=launch.name)
-                else:
-                    rt.stats.analysis_cache_hits += 1
-                    template_replayed = True
-                    if prof.enabled:
-                        prof.instant("cache.physical_replay", Stage.PHYSICAL,
-                                     launch=launch.name)
-        if tdeps_lists is None:
-            capture = entry_keys = None
-            if replay and cache is not None:
-                region_uids = {req.region.uid for req in launch.requirements}
-                entry_keys = rt.physical.snapshot_keys(region_uids)
-                capture = []
-            if dispatch.analyzed:
-                tdeps_lists = self._merge_analysis(
-                    launch, dispatch, task_ids, plan_list(), capture
-                )
-            if tdeps_lists is None:
-                # No worker ops (a predicted template bailed at commit) or
-                # the merge hit an ambiguity: run the live analyzer — the
-                # serial reference path — against the untouched state.
-                if dispatch.analyzed:
-                    self.stats.merge_fallbacks += 1
-                if capture is not None:
-                    capture = []
-                tdeps_lists = [
-                    rt.physical.record_task(tid, plan.accesses,
-                                            _capture=capture)
-                    for tid, (_, plan) in zip(task_ids, plan_list())
-                ]
-            if capture is not None:
-                ptemplate = make_template(capture, entry_keys)
-                if ptemplate is not None:
-                    cache.put_physical(sig, ptemplate)
-
+        _, _, per_node = self.analyze_launch(
+            launch, sig, op_id, assignment, replay, cache
+        )
         if fmap is None:
             fmap = FutureMap(label=launch.name)
-        per_node: Dict[int, int] = {}
-        for node, _ in dispatch.points:
-            per_node[node] = per_node.get(node, 0) + 1
-        rt.stats.physical_dependences += sum(len(t) for t in tdeps_lists)
-        for node in sorted(per_node):
-            rt.stats.add_representation(Stage.PHYSICAL, node, per_node[node])
-        if rt.graph_recorder is not None:
-            for tid, ((node, point), tdeps) in zip(
-                task_ids, zip(dispatch.points, tdeps_lists)
-            ):
-                name = f"{launch.task.name}{tuple(point)}"
-                rt.graph_recorder.record_task(tid, name, op_id, node)
-                rt.graph_recorder.record_physical_edges(tdeps)
-        rt.stats.overlap_queries = rt.physical.overlap_queries
-        if prof.enabled:
-            for node in sorted(per_node):
-                local = per_node[node]
-                attrs = dict(op=op_id, launch=launch.name, tasks=local,
-                             replayed=template_replayed)
-                if cost is not None:
-                    attrs["sim_cost_s"] = (
-                        cost.t_replay_cache_hit
-                        + cost.t_trace_replay_task * local
-                        if template_replayed
-                        else cost.physical_task_time(launch.domain.volume)
-                        * local
-                    )
-                prof.phase("physical", Stage.PHYSICAL, t_phys,
-                           node=node, **attrs)
 
         # --- execution commit: apply effects in serial (or shuffled) order.
         order = list(range(total))
@@ -1583,8 +1333,8 @@ class ParallelBackend(ExecutionBackend):
             trec = dispatch.tasks[g]
             fmap.set(Point(*trec.point), dispatch.values[g])
         rt.stats.tasks_executed += total
-        for node in sorted(per_node):
-            rt.stats.add_representation(Stage.EXECUTION, node, per_node[node])
+        for node, local in per_node.items():
+            rt.stats.add_representation(Stage.EXECUTION, node, local)
         if prof.enabled:
             span_name = f"execute:{launch.task.name}"
             for g in order:
@@ -1679,104 +1429,3 @@ class ParallelBackend(ExecutionBackend):
         idx = idx_parts[0] if len(idx_parts) == 1 else np.concatenate(idx_parts)
         vals = val_parts[0] if len(val_parts) == 1 else np.concatenate(val_parts)
         REDUCTION_OPS[opname].fold_at(region_by_uid[uid].storage(fname), idx, vals)
-
-    # --------------------------------------------------------------- merge
-    def _merge_analysis(
-        self, launch, dispatch, task_ids, plans, capture
-    ) -> Optional[List[List[TaskDependence]]]:
-        """Replay worker analyzer ops onto the parent state, transactionally.
-
-        Works on cloned buckets and installs them only when every op
-        resolves unambiguously; any mismatch returns None with the real
-        analyzer untouched, and the caller re-runs the live path.
-        """
-        rt = self.rt
-        phys = rt.physical
-        clones: Dict[int, _MergeBucket] = {}
-
-        def bucket_for(uid: int) -> _MergeBucket:
-            bucket = clones.get(uid)
-            if bucket is None:
-                bucket = clones[uid] = _MergeBucket(phys._users.get(uid, []))
-            return bucket
-
-        added_queries = 0
-        tdeps_lists: List[List[TaskDependence]] = []
-        synthesized: List[List[AccessOp]] = []
-        for g, trec in enumerate(dispatch.tasks):
-            tid = task_ids[g]
-            deps = []
-            for earlier, region_uid in trec.deps:
-                if earlier < 0:
-                    return None  # placeholder leaked: intra-launch edge
-                deps.append(TaskDependence(earlier, tid, region_uid))
-            ops_out: List[AccessOp] = []
-            accesses = plans[g][1].accesses
-            if len(trec.ops) != len(accesses):
-                return None
-            for ai, record in enumerate(trec.ops):
-                dep_keys, retire_keys, coalesce_key, created_key, region_uid = (
-                    record
-                )
-                bucket = bucket_for(region_uid)
-                added_queries += len(bucket.users)
-                op = AccessOp(
-                    region_uid=region_uid,
-                    n_scanned=len(bucket.users),
-                    dep_keys=list(dep_keys),
-                    retire_keys=list(retire_keys),
-                    coalesce_key=coalesce_key,
-                    ambiguous=bucket.dup_keys > 0,
-                )
-                for key in retire_keys:
-                    if not bucket.retire(key):
-                        return None
-                if coalesce_key is not None:
-                    user = bucket.only(coalesce_key)
-                    if user is None:
-                        return None
-                    user.task_ids.append(tid)
-                if created_key is not None:
-                    sub, priv, fields = accesses[ai]
-                    fresh = _User([tid], sub, priv, frozenset(fields))
-                    if fresh.footprint_key() != created_key:
-                        return None  # cross-process key drift: do not trust
-                    # The serial scan may coalesce this access into a user
-                    # another shard created (the worker could not see it);
-                    # find the first user serial would have matched.  A
-                    # field-disjoint user is skipped before the coalesce
-                    # test there, so an empty field set never coalesces.
-                    target = None
-                    if fresh.fields:
-                        for user in bucket.users.values():
-                            if (
-                                user.privilege.compatible_with(priv)
-                                and user.fields == fresh.fields
-                                and _same_subset(
-                                    user.subregion.subset, sub.subset
-                                )
-                            ):
-                                target = user
-                                break
-                    if target is None:
-                        bucket.append(fresh)
-                        op.create = (sub, priv, fresh.fields)
-                    elif target.footprint_key() == created_key:
-                        target.task_ids.append(tid)
-                        op.coalesce_key = created_key
-                    else:
-                        # Serial would coalesce across distinct keys (an
-                        # aliased-partition footprint); only the live path
-                        # reproduces that exactly.
-                        return None
-                ops_out.append(op)
-            tdeps_lists.append(deps)
-            synthesized.append(ops_out)
-
-        # Commit: install the merged buckets and the query accounting.
-        for uid, bucket in clones.items():
-            phys.install_bucket(uid, list(bucket.users.values()))
-        phys.overlap_queries += added_queries
-        if capture is not None:
-            capture.extend(synthesized)
-        return tdeps_lists

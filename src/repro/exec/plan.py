@@ -4,8 +4,9 @@ A :class:`ShardPlan` is the self-contained description of one node's share
 of an index launch — the moral equivalent of the per-node launch descriptor
 that DCR ships to each control replica (Section 5 of the paper): the task,
 the local domain slice, requirement templates, and just enough region /
-partition / analyzer metadata to run expansion, physical analysis, and the
-task bodies in another process.
+partition metadata to run expansion and the task bodies in another
+process.  Nothing about the analyzer travels in either direction: physical
+analysis is the parent's (see :mod:`repro.exec.backend`).
 
 Everything here is built from plain values (tuples, ints, strings, numpy
 arrays) plus a handful of repro objects that pickle by value (functors,
@@ -18,16 +19,15 @@ defaults.
 Identity discipline: regions, partitions, and sparse subsets are addressed
 by their construction ``uid`` on both sides of the process boundary.  The
 worker reconstructs skeleton objects and *overwrites* their locally
-assigned uids with the shipped ones, so footprint keys computed in a worker
-are byte-equal to the parent's (see ``_footprint_key`` in
-:mod:`repro.runtime.physical`).
+assigned uids with the shipped ones, so a cached skeleton is found again
+under the name the parent uses for it.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "priv_from_token",
     "ReqTemplate",
     "PartitionEntry",
-    "UserRef",
     "ShardPlan",
     "TaskResult",
     "ShardResult",
@@ -152,20 +151,6 @@ class PartitionEntry:
 
 
 @dataclass
-class UserRef:
-    """One active footprint of the pre-launch analyzer snapshot."""
-
-    key: tuple                      # _footprint_key value (already portable)
-    task_ids: List[int]
-    region_uid: int
-    partition_uid: Optional[int]
-    color: Optional[tuple]
-    subset: tuple                   # subset_ref
-    priv: tuple                     # priv_token
-    fields: frozenset
-
-
-@dataclass
 class ShardPlan:
     """Everything one worker needs to run its shard of a launch."""
 
@@ -179,8 +164,6 @@ class ShardPlan:
     reqs: List[ReqTemplate]
     regions: List[tuple]            # region_spec for regions new to the worker
     partitions: List[PartitionEntry]
-    snapshot: Dict[int, List[UserRef]]  # region uid -> pre-launch users
-    analyze: bool                   # run physical analysis (no template replay)
     #: read footprints: ("box", region_uid, field, corners, values) — one
     #: lo..., hi... row per box, the boxes' cells back to back — or, sparse,
     #: ("idx", region_uid, field, indices, values); each array slot is the
@@ -199,18 +182,15 @@ class ShardPlan:
 
 @dataclass
 class TaskResult:
-    """What one point task produced, addressed by placeholder ids.
+    """What one point task produced, addressed by its plan-list ordinal.
 
-    Workers never see the parent's task-id counter; in-shard task ids are
-    ``-(ordinal + 1)`` and the parent re-stamps them at commit, so a bailed
-    dispatch consumes no ids.
+    Workers never see the parent's task-id counter: ids are drawn at
+    commit, so a bailed dispatch consumes none.
     """
 
     ordinal: int
     point: tuple
     value_blob: bytes               # future value (pickled separately)
-    deps: List[Tuple[int, int]]     # (earlier real task id, region uid)
-    ops: Optional[List[tuple]]      # per-access op records when analyze
     writes: List[tuple]             # (requirement index, field, final values)
     reduces: List[tuple]            # (region_uid, field, idx, values, op name)
     span: Optional[tuple]           # (start, end) on the worker clock
@@ -224,17 +204,3 @@ class ShardResult:
     t0: float                       # worker perf_counter at shard start
     tasks: List[TaskResult] = field(default_factory=list)
     shm_closed: int = 0             # stale segment attachments released
-
-
-# Per-access op record layout inside TaskResult.ops:
-#   (dep_keys tuple, retire_keys tuple, coalesce_key | None,
-#    created_key | None, region_uid)
-# Keys are _footprint_key values — portable by construction.
-def op_record(access_op, created_key: Optional[tuple]) -> tuple:
-    return (
-        tuple(access_op.dep_keys),
-        tuple(access_op.retire_keys),
-        access_op.coalesce_key,
-        created_key,
-        access_op.region_uid,
-    )

@@ -90,7 +90,9 @@ MAGIC = b"RPRO"
 #: v4 changed the ShardPlan/ShardResult payloads (box footprints).
 #: v5 removed REGIONS/PARTITIONS/TASK (deltas ride in the plan) and
 #: renumbered the messages after them.
-PROTOCOL_VERSION = 5
+#: v6 dropped the analyzer snapshot from ShardPlan and the dependence/op
+#: records from TaskResult (physical analysis is the parent's alone).
+PROTOCOL_VERSION = 6
 
 (
     HELLO,

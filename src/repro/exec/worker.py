@@ -4,15 +4,17 @@ One worker owns a persistent reconstruction of the slice of the parent's
 world it has been shipped: region skeletons (storage allocated, zeroed —
 only footprint data travels, per launch), partition stubs holding exactly
 the colors its shards project onto, sparse subsets by uid, and unpickled
-task functions.  Per shard it then mirrors the serial pipeline tail —
-expansion (projection), physical analysis against a snapshot of the
-parent's analyzer state, and task-body execution — and ships back portable
-deltas: dependence edges, symbolic analyzer ops, write-back footprints,
-recorded reductions, future values, and execution spans.
+task functions.  Per shard it then runs the two stages of the pipeline
+tail that need no analyzer state — expansion (projection) and task-body
+execution — and ships back portable deltas: write-back footprints,
+recorded reductions, future values, and execution spans.  Physical
+analysis is the parent's, at commit; the ``physical`` fault phase remains
+as the boundary between the two stages.
 
 Determinism notes:
 
-* Task ids are placeholders ``-(ordinal + 1)``; the parent re-stamps them.
+* Tasks are named by plan-list ordinal; the parent draws their ids at
+  commit.
 * Reductions are *recorded, not applied*: ``np.add.at`` with duplicate
   indices is order-sensitive, so the parent replays the recorded calls in
   serial task order for bit-identical floating point results.
@@ -43,10 +45,8 @@ from repro.exec.plan import (
     TaskResult,
     dumps,
     loads,
-    op_record,
     priv_from_token,
 )
-from repro.runtime.physical import PhysicalAnalyzer, _footprint_key, _User
 from repro.runtime.task import PhysicalRegion, TaskContext
 
 __all__ = [
@@ -242,41 +242,6 @@ def _resolve_boxes(region: Region, corners: np.ndarray) -> list:
     return boxes
 
 
-def _snapshot_analyzer(plan: ShardPlan) -> PhysicalAnalyzer:
-    """A fresh analyzer seeded with the parent's pre-launch user state."""
-    analyzer = PhysicalAnalyzer()
-    for region_uid, refs in plan.snapshot.items():
-        region = _REGIONS[region_uid]
-        users = []
-        for ref in refs:
-            partition = None
-            if ref.partition_uid is not None:
-                partition = _PARTITIONS.get(ref.partition_uid)
-                if partition is None:
-                    partition = _PartitionStub(ref.partition_uid, region)
-                    _PARTITIONS[ref.partition_uid] = partition
-            subregion = Subregion(
-                region,
-                _resolve_subset(ref.subset),
-                Point(*ref.color) if ref.color is not None else None,
-                partition,
-            )
-            user = _User(
-                list(ref.task_ids),
-                subregion,
-                priv_from_token(ref.priv),
-                ref.fields,
-            )
-            if user.footprint_key() != ref.key:
-                raise RuntimeError(
-                    f"snapshot key mismatch for region {region_uid}: "
-                    f"{user.footprint_key()} != {ref.key}"
-                )
-            users.append(user)
-        analyzer.install_bucket(region_uid, users)
-    return analyzer
-
-
 # ----------------------------------------------------------- fault firing
 class _CorruptResult(BaseException):
     """Raised by a ``corrupt`` directive; run_shard_bytes garbles the blob.
@@ -336,49 +301,17 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
         for r in plan.reqs
     ]
     resolved_fields = [r.resolved_fields for r in plan.reqs]
+    extras = plan.point_extra_args
     point_tasks = []
     for i, pt in enumerate(plan.points):
         point = Point(*pt)
         subregions = [req.project(point) for req in reqs]
-        extra = (
-            plan.point_extra_args[i]
-            if plan.point_extra_args is not None
-            else ()
-        )
-        point_tasks.append((i, point, subregions, plan.args + extra))
+        args = plan.args + (extras[i] if extras is not None else ())
+        point_tasks.append((i, point, subregions, args))
 
-    # Physical analysis on the snapshot, capturing symbolic ops so the
-    # parent can replay the state transition onto its own analyzer.
-    ops_per_task: List[Optional[List[tuple]]] = [None] * len(point_tasks)
-    deps_per_task: List[List[tuple]] = [[] for _ in point_tasks]
+    # Physical analysis is the parent's, at commit; its fault phase stays
+    # as the boundary between expansion and execution.
     _fire_faults(faults, "physical")
-    if plan.analyze:
-        analyzer = _snapshot_analyzer(plan)
-        for i, point, subregions, _args in point_tasks:
-            placeholder = -(plan.ordinals[i] + 1)
-            capture: List[List] = []
-            accesses = [
-                (sub, req.privilege, rf)
-                for sub, req, rf in zip(subregions, reqs, resolved_fields)
-            ]
-            deps = analyzer.record_task(
-                placeholder, accesses, _capture=capture
-            )
-            for dep in deps:
-                if dep.earlier_task < 0:
-                    # An in-shard dependence would mean the launch
-                    # interferes — ineligible by construction; bail hard.
-                    raise RuntimeError(
-                        "unexpected intra-launch dependence in worker"
-                    )
-                deps_per_task[i].append((dep.earlier_task, dep.region_uid))
-            records = []
-            for access_op in capture[0]:
-                created_key = None
-                if access_op.create is not None:
-                    created_key = _footprint_key(*access_op.create)
-                records.append(op_record(access_op, created_key))
-            ops_per_task[i] = records
 
     # Execution: run bodies against worker storage, recording reductions
     # instead of applying them and gathering write-back footprints.
@@ -419,8 +352,6 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
                 ordinal=plan.ordinals[i],
                 point=tuple(point),
                 value_blob=dumps(value),
-                deps=deps_per_task[i],
-                ops=ops_per_task[i],
                 writes=writes,
                 reduces=reduce_log,
                 span=(start, end) if plan.profile else None,

@@ -14,9 +14,9 @@ see ``live_analysis_scaling`` in ``results/BENCH_runtime.json``.
 
 Two counters keep the two notions apart.  ``overlap_queries`` is the
 *charged* scan length — ``len(bucket)`` per access, what a linear scan would
-have asked and what template replay, dependence kernels and the parallel
-merge charge without performing; it feeds ``PipelineStats`` and the machine
-model.  ``overlap_tests`` counts the exact footprint tests actually run.
+have asked and what template replay and dependence kernels charge without
+performing; it feeds ``PipelineStats`` and the machine model.
+``overlap_tests`` counts the exact footprint tests actually run.
 
 Replay support (tracing [20]): when an identical launch is reissued inside
 a validated trace, its dependence structure is the same *shape* — only the
@@ -28,9 +28,9 @@ task ids without re-running overlap queries.  Footprints are addressed by a
 *key* — (partition uid, color, subset uid-or-rect, fields, privilege token)
 — rather than by object reference, so a template survives the record/retire
 churn of iterative write-read patterns; every key component is a plain
-value, portable across process boundaries for the parallel backend.  Replay is validated (ordered
-per-region key snapshots must match, every referenced key must resolve
-uniquely) and bails to the live path on any mismatch.
+value, never an object identity.  Replay is validated (ordered per-region
+key snapshots must match, every referenced key must resolve uniquely) and
+bails to the live path on any mismatch.
 """
 
 from __future__ import annotations
@@ -143,14 +143,6 @@ class _User:
             )
         return key
 
-    def clone(self) -> "_User":
-        """A copy with its own ``task_ids`` list (and the memoised key)."""
-        twin = _User(
-            list(self.task_ids), self.subregion, self.privilege, self.fields
-        )
-        twin._key = self._key
-        return twin
-
 
 @dataclass
 class AccessOp:
@@ -238,12 +230,12 @@ class _BucketIndex:
     """Geometric candidate index over one region bucket.
 
     Derived from the ordered ``List[_User]`` and private to the analyzer:
-    the list stays the representation of record that kernels and the
-    parallel backend read.  An index describes exactly one (list object,
-    bucket version) pair — ``users`` / ``version`` — and the analyzer
-    rebuilds it when either differs, so a bucket installed from outside
-    (template replay, a dependence kernel, the parallel merge) costs nothing
-    until the next live access to that region.
+    the list stays the representation of record that kernels read.  An
+    index describes exactly one (list object, bucket version) pair —
+    ``users`` / ``version`` — and the analyzer rebuilds it when either
+    differs, so a bucket installed from outside (template replay, a
+    dependence kernel) costs nothing until the next live access to that
+    region.
 
     The structure is a multi-level grid over the users' bounding boxes
     (:meth:`Subregion.bounding_box`).  A user lives at the level whose
@@ -680,11 +672,11 @@ class PhysicalAnalyzer:
     def install_bucket(self, region_uid: int, users: List[_User]) -> int:
         """Replace a region's user bucket wholesale; returns its new version.
 
-        The one write path for buckets — the live path, template replay,
-        dependence kernels, the parallel merge and worker snapshots all
-        come through here — so the version advances on every change and
-        whatever was derived from the old bucket (a dependence kernel's
-        expectations, the candidate index) notices."""
+        The one write path for buckets — the live path, template replay
+        and dependence kernels all come through here — so the version
+        advances on every change and whatever was derived from the old
+        bucket (a dependence kernel's expectations, the candidate index)
+        notices."""
         self._users[region_uid] = users
         version = self._versions[region_uid] = (
             self._versions.get(region_uid, 0) + 1

@@ -255,6 +255,21 @@ class ExpansionTemplate:
             self.plan_list_key = assignment
             self.plan_list = plans
 
+    def add_point(self, launch: IndexLaunch, point) -> PointPlan:
+        """Expand ``point`` for the first time and keep its plan."""
+        point_task = launch.point_task(point)
+        triples = [
+            (req.subregion, req.privilege, req.resolved_fields())
+            for req in point_task.requirements
+        ]
+        plan = self.plans[tuple(point)] = PointPlan(
+            task_launch=point_task,
+            requirements=list(point_task.requirements),
+            accesses=triples,
+            regions=[PhysicalRegion(*t) for t in triples],
+        )
+        return plan
+
     def point_plan(self, launch: IndexLaunch, point) -> PointPlan:
         """The plan for ``point``, rebuilding the TaskLaunch if args moved."""
         plan = self.plans[tuple(point)]

@@ -459,44 +459,20 @@ class Runtime:
         target = node if node is not None else self.mapper.select_node(
             launch, self.config.n_nodes
         )
-        op_id = next(self._op_counter)
-        self._pipeline_single(launch, op_id, target)
+        self._pipeline_single(launch, target)
         future = Future()
         future.set(self._run_task(launch, target))
         return future
 
-    def _pipeline_single(self, launch: TaskLaunch, op_id: int, node: int) -> None:
+    def _pipeline_single(self, launch: TaskLaunch, node: int) -> None:
         prof = self.profiler
         t0 = prof.mark()
         issuers = (
             range(self.config.n_nodes) if self.config.dcr else (0,)
         )
-        for n in issuers:
-            self.stats.add_representation(Stage.ISSUANCE, n, 1)
-            self.stats.add_representation(Stage.LOGICAL, n, 1)
-        deps = self.logical.analyze_operation(
-            op_id,
-            [
-                (req.region.uid, req.resolved_fields(), req.privilege)
-                for req in launch.requirements
-            ],
-        )
+        op_id, _ = self._analyze_task(launch, node, issuers)
         self.stats.logical_users = self.logical.users_processed
-        self.stats.logical_dependences += len(deps)
-        self.stats.add_representation(Stage.DISTRIBUTION, node, 1)
-        if not self.config.dcr and node != 0:
-            self.stats.slice_messages += 1
-        task_id = next(self._task_counter)
-        tdeps = self.physical.record_task(
-            task_id,
-            [
-                (req.subregion, req.privilege, req.resolved_fields())
-                for req in launch.requirements
-            ],
-        )
-        self.stats.physical_dependences += len(tdeps)
         self.stats.overlap_queries = self.physical.overlap_queries
-        self.stats.add_representation(Stage.PHYSICAL, node, 1)
         if prof.enabled:
             attrs = dict(task=launch.name, op=op_id, aggregate=True)
             prof.phase("issuance", Stage.ISSUANCE, t0,
@@ -506,11 +482,52 @@ class Runtime:
             prof.phase("distribution", Stage.DISTRIBUTION, t0,
                        node=node, **attrs)
             prof.phase("physical", Stage.PHYSICAL, t0, node=node, **attrs)
+
+    def _analyze_task(
+        self,
+        launch: TaskLaunch,
+        node: int,
+        issuers,
+        skip_issuance: bool = False,
+        op_kind: str = "task",
+    ) -> Tuple[int, int]:
+        """One task through issuance, logical analysis, distribution and
+        physical analysis: counters charged, graph recorded.  Returns its
+        ``(op_id, task_id)``; profiler phases and the ``logical_users`` /
+        ``overlap_queries`` copies are the caller's."""
+        stats = self.stats
+        for n in issuers:
+            if not skip_issuance:
+                stats.add_representation(Stage.ISSUANCE, n, 1)
+            stats.add_representation(Stage.LOGICAL, n, 1)
+        op_id = next(self._op_counter)
+        deps = self.logical.analyze_operation(
+            op_id,
+            [
+                (req.region.uid, req.resolved_fields(), req.privilege)
+                for req in launch.requirements
+            ],
+        )
+        stats.logical_dependences += len(deps)
+        stats.add_representation(Stage.DISTRIBUTION, node, 1)
+        if not self.config.dcr and node != 0:
+            stats.slice_messages += 1  # point-to-point, no tree
+        task_id = next(self._task_counter)
+        tdeps = self.physical.record_task(
+            task_id,
+            [
+                (req.subregion, req.privilege, req.resolved_fields())
+                for req in launch.requirements
+            ],
+        )
+        stats.physical_dependences += len(tdeps)
+        stats.add_representation(Stage.PHYSICAL, node, 1)
         if self.graph_recorder is not None:
-            self.graph_recorder.record_op(op_id, launch.name, "task")
+            self.graph_recorder.record_op(op_id, launch.name, op_kind)
             self.graph_recorder.record_logical_edges(deps)
             self.graph_recorder.record_task(task_id, launch.name, op_id, node)
             self.graph_recorder.record_physical_edges(tdeps)
+        return op_id, task_id
 
     # -------------------------------------------------------- index launches
     def index_launch(
@@ -834,41 +851,10 @@ class Runtime:
         for point in launch.domain:
             point_task = launch.point_task(point)
             self.stats.single_tasks += 1
-            if not skip_issuance:
-                for n in issuers:
-                    self.stats.add_representation(Stage.ISSUANCE, n, 1)
-            op_id = next(self._op_counter)
-            deps = self.logical.analyze_operation(
-                op_id,
-                [
-                    (req.region.uid, req.resolved_fields(), req.privilege)
-                    for req in point_task.requirements
-                ],
-            )
-            self.stats.logical_dependences += len(deps)
-            for n in issuers:
-                self.stats.add_representation(Stage.LOGICAL, n, 1)
             node = self.mapper.select_node(point_task, cfg.n_nodes)
-            self.stats.add_representation(Stage.DISTRIBUTION, node, 1)
-            if not cfg.dcr and node != 0:
-                self.stats.slice_messages += 1  # point-to-point, no tree
-            task_id = next(self._task_counter)
-            tdeps = self.physical.record_task(
-                task_id,
-                [
-                    (req.subregion, req.privilege, req.resolved_fields())
-                    for req in point_task.requirements
-                ],
+            _, task_id = self._analyze_task(
+                point_task, node, issuers, skip_issuance, op_kind
             )
-            self.stats.physical_dependences += len(tdeps)
-            self.stats.add_representation(Stage.PHYSICAL, node, 1)
-            if self.graph_recorder is not None:
-                self.graph_recorder.record_op(op_id, point_task.name, op_kind)
-                self.graph_recorder.record_logical_edges(deps)
-                self.graph_recorder.record_task(
-                    task_id, point_task.name, op_id, node
-                )
-                self.graph_recorder.record_physical_edges(tdeps)
             executed.append((point_task, node, task_id))
         self.stats.logical_users = self.logical.users_processed
         self.stats.overlap_queries = self.physical.overlap_queries

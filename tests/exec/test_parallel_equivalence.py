@@ -60,6 +60,8 @@ def full_stats(rt):
     for f in dataclasses.fields(rt.stats):
         value = getattr(rt.stats, f.name)
         out[f.name] = dict(value) if isinstance(value, dict) else value
+    # Performed analysis work, beside the charged ``overlap_queries``.
+    out["physical.overlap_tests"] = rt.physical.overlap_tests
     return out
 
 

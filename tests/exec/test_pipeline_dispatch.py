@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.data.partition import equal_partition
 from repro.exec.parallel import resolve_pipeline_depth
+from repro.exec.pool import shutdown_pools
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy
 from repro.runtime import Runtime, RuntimeConfig
 
@@ -119,7 +120,9 @@ class TestKillSwitch:
         cfg = dict(n_nodes=4)
 
         def run(**extra):
-            events = []
+            # Cold workers on both sides: a worker that already holds a
+            # task lets the plan memo fire one issue sooner.
+            shutdown_pools()
             rt, x, y, futures, edges = run_program(
                 ops, 3, None, dict(cfg, **extra), workers=2
             )

@@ -46,6 +46,40 @@ def test_memo_actually_fires(monkeypatch):
     assert rt_off.backend.stats.plan_memo_hits == 0
 
 
+@pytest.mark.parametrize("analysis_cache", [True, False])
+def test_untraced_launch_hits_the_memo(analysis_cache):
+    """No plan carries analyzer state, so the memo no longer needs a
+    template replay: with warm workers (one issue under other broadcast
+    args) the first untraced issue keeps its skeleton and the second is a
+    hit in every shard, byte-identical to serial."""
+    from repro.data.partition import equal_partition
+    from repro.runtime import Runtime, RuntimeConfig, task
+
+    @task(privileges=["reads writes"])
+    def scale(ctx, r, by):
+        r.write("x", r.read("x") * by)
+
+    def run(workers):
+        rt = Runtime(RuntimeConfig(n_nodes=4, tracing=False, workers=workers,
+                                   analysis_cache=analysis_cache))
+        region = rt.create_region("um_rx", 32, {"x": "f8"})
+        region.storage("x")[:] = np.arange(32.0)
+        part = equal_partition(f"um_p{region.uid}", region, 8)
+        rt.index_launch(scale, 8, part, args=(3.0,))
+        hits = []
+        for _ in range(2):
+            rt.index_launch(scale, 8, part, args=(0.5,))
+            if workers > 1:
+                hits.append(rt.backend.stats.plan_memo_hits)
+        return rt, region.storage("x").tobytes(), hits
+
+    rt_s, x_s, _ = run(1)
+    rt_p, x_p, hits = run(2)
+    assert hits == [0, 4]                   # one per shard, second issue
+    assert x_p == x_s
+    assert full_stats(rt_p) == full_stats(rt_s)
+
+
 def test_memo_config_knob_wins_over_env(monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_MEMO", "0")
     rt, *_ = run_program(

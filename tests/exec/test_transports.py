@@ -23,6 +23,7 @@ pipes; wire framing, the handshake, spawn failures and
 ``test_pipe_transport.py`` and ``test_socket_transport.py``.
 """
 
+import dataclasses
 import gc
 import os
 import threading
@@ -190,6 +191,35 @@ class TestLadder:
         assert bstats.shard_timeouts == 1
         assert bstats.worker_respawns == 1
         assert bstats.shard_retries >= 1   # allowed although retries=0
+        assert rt.stats.launches_poisoned == 0
+        assert out_bytes == ref_bytes
+        assert full_stats(rt) == full_stats(ref_rt)
+
+
+    @pytest.mark.parametrize("scope", ["worker", "shard"])
+    @pytest.mark.parametrize("kind", ["kill", "corrupt", "hang"])
+    def test_physical_phase_faults_recover(self, transport, kind, scope):
+        """Workers analyse nothing, but ``physical`` is still a boundary of
+        the shard they run — between expansion and the bodies — and a fault
+        placed there climbs the same ladder to the same bytes."""
+        plan = FaultPlan(specs=(FaultSpec(
+            kind=kind, scope=scope, target=(0,), phase="physical", hang_s=5.0,
+        ),))
+        retry = FAST_RETRY
+        if kind == "hang":
+            retry = dataclasses.replace(FAST_RETRY, shard_timeout_s=0.3)
+        ref_rt, ref_bytes = _four_bumps(None, 1)
+        rt, out_bytes = _four_bumps(
+            transport, 2, retry=retry, fault_plan=plan
+        )
+        bstats = rt.backend.stats
+        assert rt.fault_injector.fired_count == 1
+        assert {
+            "kill": bstats.worker_respawns,
+            "corrupt": bstats.shard_retries,
+            "hang": bstats.shard_timeouts,
+        }[kind] >= 1
+        assert bstats.fallbacks == 0
         assert rt.stats.launches_poisoned == 0
         assert out_bytes == ref_bytes
         assert full_stats(rt) == full_stats(ref_rt)

@@ -35,6 +35,15 @@ PRIVILEGES = [
 FIELD_SETS = [("f",), ("f",), ("f",), ("g",), ("f", "g"), ("h",), ()]
 
 
+def clone(user):
+    """A copy with its own ``task_ids`` list (and the memoised key)."""
+    twin = _User(
+        list(user.task_ids), user.subregion, user.privilege, user.fields
+    )
+    twin._key = user._key
+    return twin
+
+
 def linear_access(users, task_id, subregion, privilege, fields):
     """One access by a scan of every user: ``(deps, new bucket, op)``."""
     region_uid = subregion.region.uid
@@ -167,9 +176,9 @@ def test_indexed_analyzer_matches_linear_scan(stream, capture, working):
         if foreign is not None:
             mine = indexed._users.get(uid, [])
             indexed.install_bucket(
-                uid, [u.clone() for u in FOREIGN[foreign](mine)]
+                uid, [clone(u) for u in FOREIGN[foreign](mine)]
             )
-            buckets[uid] = [u.clone() for u in FOREIGN[foreign](buckets[uid])]
+            buckets[uid] = [clone(u) for u in FOREIGN[foreign](buckets[uid])]
         subregion = POOLS[ri][working[fi % len(working)] % len(POOLS[ri])]
         privilege, fields = PRIVILEGES[pi], FIELD_SETS[si]
         captured = [] if capture else None
@@ -200,7 +209,7 @@ def test_ambiguity_follows_duplicate_keys():
     rw = PRIVILEGES[1]
     analyzer.record_task_access(0, tile, rw, ("f",))
     (user,) = analyzer._users[region.uid]
-    analyzer.install_bucket(region.uid, [user.clone(), user.clone()])
+    analyzer.install_bucket(region.uid, [clone(user), clone(user)])
     ops = []
     for tid in (1, 2):
         analyzer.record_task_access(tid, tile, rw, ("f",), _capture=ops)

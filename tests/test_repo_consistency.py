@@ -120,3 +120,25 @@ class TestExamplesImportable:
 
         path = os.path.join(ROOT, "examples", f"{name}.py")
         py_compile.compile(path, doraise=True)
+
+
+class TestFunctionLengthRatchet:
+    """ROADMAP 5(a): no function in ``exec/`` over 80 lines.  The allow-list
+    holds what still is; it may lose names, never gain them."""
+
+    LIMIT = 80
+    STILL_TOO_LONG = {"_submit_launch"}
+
+    def test_exec_functions_stay_short(self):
+        import ast
+        import glob
+
+        too_long = set()
+        for path in glob.glob(os.path.join(ROOT, "src/repro/exec/*.py")):
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if node.end_lineno - node.lineno + 1 > self.LIMIT:
+                        too_long.add(node.name)
+        assert too_long <= self.STILL_TOO_LONG, too_long - self.STILL_TOO_LONG
