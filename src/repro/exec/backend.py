@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from repro.fault.plan import InjectedFaultError
 from repro.runtime.futures import FutureMap
-from repro.runtime.physical import make_template
+from repro.runtime.physical import LaunchDependences, make_template
 from repro.runtime.pipeline import Stage
 from repro.runtime.replay import ExpansionTemplate, PointPlan
 
@@ -204,7 +204,13 @@ class ExecutionBackend:
         one call per task."""
         rt = self.rt
         prof = rt.profiler
-        rt.stats.physical_dependences += sum(len(t) for t in tdeps_lists)
+        # A launch-user replay knows its edge count without building the
+        # edges; they are materialised only for a graph recorder, below.
+        rt.stats.physical_dependences += (
+            tdeps_lists.n_edges
+            if isinstance(tdeps_lists, LaunchDependences)
+            else sum(len(t) for t in tdeps_lists)
+        )
         for node, local in per_node.items():
             rt.stats.add_representation(Stage.PHYSICAL, node, local)
         if rt.graph_recorder is not None:

@@ -1,4 +1,4 @@
-"""Precompiled hot-path kernels (ROADMAP item 3, hot-path engine layer 3).
+"""Precompiled hot-path kernels (layer 3 of ``docs/hot-path.md``).
 
 Steady-state replay of an index launch re-derives the same facts every
 iteration: the dependence template's overlay dry-run re-resolves the same
@@ -9,11 +9,14 @@ replay executes straight-line integer programs instead of key machinery:
 
 * :class:`DependenceKernel` — an integer slot program compiled from one
   successful validated :meth:`~repro.runtime.physical.PhysicalAnalyzer.
-  replay_tasks` dry-run.  Valid while the analyzer's per-region bucket
-  *versions* are unchanged since the kernel last applied (every bucket
-  mutation bumps its version), which subsumes the ordered key-snapshot
-  comparison; application emits byte-identical ``TaskDependence`` lists and
-  commits the same survivor order, then re-arms its version expectations.
+  replay_tasks` dry-run.  A bucket is accepted when its *version* is the
+  one the kernel's own last commit minted (every bucket mutation bumps
+  it), or else when its ordered footprint keys — memoised on every user,
+  never recomputed — are the template's entry keys; application emits
+  byte-identical ``TaskDependence`` lists and commits the same survivor
+  order.  An *aligned* program (each task retires one entry user and
+  creates one) commits a bucket as one launch user and, meeting one,
+  replays in O(1) — the launch stays one object through physical state.
 
 * :class:`CheckKernelCache` — Listing-3 dynamic checks promoted to
   kernels keyed by (domain identity, functor descriptions, modes, color
@@ -33,11 +36,17 @@ changing results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.privileges import Privilege
+from repro.runtime.physical import (
+    LaunchDependences,
+    TaskDependence,
+    _LaunchUser,
+    _User,
+)
 
 __all__ = [
     "DependenceKernel",
@@ -69,8 +78,23 @@ class DependenceKernel:
       the wrong order for the slot program.  Those buckets (and any bucket
       whose version mismatches, i.e. a sibling launch touched it) are
       revalidated by ordered footprint keys — the same comparison the
-      validating overlay path makes — so *disjoint* interleavings keep
-      the kernel live while overlapping ones still bail to the overlay.
+      validating overlay path makes, over keys every user already carries
+      — so *disjoint* interleavings keep the kernel live while overlapping
+      ones still bail to the overlay.
+
+    A slot program is **aligned** when, in every bucket it touches, each
+    task has one access that depends on exactly one entry user, coalesces
+    into nothing and creates one user, and the committed bucket is exactly
+    those creations in task order — the shape of a write through an
+    injective functor over a disjoint partition.  What such a replay leaves
+    in a bucket is a function of the launch alone, so the kernel commits it
+    as one :class:`~repro.runtime.physical._LaunchUser` (its key tuple and
+    creations fixed at compile, in ``aligned``) instead of |D| users.  And
+    when every bucket it meets *is* a launch user whose keys are the
+    kernel's entry keys, the whole replay is id arithmetic: task *i*
+    depends on ``entry.task_ids[perm[i]]``, returned as a lazy
+    :class:`~repro.runtime.physical.LaunchDependences`.  Any other bucket
+    shape is expanded to its per-point list and runs the slot program.
     """
 
     __slots__ = (
@@ -78,10 +102,10 @@ class DependenceKernel:
         "entry_keys",
         "steps",
         "creations",
+        "creation_keys",
         "final_order",
         "n_queries",
-        "_dep_cls",
-        "_user_cls",
+        "aligned",
     )
 
     #: ``expected`` value forcing key revalidation on every apply.
@@ -93,22 +117,84 @@ class DependenceKernel:
         entry_keys: Dict[int, Tuple[tuple, ...]],
         steps: List[List[Tuple[int, Tuple[int, ...], Optional[int], Optional[int]]]],
         creations: List[Tuple[object, object, frozenset]],
+        creation_keys: List[tuple],
         final_order: Dict[int, List[int]],
         n_queries: int,
-        dep_cls,
-        user_cls,
     ):
         self.expected = expected
-        self.entry_keys = entry_keys
+        #: the kernel's own copy: the aligned path swaps in equal tuples.
+        self.entry_keys = dict(entry_keys)
         self.steps = steps
         self.creations = creations
+        #: footprint key of each creation, stamped on every user a replay
+        #: builds so that no replay hashes a footprint.
+        self.creation_keys = creation_keys
         self.final_order = final_order
         self.n_queries = n_queries
-        self._dep_cls = dep_cls
-        self._user_cls = user_cls
+        #: None unless the program is aligned; then per region uid, in
+        #: requirement order: (entry slot each task depends on, key tuple
+        #: and creations of the launch user a replay commits).
+        self.aligned: Optional[Dict[int, Tuple[List[int], tuple, list]]] = None
+        perms = _aligned_perms(steps, final_order)
+        if perms is not None:
+            self.aligned = {
+                uid: (
+                    perm,
+                    tuple(creation_keys[-1 - src] for src in final_order[uid]),
+                    [creations[-1 - src] for src in final_order[uid]],
+                )
+                for uid, perm in perms.items()
+            }
 
-    def apply(self, analyzer, task_ids) -> Optional[List[list]]:
-        """Run the program against ``analyzer``; None when stale.
+    def apply(self, analyzer, task_ids) -> Optional[Sequence[list]]:
+        """Run the program against ``analyzer``; None when stale."""
+        if len(task_ids) != len(self.steps):
+            return None
+        results = None
+        if self.aligned is not None:
+            results = self._apply_aligned(analyzer, task_ids)
+        if results is None:
+            results = self._apply_slots(analyzer, task_ids)
+        if results is None:
+            return None
+        analyzer.overlap_queries += self.n_queries
+        analyzer.kernel_replays += 1
+        return results
+
+    def _commit(self, analyzer, uid, bucket) -> None:
+        bumped = analyzer.install_bucket(uid, bucket)
+        # Permute-committing buckets stay on the revalidation path: the
+        # version we just minted describes the *committed* order, not
+        # the entry order the slot program needs.
+        if self.expected[uid] >= 0:
+            self.expected[uid] = bumped
+
+    def _commit_launch_users(self, analyzer, task_ids) -> None:
+        for uid, (_, keys, creations) in self.aligned.items():
+            self._commit(analyzer, uid, _LaunchUser(keys, creations, task_ids))
+
+    def _apply_aligned(self, analyzer, task_ids) -> Optional[LaunchDependences]:
+        """The O(1) replay: None unless every touched bucket is a launch
+        user holding exactly the entry keys (nothing is mutated then)."""
+        buckets = analyzer._users
+        sources = []
+        for uid, (perm, _, _) in self.aligned.items():
+            entry = buckets.get(uid)
+            if type(entry) is not _LaunchUser:
+                return None
+            keys = self.entry_keys[uid]
+            if entry.keys is not keys:
+                if entry.keys != keys:
+                    return None
+                # The installing kernel hands out this one tuple every
+                # time: adopt it and the next comparison is by identity.
+                self.entry_keys[uid] = entry.keys
+            sources.append((uid, entry.task_ids, perm))
+        self._commit_launch_users(analyzer, task_ids)
+        return LaunchDependences(task_ids, sources)
+
+    def _apply_slots(self, analyzer, task_ids) -> Optional[List[list]]:
+        """The slot program over per-point buckets.
 
         Per-bucket staleness: an exact version match (for buckets armed
         with one) means untouched-since-re-arm; anything else falls back
@@ -119,20 +205,18 @@ class DependenceKernel:
         validating path.
         """
         versions = analyzer._versions
+        users_map = {uid: analyzer._bucket(uid) for uid in self.final_order}
         for uid, expect in self.expected.items():
             if expect >= 0 and versions.get(uid, 0) == expect:
                 continue
-            users = analyzer._users.get(uid, ())
+            users = users_map[uid]
             keys = self.entry_keys[uid]
             if len(users) != len(keys):
                 return None
             for user, key in zip(users, keys):
                 if user.footprint_key() != key:
                     return None
-        if len(task_ids) != len(self.steps):
-            return None
-        users_map = {uid: analyzer._users.get(uid, ()) for uid in self.final_order}
-        dep_cls = self._dep_cls
+        restamped = 0
         created: List[List[int]] = [[] for _ in self.creations]
         results: List[list] = []
         for tid, ops in zip(task_ids, self.steps):
@@ -149,19 +233,22 @@ class DependenceKernel:
                             pair = (earlier, tid)
                             if pair not in seen:
                                 seen.add(pair)
-                                out.append(dep_cls(earlier, tid, uid))
+                                out.append(TaskDependence(earlier, tid, uid))
                 if coalesce_src is not None:
                     # In-place append reproduces the overlay's base+pending
                     # visibility: later dep queries this replay see the
                     # coalesced id, exactly as ``all_ids`` would.
                     if coalesce_src >= 0:
                         users[coalesce_src].task_ids.append(tid)
+                        restamped += 1
                     else:
                         created[-1 - coalesce_src].append(tid)
                 if create_ord is not None:
                     created[create_ord].append(tid)
             results.append(out)
-        user_cls = self._user_cls
+        if self.aligned is not None:     # touched no user: it never coalesces
+            self._commit_launch_users(analyzer, task_ids)
+            return results
         for uid, order in self.final_order.items():
             users = users_map[uid]
             bucket = []
@@ -169,19 +256,41 @@ class DependenceKernel:
                 if src >= 0:
                     bucket.append(users[src])
                 else:
-                    subregion, privilege, fieldset = self.creations[-1 - src]
                     bucket.append(
-                        user_cls(created[-1 - src], subregion, privilege, fieldset)
+                        _User(
+                            created[-1 - src],
+                            *self.creations[-1 - src],
+                            self.creation_keys[-1 - src],
+                        )
                     )
-            bumped = analyzer.install_bucket(uid, bucket)
-            # Permute-committing buckets stay on the revalidation path: the
-            # version we just minted describes the *committed* order, not
-            # the entry order the slot program needs.
-            if self.expected[uid] >= 0:
-                self.expected[uid] = bumped
-        analyzer.overlap_queries += self.n_queries
-        analyzer.kernel_replays += 1
+                    restamped += 1
+            self._commit(analyzer, uid, bucket)
+        analyzer.users_restamped += restamped
         return results
+
+
+def _aligned_perms(steps, final_order) -> Optional[Dict[int, List[int]]]:
+    """``region uid -> entry slot of each task's one dependence`` when the
+    slot program is aligned (see :class:`DependenceKernel`), else None."""
+    if not steps:
+        return None
+    uids = [op[0] for op in steps[0]]
+    if len(set(uids)) != len(uids) or set(uids) != set(final_order):
+        return None
+    perms: Dict[int, List[int]] = {uid: [] for uid in uids}
+    created: Dict[int, List[int]] = {uid: [] for uid in uids}
+    for ops in steps:
+        if [op[0] for op in ops] != uids:
+            return None
+        for uid, dep_srcs, _, create_ord in ops:
+            # (An access that creates a user coalesced into none.)
+            if len(dep_srcs) != 1 or dep_srcs[0] < 0 or create_ord is None:
+                return None
+            perms[uid].append(dep_srcs[0])
+            created[uid].append(-1 - create_ord)
+    if any(final_order[uid] != created[uid] for uid in uids):
+        return None
+    return perms
 
 
 # --------------------------------------------------------------------------

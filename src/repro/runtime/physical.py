@@ -12,11 +12,28 @@ an access costs O(levels + candidates), not O(|P|), so a launch over a
 disjoint partition runs |D| exact overlap tests whatever |P| is — measured,
 see ``live_analysis_scaling`` in ``results/BENCH_runtime.json``.
 
-Two counters keep the two notions apart.  ``overlap_queries`` is the
-*charged* scan length — ``len(bucket)`` per access, what a linear scan would
-have asked and what template replay and dependence kernels charge without
-performing; it feeds ``PipelineStats`` and the machine model.
-``overlap_tests`` counts the exact footprint tests actually run.
+A bucket has a second form.  When a replayed launch retires every user of
+a bucket and leaves one of its own per task — a write through an injective
+functor over a disjoint partition — what it leaves is a function of the
+launch alone, and its dependence kernel installs it as a single
+:class:`_LaunchUser` (key tuple, creations, the launch's task-id list) in
+O(1) instead of |D| :class:`_User` objects; the next such kernel replays
+against it by id arithmetic (:mod:`repro.runtime.kernels`).  The ordered
+``List[_User]`` stays the representation of record for everything else:
+:meth:`PhysicalAnalyzer._bucket`, the one accessor in front of ``_users``,
+expands a launch user in place — same users, order, task ids and keys the
+per-point path would hold — the first time the live path, a key snapshot,
+the validating overlay or a kernel of any other shape looks at the bucket.
+With ``kernels=False`` no launch user is ever installed.
+
+Three counters keep charged and performed work apart.  ``overlap_queries``
+is the *charged* scan length — ``len(bucket)`` per access, what a linear
+scan would have asked and what template replay and dependence kernels
+charge without performing; it feeds ``PipelineStats`` and the machine model.
+``overlap_tests`` counts the exact footprint tests the live path actually
+ran.  ``users_restamped`` counts the per-point users a replay or an
+expansion built or appended to: |D| per launch on the per-point paths, 0
+while launch users hold.
 
 Replay support (tracing [20]): when an identical launch is reissued inside
 a validated trace, its dependence structure is the same *shape* — only the
@@ -30,21 +47,25 @@ task ids without re-running overlap queries.  Footprints are addressed by a
 churn of iterative write-read patterns; every key component is a plain
 value, never an object identity.  Replay is validated (ordered per-region
 key snapshots must match, every referenced key must resolve uniquely) and
-bails to the live path on any mismatch.
+bails to the live path on any mismatch.  A user built by a replay is handed
+the key its template already holds, so only the live path and the first
+validated replay of a template ever hash a footprint.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.data.collection import Subregion
+from repro.data.collection import RectSubset, Subregion
 from repro.data.privileges import Privilege, PrivilegeSpec
 
 __all__ = [
     "TaskDependence",
+    "LaunchDependences",
     "PhysicalAnalyzer",
     "AccessOp",
     "DependenceTemplate",
@@ -69,8 +90,6 @@ def _same_subset(a, b) -> bool:
     """Cheap identical-footprint test: construction identity (partition
     subregions reuse one subset object; a worker-side reconstruction keeps
     the shipped uid) or equal rectangles (fresh root subregions)."""
-    from repro.data.collection import RectSubset
-
     if a is b or a.uid == b.uid:
         return True
     return (
@@ -102,8 +121,6 @@ def _footprint_key(
     a *fresh* RectSubset per call, so rectangles are addressed by bounds
     value instead of uid.
     """
-    from repro.data.collection import RectSubset
-
     part = subregion.partition.uid if subregion.partition is not None else None
     subset = subregion.subset
     if isinstance(subset, RectSubset):
@@ -130,10 +147,9 @@ class _User:
     privilege: PrivilegeSpec
     fields: frozenset
     #: memoised :meth:`footprint_key` — pure in the three fields above,
-    #: which nothing reassigns after construction.
-    _key: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: which nothing reassigns after construction.  A replay passes the key
+    #: its template already holds, so replayed users are never re-hashed.
+    _key: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def footprint_key(self):
         key = self._key
@@ -142,6 +158,98 @@ class _User:
                 self.subregion, self.privilege, self.fields
             )
         return key
+
+
+class _LaunchUser:
+    """A whole region bucket held as one entry: the users one launch left.
+
+    Stands for the per-point list ``[_User([task_ids[i]], *creations[i],
+    keys[i]) for i in range(n)]`` — what a replay leaves in a bucket when
+    every task retires one entry user and creates one (see *aligned* in
+    :class:`~repro.runtime.kernels.DependenceKernel`, the only installer).
+    ``keys`` and ``creations`` belong to the kernel and are shared by every
+    launch user it installs; ``task_ids`` is the launch's own id list.
+    :meth:`PhysicalAnalyzer._bucket` swaps in the per-point list the first
+    time anything but an aligned kernel looks at the bucket.
+    """
+
+    __slots__ = ("keys", "creations", "task_ids")
+
+    def __init__(
+        self,
+        keys: Tuple[tuple, ...],
+        creations: Sequence[Tuple[Subregion, PrivilegeSpec, frozenset]],
+        task_ids: Sequence[int],
+    ):
+        self.keys = keys
+        self.creations = creations
+        self.task_ids = task_ids
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def expand(self) -> List[_User]:
+        return [
+            _User([tid], subregion, privilege, fields, key)
+            for tid, (subregion, privilege, fields), key in zip(
+                self.task_ids, self.creations, self.keys
+            )
+        ]
+
+
+class LaunchDependences(collections.abc.Sequence):
+    """Per-task dependence lists of an aligned kernel replay, built only
+    when someone iterates them.
+
+    ``sources`` holds, per region bucket in requirement order, ``(region
+    uid, the entry launch user's task ids, perm)``: task *i* depends on
+    ``ids[perm[i]]`` through that region.  The lists are element for
+    element what the slot program builds; replayed task ids are fresh, so
+    no dependence is ever a task on itself.
+    """
+
+    __slots__ = ("task_ids", "sources", "_lists")
+
+    def __init__(
+        self,
+        task_ids: Sequence[int],
+        sources: List[Tuple[int, Sequence[int], Sequence[int]]],
+    ):
+        self.task_ids = task_ids
+        self.sources = sources
+        self._lists: Optional[List[List[TaskDependence]]] = None
+
+    def _materialise(self) -> List[List[TaskDependence]]:
+        lists = self._lists
+        if lists is None:
+            lists = self._lists = []
+            for i, tid in enumerate(self.task_ids):
+                seen = set()
+                out: List[TaskDependence] = []
+                for uid, ids, perm in self.sources:
+                    earlier = ids[perm[i]]
+                    if earlier not in seen:
+                        seen.add(earlier)
+                        out.append(TaskDependence(earlier, tid, uid))
+                lists.append(out)
+        return lists
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def __getitem__(self, index):
+        return self._materialise()[index]
+
+    def __iter__(self):
+        return iter(self._materialise())
+
+    @property
+    def n_edges(self) -> int:
+        """Total dependence count; one region means one edge per task,
+        known without building any."""
+        if len(self.sources) == 1:
+            return len(self.task_ids)
+        return sum(len(deps) for deps in self._materialise())
 
 
 @dataclass
@@ -379,7 +487,9 @@ class PhysicalAnalyzer:
     """
 
     def __init__(self, profiler=None, kernels: bool = True):
-        self._users: Dict[int, List[_User]] = {}
+        #: region uid -> bucket: the ordered per-point user list, or the one
+        #: launch user standing for it.  Read it through :meth:`_bucket`.
+        self._users: Dict[int, Union[List[_User], _LaunchUser]] = {}
         #: per-region bucket version, bumped on every mutation; dependence
         #: kernels compare versions instead of re-snapshotting keys.
         self._versions: Dict[int, int] = {}
@@ -388,6 +498,10 @@ class PhysicalAnalyzer:
         self.overlap_queries = 0
         #: exact footprint tests the live path actually ran.
         self.overlap_tests = 0
+        #: per-point ``_User`` objects a replay or an expansion built or
+        #: appended to — the replay work performed, beside the charged
+        #: ``overlap_queries``; 0 per launch while launch users hold.
+        self.users_restamped = 0
         self.kernels_enabled = kernels
         self.kernel_replays = 0
         self._profiler = profiler
@@ -396,6 +510,19 @@ class PhysicalAnalyzer:
         #: operation touching a tainted region is short-circuited to a
         #: poisoned future *before* analysis (see Runtime._poison_launch).
         self.poisoned: Dict[int, Any] = {}
+
+    def _bucket(self, region_uid: int) -> List[_User]:
+        """The region's ordered per-point users, expanding a launch user
+        into them first.  The version does not move: the list is what the
+        launch user stood for, so whatever a kernel's version guard
+        concluded about the bucket still holds."""
+        users = self._users.get(region_uid)
+        if users is None:
+            return []
+        if type(users) is _LaunchUser:
+            users = self._users[region_uid] = users.expand()
+            self.users_restamped += len(users)
+        return users
 
     def record_task_access(
         self,
@@ -413,7 +540,7 @@ class PhysicalAnalyzer:
         :class:`AccessOp` describing the state transition is appended."""
         region_uid = subregion.region.uid
         fieldset = frozenset(fields)
-        users = self._users.setdefault(region_uid, [])
+        users = self._bucket(region_uid)
         version = self._versions.get(region_uid, 0)
         index = self._indexes.get(region_uid)
         if index is None or index.users is not users or index.version != version:
@@ -509,22 +636,23 @@ class PhysicalAnalyzer:
     ) -> Dict[int, Tuple[tuple, ...]]:
         """Ordered footprint-key snapshot of the given region buckets."""
         return {
-            uid: tuple(u.footprint_key() for u in self._users.get(uid, []))
+            uid: tuple(u.footprint_key() for u in self._bucket(uid))
             for uid in region_uids
         }
 
     def replay_tasks(
         self, task_ids: Sequence[int], template: DependenceTemplate
-    ) -> Optional[List[List[TaskDependence]]]:
+    ) -> Optional[Sequence[List[TaskDependence]]]:
         """Re-stamp a recorded dependence template with fresh task ids.
 
         Runs a validating dry-run against an overlay of the current user
         state; only when every op of every task resolves is the state
         mutation committed (so a failed replay leaves the analyzer
         untouched for the live fallback).  Returns per-task dependence
-        lists matching :meth:`record_task` exactly, or None on any
-        mismatch — a changed snapshot, a missing/duplicate key, or a length
-        divergence.
+        lists matching :meth:`record_task` exactly — from a dependence
+        kernel's aligned path as a :class:`LaunchDependences`, which builds
+        them on first use — or None on any mismatch: a changed snapshot, a
+        missing/duplicate key, or a length divergence.
         """
         if len(task_ids) != len(template.task_ops):
             return None
@@ -543,7 +671,7 @@ class PhysicalAnalyzer:
             template.kernel = None
         overlays: Dict[int, List[_OverlayEntry]] = {}
         for uid, recorded_keys in template.entry_keys.items():
-            users = self._users.get(uid, [])
+            users = self._bucket(uid)
             current_keys = tuple(u.footprint_key() for u in users)
             if current_keys != recorded_keys:
                 return None
@@ -560,6 +688,7 @@ class PhysicalAnalyzer:
 
         compile_steps: Optional[list] = [] if self.kernels_enabled else None
         creations: List[tuple] = []
+        creation_keys: List[tuple] = []
         results: List[List[TaskDependence]] = []
         for tid, ops in zip(task_ids, template.task_ops):
             seen = set()
@@ -606,6 +735,7 @@ class PhysicalAnalyzer:
                         key, spec=op.create, src=-1 - create_ord
                     )
                     creations.append(op.create)
+                    creation_keys.append(key)
                     entry.pending.append(tid)
                     entries.append(entry)
                 if compile_steps is not None:
@@ -623,14 +753,14 @@ class PhysicalAnalyzer:
         for uid, entries in overlays.items():
             new_users: List[_User] = []
             for entry in entries:
-                if entry.user is not None:
-                    entry.user.task_ids.extend(entry.pending)
-                    new_users.append(entry.user)
-                else:
-                    subregion, privilege, fieldset = entry.spec
-                    new_users.append(
-                        _User(list(entry.pending), subregion, privilege, fieldset)
-                    )
+                user = entry.user
+                if user is None:
+                    user = _User(list(entry.pending), *entry.spec, entry.key)
+                    self.users_restamped += 1
+                elif entry.pending:
+                    user.task_ids.extend(entry.pending)
+                    self.users_restamped += 1
+                new_users.append(user)
             self.install_bucket(uid, new_users)
             if compile_steps is not None:
                 final_order[uid] = [e.src for e in entries]
@@ -657,10 +787,9 @@ class PhysicalAnalyzer:
                 entry_keys=template.entry_keys,
                 steps=compile_steps,
                 creations=creations,
+                creation_keys=creation_keys,
                 final_order=final_order,
                 n_queries=template.n_queries,
-                dep_cls=TaskDependence,
-                user_cls=_User,
             )
         self.overlap_queries += template.n_queries
         prof = self._profiler
@@ -669,7 +798,9 @@ class PhysicalAnalyzer:
             prof.count("physical.template_tasks", float(len(task_ids)))
         return results
 
-    def install_bucket(self, region_uid: int, users: List[_User]) -> int:
+    def install_bucket(
+        self, region_uid: int, users: Union[List[_User], _LaunchUser]
+    ) -> int:
         """Replace a region's user bucket wholesale; returns its new version.
 
         The one write path for buckets — the live path, template replay
@@ -685,7 +816,7 @@ class PhysicalAnalyzer:
 
     def active_users(self, region_uid: int) -> int:
         """Number of live users tracked for a region (test hook)."""
-        return len(self._users.get(region_uid, []))
+        return len(self._users.get(region_uid, ()))
 
     # --------------------------------------------------- poison propagation
     def poison_regions(self, region_uids: Iterable[int], error: Any) -> int:

@@ -13,11 +13,12 @@ tier-3 serial fallback, and pool teardown.
 import glob
 import os
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exec.pool import shutdown_pools
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy
+from repro.runtime.physical import _LaunchUser
 
 from tests.exec.test_parallel_equivalence import (
     full_stats,
@@ -44,6 +45,14 @@ FAULTS = [
 ]
 
 
+#: perfbench's ``replay_steady`` shape — identity then rotation, ``reads
+#: writes``, one partition — long enough to settle on launch users (see
+#: ``DependenceKernel``): always part of the knob-identity runs below.
+STEADY_REPLAY = (
+    ["bump8", "shifted"], 6, None, dict(n_nodes=4, dcr=True, tracing=True)
+)
+
+
 def _observables(ops, iters, cfg, workers, **extra):
     merged = dict(cfg)
     merged.update(extra)
@@ -61,6 +70,7 @@ def _shm_files() -> list:
 class TestKnobIdentity:
     @settings(max_examples=6, deadline=None)
     @given(program=program_strategy, knob=st.sampled_from(KNOBS))
+    @example(program=STEADY_REPLAY, knob="kernels")
     def test_each_knob_off_is_byte_identical(self, program, knob):
         ops, iters, _, cfg = program
         ref_rt, ref_out = _observables(ops, iters, cfg, 2)
@@ -74,6 +84,8 @@ class TestKnobIdentity:
         knob=st.sampled_from(KNOBS),
         spec=st.sampled_from(FAULTS),
     )
+    @example(program=STEADY_REPLAY, knob="kernels", spec=FAULTS[0])
+    @example(program=STEADY_REPLAY, knob="shm", spec=FAULTS[1])
     def test_knob_off_identical_under_faults(self, program, knob, spec):
         ops, iters, _, cfg = program
         plan = FaultPlan(specs=(spec,))
@@ -86,6 +98,13 @@ class TestKnobIdentity:
         assert rt.stats.launches_poisoned == 0
         assert out == ref_out
         assert full_stats(rt) == full_stats(ref_rt)
+
+    def test_steady_replay_program_reaches_launch_users_on_workers(self):
+        """Anti-vacuity for the ``STEADY_REPLAY`` examples above."""
+        ops, iters, _, cfg = STEADY_REPLAY
+        rt, _ = _observables(ops, iters, cfg, 2)
+        assert rt.backend.stats.parallel_launches > 0
+        assert [type(b) for b in rt.physical._users.values()] == [_LaunchUser]
 
     def test_kernels_off_serial_is_byte_identical(self):
         """The kernel layer also serves the serial replay path.

@@ -61,6 +61,7 @@ def full_stats(rt):
         value = getattr(rt.stats, f.name)
         out[f.name] = dict(value) if isinstance(value, dict) else value
     # Performed analysis work, beside the charged ``overlap_queries``.
+    # (``users_restamped`` stays out: it differs, rightly, with ``kernels``.)
     out["physical.overlap_tests"] = rt.physical.overlap_tests
     return out
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.data.partition import explicit_partition
 from repro.runtime import Runtime, RuntimeConfig, task
+from repro.runtime.physical import _LaunchUser
 
 CFG = dict(n_nodes=4, dcr=True, tracing=True)
 
@@ -128,3 +129,46 @@ class TestOverlappingInterleave:
         assert rt_ref.physical.kernel_replays == 0
         assert out.tobytes() == out_ref.tobytes()
         assert rt.stats == rt_ref.stats
+
+    def test_overlapping_sibling_between_aligned_replays_expands(self):
+        """A steady aligned launch holds its bucket as one launch user.  An
+        untraced sibling over an overlapping subset must see the per-point
+        users (expansion), and what it leaves must send the next replay
+        past the kernel and the overlay to the live path — after which the
+        launch settles on launch users again."""
+        seen = {}
+
+        def run(kernels):
+            rt, region = _make_rt(kernels=kernels)
+            pA = explicit_partition("pA", region,
+                                    {0: range(0, 16), 1: range(16, 32)})
+            pB = explicit_partition("pB", region,
+                                    {0: range(4, 12), 1: range(20, 28)})
+            for i in range(13):
+                rt.begin_trace(1)
+                rt.index_launch(bump, 2, pA)
+                rt.end_trace(1)
+                if i == 6:
+                    held = rt.physical._users[region.uid]
+                    restamped = rt.physical.users_restamped
+                    replays = rt.physical.kernel_replays
+                    rt.index_launch(bump, 2, pB)
+                    if kernels:
+                        seen["before"] = type(held)
+                        seen["expanded"] = (
+                            rt.physical.users_restamped - restamped
+                        )
+                if i == 7 and kernels:
+                    seen["bailed"] = rt.physical.kernel_replays == replays
+            seen[kernels] = type(rt.physical._users[region.uid])
+            return rt, region.storage("x").copy()
+
+        rt, out = run(True)
+        rt_ref, out_ref = run(False)
+        assert seen["before"] is seen[True] is _LaunchUser
+        assert seen[False] is list
+        assert seen["expanded"] == 2 and seen["bailed"]
+        assert rt.physical.kernel_replays > 0
+        assert out.tobytes() == out_ref.tobytes()
+        assert rt.stats == rt_ref.stats
+        assert rt.stats.analysis_cache_invalidations > 0
