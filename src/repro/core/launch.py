@@ -33,6 +33,11 @@ __all__ = ["RegionRequirement", "IndexLaunch", "TaskLaunch", "ArgumentMap"]
 _next_launch_id = itertools.count()
 
 
+def _task_label(task) -> str:
+    """``task.name``; the repr is built only for a task without one."""
+    return task.name if hasattr(task, "name") else repr(task)
+
+
 @dataclass(frozen=True)
 class RegionRequirement:
     """One collection argument of a launch.
@@ -117,7 +122,7 @@ class TaskLaunch:
 
     @property
     def name(self) -> str:
-        label = getattr(self.task, "name", repr(self.task))
+        label = _task_label(self.task)
         return f"{label}{tuple(self.point) if self.point is not None else ''}"
 
     def representation_units(self) -> int:
@@ -173,8 +178,7 @@ class IndexLaunch:
 
     @property
     def name(self) -> str:
-        label = getattr(self.task, "name", repr(self.task))
-        return f"{label}[{self.domain.volume}]"
+        return f"{_task_label(self.task)}[{self.domain.volume}]"
 
     @property
     def parallelism(self) -> int:

@@ -7,7 +7,9 @@ safety, logical analysis, distribution — and then hands the per-node tail
 — expansion, physical analysis on the parent's one analyzer, and their
 accounting — so the two backends hold only what differs:
 
-* :class:`SerialBackend` runs the task bodies in-process.
+* :class:`SerialBackend` runs the task bodies in-process, through the
+  execution loop (:meth:`ExecutionBackend.execute`) every in-process body
+  takes.
 * :class:`~repro.exec.parallel.ParallelBackend` has workers run them and
   applies their effects at commit; selected with
   ``RuntimeConfig.workers > 1`` (or env ``REPRO_WORKERS``).
@@ -28,6 +30,7 @@ from repro.runtime.futures import FutureMap
 from repro.runtime.physical import LaunchDependences, make_template
 from repro.runtime.pipeline import Stage
 from repro.runtime.replay import ExpansionTemplate, PointPlan
+from repro.runtime.task import TaskContext
 
 __all__ = ["ExecutionBackend", "SerialBackend", "resolve_backend"]
 
@@ -242,6 +245,56 @@ class ExecutionBackend:
                 prof.phase("physical", Stage.PHYSICAL, t_phys,
                            node=node, **attrs)
 
+    # ------------------------------------------------------ the execution loop
+    def execute(self, fn, work) -> dict:
+        """Run ``fn`` in this process for each ``(task_id, (node,
+        PointPlan))`` of ``work``, in order; returns the values by point.
+
+        Per task: the context and the body.  Per launch: reading the fault
+        injector and profiler, and charging ``tasks_executed`` and the
+        execution representation per node.  On a raise the charge is the
+        tasks whose inline fault check passed — a body that raised counts,
+        a fired fault does not — and an :class:`InjectedFaultError` leaves
+        stamped with its task id and point.
+        """
+        rt = self.rt
+        inj = rt.fault_injector
+        prof = rt.profiler if rt.profiler.enabled else None
+        values = {}
+        ran = 0
+        try:
+            for tid, (node, plan) in work:
+                tl = plan.task_launch
+                point = tl.point
+                if inj is not None:
+                    inj.fire_inline(point, node)
+                ran += 1
+                ctx = TaskContext(point, node, rt)
+                t0 = prof.now() if prof is not None else None
+                values[point] = fn(ctx, *plan.regions, *tl.args)
+                if prof is not None:
+                    # Spans group by base task name; the point is an arg.
+                    name = tl.name
+                    prof.phase(
+                        f"execute:{name.split('(', 1)[0]}", Stage.EXECUTION,
+                        t0, node=node, task=name,
+                        point=str(tuple(point)) if point is not None else None,
+                    )
+        except InjectedFaultError as exc:
+            if exc.task_id is None:
+                exc.task_id = tid
+            if exc.point is None and point is not None:
+                exc.point = tuple(point)
+            raise
+        finally:
+            per_node = {}
+            for _, (node, _) in work[:ran]:
+                per_node[node] = per_node.get(node, 0) + 1
+            rt.stats.tasks_executed += ran
+            for node, local in per_node.items():
+                rt.stats.add_representation(Stage.EXECUTION, node, local)
+        return values
+
 
 class SerialBackend(ExecutionBackend):
     """The in-process pipeline tail — reference semantics for every backend."""
@@ -255,27 +308,12 @@ class SerialBackend(ExecutionBackend):
         task_ids, plans, _ = self.analyze_launch(
             launch, sig, op_id, assignment, replay, cache
         )
-        fmap = FutureMap(label=launch.name)
         # --- execution (functionally; order free for verified launches).
-        executed = zip(task_ids, plans())
+        work = list(zip(task_ids, plans()))
         if rt.config.shuffle_intra_launch and safe_order_free:
-            executed = list(executed)
-            rt._rng.shuffle(executed)
-        for tid, (node, plan) in executed:
-            try:
-                fmap.set(
-                    plan.task_launch.point,
-                    rt._run_task(plan.task_launch, node, regions=plan.regions),
-                )
-            except InjectedFaultError as exc:
-                # Stamp the originating task so the poisoned diagnostics
-                # name the real culprit, then let the runtime convert the
-                # whole launch to a poisoned FutureMap.
-                if exc.task_id is None:
-                    exc.task_id = tid
-                if exc.point is None and plan.task_launch.point is not None:
-                    exc.point = tuple(plan.task_launch.point)
-                raise
+            rt._rng.shuffle(work)
+        fmap = FutureMap(label=launch.name)
+        fmap.fill(self.execute(launch.task.fn, work))
         return fmap
 
 

@@ -725,8 +725,7 @@ class ParallelBackend(ExecutionBackend):
             return
         for point, err in fmap._point_errors.items():
             entry.fmap.poison(err, point)
-        for point, value in fmap._values.items():
-            entry.fmap.set(point, value)
+        entry.fmap.fill(fmap._values)
 
     def _make_drain_hook(self):
         """The closure installed on region storage reads and pending
@@ -1329,9 +1328,9 @@ class ParallelBackend(ExecutionBackend):
             req.region.uid: req.region for req in launch.requirements
         }
         self._commit_effects(dispatch, order, region_by_uid, cfg.batched_commit)
-        for g in order:
-            trec = dispatch.tasks[g]
-            fmap.set(Point(*trec.point), dispatch.values[g])
+        fmap.fill({
+            Point(*dispatch.tasks[g].point): dispatch.values[g] for g in order
+        })
         rt.stats.tasks_executed += total
         for node, local in per_node.items():
             rt.stats.add_representation(Stage.EXECUTION, node, local)

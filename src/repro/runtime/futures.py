@@ -151,6 +151,13 @@ class FutureMap:
             raise RuntimeError(f"future map already holds a value for {point}")
         self._values[point] = value
 
+    def fill(self, values: Dict[Point, Any]) -> None:
+        """Fill a launch's points at once.  They are distinct by ``Domain``
+        construction, so unlike :meth:`set` nothing is checked per point."""
+        if self._error is not None:
+            raise RuntimeError("cannot fill a poisoned future map")
+        self._values.update(values)
+
     def poison(
         self, error: TaskPoisonedError, point: Optional[Point] = None
     ) -> None:

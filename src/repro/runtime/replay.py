@@ -209,6 +209,14 @@ class PointPlan:
     accesses: List[tuple]  # (subregion, privilege, fields) for the analyzer
     regions: List[PhysicalRegion]
 
+    @classmethod
+    def of(cls, task_launch: TaskLaunch) -> "PointPlan":
+        """The plan of a task launch with concrete requirements."""
+        reqs = task_launch.requirements
+        triples = [(r.subregion, r.privilege, r.resolved_fields()) for r in reqs]
+        return cls(task_launch, list(reqs), triples,
+                   [PhysicalRegion(*t) for t in triples])
+
 
 @dataclass
 class ExpansionTemplate:
@@ -257,17 +265,7 @@ class ExpansionTemplate:
 
     def add_point(self, launch: IndexLaunch, point) -> PointPlan:
         """Expand ``point`` for the first time and keep its plan."""
-        point_task = launch.point_task(point)
-        triples = [
-            (req.subregion, req.privilege, req.resolved_fields())
-            for req in point_task.requirements
-        ]
-        plan = self.plans[tuple(point)] = PointPlan(
-            task_launch=point_task,
-            requirements=list(point_task.requirements),
-            accesses=triples,
-            regions=[PhysicalRegion(*t) for t in triples],
-        )
+        plan = self.plans[tuple(point)] = PointPlan.of(launch.point_task(point))
         return plan
 
     def point_plan(self, launch: IndexLaunch, point) -> PointPlan:

@@ -39,8 +39,8 @@ from repro.exec.backend import resolve_backend
 from repro.exec.pool import resolve_workers
 from repro.runtime.physical import PhysicalAnalyzer
 from repro.runtime.pipeline import PipelineStats, Stage
-from repro.runtime.replay import LaunchReplayCache
-from repro.runtime.task import PhysicalRegion, Task, TaskContext
+from repro.runtime.replay import LaunchReplayCache, PointPlan
+from repro.runtime.task import Task
 from repro.runtime.tracing import TraceRecorder
 
 __all__ = ["Runtime", "RuntimeConfig"]
@@ -459,22 +459,26 @@ class Runtime:
         target = node if node is not None else self.mapper.select_node(
             launch, self.config.n_nodes
         )
-        self._pipeline_single(launch, target)
+        plan = PointPlan.of(launch)
+        task_id = self._pipeline_single(plan, target)
         future = Future()
-        future.set(self._run_task(launch, target))
+        future.set(
+            self.backend.execute(task.fn, [(task_id, (target, plan))])[None]
+        )
         return future
 
-    def _pipeline_single(self, launch: TaskLaunch, node: int) -> None:
+    def _pipeline_single(self, plan: PointPlan, node: int) -> int:
+        """The analysis stages of one single task; returns its task id."""
         prof = self.profiler
         t0 = prof.mark()
         issuers = (
             range(self.config.n_nodes) if self.config.dcr else (0,)
         )
-        op_id, _ = self._analyze_task(launch, node, issuers)
+        op_id, task_id = self._analyze_task(plan, node, issuers)
         self.stats.logical_users = self.logical.users_processed
         self.stats.overlap_queries = self.physical.overlap_queries
         if prof.enabled:
-            attrs = dict(task=launch.name, op=op_id, aggregate=True)
+            attrs = dict(task=plan.task_launch.name, op=op_id, aggregate=True)
             prof.phase("issuance", Stage.ISSUANCE, t0,
                        nodes=tuple(issuers), **attrs)
             prof.phase("logical", Stage.LOGICAL, t0,
@@ -482,10 +486,11 @@ class Runtime:
             prof.phase("distribution", Stage.DISTRIBUTION, t0,
                        node=node, **attrs)
             prof.phase("physical", Stage.PHYSICAL, t0, node=node, **attrs)
+        return task_id
 
     def _analyze_task(
         self,
-        launch: TaskLaunch,
+        plan: PointPlan,
         node: int,
         issuers,
         skip_issuance: bool = False,
@@ -495,6 +500,7 @@ class Runtime:
         physical analysis: counters charged, graph recorded.  Returns its
         ``(op_id, task_id)``; profiler phases and the ``logical_users`` /
         ``overlap_queries`` copies are the caller's."""
+        launch = plan.task_launch
         stats = self.stats
         for n in issuers:
             if not skip_issuance:
@@ -513,13 +519,7 @@ class Runtime:
         if not self.config.dcr and node != 0:
             stats.slice_messages += 1  # point-to-point, no tree
         task_id = next(self._task_counter)
-        tdeps = self.physical.record_task(
-            task_id,
-            [
-                (req.subregion, req.privilege, req.resolved_fields())
-                for req in launch.requirements
-            ],
-        )
+        tdeps = self.physical.record_task(task_id, plan.accesses)
         stats.physical_dependences += len(tdeps)
         stats.add_representation(Stage.PHYSICAL, node, 1)
         if self.graph_recorder is not None:
@@ -845,17 +845,16 @@ class Runtime:
         cfg = self.config
         prof = self.profiler
         t0 = prof.mark()
-        fmap = FutureMap(label=launch.name)
         issuers = range(cfg.n_nodes) if cfg.dcr else (0,)
-        executed: List[Tuple[TaskLaunch, int, int]] = []
+        executed: List[Tuple[int, Tuple[int, PointPlan]]] = []
         for point in launch.domain:
-            point_task = launch.point_task(point)
+            plan = PointPlan.of(launch.point_task(point))
             self.stats.single_tasks += 1
-            node = self.mapper.select_node(point_task, cfg.n_nodes)
+            node = self.mapper.select_node(plan.task_launch, cfg.n_nodes)
             _, task_id = self._analyze_task(
-                point_task, node, issuers, skip_issuance, op_kind
+                plan, node, issuers, skip_issuance, op_kind
             )
-            executed.append((point_task, node, task_id))
+            executed.append((task_id, (node, plan)))
         self.stats.logical_users = self.logical.users_processed
         self.stats.overlap_queries = self.physical.overlap_queries
         if prof.enabled:
@@ -866,22 +865,15 @@ class Runtime:
                            nodes=tuple(issuers), **attrs)
             prof.phase("logical", Stage.LOGICAL, t0,
                        nodes=tuple(issuers), **attrs)
-            exec_nodes = tuple(sorted({node for _, node, _ in executed}))
+            exec_nodes = tuple(sorted({node for _, (node, _) in executed}))
             prof.phase("distribution", Stage.DISTRIBUTION, t0,
                        nodes=exec_nodes, **attrs)
             prof.phase("physical", Stage.PHYSICAL, t0,
                        nodes=exec_nodes, **attrs)
         if cfg.shuffle_intra_launch and order_free:
             self._rng.shuffle(executed)
-        for point_task, node, tid in executed:
-            try:
-                fmap.set(point_task.point, self._run_task(point_task, node))
-            except InjectedFaultError as exc:
-                if exc.task_id is None:
-                    exc.task_id = tid
-                if exc.point is None and point_task.point is not None:
-                    exc.point = tuple(point_task.point)
-                raise
+        fmap = FutureMap(label=launch.name)
+        fmap.fill(self.backend.execute(launch.task.fn, executed))
         return fmap
 
     # ------------------------------------------------------- fault poisoning
@@ -986,45 +978,6 @@ class Runtime:
         future = Future(label=launch.name)
         future.poison(err)
         return future
-
-    # ------------------------------------------------------------ execution
-    def _run_task(
-        self,
-        point_task: TaskLaunch,
-        node: int,
-        regions: Optional[List[PhysicalRegion]] = None,
-    ) -> Any:
-        inj = self.fault_injector
-        if inj is not None:
-            inj.fire_inline(
-                tuple(point_task.point)
-                if point_task.point is not None
-                else None,
-                node,
-            )
-        ctx = TaskContext(point=point_task.point, node=node, runtime=self)
-        physical_regions = regions if regions is not None else [
-            PhysicalRegion(
-                req.subregion, req.privilege, req.resolved_fields()
-            )
-            for req in point_task.requirements
-        ]
-        self.stats.tasks_executed += 1
-        self.stats.add_representation(Stage.EXECUTION, node, 1)
-        prof = self.profiler
-        if prof.enabled:
-            t0 = prof.now()
-            result = point_task.task(ctx, *physical_regions, *point_task.args)
-            point = point_task.point
-            # Group spans by the base task name; the point goes in the args.
-            base = point_task.name.split("(", 1)[0]
-            prof.phase(
-                f"execute:{base}", Stage.EXECUTION, t0, node=node,
-                task=point_task.name,
-                point=str(tuple(point)) if point is not None else None,
-            )
-            return result
-        return point_task.task(ctx, *physical_regions, *point_task.args)
 
 
 # ------------------------------------------------ built-in fill/copy tasks

@@ -140,6 +140,39 @@ class TestIndexLaunch:
         launch = IndexLaunch(FakeTask(), Domain.range(5), [idx_req(part)])
         assert launch.name == "foo[5]"
 
+    def test_name_builds_no_repr_of_a_named_task(self):
+        """Every launch names its FutureMap; a task with a name must not
+        pay for its repr there."""
+        from repro.runtime import Runtime, RuntimeConfig
+        from repro.runtime.task import Task
+
+        class CountingTask(Task):
+            reprs = 0
+
+            def __repr__(self):
+                CountingTask.reprs += 1
+                return super().__repr__()
+
+        bump = CountingTask(
+            lambda ctx, r: r.write("x", r.read("x") + 1.0), ["reads writes"],
+            name="bump",
+        )
+        rt = Runtime(RuntimeConfig(workers=1, n_nodes=2))
+        region = rt.create_region("named", 8, {"x": "f8"})
+        p = equal_partition("named_p", region, 4)
+        for _ in range(3):
+            rt.index_launch(bump, 4, p)
+        assert CountingTask.reprs == 0
+        assert rt.stats.tasks_executed == 12
+
+    def test_nameless_task_is_named_by_its_repr(self, part):
+        class Nameless:
+            def __repr__(self):
+                return "anon"
+
+        launch = IndexLaunch(Nameless(), Domain.range(3), [idx_req(part)])
+        assert launch.name == "anon[3]"
+
 
 class TestTaskLaunch:
     def test_requires_concrete_subregions(self, part):

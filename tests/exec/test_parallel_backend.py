@@ -140,28 +140,39 @@ class TestEligibility:
 
 class TestFailureParity:
     def test_worker_exception_falls_back_and_matches_serial(self):
-        """A task body that raises must produce the same exception and the
-        same partial region effects as serial, and poison the task so
-        later launches skip the doomed dispatch."""
-        rt_s = make_rt(workers=1)
-        rx_s, p_s = setup_region(rt_s)
-        with pytest.raises(RuntimeError, match="boom at point 2"):
-            rt_s.index_launch(explode_on_two, 8, p_s)
-        serial_bytes = rx_s.storage("x").tobytes()
-
-        rt_p = make_rt(workers=2)
-        rx_p, p_p = setup_region(rt_p)
-        with pytest.raises(RuntimeError, match="boom at point 2"):
-            rt_p.index_launch(explode_on_two, 8, p_p)
-        assert rx_p.storage("x").tobytes() == serial_bytes
-        assert rt_p.backend.stats.fallbacks == 1
-        assert explode_on_two.uid in rt_p.backend._poisoned_tasks
+        """A task body that raises must produce the same exception, the
+        same partial region effects and the same execution counters as
+        serial — every task up to and including the one that raised — with
+        and without intra-launch shuffling, and poison the task so later
+        launches skip the doomed dispatch."""
+        for shuffle in (True, False):
+            runs = []
+            for workers in (1, 2):
+                rt = make_rt(
+                    workers=workers, shuffle_intra_launch=shuffle, seed=5
+                )
+                rx, p = setup_region(rt)
+                with pytest.raises(RuntimeError, match="boom at point 2"):
+                    rt.index_launch(explode_on_two, 8, p)
+                runs.append((
+                    rx.storage("x").tobytes(), rt.stats.tasks_executed,
+                    dict(rt.stats.representation),
+                ))
+            assert runs[0] == runs[1]
+        # From here on: the unshuffled workers=2 run, in plan order.
+        _, executed, representation = runs[1]
+        assert executed == 3
+        assert representation[("execution", 0)] == 2
+        assert representation[("execution", 1)] == 1
+        assert ("execution", 2) not in representation
+        assert rt.backend.stats.fallbacks == 1
+        assert explode_on_two.uid in rt.backend._poisoned_tasks
 
         # Poisoned: the next launch of the same task is delegated outright.
         with pytest.raises(RuntimeError, match="boom at point 2"):
-            rt_p.index_launch(explode_on_two, 8, p_p)
-        assert rt_p.backend.stats.fallbacks == 1
-        assert rt_p.backend.stats.serial_launches == 1
+            rt.index_launch(explode_on_two, 8, p)
+        assert rt.backend.stats.fallbacks == 1
+        assert rt.backend.stats.serial_launches == 1
 
     def test_shuffle_parity_with_seed(self):
         """Shuffled execution consumes the parent RNG identically in both

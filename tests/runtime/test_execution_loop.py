@@ -1,0 +1,102 @@
+"""The execution loop: per point, a body call and its context — nothing else.
+
+Every in-process body runs through ``ExecutionBackend.execute``: a serial
+launch tail, an expanded launch (fallback loop, No-IDX, early expansion)
+and a single task.  Its bookkeeping is per launch, so the count guard here
+measures Python calls per point of a steady traced replay and the fault
+tests pin what the loop stamps on an ``InjectedFaultError``.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.core.projection import ModularFunctor
+from repro.data.partition import equal_partition
+from repro.fault import FaultPlan, FaultSpec
+from repro.runtime import Runtime, RuntimeConfig, task
+from repro.runtime.futures import TaskPoisonedError
+from repro.tools.graph import GraphRecorder
+
+
+@task(privileges=["reads writes"])
+def noop(ctx, r):
+    pass
+
+
+@task(privileges=["reads writes"])
+def bump(ctx, r):
+    r.write("x", r.read("x") + 1.0)
+
+
+def calls_in_steady_op(pieces):
+    """Python ``call`` events of one steady op — two NOOP launches,
+    identity then rotation — by function name."""
+    rt = Runtime(RuntimeConfig(workers=1, tracing=True, n_nodes=4))
+    region = rt.create_region("loop", 2 * pieces, {"x": "f8"})
+    part = equal_partition(f"loop_p{pieces}", region, pieces)
+    rotation = ModularFunctor(pieces, 3)
+
+    def op():
+        rt.begin_trace(1)
+        rt.index_launch(noop, pieces, part)
+        rt.index_launch(noop, pieces, (part, rotation))
+        rt.end_trace(1)
+
+    for _ in range(6):
+        op()
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestCallsPerPoint:
+    def test_a_point_costs_its_body_and_its_context(self):
+        small, large = calls_in_steady_op(16), calls_in_steady_op(256)
+        points = 2 * (256 - 16)
+        growth = sum(large.values()) - sum(small.values())
+        assert round(growth / points, 1) <= 2.0
+        scaling = {
+            name for name in large
+            if large[name] - small.get(name, 0) >= points
+        }
+        assert scaling == {"noop", "__init__"}      # TaskContext.__init__
+
+
+def _kill(point):
+    return FaultPlan(specs=(
+        FaultSpec(kind="kill", scope="point", target=point, times=1),
+    ))
+
+
+@pytest.mark.parametrize("index_launches", [True, False])
+def test_an_inline_fault_names_its_task_and_point(index_launches):
+    """A fault fired in the loop — the serial launch tail, or the expanded
+    loop under No-IDX — reaches the poisoned map with the id and point of
+    the task it fired at, and that task is not counted as executed."""
+    rt = Runtime(RuntimeConfig(
+        n_nodes=2, workers=1, index_launches=index_launches,
+        fault_plan=_kill((2,)),
+    ))
+    recorder = GraphRecorder().attach(rt)
+    region = rt.create_region("faulty", 8, {"x": "f8"})
+    part = equal_partition(f"faulty_p{index_launches}", region, 4)
+    fmap = rt.index_launch(bump, 4, part)
+    with pytest.raises(TaskPoisonedError) as excinfo:
+        fmap.get((0,))
+    (culprit,) = [
+        tid for tid, node in recorder.tasks.items() if node.name == "bump(2,)"
+    ]
+    assert (excinfo.value.task_id, excinfo.value.point) == (culprit, (2,))
+    assert rt.stats.tasks_executed == 2
+    assert list(region.storage("x")) == [1, 1, 1, 1, 0, 0, 0, 0]

@@ -76,11 +76,19 @@ class TestTaskBodyFailures:
             rt.index_launch(crash_on_point_two, 4, p)
 
     def test_prefix_effects_visible(self, setup):
-        """Eager sequential execution: tasks before the failing point ran."""
+        """Eager sequential execution: tasks before the failing point ran.
+        A task counts as executed once its body starts, so the counters
+        charge points 0-2: the one that raised included."""
         rt, r, p = setup
         with pytest.raises(RuntimeError):
             rt.index_launch(crash_on_point_two, 4, p)
         assert list(r.storage("x")) == [1, 1, 1, 1, 0, 0, 0, 0]
+        assert rt.stats.tasks_executed == 3
+        executed = {
+            key: units for key, units in rt.stats.representation.items()
+            if key[0] == "execution"
+        }
+        assert executed == {("execution", 0): 2, ("execution", 1): 1}
 
     def test_runtime_usable_after_failure(self, setup):
         rt, r, p = setup

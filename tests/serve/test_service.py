@@ -5,6 +5,7 @@ persistence of the analysis cache."""
 import glob
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ BUMP = task(privileges=["reads writes"])(_bump_fn)
 
 def _shm_files():
     return glob.glob(f"/dev/shm/reproshm-{os.getpid()}p*")
+
+
+def wait_for(predicate, timeout=10.0):
+    """Poll the running service's state until ``predicate`` holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "service never reached the state"
+        time.sleep(0.001)
 
 
 def drive(cli, launches=4, shards=8, elems=48, seed=0.0,
@@ -155,11 +164,22 @@ class TestAdmissionControl:
             gate = threading.Event()
             try:
                 svc._executor.submit(gate.wait)
-                # Fill the queue behind the pinned thread by hand, then a
-                # normal call must raise ServiceBusy.
-                for seq in (900, 901):
+                session = svc.sessions[cli.session]
+
+                def admitted():
+                    return svc.metrics.value(
+                        "serve.admissions", tenant=session.tenant.name
+                    )
+
+                # Fill the queue behind the pinned thread by hand, gating
+                # on server state rather than on arrival timing: 900 has
+                # left the queue for the pinned executor, 901 waits in it.
+                for seq, queued in ((900, 0), (901, 1)):
                     wire.send_frame(cli._sock, wire.CALL, seq,
                                     dumps(("drain", {})))
+                    wait_for(lambda: admitted() == seq - 899
+                             and len(session.queue) == queued)
+                # So a normal call must raise ServiceBusy.
                 with pytest.raises(ServiceBusy):
                     cli.drain()
             finally:
