@@ -181,11 +181,10 @@ def slow_accumulate(ctx, r, acc):
     acc.reduce("s", [float(r.read("x").sum())])
 
 
-def _parallel_program(workers, transport=None, pipeline_depth=None):
+def _parallel_program(workers, transport=None):
     rt = Runtime(
         RuntimeConfig(n_nodes=PAR_NODES, dcr=True, tracing=True,
-                      workers=workers, transport=transport,
-                      pipeline_depth=pipeline_depth)
+                      workers=workers, transport=transport)
     )
     region = rt.create_region("pb", PAR_PIECES * 4, {"x": "f8"})
     region.storage("x")[:] = np.arange(float(PAR_PIECES * 4))
@@ -211,10 +210,9 @@ def _cpu_count():
         return os.cpu_count()
 
 
-def _time_parallel(workers, warm=2, timed=5, transport=None,
-                   pipeline_depth=None):
+def _time_parallel(workers, warm=2, timed=5, transport=None):
     rt, region, acc, one_iteration = _parallel_program(
-        workers, transport=transport, pipeline_depth=pipeline_depth
+        workers, transport=transport
     )
     for _ in range(warm):
         one_iteration()
@@ -225,66 +223,6 @@ def _time_parallel(workers, warm=2, timed=5, transport=None,
         samples.append(time.perf_counter() - start)
     digest = region.storage("x").tobytes() + acc.storage("s").tobytes()
     return sum(samples), samples, digest, rt
-
-
-ABLATION_SLEEP_S = 5e-4
-ABLATION_GROUPS = 4
-
-
-@task(privileges=["reads writes"])
-def quick_bump(ctx, r):
-    time.sleep(ABLATION_SLEEP_S)
-    r.write("x", r.read("x") + 1.0)
-
-
-def _pipeline_ablation(workers=4, warm=3, timed=5):
-    """Pipeline-depth ablation: iteration wall clock at depth 1/2/4.
-
-    The program cycles launches over disjoint region groups — the shape
-    pipelined dispatch targets: launch N+1's footprint never intersects
-    launch N's writes, so at depth > 1 its shards reach the workers
-    before N's collect completes.  Bodies are short (0.5 ms) so the
-    parent-side turnaround being hidden is a visible fraction.
-    """
-    from repro.exec.pool import shutdown_pools
-
-    out = {}
-    digests = {}
-    for depth in (1, 2, 4):
-        rt = Runtime(RuntimeConfig(
-            n_nodes=PAR_NODES, dcr=True, tracing=True, workers=workers,
-            transport="pipe", pipeline_depth=depth,
-        ))
-        regions = []
-        parts = []
-        for g in range(ABLATION_GROUPS):
-            region = rt.create_region(f"abl{g}", workers * 4, {"x": "f8"})
-            region.storage("x")[:] = np.arange(float(workers * 4))
-            regions.append(region)
-            parts.append(
-                equal_partition(f"abl{g}_{region.uid}", region, workers)
-            )
-
-        def one_iteration():
-            rt.begin_trace(3)
-            for part in parts:
-                rt.index_launch(quick_bump, workers, part)
-            rt.end_trace(3)
-
-        for _ in range(warm):
-            one_iteration()
-        rt.drain()
-        start = time.perf_counter()
-        for _ in range(timed):
-            one_iteration()
-        rt.drain()
-        elapsed = time.perf_counter() - start
-        digests[depth] = b"".join(r.storage("x").tobytes() for r in regions)
-        out[f"depth_{depth}_iter_ms"] = round(elapsed / timed * 1e3, 3)
-        shutdown_pools()
-    # Pipelining is an execution strategy only: all depths byte-identical.
-    assert digests[2] == digests[1] and digests[4] == digests[1]
-    return out
 
 
 def test_bench_parallel_backend_speedup():
@@ -351,7 +289,6 @@ def test_bench_parallel_backend_speedup():
         "speedup_4": round(speedup_4, 2),
         "latency": {str(w): latencies[w] for w in sorted(latencies)},
         "counters": counters,
-        "pipeline_ablation": _pipeline_ablation(),
     }
     with open(os.path.join(results_dir(), "BENCH_parallel.json"), "w") as fh:
         json.dump(snapshot, fh, indent=2)

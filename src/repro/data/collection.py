@@ -208,14 +208,6 @@ class SparseSubset(IndexSubset):
         return f"SparseSubset(<{len(self.indices)} indices>)"
 
 
-#: Callbacks fired before any region storage read while an execution
-#: backend holds uncommitted (pipelined-ahead) launches, so direct data
-#: access always observes fully-committed state.  Installed/removed by
-#: :class:`~repro.exec.parallel.ParallelBackend`; empty — the common case,
-#: one falsy check per access — whenever nothing is in flight.
-_DRAIN_HOOKS: list = []
-
-
 class Region:
     """A top-level collection: an N-D index space with named, typed fields.
 
@@ -234,6 +226,9 @@ class Region:
             fname: np.zeros(bounds.volume, dtype=dt) for fname, dt in self.fields.items()
         }
         self.partitions: list = []  # populated by Partition.__init__
+        #: the named shm segment backing the storage, if the runtime mapped
+        #: one for its workers (see ``repro.exec.shm.map_region``)
+        self.instance = None
 
     @property
     def volume(self) -> int:
@@ -242,16 +237,10 @@ class Region:
 
     def storage(self, field: str) -> np.ndarray:
         """The flat backing array for ``field`` (length ``volume``)."""
-        if _DRAIN_HOOKS:
-            for hook in list(_DRAIN_HOOKS):
-                hook()
         return self._storage[field]
 
     def field_nd(self, field: str) -> np.ndarray:
         """The backing array reshaped to the region's N-D extents (a view)."""
-        if _DRAIN_HOOKS:
-            for hook in list(_DRAIN_HOOKS):
-                hook()
         return self._storage[field].reshape(self.bounds.extents)
 
     def fill(self, field: str, value) -> None:

@@ -67,15 +67,10 @@ class ExecutionBackend:
     def shutdown(self) -> None:
         """Release backend resources (worker processes)."""
 
-    def drain(self) -> None:
-        """Commit every pipelined-ahead launch (see
-        :class:`~repro.exec.parallel.ParallelBackend`).  Backends that
-        never defer a commit have nothing to do."""
-
-    def drain_conflicting(self, uids) -> None:
-        """Commit pending launches whose write footprints intersect the
-        region ``uids`` a new operation is about to touch.  No-op for
-        backends that commit eagerly."""
+    def map_region(self, region) -> None:
+        """Place a new region's storage where this backend's bodies run
+        (see :class:`~repro.exec.parallel.ParallelBackend`).  In-process
+        backends leave it in plain numpy storage."""
 
     # ------------------------------------------------- the shared launch tail
     def analyze_launch(self, launch, sig, op_id, assignment, replay, cache):

@@ -12,16 +12,18 @@ both backends share (:meth:`ExecutionBackend.analyze_launch`).
 The determinism contract rests on three rules:
 
 1. **Commit after collect.**  Nothing in the parent mutates — no stats, no
-   counters, no task ids, no analyzer state, no region bytes, no RNG —
-   until every shard has answered.  Any failure before that point (worker
-   exception, pickling error, broken pool) abandons the dispatch and
-   re-runs the launch through the owned serial backend, which reproduces
-   serial behavior exactly, including exceptions and their partial effects.
+   counters, no task ids, no analyzer state, no pickled write-back, no
+   RNG — until every shard has answered.  Any failure before that point
+   (worker exception, pickling error, broken pool) abandons the dispatch:
+   every shard still running is waited for or its worker reset, every
+   in-place write is undone (below), and the launch re-runs through the
+   owned serial backend, which reproduces serial behavior exactly,
+   including exceptions and their partial effects.
 2. **Commit in serial order.**  Shard results are committed in sorted node
    order (the serial plan order): the parent's analyzer records the tasks
-   one by one, write-backs scatter and recorded reductions re-apply in the
-   serial (then optionally shuffled) execution order, and futures fill the
-   FutureMap in that same order.
+   one by one, pickled write-backs scatter and recorded reductions
+   re-apply in the serial (then optionally shuffled) execution order, and
+   futures fill the FutureMap in that same order.
 3. **Only verified launches.**  Eligibility requires a launch the safety
    analysis verified (static or hybrid): point tasks are pairwise
    non-interfering — their write footprints are disjoint, exclusive
@@ -34,30 +36,22 @@ The determinism contract rests on three rules:
    requirement (its bodies would observe half-applied reductions) — runs
    on the serial backend.
 
-**Pipelined dispatch** (``RuntimeConfig.pipeline_depth`` /
-``REPRO_PIPELINE_DEPTH``, default 1 = off) relaxes only *when* rule 1's
-collect happens, never the commit order.  With depth > 1 a replayed
-launch whose region-uid footprint is disjoint from every uncommitted
-write of the launches already in flight (see
-:class:`~repro.runtime.kernels.LaunchFootprintCache`) is *submitted* —
-all shards of each worker in one vectored write — and its unfilled
-``FutureMap`` returned immediately; its collect + commit are deferred to
-a strictly-FIFO drain.  Drains fire when the pipeline fills, when a new
-operation touches a pending write set, when anything needs committed
-state (a region read, a future value, a single task, a serial-path
-launch, cache invalidation, poison), or via :meth:`Runtime.drain`.
-Because commits stay in issue order, every observable — region bytes,
-stats, task ids, RNG, dependence edges — is byte-identical to depth 1,
-including under the fault-recovery ladder (a tier-2 respawn cancels
-pipelined-ahead shards on the dead worker; their collects see stale
-generations and resubmit for free).
+**In-place writes.**  Rule 3 is also why a region mapped into the pipe
+workers (:mod:`repro.exec.shm`) can be written where it lives: each
+worker's write footprints are its exclusive capability on the one
+instance, so the writes commute and need no commit at all.  Rule 1 then
+holds through undo slots: before each point's body its worker saves the
+bytes the body may overwrite, and every retry, respawn and fallback
+scatters the saved bytes of the attempt back — only once that attempt's
+worker has replied or been killed and reaped, so no late write can land
+after the restore.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -67,7 +61,7 @@ from repro.core.domain import Point
 from repro.data.collection import covering_subregions
 from repro.data.privileges import REDUCTION_OPS, Privilege
 from repro.exec.backend import ExecutionBackend, SerialBackend
-from repro.fault.plan import InjectedFaultError, RetryPolicy
+from repro.fault.plan import RetryPolicy
 from repro.exec.plan import (
     PartitionEntry,
     ReqTemplate,
@@ -79,7 +73,14 @@ from repro.exec.plan import (
     subset_ref,
 )
 from repro.exec.pool import get_pool
-from repro.exec.shm import Footprint, shm_env_enabled
+from repro.exec.shm import (
+    PROGRESS_BYTES,
+    Footprint,
+    in_place,
+    map_region,
+    release_instances,
+    shm_env_enabled,
+)
 from repro.exec.transport import (
     ResultCancelled,
     ResultTimeout,
@@ -92,7 +93,6 @@ from repro.runtime.pipeline import Stage
 __all__ = [
     "ParallelBackend",
     "ParallelExecStats",
-    "resolve_pipeline_depth",
     "resolve_plan_memo",
 ]
 
@@ -107,25 +107,6 @@ def resolve_plan_memo(configured: Optional[bool]) -> bool:
     if configured is not None:
         return bool(configured)
     return os.environ.get("REPRO_PLAN_MEMO", "1").strip() != "0"
-
-
-def resolve_pipeline_depth(configured: Optional[int]) -> int:
-    """Effective pipeline depth: explicit config wins, else env
-    ``REPRO_PIPELINE_DEPTH``; default (and kill switch) is 1 — collect
-    every launch before issuing the next, exactly the unpipelined path."""
-    if configured is not None:
-        value = int(configured)
-    else:
-        raw = os.environ.get("REPRO_PIPELINE_DEPTH", "").strip()
-        try:
-            value = int(raw) if raw else 1
-        except ValueError:
-            raise ValueError(
-                f"REPRO_PIPELINE_DEPTH must be an integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise ValueError(f"pipeline depth must be >= 1, got {value}")
-    return value
 
 
 def _empty_delta() -> Dict[str, set]:
@@ -164,18 +145,21 @@ class _InfraFailure(Exception):
 
 @dataclass
 class _Footprints:
-    """The data one shard moves — pure in (launch signature, shard), so a
-    valid :class:`_PlanMemo` keeps it across issues.  A verified launch's
-    write footprints are pairwise-disjoint subregions, so they are written
-    back as subregions, order-free; none becomes an index set on the way."""
+    """The data one shard moves — pure in (launch signature, shard) and in
+    which regions are mapped, so a valid :class:`_PlanMemo` keeps it across
+    issues.  A verified launch's write footprints are pairwise-disjoint
+    subregions, so they are written back (or undone) as subregions,
+    order-free; none becomes an index set on the way."""
 
-    #: everything the shard reads, plus current write-footprint bytes so
-    #: partial writes gather back intact (see ``covering_subregions``).
+    #: what the shard reads of fields it does not map, plus current
+    #: write-footprint bytes so partial writes gather back intact (see
+    #: ``covering_subregions``); mapped fields read the instance itself.
     reads: List[Footprint]
     #: per local point, one per (WRITE/READ_WRITE requirement, field), in
     #: the worker's gather order.
     writes: List[List[Footprint]]
-    nbytes: int                     # arena bytes one staging of it takes
+    in_place: bool                  # some write lands in a mapped instance
+    nbytes: int                     # arena bytes one attempt's slots take
 
 
 def _shard_footprints(requirements, local_projs) -> _Footprints:
@@ -193,14 +177,16 @@ def _shard_footprints(requirements, local_projs) -> _Footprints:
     covers: Dict[tuple, list] = {}  # fields of one requirement share a cover
     reads: List[Footprint] = []
     for (uid, fname), subs in groups.items():
+        if in_place(subs[0].region, fname):
+            continue
         key = (uid, *(sub.subset.uid for sub in subs))
         if key not in covers:
             covers[key] = covering_subregions(subs)
         reads.extend(Footprint(group, fname) for group in covers[key])
-    nbytes = sum(fp.val_off + fp.nbytes for fp in reads if fp.nbytes) + sum(
-        fp.nbytes for point in writes for fp in point
+    undo = [fp.nbytes for point in writes for fp in point if fp.in_place]
+    return _Footprints(
+        reads, writes, bool(undo), sum(undo) + PROGRESS_BYTES * bool(undo)
     )
-    return _Footprints(reads, writes, nbytes)
 
 
 @dataclass
@@ -219,10 +205,12 @@ class _ShardJob:
     future: Any = None
     staged: Optional[dict] = None            # cache delta of this attempt
     payload: Any = None
-    #: parent-side shm gather-back map of the *current* attempt:
-    #: global ordinal -> [(subregion, field, shm view)], rebuilt on
-    #: every (re)submission so commit always reads the attempt it awaited.
-    shm_writes: Dict[int, list] = field(default_factory=dict)
+    #: the *current* attempt's undo slots, per local point [(subregion,
+    #: field, parent view)], and its progress counter (how many points'
+    #: slots the worker completed; None: nothing written in place).
+    #: Rebuilt on every (re)submission, read only by :meth:`_restore`.
+    undo: List[list] = field(default_factory=list)
+    progress: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -258,11 +246,11 @@ class _PlanMemoShard:
     """One shard's memoized plan skeleton (see :class:`_PlanMemo`)."""
 
     gen: int                        # worker generation the skeleton targets
-    shm_on: bool                    # arena staging state at build
+    shm_on: bool                    # undo slots on at build
     plan: ShardPlan                 # empty-delta skeleton
-    #: pickled ``plan``, set only when every footprint went through the
-    #: arena at build: blob reuse requires the fresh entries and slots to
-    #: repeat ``plan.read_data`` / ``plan.write_slots`` byte for byte.
+    #: pickled ``plan``, set only when it carried no read data at build:
+    #: blob reuse requires the fresh undo slots to repeat
+    #: ``plan.undo_slots`` / ``plan.undo_done`` byte for byte.
     blob: Optional[bytes]
 
 
@@ -275,10 +263,11 @@ class _PlanMemo:
     the footprint bytes is pure in (signature, assignment, args):
     projections, requirement templates, and the empty cache deltas of a
     warm worker.  This memo keeps the skeleton
-    per shard and re-stamps only the live parts — fresh footprint values
-    (and their arena slots) per issue.  In shm steady state the arena
-    rewinds offsets to zero after every commit, so the staged descriptors
-    repeat byte for byte and even the pickled blob ships as-is.
+    per shard and re-stamps only the live parts — fresh pickled read
+    values and undo slots per issue.  On mapped regions there are no read
+    values, and the arena rewinds offsets to zero after every commit, so
+    the undo descriptors repeat byte for byte and even the pickled blob
+    ships as-is.
 
     Validity is checked structurally on every use (assignment identity,
     args equality, worker generation, shm/profiler state); anything stale
@@ -313,9 +302,6 @@ class _Dispatch:
     #: per global ordinal, the subregion each requirement projects to:
     #: pickled write-backs name their requirement, not an index set.
     projections: List[List[Any]] = field(default_factory=list)
-    #: global ordinal -> [(subregion, field, shm view)] write-backs that
-    #: traveled through shared memory instead of the result blob.
-    shm_writes: Dict[int, list] = field(default_factory=dict)
 
 
 @dataclass
@@ -328,34 +314,6 @@ class _InFlight:
     jobs: List[_ShardJob]
     #: per-job rebuild-and-resubmit closure for the recovery ladder.
     resubmit: Any
-    #: whether any footprint of this submission holds arena slots (decides
-    #: when the arena may rewind while later launches are still pending).
-    used_shm: bool
-
-
-@dataclass
-class _PendingLaunch:
-    """One pipelined-ahead launch awaiting its FIFO drain."""
-
-    launch: Any
-    sig: tuple
-    op_id: int
-    assignment: Dict[int, list]
-    replay: bool
-    safe_order_free: bool
-    cache: Any
-    inflight: _InFlight
-    #: the unfilled FutureMap already handed to the program; filled (or
-    #: poisoned) at drain.  Reading it forces the drain.
-    fmap: FutureMap
-    #: fault-injector launch ordinal at submit, restored around the drain
-    #: so retries re-arm against the right launch window.
-    fault_ordinal: Optional[int]
-    #: profiler mark taken at submission (the parallel.shards span start).
-    t_par: Any
-    touched: frozenset
-    written: frozenset
-    used_shm: bool
 
 
 class ParallelBackend(ExecutionBackend):
@@ -376,25 +334,13 @@ class ParallelBackend(ExecutionBackend):
         self._pool = None
         self._task_blobs: Dict[int, bytes] = {}
         self._poisoned_tasks: set = set()
-        # --- pipelined dispatch (depth 1 = off, the unpipelined path).
-        self.pipeline_depth = resolve_pipeline_depth(
-            getattr(rt.config, "pipeline_depth", None)
-        )
         self.plan_memo_enabled = resolve_plan_memo(
             getattr(rt.config, "plan_memo", None)
         )
         #: sig -> _PlanMemo, LRU-capped at _PLAN_MEMO_CAP signatures.
         self._plan_memo: "OrderedDict[tuple, _PlanMemo]" = OrderedDict()
-        self._pending: "deque[_PendingLaunch]" = deque()
-        #: True while this backend is submitting, collecting, or
-        #: committing: drain hooks observed re-entrantly are no-ops.
-        self._draining = False
-        self._owner_pid = os.getpid()
-        self._drain_hook = self._make_drain_hook()
-        self._hook_installed = False
-        from repro.runtime.kernels import LaunchFootprintCache
-
-        self._footprints = LaunchFootprintCache()
+        #: the shards of the dispatch in flight: a fallback undoes them all.
+        self._jobs: List[_ShardJob] = []
         #: Optional action-ordering observer: ``observer(event, info)`` is
         #: called synchronously at every protocol transition (submit,
         #: collect, retry, respawn, fallback, commit shipment handling).
@@ -411,11 +357,33 @@ class ParallelBackend(ExecutionBackend):
     def pool(self):
         if self._pool is None or self._pool.closed:
             self._pool = get_pool(self.workers, self.transport)
+            # Fresh workers hold nothing a memoized skeleton assumes, and a
+            # shut-down pool released the instances its footprints mapped.
+            self._plan_memo.clear()
         # Re-point every fetch: pools are shared across runtimes, and pool
         # failures should land in *this* runtime's metrics/trace.
         self._pool.profiler = self.rt.profiler
         self._pool.observer = self.observer
         return self._pool
+
+    def _shm_on(self) -> bool:
+        cfg = self.rt.config
+        return self.pool().arena.available and (
+            cfg.shm if cfg.shm is not None else shm_env_enabled()
+        )
+
+    def map_region(self, region) -> None:
+        """Back a new region by a segment the workers map (exec/shm.py)."""
+        if self._shm_on() and not map_region(region):
+            self.pool().arena.stats.instance_fallbacks += 1
+
+    def shutdown(self) -> None:
+        """Unlink this runtime's region instances; storage stays readable.
+
+        The runtime issues no further launches: workers that installed a
+        region keep its mapping, and a launch after the release would
+        write it in place without undo slots."""
+        release_instances(self.rt._regions)
 
     def batch_evaluator(self, functor, points: np.ndarray) -> np.ndarray:
         """Chunked functor evaluation for large dynamic checks."""
@@ -459,33 +427,15 @@ class ParallelBackend(ExecutionBackend):
         self, launch, sig, op_id, assignment, replay, safe_order_free, cache
     ) -> FutureMap:
         if not self._eligible(launch, assignment, safe_order_free):
-            # The serial tail runs physical analysis and task bodies
-            # immediately, so every pipelined-ahead launch must land first.
-            self.drain_all()
             self.stats.serial_launches += 1
             return self.serial.finish_launch(
                 launch, sig, op_id, assignment, replay, safe_order_free, cache
             )
-        if self.pipeline_depth > 1 and self._can_pipeline(sig, replay, cache):
-            touched, written = self._footprints.footprint(sig, launch)
-            self.drain_conflicting(touched)
-            return self._finish_pipelined(
-                launch, sig, op_id, assignment, replay, safe_order_free,
-                cache, touched, written,
-            )
-        self.drain_all()
-        return self._finish_now(
-            launch, sig, op_id, assignment, replay, safe_order_free, cache
-        )
-
-    def _finish_now(
-        self, launch, sig, op_id, assignment, replay, safe_order_free, cache
-    ) -> FutureMap:
-        """The depth-1 path: submit, collect, and commit in one call."""
-        prof = self.rt.profiler
-        t_par = prof.mark()
+        t_par = self.rt.profiler.mark()
         try:
-            dispatch = self._dispatch(launch, sig, assignment)
+            dispatch = self._collect_launch(
+                launch, self._submit_launch(launch, sig, assignment)
+            )
         except _ParallelBail as bail:
             return self._fallback(
                 launch, sig, op_id, assignment, replay, safe_order_free,
@@ -495,8 +445,9 @@ class ParallelBackend(ExecutionBackend):
             launch, sig, op_id, assignment, replay, safe_order_free, cache,
             dispatch, t_par,
         )
-        # Every future was collected and every shm view consumed: reclaim
-        # the arena offsets for the next dispatch.
+        # Every future was collected and no undo slot is needed any more:
+        # reclaim the arena offsets for the next dispatch.
+        self._jobs = []
         self.pool().arena.rewind_all()
         return fmap
 
@@ -504,14 +455,18 @@ class ParallelBackend(ExecutionBackend):
         self, launch, sig, op_id, assignment, replay, safe_order_free, cache,
         bail,
     ) -> FutureMap:
-        """Tier 3: abandon a bailed dispatch and re-run serially."""
+        """Tier 3: abandon a bailed dispatch, undo what its workers wrote
+        in place, and re-run serially."""
         prof = self.rt.profiler
         self.stats.fallbacks += 1
         if self._pool is not None and not self._pool.closed:
-            # Sibling futures may still be in flight; their workers
-            # could write into shm slots at any time, so the current
-            # segments (and their offsets) are forfeit.
+            self._quiesce()
+            for job in self._jobs:
+                self._restore(job)
+            # Retired slots stay mapped until the pool closes; their
+            # offsets are forfeit.
             self._pool.arena.abandon_all()
+        self._jobs = []
         self._observe("fallback", launch=launch.name, reason=bail.reason,
                       poison=bail.poison)
         if bail.poison:
@@ -527,9 +482,38 @@ class ParallelBackend(ExecutionBackend):
             launch, sig, op_id, assignment, replay, safe_order_free, cache
         )
 
+    def _quiesce(self) -> None:
+        """Make sure no worker of the bailed dispatch can still write: a
+        shard still pending is awaited within the shard timeout, or its
+        worker is reset — killed and reaped."""
+        pool = self._pool
+        policy = getattr(self.rt, "retry_policy", None) or RetryPolicy()
+        for job in self._jobs:
+            if job.future is None or job.future.done():
+                continue
+            try:
+                job.future.result(timeout=policy.shard_timeout_s)
+            except Exception:
+                if pool.generation(job.k) == job.gen:
+                    pool.reset_worker(job.k)
+
+    def _restore(self, job: _ShardJob) -> None:
+        """Scatter back the undo slots of every point whose gather the
+        current attempt completed.  Only ever called once that attempt's
+        worker has replied or been killed and reaped (exec/shm.py): a slot
+        the worker was still gathering is not counted, and its point's
+        body never ran."""
+        if job.progress is None:
+            return
+        done = job.undo[: int(job.progress[0])]
+        for views in done:
+            for sub, fname, view in views:
+                sub.scatter(fname, view)
+        self._pool.arena.stats.undo_restores += sum(map(len, done))
+
     def _finish_dispatch(
         self, launch, sig, op_id, assignment, replay, safe_order_free, cache,
-        dispatch, t_par, fmap=None,
+        dispatch, t_par,
     ) -> FutureMap:
         """Account, ship cache deltas, and commit one collected dispatch."""
         prof = self.rt.profiler
@@ -570,259 +554,17 @@ class ParallelBackend(ExecutionBackend):
             prof.count("parallel.dispatches", 1.0)
         return self._commit(
             launch, sig, op_id, replay, safe_order_free, cache, dispatch,
-            assignment, fmap=fmap,
-        )
-
-    # --------------------------------------------------- pipelined dispatch
-    def _can_pipeline(self, sig, replay, cache) -> bool:
-        """Only replayed launches with a live physical template pipeline:
-        their commit re-stamps recorded dependences instead of scanning
-        user buckets, which is the steady state pipelining was measured
-        on.  Submission reads no analyzer state, so correctness does not
-        need the restriction; widening it is a separate change."""
-        return (
-            replay
-            and cache is not None
-            and cache._physical.get(sig) is not None
-        )
-
-    def _finish_pipelined(
-        self, launch, sig, op_id, assignment, replay, safe_order_free, cache,
-        touched, written,
-    ) -> FutureMap:
-        rt = self.rt
-        prof = rt.profiler
-        inj = rt.fault_injector
-        t_par = prof.mark()
-        try:
-            self._draining = True
-            try:
-                inflight = self._submit_launch(launch, sig, assignment)
-            finally:
-                self._draining = False
-        except _ParallelBail as bail:
-            # The serial re-run commits immediately; earlier launches must
-            # land first so analyzer state and task ids stay in issue order.
-            self.drain_all()
-            return self._fallback(
-                launch, sig, op_id, assignment, replay, safe_order_free,
-                cache, bail,
-            )
-        fmap = FutureMap(label=launch.name)
-        fmap._drain = self._drain_hook
-        entry = _PendingLaunch(
-            launch=launch,
-            sig=sig,
-            op_id=op_id,
-            assignment=assignment,
-            replay=replay,
-            safe_order_free=safe_order_free,
-            cache=cache,
-            inflight=inflight,
-            fmap=fmap,
-            fault_ordinal=inj.current_launch if inj is not None else None,
-            t_par=t_par,
-            touched=touched,
-            written=written,
-            used_shm=inflight.used_shm,
-        )
-        self._pending.append(entry)
-        self._install_hook()
-        depth = len(self._pending)
-        self._observe("pipeline.submit", launch=launch.name, depth=depth)
-        if prof.enabled:
-            prof.count("pipeline.depth", float(depth))
-            if depth > 1:
-                prof.instant("pipeline.submit_ahead", Stage.EXECUTION,
-                             launch=launch.name, depth=depth)
-        while len(self._pending) >= self.pipeline_depth:
-            self._drain_one()
-        return fmap
-
-    def drain(self) -> None:
-        """Backend-API alias for :meth:`drain_all` (see ``Runtime.drain``)."""
-        self.drain_all()
-
-    def drain_all(self) -> None:
-        """Collect and commit every pipelined-ahead launch, in FIFO order."""
-        if self._draining:
-            return
-        while self._pending:
-            self._drain_one()
-
-    def drain_conflicting(self, uids) -> None:
-        """Drain the FIFO prefix of pending launches whose *write* sets
-        intersect ``uids`` (the footprint a new operation is about to
-        touch).  Commit order is FIFO, so draining entry i requires
-        draining everything before it too."""
-        if self._draining or not self._pending:
-            return
-        touched = frozenset(uids)
-        last = -1
-        for i, entry in enumerate(self._pending):
-            if not entry.written.isdisjoint(touched):
-                last = i
-        for _ in range(last + 1):
-            self._drain_one()
-
-    def _drain_one(self) -> None:
-        """Collect, validate, and commit the oldest pending launch —
-        restoring its fault-injection window, falling back to serial (into
-        its existing FutureMap) on a bail, and converting an injected
-        fault surfaced by that fallback into launch poison (tier 4)."""
-        entry = self._pending.popleft()
-        rt = self.rt
-        inj = rt.fault_injector
-        saved_ordinal = inj.current_launch if inj is not None else None
-        committed = False
-        self._draining = True
-        try:
-            if inj is not None:
-                inj.current_launch = entry.fault_ordinal
-            try:
-                dispatch = self._collect_launch(entry.launch, entry.inflight)
-            except _ParallelBail as bail:
-                self._fallback_into(entry, bail)
-            else:
-                self._finish_dispatch(
-                    entry.launch, entry.sig, entry.op_id, entry.assignment,
-                    entry.replay, entry.safe_order_free, entry.cache,
-                    dispatch, entry.t_par, fmap=entry.fmap,
-                )
-                committed = True
-        except InjectedFaultError as exc:
-            # The serial fallback hit an unrecovered injected fault; the
-            # launch is lost exactly as it would be on the unpipelined
-            # path — poison its already-issued FutureMap.
-            rt._poison_launch(
-                entry.launch, exc, propagated=False, fmap=entry.fmap
-            )
-        finally:
-            if inj is not None:
-                inj.current_launch = saved_ordinal
-            self._draining = False
-            entry.fmap._drain = None
-            if committed and (entry.used_shm or not self._pending):
-                # Entries submitted while this one was pending hold no
-                # arena slots (shm staging is disabled for pipelined-ahead
-                # submissions), so the rewind cannot clobber them.
-                pool = self._pool
-                if pool is not None and not pool.closed:
-                    pool.arena.rewind_all()
-            if not self._pending:
-                self._uninstall_hook()
-
-    def _fallback_into(self, entry: _PendingLaunch, bail) -> None:
-        """Tier 3 at drain time: serial re-run adopted into the FutureMap
-        the program already holds."""
-        fmap = self._fallback(
-            entry.launch, entry.sig, entry.op_id, entry.assignment,
-            entry.replay, entry.safe_order_free, entry.cache, bail,
-        )
-        entry.fmap._drain = None
-        if fmap._error is not None:
-            entry.fmap.poison(fmap._error)
-            return
-        for point, err in fmap._point_errors.items():
-            entry.fmap.poison(err, point)
-        entry.fmap.fill(fmap._values)
-
-    def _make_drain_hook(self):
-        """The closure installed on region storage reads and pending
-        FutureMaps while launches are in flight.  Forked worker children
-        inherit it; the pid guard makes it remove itself there."""
-
-        def hook():
-            if os.getpid() != self._owner_pid:
-                from repro.data import collection
-
-                try:
-                    collection._DRAIN_HOOKS.remove(hook)
-                except ValueError:
-                    pass
-                return
-            if not self._draining:
-                self.drain_all()
-
-        return hook
-
-    def _install_hook(self) -> None:
-        if not self._hook_installed:
-            from repro.data import collection
-
-            collection._DRAIN_HOOKS.append(self._drain_hook)
-            self._hook_installed = True
-
-    def _uninstall_hook(self) -> None:
-        if self._hook_installed:
-            from repro.data import collection
-
-            try:
-                collection._DRAIN_HOOKS.remove(self._drain_hook)
-            except ValueError:
-                pass
-            self._hook_installed = False
-
-    def shutdown(self) -> None:
-        """Best-effort: land pipelined-ahead launches before teardown."""
-        try:
-            self.drain_all()
-        finally:
-            self._uninstall_hook()
-
-    # ------------------------------------------------------------ dispatch
-    def _dispatch(self, launch, sig, assignment) -> _Dispatch:
-        """Submit and collect in one breath (the depth-1 path)."""
-        return self._collect_launch(
-            launch, self._submit_launch(launch, sig, assignment)
+            assignment,
         )
 
     def _submit_launch(self, launch, sig, assignment) -> _InFlight:
-        rt = self.rt
-        cfg = rt.config
-        prof = rt.profiler
-        pool = self.pool()
-
+        self._jobs = []
+        self.pool()  # a replaced pool invalidates every memo, first
         nodes = sorted(assignment)
-        flat_points: List[Tuple[int, Point]] = []
-        for node in nodes:
-            for point in assignment[node]:
-                flat_points.append((node, point))
-
-        injector = getattr(rt, "fault_injector", None)
-
-        # Shard-plan memo: valid while nothing the plan bakes in can have
-        # moved — same assignment object (the sharding cache returns a
-        # stable dict per mapping decision), same broadcast args, no
-        # per-point args, no armed fault injector (directive-consumption
-        # order is sacred), and the same profiler state.  Stale memos are
-        # overwritten.
-        memo: Optional[_PlanMemo] = None
-        if (
-            self.plan_memo_enabled
-            and injector is None
-            and launch.point_args is None
-        ):
-            memo = self._plan_memo.get(sig)
-            if memo is not None and (
-                memo.args != launch.args
-                or memo.assignment_key is not assignment
-                or memo.profile != prof.enabled
-            ):
-                memo = None
-            if memo is None:
-                memo = _PlanMemo(
-                    args=launch.args,
-                    assignment_key=assignment,
-                    profile=prof.enabled,
-                    nodes=nodes,
-                    flat_points=flat_points,
-                )
-                self._plan_memo[sig] = memo
-                while len(self._plan_memo) > _PLAN_MEMO_CAP:
-                    self._plan_memo.popitem(last=False)
-            else:
-                self._plan_memo.move_to_end(sig)
+        flat_points: List[Tuple[int, Point]] = [
+            (node, point) for node in nodes for point in assignment[node]
+        ]
+        memo = self._memo_for(sig, launch, assignment, nodes, flat_points)
 
         # Per-point projections (pure: functor.apply + partition lookup) —
         # signature-pure, so a valid memo serves them without re-projecting.
@@ -835,7 +577,6 @@ class ParallelBackend(ExecutionBackend):
             ]
             if memo is not None:
                 memo.projections = projections
-        region_by_uid = {req.region.uid: req.region for req in launch.requirements}
 
         try:
             task_blob = self._task_blobs.get(launch.task.uid)
@@ -845,17 +586,6 @@ class ParallelBackend(ExecutionBackend):
         except Exception as exc:
             raise _ParallelBail(f"task not picklable: {exc}", poison=True)
 
-        arena = pool.arena
-        # Pipelined-ahead submissions skip the arena: their slots would
-        # outlive the head launch's commit and block the rewind that
-        # reclaims arena offsets (wire payloads need no reclamation).
-        shm_on = (
-            arena.available
-            and not self._pending
-            and (cfg.shm if cfg.shm is not None else shm_env_enabled())
-        )
-
-        jobs: List[_ShardJob] = []
         ordinal = 0
         known_footprints = memo.footprints if memo is not None else {}
         for shard_index, node in enumerate(nodes):
@@ -866,7 +596,7 @@ class ParallelBackend(ExecutionBackend):
                 footprints = known_footprints[shard_index] = _shard_footprints(
                     launch.requirements, local_projs
                 )
-            jobs.append(
+            self._jobs.append(
                 _ShardJob(
                     shard_index=shard_index,
                     node=node,
@@ -879,246 +609,288 @@ class ParallelBackend(ExecutionBackend):
             )
             ordinal += len(local)
 
-        def build_skeleton(
-            job: _ShardJob, read_data, write_slots
-        ) -> Tuple[ShardPlan, dict]:
-            """The plan against the worker's *current* committed cache
-            view, and the cache delta shipping it stages."""
-            k, node, local = job.k, job.node, job.local
-            caches = pool.caches[k]
-            staged = _empty_delta()
-            known_subsets = set(caches.subsets)
-
-            # Region skeletons new to this worker.
-            regions = []
-            for uid, region in region_by_uid.items():
-                if uid not in caches.regions and uid not in staged["regions"]:
-                    regions.append(region_spec(region))
-                    staged["regions"].add(uid)
-
-            # Requirement templates plus the partition colors they project.
-            reqs = []
-            part_entries: Dict[int, PartitionEntry] = {}
-            for ri, req in enumerate(launch.requirements):
-                reqs.append(
-                    ReqTemplate(
-                        priv=priv_token(req.privilege),
-                        fields=req.fields,
-                        resolved_fields=tuple(req.resolved_fields()),
-                        partition_uid=req.partition.uid,
-                        region_uid=req.region.uid,
-                        functor=req.functor,
-                    )
-                )
-                for subs in job.local_projs:
-                    sub = subs[ri]
-                    color_key = (req.partition.uid, tuple(sub.color))
-                    if (
-                        color_key in caches.partition_colors
-                        or color_key in staged["partition_colors"]
-                    ):
-                        continue
-                    staged["partition_colors"].add(color_key)
-                    entry = part_entries.get(req.partition.uid)
-                    if entry is None:
-                        entry = PartitionEntry(
-                            uid=req.partition.uid,
-                            region_uid=req.region.uid,
-                            colors=[],
-                        )
-                        part_entries[req.partition.uid] = entry
-                    entry.colors.append(
-                        (tuple(sub.color), subset_ref(sub.subset, known_subsets))
-                    )
-            staged["subsets"] = known_subsets - caches.subsets
-
-            extra = None
-            if launch.point_args is not None:
-                extra = [launch.point_args.get(p) for p in local]
-
-            plan = ShardPlan(
-                node=node,
-                points=[tuple(p) for p in local],
-                ordinals=job.ordinals,
-                task_uid=launch.task.uid,
-                task_blob=(
-                    None
-                    if launch.task.uid in caches.tasks
-                    else task_blob
-                ),
-                args=launch.args,
-                point_extra_args=extra,
-                reqs=reqs,
-                regions=regions,
-                partitions=list(part_entries.values()),
-                read_data=read_data,
-                profile=prof.enabled,
-                write_slots=write_slots,
-            )
-            staged["tasks"].add(launch.task.uid)
-            if injector is not None:
-                plan.faults = injector.arm_shard(k, node, local)
-            return plan, staged
-
-        def build_plan(job: _ShardJob) -> Tuple[bytes, ShardPlan]:
-            """(Re)build one shard plan.  Retries rebuild from scratch: a
-            respawned worker's caches are empty, so the fresh plan ships
-            everything it needs; a surviving worker's install is
-            idempotent, so re-shipped state is harmless."""
-            gen = pool.generation(job.k)
-            # The live part of every plan: footprints travel through the
-            # arena as references, or pickled where it declines or is off.
-            read_data, write_slots, all_shm = self._stage_footprints(
-                arena if shm_on else None, job, gen
-            )
-
-            # Memoized skeleton fast path: the plan's structural payload
-            # (reqs, regions, partitions, points) is a pure function of the
-            # launch signature once the worker caches are warm, so only the
-            # footprint data and shm slots are live.
-            # Validity: same worker generation (a respawn empties the
-            # caches the skeleton assumes warm) and the same shm mode.
-            sm = memo.shards.get(job.shard_index) if memo is not None else None
-            if sm is not None and (sm.gen != gen or sm.shm_on != shm_on):
-                sm = None
-            blob = None
-            if sm is None:
-                plan, staged = build_skeleton(job, read_data, write_slots)
-            else:
-                self.stats.plan_memo_hits += 1
-                staged = _empty_delta()
-                if (
-                    sm.blob is not None
-                    and all_shm
-                    and read_data == sm.plan.read_data
-                    and write_slots == sm.plan.write_slots
-                ):
-                    # Steady state: the arena rewound to the same offsets,
-                    # so every reference matches the memoized plan and the
-                    # pickle blob can be resent byte-for-byte.
-                    plan, blob = sm.plan, sm.blob
-                    self.stats.plan_memo_blob_reuse += 1
-                else:
-                    plan = replace(
-                        sm.plan, read_data=read_data, write_slots=write_slots
-                    )
-            if blob is None:
-                try:
-                    blob = dumps(plan)
-                except Exception as exc:
-                    raise _ParallelBail(f"plan not picklable: {exc}", poison=True)
-            job.staged = staged
-            job.gen = gen
-            job.mark = prof.now() if prof.enabled else 0.0
-
-            # Memoize the skeleton only once the worker holds everything
-            # the plan assumes (no staged deltas, task blob already
-            # cached) and no fault directives were baked in — then the
-            # fast path's empty delta is exact, not an approximation.
-            if sm is None and memo is not None and plan.task_blob is None and not (
-                plan.faults
-                or staged["regions"]
-                or staged["partition_colors"]
-                or staged["subsets"]
-            ):
-                memo.shards[job.shard_index] = _PlanMemoShard(
-                    gen=gen,
-                    shm_on=shm_on,
-                    plan=(
-                        plan
-                        if all_shm
-                        else replace(plan, read_data=(), write_slots=None)
-                    ),
-                    blob=blob if all_shm else None,
-                )
-            return blob, plan
-
-        def submit(worker_jobs: List[_ShardJob], depth: int = 0) -> None:
-            """Build and submit shards of one worker: its whole batch at
-            first (one vectored write), a
-            single shard on a ladder resubmission.  Building per worker in
-            shard order preserves both the fault-injector's
-            directive-consumption order and the arena's per-worker
-            allocation order."""
-            k = worker_jobs[0].k
-            if shm_on:
-                # One segment per worker per dispatch: its shards' bytes
-                # are known before the first footprint is staged.
-                arena.reserve(k, pool.generation(k), sum(
-                    job.footprints.nbytes for job in worker_jobs
-                ))
-            items = [build_plan(job) for job in worker_jobs]
-            for job in worker_jobs:
-                self._observe("submit", shard=job.node, worker=k, gen=job.gen)
-            try:
-                futures = pool.submit_shards(k, items)
-            except WorkerLost:
-                # The worker's death surfaced at *submit* time (the
-                # transport noticed its child was gone before we handed it
-                # these plans).  Respawn and rebuild against the emptied
-                # caches; deaths that surface at result time go through
-                # the capped ladder in _collect_shard instead.
-                if depth >= 3:
-                    raise _ParallelBail(
-                        f"worker {k} broken at submit {depth} times"
-                    )
-                pool.reset_worker(k)
-                self.stats.worker_respawns += 1
-                self._note_recovery(
-                    "respawn", launch, worker_jobs[0],
-                    _InfraFailure("broken", "pool broken at submit"),
-                )
-                # Same pause the collect-path ladder takes: a respawn is a
-                # respawn, wherever the death happened to surface.
-                self._backoff(depth + 1)
-                submit(worker_jobs, depth + 1)
-                return
-            except Exception as exc:
-                raise _ParallelBail(f"submit failed: {exc}")
-            for job, future in zip(worker_jobs, futures):
-                job.future = future
-
+        build = (launch, memo, self._shm_on(), task_blob)
         by_worker: Dict[int, List[_ShardJob]] = {}
-        for job in jobs:
+        for job in self._jobs:
             by_worker.setdefault(job.k, []).append(job)
         for k in sorted(by_worker):
-            submit(by_worker[k])
+            self._submit(build, by_worker[k])
         return _InFlight(
             nodes=nodes,
             flat_points=flat_points,
             projections=projections,
-            jobs=jobs,
-            resubmit=lambda job: submit([job]),
-            used_shm=shm_on,
+            jobs=self._jobs,
+            resubmit=lambda job: self._submit(build, [job]),
         )
 
-    @staticmethod
-    def _stage_footprints(arena, job: _ShardJob, gen: int):
-        """Stage one attempt's read footprints and allocate its gather-back
-        slots (``arena`` None: everything travels pickled, no slots) as
-        ``(read_data, write_slots, all_shm)``, rebinding ``job.shm_writes``;
-        ``all_shm``: every read entry holds shm references only."""
-        k, footprints = job.k, job.footprints
-        read_data, all_shm = [], arena is not None
-        for fp in footprints.reads:
-            entry = arena.stage_read(k, gen, fp) if arena is not None else None
-            if entry is None:
-                entry, all_shm = fp.inline(), False
-            read_data.append(entry)
-        job.shm_writes = shm_writes = {}
-        if arena is None:
-            return read_data, None, all_shm
-        write_slots = []
-        for g, point in zip(job.ordinals, footprints.writes):
-            slots = [arena.alloc_write_slot(k, gen, fp) for fp in point]
-            write_slots.append([slot and slot[0] for slot in slots])
-            views = [
-                (fp.sub, fp.fname, slot[1])
-                for fp, slot in zip(point, slots) if slot is not None
-            ]
-            if views:
-                shm_writes[g] = views
-        return read_data, write_slots, all_shm
+    def _memo_for(self, sig, launch, assignment, nodes, flat_points):
+        """The launch signature's shard-plan memo, or None.
+
+        Valid while nothing the plan bakes in can have moved — same
+        assignment object (the sharding cache returns a stable dict per
+        mapping decision), same broadcast args, no per-point args, no armed
+        fault injector (directive-consumption order is sacred), and the
+        same profiler state.  Stale memos are overwritten."""
+        enabled = self.rt.profiler.enabled
+        if not (
+            self.plan_memo_enabled
+            and self.rt.fault_injector is None
+            and launch.point_args is None
+        ):
+            return None
+        memo = self._plan_memo.get(sig)
+        if memo is not None and (
+            memo.args != launch.args
+            or memo.assignment_key is not assignment
+            or memo.profile != enabled
+        ):
+            memo = None
+        if memo is None:
+            memo = _PlanMemo(
+                args=launch.args,
+                assignment_key=assignment,
+                profile=enabled,
+                nodes=nodes,
+                flat_points=flat_points,
+            )
+            self._plan_memo[sig] = memo
+            while len(self._plan_memo) > _PLAN_MEMO_CAP:
+                self._plan_memo.popitem(last=False)
+        else:
+            self._plan_memo.move_to_end(sig)
+        return memo
+
+    def _submit(self, build, worker_jobs: List[_ShardJob], depth: int = 0):
+        """Build and submit shards of one worker: its whole batch at first
+        (one vectored write), a single shard on a ladder resubmission.
+        Building per worker in shard order preserves both the
+        fault-injector's directive-consumption order and the arena's
+        per-worker allocation order."""
+        launch, _, shm_on, _ = build
+        pool = self._pool
+        k = worker_jobs[0].k
+        if shm_on:
+            # One segment per worker per dispatch: its shards' slot bytes
+            # are known before the first slot is allocated.
+            pool.arena.reserve(k, pool.generation(k), sum(
+                job.footprints.nbytes for job in worker_jobs
+            ))
+        items = [self._build_plan(build, job) for job in worker_jobs]
+        for job in worker_jobs:
+            self._observe("submit", shard=job.node, worker=k, gen=job.gen)
+        try:
+            futures = pool.submit_shards(k, items)
+        except WorkerLost:
+            # The worker's death surfaced at *submit* time (the transport
+            # noticed its child was gone before we handed it these plans).
+            # Respawn and rebuild against the emptied caches; deaths that
+            # surface at result time go through the capped ladder in
+            # _collect_shard instead.
+            if depth >= 3:
+                raise _ParallelBail(
+                    f"worker {k} broken at submit {depth} times"
+                )
+            pool.reset_worker(k)
+            for job in worker_jobs:
+                self._restore(job)
+            self.stats.worker_respawns += 1
+            self._note_recovery(
+                "respawn", launch, worker_jobs[0],
+                _InfraFailure("broken", "pool broken at submit"),
+            )
+            # Same pause the collect-path ladder takes: a respawn is a
+            # respawn, wherever the death happened to surface.
+            self._backoff(depth + 1)
+            self._submit(build, worker_jobs, depth + 1)
+            return
+        except Exception as exc:
+            raise _ParallelBail(f"submit failed: {exc}")
+        for job, future in zip(worker_jobs, futures):
+            job.future = future
+
+    def _build_plan(self, build, job: _ShardJob) -> Tuple[bytes, ShardPlan]:
+        """(Re)build one shard plan.  Retries rebuild from scratch: a
+        respawned worker's caches are empty, so the fresh plan ships
+        everything it needs; a surviving worker's install is idempotent,
+        so re-shipped state is harmless."""
+        _, memo, shm_on, _ = build
+        prof = self.rt.profiler
+        gen = self._pool.generation(job.k)
+        live = self._stage_footprints(job, gen, shm_on)
+        # No read values: the plan repeats byte for byte once the arena
+        # rewinds its undo slots to the same offsets.
+        reusable = not live[0]
+
+        # Memoized skeleton fast path: the plan's structural payload
+        # (reqs, regions, partitions, points) is a pure function of the
+        # launch signature once the worker caches are warm, so only the
+        # footprint data and undo slots are live.
+        # Validity: same worker generation (a respawn empties the caches
+        # the skeleton assumes warm) and the same shm mode.
+        sm = memo.shards.get(job.shard_index) if memo is not None else None
+        if sm is not None and (sm.gen != gen or sm.shm_on != shm_on):
+            sm = None
+        blob = None
+        if sm is None:
+            plan, staged = self._build_skeleton(build, job, live)
+        else:
+            self.stats.plan_memo_hits += 1
+            staged = _empty_delta()
+            if sm.blob is not None and reusable and live[1:] == (
+                sm.plan.undo_slots, sm.plan.undo_done
+            ):
+                plan, blob = sm.plan, sm.blob
+                self.stats.plan_memo_blob_reuse += 1
+            else:
+                plan = replace(sm.plan, read_data=live[0],
+                               undo_slots=live[1], undo_done=live[2])
+        if blob is None:
+            try:
+                blob = dumps(plan)
+            except Exception as exc:
+                raise _ParallelBail(f"plan not picklable: {exc}", poison=True)
+        job.staged = staged
+        job.gen = gen
+        job.mark = prof.now() if prof.enabled else 0.0
+
+        # Memoize the skeleton only once the worker holds everything the
+        # plan assumes (no staged deltas, task blob already cached) and no
+        # fault directives were baked in — then the fast path's empty delta
+        # is exact, not an approximation.
+        if sm is None and memo is not None and plan.task_blob is None and not (
+            plan.faults
+            or staged["regions"]
+            or staged["partition_colors"]
+            or staged["subsets"]
+        ):
+            memo.shards[job.shard_index] = _PlanMemoShard(
+                gen=gen,
+                shm_on=shm_on,
+                plan=plan if reusable else replace(plan, read_data=()),
+                blob=blob if reusable else None,
+            )
+        return blob, plan
+
+    def _build_skeleton(self, build, job: _ShardJob, live):
+        """The plan against the worker's *current* committed cache view,
+        and the cache delta shipping it stages."""
+        launch, _, _, task_blob = build
+        k, node, local = job.k, job.node, job.local
+        caches = self._pool.caches[k]
+        staged = _empty_delta()
+        known_subsets = set(caches.subsets)
+
+        # Region skeletons new to this worker.
+        regions = []
+        for req in launch.requirements:
+            uid = req.region.uid
+            if uid not in caches.regions and uid not in staged["regions"]:
+                regions.append(region_spec(req.region))
+                staged["regions"].add(uid)
+
+        # Requirement templates plus the partition colors they project.
+        reqs = []
+        part_entries: Dict[int, PartitionEntry] = {}
+        for ri, req in enumerate(launch.requirements):
+            reqs.append(
+                ReqTemplate(
+                    priv=priv_token(req.privilege),
+                    fields=req.fields,
+                    resolved_fields=tuple(req.resolved_fields()),
+                    partition_uid=req.partition.uid,
+                    region_uid=req.region.uid,
+                    functor=req.functor,
+                )
+            )
+            for subs in job.local_projs:
+                sub = subs[ri]
+                color_key = (req.partition.uid, tuple(sub.color))
+                if (
+                    color_key in caches.partition_colors
+                    or color_key in staged["partition_colors"]
+                ):
+                    continue
+                staged["partition_colors"].add(color_key)
+                entry = part_entries.get(req.partition.uid)
+                if entry is None:
+                    entry = PartitionEntry(
+                        uid=req.partition.uid,
+                        region_uid=req.region.uid,
+                        colors=[],
+                    )
+                    part_entries[req.partition.uid] = entry
+                entry.colors.append(
+                    (tuple(sub.color), subset_ref(sub.subset, known_subsets))
+                )
+        staged["subsets"] = known_subsets - caches.subsets
+
+        extra = None
+        if launch.point_args is not None:
+            extra = [launch.point_args.get(p) for p in local]
+
+        read_data, undo_slots, undo_done = live
+        plan = ShardPlan(
+            node=node,
+            points=[tuple(p) for p in local],
+            ordinals=job.ordinals,
+            task_uid=launch.task.uid,
+            task_blob=None if launch.task.uid in caches.tasks else task_blob,
+            args=launch.args,
+            point_extra_args=extra,
+            reqs=reqs,
+            regions=regions,
+            partitions=list(part_entries.values()),
+            read_data=read_data,
+            profile=self.rt.profiler.enabled,
+            undo_slots=undo_slots,
+            undo_done=undo_done,
+        )
+        staged["tasks"].add(launch.task.uid)
+        injector = self.rt.fault_injector
+        if injector is not None:
+            plan.faults = injector.arm_shard(k, node, local)
+        return plan, staged
+
+    def _stage_footprints(self, job: _ShardJob, gen: int, shm_on: bool):
+        """One attempt's live plan parts, ``(read_data, undo_slots,
+        undo_done)``: pickled read entries for the fields the worker does
+        not map, and undo slots plus the progress counter for the ones it
+        writes in place — rebinding ``job.undo`` and ``job.progress``."""
+        arena = self._pool.arena
+        stats = arena.stats
+        footprints = job.footprints
+        read_data = [fp.inline() for fp in footprints.reads]
+        job.undo, job.progress = [], None
+        if shm_on:
+            stats.read_fallbacks += len(read_data)
+            stats.bytes_staged += sum(
+                fp.count * fp.dtype.itemsize for fp in footprints.reads
+            )
+            stats.write_fallbacks += sum(
+                not fp.in_place for point in footprints.writes for fp in point
+            )
+        if not footprints.in_place:
+            return read_data, None, None
+        # In-place writes are never made without a way to undo them.
+        progress = arena.alloc_progress(job.k, gen) if shm_on else None
+        if progress is None:
+            raise _ParallelBail("no shared memory for undo slots")
+        undo_slots = []
+        for point in footprints.writes:
+            slots, views = [], []
+            for fp in point:
+                slot = None
+                if fp.in_place and fp.nbytes:
+                    slot = arena.alloc_undo_slot(job.k, gen, fp)
+                    if slot is None:
+                        raise _ParallelBail("no shared memory for undo slots")
+                    views.append((fp.sub, fp.fname, slot[1]))
+                    slot = slot[0]
+                slots.append(slot)
+            undo_slots.append(slots)
+            job.undo.append(views)
+        job.progress = progress[1]
+        return read_data, undo_slots, progress[0]
 
     def _collect_launch(self, launch, inflight: _InFlight) -> _Dispatch:
         """Await every shard of one submitted launch and validate the
@@ -1164,9 +936,6 @@ class ParallelBackend(ExecutionBackend):
         except Exception as exc:
             raise _ParallelBail(f"future value not unpicklable: {exc}",
                                 poison=True)
-        shm_writes: Dict[int, list] = {}
-        for job in jobs:
-            shm_writes.update(job.shm_writes)
         return _Dispatch(
             nodes=inflight.nodes,
             points=flat_points,
@@ -1175,7 +944,6 @@ class ParallelBackend(ExecutionBackend):
             task_worker=task_worker,
             shipments=shipments,
             projections=inflight.projections,
-            shm_writes=shm_writes,
         )
 
     # ----------------------------------------------------- shard collection
@@ -1186,35 +954,19 @@ class ParallelBackend(ExecutionBackend):
         Tier 1 (same-worker retry) handles failures that leave the process
         usable: a corrupt result blob, a future cancelled because another
         shard's recovery reset this worker.  Tier 2 (respawn) handles a
-        dead or wedged process.  Exhausting both raises ``_ParallelBail``
-        (tier 3, serial fallback); a worker-side *application* error skips
-        the ladder entirely — it is deterministic, so the serial re-run
-        reproduces it exactly.
+        dead, wedged or unaccountable process.  Exhausting both raises
+        ``_ParallelBail`` (tier 3, serial fallback); a worker-side
+        *application* error skips the ladder entirely — it is
+        deterministic, so the serial re-run reproduces it exactly.
+
+        Every rung undoes the failed attempt's in-place writes before it
+        resubmits, and every rung gets there only once the attempt's
+        writer is done: it replied (corrupt), or it was killed and reaped
+        (a respawn here, a sibling's earlier reset when stale).
         """
         retries = respawns = 0
         while True:
-            failure: Optional[_InfraFailure] = None
-            payload = None
-            try:
-                raw = job.future.result(timeout=policy.shard_timeout_s)
-            except WorkerLost as exc:
-                failure = _InfraFailure("broken", str(exc) or "worker died")
-            except ResultTimeout:
-                failure = _InfraFailure(
-                    "timeout",
-                    f"no result within {policy.shard_timeout_s}s",
-                )
-            except ResultCancelled:
-                failure = _InfraFailure(
-                    "cancelled", "future cancelled by a worker reset"
-                )
-            except Exception as exc:
-                failure = _InfraFailure("transport", str(exc))
-            if failure is None:
-                try:
-                    payload = loads(raw)
-                except Exception as exc:
-                    failure = _InfraFailure("corrupt", str(exc))
+            payload, failure = self._await(job, policy)
             if failure is None:
                 if payload[0] == "error":
                     raise _ParallelBail(
@@ -1224,11 +976,13 @@ class ParallelBackend(ExecutionBackend):
                               gen=job.gen)
                 return payload[1]
 
-            # Worker process gone/wedged (and not already replaced by an
-            # earlier shard's recovery) -> the attempt needs a respawn.
+            # Worker process gone, wedged, or in an unknown state (and not
+            # already replaced by an earlier shard's recovery) -> the
+            # attempt needs a respawn.
             worker_stale = pool.generation(job.k) != job.gen
             need_respawn = (
-                failure.kind in ("broken", "timeout") and not worker_stale
+                failure.kind in ("broken", "timeout", "transport")
+                and not worker_stale
             )
             if need_respawn:
                 if respawns >= policy.respawns:
@@ -1256,7 +1010,31 @@ class ParallelBackend(ExecutionBackend):
             else:
                 self._bail_unrecoverable(pool, job, failure, retries, respawns)
             self._backoff(retries + respawns)
+            self._restore(job)
             resubmit(job)
+
+    @staticmethod
+    def _await(job, policy):
+        """One attempt's decoded payload, or the infrastructure failure
+        that lost it: ``(payload, None)`` or ``(None, failure)``."""
+        try:
+            raw = job.future.result(timeout=policy.shard_timeout_s)
+        except WorkerLost as exc:
+            return None, _InfraFailure("broken", str(exc) or "worker died")
+        except ResultTimeout:
+            return None, _InfraFailure(
+                "timeout", f"no result within {policy.shard_timeout_s}s"
+            )
+        except ResultCancelled:
+            return None, _InfraFailure(
+                "cancelled", "future cancelled by a worker reset"
+            )
+        except Exception as exc:
+            return None, _InfraFailure("transport", str(exc))
+        try:
+            return loads(raw), None
+        except Exception as exc:
+            return None, _InfraFailure("corrupt", str(exc))
 
     def _backoff(self, attempt: int) -> None:
         """Capped exponential, wall-clock-only pause before a retry."""
@@ -1271,7 +1049,8 @@ class ParallelBackend(ExecutionBackend):
 
         Every worker is reset — in-flight futures of sibling shards die
         with their workers, and nothing about any worker's state can be
-        trusted after a dispatch this broken."""
+        trusted after a dispatch this broken.  The fallback then undoes
+        every shard, the ones that already succeeded included."""
         self._observe("ladder.bail", shard=job.node, worker=job.k,
                       failure=failure.kind, retries=retries,
                       respawns=respawns)
@@ -1308,7 +1087,7 @@ class ParallelBackend(ExecutionBackend):
     # -------------------------------------------------------------- commit
     def _commit(
         self, launch, sig, op_id, replay, safe_order_free, cache, dispatch,
-        assignment, fmap=None,
+        assignment,
     ) -> FutureMap:
         rt = self.rt
         cfg = rt.config
@@ -1317,8 +1096,7 @@ class ParallelBackend(ExecutionBackend):
         _, _, per_node = self.analyze_launch(
             launch, sig, op_id, assignment, replay, cache
         )
-        if fmap is None:
-            fmap = FutureMap(label=launch.name)
+        fmap = FutureMap(label=launch.name)
 
         # --- execution commit: apply effects in serial (or shuffled) order.
         order = list(range(total))
@@ -1356,7 +1134,8 @@ class ParallelBackend(ExecutionBackend):
         return fmap
 
     def _commit_effects(self, dispatch, order, region_by_uid, batched) -> None:
-        """Apply shard write-backs and recorded reduces in commit order.
+        """Apply pickled write-backs and recorded reduces in commit order
+        (writes to mapped fields already landed in place).
 
         Writes: only verified launches are dispatched, and the cross-check
         proves all write footprints of a launch pairwise disjoint, so each
@@ -1375,8 +1154,9 @@ class ParallelBackend(ExecutionBackend):
         stats = self.stats
         for g in order:
             trec = dispatch.tasks[g]
-            for sub, fname, vals in self._task_writes(dispatch, g):
-                sub.scatter(fname, vals)
+            projs = dispatch.projections[g]
+            for ri, fname, vals in trec.writes:
+                projs[ri].scatter(fname, vals)
             for uid, fname, idx, vals, opname in trec.reduces:
                 key = (uid, fname)
                 vals = np.asarray(vals).ravel()
@@ -1397,25 +1177,13 @@ class ParallelBackend(ExecutionBackend):
             for key, pending in reduces.items():
                 self._apply_reduces(region_by_uid, key, pending)
             # Every task writes back the same (requirement, field) list.
+            projs = dispatch.projections[order[0]]
             written = {
-                (sub.region.uid, fname)
-                for sub, fname, _ in self._task_writes(dispatch, order[0])
+                (projs[ri].region.uid, fname)
+                for ri, fname, _ in dispatch.tasks[order[0]].writes
             }
             stats.batched_commit_ops += len(written) + len(reduces)
             stats.batched_commit_tasks += len(order)
-
-    @staticmethod
-    def _task_writes(dispatch, g) -> list:
-        """One task's write-backs as ``(subregion, field, values)``,
-        whichever transport each used."""
-        trec = dispatch.tasks[g]
-        out = dispatch.shm_writes.get(g, [])
-        if trec.writes:
-            projs = dispatch.projections[g]
-            out = out + [
-                (projs[ri], fname, vals) for ri, fname, vals in trec.writes
-            ]
-        return out
 
     @staticmethod
     def _apply_reduces(region_by_uid, key, pending) -> None:

@@ -95,17 +95,20 @@ def subset_ref(subset, shipped_uids: Optional[set] = None) -> tuple:
 
 
 def region_spec(region) -> tuple:
-    """Skeleton of a region: uid, name, bounds, and field dtypes.
+    """Skeleton of a region: uid, name, bounds, field dtypes, and the shm
+    instance the worker maps as storage (``None``: private storage, filled
+    from the plan's read footprints; see :mod:`repro.exec.shm`).
 
-    Storage is *not* shipped — the plan carries only the footprint data the
-    shard actually reads or writes.
+    Storage itself is *not* shipped.
     """
+    instance = region.instance
     return (
         region.uid,
         region.name,
         tuple(region.bounds.lo),
         tuple(region.bounds.hi),
         tuple((fname, np.dtype(dt).str) for fname, dt in region.fields.items()),
+        instance.spec() if instance is not None else None,
     )
 
 
@@ -164,20 +167,25 @@ class ShardPlan:
     reqs: List[ReqTemplate]
     regions: List[tuple]            # region_spec for regions new to the worker
     partitions: List[PartitionEntry]
-    #: read footprints: ("box", region_uid, field, corners, values) — one
-    #: lo..., hi... row per box, the boxes' cells back to back — or, sparse,
-    #: ("idx", region_uid, field, indices, values); each array slot is the
-    #: array or an shm reference (segment, offset, count, dtype): exec/shm.py
+    #: read footprints of fields the worker does not map (pickled path):
+    #: ("box", region_uid, field, corners, values) — one lo..., hi... row
+    #: per box, the boxes' cells back to back — or, sparse,
+    #: ("idx", region_uid, field, indices, values)
     read_data: List[tuple]
     profile: bool
     #: armed fault directives (kind, phase, point|None, hang_s) — injected
     #: failures the worker fires with real effects; see repro.fault.
     faults: List[tuple] = field(default_factory=list)
-    #: shm gather-back slots, parallel to ``points``: per point, one
-    #: (segment, val_off, count, val_dtype) | None per (WRITE/READ_WRITE
-    #: requirement, field) in gather order.  None (or a None slot) means
-    #: the worker pickles that footprint into ``TaskResult.writes``.
-    write_slots: Optional[List[List[Optional[tuple]]]] = None
+    #: undo slots, parallel to ``points``: per point, one (segment,
+    #: offset, count, dtype) | None per (WRITE/READ_WRITE requirement,
+    #: field) in gather order.  A slot means the field is written in place
+    #: and the worker gathers its current bytes there before the body; None
+    #: (or no list) means it pickles the final bytes into
+    #: ``TaskResult.writes`` after the body (exec/shm.py).
+    undo_slots: Optional[List[List[Optional[tuple]]]] = None
+    #: (segment, offset, 1, dtype) of an int64 the worker sets to the
+    #: number of points whose undo slots are complete; None: no slots.
+    undo_done: Optional[tuple] = None
 
 
 @dataclass

@@ -18,8 +18,8 @@ respawn generations, the shm arena, and failure metrics.
 Pools are cached per ``(worker count, transport)`` in a module-level
 registry so iterated benchmarks and long CLI runs reuse warm workers;
 :func:`shutdown_pools` (also registered via ``atexit``) tears everything
-down, and the CLI calls it on every exit path so error paths cannot leak
-worker processes.
+down — region instances included — and the CLI calls it on every exit
+path so error paths cannot leak worker processes or segments.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exec.plan import dumps, loads
-from repro.exec.shm import ShmArena
+from repro.exec.shm import ShmArena, release_instances
 from repro.exec.transport import (
     WorkerLost,
     make_transport,
@@ -286,13 +286,15 @@ def get_pool(n: int, transport: Optional[str] = None) -> WorkerPool:
 
 
 def shutdown_pools() -> int:
-    """Tear down every registered pool; returns how many were active."""
+    """Tear down every registered pool and unlink every region instance
+    (no worker is left to map one); returns how many pools were active."""
     n = 0
     for pool in list(_POOLS.values()):
         if not pool.closed:
             n += 1
         pool.shutdown()
     _POOLS.clear()
+    release_instances()
     return n
 
 

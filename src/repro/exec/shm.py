@@ -1,65 +1,66 @@
-"""Zero-copy shared-memory transport for shard footprint data.
+"""Shared-memory region instances and undo slots for pipe workers.
 
-Hot-path engine layer 1 (see ``docs/hot-path.md``).  The parallel backend
-ships two kinds of bulk array data per shard: *read footprints* (the region
-bytes a shard's tasks read, scattered into worker-local storage at install)
-and *write-back footprints* (the final bytes a shard's WRITE/READ_WRITE
-tasks produced, scattered into parent storage at commit).  Both previously
-traveled as pickled numpy arrays inside the plan/result blobs; this module
-moves them through per-worker ``multiprocessing.shared_memory`` segments so
-the plan and result carry only small descriptors:
+Hot-path engine layer 1 (see ``docs/hot-path.md``).  §5's physical
+analysis exists so a task runs on an instance that already holds valid
+data.  On a transport whose workers share the parent's shm namespace
+(``pipe``), the parent's region storage *is* that instance:
 
-* read footprint (in ``ShardPlan.read_data``; see :class:`Footprint`)::
+* **Region instances.**  ``Runtime.create_region`` backs every shm-able
+  field of a region with one named, parent-owned segment
+  (``reproshm-<pid>pr<uid>``, fields back to back; see
+  :func:`map_region`).  ``region_spec`` carries the segment name, and a
+  worker installing the region maps it (:func:`attach_instance`) instead
+  of allocating private storage.  Bodies then read and write the parent's
+  bytes in place: no read footprint is staged into a plan and no write is
+  scattered back at commit.  This is sound because a verified launch's
+  write footprints are pairwise disjoint and disjoint from every other
+  point's reads, so workers may write their pieces of the one instance in
+  any order.
 
-      ("box", region_uid, field, corners, values)
-      ("idx", region_uid, field, indices, values)
+* **Undo slots.**  What in-place writes give up is fault atomicity: a
+  worker that dies, hangs, or returns garbage has already changed the
+  parent's storage.  So before each point's body the worker gathers the
+  point's WRITE/READ_WRITE boxes into undo slots the parent allocated in
+  a per-worker arena segment (``ShardPlan.undo_slots``), then bumps the
+  shard's progress counter (``ShardPlan.undo_done``) to the number of
+  points whose slots are complete.  On every retry, respawn and serial
+  fallback the parent scatters the complete slots back — a slot torn by a
+  mid-gather death is never counted, and its point's body never ran.
 
-  where each array slot holds an shm reference ``(segment, offset, count,
-  dtype)``.  A rectangular footprint is a short list of *boxes*: one
-  ``lo..., hi...`` row of ``corners`` each, their cells back to back in
-  ``values``, each copied out of the region — and, by the worker, into its
-  own storage — with one strided slice copy; no index array exists on
-  either side.  Only a sparse footprint ships one index per cell.
+* **Restore only after the writer is gone.**  The parent restores an
+  attempt only once its worker has replied or been killed *and reaped*:
+  a hung process restored around would land its write after the restore.
+  The ladder restores after ``reset_worker`` (kill + reap), a fallback
+  first waits for or resets every sibling still running.  The protocol,
+  and four must-fail mutations of it, are checked in
+  :mod:`repro.formal.commit_model`.
 
-* write slot (in ``ShardPlan.write_slots``, one entry per (requirement,
-  field) in the worker's gather order)::
+Arena lifecycle: undo segments are parent-owned and named for their
+worker and **generation** (``reproshm-<pid>p<pool>w<k>g<gen>-<seq>``);
+workers attach by name and unregister the attachment from their resource
+tracker, so a worker death never reaps a live segment.  Offsets grow
+across a dispatch (retries included) and rewind only after a commit;
+``reset_worker`` and a serial fallback retire (unlink) the segments a
+stale process could still touch.
 
-      (segment, val_off, count, val_dtype)
+Region segments are unlinked when their region is collected, when its
+runtime's backend shuts down, at :func:`~repro.exec.pool.shutdown_pools`
+(:func:`release_instances`), and at exit; storage stays readable after that, but new workers can no longer
+map it, so a released region takes the pickled path.  A region whose
+segment cannot be allocated (``/dev/shm`` full) keeps plain numpy storage
+and the pickled path, counted as ``ShmStats.instance_fallbacks``.
 
-  The parent allocates an uninitialized slot per write footprint
-  (projection is pure, so parent and worker derive identical subregions);
-  the worker gathers its final bytes into it instead of pickling them, and
-  the parent commits its view of the slot straight into the subregion.
-
-Ownership and lifecycle — designed so the PR 5/6 stale-shipment protocol
-carries over unchanged:
-
-* Segments are **parent-owned**: created, rewound, and unlinked only by the
-  parent.  Workers attach read-only by name and explicitly *unregister*
-  the attachment from their resource tracker, so a worker death can never
-  reap a live segment.
-* Segment names embed the worker index and **generation**
-  (``reproshm-<pid>p<pool>w<k>g<gen>-<seq>``).  ``WorkerPool.reset_worker``
-  bumps the generation and unlinks the old generation's segments, so a
-  zombie process from before a respawn writes into an orphaned mapping —
-  exactly the fate of its stale cache shipments.
-* Offsets grow monotonically across a dispatch (retries included) and are
-  **rewound** only after a successful commit, when every future has been
-  collected and no worker can still be writing.  A dispatch abandoned for
-  the serial fallback *abandons* (unlinks) the current segments instead:
-  an uncollected straggler keeps its orphaned mapping and the next
-  dispatch starts on fresh segments.
-
-Fallback: every entry degrades independently to the pickle transport —
-object/void dtypes, zero-length write footprints, allocation failures, or
-shm being unavailable (``REPRO_SHM=0``, ``RuntimeConfig.shm=False``, or no
-platform support) put the arrays themselves where the references would be
-(:meth:`Footprint.inline`); the worker accepts either, and CI runs both.
+The pickled path — non-shm-able dtypes, ``shm=False`` / ``REPRO_SHM=0``,
+the ``socket`` transport — is unchanged: read footprints travel as arrays
+in ``ShardPlan.read_data`` and writes come back in ``TaskResult.writes``.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import secrets
+import weakref
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
@@ -69,11 +70,21 @@ from repro.data.collection import RectSubset, Subregion
 from repro.obs.profiler import NULL_PROFILER
 
 try:  # pragma: no cover - exercised on every POSIX CI leg
+    import _posixshmem
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - exotic platforms only
-    _shared_memory = None
+    _posixshmem = _shared_memory = None
 
-__all__ = ["Footprint", "ShmArena", "ShmStats", "shm_env_enabled"]
+__all__ = [
+    "Footprint",
+    "ShmArena",
+    "ShmStats",
+    "attach_instance",
+    "in_place",
+    "map_region",
+    "release_instances",
+    "shm_env_enabled",
+]
 
 
 def shm_env_enabled() -> bool:
@@ -82,23 +93,22 @@ def shm_env_enabled() -> bool:
 
 
 class ShmStats:
-    """Hot-path counters for the shared-memory transport."""
+    """Hot-path counters for the shared-memory layer."""
 
     __slots__ = (
-        "read_entries",
-        "read_boxes",       # staged as box corners + values
-        "read_indexed",     # staged as index array + values (sparse subsets)
-        "read_fallbacks",
-        "write_slots",
-        "write_fallbacks",
-        "bytes_staged",
-        "bytes_slotted",
+        "read_fallbacks",      # read footprints pickled while shm is on
+        "write_fallbacks",     # write footprints pickled while shm is on
+        "write_slots",         # undo slots allocated
+        "bytes_staged",        # read bytes pickled into plans, shm on
+        "bytes_slotted",       # undo-slot bytes
+        "undo_restores",       # undo slots scattered back on recovery
+        "instance_fallbacks",  # regions left on plain numpy storage
         "segments_created",
         "segments_unlinked",
         "rewinds",
         "abandons",
         "teardown_errors",
-        "worker_closes",    # stale attachments workers reported releasing
+        "worker_closes",       # stale attachments workers reported releasing
     )
 
     def __init__(self):
@@ -109,19 +119,10 @@ class ShmStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class _Segment:
-    __slots__ = ("shm", "size", "used")
-
-    def __init__(self, shm, size: int):
-        self.shm = shm
-        self.size = size
-        self.used = 0
+def _shmable(dtype: np.dtype) -> bool:
+    return not dtype.hasobject and dtype.kind != "V"
 
 
-_ARENA_COUNTER = [0]
-
-#: Smallest segment; grows geometrically per worker as dispatches demand.
-_MIN_SEGMENT = 1 << 16
 _ALIGN = 64
 
 
@@ -129,13 +130,133 @@ def _aligned(n: int) -> int:
     return (n + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
+# ------------------------------------------------------- region instances
+class RegionInstance:
+    """The named segment backing a region's shm-able fields."""
+
+    __slots__ = ("name", "offsets", "release")
+
+    def __init__(self, region, name: str, offsets: Dict[str, int]):
+        self.name = name
+        self.offsets = offsets
+        #: unlinks the name once: at collection of the region, at
+        #: :func:`release_instances`, or at exit — whichever comes first.
+        self.release = weakref.finalize(
+            region, _unlink_segment, os.getpid(), name
+        )
+
+    def spec(self) -> tuple:
+        """What ``region_spec`` ships: segment name and field offsets."""
+        return self.name, tuple(self.offsets.items())
+
+
+#: regions currently backed by a linked segment (see release_instances).
+_MAPPED: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _layout(region) -> Tuple[Dict[str, int], int]:
+    """Field offsets in a region's segment and the segment size."""
+    offsets, size = {}, 0
+    for fname, dt in region.fields.items():
+        dtype = np.dtype(dt)
+        if _shmable(dtype):
+            offsets[fname] = size
+            size += _aligned(region.volume * dtype.itemsize)
+    return offsets, size
+
+
+def _open_segment(name: str, size: int = 0) -> mmap.mmap:
+    """Map segment ``name``: create it ``size`` bytes long (reserved up
+    front, so a full ``/dev/shm`` fails here instead of faulting later),
+    or attach the whole existing segment when ``size`` is 0."""
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size else 0)
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+    try:
+        if size:
+            try:
+                os.posix_fallocate(fd, 0, size)
+            except OSError:
+                _posixshmem.shm_unlink("/" + name)
+                raise
+        return mmap.mmap(fd, size)
+    finally:
+        os.close(fd)
+
+
+def _unlink_segment(owner: int, name: str) -> None:
+    # Forked workers inherit the finalizer; only the owner unlinks.
+    if os.getpid() == owner:
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+
+
+def _bind(region, mm: mmap.mmap, offsets) -> None:
+    for fname, offset in offsets:
+        region._storage[fname] = np.ndarray(
+            region.volume, dtype=region._storage[fname].dtype, buffer=mm,
+            offset=offset,
+        )
+
+
+def map_region(region) -> bool:
+    """Move a freshly created (all-zero) region's shm-able fields into one
+    new named segment; False if it could not be allocated."""
+    offsets, size = _layout(region)
+    if not size:
+        return True                 # no shm-able field: nothing to map
+    name = f"reproshm-{os.getpid()}pr{region.uid}"
+    try:
+        try:
+            mm = _open_segment(name, size)
+        except FileExistsError:  # a stale run's segment: never reuse it
+            name = f"{name}-{secrets.token_hex(4)}"
+            mm = _open_segment(name, size)
+    except OSError:
+        return False
+    _bind(region, mm, offsets.items())
+    region.instance = RegionInstance(region, name, offsets)
+    _MAPPED.add(region)
+    return True
+
+
+def attach_instance(region, spec: tuple) -> None:
+    """Worker side: map the parent's segment as ``region``'s storage."""
+    name, offsets = spec
+    _bind(region, _open_segment(name), offsets)
+
+
+def in_place(region, fname: str) -> bool:
+    """Whether workers read and write ``fname`` of ``region`` in place."""
+    instance = region.instance
+    return instance is not None and fname in instance.offsets
+
+
+def release_instances(regions=None) -> int:
+    """Unlink the segments of ``regions`` (default: every mapped region,
+    at pool shutdown).  The parent keeps its mappings, so storage stays
+    readable; the regions take the pickled path from now on, because no
+    new worker could map them."""
+    released = 0
+    for region in list(_MAPPED if regions is None else regions):
+        if region.instance is None:
+            continue
+        region.instance.release()
+        region.instance = None
+        _MAPPED.discard(region)
+        released += 1
+    return released
+
+
+# -------------------------------------------------------------- footprints
 class Footprint:
     """What a shard moves of one ``(region, field)`` — a list of rect
     subregions (boxes) or one sparse subregion, values back to back in that
     order — with everything moving it needs worked out once."""
 
     __slots__ = ("sub", "parts", "fname", "count", "dtype", "where", "head",
-                 "nbytes", "val_off")
+                 "nbytes", "in_place")
 
     def __init__(self, subs: List[Subregion], fname: str):
         self.sub = first = subs[0]      # a write footprint's one subregion
@@ -153,12 +274,10 @@ class Footprint:
         else:
             kind, self.where = "idx", first._indices()
         self.head = (kind, first.region.uid, fname)
-        #: arena bytes of the values; 0 = travels by pickle only.  A staged
-        #: read puts ``where`` in front of them, values at ``val_off``.
-        self.nbytes = 0
-        self.val_off = _aligned(self.where.nbytes)
-        if self.count > 0 and not self.dtype.hasobject and self.dtype.kind != "V":
-            self.nbytes = _aligned(self.count * self.dtype.itemsize)
+        #: arena bytes of an undo slot for it (0: nothing to undo)
+        self.nbytes = _aligned(self.count * self.dtype.itemsize)
+        #: workers write it in place (see module docstring)
+        self.in_place = in_place(first.region, fname)
 
     def gather(self, out: np.ndarray) -> np.ndarray:
         """The current values, each part through its own accessor."""
@@ -175,14 +294,32 @@ class Footprint:
         )
 
 
+# ------------------------------------------------------------------ arena
+class _Segment:
+    __slots__ = ("shm", "size", "used")
+
+    def __init__(self, shm, size: int):
+        self.shm = shm
+        self.size = size
+        self.used = 0
+
+
+_ARENA_COUNTER = [0]
+
+#: Smallest segment; grows geometrically per worker as dispatches demand.
+_MIN_SEGMENT = 1 << 16
+
+#: bytes of a shard's progress counter: one int64, padded to a slot.
+PROGRESS_BYTES = _ALIGN
+
+
 class ShmArena:
-    """Per-pool allocator of parent-owned shared-memory segments.
+    """Per-pool allocator of parent-owned undo-slot segments.
 
     One arena serves one :class:`~repro.exec.pool.WorkerPool`; worker ``k``
     of generation ``g`` draws from segments named for ``(k, g)``.  All
     methods are parent-side only and single-threaded (the backend's
-    dispatch loop); ``None`` returns mean "use the pickle fallback for this
-    entry" and never raise.
+    dispatch loop); ``None`` returns mean "no slot" and never raise.
     """
 
     def __init__(self, n: int):
@@ -191,9 +328,9 @@ class ShmArena:
         self.stats = ShmStats()
         self._segments: List[List[_Segment]] = [[] for _ in range(n)]
         #: Unlinked but still-mapped segments.  A retired segment may hold
-        #: write slots whose parent-side views an in-flight dispatch still
-        #: reads at commit (the stale-success-racing-respawn interleaving),
-        #: and ``SharedMemory.close()`` does *not* refuse while numpy views
+        #: undo slots whose parent-side views a recovery still reads (the
+        #: slots of an attempt whose worker was just reset), and
+        #: ``SharedMemory.close()`` does *not* refuse while numpy views
         #: exist — it silently unmaps, and the next segment's mapping can
         #: land at the same address, aliasing the dangling views onto fresh
         #: data.  So retirement only unlinks (frees the name); the mapping
@@ -248,8 +385,8 @@ class ShmArena:
         return seg, 0
 
     def reserve(self, k: int, gen: int, nbytes: int) -> None:
-        """Make room for a whole dispatch's staging on worker ``k`` at once;
-        sizing a new segment for the entry in hand instead walks
+        """Make room for a whole dispatch's slots on worker ``k`` at once;
+        sizing a new segment for the slot in hand instead walks
         8 -> 16 -> 32 MB, retiring two segments it just filled."""
         slice_ = self._alloc(k, gen, nbytes) if nbytes else None
         if slice_ is not None:
@@ -258,44 +395,33 @@ class ShmArena:
     def view(self, seg: _Segment, offset: int, count: int, dtype):
         return np.ndarray(count, dtype=dtype, buffer=seg.shm.buf, offset=offset)
 
-    # -------------------------------------------------------------- staging
-    def stage_read(self, k: int, gen: int, fp: Footprint) -> Optional[tuple]:
-        """Gather one read footprint into shm; returns its wire entry."""
-        where, val_off = fp.where, fp.val_off
-        slice_ = self._alloc(k, gen, val_off + fp.nbytes) if fp.nbytes else None
+    def _slot(self, k: int, gen: int, nbytes: int, count: int, dtype):
+        slice_ = self._alloc(k, gen, nbytes) if nbytes else None
         if slice_ is None:
-            self.stats.read_fallbacks += 1
             return None
         seg, offset = slice_
-        name = seg.shm.name
-        self.view(seg, offset, where.size, where.dtype)[:] = where
-        fp.gather(self.view(seg, offset + val_off, fp.count, fp.dtype))
-        stats = self.stats
-        stats.read_entries += 1
-        stats.bytes_staged += fp.count * fp.dtype.itemsize
-        if fp.head[0] == "box":
-            stats.read_boxes += 1
-        else:
-            stats.read_indexed += 1
-            stats.bytes_staged += where.nbytes
-        return fp.head + (
-            (name, offset, where.size, where.dtype.str),
-            (name, offset + val_off, fp.count, fp.dtype.str),
-        )
+        return ((seg.shm.name, offset, count, dtype.str),
+                self.view(seg, offset, count, dtype))
 
-    def alloc_write_slot(
+    def alloc_undo_slot(
         self, k: int, gen: int, fp: Footprint
     ) -> Optional[Tuple[tuple, np.ndarray]]:
-        """An uninitialized gather-back slot: (wire descriptor, parent view)."""
-        slice_ = self._alloc(k, gen, fp.nbytes) if fp.nbytes else None
-        if slice_ is None:
-            self.stats.write_fallbacks += 1
-            return None
-        seg, offset = slice_
-        view = self.view(seg, offset, fp.count, fp.dtype)
-        self.stats.write_slots += 1
-        self.stats.bytes_slotted += view.nbytes
-        return (seg.shm.name, offset, fp.count, fp.dtype.str), view
+        """An uninitialized undo slot for a write footprint: (wire
+        descriptor, parent view), or None."""
+        slot = self._slot(k, gen, fp.nbytes, fp.count, fp.dtype)
+        if slot is not None:
+            self.stats.write_slots += 1
+            self.stats.bytes_slotted += slot[1].nbytes
+        return slot
+
+    def alloc_progress(
+        self, k: int, gen: int
+    ) -> Optional[Tuple[tuple, np.ndarray]]:
+        """A shard's zeroed progress counter: (descriptor, parent view)."""
+        slot = self._slot(k, gen, PROGRESS_BYTES, 1, np.dtype(np.int64))
+        if slot is not None:
+            slot[1][0] = 0
+        return slot
 
     # ------------------------------------------------------------ lifecycle
     def _retire(self, seg: _Segment) -> None:
@@ -321,9 +447,9 @@ class ShmArena:
         self._retired.append(seg)
 
     def _note_teardown_error(self, exc: BaseException) -> None:
-        """A segment unlink/close failed.  Historically swallowed with a
-        bare ``except: pass``; now counted (``stats.teardown_errors``) and
-        emitted as an obs instant so shm leaks are diagnosable."""
+        """A segment unlink/close failed: counted
+        (``stats.teardown_errors``) and emitted as an obs instant so shm
+        leaks are diagnosable."""
         self.stats.teardown_errors += 1
         prof = self.profiler
         if prof.enabled:
@@ -356,8 +482,8 @@ class ShmArena:
                 segs[-1].used = 0
 
     def abandon_all(self) -> None:
-        """A dispatch bailed with futures possibly uncollected: these
-        offsets can never be trusted again, so retire the segments."""
+        """A dispatch bailed: its offsets can never be trusted again, so
+        retire the segments."""
         self.stats.abandons += 1
         for k in range(self.n):
             self._drop_worker(k)

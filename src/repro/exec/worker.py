@@ -1,15 +1,16 @@
 """Worker-process entry points for the parallel execution backend.
 
 One worker owns a persistent reconstruction of the slice of the parent's
-world it has been shipped: region skeletons (storage allocated, zeroed —
-only footprint data travels, per launch), partition stubs holding exactly
-the colors its shards project onto, sparse subsets by uid, and unpickled
-task functions.  Per shard it then runs the two stages of the pipeline
-tail that need no analyzer state — expansion (projection) and task-body
-execution — and ships back portable deltas: write-back footprints,
-recorded reductions, future values, and execution spans.  Physical
-analysis is the parent's, at commit; the ``physical`` fault phase remains
-as the boundary between the two stages.
+world it has been shipped: region skeletons — storage mapped from the
+parent's shm instance where the region has one, private and zeroed
+otherwise — partition stubs holding exactly the colors its shards project
+onto, sparse subsets by uid, and unpickled task functions.  Per shard it
+then runs the two stages of the pipeline tail that need no analyzer state
+— expansion (projection) and task-body execution — and ships back
+portable deltas: pickled write-backs of unmapped fields, recorded
+reductions, future values, and execution spans.  Physical analysis is the
+parent's, at commit; the ``physical`` fault phase remains as the boundary
+between the two stages.
 
 Determinism notes:
 
@@ -18,9 +19,13 @@ Determinism notes:
 * Reductions are *recorded, not applied*: ``np.add.at`` with duplicate
   indices is order-sensitive, so the parent replays the recorded calls in
   serial task order for bit-identical floating point results.
-* Write-backs return final values addressed by (requirement, field):
-  projection is pure, so the parent holds the very subregion they belong to
-  and no index set travels back.
+* Mapped fields are written in place.  Before each point's body the
+  worker gathers the point's write footprints into the plan's undo slots
+  and then bumps the shard's progress counter, so the parent can put back
+  exactly the points that may have written (see :mod:`repro.exec.shm`).
+* Pickled write-backs return final values addressed by (requirement,
+  field): projection is pure, so the parent holds the very subregion they
+  belong to and no index set travels back.
 * Workers never see ``ctx.runtime`` (it is None): a task attempting a
   nested launch fails here, and the parent falls back to the serial
   backend, which reproduces the serial behavior exactly.
@@ -47,6 +52,7 @@ from repro.exec.plan import (
     loads,
     priv_from_token,
 )
+from repro.exec.shm import attach_instance
 from repro.runtime.task import PhysicalRegion, TaskContext
 
 __all__ = [
@@ -62,7 +68,7 @@ _REGIONS: Dict[int, Region] = {}
 _SUBSETS: Dict[int, Any] = {}
 _PARTITIONS: Dict[int, "_PartitionStub"] = {}
 _TASKS: Dict[int, Any] = {}
-_SHM: Dict[str, Any] = {}  # attached parent-owned segments, by name
+_SHM: Dict[str, Any] = {}  # attached arena segments, by name
 _SHM_NAMED: set = set()    # the segments the shard being run has named
 #: read-footprint boxes by (region uid, corner bytes), as (subregion, start,
 #: end) into the values: slice geometry is worked out once per box.
@@ -112,16 +118,13 @@ def _shm_view(name: str, offset: int, count: int, dtype: str) -> np.ndarray:
     )
 
 
-def _array(slot) -> np.ndarray:
-    """An array slot of a read entry: the array itself or an shm reference."""
-    return slot if isinstance(slot, np.ndarray) else _shm_view(*slot)
-
-
 def _release_shm(keep) -> int:
-    """Close every cached attachment not named in ``keep``: the parent
-    retires (unlinks) segments without telling anyone, and a mapping kept
-    here is then what keeps the pages resident.  Views are transient — made
-    and dropped inside install and gather-back — so none outlives this."""
+    """Close every cached arena attachment not named in ``keep``: the
+    parent retires (unlinks) segments without telling anyone, and a mapping
+    kept here is then what keeps the pages resident.  Views are transient —
+    made and dropped inside one shard — so none outlives this.  Region
+    instances are not in ``_SHM``: their mappings live as long as the
+    installed region."""
     stale = [name for name in _SHM if name not in keep]
     for name in stale:
         try:
@@ -191,7 +194,7 @@ def _resolve_subset(ref: tuple):
 
 def _install_regions(entries) -> None:
     """Install the plan's region-skeleton deltas."""
-    for uid, name, lo, hi, fields in entries:
+    for uid, name, lo, hi, fields, instance in entries:
         # Never replace an installed region: partition stubs hold references
         # to it, and a bailed dispatch can make the parent re-ship skeletons
         # this worker already has.  Same uid means same immutable shape.
@@ -199,6 +202,8 @@ def _install_regions(entries) -> None:
             continue
         region = Region(name, Rect(lo, hi), {fname: dt for fname, dt in fields})
         region.uid = uid
+        if instance is not None:
+            attach_instance(region, instance)
         _REGIONS[uid] = region
 
 
@@ -219,7 +224,6 @@ def _install_plan_state(plan: ShardPlan) -> None:
     if plan.task_blob is not None:
         _TASKS[plan.task_uid] = loads(plan.task_blob)
     for kind, region_uid, fname, where, values in plan.read_data:
-        where, values = _array(where), _array(values)
         if kind == "idx":
             _REGIONS[region_uid].storage(fname)[where] = values
             continue
@@ -243,25 +247,25 @@ def _resolve_boxes(region: Region, corners: np.ndarray) -> list:
 
 
 # ----------------------------------------------------------- fault firing
-class _CorruptResult(BaseException):
-    """Raised by a ``corrupt`` directive; run_shard_bytes garbles the blob.
-
-    Subclasses BaseException so no application-level except clause can
-    swallow it between the firing site and the entry point.
-    """
+class _CorruptResult(Exception):
+    """Raised once a shard that fired a ``corrupt`` directive has run to
+    the end: run_shard_bytes garbles its blob."""
 
 
 def _fire_faults(
     faults, phase: str, point: Optional[tuple] = None
-) -> None:
-    """Fire armed directives matching this phase (and point, if given).
+) -> bool:
+    """Fire armed directives matching this phase (and point, if given);
+    True if a ``corrupt`` one matched.
 
     Real effects only — this is the injected analogue of actual worker
     failures: ``kill`` hard-exits the process (the parent observes a
     ``WorkerLost``), ``hang`` sleeps (the parent's shard timeout
-    converts a long enough sleep into a respawn), ``corrupt`` makes the
-    result blob unreadable (the parent retries the same worker).
+    converts a long enough sleep into a respawn), ``corrupt`` lets the
+    shard finish — every in-place write lands — and then makes the result
+    blob unreadable (the parent retries the same worker).
     """
+    corrupt = False
     for kind, ph, pt, hang_s in faults:
         if ph != phase:
             continue
@@ -276,21 +280,16 @@ def _fire_faults(
         elif kind == "kill":
             os._exit(13)
         elif kind == "corrupt":
-            raise _CorruptResult()
+            corrupt = True
+    return corrupt
 
 
 # -------------------------------------------------------------- shard body
-def _run_shard(plan: ShardPlan) -> ShardResult:
-    t0 = time.perf_counter()
-    faults = plan.faults or []
-    _fire_faults(faults, "install")
-    _SHM_NAMED.clear()
-    _install_plan_state(plan)
-    task = _TASKS[plan.task_uid]
-    result = ShardResult(node=plan.node, t0=t0)
-
-    # Expansion: project every requirement at every local point.
-    _fire_faults(faults, "expansion")
+def _expand(plan: ShardPlan):
+    """Project every requirement at every local point: the requirements,
+    their resolved fields, per point ``(i, point, subregions, args)``, and
+    per point the written ``(subregion, requirement index, field)`` in the
+    order ``plan.undo_slots`` lists them."""
     reqs = [
         RegionRequirement(
             privilege=priv_from_token(r.priv),
@@ -308,16 +307,55 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
         subregions = [req.project(point) for req in reqs]
         args = plan.args + (extras[i] if extras is not None else ())
         point_tasks.append((i, point, subregions, args))
+    written = [
+        [
+            (sub, ri, fname)
+            for ri, (sub, req, rf) in enumerate(
+                zip(subregions, reqs, resolved_fields)
+            )
+            if req.privilege.privilege not in (Privilege.READ,
+                                               Privilege.REDUCE)
+            for fname in rf
+        ]
+        for _, _, subregions, _ in point_tasks
+    ]
+    return reqs, resolved_fields, point_tasks, written
+
+
+def _run_shard(plan: ShardPlan) -> ShardResult:
+    t0 = time.perf_counter()
+    faults = plan.faults or []
+    corrupt = _fire_faults(faults, "install")
+    _SHM_NAMED.clear()
+    _install_plan_state(plan)
+    task = _TASKS[plan.task_uid]
+    result = ShardResult(node=plan.node, t0=t0)
+
+    corrupt |= _fire_faults(faults, "expansion")
+    reqs, resolved_fields, point_tasks, written = _expand(plan)
+    progress = (
+        _shm_view(*plan.undo_done) if plan.undo_done is not None else None
+    )
 
     # Physical analysis is the parent's, at commit; its fault phase stays
     # as the boundary between expansion and execution.
-    _fire_faults(faults, "physical")
+    corrupt |= _fire_faults(faults, "physical")
 
     # Execution: run bodies against worker storage, recording reductions
-    # instead of applying them and gathering write-back footprints.
-    _fire_faults(faults, "execution")
+    # instead of applying them.
+    corrupt |= _fire_faults(faults, "execution")
     for i, point, subregions, args in point_tasks:
-        _fire_faults(faults, "execution", point=tuple(point))
+        corrupt |= _fire_faults(faults, "execution", point=tuple(point))
+        slots = plan.undo_slots[i] if plan.undo_slots else [None] * len(
+            written[i]
+        )
+        for (sub, _, fname), slot in zip(written[i], slots):
+            if slot is not None:
+                # Written in place: keep what was there, for the parent to
+                # put back if this attempt does not commit.
+                sub.gather(fname, _shm_view(*slot))
+        if progress is not None:
+            progress[0] = i + 1
         reduce_log: List[tuple] = []
         regions = []
         for sub, req, rf in zip(subregions, reqs, resolved_fields):
@@ -331,34 +369,24 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
         start = time.perf_counter() if plan.profile else 0.0
         value = task(ctx, *regions, *args)
         end = time.perf_counter() if plan.profile else 0.0
-
-        writes: List[tuple] = []
-        slots = iter(plan.write_slots[i] if plan.write_slots else ())
-        for ri, (sub, req, rf) in enumerate(
-            zip(subregions, reqs, resolved_fields)
-        ):
-            if req.privilege.privilege in (Privilege.READ, Privilege.REDUCE):
-                continue
-            for fname in rf:
-                slot = next(slots, None)
-                if slot is not None:
-                    # Parent pre-allocated a gather-back slot (same
-                    # subregion by pure projection); fill it, ship nothing.
-                    sub.gather(fname, _shm_view(*slot))
-                else:
-                    writes.append((ri, fname, sub.gather(fname)))
         result.tasks.append(
             TaskResult(
                 ordinal=plan.ordinals[i],
                 point=tuple(point),
                 value_blob=dumps(value),
-                writes=writes,
+                writes=[
+                    (ri, fname, sub.gather(fname))
+                    for (sub, ri, fname), slot in zip(written[i], slots)
+                    if slot is None
+                ],
                 reduces=reduce_log,
                 span=(start, end) if plan.profile else None,
             )
         )
-    if _SHM_NAMED:  # a plan naming none (pipelined ahead) says nothing
+    if _SHM_NAMED:  # a plan naming none leaves the attachments be
         result.shm_closed = _release_shm(keep=_SHM_NAMED)
+    if corrupt:
+        raise _CorruptResult()
     return result
 
 

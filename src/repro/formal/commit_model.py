@@ -27,9 +27,15 @@ right:
   grows only at commit, vanishes on respawn);
 * ``shipments`` — ``(worker, generation, shard)`` cache-delta claims,
   stamped with the generation **at submit time**, filtered against the
-  worker's current generation at commit.
+  worker's current generation at commit;
+* ``data[i]`` — how many times shard ``i``'s non-idempotent write (a
+  ``+=`` body) has landed in the one region instance workers write in
+  place, and ``undo[i]`` — the undo slot of its current attempt: the value
+  it saved before writing, torn (a death mid-gather), or none yet;
+* ``zombie[k]`` — a shard whose write a killed but not yet reaped process
+  of worker ``k`` may still land.
 
-The central safety invariant is **cache coherence**: ``belief[k] ⊆
+The first safety invariant is **cache coherence**: ``belief[k] ⊆
 actual[k]`` always — the parent must never believe a worker holds state it
 does not, or the next launch ships a delta the worker cannot apply.  The
 ``collect-time-gen-stamp`` mutation reproduces a real bug this model
@@ -37,12 +43,22 @@ found in the pre-PR-6 backend: stamping shipments with the generation at
 *collect* time launders state banked by an already-respawned process past
 the commit-side generation filter.
 
+The second is **exactly once**: a launch that commits, or falls back to
+the serial re-run, leaves every shard's write applied exactly once.  The
+protocol that keeps it (``exec/shm.py``): a worker saves a point's bytes
+into its undo slot, counts the slot complete, and only then lets the body
+write in place; every retry, respawn and fallback scatters the complete
+undo slots back — a fallback all of them, successful siblings included —
+and only once the attempt's process has replied or been killed *and
+reaped*.  Four mutations break one clause each.
+
 Abstractions (deliberate): faults target only the shard a worker is
 currently running (killing an idle worker is invisible until the next
 submit, which the real backend already handles with a bounded
 submit-path respawn); ``hang`` wedges the worker until the parent's
-timeout converts it into a respawn; the items a shard installs are
-identified with the shard id itself.
+timeout converts it into a respawn, and it strikes after the head saved
+its undo slot and before it writes; the items a shard installs are
+identified with the shard id itself, and its points with one write.
 """
 
 from __future__ import annotations
@@ -55,6 +71,11 @@ __all__ = ["CommitConfig", "CommitModel", "CommitState", "MUTATIONS",
 #: Shard-pipeline phases, in pipeline order — the index of a phase in this
 #: tuple is the ``pord`` ordinal stamped on fault actions.
 PHASES = ("install", "execution")
+
+#: ``undo[i]`` values other than a saved count.
+NO_UNDO, TORN = -1, -2
+#: what scattering a torn undo slot leaves in the instance.
+GARBAGE = -9
 
 #: Mutation name -> one-line description of the seeded protocol bug.
 MUTATIONS = {
@@ -69,6 +90,22 @@ MUTATIONS = {
     "respawn-despite-stale": (
         "the ladder respawns on broken/timeout even when the failure's "
         "generation is stale, double-killing an already-fresh worker"
+    ),
+    "restore-before-reap": (
+        "a timed-out shard is restored before its hung writer is reaped, "
+        "so the zombie's write lands after the restore"
+    ),
+    "retry-without-restore": (
+        "the ladder resubmits without restoring the attempt's undo slots, "
+        "so a landed write is applied twice"
+    ),
+    "restore-torn-undo": (
+        "recovery scatters an undo slot whose gather never completed "
+        "(the progress count is ignored)"
+    ),
+    "fallback-restores-failed-only": (
+        "a tier-3 fallback restores only the failed shard, not its "
+        "siblings whose writes already landed"
     ),
 }
 
@@ -127,6 +164,9 @@ class CommitState(NamedTuple):
     budget: int                                  # faults left to inject
     outcome: str   # '' | serial_pending | committed | serial | poisoned
     flags: FrozenSet[str]                        # mutation-tripped markers
+    data: Tuple[int, ...]                        # per shard: writes landed
+    undo: Tuple[int, ...]                        # per shard: current slot
+    zombie: Tuple[int, ...]                      # per worker: shard | -1
 
 _FAILURE_KIND = {
     "corrupt": "corrupt",
@@ -176,6 +216,9 @@ class CommitModel:
             budget=cfg.faults,
             outcome="",
             flags=frozenset(),
+            data=(0,) * cfg.shards,
+            undo=(NO_UNDO,) * cfg.shards,
+            zombie=(-1,) * cfg.workers,
         )
 
     def invariants(self):
@@ -188,10 +231,16 @@ class CommitModel:
         def no_double_respawn(s: CommitState) -> bool:
             return "double_respawn" not in s.flags
 
+        def exactly_once(s: CommitState) -> bool:
+            return s.outcome not in ("committed", "serial") or all(
+                d == 1 for d in s.data
+            )
+
         return [
             ("cache-coherence", cache_coherence),
             ("no-stale-commit", no_stale_commit),
             ("no-double-respawn", no_double_respawn),
+            ("exactly-once", exactly_once),
         ]
 
     def classify(self, s: CommitState) -> Optional[str]:
@@ -202,7 +251,11 @@ class CommitModel:
         if s.outcome in _CLASSIFY:
             return []
         if s.outcome == "serial_pending":
-            acts = [("serial.complete", s._replace(outcome="serial"))]
+            acts = [(
+                "serial.complete",
+                s._replace(outcome="serial",
+                           data=tuple(d + 1 for d in s.data)),
+            )]
             if s.budget > 0:
                 acts.append((
                     "serial.fault",
@@ -210,7 +263,7 @@ class CommitModel:
                 ))
             return acts
 
-        acts: List[Tuple[str, CommitState]] = []
+        acts = self._zombie_actions(s)
         for k in range(self.cfg.workers):
             if not (s.alive[k] and not s.wedged[k] and s.queues[k]):
                 continue
@@ -220,6 +273,7 @@ class CommitModel:
             ))
             if s.budget > 0:
                 att = s.shards[head].retries + s.shards[head].respawns
+                label = f"w{k} shard{head} attempt{att}"
                 for pord, phase in enumerate(PHASES):
                     # ``pord`` stamps the shard-pipeline phase ordinal so
                     # trace consumers can tell collect-deterministic
@@ -228,19 +282,20 @@ class CommitModel:
                     # install-phase ones (pord=0: the death can race the
                     # parent's remaining submits).
                     acts.append((
-                        f"fault.kill w{k} shard{head} attempt{att} "
-                        f"phase={phase} pord={pord}",
+                        f"fault.kill {label} phase={phase} pord={pord}",
                         self._kill(s, k, phase),
                     ))
-                    acts.append((
-                        f"fault.corrupt w{k} shard{head} attempt{att} "
-                        f"phase={phase} pord={pord}",
-                        self._corrupt(s, k, phase),
-                    ))
+                # An execution-phase death can also land mid-gather.
                 acts.append((
-                    f"fault.hang w{k} shard{head} attempt{att}",
-                    self._hang(s, k),
+                    f"fault.kill {label} phase=execution pord=1 torn",
+                    self._kill(s, k, "torn"),
                 ))
+                # A corrupt result comes back after every write landed.
+                acts.append((
+                    f"fault.corrupt {label} phase=execution pord=1",
+                    self._corrupt(s, k),
+                ))
+                acts.append((f"fault.hang {label}", self._hang(s, k)))
         if s.cursor < self.cfg.shards:
             collect = self._collect(s)
             if collect is not None:
@@ -254,9 +309,16 @@ class CommitModel:
     def _tup(t, i, v):
         return t[:i] + (v,) + t[i + 1:]
 
+    def _write(self, s: CommitState, i: int) -> CommitState:
+        """Shard ``i`` saves its bytes to its undo slot, then writes."""
+        return s._replace(
+            undo=self._tup(s.undo, i, s.data[i]),
+            data=self._tup(s.data, i, s.data[i] + 1),
+        )
+
     def _complete(self, s: CommitState, k: int) -> CommitState:
         head = s.queues[k][0]
-        return s._replace(
+        return self._write(s, head)._replace(
             shards=self._tup(s.shards, head,
                              s.shards[head]._replace(status="ok")),
             actual=self._tup(s.actual, k, s.actual[k] | {head}),
@@ -264,6 +326,8 @@ class CommitModel:
         )
 
     def _kill(self, s: CommitState, k: int, phase: str) -> CommitState:
+        """``phase``: install (nothing ran), execution (the head's write
+        landed), or torn (it died gathering the head's undo slot)."""
         head = s.queues[k][0]
         shards = list(s.shards)
         for q in s.queues[k]:
@@ -271,6 +335,10 @@ class CommitModel:
         actual = s.actual[k]
         if phase != "install":
             actual = actual | {head}
+        if phase == "execution":
+            s = self._write(s, head)
+        elif phase == "torn":
+            s = s._replace(undo=self._tup(s.undo, head, TORN))
         return s._replace(
             shards=tuple(shards),
             queues=self._tup(s.queues, k, ()),
@@ -279,24 +347,50 @@ class CommitModel:
             budget=s.budget - 1,
         )
 
-    def _corrupt(self, s: CommitState, k: int, phase: str) -> CommitState:
+    def _corrupt(self, s: CommitState, k: int) -> CommitState:
         head = s.queues[k][0]
-        actual = s.actual[k]
-        if phase != "install":
-            actual = actual | {head}
-        return s._replace(
+        return self._write(s, head)._replace(
             shards=self._tup(s.shards, head,
                              s.shards[head]._replace(status="corrupt")),
             queues=self._tup(s.queues, k, s.queues[k][1:]),
-            actual=self._tup(s.actual, k, actual),
+            actual=self._tup(s.actual, k, s.actual[k] | {head}),
             budget=s.budget - 1,
         )
 
     def _hang(self, s: CommitState, k: int) -> CommitState:
+        """The head saved its undo slot and hangs before its write, which
+        lands if the process ever wakes up unreaped."""
+        head = s.queues[k][0]
         return s._replace(
+            undo=self._tup(s.undo, head, s.data[head]),
             wedged=self._tup(s.wedged, k, True),
             budget=s.budget - 1,
         )
+
+    def _zombie_actions(self, s: CommitState) -> List[Tuple[str, CommitState]]:
+        """A killed-but-unreaped process either lands its pending write or
+        is reaped first."""
+        acts = []
+        for k, i in enumerate(s.zombie):
+            if i < 0:
+                continue
+            gone = self._tup(s.zombie, k, -1)
+            acts.append((f"zombie.write w{k} shard{i}",
+                         s._replace(zombie=gone,
+                                    data=self._tup(s.data, i, s.data[i] + 1))))
+            acts.append((f"zombie.reaped w{k}", s._replace(zombie=gone)))
+        return acts
+
+    def _restore(self, s: CommitState, i: int) -> CommitState:
+        """Scatter shard ``i``'s complete undo slot back; its next attempt
+        starts with none."""
+        saved = s.undo[i]
+        data = s.data
+        if saved >= 0:
+            data = self._tup(data, i, saved)
+        elif saved == TORN and self.mutation == "restore-torn-undo":
+            data = self._tup(data, i, GARBAGE)
+        return s._replace(data=data, undo=self._tup(s.undo, i, NO_UNDO))
 
     # ------------------------------------------------------- parent actions
     def _collect(self, s: CommitState):
@@ -351,6 +445,11 @@ class CommitModel:
             # is about to kill the fresh process for its ancestor's crime.
             flags = flags | {"double_respawn"}
         gen = s.gens[k] + 1
+        zombie = s.zombie
+        if self.mutation == "restore-before-reap" and s.wedged[k]:
+            # Restored while the hung process is still unreaped.
+            zombie = self._tup(zombie, k, s.queues[k][0])
+        s = self._restore(s, i)
         shards = list(s.shards)
         # The retired worker's pending results are cancelled: queued
         # siblings die.
@@ -370,10 +469,17 @@ class CommitModel:
                 actual=self._tup(s.actual, k, frozenset()),
                 belief=self._tup(s.belief, k, frozenset()),
                 flags=flags,
+                zombie=zombie,
             ),
         )
 
     def _retry(self, s: CommitState, i: int, kind: str):
+        # The attempt's writer replied (corrupt) or was reaped by the
+        # reset that made it stale: its undo slot is safe to scatter.
+        if self.mutation == "retry-without-restore":
+            s = s._replace(undo=self._tup(s.undo, i, NO_UNDO))
+        else:
+            s = self._restore(s, i)
         sh = s.shards[i]
         k = sh.worker
         gens, alive, actual, belief = s.gens, s.alive, s.actual, s.belief
@@ -402,10 +508,16 @@ class CommitModel:
         )
 
     def _bail(self, s: CommitState, i: int, kind: str):
-        # Tier 3: every worker reset, dispatch abandoned.  Normalize the
-        # now-irrelevant dispatch state so all bail paths converge.
+        # Tier 3: every worker reset (killed and reaped), every shard's
+        # complete undo slot scattered back, dispatch abandoned.  Normalize
+        # the now-irrelevant dispatch state so all bail paths converge.
         cfg = self.cfg
         empty = frozenset()
+        if self.mutation == "fallback-restores-failed-only":
+            s = self._restore(s, i)
+        else:
+            for j in range(cfg.shards):
+                s = self._restore(s, j)
         return (
             f"collect.bail shard{i} kind={kind}",
             s._replace(
@@ -471,4 +583,13 @@ class CommitModel:
                 for k, g, sid in s.shipments
             ],
             "flags": sorted(s.flags),
+            "instance": [
+                {"shard": i, "writes_landed": d,
+                 "undo": {NO_UNDO: None, TORN: "torn"}.get(u, u)}
+                for i, (d, u) in enumerate(zip(s.data, s.undo))
+            ],
+            "zombies": [
+                {"worker": k, "shard": i}
+                for k, i in enumerate(s.zombie) if i >= 0
+            ],
         }

@@ -126,23 +126,13 @@ class FutureMap:
     values, raising the originating :class:`TaskPoisonedError`.
     """
 
-    __slots__ = ("_values", "_point_errors", "_error", "label", "_drain")
+    __slots__ = ("_values", "_point_errors", "_error", "label")
 
     def __init__(self, label: Optional[str] = None):
         self._values: Dict[Point, Any] = {}
         self._point_errors: Dict[Point, TaskPoisonedError] = {}
         self._error: Optional[TaskPoisonedError] = None
         self.label = label
-        #: set by a pipelining backend on a map whose launch has been
-        #: submitted but not yet collected: reading the map forces the
-        #: deferred commit (and clears the hook).  ``None`` otherwise.
-        self._drain = None
-
-    def _settle(self) -> None:
-        drain = self._drain
-        if drain is not None:
-            self._drain = None
-            drain()
 
     def set(self, point: Point, value: Any) -> None:
         if self._error is not None:
@@ -171,13 +161,11 @@ class FutureMap:
 
     @property
     def poisoned(self) -> bool:
-        self._settle()
         return self._error is not None or bool(self._point_errors)
 
     @property
     def poison_error(self) -> Optional[TaskPoisonedError]:
         """The map-level error, or the first point-level one."""
-        self._settle()
         if self._error is not None:
             return self._error
         for error in self._point_errors.values():
@@ -187,7 +175,6 @@ class FutureMap:
     def get(self, point) -> Any:
         from repro.core.domain import coerce_point
 
-        self._settle()
         pt = coerce_point(point)
         if self._error is not None:
             raise self._error
@@ -198,7 +185,6 @@ class FutureMap:
 
     def reduce(self, op_name: str) -> Any:
         """Fold all point values with the named reduction operator."""
-        self._settle()
         if op_name not in REDUCTION_OPS:
             raise ValueError(f"unknown reduction {op_name!r}")
         error = self.poison_error
@@ -231,7 +217,6 @@ class FutureMap:
         return acc
 
     def __len__(self) -> int:
-        self._settle()
         return len(self._values)
 
     def __repr__(self) -> str:

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.privileges import Privilege
 from repro.runtime.physical import (
     LaunchDependences,
     TaskDependence,
@@ -52,7 +51,6 @@ __all__ = [
     "DependenceKernel",
     "CheckKernelCache",
     "GLOBAL_CHECK_KERNELS",
-    "LaunchFootprintCache",
     "domain_points_cached",
 ]
 
@@ -423,56 +421,3 @@ class CheckKernelCache:
 #: one arena safely outlives any single Runtime (and its cache
 #: invalidations), giving cross-runtime steady-state hits.
 GLOBAL_CHECK_KERNELS = CheckKernelCache()
-
-
-class LaunchFootprintCache:
-    """Region-uid footprints of index launches, memoized per signature.
-
-    Pipelined dispatch (see :mod:`repro.exec.parallel`) may begin issuing
-    launch N+1's shards before launch N has committed — but only when the
-    two launches are provably independent at launch granularity.  The
-    proof is a uid-level disjointness check: launch N+1 conflicts with a
-    pending launch exactly when some region it *touches* (any privilege)
-    is a region the pending launch *writes* (WRITE / READ_WRITE / REDUCE).
-    Anti-dependences — N+1 writing a region N only reads — are safe
-    without a drain because N's read footprint bytes were gathered at its
-    submission and commits stay FIFO.
-
-    Granularity is deliberately the whole region, not fields or subsets:
-    fault poisoning taints whole region uids, so a finer gate could let a
-    launch slip past a poison the serial order would have propagated.
-
-    Footprints are pure in the launch signature (the same tuple the
-    replay cache keys on), so they are computed once per distinct launch
-    and looked up thereafter.
-    """
-
-    __slots__ = ("_memo",)
-
-    #: privileges whose holders mutate their region.
-    _WRITES = frozenset((Privilege.WRITE, Privilege.READ_WRITE,
-                         Privilege.REDUCE))
-
-    def __init__(self):
-        self._memo: Dict[tuple, Tuple[frozenset, frozenset]] = {}
-
-    def footprint(self, sig: tuple, launch) -> Tuple[frozenset, frozenset]:
-        """``(touched uids, written uids)`` for ``launch``, memoized."""
-        entry = self._memo.get(sig)
-        if entry is None:
-            touched = frozenset(
-                req.region.uid for req in launch.requirements
-            )
-            written = frozenset(
-                req.region.uid
-                for req in launch.requirements
-                if req.privilege.privilege in self._WRITES
-            )
-            entry = (touched, written)
-            self._memo[sig] = entry
-        return entry
-
-    @staticmethod
-    def conflicts(written: frozenset, touched) -> bool:
-        """Does a pending launch's write set intersect a new footprint?"""
-        return not written.isdisjoint(touched)

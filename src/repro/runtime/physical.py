@@ -460,8 +460,8 @@ class _BucketIndex:
         self, retired: List[int], created: Optional["_User"]
     ) -> List["_User"]:
         """Apply one access — drop the ``retired`` seqs, append ``created``
-        — and return the bucket that results, as a fresh list (a pipelined
-        dispatch may still hold the old one)."""
+        — and return the bucket that results, as a fresh list (a caller
+        may still hold the old one)."""
         users = self.users[:]
         seqs = self.seqs
         for seq in retired:

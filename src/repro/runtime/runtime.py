@@ -140,12 +140,14 @@ class RuntimeConfig:
             scatter per (region, field)) instead of per task at parallel
             commit.  Byte-identical by the verified-launch disjointness
             argument (see ``docs/hot-path.md``).
-        shm: hot-path engine layer 1 — ship region footprint bytes to
-            workers through per-pool ``multiprocessing.shared_memory``
-            arenas instead of pickled arrays.  ``None`` (default) reads
-            env ``REPRO_SHM`` (unset/1 = on, 0 = off); pickle transport
-            remains the automatic fallback whenever a buffer or platform
-            cannot use shm.
+        shm: hot-path engine layer 1 — on a transport whose workers can
+            map parent shm (``pipe``), back every region this runtime
+            creates by a named shared-memory segment the workers map, so
+            task bodies read and write region storage in place, with
+            worker-side undo slots for fault recovery (see
+            :mod:`repro.exec.shm`).  ``None`` (default) reads env
+            ``REPRO_SHM`` (unset/1 = on, 0 = off); off, or for fields and
+            transports that cannot use shm, footprints travel pickled.
         transport: how the parallel backend spawns the workers its one
             selector-driven engine talks to.  ``"pipe"`` forks persistent
             workers wired over raw ``os.pipe`` pairs; ``"socket"`` runs
@@ -174,16 +176,6 @@ class RuntimeConfig:
             execution strategy: results, stats, and traces are
             byte-identical either way.  ``None`` (default) reads env
             ``REPRO_PLAN_MEMO`` (unset/1 = on, 0 = off).
-        pipeline_depth: parallel-backend dispatch pipelining — how many
-            launches may be in flight (submitted to workers, commit
-            deferred) at once.  Depth 1 (default) submits and collects
-            each launch synchronously, exactly the pre-pipelining
-            behavior; depth ``d > 1`` lets the runtime issue launch N+1's
-            shards before launch N's results are collected whenever their
-            region footprints are disjoint from every pending launch's
-            uncommitted writes.  Commits stay strictly FIFO, so results,
-            stats, and traces are byte-identical at every depth.  ``None``
-            reads env ``REPRO_PIPELINE_DEPTH`` (default 1).
     """
 
     n_nodes: int = 1
@@ -205,7 +197,6 @@ class RuntimeConfig:
     batched_commit: bool = True
     shm: Optional[bool] = None
     transport: Optional[str] = None
-    pipeline_depth: Optional[int] = None
     cache_entry_budget: Optional[int] = None
     cache_byte_budget: Optional[int] = None
     plan_memo: Optional[bool] = None
@@ -313,7 +304,6 @@ class Runtime:
         the sharding/slicing memos).  Called automatically on mapper
         changes; call it manually after any out-of-band change that affects
         mapping or partitioning decisions.  Returns entries dropped."""
-        self.backend.drain()
         dropped = (
             self.replay_cache.clear()
             + self.slicing_cache.clear()
@@ -324,16 +314,12 @@ class Runtime:
         return dropped
 
     def drain(self) -> None:
-        """Commit every pipelined-ahead launch (``pipeline_depth > 1``).
-
-        A barrier in the Legion sense: on return, all previously issued
+        """A barrier in the Legion sense: on return, all previously issued
         launches have executed and their results are visible in region
-        storage, futures, and stats.  Reads through the runtime API
-        (``Subregion.read``, ``FutureMap.get`` …) drain automatically;
-        call this before inspecting region storage by other means or
-        timing a quiescent point.  No-op at depth 1 or on the serial
-        backend."""
-        self.backend.drain()
+        storage, futures, and stats.  Every backend commits a launch before
+        ``index_launch`` returns, so there is never anything to wait for;
+        the call stays the one clients (and the service's ``drain``
+        command) make at a quiescent point."""
 
     # ------------------------------------------------------------ resources
     def create_region(
@@ -354,6 +340,7 @@ class Runtime:
         else:
             bounds = Rect([0] * len(shape), [int(e) - 1 for e in shape])
         region = Region(name, bounds, fields)
+        self.backend.map_region(region)
         self._regions.append(region)
         return region
 
@@ -408,10 +395,6 @@ class Runtime:
                 # dependence templates were recorded against a context that
                 # no longer recurs, so drop them (the context-free layers —
                 # verdicts, checks, expansion, sharding — remain valid).
-                # Pipelined-ahead launches were predicted against the
-                # templates about to be dropped: commit them first so
-                # their cache-hit accounting matches eager dispatch.
-                self.backend.drain()
                 dropped = self.replay_cache.drop_physical()
                 if dropped:
                     self.stats.analysis_cache_invalidations += dropped
@@ -442,9 +425,6 @@ class Runtime:
             for i in range(len(subregions))
         ]
         launch = TaskLaunch(task=task, requirements=requirements, args=args)
-        # Single tasks run inline in the parent, so every pipelined-ahead
-        # index launch must land first (analyzer state, storage, poison).
-        self.backend.drain()
         self.stats.ops_issued += 1
         self.stats.single_tasks += 1
         poison = self.physical.poison_for(
@@ -559,12 +539,6 @@ class Runtime:
             requirements=requirements,
             args=args,
             point_args=point_args,
-        )
-        # Before consulting poison state, land any pending launch whose
-        # writes this one can observe — an uncommitted predecessor may be
-        # about to taint one of these regions.
-        self.backend.drain_conflicting(
-            [req.region.uid for req in requirements]
         )
         poison = self.physical.poison_for(
             [req.region.uid for req in requirements]
@@ -839,9 +813,6 @@ class Runtime:
     ) -> FutureMap:
         """Process a launch one task at a time (No-IDX, early-expansion, or
         serial fallback after a failed check)."""
-        # Expanded launches run inline: pending pipelined launches must
-        # commit first so analysis and storage are current.
-        self.backend.drain()
         cfg = self.config
         prof = self.profiler
         t0 = prof.mark()
@@ -914,17 +885,11 @@ class Runtime:
         self.physical.poison_regions(written, err)
 
     def _poison_launch(
-        self, launch: IndexLaunch, cause, propagated: bool, fmap=None
+        self, launch: IndexLaunch, cause, propagated: bool
     ) -> FutureMap:
         """Tier 4: the launch is lost.  Poison its FutureMap, taint its
         write footprint, and flush cached analysis for its signature (a
-        half-executed launch invalidates what was memoized against it).
-
-        ``fmap`` lets the parallel backend poison the map it already
-        handed out for a pipelined-ahead launch that failed at drain."""
-        # This drops cached templates below; any launch still pipelined
-        # against them must land first (and with it, in issue order).
-        self.backend.drain()
+        half-executed launch invalidates what was memoized against it)."""
         cfg = self.config
         prof = self.profiler
         if propagated:
@@ -956,8 +921,7 @@ class Runtime:
                 cause=str(cause),
             )
             prof.count("fault.poisoned_launches", 1.0, propagated=propagated)
-        if fmap is None:
-            fmap = FutureMap(label=launch.name)
+        fmap = FutureMap(label=launch.name)
         fmap.poison(err)
         return fmap
 

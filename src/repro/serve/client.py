@@ -2,10 +2,8 @@
 
 One :class:`ServiceClient` is one session: a blocking TCP connection
 speaking the framed wire protocol, with the CALL/RESULT/BUSY messages
-layered on top.  Commands are strictly request/reply from the client's
-point of view; pipelining happens *inside* the service (launches return
-as soon as they are issued, bounded by the session runtime's
-``pipeline_depth``).
+layered on top.  Commands are strictly request/reply: a launch's RESULT
+comes back once the session runtime has executed and committed it.
 
 A BUSY reply — the service's admission control rejecting the call — is
 surfaced as :class:`ServiceBusy` so callers can back off and retry;

@@ -21,13 +21,12 @@ Architecture (see ``docs/service.md``):
   session cannot starve the rest;
 * **admission control**: a session whose command queue is full gets an
   immediate BUSY frame (echoing the rejected seq) instead of unbounded
-  buffering; in-flight *launches* inside each session are already
-  bounded by the runtime's ``pipeline_depth``.
+  buffering.
 
-Shutdown (SIGTERM/SIGINT or :meth:`ReproService.shutdown`) drains every
-session's pipelined launches, retires the shared pool's shm arenas and
-transports, and snapshots each tenant's check memo to the persist
-directory — the long-running-process bugfix sweep this PR hardens.
+Shutdown (SIGTERM/SIGINT or :meth:`ReproService.shutdown`) finishes every
+admitted command, retires the shared pool — transports, shm arenas and
+the sessions' region instances — and snapshots each tenant's check memo
+to the persist directory.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ class ServiceConfig:
     #: cache budgets applied to every session runtime + tenant memo.
     cache_entry_budget: Optional[int] = None
     cache_byte_budget: Optional[int] = None
-    pipeline_depth: Optional[int] = None
 
 
 @dataclass
@@ -167,8 +165,6 @@ class ReproService:
             cache_entry_budget=self.config.cache_entry_budget,
             cache_byte_budget=self.config.cache_byte_budget,
         )
-        if self.config.pipeline_depth is not None:
-            cfg_kwargs["pipeline_depth"] = self.config.pipeline_depth
         rt = Runtime(RuntimeConfig(**cfg_kwargs))
         # Swap in the tenant's shared check memo, re-applying the hooks
         # Runtime.__init__ put on the private one (kernels delegation,
@@ -241,16 +237,13 @@ class ReproService:
         self._stopped.set()
 
     def _teardown_runtimes(self) -> None:
-        """Runtime-thread half of shutdown: drain in-flight pipelined
-        launches, then retire the shared pool (shm arenas, transports)."""
+        """Runtime-thread half of shutdown: release each session's backend,
+        then retire the shared pool (shm arenas, transports, region
+        instances)."""
         for session in list(self.sessions.values()):
             rt = session.rt
             if rt is None:
                 continue
-            try:
-                rt.drain()
-            except Exception:
-                pass
             try:
                 rt.backend.shutdown()
             except Exception:

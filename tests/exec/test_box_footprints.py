@@ -1,13 +1,14 @@
 """Dense footprints cross the process boundary as boxes, not index arrays.
 
-The parallel backend moves a rectangular footprint as ``(lo, hi)`` plus one
-strided slice copy at each of its four copy sites (parent stage, worker
-install, worker gather-back, parent commit).  Everything observable must
-stay byte-identical to the serial backend on every transport, clean and
-while the recovery ladder climbs — in particular for a 2-D halo stencil
-with several points per shard, where one shard's read set holds halo boxes
-that genuinely overlap — and sparse (Circuit) footprints must keep
-travelling in the index form.
+On the pickled path the parallel backend moves a rectangular footprint as
+``(lo, hi)`` plus one strided slice copy at each of its copy sites (parent
+gather, worker install, worker gather-back, parent commit); on mapped
+regions the one copy left is the worker's undo gather.  Everything
+observable must stay byte-identical to the serial backend on every
+transport, clean and while the recovery ladder climbs — in particular for
+a 2-D halo stencil with several points per shard, where one shard's read
+set holds halo boxes that genuinely overlap — and sparse (Circuit)
+footprints must keep travelling in the index form.
 """
 
 import numpy as np
@@ -54,7 +55,8 @@ FAULTS = {
 }
 
 
-def _uses_shm(leg: dict) -> bool:
+def _maps(leg: dict) -> bool:
+    """Whether the leg's regions are mapped into the workers."""
     return (
         leg.get("shm", True)
         and shm_env_enabled()
@@ -81,7 +83,7 @@ class TestHaloStencil:
         """The shape this file is about: 8 points on 2 nodes, so a shard's
         'input' read set is four halo boxes that overlap pairwise and
         cannot be coalesced, while its 'output' blocks tile one box."""
-        rt = Runtime(RuntimeConfig(n_nodes=2))
+        rt = Runtime(RuntimeConfig(n_nodes=2, workers=1))  # unmapped storage
         grid = build_stencil(rt, STENCIL)
         colors = [(i, j) for i in range(2) for j in range(2)]
         projs = [[grid.halo[c], grid.interior[c]] for c in colors]
@@ -113,14 +115,15 @@ class TestHaloStencil:
         assert bstats.parallel_launches == 2 * STENCIL.steps
         assert bstats.fallbacks == 0
         shm = rt.backend.pool().arena.stats
-        if _uses_shm(LEGS[leg]):
-            assert shm.read_boxes > 0 and shm.read_indexed == 0
-            assert shm.read_fallbacks == shm.write_fallbacks == 0
+        if _maps(LEGS[leg]):
+            # bodies work on the mapped instance: only undo slots move
+            assert shm.bytes_staged == shm.read_fallbacks == 0
+            assert shm.write_fallbacks == 0 and shm.write_slots > 0
             # one reservation per worker per dispatch, nothing retired
             assert shm.segments_created == 2
             assert shm.segments_unlinked == 0
         else:
-            assert shm.read_entries == shm.write_slots == 0
+            assert shm.write_slots == shm.bytes_slotted == 0
 
     @pytest.mark.parametrize("leg", sorted(LEGS))
     def test_per_task_commit_takes_boxes_too(self, leg, serial_stencil):
@@ -144,7 +147,8 @@ class TestHaloStencil:
         assert (out, inp) == serial_stencil
 
     def test_batched_commit_is_one_op_per_region_field(self, serial_stencil):
-        rt, out, _ = _stencil(2, transport="pipe")
+        # pickled write-backs: mapped fields have nothing to commit
+        rt, out, _ = _stencil(2, transport="pipe", shm=False)
         # each launch writes one (region, field), as 8 boxes
         assert rt.backend.stats.batched_commit_ops == 2 * STENCIL.steps
 
@@ -169,8 +173,9 @@ class TestCircuitKeepsTheIndexForm:
         assert rt.backend.stats.parallel_launches > 0
         assert rt.backend.stats.fallbacks == 0
         shm = rt.backend.pool().arena.stats
-        if _uses_shm(LEGS[leg]):
-            assert shm.read_indexed > 0 and shm.read_boxes == 0
+        if _maps(LEGS[leg]):
+            # sparse footprints are undone through their index arrays
+            assert shm.bytes_staged == 0 and shm.write_slots > 0
 
     def test_identical_under_a_worker_kill(self):
         _, *serial = self._run(1)
@@ -189,10 +194,14 @@ def bump(ctx, r):
 
 @task(privileges=["reads writes"])
 def mapped_segments(ctx, r):
-    """How many parent segments this worker process has mapped right now."""
+    """How many arena segments this worker process has mapped right now
+    (region instances, ``reproshm-<pid>pr<uid>``, are not arena ones)."""
+    import re
+
     with open("/proc/self/maps") as fh:
         # field 6 is the path; a retired segment reads "... (deleted)"
-        return len({line.split()[5] for line in fh if "reproshm-" in line})
+        return len({line.split()[5] for line in fh
+                    if re.search(r"reproshm-\d+p\d+w", line)})
 
 
 def _shm_runtime(**cfg):
@@ -240,7 +249,7 @@ class TestArena:
             assert np.array_equal(region.storage("x"),
                                   np.arange(64.0) + g + 10.0)
         shm = rt.backend.pool().arena.stats
-        assert shm.read_boxes > 0 and shm.read_indexed == 0
+        assert shm.bytes_staged == 0 and shm.write_slots > 0
 
     def test_workers_release_retired_segments(self):
         """Every cycle the parent abandons its segments and the next

@@ -67,6 +67,14 @@ def _shm_files() -> list:
     return glob.glob(f"/dev/shm/reproshm-{os.getpid()}p*")
 
 
+def _linked(rt) -> set:
+    """What ``rt`` should hold linked: its pool's arena segments and the
+    instances mapped for its regions."""
+    return set(rt.backend._pool.arena.live_segments()) | {
+        r.instance.name for r in rt._regions if r.instance is not None
+    }
+
+
 class TestKnobIdentity:
     @settings(max_examples=6, deadline=None)
     @given(program=program_strategy, knob=st.sampled_from(KNOBS))
@@ -131,9 +139,9 @@ class TestShmLeaks:
         )
         pool = rt.backend._pool
         assert pool is not None
-        # Steady state holds exactly the warm segments, nothing retired.
-        live = pool.arena.live_segments()
-        assert sorted(f"/dev/shm/{n}" for n in live) == sorted(_shm_files())
+        # Steady state holds exactly the warm segments and the region
+        # instances, nothing retired.
+        assert {f"/dev/shm/{n}" for n in _linked(rt)} == set(_shm_files())
         shutdown_pools()
         assert pool.arena.live_segments() == []
         assert _shm_files() == []
@@ -150,8 +158,7 @@ class TestShmLeaks:
         )
         assert rt.backend.stats.worker_respawns >= 1
         # Respawned generations' segments were retired (unlinked) at reset.
-        live = set(rt.backend._pool.arena.live_segments())
-        assert {os.path.basename(p) for p in _shm_files()} == live
+        assert {os.path.basename(p) for p in _shm_files()} == _linked(rt)
         shutdown_pools()
         assert _shm_files() == []
 
@@ -177,8 +184,8 @@ class TestShmLeaks:
         assert rt.backend.stats.fallbacks >= 1
         assert out == ref_out
         # The abandoned dispatch's segments are already unlinked; only
-        # currently-live arena segments (if any) remain in /dev/shm.
-        live = set(rt.backend._pool.arena.live_segments())
-        assert {os.path.basename(p) for p in _shm_files()} == live
+        # currently-live arena segments (if any) and the region instances
+        # remain in /dev/shm.
+        assert {os.path.basename(p) for p in _shm_files()} == _linked(rt)
         shutdown_pools()
         assert _shm_files() == []

@@ -108,3 +108,41 @@ class TestRendering:
         assert '"outcome": "dispatching"' in text
         assert len(payload["shards"]) == model.cfg.shards
         assert len(payload["workers"]) == model.cfg.workers
+
+
+class TestInPlaceWrites:
+    """The undo protocol behind in-place writes (exec/shm.py): every
+    committed or serially re-run launch applies each shard exactly once."""
+
+    def _violated(self, name):
+        result = explore(CommitModel(mutation=name))
+        assert not result.ok, f"mutation {name} was not caught"
+        return {(v.kind, v.name) for v in result.violations}
+
+    @pytest.mark.parametrize("name", [
+        "restore-before-reap",
+        "retry-without-restore",
+        "restore-torn-undo",
+        "fallback-restores-failed-only",
+    ])
+    def test_undo_mutation_double_applies(self, name):
+        assert ("invariant", "exactly-once") in self._violated(name)
+
+    def test_zombie_write_lands_after_the_restore(self):
+        trace = explore(CommitModel(mutation="restore-before-reap"),
+                        stop_at_first=True).violations[0].trace
+        actions = [a for a, _ in trace]
+        assert any(a.startswith("fault.hang") for a in actions)
+        assert any(a.startswith("zombie.write") for a in actions)
+
+    def test_torn_slot_and_landed_sibling_are_met(self):
+        # Anti-vacuity: the correct protocol reaches a torn undo slot, and
+        # the fallback mutant's counterexample bails after a sibling's
+        # write landed in place.
+        assert find_trace(CommitModel(), lambda s: -2 in s.undo) is not None
+        trace = explore(CommitModel(mutation="fallback-restores-failed-only"),
+                        stop_at_first=True).violations[0].trace
+        actions = [a for a, _ in trace]
+        bail = next(i for i, a in enumerate(actions)
+                    if a.startswith("collect.bail"))
+        assert any(a.startswith("work.complete") for a in actions[:bail])

@@ -133,7 +133,7 @@ class TestCheckCli:
         assert main(["check", "--list-mutations"]) == 0
         names = [line.split()[0] for line in
                  capsys.readouterr().out.strip().splitlines()]
-        assert len(names) == 5
+        assert len(names) == 9
         for name in names:
             assert main(["check", "--mutate", name]) == 1, name
         capsys.readouterr()

@@ -231,7 +231,7 @@ def test_index_describes_one_list_object_only():
 
 
 def test_each_access_installs_a_fresh_list():
-    # A pipelined dispatch may still be reading the list it snapshotted.
+    # A caller may still be reading the list it snapshotted.
     analyzer = PhysicalAnalyzer()
     region, pool = REGIONS[0], POOLS[0]
     analyzer.record_task_access(0, pool[0], PRIVILEGES[0], ("f",))
