@@ -333,13 +333,15 @@ def _bench_summary_table(rt) -> str:
     """The hot-path engine's counter table (see docs/hot-path.md).
 
     Collects the three layers' counters — shared-memory transport, batched
-    physical commit, precompiled check/dependence kernels — from wherever
-    they live (runtime, backend, pool arena) into one aligned block.
+    physical commit, precompiled check/dependence kernels — and the users
+    the physical analyzer retired at launch level from wherever they live
+    (runtime, backend, pool arena) into one aligned block.
     """
     from repro.runtime.kernels import GLOBAL_CHECK_KERNELS
 
     rows = [
         ("dependence kernel replays", rt.physical.kernel_replays),
+        ("launch retired", rt.physical.launch_retired),
         ("check kernel hits", GLOBAL_CHECK_KERNELS.hits),
         ("check kernel misses", GLOBAL_CHECK_KERNELS.misses),
         ("check kernel affine constants", GLOBAL_CHECK_KERNELS.affine_constants),

@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 
 from repro.fault.plan import InjectedFaultError
 from repro.runtime.futures import FutureMap
-from repro.runtime.physical import LaunchDependences, make_template
+from repro.runtime.physical import LaunchDependences
 from repro.runtime.pipeline import Stage
 from repro.runtime.replay import ExpansionTemplate, PointPlan
 from repro.runtime.task import TaskContext
@@ -154,8 +154,11 @@ class ExecutionBackend:
 
         On a trace-validated replay, re-stamp the recorded dependence
         template with the fresh task ids; otherwise — no template yet, or
-        one whose validation failed — run the live analyzer, capturing a
-        template on a validated replay so the next one can skip it.
+        one whose validation failed — run the live analyzer over the whole
+        launch (:meth:`~repro.runtime.physical.PhysicalAnalyzer.
+        record_launch`, which ends with the launch's joint retirement),
+        capturing a template on a validated replay so the next one can skip
+        it.
         """
         rt = self.rt
         prof = rt.profiler
@@ -177,19 +180,14 @@ class ExecutionBackend:
                 if prof.enabled:
                     prof.instant("cache.physical_bail", Stage.PHYSICAL,
                                  launch=launch.name)
-        capture = entry_keys = None
-        if templated:
-            region_uids = {req.region.uid for req in launch.requirements}
-            entry_keys = rt.physical.snapshot_keys(region_uids)
-            capture = []
-        tdeps_lists = [
-            rt.physical.record_task(tid, plan.accesses, _capture=capture)
-            for tid, (_, plan) in zip(task_ids, plans())
-        ]
-        if capture is not None:
-            ptemplate = make_template(capture, entry_keys)
-            if ptemplate is not None:
-                cache.put_physical(sig, ptemplate)
+        tdeps_lists, ptemplate = rt.physical.record_launch(
+            task_ids,
+            [plan.accesses for _, plan in plans()],
+            {req.region.uid for req in launch.requirements}
+            if templated else None,
+        )
+        if ptemplate is not None:
+            cache.put_physical(sig, ptemplate)
         return tdeps_lists, False
 
     def _account(

@@ -26,20 +26,38 @@ per-point path would hold — the first time the live path, a key snapshot,
 the validating overlay or a kernel of any other shape looks at the bucket.
 With ``kernels=False`` no launch user is ever installed.
 
-Three counters keep charged and performed work apart.  ``overlap_queries``
+Retirement has two rules.  Per access, a writing access retires every
+prior user whose footprint and field set it covers on its own.  Per index
+launch, once its last task is recorded (:meth:`PhysicalAnalyzer.
+record_launch`), the launch's WRITE/READ_WRITE footprints retire *jointly*
+every prior user that holds no task of the launch and whose footprint their
+union covers — counting, for each user, only the writers whose field set is
+a superset of its own: a halo reader is superseded by the blocks written
+around it, though no single block covers it.  This is sound because any
+later access that overlaps the retired user on one of its fields overlaps
+one of those writers on it, and each writer already depends on the user.
+Only the users a writing access overlapped without retiring are
+candidates, so a launch with no partial overlap does no extra work.
+No-IDX and the unsafe-launch fallback loop record task by task and keep
+the per-access rule alone.
+
+Four counters keep charged and performed work apart.  ``overlap_queries``
 is the *charged* scan length — ``len(bucket)`` per access, what a linear
 scan would have asked and what template replay and dependence kernels
 charge without performing; it feeds ``PipelineStats`` and the machine model.
 ``overlap_tests`` counts the exact footprint tests the live path actually
 ran.  ``users_restamped`` counts the per-point users a replay or an
 expansion built or appended to: |D| per launch on the per-point paths, 0
-while launch users hold.
+while launch users hold.  ``launch_retired`` counts the users a launch's
+union retired, on the live path and the validating overlay (a dependence
+kernel's committed order already leaves them out).
 
 Replay support (tracing [20]): when an identical launch is reissued inside
 a validated trace, its dependence structure is the same *shape* — only the
-task ids differ.  :meth:`PhysicalAnalyzer.record_task` can therefore
+task ids differ.  :meth:`PhysicalAnalyzer.record_launch` can therefore
 capture a :class:`DependenceTemplate` describing each access symbolically
-(which footprints it depended on, retired, coalesced into, or created), and
+(which footprints it depended on, retired, coalesced into, or created) plus
+the footprints the launch retired jointly, and
 :meth:`PhysicalAnalyzer.replay_tasks` re-stamps that template with fresh
 task ids without re-running overlap queries.  Footprints are addressed by a
 *key* — (partition uid, color, subset uid-or-rect, fields, privilege token)
@@ -59,6 +77,8 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.data.collection import RectSubset, Subregion
 from repro.data.privileges import Privilege, PrivilegeSpec
@@ -133,14 +153,18 @@ def _footprint_key(
 
 @dataclass
 class _User:
-    """One active footprint; ``task_ids`` holds every task sharing it.
+    """One active footprint; ``task_ids`` holds every task sharing it, in
+    the order they were recorded (task ids rise with issue order).
 
     Compatible accesses with an identical footprint (same partition color,
     same fields, mutually compatible privileges — e.g. the readers of one
     subregion across many iterations) coalesce into a single user, bounding
-    the analyzer's state and per-access work by the number of *distinct*
-    footprints rather than the number of tasks (Legion's epoch lists play
-    the same role)."""
+    the analyzer's state by the number of *distinct* footprints rather than
+    the number of tasks (Legion's epoch lists play the same role).  That
+    does not bound per-access work: ``task_ids`` keeps growing until a
+    writer retires the user, and every conflicting access depends on each
+    of them — which is why a launch's writers also retire jointly (see the
+    module docstring)."""
 
     task_ids: List[int]
     subregion: Subregion
@@ -273,6 +297,8 @@ class DependenceTemplate:
     ``entry_keys`` is the ordered footprint-key snapshot of every touched
     region at the moment recording started — replay requires an exact match
     so that foreign mutations of the region state force a live re-analysis.
+    ``launch_retire`` lists the ``(region uid, key)`` of every user the
+    launch's writes retired jointly, applied after the last task.
     ``kernel`` caches the compiled slot program of the last successful
     validated replay (see :mod:`repro.runtime.kernels`); it is advisory
     state and never shipped across processes.
@@ -281,18 +307,23 @@ class DependenceTemplate:
     task_ops: List[List[AccessOp]]
     entry_keys: Dict[int, Tuple[tuple, ...]]
     n_queries: int
+    launch_retire: List[Tuple[int, tuple]] = field(default_factory=list)
     kernel: Optional[object] = None
 
     def __getstate__(self):
-        return (self.task_ops, self.entry_keys, self.n_queries)
+        return (self.task_ops, self.entry_keys, self.n_queries,
+                self.launch_retire)
 
     def __setstate__(self, state):
-        self.task_ops, self.entry_keys, self.n_queries = state
+        (self.task_ops, self.entry_keys, self.n_queries,
+         self.launch_retire) = state
         self.kernel = None
 
 
 def make_template(
-    task_ops: List[List[AccessOp]], entry_keys: Dict[int, Tuple[tuple, ...]]
+    task_ops: List[List[AccessOp]],
+    entry_keys: Dict[int, Tuple[tuple, ...]],
+    launch_retire: Sequence[Tuple[int, tuple]] = (),
 ) -> Optional[DependenceTemplate]:
     """Assemble a template from captured ops; None when not replayable."""
     n_queries = 0
@@ -303,7 +334,9 @@ def make_template(
             n_queries += op.n_scanned
     if any(len(set(keys)) != len(keys) for keys in entry_keys.values()):
         return None
-    return DependenceTemplate(task_ops, entry_keys, n_queries)
+    return DependenceTemplate(
+        task_ops, entry_keys, n_queries, list(launch_retire)
+    )
 
 
 class _OverlayEntry:
@@ -326,6 +359,51 @@ class _OverlayEntry:
     def all_ids(self) -> List[int]:
         base = self.user.task_ids if self.user is not None else []
         return base + self.pending
+
+
+def _box_minus(
+    lo: tuple, hi: tuple, cut_lo: tuple, cut_hi: tuple
+) -> List[Tuple[tuple, tuple]]:
+    """The inclusive box ``(lo, hi)`` minus ``(cut_lo, cut_hi)``, as at
+    most two disjoint boxes per axis."""
+    for a, b, c, d in zip(lo, hi, cut_lo, cut_hi):
+        if d < a or b < c:
+            return [(lo, hi)]
+    out = []
+    lo, hi = list(lo), list(hi)
+    for axis, (c, d) in enumerate(zip(cut_lo, cut_hi)):
+        if lo[axis] < c:
+            out.append((tuple(lo), tuple(hi[:axis] + [c - 1] + hi[axis + 1:])))
+            lo[axis] = c
+        if d < hi[axis]:
+            out.append((tuple(lo[:axis] + [d + 1] + lo[axis + 1:]), tuple(hi)))
+            hi[axis] = d
+    return out
+
+
+def _union_covers(target: Subregion, pieces: List[Subregion]) -> bool:
+    """Whether every point of ``target`` lies in some subregion of
+    ``pieces`` (all of its region): box subtraction when every subset is a
+    rect, index membership otherwise."""
+    if isinstance(target.subset, RectSubset) and all(
+        isinstance(piece.subset, RectSubset) for piece in pieces
+    ):
+        box = target.bounding_box()
+        if box is None:
+            return True
+        left = [box]
+        for piece in pieces:
+            cut = piece.bounding_box()
+            if cut is not None:
+                left = [rest for l in left for rest in _box_minus(*l, *cut)]
+                if not left:
+                    return True
+        return False
+    bounds = target.region.bounds
+    held = np.concatenate(
+        [piece.subset.linear_indices(bounds) for piece in pieces]
+    )
+    return bool(np.isin(target.subset.linear_indices(bounds), held).all())
 
 
 def _cell_spans(lo: tuple, hi: tuple, shifts: tuple) -> List[range]:
@@ -483,7 +561,8 @@ class PhysicalAnalyzer:
     For each region we keep the set of *active* users: tasks whose footprint
     is not yet fully superseded by later writers.  A new access depends on
     every active conflicting user it overlaps; a writing access then retires
-    the users its footprint covers.
+    the users its footprint covers, and an index launch the users its
+    writes cover together.
     """
 
     def __init__(self, profiler=None, kernels: bool = True):
@@ -502,6 +581,9 @@ class PhysicalAnalyzer:
         #: appended to — the replay work performed, beside the charged
         #: ``overlap_queries``; 0 per launch while launch users hold.
         self.users_restamped = 0
+        #: users a launch's writes retired jointly (:meth:`record_launch`,
+        #: the validating overlay replay).
+        self.launch_retired = 0
         self.kernels_enabled = kernels
         self.kernel_replays = 0
         self._profiler = profiler
@@ -524,6 +606,16 @@ class PhysicalAnalyzer:
             self.users_restamped += len(users)
         return users
 
+    def _index(self, region_uid: int) -> _BucketIndex:
+        """The candidate index of the region's current bucket, rebuilt when
+        anything but the live path installed it."""
+        users = self._bucket(region_uid)
+        version = self._versions.get(region_uid, 0)
+        index = self._indexes.get(region_uid)
+        if index is None or index.users is not users or index.version != version:
+            index = self._indexes[region_uid] = _BucketIndex(users, version)
+        return index
+
     def record_task_access(
         self,
         task_id: int,
@@ -531,20 +623,22 @@ class PhysicalAnalyzer:
         privilege: PrivilegeSpec,
         fields: Tuple[str, ...],
         _capture: Optional[List[AccessOp]] = None,
+        _writes: Optional[dict] = None,
     ) -> List[TaskDependence]:
         """Register one region requirement of an individual task.
 
         Requirements interfere only when their *field sets* intersect (as in
         Legion, privileges are per-field), their privileges conflict, and
         their footprints overlap.  With ``_capture`` a symbolic
-        :class:`AccessOp` describing the state transition is appended."""
+        :class:`AccessOp` describing the state transition is appended.
+        ``_writes`` collects, for :meth:`record_launch`, every user a
+        writing access overlaps without retiring: region uid -> ``id(user)``
+        -> ``(index seq, user, [(writer subregion, writer fields), ...])``."""
         region_uid = subregion.region.uid
         fieldset = frozenset(fields)
-        users = self._bucket(region_uid)
-        version = self._versions.get(region_uid, 0)
-        index = self._indexes.get(region_uid)
-        if index is None or index.users is not users or index.version != version:
-            index = self._indexes[region_uid] = _BucketIndex(users, version)
+        writing = privilege.privilege in (Privilege.WRITE, Privilege.READ_WRITE)
+        index = self._index(region_uid)
+        users = index.users
         self.overlap_queries += len(users)
         op: Optional[AccessOp] = None
         if _capture is not None:
@@ -575,19 +669,24 @@ class PhysicalAnalyzer:
             # set it fully covers (their data is superseded for dependence
             # purposes; partial overlap must keep the old user alive for
             # later readers of the uncovered remainder).
-            if (
-                overlapping
-                and privilege.privilege in (Privilege.WRITE, Privilege.READ_WRITE)
-                and task_id not in user.task_ids
-                and user.fields <= fieldset
-                and subregion.subset.covers(
-                    user.subregion.subset, subregion.region.bounds
-                )
-            ):
-                if op is not None:
-                    op.retire_keys.append(user.footprint_key())
-                retired.append(seq)
-                continue
+            if overlapping and writing:
+                if (
+                    task_id not in user.task_ids
+                    and user.fields <= fieldset
+                    and subregion.subset.covers(
+                        user.subregion.subset, subregion.region.bounds
+                    )
+                ):
+                    if op is not None:
+                        op.retire_keys.append(user.footprint_key())
+                    retired.append(seq)
+                    continue
+                if _writes is not None:
+                    overlapped = _writes.setdefault(region_uid, {})
+                    held = overlapped.get(id(user))
+                    if held is None:
+                        held = overlapped[id(user)] = (seq, user, [])
+                    held[2].append((subregion, fieldset))
             # Coalesce into an existing identical compatible footprint.
             if (
                 not coalesced
@@ -614,6 +713,7 @@ class PhysicalAnalyzer:
         task_id: int,
         accesses: List[Tuple[Subregion, PrivilegeSpec, Tuple[str, ...]]],
         _capture: Optional[List[List[AccessOp]]] = None,
+        _writes: Optional[dict] = None,
     ) -> List[TaskDependence]:
         """Register all requirements of one task, deduplicating edges."""
         ops: Optional[List[AccessOp]] = [] if _capture is not None else None
@@ -621,7 +721,8 @@ class PhysicalAnalyzer:
         out: List[TaskDependence] = []
         for subregion, privilege, fields in accesses:
             for dep in self.record_task_access(
-                task_id, subregion, privilege, fields, _capture=ops
+                task_id, subregion, privilege, fields, _capture=ops,
+                _writes=_writes,
             ):
                 key = (dep.earlier_task, dep.later_task)
                 if key not in seen:
@@ -630,6 +731,72 @@ class PhysicalAnalyzer:
         if _capture is not None:
             _capture.append(ops)
         return out
+
+    def record_launch(
+        self,
+        task_ids: Sequence[int],
+        access_lists: Iterable[
+            List[Tuple[Subregion, PrivilegeSpec, Tuple[str, ...]]]
+        ],
+        template_regions: Optional[Iterable[int]] = None,
+    ) -> Tuple[List[List[TaskDependence]], Optional[DependenceTemplate]]:
+        """Register every task of one index launch in order, then retire
+        what the launch's writes cover jointly (see the module docstring).
+
+        Returns the per-task dependence lists and, when ``template_regions``
+        names the regions to snapshot, the launch captured as a
+        :class:`DependenceTemplate` (None when it is not replayable)."""
+        capture = entry_keys = None
+        if template_regions is not None:
+            entry_keys = self.snapshot_keys(template_regions)
+            capture = []
+        writes: dict = {}
+        deps = [
+            self.record_task(tid, accesses, _capture=capture, _writes=writes)
+            for tid, accesses in zip(task_ids, access_lists)
+        ]
+        retired = self._retire_jointly(writes, task_ids[0]) if writes else []
+        if capture is None or retired is None:
+            return deps, None
+        return deps, make_template(capture, entry_keys, retired)
+
+    def _retire_jointly(
+        self, writes: dict, first_task: int
+    ) -> Optional[List[Tuple[int, tuple]]]:
+        """The launch-level step over the users ``writes`` collected.
+
+        A user still in its bucket is retired when it holds no task of the
+        launch — its newest task id predates ``first_task`` — and the
+        writers that overlapped it on a superset of its fields cover its
+        footprint together.  Returns the retired ``(region uid, key)``
+        pairs, or None when a retired key is held twice in its bucket, so
+        no template could name the one to drop."""
+        retired: List[Tuple[int, tuple]] = []
+        ambiguous = False
+        for region_uid, overlapped in writes.items():
+            index = self._index(region_uid)
+            seqs = index.seqs
+            gone = []
+            for seq, user, writers in overlapped.values():
+                pos = bisect_left(seqs, seq)
+                if (
+                    pos == len(seqs)
+                    or index.users[pos] is not user     # retired since
+                    or user.task_ids[-1] >= first_task
+                ):
+                    continue
+                pieces = [sub for sub, fields in writers if user.fields <= fields]
+                if pieces and _union_covers(user.subregion, pieces):
+                    key = user.footprint_key()
+                    ambiguous = ambiguous or index.key_counts[key] > 1
+                    retired.append((region_uid, key))
+                    gone.append(seq)
+            if gone:
+                index.version = self.install_bucket(
+                    region_uid, index.advance(gone, None)
+                )
+        self.launch_retired += len(retired)
+        return None if ambiguous else retired
 
     def snapshot_keys(
         self, region_uids: Iterable[int]
@@ -745,9 +912,16 @@ class PhysicalAnalyzer:
             if compile_steps is not None:
                 compile_steps.append(step)
             results.append(out)
+        for uid, key in template.launch_retire:
+            entry = find(overlays[uid], key)
+            if entry is None or entry.user is None or entry.pending:
+                return None
+            overlays[uid].remove(entry)
 
         # Commit: the overlay entry order reproduces the survivor order the
-        # live path would have built.
+        # live path would have built, joint retirements included, so a
+        # kernel compiled from it leaves them out too.
+        self.launch_retired += len(template.launch_retire)
         final_order: Dict[int, List[int]] = {}
         entry_steady: Dict[int, bool] = {}
         for uid, entries in overlays.items():
