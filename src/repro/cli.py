@@ -333,9 +333,10 @@ def _bench_summary_table(rt) -> str:
     """The hot-path engine's counter table (see docs/hot-path.md).
 
     Collects the three layers' counters — shared-memory transport, batched
-    physical commit, precompiled check/dependence kernels — and the users
-    the physical analyzer retired at launch level from wherever they live
-    (runtime, backend, pool arena) into one aligned block.
+    physical commit, precompiled check/dependence kernels — the users the
+    physical analyzer retired at launch level, and the shards workers ran
+    from their plan memo, from wherever they live (runtime, backend, pool
+    arena) into one aligned block.
     """
     from repro.runtime.kernels import GLOBAL_CHECK_KERNELS
 
@@ -351,6 +352,7 @@ def _bench_summary_table(rt) -> str:
         rows += [
             ("batched commit ops", bstats.batched_commit_ops),
             ("batched commit tasks", bstats.batched_commit_tasks),
+            ("worker plan hits", bstats.worker_plan_hits),
         ]
     pool = getattr(rt.backend, "_pool", None)
     if pool is not None:

@@ -76,6 +76,7 @@ from repro.exec.pool import get_pool
 from repro.exec.shm import (
     PROGRESS_BYTES,
     Footprint,
+    SlotSet,
     in_place,
     map_region,
     release_instances,
@@ -190,6 +191,20 @@ def _shard_footprints(requirements, local_projs) -> _Footprints:
 
 
 @dataclass
+class _UndoSet:
+    """One attempt's undo slots and progress counter: the wire descriptors
+    a plan names, the parent views :meth:`ParallelBackend._restore` reads,
+    and the arena allocation behind them (None when it spans segments)."""
+
+    slots: List[List[Optional[tuple]]]       # ShardPlan.undo_slots
+    done: tuple                              # ShardPlan.undo_done
+    #: per local point [(subregion, field, parent view)]
+    views: List[list]
+    progress: np.ndarray
+    taken: Optional[SlotSet]
+
+
+@dataclass
 class _ShardJob:
     """One shard's dispatch state across retry attempts."""
 
@@ -208,7 +223,7 @@ class _ShardJob:
     #: the *current* attempt's undo slots, per local point [(subregion,
     #: field, parent view)], and its progress counter (how many points'
     #: slots the worker completed; None: nothing written in place).
-    #: Rebuilt on every (re)submission, read only by :meth:`_restore`.
+    #: Rebound on every (re)submission, read only by :meth:`_restore`.
     undo: List[list] = field(default_factory=list)
     progress: Optional[np.ndarray] = None
 
@@ -239,6 +254,7 @@ class ParallelExecStats:
     # --- plan-skeleton memo (replay path; see docs/service.md)
     plan_memo_hits: int = 0         # shards rebuilt from a memoized skeleton
     plan_memo_blob_reuse: int = 0   # shards whose pickled blob shipped as-is
+    worker_plan_hits: int = 0       # shards a worker ran from its plan memo
 
 
 @dataclass
@@ -248,26 +264,26 @@ class _PlanMemoShard:
     gen: int                        # worker generation the skeleton targets
     shm_on: bool                    # undo slots on at build
     plan: ShardPlan                 # empty-delta skeleton
-    #: pickled ``plan``, set only when it carried no read data at build:
-    #: blob reuse requires the fresh undo slots to repeat
-    #: ``plan.undo_slots`` / ``plan.undo_done`` byte for byte.
+    #: pickled ``plan``, set only when it carried no read data at build; it
+    #: ships as-is whenever the arena retakes ``undo``, the set it names.
     blob: Optional[bytes]
+    undo: Optional[_UndoSet]
 
 
 @dataclass
 class _PlanMemo:
     """Memoized shard-plan construction for one launch signature.
 
-    On a repeated launch the ``ShardPlan`` rebuild + pickle dominates
-    dispatch (~1.4 ms per 8-shard launch).  Everything in the plan except
-    the footprint bytes is pure in (signature, assignment, args):
-    projections, requirement templates, and the empty cache deltas of a
-    warm worker.  This memo keeps the skeleton
-    per shard and re-stamps only the live parts — fresh pickled read
-    values and undo slots per issue.  On mapped regions there are no read
-    values, and the arena rewinds offsets to zero after every commit, so
-    the undo descriptors repeat byte for byte and even the pickled blob
-    ships as-is.
+    Everything in a plan except its live parts — pickled read values and
+    undo slots — is pure in (signature, assignment, args): projections,
+    requirement templates, and the empty cache deltas of a warm worker.
+    This memo keeps that skeleton per shard, with the pickled blob and the
+    undo-slot set it names.  On mapped regions there are no read values,
+    and the arena rewinds after every commit, so a steady launch retakes
+    each shard's recorded slots (:meth:`ShmArena.retake`) and ships the
+    blob as it is: per shard, O(1) work and no pickling.  The worker keys
+    its own memo by those bytes (``exec/worker.py``), so a steady replay
+    is not unpickled, installed or expanded there either.
 
     Validity is checked structurally on every use (assignment identity,
     args equality, worker generation, shm/profiler state); anything stale
@@ -716,11 +732,6 @@ class ParallelBackend(ExecutionBackend):
         _, memo, shm_on, _ = build
         prof = self.rt.profiler
         gen = self._pool.generation(job.k)
-        live = self._stage_footprints(job, gen, shm_on)
-        # No read values: the plan repeats byte for byte once the arena
-        # rewinds its undo slots to the same offsets.
-        reusable = not live[0]
-
         # Memoized skeleton fast path: the plan's structural payload
         # (reqs, regions, partitions, points) is a pure function of the
         # launch signature once the worker caches are warm, so only the
@@ -730,20 +741,23 @@ class ParallelBackend(ExecutionBackend):
         sm = memo.shards.get(job.shard_index) if memo is not None else None
         if sm is not None and (sm.gen != gen or sm.shm_on != shm_on):
             sm = None
+        read_data, undo = self._stage_footprints(job, gen, shm_on, sm)
         blob = None
         if sm is None:
-            plan, staged = self._build_skeleton(build, job, live)
+            plan, staged = self._build_skeleton(build, job, read_data, undo)
         else:
             self.stats.plan_memo_hits += 1
             staged = _empty_delta()
-            if sm.blob is not None and reusable and live[1:] == (
-                sm.plan.undo_slots, sm.plan.undo_done
-            ):
+            if sm.blob is not None and undo is sm.undo:
+                # No read values and the very slots the blob names.
                 plan, blob = sm.plan, sm.blob
                 self.stats.plan_memo_blob_reuse += 1
             else:
-                plan = replace(sm.plan, read_data=live[0],
-                               undo_slots=live[1], undo_done=live[2])
+                plan = replace(
+                    sm.plan, read_data=read_data,
+                    undo_slots=undo.slots if undo else None,
+                    undo_done=undo.done if undo else None,
+                )
         if blob is None:
             try:
                 blob = dumps(plan)
@@ -756,22 +770,23 @@ class ParallelBackend(ExecutionBackend):
         # Memoize the skeleton only once the worker holds everything the
         # plan assumes (no staged deltas, task blob already cached) and no
         # fault directives were baked in — then the fast path's empty delta
-        # is exact, not an approximation.
-        if sm is None and memo is not None and plan.task_blob is None and not (
-            plan.faults
-            or staged["regions"]
-            or staged["partition_colors"]
-            or staged["subsets"]
+        # is exact, not an approximation.  A hit that had to allocate fresh
+        # slots re-memoizes, so the next launch can retake them.
+        if memo is not None and (sm is None or undo is not sm.undo) and (
+            plan.task_blob is None
+            and not (plan.faults or staged["regions"]
+                     or staged["partition_colors"] or staged["subsets"])
         ):
             memo.shards[job.shard_index] = _PlanMemoShard(
                 gen=gen,
                 shm_on=shm_on,
-                plan=plan if reusable else replace(plan, read_data=()),
-                blob=blob if reusable else None,
+                plan=replace(plan, read_data=()) if read_data else plan,
+                blob=None if read_data else blob,
+                undo=undo,
             )
         return blob, plan
 
-    def _build_skeleton(self, build, job: _ShardJob, live):
+    def _build_skeleton(self, build, job: _ShardJob, read_data, undo):
         """The plan against the worker's *current* committed cache view,
         and the cache delta shipping it stages."""
         launch, _, _, task_blob = build
@@ -828,7 +843,6 @@ class ParallelBackend(ExecutionBackend):
         if launch.point_args is not None:
             extra = [launch.point_args.get(p) for p in local]
 
-        read_data, undo_slots, undo_done = live
         plan = ShardPlan(
             node=node,
             points=[tuple(p) for p in local],
@@ -842,8 +856,8 @@ class ParallelBackend(ExecutionBackend):
             partitions=list(part_entries.values()),
             read_data=read_data,
             profile=self.rt.profiler.enabled,
-            undo_slots=undo_slots,
-            undo_done=undo_done,
+            undo_slots=undo.slots if undo else None,
+            undo_done=undo.done if undo else None,
         )
         staged["tasks"].add(launch.task.uid)
         injector = self.rt.fault_injector
@@ -851,11 +865,13 @@ class ParallelBackend(ExecutionBackend):
             plan.faults = injector.arm_shard(k, node, local)
         return plan, staged
 
-    def _stage_footprints(self, job: _ShardJob, gen: int, shm_on: bool):
-        """One attempt's live plan parts, ``(read_data, undo_slots,
-        undo_done)``: pickled read entries for the fields the worker does
-        not map, and undo slots plus the progress counter for the ones it
-        writes in place — rebinding ``job.undo`` and ``job.progress``."""
+    def _stage_footprints(self, job: _ShardJob, gen: int, shm_on: bool,
+                          sm: Optional[_PlanMemoShard]):
+        """One attempt's live plan parts, ``(read_data, undo)``: pickled
+        read entries for the fields the worker does not map, and the
+        :class:`_UndoSet` for the ones it writes in place — the memoized
+        shard's own set when the arena can retake it, else fresh slots —
+        rebinding ``job.undo`` and ``job.progress``."""
         arena = self._pool.arena
         stats = arena.stats
         footprints = job.footprints
@@ -870,27 +886,40 @@ class ParallelBackend(ExecutionBackend):
                 not fp.in_place for point in footprints.writes for fp in point
             )
         if not footprints.in_place:
-            return read_data, None, None
-        # In-place writes are never made without a way to undo them.
-        progress = arena.alloc_progress(job.k, gen) if shm_on else None
+            return read_data, None
+        undo = sm.undo if sm is not None else None
+        if undo is None or undo.taken is None or not arena.retake(
+            job.k, gen, undo.taken
+        ):
+            undo = self._alloc_undo(job.k, gen, shm_on, footprints)
+        job.undo, job.progress = undo.views, undo.progress
+        return read_data, undo
+
+    def _alloc_undo(self, k: int, gen: int, shm_on: bool,
+                    footprints: _Footprints) -> _UndoSet:
+        """Fresh undo slots and progress counter for one attempt.  In-place
+        writes are never made without a way to undo them."""
+        arena = self._pool.arena
+        progress = arena.alloc_progress(k, gen) if shm_on else None
         if progress is None:
             raise _ParallelBail("no shared memory for undo slots")
-        undo_slots = []
+        undo_slots, views, nbytes = [], [], 0
         for point in footprints.writes:
-            slots, views = [], []
+            slots, point_views = [], []
             for fp in point:
                 slot = None
                 if fp.in_place and fp.nbytes:
-                    slot = arena.alloc_undo_slot(job.k, gen, fp)
+                    slot = arena.alloc_undo_slot(k, gen, fp)
                     if slot is None:
                         raise _ParallelBail("no shared memory for undo slots")
-                    views.append((fp.sub, fp.fname, slot[1]))
+                    point_views.append((fp.sub, fp.fname, slot[1]))
+                    nbytes += slot[1].nbytes
                     slot = slot[0]
                 slots.append(slot)
             undo_slots.append(slots)
-            job.undo.append(views)
-        job.progress = progress[1]
-        return read_data, undo_slots, progress[0]
+            views.append(point_views)
+        taken = arena.record(k, gen, progress, sum(map(len, views)), nbytes)
+        return _UndoSet(undo_slots, progress[0], views, progress[1], taken)
 
     def _collect_launch(self, launch, inflight: _InFlight) -> _Dispatch:
         """Await every shard of one submitted launch and validate the
@@ -923,6 +952,7 @@ class ParallelBackend(ExecutionBackend):
         for job in jobs:
             result = job.payload
             pool.arena.stats.worker_closes += result.shm_closed
+            self.stats.worker_plan_hits += result.plan_hit
             offset = job.mark - result.t0
             for trec in result.tasks:
                 if not 0 <= trec.ordinal < total or tasks[trec.ordinal] is not None:
@@ -1106,9 +1136,8 @@ class ParallelBackend(ExecutionBackend):
             req.region.uid: req.region for req in launch.requirements
         }
         self._commit_effects(dispatch, order, region_by_uid, cfg.batched_commit)
-        fmap.fill({
-            Point(*dispatch.tasks[g].point): dispatch.values[g] for g in order
-        })
+        points, values = dispatch.points, dispatch.values
+        fmap.fill({points[g][1]: values[g] for g in order})
         rt.stats.tasks_executed += total
         for node, local in per_node.items():
             rt.stats.add_representation(Stage.EXECUTION, node, local)

@@ -212,3 +212,4 @@ class ShardResult:
     t0: float                       # worker perf_counter at shard start
     tasks: List[TaskResult] = field(default_factory=list)
     shm_closed: int = 0             # stale segment attachments released
+    plan_hit: bool = False          # run from the worker's plan memo

@@ -41,7 +41,10 @@ workers attach by name and unregister the attachment from their resource
 tracker, so a worker death never reaps a live segment.  Offsets grow
 across a dispatch (retries included) and rewind only after a commit;
 ``reset_worker`` and a serial fallback retire (unlink) the segments a
-stale process could still touch.
+stale process could still touch.  A steady launch takes its shards'
+slots with :meth:`ShmArena.retake` instead of allocating them: the
+recorded offsets, handed out again only where fresh allocations would
+land anyway.
 
 Region segments are unlinked when their region is collected, when its
 runtime's backend shuts down, at :func:`~repro.exec.pool.shutdown_pools`
@@ -79,6 +82,7 @@ __all__ = [
     "Footprint",
     "ShmArena",
     "ShmStats",
+    "SlotSet",
     "attach_instance",
     "in_place",
     "map_region",
@@ -304,6 +308,24 @@ class _Segment:
         self.used = 0
 
 
+class SlotSet:
+    """One shard attempt's slots, recorded so that a later dispatch can take
+    the very same offsets again (:meth:`ShmArena.retake`): the generation
+    and segment they were carved from, the byte range, what they charged,
+    and the parent view of the progress counter that opens the range."""
+
+    __slots__ = ("gen", "seg", "start", "end", "slots", "nbytes", "progress")
+
+    def __init__(self, gen, seg, start, end, slots, nbytes, progress):
+        self.gen = gen
+        self.seg = seg
+        self.start = start
+        self.end = end
+        self.slots = slots
+        self.nbytes = nbytes
+        self.progress = progress
+
+
 _ARENA_COUNTER = [0]
 
 #: Smallest segment; grows geometrically per worker as dispatches demand.
@@ -326,6 +348,9 @@ class ShmArena:
         self.n = n
         self.available = _shared_memory is not None
         self.stats = ShmStats()
+        #: slots actually carved out of a segment; ``stats.write_slots`` is
+        #: what the dispatches charged, retaken sets included.
+        self.allocations = 0
         self._segments: List[List[_Segment]] = [[] for _ in range(n)]
         #: Unlinked but still-mapped segments.  A retired segment may hold
         #: undo slots whose parent-side views a recovery still reads (the
@@ -400,6 +425,7 @@ class ShmArena:
         if slice_ is None:
             return None
         seg, offset = slice_
+        self.allocations += 1
         return ((seg.shm.name, offset, count, dtype.str),
                 self.view(seg, offset, count, dtype))
 
@@ -422,6 +448,41 @@ class ShmArena:
         if slot is not None:
             slot[1][0] = 0
         return slot
+
+    def record(self, k: int, gen: int, progress, slots: int,
+               nbytes: int) -> Optional[SlotSet]:
+        """The slots worker ``k`` was handed since ``progress`` (the shard's
+        first allocation, from :meth:`alloc_progress`), charged ``slots`` /
+        ``nbytes``, as a retakeable set; None when they did not stay in one
+        segment."""
+        segs = self._segments[k]
+        descriptor, view = progress
+        if not segs or segs[-1].shm.name != descriptor[0]:
+            return None
+        seg = segs[-1]
+        return SlotSet(gen, seg, descriptor[1], seg.used, slots, nbytes, view)
+
+    def retake(self, k: int, gen: int, taken: SlotSet) -> bool:
+        """Hand ``taken``'s offsets out again, exactly where allocating the
+        same slots would put them: only while worker ``k`` is generation
+        ``gen`` as at the record, ``taken``'s segment is still its newest,
+        and that segment is rewound to where ``taken`` began.  Re-zeroes
+        the progress counter and charges ``write_slots`` / ``bytes_slotted``
+        as the allocations would; False (nothing changed) otherwise."""
+        seg = taken.seg
+        segs = self._segments[k]
+        if not (
+            self.available
+            and gen == taken.gen == self._gens[k]
+            and segs and segs[-1] is seg
+            and (seg.used + _ALIGN - 1) & ~(_ALIGN - 1) == taken.start
+        ):
+            return False
+        seg.used = taken.end
+        taken.progress[0] = 0
+        self.stats.write_slots += taken.slots
+        self.stats.bytes_slotted += taken.nbytes
+        return True
 
     # ------------------------------------------------------------ lifecycle
     def _retire(self, seg: _Segment) -> None:

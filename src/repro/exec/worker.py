@@ -4,7 +4,9 @@ One worker owns a persistent reconstruction of the slice of the parent's
 world it has been shipped: region skeletons — storage mapped from the
 parent's shm instance where the region has one, private and zeroed
 otherwise — partition stubs holding exactly the colors its shards project
-onto, sparse subsets by uid, and unpickled task functions.  Per shard it
+onto, sparse subsets by uid, unpickled task functions, and bare plans
+already run, unpickled and expanded, keyed by their bytes (a steady replay
+sends the same bytes every launch; ``ShardResult.plan_hit``).  Per shard it
 then runs the two stages of the pipeline tail that need no analyzer state
 — expansion (projection) and task-body execution — and ships back
 portable deltas: pickled write-backs of unmapped fields, recorded
@@ -36,6 +38,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -73,6 +76,11 @@ _SHM_NAMED: set = set()    # the segments the shard being run has named
 #: read-footprint boxes by (region uid, corner bytes), as (subregion, start,
 #: end) into the values: slice geometry is worked out once per box.
 _BOXES: Dict[tuple, list] = {}
+#: bare plans by their exact bytes, with their expansion (LRU; see
+#: ``_remember``).  What the expansions point into — regions and partition
+#: stubs by uid — is never replaced while this state lives.
+_PLANS: "OrderedDict[bytes, tuple]" = OrderedDict()
+_PLAN_MEMO_CAP = 64
 
 
 def reset_state() -> None:
@@ -81,12 +89,14 @@ def reset_state() -> None:
     A ``--listen`` socket worker serves a succession of parent
     connections; each new parent's delta-shipping bookkeeping assumes a
     blank worker, and stale region uids from a previous parent must never
-    collide with the new one's."""
+    collide with the new one's — nor may a memoized plan's expansion, whose
+    bytes a new parent can repeat exactly."""
     _REGIONS.clear()
     _SUBSETS.clear()
     _PARTITIONS.clear()
     _TASKS.clear()
     _BOXES.clear()
+    _PLANS.clear()
     _release_shm(keep=())
 
 
@@ -322,17 +332,40 @@ def _expand(plan: ShardPlan):
     return reqs, resolved_fields, point_tasks, written
 
 
-def _run_shard(plan: ShardPlan) -> ShardResult:
+def _remember(blob: bytes, plan: ShardPlan, expanded) -> None:
+    """Keep a bare plan — no cache deltas, read values or faults, so
+    running it again changes no state but what its bodies write — and its
+    expansion, under its bytes."""
+    if plan.task_blob is None and not (
+        plan.regions or plan.partitions or plan.read_data or plan.faults
+    ):
+        _PLANS[blob] = (plan, expanded)
+        if len(_PLANS) > _PLAN_MEMO_CAP:
+            _PLANS.popitem(last=False)
+
+
+def _run_shard(blob: bytes) -> ShardResult:
+    memo = _PLANS.get(blob)
+    if memo is not None:
+        # Bytes seen before: nothing to unpickle, install or expand.
+        _PLANS.move_to_end(blob)
+        plan, expanded = memo
+    else:
+        plan, expanded = loads(blob), None
     t0 = time.perf_counter()
     faults = plan.faults or []
     corrupt = _fire_faults(faults, "install")
     _SHM_NAMED.clear()
-    _install_plan_state(plan)
+    if expanded is None:
+        _install_plan_state(plan)
     task = _TASKS[plan.task_uid]
-    result = ShardResult(node=plan.node, t0=t0)
+    result = ShardResult(node=plan.node, t0=t0, plan_hit=memo is not None)
 
     corrupt |= _fire_faults(faults, "expansion")
-    reqs, resolved_fields, point_tasks, written = _expand(plan)
+    if expanded is None:
+        expanded = _expand(plan)
+        _remember(blob, plan, expanded)
+    reqs, resolved_fields, point_tasks, written = expanded
     progress = (
         _shm_view(*plan.undo_done) if plan.undo_done is not None else None
     )
@@ -393,9 +426,7 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
 def run_shard_bytes(blob: bytes) -> bytes:
     """One shard, bytes to bytes: ("ok", result) | ("error", ...) pickled."""
     try:
-        plan = loads(blob)
-        result = _run_shard(plan)
-        return dumps(("ok", result))
+        return dumps(("ok", _run_shard(blob)))
     except _CorruptResult:
         # Injected corruption: bytes that cannot unpickle, exactly what a
         # truncated/garbled transport would hand the parent.
