@@ -49,7 +49,6 @@ after the restore.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -80,7 +79,6 @@ from repro.exec.shm import (
     in_place,
     map_region,
     release_instances,
-    shm_env_enabled,
 )
 from repro.exec.transport import (
     ResultCancelled,
@@ -94,20 +92,10 @@ from repro.runtime.pipeline import Stage
 __all__ = [
     "ParallelBackend",
     "ParallelExecStats",
-    "resolve_plan_memo",
 ]
 
 #: How many launch signatures keep a memoized shard-plan skeleton (LRU).
 _PLAN_MEMO_CAP = 64
-
-
-def resolve_plan_memo(configured: Optional[bool]) -> bool:
-    """Effective plan-memo switch: explicit config wins, else env
-    ``REPRO_PLAN_MEMO`` (unset/1 = on, 0 = off — the byte-identity
-    ablation kill switch, mirroring ``REPRO_SHM``)."""
-    if configured is not None:
-        return bool(configured)
-    return os.environ.get("REPRO_PLAN_MEMO", "1").strip() != "0"
 
 
 def _empty_delta() -> Dict[str, set]:
@@ -262,7 +250,6 @@ class _PlanMemoShard:
     """One shard's memoized plan skeleton (see :class:`_PlanMemo`)."""
 
     gen: int                        # worker generation the skeleton targets
-    shm_on: bool                    # undo slots on at build
     plan: ShardPlan                 # empty-delta skeleton
     #: pickled ``plan``, set only when it carried no read data at build; it
     #: ships as-is whenever the arena retakes ``undo``, the set it names.
@@ -286,7 +273,7 @@ class _PlanMemo:
     is not unpickled, installed or expanded there either.
 
     Validity is checked structurally on every use (assignment identity,
-    args equality, worker generation, shm/profiler state); anything stale
+    args equality, worker generation, profiler state); anything stale
     falls back to the ordinary build and overwrites the memo.  Faulty runs
     (an armed injector) bypass the memo entirely so directive-consumption
     order is untouched.
@@ -350,9 +337,6 @@ class ParallelBackend(ExecutionBackend):
         self._pool = None
         self._task_blobs: Dict[int, bytes] = {}
         self._poisoned_tasks: set = set()
-        self.plan_memo_enabled = resolve_plan_memo(
-            getattr(rt.config, "plan_memo", None)
-        )
         #: sig -> _PlanMemo, LRU-capped at _PLAN_MEMO_CAP signatures.
         self._plan_memo: "OrderedDict[tuple, _PlanMemo]" = OrderedDict()
         #: the shards of the dispatch in flight: a fallback undoes them all.
@@ -382,16 +366,12 @@ class ParallelBackend(ExecutionBackend):
         self._pool.observer = self.observer
         return self._pool
 
-    def _shm_on(self) -> bool:
-        cfg = self.rt.config
-        return self.pool().arena.available and (
-            cfg.shm if cfg.shm is not None else shm_env_enabled()
-        )
-
     def map_region(self, region) -> None:
-        """Back a new region by a segment the workers map (exec/shm.py)."""
-        if self._shm_on() and not map_region(region):
-            self.pool().arena.stats.instance_fallbacks += 1
+        """Back a new region by a segment the workers map (exec/shm.py),
+        wherever the transport can map one."""
+        arena = self.pool().arena
+        if arena.available and not map_region(region):
+            arena.stats.instance_fallbacks += 1
 
     def shutdown(self) -> None:
         """Unlink this runtime's region instances; storage stays readable.
@@ -479,8 +459,8 @@ class ParallelBackend(ExecutionBackend):
             self._quiesce()
             for job in self._jobs:
                 self._restore(job)
-            # Retired slots stay mapped until the pool closes; their
-            # offsets are forfeit.
+            # The slots' offsets are forfeit; their segments unmap once
+            # the jobs holding views into them are dropped.
             self._pool.arena.abandon_all()
         self._jobs = []
         self._observe("fallback", launch=launch.name, reason=bail.reason,
@@ -625,7 +605,7 @@ class ParallelBackend(ExecutionBackend):
             )
             ordinal += len(local)
 
-        build = (launch, memo, self._shm_on(), task_blob)
+        build = (launch, memo, task_blob)
         by_worker: Dict[int, List[_ShardJob]] = {}
         for job in self._jobs:
             by_worker.setdefault(job.k, []).append(job)
@@ -648,11 +628,7 @@ class ParallelBackend(ExecutionBackend):
         fault injector (directive-consumption order is sacred), and the
         same profiler state.  Stale memos are overwritten."""
         enabled = self.rt.profiler.enabled
-        if not (
-            self.plan_memo_enabled
-            and self.rt.fault_injector is None
-            and launch.point_args is None
-        ):
+        if self.rt.fault_injector is not None or launch.point_args is not None:
             return None
         memo = self._plan_memo.get(sig)
         if memo is not None and (
@@ -682,15 +658,14 @@ class ParallelBackend(ExecutionBackend):
         Building per worker in shard order preserves both the
         fault-injector's directive-consumption order and the arena's
         per-worker allocation order."""
-        launch, _, shm_on, _ = build
+        launch, _, _ = build
         pool = self._pool
         k = worker_jobs[0].k
-        if shm_on:
-            # One segment per worker per dispatch: its shards' slot bytes
-            # are known before the first slot is allocated.
-            pool.arena.reserve(k, pool.generation(k), sum(
-                job.footprints.nbytes for job in worker_jobs
-            ))
+        # One segment per worker per dispatch: its shards' slot bytes are
+        # known before the first slot is allocated.
+        pool.arena.reserve(k, pool.generation(k), sum(
+            job.footprints.nbytes for job in worker_jobs
+        ))
         items = [self._build_plan(build, job) for job in worker_jobs]
         for job in worker_jobs:
             self._observe("submit", shard=job.node, worker=k, gen=job.gen)
@@ -729,7 +704,7 @@ class ParallelBackend(ExecutionBackend):
         respawned worker's caches are empty, so the fresh plan ships
         everything it needs; a surviving worker's install is idempotent,
         so re-shipped state is harmless."""
-        _, memo, shm_on, _ = build
+        _, memo, _ = build
         prof = self.rt.profiler
         gen = self._pool.generation(job.k)
         # Memoized skeleton fast path: the plan's structural payload
@@ -737,11 +712,11 @@ class ParallelBackend(ExecutionBackend):
         # launch signature once the worker caches are warm, so only the
         # footprint data and undo slots are live.
         # Validity: same worker generation (a respawn empties the caches
-        # the skeleton assumes warm) and the same shm mode.
+        # the skeleton assumes warm).
         sm = memo.shards.get(job.shard_index) if memo is not None else None
-        if sm is not None and (sm.gen != gen or sm.shm_on != shm_on):
+        if sm is not None and sm.gen != gen:
             sm = None
-        read_data, undo = self._stage_footprints(job, gen, shm_on, sm)
+        read_data, undo = self._stage_footprints(job, gen, sm)
         blob = None
         if sm is None:
             plan, staged = self._build_skeleton(build, job, read_data, undo)
@@ -779,7 +754,6 @@ class ParallelBackend(ExecutionBackend):
         ):
             memo.shards[job.shard_index] = _PlanMemoShard(
                 gen=gen,
-                shm_on=shm_on,
                 plan=replace(plan, read_data=()) if read_data else plan,
                 blob=None if read_data else blob,
                 undo=undo,
@@ -789,7 +763,7 @@ class ParallelBackend(ExecutionBackend):
     def _build_skeleton(self, build, job: _ShardJob, read_data, undo):
         """The plan against the worker's *current* committed cache view,
         and the cache delta shipping it stages."""
-        launch, _, _, task_blob = build
+        launch, _, task_blob = build
         k, node, local = job.k, job.node, job.local
         caches = self._pool.caches[k]
         staged = _empty_delta()
@@ -865,7 +839,7 @@ class ParallelBackend(ExecutionBackend):
             plan.faults = injector.arm_shard(k, node, local)
         return plan, staged
 
-    def _stage_footprints(self, job: _ShardJob, gen: int, shm_on: bool,
+    def _stage_footprints(self, job: _ShardJob, gen: int,
                           sm: Optional[_PlanMemoShard]):
         """One attempt's live plan parts, ``(read_data, undo)``: pickled
         read entries for the fields the worker does not map, and the
@@ -877,7 +851,7 @@ class ParallelBackend(ExecutionBackend):
         footprints = job.footprints
         read_data = [fp.inline() for fp in footprints.reads]
         job.undo, job.progress = [], None
-        if shm_on:
+        if arena.available:
             stats.read_fallbacks += len(read_data)
             stats.bytes_staged += sum(
                 fp.count * fp.dtype.itemsize for fp in footprints.reads
@@ -891,16 +865,16 @@ class ParallelBackend(ExecutionBackend):
         if undo is None or undo.taken is None or not arena.retake(
             job.k, gen, undo.taken
         ):
-            undo = self._alloc_undo(job.k, gen, shm_on, footprints)
+            undo = self._alloc_undo(job.k, gen, footprints)
         job.undo, job.progress = undo.views, undo.progress
         return read_data, undo
 
-    def _alloc_undo(self, k: int, gen: int, shm_on: bool,
+    def _alloc_undo(self, k: int, gen: int,
                     footprints: _Footprints) -> _UndoSet:
         """Fresh undo slots and progress counter for one attempt.  In-place
         writes are never made without a way to undo them."""
         arena = self._pool.arena
-        progress = arena.alloc_progress(k, gen) if shm_on else None
+        progress = arena.alloc_progress(k, gen)
         if progress is None:
             raise _ParallelBail("no shared memory for undo slots")
         undo_slots, views, nbytes = [], [], 0
@@ -951,7 +925,7 @@ class ParallelBackend(ExecutionBackend):
         task_worker: List[Tuple[int, float]] = [(0, 0.0)] * total
         for job in jobs:
             result = job.payload
-            pool.arena.stats.worker_closes += result.shm_closed
+            pool.arena.stats.worker_releases += result.shm_released
             self.stats.worker_plan_hits += result.plan_hit
             offset = job.mark - result.t0
             for trec in result.tasks:
@@ -1135,7 +1109,7 @@ class ParallelBackend(ExecutionBackend):
         region_by_uid = {
             req.region.uid: req.region for req in launch.requirements
         }
-        self._commit_effects(dispatch, order, region_by_uid, cfg.batched_commit)
+        self._commit_effects(dispatch, order, region_by_uid)
         points, values = dispatch.points, dispatch.values
         fmap.fill({points[g][1]: values[g] for g in order})
         rt.stats.tasks_executed += total
@@ -1162,7 +1136,7 @@ class ParallelBackend(ExecutionBackend):
                 )
         return fmap
 
-    def _commit_effects(self, dispatch, order, region_by_uid, batched) -> None:
+    def _commit_effects(self, dispatch, order, region_by_uid) -> None:
         """Apply pickled write-backs and recorded reduces in commit order
         (writes to mapped fields already landed in place).
 
@@ -1170,9 +1144,9 @@ class ParallelBackend(ExecutionBackend):
         proves all write footprints of a launch pairwise disjoint, so each
         lands in its own subregion, order-free — a box as one slice copy,
         with no index set built or concatenated — and counts one batched
-        op per (region, field) however many footprints that is.  Reduces,
-        ``batched``: ``np.ufunc.at`` applies duplicate indices sequentially
-        in index-array order, so concatenating recorded calls per (region,
+        op per (region, field) however many footprints that is.  Reduces:
+        ``np.ufunc.at`` applies duplicate indices sequentially in
+        index-array order, so concatenating recorded calls per (region,
         field, operator) in commit order accumulates bit-identically to
         replaying them one by one; a group is flushed early whenever the
         *operator* on its (region, field) changes, preserving the
@@ -1189,9 +1163,6 @@ class ParallelBackend(ExecutionBackend):
             for uid, fname, idx, vals, opname in trec.reduces:
                 key = (uid, fname)
                 vals = np.asarray(vals).ravel()
-                if not batched:
-                    self._apply_reduces(region_by_uid, key, (opname, [idx], [vals]))
-                    continue
                 pending = reduces.get(key)
                 if pending is not None and pending[0] != opname:
                     self._apply_reduces(region_by_uid, key, pending)
@@ -1202,17 +1173,16 @@ class ParallelBackend(ExecutionBackend):
                 else:
                     pending[1].append(idx)
                     pending[2].append(vals)
-        if batched:
-            for key, pending in reduces.items():
-                self._apply_reduces(region_by_uid, key, pending)
-            # Every task writes back the same (requirement, field) list.
-            projs = dispatch.projections[order[0]]
-            written = {
-                (projs[ri].region.uid, fname)
-                for ri, fname, _ in dispatch.tasks[order[0]].writes
-            }
-            stats.batched_commit_ops += len(written) + len(reduces)
-            stats.batched_commit_tasks += len(order)
+        for key, pending in reduces.items():
+            self._apply_reduces(region_by_uid, key, pending)
+        # Every task writes back the same (requirement, field) list.
+        projs = dispatch.projections[order[0]]
+        written = {
+            (projs[ri].region.uid, fname)
+            for ri, fname, _ in dispatch.tasks[order[0]].writes
+        }
+        stats.batched_commit_ops += len(written) + len(reduces)
+        stats.batched_commit_tasks += len(order)
 
     @staticmethod
     def _apply_reduces(region_by_uid, key, pending) -> None:

@@ -211,5 +211,5 @@ class ShardResult:
     node: int
     t0: float                       # worker perf_counter at shard start
     tasks: List[TaskResult] = field(default_factory=list)
-    shm_closed: int = 0             # stale segment attachments released
+    shm_released: int = 0           # stale arena mappings dropped
     plan_hit: bool = False          # run from the worker's plan memo

@@ -35,27 +35,41 @@ data.  On a transport whose workers share the parent's shm namespace
   and four must-fail mutations of it, are checked in
   :mod:`repro.formal.commit_model`.
 
+Segments: region instances and undo arenas are the same kind of object,
+made and unmapped the same way.  :func:`_open_segment` creates one with
+``O_EXCL`` and reserves its pages up front (``posix_fallocate``), so a
+full ``/dev/shm`` fails at creation with ``ENOSPC`` instead of raising
+SIGBUS at the first write; workers attach by name.  Only the owner
+unlinks (:func:`_unlink_segment`).  A mapping is never closed: it unmaps
+when its last reference goes, and every numpy view of it is one, so a
+view that outlives the segment's name or its owner's bookkeeping still
+reads live memory (closing an ``mmap`` under a view leaves a dangling
+pointer).
+
 Arena lifecycle: undo segments are parent-owned and named for their
-worker and **generation** (``reproshm-<pid>p<pool>w<k>g<gen>-<seq>``);
-workers attach by name and unregister the attachment from their resource
-tracker, so a worker death never reaps a live segment.  Offsets grow
-across a dispatch (retries included) and rewind only after a commit;
-``reset_worker`` and a serial fallback retire (unlink) the segments a
-stale process could still touch.  A steady launch takes its shards'
-slots with :meth:`ShmArena.retake` instead of allocating them: the
-recorded offsets, handed out again only where fresh allocations would
-land anyway.
+worker and **generation** (``reproshm-<pid>p<pool>w<k>g<gen>-<seq>``).
+Offsets grow across a dispatch (retries included) and rewind only after
+a commit; ``reset_worker`` and a serial fallback retire the segments a
+stale process could still touch — unlink the name, drop the reference.
+A steady launch takes its shards' slots with :meth:`ShmArena.retake`
+instead of allocating them: the recorded offsets, handed out again only
+where fresh allocations would land anyway.  An arena segment that cannot
+be created switches the arena off: a launch that writes a mapped region
+then falls back to the serial backend ("no shared memory for undo
+slots"), and regions created later stay unmapped.
 
 Region segments are unlinked when their region is collected, when its
 runtime's backend shuts down, at :func:`~repro.exec.pool.shutdown_pools`
-(:func:`release_instances`), and at exit; storage stays readable after that, but new workers can no longer
-map it, so a released region takes the pickled path.  A region whose
-segment cannot be allocated (``/dev/shm`` full) keeps plain numpy storage
-and the pickled path, counted as ``ShmStats.instance_fallbacks``.
+(:func:`release_instances`), and at exit; storage stays readable after
+that, but new workers can no longer map it, so a released region takes
+the pickled path.  A region whose segment cannot be allocated
+(``/dev/shm`` full) keeps plain numpy storage and the pickled path,
+counted as ``ShmStats.instance_fallbacks``.
 
-The pickled path — non-shm-able dtypes, ``shm=False`` / ``REPRO_SHM=0``,
-the ``socket`` transport — is unchanged: read footprints travel as arrays
-in ``ShardPlan.read_data`` and writes come back in ``TaskResult.writes``.
+Everything unmapped — non-shm-able dtypes, the instance fallback, the
+``socket`` transport — takes the pickled path: read footprints travel as
+arrays in ``ShardPlan.read_data`` and writes come back in
+``TaskResult.writes``.
 """
 
 from __future__ import annotations
@@ -74,9 +88,8 @@ from repro.obs.profiler import NULL_PROFILER
 
 try:  # pragma: no cover - exercised on every POSIX CI leg
     import _posixshmem
-    from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - exotic platforms only
-    _posixshmem = _shared_memory = None
+    _posixshmem = None
 
 __all__ = [
     "Footprint",
@@ -87,23 +100,17 @@ __all__ = [
     "in_place",
     "map_region",
     "release_instances",
-    "shm_env_enabled",
 ]
-
-
-def shm_env_enabled() -> bool:
-    """The ``REPRO_SHM`` gate: unset or ``1`` means on, ``0`` means off."""
-    return os.environ.get("REPRO_SHM", "1").strip() != "0"
 
 
 class ShmStats:
     """Hot-path counters for the shared-memory layer."""
 
     __slots__ = (
-        "read_fallbacks",      # read footprints pickled while shm is on
-        "write_fallbacks",     # write footprints pickled while shm is on
+        "read_fallbacks",      # read footprints pickled beside the arena
+        "write_fallbacks",     # write footprints pickled beside the arena
         "write_slots",         # undo slots allocated
-        "bytes_staged",        # read bytes pickled into plans, shm on
+        "bytes_staged",        # read bytes pickled into plans, arena on
         "bytes_slotted",       # undo-slot bytes
         "undo_restores",       # undo slots scattered back on recovery
         "instance_fallbacks",  # regions left on plain numpy storage
@@ -112,7 +119,7 @@ class ShmStats:
         "rewinds",
         "abandons",
         "teardown_errors",
-        "worker_closes",       # stale attachments workers reported releasing
+        "worker_releases",     # stale attachments workers reported dropping
     )
 
     def __init__(self):
@@ -187,13 +194,26 @@ def _open_segment(name: str, size: int = 0) -> mmap.mmap:
         os.close(fd)
 
 
-def _unlink_segment(owner: int, name: str) -> None:
-    # Forked workers inherit the finalizer; only the owner unlinks.
+def _create_segment(name: str, size: int) -> Tuple[str, mmap.mmap]:
+    """Create segment ``name`` (see :func:`_open_segment`); a stale run's
+    segment under that name is never reused — the new one gets a random
+    suffix.  Raises OSError when ``/dev/shm`` cannot back it."""
+    try:
+        return name, _open_segment(name, size)
+    except FileExistsError:
+        name = f"{name}-{secrets.token_hex(4)}"
+        return name, _open_segment(name, size)
+
+
+def _unlink_segment(owner: int, name: str) -> Optional[OSError]:
+    """Unlink ``name`` if this process is its ``owner`` (forked workers
+    inherit finalizers and arenas); the error, if the unlink failed."""
     if os.getpid() == owner:
         try:
             _posixshmem.shm_unlink("/" + name)
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        except OSError as exc:
+            return exc
+    return None
 
 
 def _bind(region, mm: mmap.mmap, offsets) -> None:
@@ -210,13 +230,9 @@ def map_region(region) -> bool:
     offsets, size = _layout(region)
     if not size:
         return True                 # no shm-able field: nothing to map
-    name = f"reproshm-{os.getpid()}pr{region.uid}"
     try:
-        try:
-            mm = _open_segment(name, size)
-        except FileExistsError:  # a stale run's segment: never reuse it
-            name = f"{name}-{secrets.token_hex(4)}"
-            mm = _open_segment(name, size)
+        name, mm = _create_segment(f"reproshm-{os.getpid()}pr{region.uid}",
+                                   size)
     except OSError:
         return False
     _bind(region, mm, offsets.items())
@@ -300,10 +316,11 @@ class Footprint:
 
 # ------------------------------------------------------------------ arena
 class _Segment:
-    __slots__ = ("shm", "size", "used")
+    __slots__ = ("name", "mm", "size", "used")
 
-    def __init__(self, shm, size: int):
-        self.shm = shm
+    def __init__(self, name: str, mm: mmap.mmap, size: int):
+        self.name = name
+        self.mm = mm
         self.size = size
         self.used = 0
 
@@ -346,25 +363,17 @@ class ShmArena:
 
     def __init__(self, n: int):
         self.n = n
-        self.available = _shared_memory is not None
+        self.available = _posixshmem is not None
         self.stats = ShmStats()
         #: slots actually carved out of a segment; ``stats.write_slots`` is
         #: what the dispatches charged, retaken sets included.
         self.allocations = 0
         self._segments: List[List[_Segment]] = [[] for _ in range(n)]
-        #: Unlinked but still-mapped segments.  A retired segment may hold
-        #: undo slots whose parent-side views a recovery still reads (the
-        #: slots of an attempt whose worker was just reset), and
-        #: ``SharedMemory.close()`` does *not* refuse while numpy views
-        #: exist — it silently unmaps, and the next segment's mapping can
-        #: land at the same address, aliasing the dangling views onto fresh
-        #: data.  So retirement only unlinks (frees the name); the mapping
-        #: stays open until :meth:`close`, when no dispatch can be alive.
-        self._retired: List[_Segment] = []
         self._gens = [0] * n
         self._seq = [0] * n
+        self._owner = os.getpid()
         _ARENA_COUNTER[0] += 1
-        self._tag = f"{os.getpid()}p{_ARENA_COUNTER[0]}"
+        self._tag = f"{self._owner}p{_ARENA_COUNTER[0]}"
         #: re-pointed by the owning pool so teardown errors land in the
         #: runtime's trace/metrics stream.
         self.profiler = NULL_PROFILER
@@ -394,16 +403,10 @@ class ShmArena:
         name = f"reproshm-{self._tag}w{k}g{gen}-{self._seq[k]}"
         self._seq[k] += 1
         try:
-            shm = _shared_memory.SharedMemory(
-                name=name, create=True, size=size
-            )
-        except Exception:
-            try:  # name collision with a stale run: retry anonymously
-                shm = _shared_memory.SharedMemory(create=True, size=size)
-            except Exception:
-                self.available = False  # e.g. /dev/shm missing or full
-                return None
-        seg = _Segment(shm, size)
+            seg = _Segment(*_create_segment(name, size), size)
+        except OSError:
+            self.available = False  # e.g. /dev/shm missing or full
+            return None
         segs.append(seg)
         self.stats.segments_created += 1
         seg.used = nbytes
@@ -418,7 +421,7 @@ class ShmArena:
             slice_[0].used = slice_[1]      # hand the room straight back
 
     def view(self, seg: _Segment, offset: int, count: int, dtype):
-        return np.ndarray(count, dtype=dtype, buffer=seg.shm.buf, offset=offset)
+        return np.ndarray(count, dtype=dtype, buffer=seg.mm, offset=offset)
 
     def _slot(self, k: int, gen: int, nbytes: int, count: int, dtype):
         slice_ = self._alloc(k, gen, nbytes) if nbytes else None
@@ -426,7 +429,7 @@ class ShmArena:
             return None
         seg, offset = slice_
         self.allocations += 1
-        return ((seg.shm.name, offset, count, dtype.str),
+        return ((seg.name, offset, count, dtype.str),
                 self.view(seg, offset, count, dtype))
 
     def alloc_undo_slot(
@@ -457,7 +460,7 @@ class ShmArena:
         segment."""
         segs = self._segments[k]
         descriptor, view = progress
-        if not segs or segs[-1].shm.name != descriptor[0]:
+        if not segs or segs[-1].name != descriptor[0]:
             return None
         seg = segs[-1]
         return SlotSet(gen, seg, descriptor[1], seg.used, slots, nbytes, view)
@@ -486,31 +489,18 @@ class ShmArena:
 
     # ------------------------------------------------------------ lifecycle
     def _retire(self, seg: _Segment) -> None:
-        """Free the segment's *name* now; keep its mapping open.
-
-        Workers unregister their attachments from the (fork-shared)
-        resource tracker so a worker death can never reap a live segment —
-        which may have removed *our* registration too.  Re-register first
-        so unlink()'s internal unregister always balances instead of
-        spraying KeyError noise in the tracker process.
-        """
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(seg.shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker impl details vary
-            pass
-        try:
-            seg.shm.unlink()
+        """Unlink the segment's name and drop the arena's reference: the
+        mapping goes with the last view into it (a recovery may still be
+        reading the undo slots of an attempt whose worker was just reset)."""
+        exc = _unlink_segment(self._owner, seg.name)
+        if exc is None:
             self.stats.segments_unlinked += 1
-        except Exception as exc:  # pragma: no cover - already gone
+        else:
             self._note_teardown_error(exc)
-        self._retired.append(seg)
 
     def _note_teardown_error(self, exc: BaseException) -> None:
-        """A segment unlink/close failed: counted
-        (``stats.teardown_errors``) and emitted as an obs instant so shm
-        leaks are diagnosable."""
+        """A segment unlink failed: counted (``stats.teardown_errors``) and
+        emitted as an obs instant so shm leaks are diagnosable."""
         self.stats.teardown_errors += 1
         prof = self.profiler
         if prof.enabled:
@@ -546,23 +536,12 @@ class ShmArena:
         """A dispatch bailed: its offsets can never be trusted again, so
         retire the segments."""
         self.stats.abandons += 1
-        for k in range(self.n):
-            self._drop_worker(k)
+        self.close()
 
     def close(self) -> None:
         for k in range(self.n):
             self._drop_worker(k)
-        for seg in self._retired:
-            try:
-                seg.shm.close()
-            except Exception as exc:  # pragma: no cover
-                self._note_teardown_error(exc)
-        self._retired.clear()
 
     def live_segments(self) -> List[str]:
         """Names of every segment currently linked (leak-test hook)."""
-        return [
-            seg.shm.name
-            for segs in self._segments
-            for seg in segs
-        ]
+        return [seg.name for segs in self._segments for seg in segs]

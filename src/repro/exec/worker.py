@@ -55,7 +55,7 @@ from repro.exec.plan import (
     loads,
     priv_from_token,
 )
-from repro.exec.shm import attach_instance
+from repro.exec.shm import _open_segment, attach_instance
 from repro.runtime.task import PhysicalRegion, TaskContext
 
 __all__ = [
@@ -71,7 +71,7 @@ _REGIONS: Dict[int, Region] = {}
 _SUBSETS: Dict[int, Any] = {}
 _PARTITIONS: Dict[int, "_PartitionStub"] = {}
 _TASKS: Dict[int, Any] = {}
-_SHM: Dict[str, Any] = {}  # attached arena segments, by name
+_SHM: Dict[str, Any] = {}  # mapped arena segments, by name
 _SHM_NAMED: set = set()    # the segments the shard being run has named
 #: read-footprint boxes by (region uid, corner bytes), as (subregion, start,
 #: end) into the values: slice geometry is worked out once per box.
@@ -100,47 +100,25 @@ def reset_state() -> None:
     _release_shm(keep=())
 
 
-def _attach_shm(name: str):
-    """Attach (and cache) one parent-owned shared-memory segment.
-
-    The attachment is immediately unregistered from this process's resource
-    tracker: segments are parent-owned, and a worker death must never let a
-    tracker cleanup unlink memory the parent still uses.
-    """
-    _SHM_NAMED.add(name)
-    shm = _SHM.get(name)
-    if shm is None:
-        from multiprocessing import resource_tracker, shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker impl details vary
-            pass
-        _SHM[name] = shm
-    return shm
-
-
 def _shm_view(name: str, offset: int, count: int, dtype: str) -> np.ndarray:
-    return np.ndarray(
-        count, dtype=np.dtype(dtype), buffer=_attach_shm(name).buf,
-        offset=offset,
-    )
+    """A view of one parent-owned arena segment, mapped once per name."""
+    _SHM_NAMED.add(name)
+    mm = _SHM.get(name)
+    if mm is None:
+        mm = _SHM[name] = _open_segment(name)
+    return np.ndarray(count, dtype=np.dtype(dtype), buffer=mm, offset=offset)
 
 
 def _release_shm(keep) -> int:
-    """Close every cached arena attachment not named in ``keep``: the
-    parent retires (unlinks) segments without telling anyone, and a mapping
-    kept here is then what keeps the pages resident.  Views are transient —
-    made and dropped inside one shard — so none outlives this.  Region
-    instances are not in ``_SHM``: their mappings live as long as the
-    installed region."""
+    """Drop every arena mapping not named in ``keep``: the parent retires
+    (unlinks) segments without telling anyone, and a mapping kept here is
+    then what keeps the pages resident.  Views are transient — made and
+    dropped inside one shard — so the mapping goes with the reference.
+    Region instances are not in ``_SHM``: their mappings live as long as
+    the installed region."""
     stale = [name for name in _SHM if name not in keep]
     for name in stale:
-        try:
-            _SHM.pop(name).close()
-        except Exception:  # pragma: no cover - segment already gone
-            pass
+        del _SHM[name]
     return len(stale)
 
 
@@ -417,7 +395,7 @@ def _run_shard(blob: bytes) -> ShardResult:
             )
         )
     if _SHM_NAMED:  # a plan naming none leaves the attachments be
-        result.shm_closed = _release_shm(keep=_SHM_NAMED)
+        result.shm_released = _release_shm(keep=_SHM_NAMED)
     if corrupt:
         raise _CorruptResult()
     return result

@@ -134,29 +134,19 @@ class RuntimeConfig:
             compile steady-state dependence replays into slot programs and
             dynamic checks into constant-verdict kernels.  Purely an
             execution strategy: results, stats, and traces are
-            byte-identical either way.
-        batched_commit: hot-path engine layer 2 — apply shard write-backs
-            and recorded reductions at launch granularity (one vectorized
-            scatter per (region, field)) instead of per task at parallel
-            commit.  Byte-identical by the verified-launch disjointness
-            argument (see ``docs/hot-path.md``).
-        shm: hot-path engine layer 1 — on a transport whose workers can
-            map parent shm (``pipe``), back every region this runtime
-            creates by a named shared-memory segment the workers map, so
-            task bodies read and write region storage in place, with
-            worker-side undo slots for fault recovery (see
-            :mod:`repro.exec.shm`).  ``None`` (default) reads env
-            ``REPRO_SHM`` (unset/1 = on, 0 = off); off, or for fields and
-            transports that cannot use shm, footprints travel pickled.
+            byte-identical either way; ``False`` is the uncached
+            reference setting.
         transport: how the parallel backend spawns the workers its one
             selector-driven engine talks to.  ``"pipe"`` forks persistent
-            workers wired over raw ``os.pipe`` pairs; ``"socket"`` runs
-            standalone worker processes over loopback sockets standing in
-            for cluster nodes (shm degrades to wire payloads; see
-            ``docs/distributed-transport.md``).  Both speak the framed
-            wire protocol.  ``None`` (default) reads env
-            ``REPRO_TRANSPORT`` (default ``pipe``).  Byte-identical
-            results on either.
+            workers wired over raw ``os.pipe`` pairs and backs every
+            region this runtime creates by a shared-memory segment the
+            workers write in place (see :mod:`repro.exec.shm`);
+            ``"socket"`` runs standalone worker processes over loopback
+            sockets standing in for cluster nodes, and footprints travel
+            as wire payloads (see ``docs/distributed-transport.md``).
+            Both speak the framed wire protocol.  ``None`` (default)
+            reads env ``REPRO_TRANSPORT`` (default ``pipe``).
+            Byte-identical results on either.
         cache_entry_budget: LRU entry budget for the launch-replay cache
             and the dynamic-check memo (each counted separately): at most
             this many distinct launch signatures / check keys stay
@@ -169,13 +159,6 @@ class RuntimeConfig:
             resident-byte cap (see ``replay.estimate_bytes``); ``None``
             reads env ``REPRO_CACHE_BYTES``.  The two budgets compose
             (either going over triggers eviction).
-        plan_memo: parallel-backend shard-plan memoization — on the replay
-            path, reuse the memoized ``ShardPlan`` skeleton (and, in shm
-            steady state, its pickled blob) per (signature, shard) instead
-            of rebuilding projections/templates every issue.  Purely an
-            execution strategy: results, stats, and traces are
-            byte-identical either way.  ``None`` (default) reads env
-            ``REPRO_PLAN_MEMO`` (unset/1 = on, 0 = off).
     """
 
     n_nodes: int = 1
@@ -194,12 +177,9 @@ class RuntimeConfig:
     retry: Optional[Any] = None
     fault_schedule: Optional[Any] = None
     kernels: bool = True
-    batched_commit: bool = True
-    shm: Optional[bool] = None
     transport: Optional[str] = None
     cache_entry_budget: Optional[int] = None
     cache_byte_budget: Optional[int] = None
-    plan_memo: Optional[bool] = None
 
     def __post_init__(self):
         if self.n_nodes < 1:

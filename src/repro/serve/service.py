@@ -224,8 +224,8 @@ class ReproService:
         for session in list(self.sessions.values()):
             try:
                 session.writer.close()
-            except Exception:
-                pass
+            except Exception as exc:
+                self._swallowed("writer_close", exc)
         if self.config.persist_dir:
             from repro.serve.persist import save_tenant_memo
 
@@ -246,8 +246,10 @@ class ReproService:
                 continue
             try:
                 rt.backend.shutdown()
-            except Exception:
-                pass
+            except Exception as exc:
+                # The step that unlinks the session's region segments: a
+                # failure here is a leak, so it is counted, never silent.
+                self._swallowed("backend_shutdown", exc)
         from repro.exec.pool import shutdown_pools
 
         shutdown_pools()
@@ -402,12 +404,17 @@ class ReproService:
                     # warm for the tenant's next session.
                     self._executor.submit(self._drain_quietly, rt)
 
-    @staticmethod
-    def _drain_quietly(rt) -> None:
+    def _drain_quietly(self, rt) -> None:
         try:
             rt.drain()
-        except Exception:
-            pass
+        except Exception as exc:
+            self._swallowed("drain", exc)
+
+    def _swallowed(self, reason: str, exc: BaseException) -> None:
+        """An error no client is left to receive: counted as
+        ``serve.swallowed_errors{reason, kind}``."""
+        self.metrics.inc("serve.swallowed_errors", reason=reason,
+                         kind=type(exc).__name__)
 
     # ------------------------------------------------------------ commands
     def _execute(self, session: Session, command: str, payload: dict):

@@ -11,6 +11,12 @@ set holds halo boxes that genuinely overlap — and sparse (Circuit)
 footprints must keep travelling in the index form.
 """
 
+import gc
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,19 +31,19 @@ from repro.core.projection import ModularFunctor
 from repro.data.partition import equal_partition
 from repro.exec.parallel import _shard_footprints
 from repro.exec.pool import shutdown_pools
-from repro.exec.shm import shm_env_enabled
 from repro.exec.transport import TRANSPORTS
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy
 from repro.runtime import Runtime, RuntimeConfig, task
 
 STENCIL = StencilConfig(n=24, blocks=(4, 2), radius=2, steps=3)
 
-#: the legs of the CI matrix, as explicit configs: pipe and socket
-#: transports, and the pickle payloads of ``shm=False``.
+#: the transports, and pipe workers over regions left unmapped, as the
+#: instance fallback of a full ``/dev/shm`` leaves them: every footprint
+#: pickled.
 LEGS = {
     "pipe": dict(transport="pipe"),
     "socket": dict(transport="socket"),
-    "pipe-noshm": dict(transport="pipe", shm=False),
+    "pipe-noshm": dict(transport="pipe", mapped=False),
 }
 
 FAST_RETRY = RetryPolicy(
@@ -57,15 +63,19 @@ FAULTS = {
 
 def _maps(leg: dict) -> bool:
     """Whether the leg's regions are mapped into the workers."""
-    return (
-        leg.get("shm", True)
-        and shm_env_enabled()
-        and TRANSPORTS[leg["transport"]].local_shm
-    )
+    return leg.get("mapped", True) and TRANSPORTS[leg["transport"]].local_shm
+
+
+def _leg_runtime(workers, mapped=True, **cfg):
+    """A runtime whose regions get no segment unless ``mapped``."""
+    rt = Runtime(RuntimeConfig(n_nodes=2, workers=workers, **cfg))
+    if not mapped:
+        rt.backend.map_region = lambda region: None
+    return rt
 
 
 def _stencil(workers, **cfg):
-    rt = Runtime(RuntimeConfig(n_nodes=2, workers=workers, **cfg))
+    rt = _leg_runtime(workers, **cfg)
     grid = build_stencil(rt, STENCIL)
     out = run_stencil(rt, grid)
     return rt, out.tobytes(), grid.grid.storage("input").tobytes()
@@ -125,13 +135,6 @@ class TestHaloStencil:
         else:
             assert shm.write_slots == shm.bytes_slotted == 0
 
-    @pytest.mark.parametrize("leg", sorted(LEGS))
-    def test_per_task_commit_takes_boxes_too(self, leg, serial_stencil):
-        rt, out, inp = _stencil(2, batched_commit=False, **LEGS[leg])
-        assert (out, inp) == serial_stencil
-        assert rt.backend.stats.batched_commit_ops == 0
-        assert rt.backend.stats.fallbacks == 0
-
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     @pytest.mark.parametrize("leg", sorted(LEGS))
     def test_identical_under_the_fault_ladder(self, leg, fault,
@@ -148,7 +151,7 @@ class TestHaloStencil:
 
     def test_batched_commit_is_one_op_per_region_field(self, serial_stencil):
         # pickled write-backs: mapped fields have nothing to commit
-        rt, out, _ = _stencil(2, transport="pipe", shm=False)
+        rt, out, _ = _stencil(2, **LEGS["pipe-noshm"])
         # each launch writes one (region, field), as 8 boxes
         assert rt.backend.stats.batched_commit_ops == 2 * STENCIL.steps
 
@@ -158,17 +161,17 @@ class TestCircuitKeepsTheIndexForm:
                            wires_per_piece=20, steps=3)
 
     def _run(self, workers, **cfg):
-        rt = Runtime(RuntimeConfig(n_nodes=2, workers=workers, **cfg))
+        rt = _leg_runtime(workers, **cfg)
         graph = build_circuit(rt, self.CONFIG)
         voltages = run_circuit(rt, graph)
         return rt, voltages.tobytes(), graph.nodes.storage("charge").tobytes()
 
-    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("tracing", [True, False])
     @pytest.mark.parametrize("leg", sorted(LEGS))
-    def test_parallel_equals_serial(self, leg, batched):
+    def test_parallel_equals_serial(self, leg, tracing):
         shutdown_pools()
-        _, *serial = self._run(1)
-        rt, *parallel = self._run(2, batched_commit=batched, **LEGS[leg])
+        _, *serial = self._run(1, tracing=tracing)
+        rt, *parallel = self._run(2, tracing=tracing, **LEGS[leg])
         assert parallel == serial
         assert rt.backend.stats.parallel_launches > 0
         assert rt.backend.stats.fallbacks == 0
@@ -192,23 +195,43 @@ def bump(ctx, r):
     r.write("x", r.read("x") + 1.0)
 
 
-@task(privileges=["reads writes"])
-def mapped_segments(ctx, r):
-    """How many arena segments this worker process has mapped right now
-    (region instances, ``reproshm-<pid>pr<uid>``, are not arena ones)."""
-    import re
-
+def arena_mappings() -> int:
+    """How many arena segments this process has mapped right now (region
+    instances, ``reproshm-<pid>pr<uid>``, are not arena ones)."""
     with open("/proc/self/maps") as fh:
         # field 6 is the path; a retired segment reads "... (deleted)"
         return len({line.split()[5] for line in fh
                     if re.search(r"reproshm-\d+p\d+w", line)})
 
 
+@task(privileges=["reads writes"])
+def mapped_segments(ctx, r):
+    """:func:`arena_mappings`, in the worker running this point."""
+    return arena_mappings()
+
+
+def children(pid: int) -> list:
+    """Live child processes of ``pid``."""
+    out = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            out.append(int(entry))
+    return sorted(out)
+
+
 def _shm_runtime(**cfg):
     """A runtime on fresh pipe workers with the arena on, whatever the
-    environment selects for the rest of the suite."""
+    environment selects for the rest of the suite.  Earlier tests'
+    runtimes are collected first: their plan memos still view segments of
+    their pools, and workers forked now would inherit those mappings."""
     shutdown_pools()
-    rt = Runtime(RuntimeConfig(workers=2, transport="pipe", shm=True, **cfg))
+    gc.collect()
+    rt =Runtime(RuntimeConfig(workers=2, transport="pipe", **cfg))
     if not rt.backend.pool().arena.available:
         pytest.skip("no shared memory on this platform")
     return rt
@@ -270,4 +293,59 @@ class TestArena:
         # mappings of the first dispatch's two segments: workers are forked
         # at first submit and inherit what the parent had mapped by then
         assert worst <= 4
-        assert arena.stats.worker_closes >= 100
+        assert arena.stats.worker_releases >= 100
+
+    def test_fallbacks_do_not_pin_arena_mappings(self):
+        """Corrupt on every attempt with a ladder of zero rungs: each of 40
+        launches over a 512 KiB region falls back to serial and retires
+        both workers' segments.  A retired segment unmaps with its last
+        view, so the parent maps no more of them after the 40th fallback
+        than after the first."""
+        plan = FaultPlan(specs=(FaultSpec(
+            kind="corrupt", scope="worker", target=(0,), phase="execution",
+            times=-1,
+        ),))
+        no_ladder = RetryPolicy(same_worker_retries=0, respawns=0,
+                                backoff_base_s=1e-4, backoff_cap_s=1e-3,
+                                shard_timeout_s=30.0)
+        rt = _shm_runtime(n_nodes=2, fault_plan=plan, retry=no_ladder)
+        region = rt.create_region("pin", 1 << 16, {"x": "f8"})
+        part = equal_partition("pin_p", region, 4)
+        mapped = []
+        for _ in range(40):
+            rt.index_launch(bump, 4, part)
+            mapped.append(arena_mappings())
+        assert rt.backend.stats.fallbacks == 40
+        assert rt.backend.pool().arena.stats.segments_created >= 80
+        assert np.array_equal(region.storage("x"), np.full(1 << 16, 40.0))
+        assert mapped[-1] <= mapped[0]
+
+    def test_pipe_process_tree_is_the_workers(self, tmp_path):
+        """A pipe run forks its workers and nothing else: no bookkeeping
+        process rides along beside them."""
+        script = (
+            "from repro.data.partition import equal_partition\n"
+            "from repro.runtime import Runtime, RuntimeConfig\n"
+            "from tests.exec.test_box_footprints import bump, children\n"
+            "import os\n"
+            "rt = Runtime(RuntimeConfig(n_nodes=2, workers=2,"
+            " transport='pipe'))\n"
+            "r = rt.create_region('t', 4096, {'x': 'f8'})\n"
+            "rt.index_launch(bump, 4, equal_partition('p', r, 4))\n"
+            "assert r.instance is not None\n"
+            "assert rt.backend.stats.parallel_launches == 1\n"
+            "transport = rt.backend.pool().transport\n"
+            "print(sorted(transport._handle(k).pid for k in range(2)))\n"
+            "print(children(os.getpid()))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([os.path.join(root, "src"),
+                                               root]))
+        out = subprocess.run([sys.executable, "-c", script], cwd=root,
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        workers, kids = out.stdout.splitlines()[-2:]
+        assert kids == workers

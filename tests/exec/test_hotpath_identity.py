@@ -1,11 +1,12 @@
-"""Hot-path engine knobs are pure performance levers (docs/hot-path.md).
+"""The hot-path engine is a pure performance lever (docs/hot-path.md).
 
-The three layers — zero-copy shm transport, batched physical commit,
-precompiled check/dependence kernels — each have a ``RuntimeConfig`` kill
-switch.  Toggling any one of them off must leave every functional
-observable byte-identical: region contents, future values, dependence
-edges, and every ``PipelineStats`` counter (the engine charges its savings
-virtually).  The shm transport must additionally unlink every segment it
+Mapped region instances, batched commit and the plan memo are the only
+path the parallel backend has; precompiled check/dependence kernels keep
+a ``RuntimeConfig`` switch whose ``False`` is the uncached reference.
+Every setting must leave each functional observable byte-identical to
+the serial backend: region contents, future values, dependence edges,
+and every ``PipelineStats`` counter (the engine charges its savings
+virtually).  The shm layer must additionally unlink every segment it
 creates on every exit path: steady-state commit, fault recovery, the
 tier-3 serial fallback, and pool teardown.
 """
@@ -26,8 +27,9 @@ from tests.exec.test_parallel_equivalence import (
     run_program,
 )
 
-#: The hot-path engine's kill switches, each toggled off individually.
-KNOBS = ("shm", "kernels", "batched_commit")
+#: The parallel backend's settings, each compared with the serial backend:
+#: the default, and the kernels' reference setting.
+SETTINGS = ({}, {"kernels": False})
 
 FAST_RETRY = RetryPolicy(
     same_worker_retries=1,
@@ -37,7 +39,7 @@ FAST_RETRY = RetryPolicy(
     shard_timeout_s=30.0,
 )
 
-#: Worker-killing and result-corrupting plans: the knobs must stay
+#: Worker-killing and result-corrupting plans: the engine must stay
 #: invisible even while the recovery ladder is climbing.
 FAULTS = [
     FaultSpec(kind="kill", scope="worker", target=(0,), phase="execution"),
@@ -47,7 +49,7 @@ FAULTS = [
 
 #: perfbench's ``replay_steady`` shape — identity then rotation, ``reads
 #: writes``, one partition — long enough to settle on launch users (see
-#: ``DependenceKernel``): always part of the knob-identity runs below.
+#: ``DependenceKernel``): always part of the identity runs below.
 STEADY_REPLAY = (
     ["bump8", "shifted"], 6, None, dict(n_nodes=4, dcr=True, tracing=True)
 )
@@ -77,30 +79,31 @@ def _linked(rt) -> set:
 
 class TestKnobIdentity:
     @settings(max_examples=6, deadline=None)
-    @given(program=program_strategy, knob=st.sampled_from(KNOBS))
-    @example(program=STEADY_REPLAY, knob="kernels")
-    def test_each_knob_off_is_byte_identical(self, program, knob):
+    @given(program=program_strategy, setting=st.sampled_from(SETTINGS))
+    @example(program=STEADY_REPLAY, setting=SETTINGS[0])
+    @example(program=STEADY_REPLAY, setting=SETTINGS[1])
+    def test_each_knob_off_is_byte_identical(self, program, setting):
         ops, iters, _, cfg = program
-        ref_rt, ref_out = _observables(ops, iters, cfg, 2)
-        rt, out = _observables(ops, iters, cfg, 2, **{knob: False})
+        ref_rt, ref_out = _observables(ops, iters, cfg, 1)
+        rt, out = _observables(ops, iters, cfg, 2, **setting)
         assert out == ref_out
         assert full_stats(rt) == full_stats(ref_rt)
 
     @settings(max_examples=4, deadline=None)
     @given(
         program=program_strategy,
-        knob=st.sampled_from(KNOBS),
+        setting=st.sampled_from(SETTINGS),
         spec=st.sampled_from(FAULTS),
     )
-    @example(program=STEADY_REPLAY, knob="kernels", spec=FAULTS[0])
-    @example(program=STEADY_REPLAY, knob="shm", spec=FAULTS[1])
-    def test_knob_off_identical_under_faults(self, program, knob, spec):
+    @example(program=STEADY_REPLAY, setting=SETTINGS[1], spec=FAULTS[0])
+    @example(program=STEADY_REPLAY, setting=SETTINGS[0], spec=FAULTS[1])
+    def test_knob_off_identical_under_faults(self, program, setting, spec):
         ops, iters, _, cfg = program
         plan = FaultPlan(specs=(spec,))
-        ref_rt, ref_out = _observables(ops, iters, cfg, 2)
+        ref_rt, ref_out = _observables(ops, iters, cfg, 1)
         rt, out = _observables(
             ops, iters, cfg, 2,
-            fault_plan=plan, retry=FAST_RETRY, **{knob: False},
+            fault_plan=plan, retry=FAST_RETRY, **setting,
         )
         assert rt.fault_injector.fired_count >= 1
         assert rt.stats.launches_poisoned == 0

@@ -14,6 +14,7 @@ import errno
 import gc
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -41,8 +42,8 @@ from tests.exec.test_parallel_equivalence import (
     run_program,
 )
 
-#: pipe workers with shm on, whatever the environment picks for the suite
-MAPPED = dict(workers=2, transport="pipe", shm=True)
+#: pipe workers, whatever the environment picks for the suite
+MAPPED = dict(workers=2, transport="pipe")
 
 RETRY = RetryPolicy(same_worker_retries=1, respawns=2, backoff_base_s=1e-4,
                     backoff_cap_s=1e-3, shard_timeout_s=30.0)
@@ -160,7 +161,7 @@ class TestProgramIdentity:
     def test_mapped_is_byte_identical_to_serial(self, program):
         ref_rt, ref = _program(program, 1)
         shutdown_pools()
-        rt, out = _program(program, 2, transport="pipe", shm=True)
+        rt, out = _program(program, 2, transport="pipe")
         assert out == ref
         assert full_stats(rt) == full_stats(ref_rt)
 
@@ -169,7 +170,7 @@ class TestProgramIdentity:
     def test_mapped_identical_under_faults(self, program, spec):
         ref_rt, ref = _program(program, 1)
         shutdown_pools()
-        rt, out = _program(program, 2, transport="pipe", shm=True,
+        rt, out = _program(program, 2, transport="pipe",
                            fault_plan=FaultPlan(specs=(spec,)), retry=RETRY)
         assert rt.fault_injector.fired_count >= 1
         assert rt.stats.launches_poisoned == 0
@@ -241,7 +242,6 @@ class TestSegmentLifecycle:
     def test_hundred_short_lived_runtimes(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_TRANSPORT", "pipe")
-        monkeypatch.delenv("REPRO_SHM", raising=False)
         shutdown_pools()
 
         def short_lived():
@@ -270,7 +270,7 @@ class TestSegmentLifecycle:
             "from repro.runtime import Runtime, RuntimeConfig\n"
             "from tests.exec.test_mapped_instances import bump\n"
             "rt = Runtime(RuntimeConfig(n_nodes=2, workers=2,"
-            " transport='pipe', shm=True))\n"
+            " transport='pipe'))\n"
             "r = rt.create_region('x', 16, {'x': 'f8'})\n"
             "assert r.instance is not None\n"
             "rt.index_launch(bump, 4, equal_partition('p', r, 4))\n"
@@ -309,8 +309,41 @@ class TestSegmentLifecycle:
         assert _files("pr") == []
         shutdown_pools()
 
-    @pytest.mark.parametrize("cfg", [dict(transport="socket"),
-                                     dict(transport="pipe", shm=False)])
-    def test_pickled_legs_map_nothing(self, cfg):
+    def test_full_dev_shm_for_undo_slots_falls_back_to_serial(
+            self, monkeypatch):
+        """An arena segment reserves its pages when it is created, so a
+        ``/dev/shm`` that cannot back the undo slots fails there, with
+        ENOSPC, and never with SIGBUS at the first write: every launch on
+        the regions already mapped falls back to serial, byte-identical,
+        and no arena file is left behind."""
+        rt = _mapped_rt()
+        r = rt.create_region("fx", 32, {"x": "f8"})
+        r.storage("x")[:] = np.arange(32.0)
+        p = equal_partition(f"fxp{r.uid}", r, 8)
+        assert r.instance is not None
+        real_open = shm._open_segment
+
+        def full(name, size=0):
+            # Arena segments cannot be created; region instances still map.
+            if size and re.search(r"reproshm-\d+p\d+w", name):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(name, size)
+
+        monkeypatch.setattr(shm, "_open_segment", full)
+        for _ in range(3):
+            rt.index_launch(bump, 8, p)
+        ref_rt, ref = _serial_bytes()
+        assert r.storage("x").tobytes() == ref
+        assert full_stats(rt) == full_stats(ref_rt)
+        assert rt.backend.stats.fallbacks == 3
+        assert rt.backend.stats.parallel_launches == 0
+        assert _files("p*w") == []
+        shutdown_pools()
+
+    @pytest.mark.parametrize("cfg, fields", [
+        (dict(transport="socket"), {"x": "f8"}),
+        (dict(transport="pipe"), {"o": object}),     # nothing shm-able
+    ], ids=["cfg0", "cfg1"])
+    def test_pickled_legs_map_nothing(self, cfg, fields):
         rt = Runtime(RuntimeConfig(n_nodes=2, workers=2, **cfg))
-        assert rt.create_region("u", 16, {"x": "f8"}).instance is None
+        assert rt.create_region("u", 16, fields).instance is None

@@ -55,7 +55,7 @@ def test_plan_bytes_do_not_grow_with_live_users(monkeypatch):
     monkeypatch.setattr(WorkerPool, "submit_shards", counting)
     weight = {}
     for pieces in (32, 256):
-        rt, _, part = _runtime(f"pb{pieces}", pieces, workers=2, shm=False)
+        rt, _, part = _runtime(f"pb{pieces}", pieces, workers=2)
         rt.index_launch(bump, pieces, part)          # |P| live users
         rt.index_launch(bump, 16, part)              # warms worker caches
         del submitted[:]

@@ -1,14 +1,13 @@
-"""Plan-skeleton memoization on the replay path (ROADMAP item 3).
+"""Plan-skeleton memoization on the replay path.
 
-The parallel backend rebuilds and re-pickles every ``ShardPlan`` from
-scratch per launch even in the steady replay state, where the skeleton
-(reqs, regions, points, projections) is a pure function of the launch
-signature.  The memo reuses the skeleton — and, when the shm arena hands
-back byte-identical descriptors after its rewind, the whole pickle blob.
+In the steady replay state a ``ShardPlan``'s skeleton (reqs, regions,
+points, projections) is a pure function of the launch signature.  The
+memo reuses the skeleton — and, when the shm arena hands back
+byte-identical descriptors after its rewind, the whole pickle blob.
 
-Identity discipline: everything observable must be byte-identical with
-the memo off (``REPRO_PLAN_MEMO=0`` / ``plan_memo=False``), including
-after worker respawns (generation bumps invalidate shard memos).
+Identity discipline: everything observable must be byte-identical to the
+serial backend, including after worker respawns (generation bumps
+invalidate shard memos).
 """
 
 import numpy as np
@@ -22,28 +21,26 @@ PROGRAM = ("bump8", "copy", "shifted", "total")
 CFG = dict(n_nodes=4, dcr=True)
 
 
-def test_memo_on_off_byte_identical(monkeypatch):
+def test_memo_hits_are_byte_identical_to_serial():
     on = run_program(PROGRAM, 6, None, CFG, workers=2)
-    monkeypatch.setenv("REPRO_PLAN_MEMO", "0")
-    off = run_program(PROGRAM, 6, None, CFG, workers=2)
+    ref = run_program(PROGRAM, 6, None, CFG, workers=1)
     rt_on, x_on, y_on, fut_on, edges_on = on
-    rt_off, x_off, y_off, fut_off, edges_off = off
-    assert x_on.tobytes() == x_off.tobytes()
-    assert y_on.tobytes() == y_off.tobytes()
-    assert fut_on == fut_off
-    assert edges_on == edges_off
-    assert full_stats(rt_on) == full_stats(rt_off)
+    rt_ref, x_ref, y_ref, fut_ref, edges_ref = ref
+    assert rt_on.backend.stats.plan_memo_hits > 0
+    assert x_on.tobytes() == x_ref.tobytes()
+    assert y_on.tobytes() == y_ref.tobytes()
+    assert fut_on == fut_ref
+    assert edges_on == edges_ref
+    assert full_stats(rt_on) == full_stats(rt_ref)
 
 
-def test_memo_actually_fires(monkeypatch):
-    """Anti-vacuity: steady-state replay hits the memo, and with shm on
-    the rewound arena reuses the pickled blob byte-for-byte."""
+def test_memo_actually_fires():
+    """Anti-vacuity: steady-state replay hits the memo, on the parallel
+    path."""
     rt, *_ = run_program(PROGRAM, 6, None, CFG, workers=2)
     stats = rt.backend.stats
     assert stats.plan_memo_hits > 0
-    monkeypatch.setenv("REPRO_PLAN_MEMO", "0")
-    rt_off, *_ = run_program(PROGRAM, 6, None, CFG, workers=2)
-    assert rt_off.backend.stats.plan_memo_hits == 0
+    assert stats.fallbacks == 0
 
 
 @pytest.mark.parametrize("analysis_cache", [True, False])
@@ -80,27 +77,11 @@ def test_untraced_launch_hits_the_memo(analysis_cache):
     assert full_stats(rt_p) == full_stats(rt_s)
 
 
-def test_memo_config_knob_wins_over_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_MEMO", "0")
-    rt, *_ = run_program(
-        PROGRAM, 6, None, dict(CFG, plan_memo=True), workers=2
-    )
-    assert rt.backend.stats.plan_memo_hits > 0
-    monkeypatch.delenv("REPRO_PLAN_MEMO")
-    rt, *_ = run_program(
-        PROGRAM, 6, None, dict(CFG, plan_memo=False), workers=2
-    )
-    assert rt.backend.stats.plan_memo_hits == 0
-
-
-def test_blob_reuse_with_shm(monkeypatch):
+def test_blob_reuse_with_shm():
     """With the shm arena on, steady-state descriptors repeat after the
     commit rewind, so whole pickled blobs are resent untouched."""
-    from repro.exec.shm import shm_env_enabled
     from repro.exec.transport import TRANSPORTS, resolve_transport
 
-    if not shm_env_enabled():
-        pytest.skip("shm arena unavailable/disabled in this environment")
     if not TRANSPORTS[resolve_transport(None)].local_shm:
         pytest.skip("transport cannot map parent shm; blobs never repeat")
     rt, *_ = run_program(PROGRAM, 6, None, CFG, workers=2)

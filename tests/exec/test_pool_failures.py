@@ -185,16 +185,11 @@ class TestTeardownErrorCounting:
         seg, _offset = slice_
         # Unlink out from under the arena so retirement's own unlink fails
         # the way a racing external cleanup would make it fail.
-        seg.shm.unlink()
+        os.unlink(f"/dev/shm/{seg.name}")
         arena._drop_worker(0)
         assert arena.stats.teardown_errors == 1
         assert "FileNotFoundError" in _counter_kinds(pool, "shm.teardown_errors")
         assert "shm.teardown_error" in [i.name for i in pool.profiler.instants]
-        # Balance the resource tracker: _retire registered the name before
-        # its unlink failed, and nothing will ever unregister it.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg.shm._name, "shared_memory")
 
     def test_teardown_errors_ride_the_stats_dict(self, pool):
         assert "teardown_errors" in pool.arena.stats.as_dict()

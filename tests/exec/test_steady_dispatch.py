@@ -35,8 +35,8 @@ from repro.runtime import Runtime, RuntimeConfig, task
 
 from tests.exec.test_parallel_equivalence import full_stats
 
-#: pipe workers with shm on, whatever the environment picks for the suite
-MAPPED = dict(workers=2, transport="pipe", shm=True)
+#: pipe workers, whatever the environment picks for the suite
+MAPPED = dict(workers=2, transport="pipe")
 GROUPS = 4
 
 
@@ -95,8 +95,10 @@ def _counters(rt):
     )
 
 
-def _steady(pieces, warmup=3, steady=3, **cfg):
-    """Run the fan-out loop; per steady launch, the counter deltas."""
+def _steady(pieces, warmup=3, steady=3, forget=False, **cfg):
+    """Run the fan-out loop; per steady launch, the counter deltas.
+    ``forget`` drops the parent's plan memo before every steady launch, so
+    each one builds its plans and allocates its slots afresh."""
     rt = _runtime(**cfg)
     loop = _Fanout(rt, pieces)
     for _ in range(warmup):
@@ -108,6 +110,11 @@ def _steady(pieces, warmup=3, steady=3, **cfg):
         now = _counters(rt)
         deltas.append({k: v - last[0][k] for k, v in now.items()})
         last[0] = now
+        if forget:
+            rt.backend._plan_memo.clear()
+
+    if forget:
+        rt.backend._plan_memo.clear()
 
     for _ in range(steady):
         loop.op(note)
@@ -121,7 +128,7 @@ class TestSteadyLaunchCounts:
         ref = _Fanout(ref_rt, pieces)
         for _ in range(6):
             ref.op()
-        off_rt, off, off_deltas = _steady(pieces, plan_memo=False, **MAPPED)
+        off_rt, off, off_deltas = _steady(pieces, forget=True, **MAPPED)
         off_bytes = off.storage()
         rt, loop, deltas = _steady(pieces, **MAPPED)
 
@@ -159,10 +166,9 @@ def test_future_map_keys_match_serial():
     assert all(type(key) is Point for fmap in maps[1] for key, _ in fmap)
 
 
-def test_profile_bench_summary_prints_worker_plan_hits(capsys, monkeypatch):
+def test_profile_bench_summary_prints_worker_plan_hits(capsys):
     from repro.cli import main
 
-    monkeypatch.delenv("REPRO_SHM", raising=False)
     shutdown_pools()
     assert main(["profile", "stencil", "--steps", "4", "--workers", "2",
                  "--transport", "pipe", "--bench-summary"]) == 0

@@ -221,6 +221,43 @@ class TestGracefulShutdown:
         assert svc._stopped.is_set()
 
 
+class TestSwallowedErrors:
+    def test_each_swallowed_error_is_counted(self):
+        """The three errors no client is left to receive — draining a
+        departed session's runtime, releasing a backend at shutdown, and
+        closing a writer at shutdown — each land in their own
+        ``serve.swallowed_errors`` series."""
+        def swallowed(reason):
+            return svc.metrics.value("serve.swallowed_errors", reason=reason,
+                                     kind="RuntimeError")
+
+        def failing(real=None):
+            def fail(*_):
+                if real is not None:
+                    real()
+                raise RuntimeError("forced")
+            return fail
+
+        with running_service() as (svc, _):
+            keep = ServiceClient("127.0.0.1", svc.port)
+            gone = ServiceClient("127.0.0.1", svc.port)
+            kept, left = svc.sessions[keep.session], svc.sessions[gone.session]
+            left.rt.drain = failing()
+            gone.close()
+            wait_for(lambda: left.closed)
+            keep.drain()                # the sweep that reaps ``gone``
+            wait_for(lambda: swallowed("drain") == 1)
+            kept.rt.backend.shutdown = failing()
+            kept.writer.close = failing(kept.writer.close)
+            assert swallowed("backend_shutdown") == swallowed(
+                "writer_close") == 0
+            # Context exit runs svc.shutdown(), which meets both.
+        assert swallowed("backend_shutdown") == 1
+        assert swallowed("writer_close") == 1
+        assert svc.metrics.total("serve.swallowed_errors") == 3
+        keep.close()
+
+
 class TestWarmRestartPersistence:
     def test_restart_repays_no_first_issue_analysis(self, tmp_path):
         """Acceptance: a restarted service restores the dynamic-check
