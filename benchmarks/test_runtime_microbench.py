@@ -313,37 +313,6 @@ def _sample_us(fn, repeats):
     }
 
 
-SCALING_PIECES = (32, 128, 512)
-
-
-def _live_analysis_scaling():
-    """Microseconds per task of one first issue as |P| grows.
-
-    The region's bucket already holds one user per block (an earlier
-    launch over the same partition), so each access of the measured launch
-    has one real candidate among |P| users; a rotation functor makes it a
-    launch the runtime has not seen, so every task takes the live path of
-    the physical analysis.  The paper's claim (and ours, since the
-    analyzer's candidate index) is that this stays flat in |P|.  Min of
-    five fresh runtimes per size.
-    """
-    per_task = {}
-    for pieces in SCALING_PIECES:
-        best = float("inf")
-        for _ in range(5):
-            rt, part = fresh(pieces)
-            rt.index_launch(noop_rw, pieces, part)
-            rotated = (part, ModularFunctor(pieces, 3))
-            start = time.perf_counter()
-            rt.index_launch(noop_rw, pieces, rotated)
-            best = min(best, time.perf_counter() - start)
-        per_task[str(pieces)] = round(best / pieces * 1e6, 1)
-    return {
-        "us_per_task": per_task,
-        "ratio_512_vs_32": round(per_task["512"] / per_task["32"], 2),
-    }
-
-
 def test_bench_replay_snapshot():
     """First-issue vs steady-state replay snapshot -> BENCH_runtime.json.
 
@@ -351,7 +320,6 @@ def test_bench_replay_snapshot():
     fixture) so the snapshot is produced even under ``--benchmark-disable``
     smoke runs, and asserts the issue's floor: steady-state replay of an
     identical 64-task launch at least 3x faster than its first issue.
-    Also records how the per-task cost of a first issue scales with |P|.
     """
     # First issue: a fresh runtime per measurement (min-of-7).
     firsts = []
@@ -392,7 +360,6 @@ def test_bench_replay_snapshot():
     from repro.runtime.kernels import GLOBAL_CHECK_KERNELS
 
     speedup = first_us / replay_us
-    scaling = _live_analysis_scaling()
     snapshot = {
         "n_tasks": PIECES,
         "n_nodes": 4,
@@ -418,12 +385,9 @@ def test_bench_replay_snapshot():
                 GLOBAL_CHECK_KERNELS.affine_constants
             ),
         },
-        "live_analysis_scaling": scaling,
     }
     with open(os.path.join(results_dir(), "BENCH_runtime.json"), "w") as fh:
         json.dump(snapshot, fh, indent=2)
         fh.write("\n")
     print(f"\nBENCH_runtime: {json.dumps(snapshot)}")
     assert speedup >= 3.0, snapshot
-    # A ratio, not a time: per-task cost must not grow with |P|.
-    assert scaling["ratio_512_vs_32"] <= 2.0, snapshot

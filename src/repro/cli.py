@@ -334,15 +334,16 @@ def _bench_summary_table(rt) -> str:
 
     Collects the three layers' counters — shared-memory transport, batched
     physical commit, precompiled check/dependence kernels — the users the
-    physical analyzer retired at launch level, and the shards workers ran
-    from their plan memo, from wherever they live (runtime, backend, pool
-    arena) into one aligned block.
+    physical analyzer retired at launch level, the launches it analysed by
+    colour, and the shards workers ran from their plan memo, from wherever
+    they live (runtime, backend, pool arena) into one aligned block.
     """
     from repro.runtime.kernels import GLOBAL_CHECK_KERNELS
 
     rows = [
         ("dependence kernel replays", rt.physical.kernel_replays),
         ("launch retired", rt.physical.launch_retired),
+        ("launch aligned", rt.physical.launch_aligned),
         ("check kernel hits", GLOBAL_CHECK_KERNELS.hits),
         ("check kernel misses", GLOBAL_CHECK_KERNELS.misses),
         ("check kernel affine constants", GLOBAL_CHECK_KERNELS.affine_constants),

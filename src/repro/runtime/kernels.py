@@ -159,8 +159,7 @@ class DependenceKernel:
         analyzer.kernel_replays += 1
         return results
 
-    def _commit(self, analyzer, uid, bucket) -> None:
-        bumped = analyzer.install_bucket(uid, bucket)
+    def _rearm(self, uid, bumped) -> None:
         # Permute-committing buckets stay on the revalidation path: the
         # version we just minted describes the *committed* order, not
         # the entry order the slot program needs.
@@ -169,7 +168,9 @@ class DependenceKernel:
 
     def _commit_launch_users(self, analyzer, task_ids) -> None:
         for uid, (_, keys, creations) in self.aligned.items():
-            self._commit(analyzer, uid, _LaunchUser(keys, creations, task_ids))
+            self._rearm(uid, analyzer.install_launch_user(
+                uid, keys, creations, task_ids
+            ))
 
     def _apply_aligned(self, analyzer, task_ids) -> Optional[LaunchDependences]:
         """The O(1) replay: None unless every touched bucket is a launch
@@ -262,7 +263,7 @@ class DependenceKernel:
                         )
                     )
                     restamped += 1
-            self._commit(analyzer, uid, bucket)
+            self._rearm(uid, analyzer.install_bucket(uid, bucket))
         analyzer.users_restamped += restamped
         return results
 

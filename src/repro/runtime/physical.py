@@ -9,22 +9,28 @@ active users are an ordered list (the *bucket*), and the live path finds
 the users one access can touch through a geometric candidate index over
 that bucket (:class:`_BucketIndex`, a multi-level grid of bounding boxes):
 an access costs O(levels + candidates), not O(|P|), so a launch over a
-disjoint partition runs |D| exact overlap tests whatever |P| is — measured,
-see ``live_analysis_scaling`` in ``results/BENCH_runtime.json``.
+disjoint partition runs at most |D| exact overlap tests whatever |P| is —
+counted at |P| = 32 … 1 024 by ``TestLiveWorkByCount`` in
+``tests/runtime/test_launch_users.py``.
 
-A bucket has a second form.  When a replayed launch retires every user of
-a bucket and leaves one of its own per task — a write through an injective
-functor over a disjoint partition — what it leaves is a function of the
-launch alone, and its dependence kernel installs it as a single
-:class:`_LaunchUser` (key tuple, creations, the launch's task-id list) in
-O(1) instead of |D| :class:`_User` objects; the next such kernel replays
-against it by id arithmetic (:mod:`repro.runtime.kernels`).  The ordered
-``List[_User]`` stays the representation of record for everything else:
-:meth:`PhysicalAnalyzer._bucket`, the one accessor in front of ``_users``,
-expands a launch user in place — same users, order, task ids and keys the
-per-point path would hold — the first time the live path, a key snapshot,
-the validating overlay or a kernel of any other shape looks at the bucket.
-With ``kernels=False`` no launch user is ever installed.
+A bucket has a second form.  When a launch retires every user of a bucket
+and leaves one of its own per task — a write through an injective functor
+over a disjoint partition — what it leaves is a function of the launch
+alone, and it is installed as a single :class:`_LaunchUser` (key tuple,
+creations, the launch's task-id list) instead of |D| :class:`_User`
+objects.  Two installers: a replayed launch's dependence kernel, in O(1),
+which also replays against a launch user by id arithmetic
+(:mod:`repro.runtime.kernels`); and :meth:`PhysicalAnalyzer.record_launch`
+on a first issue, which checks that shape per region from the launch's
+accesses and the bucket (:meth:`PhysicalAnalyzer._aligned_region`) and
+then analyses the launch by colour: no candidate index, no exact test, no
+footprint hashed.  The ordered ``List[_User]`` stays the representation of
+record for everything else: :meth:`PhysicalAnalyzer._bucket`, the one
+accessor in front of ``_users``, expands a launch user in place — same
+users, order, task ids and keys the per-point path would hold — the first
+time the per-point path, a key snapshot, the validating overlay or a
+kernel of any other shape looks at the bucket.  With ``kernels=False`` no
+launch user is ever installed.
 
 Retirement has two rules.  Per access, a writing access retires every
 prior user whose footprint and field set it covers on its own.  Per index
@@ -41,16 +47,20 @@ candidates, so a launch with no partial overlap does no extra work.
 No-IDX and the unsafe-launch fallback loop record task by task and keep
 the per-access rule alone.
 
-Four counters keep charged and performed work apart.  ``overlap_queries``
+Five counters keep charged and performed work apart.  ``overlap_queries``
 is the *charged* scan length — ``len(bucket)`` per access, what a linear
-scan would have asked and what template replay and dependence kernels
-charge without performing; it feeds ``PipelineStats`` and the machine model.
-``overlap_tests`` counts the exact footprint tests the live path actually
-ran.  ``users_restamped`` counts the per-point users a replay or an
-expansion built or appended to: |D| per launch on the per-point paths, 0
-while launch users hold.  ``launch_retired`` counts the users a launch's
-union retired, on the live path and the validating overlay (a dependence
-kernel's committed order already leaves them out).
+scan would have asked and what template replay, dependence kernels and a
+launch analysed by colour charge without performing; it feeds
+``PipelineStats`` and the machine model.  ``overlap_tests`` counts the
+exact footprint tests the per-point path actually ran.
+``users_restamped`` counts the per-point users a replay or an expansion
+built or appended to: |D| per launch on the per-point paths, 0 while
+launch users hold.  ``launch_retired`` counts the users a launch's union
+retired, on the live path and the validating overlay (a dependence
+kernel's committed order already leaves them out).  ``launch_aligned``
+counts the launches :meth:`PhysicalAnalyzer.record_launch` analysed by
+colour.  All but the first legitimately differ between ``kernels=True``
+and ``kernels=False``, so none of them is part of ``PipelineStats``.
 
 Replay support (tracing [20]): when an identical launch is reissued inside
 a validated trace, its dependence structure is the same *shape* — only the
@@ -93,6 +103,10 @@ __all__ = [
 ]
 
 
+#: one region requirement of one task: (subregion, privilege, fields).
+_Access = Tuple[Subregion, PrivilegeSpec, Tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class TaskDependence:
     """A task-level ordering edge: ``earlier_task`` must finish first."""
@@ -117,6 +131,41 @@ def _same_subset(a, b) -> bool:
         and isinstance(b, RectSubset)
         and a.rect == b.rect
     )
+
+
+def _covers_alone(task_id: int, subregion, fieldset: frozenset, user) -> bool:
+    """Whether a writing access that overlaps ``user`` retires it on its
+    own: it covers the user's footprint and field set (the data is
+    superseded for dependence purposes; partial overlap must keep the old
+    user alive for later readers of the uncovered remainder)."""
+    return (
+        task_id not in user.task_ids
+        and user.fields <= fieldset
+        and subregion.subset.covers(
+            user.subregion.subset, subregion.region.bounds
+        )
+    )
+
+
+def _identical(subregion, privilege, fieldset: frozenset, user) -> bool:
+    """Whether an access coalesces into ``user``: an identical footprint
+    and field set under a compatible privilege."""
+    return (
+        user.privilege.compatible_with(privilege)
+        and user.fields == fieldset
+        and _same_subset(user.subregion.subset, subregion.subset)
+    )
+
+
+def _note_partial(writes: dict, seq: int, user, subregion, fieldset) -> None:
+    """Record, for the launch's joint retirement, that a writer overlapped
+    ``user`` without covering it: region uid -> ``id(user)`` -> ``(index
+    seq, user, [(writer subregion, writer fields), ...])``."""
+    overlapped = writes.setdefault(subregion.region.uid, {})
+    held = overlapped.get(id(user))
+    if held is None:
+        held = overlapped[id(user)] = (seq, user, [])
+    held[2].append((subregion, fieldset))
 
 
 def _priv_token(privilege: PrivilegeSpec) -> tuple:
@@ -188,35 +237,47 @@ class _LaunchUser:
     """A whole region bucket held as one entry: the users one launch left.
 
     Stands for the per-point list ``[_User([task_ids[i]], *creations[i],
-    keys[i]) for i in range(n)]`` — what a replay leaves in a bucket when
-    every task retires one entry user and creates one (see *aligned* in
-    :class:`~repro.runtime.kernels.DependenceKernel`, the only installer).
-    ``keys`` and ``creations`` belong to the kernel and are shared by every
-    launch user it installs; ``task_ids`` is the launch's own id list.
-    :meth:`PhysicalAnalyzer._bucket` swaps in the per-point list the first
-    time anything but an aligned kernel looks at the bucket.
+    keys[i]) for i in range(n)]`` — what a launch leaves in a bucket when
+    every task retires one entry user and creates one.  Two installers:
+    an *aligned* :class:`~repro.runtime.kernels.DependenceKernel`, whose
+    ``keys`` and ``creations`` are fixed at compile and shared by every
+    launch user it installs, and :meth:`PhysicalAnalyzer.record_launch`'s
+    aligned path, which passes no keys: they are hashed the first time
+    something reads :attr:`keys`.  ``task_ids`` is the launch's own id
+    list.  :meth:`PhysicalAnalyzer._bucket` swaps in the per-point list the
+    first time anything but an aligned launch looks at the bucket.
     """
 
-    __slots__ = ("keys", "creations", "task_ids")
+    __slots__ = ("_keys", "creations", "task_ids")
 
     def __init__(
         self,
-        keys: Tuple[tuple, ...],
+        keys: Optional[Tuple[tuple, ...]],
         creations: Sequence[Tuple[Subregion, PrivilegeSpec, frozenset]],
         task_ids: Sequence[int],
     ):
-        self.keys = keys
+        self._keys = keys
         self.creations = creations
         self.task_ids = task_ids
+
+    @property
+    def keys(self) -> Tuple[tuple, ...]:
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = tuple(
+                _footprint_key(*creation) for creation in self.creations
+            )
+        return keys
 
     def __len__(self) -> int:
         return len(self.task_ids)
 
     def expand(self) -> List[_User]:
+        keys = self._keys or itertools.repeat(None)     # users hash on use
         return [
             _User([tid], subregion, privilege, fields, key)
             for tid, (subregion, privilege, fields), key in zip(
-                self.task_ids, self.creations, self.keys
+                self.task_ids, self.creations, keys
             )
         ]
 
@@ -433,12 +494,14 @@ class _BucketIndex:
     sequence number that rises with bucket position (``seqs`` parallels
     the list), which survives the position shifts of a retire.
 
-    ``dup_keys`` counts footprint keys held by two or more users
-    (``AccessOp.ambiguous``) without rescanning the bucket.
+    :meth:`key_counts` counts footprint keys, and ``dup_keys`` the keys
+    held by two or more users (``AccessOp.ambiguous``), without rescanning
+    the bucket — from the first time a template capture or the joint
+    retirement asks: until then no insert or discard hashes a key.
     """
 
     __slots__ = (
-        "users", "version", "seqs", "levels", "empties", "key_counts",
+        "users", "version", "seqs", "levels", "empties", "_key_counts",
         "dup_keys",
     )
 
@@ -452,17 +515,34 @@ class _BucketIndex:
         #: seq -> user for footprints with no points: no box to file them
         #: under, and an empty access may still coalesce with one.
         self.empties: Dict[int, _User] = {}
-        self.key_counts: Dict[tuple, int] = {}
+        self._key_counts: Optional[Dict[tuple, int]] = None
         self.dup_keys = 0
         for seq, user in enumerate(users):
             self._insert(seq, user)
 
+    def key_counts(self) -> Dict[tuple, int]:
+        """Footprint key -> users holding it; ``dup_keys`` is current once
+        this has been called."""
+        counts = self._key_counts
+        if counts is None:
+            counts = self._key_counts = {}
+            for user in self.users:
+                self._count(user.footprint_key(), 1)
+        return counts
+
+    def _count(self, key: tuple, delta: int) -> None:
+        counts = self._key_counts
+        held = counts.get(key, 0)
+        if held + delta:
+            counts[key] = held + delta
+        else:
+            del counts[key]
+        if held + (held + delta) == 3:      # between one holder and two
+            self.dup_keys += delta
+
     def _insert(self, seq: int, user: "_User") -> None:
-        key = user.footprint_key()
-        held = self.key_counts.get(key, 0)
-        self.key_counts[key] = held + 1
-        if held == 1:
-            self.dup_keys += 1
+        if self._key_counts is not None:
+            self._count(user.footprint_key(), 1)
         box = user.subregion.bounding_box()
         if box is None:
             self.empties[seq] = user
@@ -478,14 +558,8 @@ class _BucketIndex:
             cells.setdefault(cell, {})[seq] = entry
 
     def _discard(self, seq: int, user: "_User") -> None:
-        key = user.footprint_key()
-        held = self.key_counts[key]
-        if held == 1:
-            del self.key_counts[key]
-        else:
-            self.key_counts[key] = held - 1
-            if held == 2:
-                self.dup_keys -= 1
+        if self._key_counts is not None:
+            self._count(user.footprint_key(), -1)
         box = user.subregion.bounding_box()
         if box is None:
             del self.empties[seq]
@@ -584,6 +658,9 @@ class PhysicalAnalyzer:
         #: users a launch's writes retired jointly (:meth:`record_launch`,
         #: the validating overlay replay).
         self.launch_retired = 0
+        #: launches :meth:`record_launch` analysed by colour, installing
+        #: launch users, instead of point by point.
+        self.launch_aligned = 0
         self.kernels_enabled = kernels
         self.kernel_replays = 0
         self._profiler = profiler
@@ -632,8 +709,7 @@ class PhysicalAnalyzer:
         their footprints overlap.  With ``_capture`` a symbolic
         :class:`AccessOp` describing the state transition is appended.
         ``_writes`` collects, for :meth:`record_launch`, every user a
-        writing access overlaps without retiring: region uid -> ``id(user)``
-        -> ``(index seq, user, [(writer subregion, writer fields), ...])``."""
+        writing access overlaps without retiring (:func:`_note_partial`)."""
         region_uid = subregion.region.uid
         fieldset = frozenset(fields)
         writing = privilege.privilege in (Privilege.WRITE, Privilege.READ_WRITE)
@@ -642,6 +718,7 @@ class PhysicalAnalyzer:
         self.overlap_queries += len(users)
         op: Optional[AccessOp] = None
         if _capture is not None:
+            index.key_counts()
             op = AccessOp(
                 region_uid=region_uid,
                 n_scanned=len(users),
@@ -665,34 +742,16 @@ class PhysicalAnalyzer:
                         deps.append(TaskDependence(tid, task_id, region_uid))
                 if op is not None:
                     op.dep_keys.append(user.footprint_key())
-            # A writing access retires prior users whose footprint and field
-            # set it fully covers (their data is superseded for dependence
-            # purposes; partial overlap must keep the old user alive for
-            # later readers of the uncovered remainder).
             if overlapping and writing:
-                if (
-                    task_id not in user.task_ids
-                    and user.fields <= fieldset
-                    and subregion.subset.covers(
-                        user.subregion.subset, subregion.region.bounds
-                    )
-                ):
+                if _covers_alone(task_id, subregion, fieldset, user):
                     if op is not None:
                         op.retire_keys.append(user.footprint_key())
                     retired.append(seq)
                     continue
                 if _writes is not None:
-                    overlapped = _writes.setdefault(region_uid, {})
-                    held = overlapped.get(id(user))
-                    if held is None:
-                        held = overlapped[id(user)] = (seq, user, [])
-                    held[2].append((subregion, fieldset))
-            # Coalesce into an existing identical compatible footprint.
-            if (
-                not coalesced
-                and user.privilege.compatible_with(privilege)
-                and user.fields == fieldset
-                and _same_subset(user.subregion.subset, subregion.subset)
+                    _note_partial(_writes, seq, user, subregion, fieldset)
+            if not coalesced and _identical(
+                subregion, privilege, fieldset, user
             ):
                 user.task_ids.append(task_id)
                 coalesced = True
@@ -739,13 +798,20 @@ class PhysicalAnalyzer:
             List[Tuple[Subregion, PrivilegeSpec, Tuple[str, ...]]]
         ],
         template_regions: Optional[Iterable[int]] = None,
-    ) -> Tuple[List[List[TaskDependence]], Optional[DependenceTemplate]]:
+    ) -> Tuple[Sequence[List[TaskDependence]], Optional[DependenceTemplate]]:
         """Register every task of one index launch in order, then retire
         what the launch's writes cover jointly (see the module docstring).
 
         Returns the per-task dependence lists and, when ``template_regions``
         names the regions to snapshot, the launch captured as a
-        :class:`DependenceTemplate` (None when it is not replayable)."""
+        :class:`DependenceTemplate` (None when it is not replayable).  A
+        launch of the aligned shape that captures nothing is analysed by
+        colour (:meth:`_record_aligned`) unless kernels are off."""
+        if template_regions is None and self.kernels_enabled:
+            access_lists = list(access_lists)
+            aligned = self._record_aligned(task_ids, access_lists)
+            if aligned is not None:
+                return aligned, None
         capture = entry_keys = None
         if template_regions is not None:
             entry_keys = self.snapshot_keys(template_regions)
@@ -759,6 +825,104 @@ class PhysicalAnalyzer:
         if capture is None or retired is None:
             return deps, None
         return deps, make_template(capture, entry_keys, retired)
+
+    def _record_aligned(
+        self,
+        task_ids: Sequence[int],
+        access_lists: List[List[_Access]],
+    ) -> Optional[LaunchDependences]:
+        """The whole launch by colour, when every region it touches has the
+        aligned shape (:meth:`_aligned_region`); None, with nothing changed,
+        when one does not.
+
+        The per-point outcome is then forced: each access's one overlapping
+        candidate is the same-colour prior user, which it depends on and
+        retires, and nothing coalesces — so the launch leaves one launch
+        user per region, its dependences are the lazy form an aligned
+        kernel replay returns, and ``overlap_queries`` is charged what the
+        per-point path would have charged."""
+        if not task_ids or not access_lists[0]:
+            return None
+        width = len(access_lists[0])
+        if any(len(accesses) != width for accesses in access_lists):
+            return None
+        shapes = []
+        for column in range(width):
+            shape = self._aligned_region(
+                [accesses[column] for accesses in access_lists], task_ids[0]
+            )
+            if shape is None:
+                return None
+            shapes.append(shape)
+        if len({shape[0] for shape in shapes}) != width:
+            return None             # a task accesses one region twice
+        sources = []
+        for uid, ids, perm, creations, charge in shapes:
+            self.overlap_queries += charge
+            if ids is not None:
+                sources.append((uid, ids, perm))
+            self.install_launch_user(uid, None, creations, task_ids)
+        self.launch_aligned += 1
+        return LaunchDependences(task_ids, sources)
+
+    def _aligned_region(
+        self,
+        accesses: List[_Access],
+        first_task: int,
+    ) -> Optional[tuple]:
+        """One region's part of an aligned launch, from the launch's
+        accesses to it (one per task) and the region's bucket alone.
+
+        The accesses go through one disjoint partition P with one privilege
+        and one field set, to distinct non-empty pieces.  The bucket is
+        empty, or holds one user per access, each holding one task that
+        predates the launch, each a piece of P the launch hits once, on a
+        non-empty field set the launch writes all of (a write conflicts
+        with every privilege).  Returns ``(region uid, the prior users'
+        task ids or None when the bucket is empty, perm, creations, charged
+        queries)``: task *i* depends on ``ids[perm[i]]``."""
+        subregion, privilege, fields = accesses[0]
+        part = subregion.partition
+        if part is None or not part.disjoint:
+            return None
+        colours: Dict[Any, int] = {}
+        for i, (sub, priv, f) in enumerate(accesses):
+            if (
+                sub.partition is not part
+                or priv != privilege
+                or f != fields
+                or sub.bounding_box() is None
+                or colours.setdefault(sub.color, i) != i
+            ):
+                return None
+        n = len(accesses)
+        uid = subregion.region.uid
+        fieldset = frozenset(fields)
+        creations = [(sub, privilege, fieldset) for sub, _, _ in accesses]
+        bucket = self._users.get(uid)
+        if not bucket:
+            return uid, None, None, creations, n * (n - 1) // 2
+        if len(bucket) != n or privilege.privilege not in (
+            Privilege.WRITE, Privilege.READ_WRITE
+        ):
+            return None
+        if type(bucket) is _LaunchUser:
+            ids, priors = bucket.task_ids, bucket.creations
+        else:
+            if any(len(user.task_ids) != 1 for user in bucket):
+                return None
+            ids = [user.task_ids[0] for user in bucket]
+            priors = [(u.subregion, u.privilege, u.fields) for u in bucket]
+        perm = [-1] * n
+        for j, (sub, _, f) in enumerate(priors):
+            i = colours.get(sub.color, -1) if sub.partition is part else -1
+            if (
+                i < 0 or perm[i] >= 0 or ids[j] >= first_task
+                or not f or not f <= fieldset
+            ):
+                return None
+            perm[i] = j
+        return uid, ids, perm, creations, n * n
 
     def _retire_jointly(
         self, writes: dict, first_task: int
@@ -788,7 +952,7 @@ class PhysicalAnalyzer:
                 pieces = [sub for sub, fields in writers if user.fields <= fields]
                 if pieces and _union_covers(user.subregion, pieces):
                     key = user.footprint_key()
-                    ambiguous = ambiguous or index.key_counts[key] > 1
+                    ambiguous = ambiguous or index.key_counts()[key] > 1
                     retired.append((region_uid, key))
                     gone.append(seq)
             if gone:
@@ -987,6 +1151,23 @@ class PhysicalAnalyzer:
             self._versions.get(region_uid, 0) + 1
         )
         return version
+
+    def install_launch_user(
+        self,
+        region_uid: int,
+        keys: Optional[Tuple[tuple, ...]],
+        creations: Sequence[Tuple[Subregion, PrivilegeSpec, frozenset]],
+        task_ids: Sequence[int],
+    ) -> int:
+        """Commit what an aligned launch leaves in a bucket as one
+        :class:`_LaunchUser`; returns the new version.  Both installers —
+        an aligned kernel replay and :meth:`record_launch` — come through
+        here.  The region's candidate index describes users that are gone,
+        so it goes too."""
+        self._indexes.pop(region_uid, None)
+        return self.install_bucket(
+            region_uid, _LaunchUser(keys, creations, task_ids)
+        )
 
     def active_users(self, region_uid: int) -> int:
         """Number of live users tracked for a region (test hook)."""

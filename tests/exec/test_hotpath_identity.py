@@ -55,6 +55,18 @@ STEADY_REPLAY = (
 )
 
 
+def _same_stats(rt, ref_rt, setting):
+    """``full_stats`` equality with the serial default.  The performed
+    count ``overlap_tests`` belongs to the analysis path, not to the
+    backend: with kernels a first issue of the aligned shape is analysed
+    by colour and runs no exact test, and ``kernels=False`` runs one per
+    task, so it is compared only when the kernel setting is the same."""
+    ours, ref = full_stats(rt), full_stats(ref_rt)
+    if setting.get("kernels", True) is False:
+        del ours["physical.overlap_tests"], ref["physical.overlap_tests"]
+    assert ours == ref
+
+
 def _observables(ops, iters, cfg, workers, **extra):
     merged = dict(cfg)
     merged.update(extra)
@@ -87,7 +99,7 @@ class TestKnobIdentity:
         ref_rt, ref_out = _observables(ops, iters, cfg, 1)
         rt, out = _observables(ops, iters, cfg, 2, **setting)
         assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
+        _same_stats(rt, ref_rt, setting)
 
     @settings(max_examples=4, deadline=None)
     @given(
@@ -108,7 +120,7 @@ class TestKnobIdentity:
         assert rt.fault_injector.fired_count >= 1
         assert rt.stats.launches_poisoned == 0
         assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
+        _same_stats(rt, ref_rt, setting)
 
     def test_steady_replay_program_reaches_launch_users_on_workers(self):
         """Anti-vacuity for the ``STEADY_REPLAY`` examples above."""
@@ -131,7 +143,7 @@ class TestKnobIdentity:
         assert rt.physical.kernel_replays == 0
         assert ref_rt.physical.kernel_replays > 0
         assert out == ref_out
-        assert full_stats(rt) == full_stats(ref_rt)
+        _same_stats(rt, ref_rt, {"kernels": False})
 
 
 class TestShmLeaks:

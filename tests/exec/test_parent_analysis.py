@@ -1,9 +1,9 @@
 """Physical analysis is the parent's alone, on every backend.
 
 Counted, not timed: an untraced launch on ``workers=2`` runs the parent's
-indexed scan at commit — one exact overlap test per task, whatever |P| —
-and what a shard plan weighs does not depend on how many users the
-analyzer holds.
+analysis at commit — one exact overlap test per task, whatever |P|, on
+the per-point path; none when the launch is analysed by colour — and what
+a shard plan weighs does not depend on how many users the analyzer holds.
 """
 
 import numpy as np
@@ -26,19 +26,30 @@ def _runtime(name, pieces, **cfg):
 
 @pytest.mark.parametrize("pieces", [32, 256])
 def test_untraced_launch_runs_one_exact_test_per_task(pieces):
-    seen = {}
-    for workers in (1, 2):
-        rt, region, part = _runtime(f"pa{workers}", pieces, workers=workers)
-        rt.index_launch(bump, pieces, part)          # populate: |P| users
-        assert rt.physical.overlap_tests == 0
-        queries = rt.stats.overlap_queries
-        rt.index_launch(bump, pieces, part)          # the launch under test
-        assert rt.physical.overlap_tests == pieces                   # |D|
-        assert rt.stats.overlap_queries - queries == pieces * pieces  # |D|·|P|
-        assert rt.stats.physical_dependences == pieces
-        seen[workers] = region.storage("x").tobytes()
-    assert rt.backend.stats.parallel_launches == 2
-    assert seen[2] == seen[1]
+    """Per ``kernels`` setting.  With kernels the launch is the aligned
+    shape — a write over the pieces an earlier launch wrote — and is
+    analysed by colour: no exact test at all.  ``kernels=False`` is the
+    per-point reference, one exact test per task."""
+    for kernels in (False, True):
+        seen = {}
+        for workers in (1, 2):
+            rt, region, part = _runtime(
+                f"pa{workers}", pieces, workers=workers, kernels=kernels
+            )
+            rt.index_launch(bump, pieces, part)      # populate: |P| users
+            assert rt.physical.overlap_tests == 0
+            queries = rt.stats.overlap_queries
+            aligned = rt.physical.launch_aligned
+            rt.index_launch(bump, pieces, part)      # the launch under test
+            tests = rt.physical.overlap_tests
+            assert tests == (0 if kernels else pieces)                # |D|
+            assert rt.physical.launch_aligned - aligned == int(kernels)
+            charged = rt.stats.overlap_queries - queries
+            assert charged == pieces * pieces                         # |D|·|P|
+            assert rt.stats.physical_dependences == pieces
+            seen[workers] = region.storage("x").tobytes()
+        assert rt.backend.stats.parallel_launches == 2
+        assert seen[2] == seen[1]
 
 
 def test_plan_bytes_do_not_grow_with_live_users(monkeypatch):

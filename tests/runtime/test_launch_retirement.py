@@ -107,6 +107,10 @@ def test_profile_bench_summary_prints_launch_retired(capsys):
     ]
     (retired,) = [row[2] for row in rows if row[:2] == ["launch", "retired"]]
     assert int(retired) > 0
+    # Beside it, the launches analysed by colour: none here, because the
+    # halo reads share every bucket the block writes go to.
+    (aligned,) = [row[2] for row in rows if row[:2] == ["launch", "aligned"]]
+    assert int(aligned) == 0
 
 
 @pytest.mark.parametrize("app, edges", [("stencil", 40), ("circuit", 68)])

@@ -2,12 +2,15 @@
 
 An aligned dependence kernel leaves one ``_LaunchUser`` per bucket instead
 of |D| ``_User`` objects and, meeting one, replays by id arithmetic
-(:mod:`repro.runtime.kernels`).  ``RuntimeConfig.kernels=False`` never
-builds either and is the reference throughout: random traced programs must
-agree with it on every dependence edge in order, on what every bucket holds
-once expanded, on ``PipelineStats`` and on region bytes.  The count tests
-guard the complexity — per-launch replay work flat in |D| — by counting
-``_User`` objects touched, not by time.
+(:mod:`repro.runtime.kernels`); a first issue of the aligned shape is
+analysed by colour and leaves one too (``PhysicalAnalyzer.record_launch``).
+``RuntimeConfig.kernels=False`` never builds either and is the reference
+throughout: random programs, traced or not, must agree with it on every
+dependence edge in order, on what every bucket holds once expanded, on
+``PipelineStats`` and on region bytes.  The count tests guard the
+complexity — per-launch replay work flat in |D|, per-launch first-issue
+work free of exact tests at any |P| — by counting work performed, not by
+time.
 """
 
 import numpy as np
@@ -15,11 +18,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.domain import Rect
 from repro.core.projection import ModularFunctor
+from repro.data.collection import Region
 from repro.data.partition import block_partition, equal_partition
+from repro.data.privileges import PrivilegeSpec
 from repro.runtime import Runtime, RuntimeConfig, physical, task
 from repro.runtime.kernels import _aligned_perms
-from repro.runtime.physical import LaunchDependences, _LaunchUser
+from repro.runtime.physical import (
+    LaunchDependences,
+    PhysicalAnalyzer,
+    _LaunchUser,
+)
 from repro.tools.graph import GraphRecorder
 
 PIECES = 8
@@ -53,12 +63,15 @@ class EdgeRecorder(GraphRecorder):
         self.physical_edges.extend(deps)
 
 
-def issue_program(body, iters, deviation, interludes, record, kernels, n_nodes):
+def issue_program(
+    body, iters, deviation, interludes, record, kernels, n_nodes, traced=True
+):
     """``deviation`` is ``(iteration, how)``: that iteration issues a strict
     prefix of ``body`` (the trace survives, the next iteration meets buckets
-    its templates did not record) or another first op (the trace breaks)."""
+    its templates did not record) or another first op (the trace breaks).
+    Untraced, every launch is a first issue."""
     rt = Runtime(RuntimeConfig(
-        n_nodes=n_nodes, dcr=True, tracing=True, kernels=kernels
+        n_nodes=n_nodes, dcr=True, tracing=traced, kernels=kernels
     ))
     recorder = EdgeRecorder().attach(rt) if record else None
     rx = rt.create_region("rx", 4 * PIECES, {"x": "f8", "z": "f8"})
@@ -109,10 +122,12 @@ def issue_program(body, iters, deviation, interludes, record, kernels, n_nodes):
                 body[: max(1, len(body) // 2)] if deviation[1] == "prefix"
                 else [("p4",)] + body
             )
-        rt.begin_trace(7)
+        if traced:
+            rt.begin_trace(7)
         for op in ops:
             issue(op)
-        rt.end_trace(7)
+        if traced:
+            rt.end_trace(7)
     return rt, recorder, (rx, ry), parts
 
 
@@ -166,23 +181,47 @@ program = st.tuples(
     ),
     st.booleans(),                                              # recorder
     st.sampled_from([1, 4]),                                    # n_nodes
+    st.booleans(),                                              # traced
 )
 
 
 class TestEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(program)
-    @example(([("id", "A"), ("rot", "A", 3)], 6, None, {4: "fill"}, True, 1))
-    @example(([("id", "A"), ("rot", "B", 5)], 6, (4, "break"), {}, False, 4))
+    @example((
+        [("id", "A"), ("rot", "A", 3)], 6, None, {4: "fill"}, True, 1, True,
+    ))
+    @example((
+        [("id", "A"), ("rot", "B", 5)], 6, (4, "break"), {}, False, 4, True,
+    ))
     @example((
         [("id", "A"), ("rot", "A", 3), ("rot", "B", 5)], 7, (5, "prefix"),
-        {}, True, 1,
+        {}, True, 1, True,
     ))
-    @example(([("mix", 2, 2), ("mix", 1, 3)], 6, None, {5: "single"}, False, 1))
-    @example(([("id", "B"), ("halo",)], 5, None, {3: "invalidate"}, True, 4))
+    @example((
+        [("mix", 2, 2), ("mix", 1, 3)], 6, None, {5: "single"}, False, 1,
+        True,
+    ))
+    @example((
+        [("id", "B"), ("halo",)], 5, None, {3: "invalidate"}, True, 4, True,
+    ))
+    @example((
+        [("id", "A"), ("rot", "A", 3), ("p4",)], 4, None, {2: "single"},
+        True, 1, False,
+    ))
+    @example((
+        [("mix", 2, 2), ("peek",), ("mix", 1, 3)], 4, None, {3: "fill"},
+        True, 4, False,
+    ))
+    @example((                      # readers coalesce, then a write
+        [("peek",), ("peek",), ("id", "A")], 3, None, {}, True, 1, False,
+    ))
     def test_kernels_on_equals_per_point_reference(self, program):
-        on = run_program(*program[:5], kernels=True, n_nodes=program[5])
-        ref = run_program(*program[:5], kernels=False, n_nodes=program[5])
+        *issued, n_nodes, traced = program
+        on = run_program(*issued, kernels=True, n_nodes=n_nodes, traced=traced)
+        ref = run_program(
+            *issued, kernels=False, n_nodes=n_nodes, traced=traced
+        )
         assert ref[0].physical.kernel_replays == 0
         assert on[1] == ref[1]              # edges, order-sensitive
         assert on[2] == ref[2]              # expanded buckets
@@ -191,20 +230,33 @@ class TestEquivalence:
         assert on[0].physical.overlap_queries == ref[0].physical.overlap_queries
 
     def test_the_aligned_programs_do_hold_launch_users(self):
-        """Anti-vacuity for the property above: its aligned shapes — one
-        and two region arguments, a second partition of the same region —
-        end on launch users; a halo read or a coarser partition in the
-        loop does not."""
-        for body, aligned in (
-            ([("id", "A"), ("rot", "A", 3)], True),
-            ([("id", "A"), ("rot", "B", 5)], True),
-            ([("mix", 2, 2), ("mix", 1, 3)], True),
-            ([("id", "B"), ("halo",)], False),
-            ([("id", "A"), ("p4",)], False),
+        """Anti-vacuity for the property above.  Traced, its aligned shapes
+        — one and two region arguments, a second partition of the same
+        region — end on launch users; a halo read or a coarser partition in
+        the loop does not.  Untraced, a body whose launches all go through
+        the partition the bucket's users are pieces of ends on launch
+        users, every launch analysed by colour; a launch over another
+        partition of the region, a halo read or a coarser partition does
+        not."""
+        for body, traced, aligned in (
+            ([("id", "A"), ("rot", "A", 3)], True, True),
+            ([("id", "A"), ("rot", "B", 5)], True, True),
+            ([("mix", 2, 2), ("mix", 1, 3)], True, True),
+            ([("id", "B"), ("halo",)], True, False),
+            ([("id", "A"), ("p4",)], True, False),
+            ([("id", "A"), ("rot", "A", 3)], False, True),
+            ([("mix", 2, 2), ("mix", 1, 3)], False, True),
+            ([("id", "A"), ("rot", "B", 5)], False, False),
+            ([("id", "B"), ("halo",)], False, False),
+            ([("id", "A"), ("p4",)], False, False),
         ):
-            rt, *_ = issue_program(body, 6, None, {}, False, True, 1)
+            rt, *_ = issue_program(
+                body, 6, None, {}, False, True, 1, traced=traced
+            )
             held = [type(b) is _LaunchUser for b in rt.physical._users.values()]
-            assert all(held) if aligned else not any(held), body
+            assert all(held) if aligned else not any(held), (body, traced)
+            if aligned and not traced:
+                assert rt.physical.launch_aligned == 6 * len(body)
 
 
 @task(privileges=["reads writes"])
@@ -323,6 +375,136 @@ class TestReplayWorkByCount:
         assert rt.physical._bucket(uid) is users is rt.physical._users[uid]
         assert rt.physical.users_restamped == before + 16
         assert rt.physical.active_users(uid) == 16
+
+
+def live_rotation(pieces, kernels):
+    """The bucket holds one user per block from an earlier launch; the
+    returned launch is a rotation over the same partition the runtime has
+    not seen, so it takes the live path: ``(runtime, recorder, launch)``."""
+    rt = Runtime(RuntimeConfig(kernels=kernels))
+    recorder = EdgeRecorder().attach(rt)
+    region = rt.create_region("live", 4 * pieces, {"x": "f8"})
+    part = equal_partition("live", region, pieces)
+    rt.index_launch(noop, pieces, part)
+    rotated = (part, ModularFunctor(pieces, 3))
+    return rt, recorder, lambda: rt.index_launch(noop, pieces, rotated)
+
+
+class TestLiveWorkByCount:
+    """A first issue's physical analysis, flat in |P| by count: analysed by
+    colour it runs no exact test, builds no per-point user and hashes no
+    footprint; the per-point reference runs one exact test per task."""
+
+    @pytest.mark.parametrize("pieces", [32, 128, 512, 1024])
+    def test_first_issue_runs_no_exact_test_at_any_size(
+        self, key_calls, pieces
+    ):
+        runs = {}
+        for kernels in (False, True):
+            rt, recorder, launch = live_rotation(pieces, kernels)
+            physical = rt.physical
+            before = (physical.overlap_tests, physical.users_restamped,
+                      physical.launch_aligned)
+            del key_calls[:]
+            launch()
+            performed = (
+                physical.overlap_tests - before[0],
+                physical.users_restamped - before[1],
+                physical.launch_aligned - before[2],
+                len(key_calls),
+            )
+            edges = [(d.earlier_task, d.later_task)
+                     for d in recorder.physical_edges]
+            runs[kernels] = rt, edges, performed
+        (on, on_edges, on_work), (ref, ref_edges, ref_work) = (
+            runs[True], runs[False]
+        )
+        assert on_work == (0, 0, 1, 0)
+        assert ref_work[0] == pieces                # one exact test per task
+        assert on_edges == ref_edges and len(on_edges) == pieces
+        assert on.stats == ref.stats
+        assert on.physical.overlap_queries == ref.physical.overlap_queries
+
+
+SHAPE_REGION = Region("shape", Rect((0,), (15,)), {"x": "f8", "z": "f8"})
+SHAPE_PARTS = {
+    "P": equal_partition("shapeP", SHAPE_REGION, 4),
+    "Q": equal_partition("shapeQ", SHAPE_REGION, 4),
+}
+
+
+def analyse_shape(kernels, priors, privilege, fields):
+    """Record ``priors`` — ``(task id, partition, colour, privilege,
+    fields)`` one task each — then a four-task launch over the pieces of P
+    in rotated order: ``(analyzer, dependences, expanded bucket)``."""
+    analyzer = PhysicalAnalyzer(kernels=kernels)
+    for tid, name, colour, prior, prior_fields in priors:
+        spec = PrivilegeSpec.parse(prior)
+        analyzer.record_task(
+            tid, [(SHAPE_PARTS[name][colour], spec, prior_fields)]
+        )
+    spec = PrivilegeSpec.parse(privilege)
+    part = SHAPE_PARTS["P"]
+    deps, _ = analyzer.record_launch(
+        [10, 11, 12, 13],
+        [[(part[(i + 1) % 4], spec, fields)] for i in range(4)],
+    )
+    uid = SHAPE_REGION.uid
+    keys = analyzer.snapshot_keys([uid])[uid]
+    bucket = [
+        (key, list(user.task_ids))
+        for key, user in zip(keys, analyzer._bucket(uid))
+    ]
+    edges = [[(d.earlier_task, d.later_task) for d in own] for own in deps]
+    return analyzer, edges, bucket
+
+
+def one_each(prior, fields, name="P"):
+    return [(i, name, i, prior, fields) for i in range(4)]
+
+
+class TestAlignedShape:
+    """``record_launch`` against ``kernels=False`` over hand-built buckets:
+    a launch is analysed by colour exactly when every condition of the
+    shape holds, and either way the outcome is the per-point one."""
+
+    XZ = ("x", "z")
+
+    @pytest.mark.parametrize("priors, privilege, fields, aligned", [
+        pytest.param([], "reads writes", XZ, True, id="empty"),
+        # nothing to conflict with
+        pytest.param([], "reads", XZ, True, id="empty-read"),
+        pytest.param(one_each("reads writes", XZ), "reads writes", XZ, True,
+                     id="over-writes"),
+        pytest.param(one_each("reads", ("x",)), "writes", XZ, True,
+                     id="over-readers-of-fewer-fields"),
+        # one user holds two task ids
+        pytest.param(one_each("reads", XZ) + [(4, "P", 0, "reads", XZ)],
+                     "reads writes", XZ, False, id="coalesced-reader"),
+        # one piece held twice (two field sets), another not at all
+        pytest.param(one_each("reads writes", ("x",))[:3]
+                     + [(3, "P", 0, "writes", ("z",))],
+                     "reads writes", XZ, False, id="piece-held-twice"),
+        # a compatible prior privilege: readers after readers coalesce
+        pytest.param(one_each("reads", XZ), "reads", XZ, False,
+                     id="read-after-read"),
+        # the launch does not write every field of its prior users
+        pytest.param(one_each("reads writes", XZ), "reads writes", ("x",),
+                     False, id="field-left-unwritten"),
+        pytest.param(one_each("reads writes", XZ, name="Q"), "reads writes",
+                     XZ, False, id="pieces-of-another-partition"),
+    ])
+    def test_by_colour_only_in_the_shape(self, priors, privilege, fields,
+                                         aligned):
+        on, on_deps, on_bucket = analyse_shape(True, priors, privilege, fields)
+        ref, ref_deps, ref_bucket = analyse_shape(
+            False, priors, privilege, fields
+        )
+        assert on.launch_aligned == int(aligned)
+        assert ref.launch_aligned == 0
+        assert on_deps == ref_deps
+        assert on_bucket == ref_bucket
+        assert on.overlap_queries == ref.overlap_queries
 
 
 class TestAlignedDetection:
