@@ -335,7 +335,8 @@ def _bench_summary_table(rt) -> str:
     Collects the three layers' counters — shared-memory transport, batched
     physical commit, precompiled check/dependence kernels — the users the
     physical analyzer retired at launch level, the launches it analysed by
-    colour, and the shards workers ran from their plan memo, from wherever
+    colour, the units workers ran from their plan memo, and the parallel
+    fallbacks with one row per reason code that occurred, from wherever
     they live (runtime, backend, pool arena) into one aligned block.
     """
     from repro.runtime.kernels import GLOBAL_CHECK_KERNELS
@@ -354,6 +355,11 @@ def _bench_summary_table(rt) -> str:
             ("batched commit ops", bstats.batched_commit_ops),
             ("batched commit tasks", bstats.batched_commit_tasks),
             ("worker plan hits", bstats.worker_plan_hits),
+            ("parallel fallbacks", bstats.fallbacks),
+        ]
+        rows += [
+            (f"parallel fallback {code}", n)
+            for code, n in sorted(bstats.fallback_reasons.items()) if n
         ]
     pool = getattr(rt.backend, "_pool", None)
     if pool is not None:
@@ -648,7 +654,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="seed for randomly generated plans (default 0)")
     p_fault.add_argument("--timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="per-shard result timeout (hang detector)")
+                         help="per-unit result timeout (hang detector)")
     p_fault.set_defaults(fn=_cmd_faultsim)
 
     p_serve = sub.add_parser(

@@ -1,37 +1,44 @@
 """The shard-parallel execution backend.
 
 Fans the task bodies of a verified index launch out across the worker
-pool — one shard per node of the distribution assignment, worker affinity
-``shard % workers`` — and commits the results so that every observable is
-byte-identical to :class:`~repro.exec.backend.SerialBackend`: region
-contents, future values, dependence edges, ``PipelineStats``, analyzer
-state, RNG consumption, and Chrome-trace schema.  Workers expand and
-execute; physical analysis is the parent's, at commit, through the tail
-both backends share (:meth:`ExecutionBackend.analyze_launch`).
+pool and commits the results so that every observable is byte-identical
+to :class:`~repro.exec.backend.SerialBackend`: region contents, future
+values, dependence edges, ``PipelineStats``, analyzer state, RNG
+consumption, and Chrome-trace schema.  Workers expand and execute;
+physical analysis is the parent's, at commit, through the tail both
+backends share (:meth:`ExecutionBackend.analyze_launch`).
+
+**The dispatch unit is a worker's slice of a launch**, as §5 gives each
+node one: node ``i`` of the sorted assignment goes to worker ``i %
+workers``, whose *unit* holds the points of all its nodes in serial order.
+One unit is one plan, undo set, future, ladder entry and result, so a
+launch costs O(workers) frames and objects however many nodes it spans;
+rule 3 below is why grouping nodes changes nothing observable.
 
 The determinism contract rests on three rules:
 
 1. **Commit after collect.**  Nothing in the parent mutates — no stats, no
    counters, no task ids, no analyzer state, no pickled write-back, no
-   RNG — until every shard has answered.  Any failure before that point
+   RNG — until every unit has answered.  Any failure before that point
    (worker exception, pickling error, broken pool) abandons the dispatch:
-   every shard still running is waited for or its worker reset, every
+   every unit still running is waited for or its worker reset, every
    in-place write is undone (below), and the launch re-runs through the
    owned serial backend, which reproduces serial behavior exactly,
-   including exceptions and their partial effects.
-2. **Commit in serial order.**  Shard results are committed in sorted node
-   order (the serial plan order): the parent's analyzer records the tasks
-   one by one, pickled write-backs scatter and recorded reductions
-   re-apply in the serial (then optionally shuffled) execution order, and
-   futures fill the FutureMap in that same order.
+   including exceptions and their partial effects.  Each abandonment is
+   counted by a constant reason code (:data:`FALLBACK_REASONS`).
+2. **Commit in serial order.**  Results are committed by global ordinal
+   (the serial plan order): the parent's analyzer records the tasks one
+   by one, pickled write-backs scatter and recorded reductions re-apply in
+   the serial (then optionally shuffled) execution order, and futures fill
+   the FutureMap in that same order.
 3. **Only verified launches.**  Eligibility requires a launch the safety
    analysis verified (static or hybrid): point tasks are pairwise
    non-interfering — their write footprints are disjoint, exclusive
    capabilities — so no dependence edge, retirement, or footprint can
-   cross shards, the bodies may run anywhere in any order, and a worker
+   cross units, the bodies may run anywhere in any order, and a worker
    could learn nothing about analyzer state that the parent's own scan
    does not decide.  Anything
-   else — unverified, trusted-without-validation, single-shard, or a
+   else — unverified, trusted-without-validation, single-node, or a
    launch whose REDUCE requirement shares fields of a region with another
    requirement (its bodies would observe half-applied reductions) — runs
    on the serial backend.
@@ -50,7 +57,7 @@ after the restore.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -90,35 +97,46 @@ from repro.runtime.futures import FutureMap
 from repro.runtime.pipeline import Stage
 
 __all__ = [
+    "FALLBACK_REASONS",
     "ParallelBackend",
     "ParallelExecStats",
 ]
 
-#: How many launch signatures keep a memoized shard-plan skeleton (LRU).
+#: How many launch signatures keep a memoized unit set (LRU).
 _PLAN_MEMO_CAP = 64
+
+#: Why a dispatch fell back to serial: the codes ``_ParallelBail`` carries,
+#: counted in ``ParallelExecStats.fallback_reasons``.
+FALLBACK_REASONS = (
+    "task_unpicklable", "plan_unpicklable", "submit_broken", "submit_failed",
+    "no_undo_shm", "worker_error", "ladder_exhausted", "result_inconsistent",
+    "value_unpicklable",
+)
 
 
 def _empty_delta() -> Dict[str, set]:
-    """A shard attempt's staged worker-cache delta, nothing staged yet."""
-    return {
-        "tasks": set(),
-        "regions": set(),
-        "partition_colors": set(),
-        "subsets": set(),
-    }
+    """A unit attempt's staged worker-cache delta, nothing staged yet."""
+    return {key: set() for key in
+            ("tasks", "regions", "partition_colors", "subsets")}
+
+
+#: the delta of a plan built from a memoized skeleton: nothing to ship
+_NO_DELTA = _empty_delta()
 
 
 class _ParallelBail(Exception):
-    """Abandon a dispatch and fall back to the serial backend."""
+    """Abandon a dispatch and fall back to the serial backend: ``code`` is
+    one of :data:`FALLBACK_REASONS`, ``detail`` free text."""
 
-    def __init__(self, reason: str, poison: bool = False):
-        super().__init__(reason)
-        self.reason = reason
+    def __init__(self, code: str, detail: str = "", poison: bool = False):
+        super().__init__(f"{code}: {detail}" if detail else code)
+        self.code = code
+        self.detail = detail
         self.poison = poison
 
 
 class _InfraFailure(Exception):
-    """A shard attempt lost to infrastructure, not to application code.
+    """A unit attempt lost to infrastructure, not to application code.
 
     ``kind`` drives the recovery ladder: ``broken``/``timeout`` mean the
     worker process itself is gone or wedged (tier 2: respawn), while
@@ -134,24 +152,26 @@ class _InfraFailure(Exception):
 
 @dataclass
 class _Footprints:
-    """The data one shard moves — pure in (launch signature, shard) and in
+    """The data one unit moves — pure in (launch signature, unit) and in
     which regions are mapped, so a valid :class:`_PlanMemo` keeps it across
     issues.  A verified launch's write footprints are pairwise-disjoint
     subregions, so they are written back (or undone) as subregions,
     order-free; none becomes an index set on the way."""
 
-    #: what the shard reads of fields it does not map, plus current
+    #: what the unit reads of fields it does not map, plus current
     #: write-footprint bytes so partial writes gather back intact (see
     #: ``covering_subregions``); mapped fields read the instance itself.
     reads: List[Footprint]
-    #: per local point, one per (WRITE/READ_WRITE requirement, field), in
+    #: per unit point, one per (WRITE/READ_WRITE requirement, field), in
     #: the worker's gather order.
     writes: List[List[Footprint]]
     in_place: bool                  # some write lands in a mapped instance
     nbytes: int                     # arena bytes one attempt's slots take
+    read_bytes: int                 # what ``reads`` pickles into a plan
+    pickled_writes: int             # write footprints not written in place
 
 
-def _shard_footprints(requirements, local_projs) -> _Footprints:
+def _unit_footprints(requirements, local_projs) -> _Footprints:
     groups: Dict[Tuple[int, str], list] = {}
     writes: List[List[Footprint]] = [[] for _ in local_projs]
     for ri, req in enumerate(requirements):
@@ -174,7 +194,9 @@ def _shard_footprints(requirements, local_projs) -> _Footprints:
         reads.extend(Footprint(group, fname) for group in covers[key])
     undo = [fp.nbytes for point in writes for fp in point if fp.in_place]
     return _Footprints(
-        reads, writes, bool(undo), sum(undo) + PROGRESS_BYTES * bool(undo)
+        reads, writes, bool(undo), sum(undo) + PROGRESS_BYTES * bool(undo),
+        read_bytes=sum(fp.count * fp.dtype.itemsize for fp in reads),
+        pickled_writes=sum(len(point) for point in writes) - len(undo),
     )
 
 
@@ -186,68 +208,15 @@ class _UndoSet:
 
     slots: List[List[Optional[tuple]]]       # ShardPlan.undo_slots
     done: tuple                              # ShardPlan.undo_done
-    #: per local point [(subregion, field, parent view)]
+    #: per unit point [(subregion, field, parent view)]
     views: List[list]
     progress: np.ndarray
     taken: Optional[SlotSet]
 
 
 @dataclass
-class _ShardJob:
-    """One shard's dispatch state across retry attempts."""
-
-    shard_index: int
-    node: int
-    k: int                                   # worker affinity
-    local: list                              # the node's domain points
-    ordinals: List[int]
-    local_projs: List[List[Any]]
-    footprints: _Footprints
-    gen: int = -1                            # worker generation at submit
-    mark: float = 0.0                        # profiler mark at submit
-    future: Any = None
-    staged: Optional[dict] = None            # cache delta of this attempt
-    payload: Any = None
-    #: the *current* attempt's undo slots, per local point [(subregion,
-    #: field, parent view)], and its progress counter (how many points'
-    #: slots the worker completed; None: nothing written in place).
-    #: Rebound on every (re)submission, read only by :meth:`_restore`.
-    undo: List[list] = field(default_factory=list)
-    progress: Optional[np.ndarray] = None
-
-
-@dataclass
-class ParallelExecStats:
-    """Backend-local accounting.
-
-    Deliberately *not* part of :class:`PipelineStats`: the pipeline tables
-    must stay byte-identical between backends, so everything specific to
-    the worker pool lives here.
-    """
-
-    parallel_launches: int = 0      # launches committed from shard results
-    serial_launches: int = 0        # ineligible launches run serially
-    fallbacks: int = 0              # dispatches abandoned mid-flight
-    shards_dispatched: int = 0
-    tasks_shipped: int = 0
-    # --- recovery ladder (see docs/fault-tolerance.md)
-    shard_retries: int = 0          # tier 1: resubmissions, same worker
-    worker_respawns: int = 0        # tier 2: worker process replacements
-    shard_timeouts: int = 0         # hangs converted into respawns
-    backoff_total_s: float = 0.0    # wall-clock slept between attempts
-    stale_shipments_dropped: int = 0  # cache deltas from respawned gens
-    # --- hot-path engine (see docs/hot-path.md)
-    batched_commit_ops: int = 0     # vectorized scatter/reduce applications
-    batched_commit_tasks: int = 0   # tasks whose effects committed batched
-    # --- plan-skeleton memo (replay path; see docs/service.md)
-    plan_memo_hits: int = 0         # shards rebuilt from a memoized skeleton
-    plan_memo_blob_reuse: int = 0   # shards whose pickled blob shipped as-is
-    worker_plan_hits: int = 0       # shards a worker ran from its plan memo
-
-
-@dataclass
-class _PlanMemoShard:
-    """One shard's memoized plan skeleton (see :class:`_PlanMemo`)."""
+class _Skeleton:
+    """A unit's memoized plan (see :class:`_PlanMemo`)."""
 
     gen: int                        # worker generation the skeleton targets
     plan: ShardPlan                 # empty-delta skeleton
@@ -257,20 +226,149 @@ class _PlanMemoShard:
     undo: Optional[_UndoSet]
 
 
+@dataclass(eq=False)
+class _Unit:
+    """One worker's slice of a launch: what is pure in (launch signature,
+    assignment), which a valid :class:`_PlanMemo` keeps, and the live state
+    of the current attempt, which every dispatch starts afresh."""
+
+    k: int                                   # the worker
+    #: (node, its domain points) for every node the worker is given, in
+    #: serial order — what the fault injector arms, node by node
+    runs: List[Tuple[int, list]]
+    nodes: List[int]                         # per point
+    points: list
+    ordinals: List[int]
+    local_projs: List[List[Any]]
+    footprints: _Footprints
+    skeleton: Optional[_Skeleton] = None     # set only through a memo
+    # --- the current attempt
+    gen: int = -1                            # worker generation at submit
+    mark: float = 0.0                        # profiler mark at submit
+    future: Any = None
+    staged: Optional[dict] = None            # cache delta of this attempt
+    payload: Any = None
+    #: the attempt's undo slots, per point [(subregion, field, parent
+    #: view)], and its progress counter (how many points' slots the worker
+    #: completed; None: nothing written in place).  Rebound on every
+    #: (re)submission, read only by :meth:`ParallelBackend._restore`.
+    undo: List[list] = field(default_factory=list)
+    progress: Optional[np.ndarray] = None
+
+
+def _build_units(requirements, assignment, nodes, projections,
+                 workers: int) -> List[_Unit]:
+    """Node ``i`` of ``nodes`` to worker ``i % workers``: one unit per
+    worker that gets any, its points in serial (ordinal) order."""
+    runs = [[] for _ in range(min(workers, len(nodes)))]
+    ordinals = [[] for _ in runs]
+    start = 0
+    for i, node in enumerate(nodes):
+        local = assignment[node]
+        runs[i % workers].append((node, local))
+        ordinals[i % workers].extend(range(start, start + len(local)))
+        start += len(local)
+    units = []
+    for k, (run, ords) in enumerate(zip(runs, ordinals)):
+        local_projs = [projections[o] for o in ords]
+        units.append(_Unit(
+            k=k, runs=run, nodes=[node for node, local in run for _ in local],
+            points=[point for _, local in run for point in local],
+            ordinals=ords, local_projs=local_projs,
+            footprints=_unit_footprints(requirements, local_projs),
+        ))
+    return units
+
+
+def _templates(requirements, local_projs, caches, staged):
+    """Requirement templates, and the partition colors a unit projects
+    onto that the worker lacks (staged in ``staged``)."""
+    known_subsets = set(caches.subsets)
+    reqs = []
+    part_entries: Dict[int, PartitionEntry] = {}
+    for ri, req in enumerate(requirements):
+        reqs.append(
+            ReqTemplate(
+                priv=priv_token(req.privilege),
+                fields=req.fields,
+                resolved_fields=tuple(req.resolved_fields()),
+                partition_uid=req.partition.uid,
+                region_uid=req.region.uid,
+                functor=req.functor,
+            )
+        )
+        for subs in local_projs:
+            sub = subs[ri]
+            color_key = (req.partition.uid, tuple(sub.color))
+            if (
+                color_key in caches.partition_colors
+                or color_key in staged["partition_colors"]
+            ):
+                continue
+            staged["partition_colors"].add(color_key)
+            entry = part_entries.get(req.partition.uid)
+            if entry is None:
+                entry = PartitionEntry(
+                    uid=req.partition.uid,
+                    region_uid=req.region.uid,
+                    colors=[],
+                )
+                part_entries[req.partition.uid] = entry
+            entry.colors.append(
+                (tuple(sub.color), subset_ref(sub.subset, known_subsets))
+            )
+    staged["subsets"] = known_subsets - caches.subsets
+    return reqs, list(part_entries.values())
+
+
+@dataclass
+class ParallelExecStats:
+    """Backend-local accounting.
+
+    Deliberately *not* part of :class:`PipelineStats`: the pipeline tables
+    must stay byte-identical between backends, so everything specific to
+    the worker pool lives here.  A *unit* is one worker's slice of one
+    launch (module docstring).
+    """
+
+    parallel_launches: int = 0      # launches committed from unit results
+    serial_launches: int = 0        # ineligible launches run serially
+    fallbacks: int = 0              # dispatches abandoned mid-flight
+    #: fallbacks by FALLBACK_REASONS code; the values sum to ``fallbacks``
+    fallback_reasons: Counter = field(default_factory=Counter)
+    shards_dispatched: int = 0      # units committed (one per worker used)
+    tasks_shipped: int = 0
+    # --- recovery ladder (see docs/fault-tolerance.md)
+    shard_retries: int = 0          # tier 1: unit resubmissions, same worker
+    worker_respawns: int = 0        # tier 2: worker process replacements
+    shard_timeouts: int = 0         # hangs converted into respawns
+    backoff_total_s: float = 0.0    # wall-clock slept between attempts
+    stale_shipments_dropped: int = 0  # cache deltas from respawned gens
+    # --- hot-path engine (see docs/hot-path.md)
+    batched_commit_ops: int = 0     # vectorized scatter/reduce applications
+    batched_commit_tasks: int = 0   # tasks whose effects committed batched
+    # --- plan memo (replay path; see docs/service.md).  perfbench divides
+    # plan_memo_hits by shards_dispatched: both count units.
+    plan_memo_hits: int = 0         # unit plans rebuilt from a skeleton
+    plan_memo_blob_reuse: int = 0   # units whose pickled blob shipped as-is
+    worker_plan_hits: int = 0       # units a worker ran from its plan memo
+
+
 @dataclass
 class _PlanMemo:
-    """Memoized shard-plan construction for one launch signature.
+    """Memoized unit construction for one launch signature.
 
     Everything in a plan except its live parts — pickled read values and
     undo slots — is pure in (signature, assignment, args): projections,
-    requirement templates, and the empty cache deltas of a warm worker.
-    This memo keeps that skeleton per shard, with the pickled blob and the
-    undo-slot set it names.  On mapped regions there are no read values,
-    and the arena rewinds after every commit, so a steady launch retakes
-    each shard's recorded slots (:meth:`ShmArena.retake`) and ships the
-    blob as it is: per shard, O(1) work and no pickling.  The worker keys
-    its own memo by those bytes (``exec/worker.py``), so a steady replay
-    is not unpickled, installed or expanded there either.
+    the units (points, ordinals, nodes, footprints), requirement
+    templates, and the empty cache deltas of a warm worker.  This memo
+    keeps the units, and each unit its plan skeleton with the pickled blob
+    and the undo-slot set it names.  On mapped regions there are no read
+    values, and the arena rewinds after every commit, so a steady launch
+    retakes each unit's recorded slots (:meth:`ShmArena.retake`) and ships
+    the blob as it is: per unit, O(1) work and no pickling.  The worker
+    keys its own memo by those bytes (``exec/worker.py``), so a steady
+    replay is not unpickled, installed or expanded there either.
 
     Validity is checked structurally on every use (assignment identity,
     args equality, worker generation, profiler state); anything stale
@@ -282,41 +380,32 @@ class _PlanMemo:
     args: tuple
     assignment_key: Any             # identity token (the sharding cache's dict)
     profile: bool
-    nodes: List[int]
-    flat_points: List[Tuple[int, Point]]
+    # --- from the first dispatch through the memo
+    flat_points: Optional[List[Tuple[int, Point]]] = None
     projections: Optional[List[List[Any]]] = None
-    footprints: Dict[int, _Footprints] = field(default_factory=dict)
-    shards: Dict[int, _PlanMemoShard] = field(default_factory=dict)
+    units: Optional[List[_Unit]] = None
 
 
 @dataclass
 class _Dispatch:
-    """Everything collected from a successful round of shard results."""
+    """A launch's units from submission on, and what collecting validated."""
 
-    nodes: List[int]
     points: List[Tuple[int, Point]]          # (node, point) in serial order
-    tasks: List[Any]                          # TaskResult per global ordinal
-    values: List[Any]                         # decoded future values
-    task_worker: List[Tuple[int, float]]      # (worker index, span offset)
+    #: per global ordinal, the subregion each requirement projects to:
+    #: pickled write-backs name their requirement, not an index set.
+    projections: List[List[Any]]
+    units: List[_Unit]
+    #: per-unit rebuild-and-resubmit closure for the recovery ladder.
+    resubmit: Any
+    values: List[Any] = field(default_factory=list)  # decoded future values
+    #: sparse, by global ordinal: only the points that have any
+    writes: Dict[int, list] = field(default_factory=dict)
+    reduces: Dict[int, list] = field(default_factory=dict)
+    spans: Dict[int, tuple] = field(default_factory=dict)  # (start, end, k)
     # (worker index, worker generation at success, staged cache delta):
     # committed only while the generation still holds — a respawn wipes the
     # worker state a stale shipment would otherwise claim it has.
     shipments: List[Tuple[int, int, dict]] = field(default_factory=list)
-    #: per global ordinal, the subregion each requirement projects to:
-    #: pickled write-backs name their requirement, not an index set.
-    projections: List[List[Any]] = field(default_factory=list)
-
-
-@dataclass
-class _InFlight:
-    """A launch's shards between submission and collection."""
-
-    nodes: List[int]
-    flat_points: List[Tuple[int, Point]]
-    projections: List[List[Any]]
-    jobs: List[_ShardJob]
-    #: per-job rebuild-and-resubmit closure for the recovery ladder.
-    resubmit: Any
 
 
 class ParallelBackend(ExecutionBackend):
@@ -339,19 +428,8 @@ class ParallelBackend(ExecutionBackend):
         self._poisoned_tasks: set = set()
         #: sig -> _PlanMemo, LRU-capped at _PLAN_MEMO_CAP signatures.
         self._plan_memo: "OrderedDict[tuple, _PlanMemo]" = OrderedDict()
-        #: the shards of the dispatch in flight: a fallback undoes them all.
-        self._jobs: List[_ShardJob] = []
-        #: Optional action-ordering observer: ``observer(event, info)`` is
-        #: called synchronously at every protocol transition (submit,
-        #: collect, retry, respawn, fallback, commit shipment handling).
-        #: Used by the formal conformance harness (src/repro/formal/) to
-        #: compare the real execution order against model-checker traces;
-        #: None (the default) costs nothing.
-        self.observer = None
-
-    def _observe(self, event: str, **info) -> None:
-        if self.observer is not None:
-            self.observer(event, info)
+        #: the units of the dispatch in flight: a fallback undoes them all.
+        self._units: List[_Unit] = []
 
     # ------------------------------------------------------------ plumbing
     def pool(self):
@@ -363,7 +441,6 @@ class ParallelBackend(ExecutionBackend):
         # Re-point every fetch: pools are shared across runtimes, and pool
         # failures should land in *this* runtime's metrics/trace.
         self._pool.profiler = self.rt.profiler
-        self._pool.observer = self.observer
         return self._pool
 
     def map_region(self, region) -> None:
@@ -429,9 +506,8 @@ class ParallelBackend(ExecutionBackend):
             )
         t_par = self.rt.profiler.mark()
         try:
-            dispatch = self._collect_launch(
-                launch, self._submit_launch(launch, sig, assignment)
-            )
+            dispatch = self._submit_launch(launch, sig, assignment)
+            self._collect_launch(launch, dispatch)
         except _ParallelBail as bail:
             return self._fallback(
                 launch, sig, op_id, assignment, replay, safe_order_free,
@@ -443,8 +519,8 @@ class ParallelBackend(ExecutionBackend):
         )
         # Every future was collected and no undo slot is needed any more:
         # reclaim the arena offsets for the next dispatch.
-        self._jobs = []
-        self.pool().arena.rewind_all()
+        self._units = []
+        self._pool.arena.rewind_all()
         return fmap
 
     def _fallback(
@@ -455,16 +531,15 @@ class ParallelBackend(ExecutionBackend):
         in place, and re-run serially."""
         prof = self.rt.profiler
         self.stats.fallbacks += 1
+        self.stats.fallback_reasons[bail.code] += 1
         if self._pool is not None and not self._pool.closed:
             self._quiesce()
-            for job in self._jobs:
-                self._restore(job)
+            for unit in self._units:
+                self._restore(unit)
             # The slots' offsets are forfeit; their segments unmap once
-            # the jobs holding views into them are dropped.
+            # the units holding views into them are dropped.
             self._pool.arena.abandon_all()
-        self._jobs = []
-        self._observe("fallback", launch=launch.name, reason=bail.reason,
-                      poison=bail.poison)
+        self._units = []
         if bail.poison:
             self._poisoned_tasks.add(launch.task.uid)
         if prof.enabled:
@@ -472,7 +547,8 @@ class ParallelBackend(ExecutionBackend):
                 "parallel.fallback",
                 Stage.EXECUTION,
                 launch=launch.name,
-                reason=bail.reason,
+                code=bail.code,
+                reason=bail.detail,
             )
         return self.serial.finish_launch(
             launch, sig, op_id, assignment, replay, safe_order_free, cache
@@ -480,28 +556,28 @@ class ParallelBackend(ExecutionBackend):
 
     def _quiesce(self) -> None:
         """Make sure no worker of the bailed dispatch can still write: a
-        shard still pending is awaited within the shard timeout, or its
+        unit still pending is awaited within the shard timeout, or its
         worker is reset — killed and reaped."""
         pool = self._pool
         policy = getattr(self.rt, "retry_policy", None) or RetryPolicy()
-        for job in self._jobs:
-            if job.future is None or job.future.done():
+        for unit in self._units:
+            if unit.future is None or unit.future.done():
                 continue
             try:
-                job.future.result(timeout=policy.shard_timeout_s)
+                unit.future.result(timeout=policy.shard_timeout_s)
             except Exception:
-                if pool.generation(job.k) == job.gen:
-                    pool.reset_worker(job.k)
+                if pool.generation(unit.k) == unit.gen:
+                    pool.reset_worker(unit.k)
 
-    def _restore(self, job: _ShardJob) -> None:
+    def _restore(self, unit: _Unit) -> None:
         """Scatter back the undo slots of every point whose gather the
         current attempt completed.  Only ever called once that attempt's
         worker has replied or been killed and reaped (exec/shm.py): a slot
         the worker was still gathering is not counted, and its point's
         body never ran."""
-        if job.progress is None:
+        if unit.progress is None:
             return
-        done = job.undo[: int(job.progress[0])]
+        done = unit.undo[: int(unit.progress[0])]
         for views in done:
             for sub, fname, view in views:
                 sub.scatter(fname, view)
@@ -514,18 +590,17 @@ class ParallelBackend(ExecutionBackend):
         """Account, ship cache deltas, and commit one collected dispatch."""
         prof = self.rt.profiler
         self.stats.parallel_launches += 1
-        self.stats.shards_dispatched += len(dispatch.nodes)
-        self.stats.tasks_shipped += len(dispatch.tasks)
-        pool = self.pool()
+        self.stats.shards_dispatched += len(dispatch.units)
+        self.stats.tasks_shipped += len(dispatch.points)
+        pool = self._pool
         for k, gen, staged in dispatch.shipments:
             if pool.generation(k) != gen:
-                # Respawned since this shard's attempt was submitted: the
+                # Respawned since this unit's attempt was submitted: the
                 # worker state this shipment claims no longer exists.
                 self.stats.stale_shipments_dropped += 1
-                self._observe("commit.drop_stale", worker=k, shipment_gen=gen,
-                              worker_gen=pool.generation(k))
                 continue
-            self._observe("commit.ship", worker=k, gen=gen)
+            if staged is _NO_DELTA:
+                continue
             caches = pool.caches[k]
             caches.tasks |= staged["tasks"]
             caches.regions |= staged["regions"]
@@ -536,8 +611,8 @@ class ParallelBackend(ExecutionBackend):
             attrs = dict(
                 launch=launch.name,
                 workers=self.workers,
-                shards=len(dispatch.nodes),
-                points=len(dispatch.tasks),
+                units=len(dispatch.units),
+                points=len(dispatch.points),
             )
             if cost is not None:
                 # Wall-clock bookkeeping only: the pool is an artifact of
@@ -545,7 +620,7 @@ class ParallelBackend(ExecutionBackend):
                 # overhead is never charged to simulated time.
                 attrs["pool_overhead_s"] = (
                     cost.t_worker_dispatch + cost.t_worker_result
-                ) * len(dispatch.nodes)
+                ) * len(dispatch.units)
             prof.phase("parallel.shards", Stage.EXECUTION, t_par, **attrs)
             prof.count("parallel.dispatches", 1.0)
         return self._commit(
@@ -553,26 +628,31 @@ class ParallelBackend(ExecutionBackend):
             assignment,
         )
 
-    def _submit_launch(self, launch, sig, assignment) -> _InFlight:
-        self._jobs = []
+    def _submit_launch(self, launch, sig, assignment) -> _Dispatch:
+        self._units = []
         self.pool()  # a replaced pool invalidates every memo, first
-        nodes = sorted(assignment)
-        flat_points: List[Tuple[int, Point]] = [
-            (node, point) for node in nodes for point in assignment[node]
-        ]
-        memo = self._memo_for(sig, launch, assignment, nodes, flat_points)
+        memo = self._memo_for(sig, launch, assignment)
 
-        # Per-point projections (pure: functor.apply + partition lookup) —
-        # signature-pure, so a valid memo serves them without re-projecting.
-        if memo is not None and memo.projections is not None:
-            projections = memo.projections
+        # The serial plan order, per-point projections (pure:
+        # functor.apply + partition lookup) and the units built from them
+        # — signature-pure, so a valid memo serves them all.
+        if memo is not None and memo.units is not None:
+            flat_points, projections = memo.flat_points, memo.projections
+            units = memo.units
         else:
+            nodes = sorted(assignment)
+            flat_points = [
+                (node, point) for node in nodes for point in assignment[node]
+            ]
             projections = [
                 [req.project(point) for req in launch.requirements]
                 for _, point in flat_points
             ]
+            units = _build_units(launch.requirements, assignment, nodes,
+                                 projections, self.workers)
             if memo is not None:
-                memo.projections = projections
+                memo.flat_points, memo.projections = flat_points, projections
+                memo.units = units
 
         try:
             task_blob = self._task_blobs.get(launch.task.uid)
@@ -580,47 +660,24 @@ class ParallelBackend(ExecutionBackend):
                 task_blob = dumps(launch.task)
                 self._task_blobs[launch.task.uid] = task_blob
         except Exception as exc:
-            raise _ParallelBail(f"task not picklable: {exc}", poison=True)
+            raise _ParallelBail("task_unpicklable", str(exc), poison=True)
 
-        ordinal = 0
-        known_footprints = memo.footprints if memo is not None else {}
-        for shard_index, node in enumerate(nodes):
-            local = assignment[node]
-            local_projs = projections[ordinal : ordinal + len(local)]
-            footprints = known_footprints.get(shard_index)
-            if footprints is None:
-                footprints = known_footprints[shard_index] = _shard_footprints(
-                    launch.requirements, local_projs
-                )
-            self._jobs.append(
-                _ShardJob(
-                    shard_index=shard_index,
-                    node=node,
-                    k=shard_index % self.workers,
-                    local=local,
-                    ordinals=list(range(ordinal, ordinal + len(local))),
-                    local_projs=local_projs,
-                    footprints=footprints,
-                )
-            )
-            ordinal += len(local)
-
+        # A memoized unit still holds the last dispatch's attempt.
+        for unit in units:
+            unit.future = unit.progress = None
+        self._units = units
         build = (launch, memo, task_blob)
-        by_worker: Dict[int, List[_ShardJob]] = {}
-        for job in self._jobs:
-            by_worker.setdefault(job.k, []).append(job)
-        for k in sorted(by_worker):
-            self._submit(build, by_worker[k])
-        return _InFlight(
-            nodes=nodes,
-            flat_points=flat_points,
+        for unit in units:
+            self._submit(build, unit)
+        return _Dispatch(
+            points=flat_points,
             projections=projections,
-            jobs=self._jobs,
-            resubmit=lambda job: self._submit(build, [job]),
+            units=units,
+            resubmit=lambda unit: self._submit(build, unit),
         )
 
-    def _memo_for(self, sig, launch, assignment, nodes, flat_points):
-        """The launch signature's shard-plan memo, or None.
+    def _memo_for(self, sig, launch, assignment):
+        """The launch signature's plan memo, or None.
 
         Valid while nothing the plan bakes in can have moved — same
         assignment object (the sharding cache returns a stable dict per
@@ -642,8 +699,6 @@ class ParallelBackend(ExecutionBackend):
                 args=launch.args,
                 assignment_key=assignment,
                 profile=enabled,
-                nodes=nodes,
-                flat_points=flat_points,
             )
             self._plan_memo[sig] = memo
             while len(self._plan_memo) > _PLAN_MEMO_CAP:
@@ -652,84 +707,73 @@ class ParallelBackend(ExecutionBackend):
             self._plan_memo.move_to_end(sig)
         return memo
 
-    def _submit(self, build, worker_jobs: List[_ShardJob], depth: int = 0):
-        """Build and submit shards of one worker: its whole batch at first
-        (one vectored write), a single shard on a ladder resubmission.
-        Building per worker in shard order preserves both the
-        fault-injector's directive-consumption order and the arena's
-        per-worker allocation order."""
+    def _submit(self, build, unit: _Unit, depth: int = 0):
+        """Build and submit one unit — at first, and again on every ladder
+        resubmission.  Units are submitted in worker order, which keeps
+        both the fault injector's directive-consumption order (worker,
+        then node) and the arena's per-worker allocation order."""
         launch, _, _ = build
         pool = self._pool
-        k = worker_jobs[0].k
-        # One segment per worker per dispatch: its shards' slot bytes are
-        # known before the first slot is allocated.
-        pool.arena.reserve(k, pool.generation(k), sum(
-            job.footprints.nbytes for job in worker_jobs
-        ))
-        items = [self._build_plan(build, job) for job in worker_jobs]
-        for job in worker_jobs:
-            self._observe("submit", shard=job.node, worker=k, gen=job.gen)
+        k = unit.k
+        item = self._build_plan(build, unit)
         try:
-            futures = pool.submit_shards(k, items)
+            (unit.future,) = pool.submit_shards(k, [item])
         except WorkerLost:
             # The worker's death surfaced at *submit* time (the transport
-            # noticed its child was gone before we handed it these plans).
+            # noticed its child was gone before we handed it this plan).
             # Respawn and rebuild against the emptied caches; deaths that
             # surface at result time go through the capped ladder in
-            # _collect_shard instead.
+            # _collect_unit instead.
             if depth >= 3:
                 raise _ParallelBail(
-                    f"worker {k} broken at submit {depth} times"
+                    "submit_broken", f"worker {k} broken at submit {depth} "
+                    f"times"
                 )
             pool.reset_worker(k)
-            for job in worker_jobs:
-                self._restore(job)
+            self._restore(unit)
             self.stats.worker_respawns += 1
             self._note_recovery(
-                "respawn", launch, worker_jobs[0],
+                "respawn", launch, unit,
                 _InfraFailure("broken", "pool broken at submit"),
             )
             # Same pause the collect-path ladder takes: a respawn is a
             # respawn, wherever the death happened to surface.
             self._backoff(depth + 1)
-            self._submit(build, worker_jobs, depth + 1)
-            return
+            self._submit(build, unit, depth + 1)
         except Exception as exc:
-            raise _ParallelBail(f"submit failed: {exc}")
-        for job, future in zip(worker_jobs, futures):
-            job.future = future
+            raise _ParallelBail("submit_failed", str(exc))
 
-    def _build_plan(self, build, job: _ShardJob) -> Tuple[bytes, ShardPlan]:
-        """(Re)build one shard plan.  Retries rebuild from scratch: a
+    def _build_plan(self, build, unit: _Unit) -> Tuple[bytes, ShardPlan]:
+        """(Re)build one unit plan.  Retries rebuild from scratch: a
         respawned worker's caches are empty, so the fresh plan ships
         everything it needs; a surviving worker's install is idempotent,
         so re-shipped state is harmless."""
         _, memo, _ = build
         prof = self.rt.profiler
-        gen = self._pool.generation(job.k)
+        gen = self._pool.generation(unit.k)
         # Memoized skeleton fast path: the plan's structural payload
         # (reqs, regions, partitions, points) is a pure function of the
         # launch signature once the worker caches are warm, so only the
         # footprint data and undo slots are live.
         # Validity: same worker generation (a respawn empties the caches
         # the skeleton assumes warm).
-        sm = memo.shards.get(job.shard_index) if memo is not None else None
-        if sm is not None and sm.gen != gen:
-            sm = None
-        read_data, undo = self._stage_footprints(job, gen, sm)
+        sk = unit.skeleton if memo is not None else None
+        if sk is not None and sk.gen != gen:
+            sk = None
+        read_data, undo = self._stage_footprints(unit, gen, sk)
         blob = None
-        if sm is None:
-            plan, staged = self._build_skeleton(build, job, read_data, undo)
+        if sk is None:
+            plan, staged = self._build_skeleton(build, unit, read_data, undo)
         else:
             self.stats.plan_memo_hits += 1
-            staged = _empty_delta()
-            if sm.blob is not None and undo is sm.undo:
+            staged = _NO_DELTA
+            if sk.blob is not None and undo is sk.undo:
                 # No read values and the very slots the blob names.
-                plan, blob = sm.plan, sm.blob
+                plan, blob = sk.plan, sk.blob
                 self.stats.plan_memo_blob_reuse += 1
             else:
                 plan = replace(
-                    sm.plan, read_data=read_data,
+                    sk.plan, read_data=read_data,
                     undo_slots=undo.slots if undo else None,
                     undo_done=undo.done if undo else None,
                 )
@@ -737,22 +781,23 @@ class ParallelBackend(ExecutionBackend):
             try:
                 blob = dumps(plan)
             except Exception as exc:
-                raise _ParallelBail(f"plan not picklable: {exc}", poison=True)
-        job.staged = staged
-        job.gen = gen
-        job.mark = prof.now() if prof.enabled else 0.0
+                raise _ParallelBail("plan_unpicklable", str(exc),
+                                    poison=True)
+        unit.staged = staged
+        unit.gen = gen
+        unit.mark = prof.now() if prof.enabled else 0.0
 
         # Memoize the skeleton only once the worker holds everything the
         # plan assumes (no staged deltas, task blob already cached) and no
         # fault directives were baked in — then the fast path's empty delta
         # is exact, not an approximation.  A hit that had to allocate fresh
         # slots re-memoizes, so the next launch can retake them.
-        if memo is not None and (sm is None or undo is not sm.undo) and (
+        if memo is not None and (sk is None or undo is not sk.undo) and (
             plan.task_blob is None
             and not (plan.faults or staged["regions"]
                      or staged["partition_colors"] or staged["subsets"])
         ):
-            memo.shards[job.shard_index] = _PlanMemoShard(
+            unit.skeleton = _Skeleton(
                 gen=gen,
                 plan=replace(plan, read_data=()) if read_data else plan,
                 blob=None if read_data else blob,
@@ -760,14 +805,13 @@ class ParallelBackend(ExecutionBackend):
             )
         return blob, plan
 
-    def _build_skeleton(self, build, job: _ShardJob, read_data, undo):
+    def _build_skeleton(self, build, unit: _Unit, read_data, undo):
         """The plan against the worker's *current* committed cache view,
         and the cache delta shipping it stages."""
         launch, _, task_blob = build
-        k, node, local = job.k, job.node, job.local
+        k = unit.k
         caches = self._pool.caches[k]
         staged = _empty_delta()
-        known_subsets = set(caches.subsets)
 
         # Region skeletons new to this worker.
         regions = []
@@ -777,57 +821,24 @@ class ParallelBackend(ExecutionBackend):
                 regions.append(region_spec(req.region))
                 staged["regions"].add(uid)
 
-        # Requirement templates plus the partition colors they project.
-        reqs = []
-        part_entries: Dict[int, PartitionEntry] = {}
-        for ri, req in enumerate(launch.requirements):
-            reqs.append(
-                ReqTemplate(
-                    priv=priv_token(req.privilege),
-                    fields=req.fields,
-                    resolved_fields=tuple(req.resolved_fields()),
-                    partition_uid=req.partition.uid,
-                    region_uid=req.region.uid,
-                    functor=req.functor,
-                )
-            )
-            for subs in job.local_projs:
-                sub = subs[ri]
-                color_key = (req.partition.uid, tuple(sub.color))
-                if (
-                    color_key in caches.partition_colors
-                    or color_key in staged["partition_colors"]
-                ):
-                    continue
-                staged["partition_colors"].add(color_key)
-                entry = part_entries.get(req.partition.uid)
-                if entry is None:
-                    entry = PartitionEntry(
-                        uid=req.partition.uid,
-                        region_uid=req.region.uid,
-                        colors=[],
-                    )
-                    part_entries[req.partition.uid] = entry
-                entry.colors.append(
-                    (tuple(sub.color), subset_ref(sub.subset, known_subsets))
-                )
-        staged["subsets"] = known_subsets - caches.subsets
+        reqs, partitions = _templates(launch.requirements, unit.local_projs,
+                                      caches, staged)
 
         extra = None
         if launch.point_args is not None:
-            extra = [launch.point_args.get(p) for p in local]
+            extra = [launch.point_args.get(p) for p in unit.points]
 
         plan = ShardPlan(
-            node=node,
-            points=[tuple(p) for p in local],
-            ordinals=job.ordinals,
+            nodes=unit.nodes,
+            points=[tuple(p) for p in unit.points],
+            ordinals=unit.ordinals,
             task_uid=launch.task.uid,
             task_blob=None if launch.task.uid in caches.tasks else task_blob,
             args=launch.args,
             point_extra_args=extra,
             reqs=reqs,
             regions=regions,
-            partitions=list(part_entries.values()),
+            partitions=partitions,
             read_data=read_data,
             profile=self.rt.profiler.enabled,
             undo_slots=undo.slots if undo else None,
@@ -836,37 +847,38 @@ class ParallelBackend(ExecutionBackend):
         staged["tasks"].add(launch.task.uid)
         injector = self.rt.fault_injector
         if injector is not None:
-            plan.faults = injector.arm_shard(k, node, local)
+            # Once per node, in serial order: consumption is as it was when
+            # every node was its own dispatch.
+            plan.faults = [
+                directive for node, local in unit.runs
+                for directive in injector.arm_shard(k, node, local)
+            ]
         return plan, staged
 
-    def _stage_footprints(self, job: _ShardJob, gen: int,
-                          sm: Optional[_PlanMemoShard]):
+    def _stage_footprints(self, unit: _Unit, gen: int,
+                          sk: Optional[_Skeleton]):
         """One attempt's live plan parts, ``(read_data, undo)``: pickled
         read entries for the fields the worker does not map, and the
         :class:`_UndoSet` for the ones it writes in place — the memoized
-        shard's own set when the arena can retake it, else fresh slots —
-        rebinding ``job.undo`` and ``job.progress``."""
+        unit's own set when the arena can retake it, else fresh slots —
+        rebinding ``unit.undo`` and ``unit.progress``."""
         arena = self._pool.arena
         stats = arena.stats
-        footprints = job.footprints
+        footprints = unit.footprints
         read_data = [fp.inline() for fp in footprints.reads]
-        job.undo, job.progress = [], None
+        unit.undo, unit.progress = [], None
         if arena.available:
             stats.read_fallbacks += len(read_data)
-            stats.bytes_staged += sum(
-                fp.count * fp.dtype.itemsize for fp in footprints.reads
-            )
-            stats.write_fallbacks += sum(
-                not fp.in_place for point in footprints.writes for fp in point
-            )
+            stats.bytes_staged += footprints.read_bytes
+            stats.write_fallbacks += footprints.pickled_writes
         if not footprints.in_place:
             return read_data, None
-        undo = sm.undo if sm is not None else None
+        undo = sk.undo if sk is not None else None
         if undo is None or undo.taken is None or not arena.retake(
-            job.k, gen, undo.taken
+            unit.k, gen, undo.taken
         ):
-            undo = self._alloc_undo(job.k, gen, footprints)
-        job.undo, job.progress = undo.views, undo.progress
+            undo = self._alloc_undo(unit.k, gen, footprints)
+        unit.undo, unit.progress = undo.views, undo.progress
         return read_data, undo
 
     def _alloc_undo(self, k: int, gen: int,
@@ -874,9 +886,12 @@ class ParallelBackend(ExecutionBackend):
         """Fresh undo slots and progress counter for one attempt.  In-place
         writes are never made without a way to undo them."""
         arena = self._pool.arena
+        # One segment per worker per dispatch: the unit's slot bytes are
+        # known before the first slot is allocated.
+        arena.reserve(k, gen, footprints.nbytes)
         progress = arena.alloc_progress(k, gen)
         if progress is None:
-            raise _ParallelBail("no shared memory for undo slots")
+            raise _ParallelBail("no_undo_shm")
         undo_slots, views, nbytes = [], [], 0
         for point in footprints.writes:
             slots, point_views = [], []
@@ -885,7 +900,7 @@ class ParallelBackend(ExecutionBackend):
                 if fp.in_place and fp.nbytes:
                     slot = arena.alloc_undo_slot(k, gen, fp)
                     if slot is None:
-                        raise _ParallelBail("no shared memory for undo slots")
+                        raise _ParallelBail("no_undo_shm")
                     point_views.append((fp.sub, fp.fname, slot[1]))
                     nbytes += slot[1].nbytes
                     slot = slot[0]
@@ -895,69 +910,62 @@ class ParallelBackend(ExecutionBackend):
         taken = arena.record(k, gen, progress, sum(map(len, views)), nbytes)
         return _UndoSet(undo_slots, progress[0], views, progress[1], taken)
 
-    def _collect_launch(self, launch, inflight: _InFlight) -> _Dispatch:
-        """Await every shard of one submitted launch and validate the
-        results into a :class:`_Dispatch`, recovering per shard
-        (retry -> respawn), bailing to serial only when a shard exhausts
-        its retry policy."""
-        rt = self.rt
-        pool = self.pool()
-        jobs = inflight.jobs
-        flat_points = inflight.flat_points
-        policy = getattr(rt, "retry_policy", None) or RetryPolicy()
-        shipments: List[Tuple[int, int, dict]] = []
-        for job in jobs:
-            job.payload = self._collect_shard(
-                launch, pool, policy, job, inflight.resubmit
+    def _collect_launch(self, launch, dispatch: _Dispatch) -> None:
+        """Await every unit of one submitted launch and validate the
+        results into ``dispatch``, recovering per unit (retry -> respawn),
+        bailing to serial only when a unit exhausts its retry policy."""
+        pool = self._pool
+        policy = getattr(self.rt, "retry_policy", None) or RetryPolicy()
+        for unit in dispatch.units:
+            unit.payload = self._collect_unit(
+                launch, pool, policy, unit, dispatch.resubmit
             )
             # Stamp the shipment with the generation that *produced* it
-            # (job.gen, set at submit), never the generation at collect
-            # time: a sibling shard's recovery may reset this worker after
+            # (unit.gen, set at submit), never the generation at collect
+            # time: a sibling unit's recovery may reset this worker after
             # the result was banked but before it was collected, and a
             # collect-time stamp would launder that stale state past the
             # commit-side generation check.  (Found by the commit-protocol
             # model checker; see docs/formal-verification.md.)
-            shipments.append((job.k, job.gen, job.staged))
+            dispatch.shipments.append((unit.k, unit.gen, unit.staged))
 
         # Validate everything before committing.
-        total = len(flat_points)
-        tasks: List[Optional[Any]] = [None] * total
-        task_worker: List[Tuple[int, float]] = [(0, 0.0)] * total
-        for job in jobs:
-            result = job.payload
+        values = dispatch.values = [None] * len(dispatch.points)
+        for unit in dispatch.units:
+            result = unit.payload
             pool.arena.stats.worker_releases += result.shm_released
             self.stats.worker_plan_hits += result.plan_hit
-            offset = job.mark - result.t0
-            for trec in result.tasks:
-                if not 0 <= trec.ordinal < total or tasks[trec.ordinal] is not None:
-                    raise _ParallelBail("shard result ordinals inconsistent")
-                tasks[trec.ordinal] = trec
-                task_worker[trec.ordinal] = (job.k, offset)
-        if any(t is None for t in tasks):
-            raise _ParallelBail("missing tasks in shard results")
-        try:
-            values = [loads(t.value_blob) for t in tasks]
-        except Exception as exc:
-            raise _ParallelBail(f"future value not unpicklable: {exc}",
-                                poison=True)
-        return _Dispatch(
-            nodes=inflight.nodes,
-            points=flat_points,
-            tasks=tasks,
-            values=values,
-            task_worker=task_worker,
-            shipments=shipments,
-            projections=inflight.projections,
-        )
+            try:
+                unit_values = loads(result.values)
+            except Exception as exc:
+                raise _ParallelBail("value_unpicklable", str(exc),
+                                    poison=True)
+            sparse = result.writes or result.reduces or result.spans
+            if len(unit_values) != len(unit.ordinals) or sparse and not (
+                result.writes.keys() | result.reduces.keys()
+                | result.spans.keys()
+            ) <= set(unit.ordinals):
+                raise _ParallelBail(
+                    "result_inconsistent",
+                    f"worker {unit.k}: result does not match its plan",
+                )
+            for ordinal, value in zip(unit.ordinals, unit_values):
+                values[ordinal] = value
+            dispatch.writes.update(result.writes)
+            dispatch.reduces.update(result.reduces)
+            offset = unit.mark - result.t0
+            for ordinal, (start, end) in result.spans.items():
+                dispatch.spans[ordinal] = (start + offset, end + offset,
+                                           unit.k)
 
-    # ----------------------------------------------------- shard collection
-    def _collect_shard(self, launch, pool, policy, job, resubmit):
-        """Await one shard's result, climbing the recovery ladder on
+    # ------------------------------------------------------ unit collection
+    def _collect_unit(self, launch, pool, policy, unit, resubmit):
+        """Await one unit's result, climbing the recovery ladder on
         infrastructure failures.
 
         Tier 1 (same-worker retry) handles failures that leave the process
         usable: a corrupt result blob, a future cancelled because another
-        shard's recovery reset this worker.  Tier 2 (respawn) handles a
+        unit's recovery reset this worker.  Tier 2 (respawn) handles a
         dead, wedged or unaccountable process.  Exhausting both raises
         ``_ParallelBail`` (tier 3, serial fallback); a worker-side
         *application* error skips the ladder entirely — it is
@@ -970,59 +978,57 @@ class ParallelBackend(ExecutionBackend):
         """
         retries = respawns = 0
         while True:
-            payload, failure = self._await(job, policy)
+            payload, failure = self._await(unit, policy)
             if failure is None:
                 if payload[0] == "error":
-                    raise _ParallelBail(
-                        f"worker error: {payload[1]}", poison=True
-                    )
-                self._observe("collect.ok", shard=job.node, worker=job.k,
-                              gen=job.gen)
+                    raise _ParallelBail("worker_error", payload[1],
+                                        poison=True)
                 return payload[1]
 
             # Worker process gone, wedged, or in an unknown state (and not
-            # already replaced by an earlier shard's recovery) -> the
+            # already replaced by an earlier unit's recovery) -> the
             # attempt needs a respawn.
-            worker_stale = pool.generation(job.k) != job.gen
+            worker_stale = pool.generation(unit.k) != unit.gen
             need_respawn = (
                 failure.kind in ("broken", "timeout", "transport")
                 and not worker_stale
             )
             if need_respawn:
                 if respawns >= policy.respawns:
-                    self._bail_unrecoverable(pool, job, failure,
+                    self._bail_unrecoverable(pool, unit, failure,
                                              retries, respawns)
                 respawns += 1
                 if failure.kind == "timeout":
                     self.stats.shard_timeouts += 1
                 self.stats.worker_respawns += 1
-                pool.reset_worker(job.k)
-                self._note_recovery("respawn", launch, job, failure)
+                pool.reset_worker(unit.k)
+                self._note_recovery("respawn", launch, unit, failure)
             elif retries < policy.same_worker_retries or worker_stale:
                 # A stale-generation failure is not the worker's fault; the
                 # resubmission goes to the already-fresh process.
                 retries += 1
                 self.stats.shard_retries += 1
-                self._note_recovery("retry", launch, job, failure)
+                self._note_recovery("retry", launch, unit, failure)
             elif respawns < policy.respawns:
                 # Same-worker retries exhausted: escalate, the process may
                 # be corrupted in a way that does not kill it.
                 respawns += 1
                 self.stats.worker_respawns += 1
-                pool.reset_worker(job.k)
-                self._note_recovery("respawn", launch, job, failure)
+                pool.reset_worker(unit.k)
+                self._note_recovery("respawn", launch, unit, failure)
             else:
-                self._bail_unrecoverable(pool, job, failure, retries, respawns)
+                self._bail_unrecoverable(pool, unit, failure, retries,
+                                         respawns)
             self._backoff(retries + respawns)
-            self._restore(job)
-            resubmit(job)
+            self._restore(unit)
+            resubmit(unit)
 
     @staticmethod
-    def _await(job, policy):
+    def _await(unit, policy):
         """One attempt's decoded payload, or the infrastructure failure
         that lost it: ``(payload, None)`` or ``(None, failure)``."""
         try:
-            raw = job.future.result(timeout=policy.shard_timeout_s)
+            raw = unit.future.result(timeout=policy.shard_timeout_s)
         except WorkerLost as exc:
             return None, _InfraFailure("broken", str(exc) or "worker died")
         except ResultTimeout:
@@ -1048,38 +1054,29 @@ class ParallelBackend(ExecutionBackend):
             time.sleep(delay)
             self.stats.backoff_total_s += delay
 
-    def _bail_unrecoverable(self, pool, job, failure, retries, respawns):
+    def _bail_unrecoverable(self, pool, unit, failure, retries, respawns):
         """Tier 3: abandon the dispatch for the serial fallback.
 
-        Every worker is reset — in-flight futures of sibling shards die
+        Every worker is reset — in-flight futures of sibling units die
         with their workers, and nothing about any worker's state can be
         trusted after a dispatch this broken.  The fallback then undoes
-        every shard, the ones that already succeeded included."""
-        self._observe("ladder.bail", shard=job.node, worker=job.k,
-                      failure=failure.kind, retries=retries,
-                      respawns=respawns)
+        every unit, the ones that already succeeded included."""
         for j in range(pool.n):
             pool.reset_worker(j)
         raise _ParallelBail(
-            f"shard {job.node} unrecoverable after {retries} retries and "
-            f"{respawns} respawns: {failure}"
+            "ladder_exhausted",
+            f"worker {unit.k}'s unit unrecoverable after {retries} retries "
+            f"and {respawns} respawns: {failure}"
         )
 
-    def _note_recovery(self, kind, launch, job, failure) -> None:
+    def _note_recovery(self, kind, launch, unit, failure) -> None:
         """One recovery-ladder transition: instant + counter, wall-clock
         cost annotations only (never charged to simulated time)."""
-        self._observe(f"recovery.{kind}", shard=job.node, worker=job.k,
-                      failure=failure.kind, stamped_gen=job.gen)
         prof = self.rt.profiler
         if not prof.enabled:
             return
         cost = prof.costmodel
-        attrs = dict(
-            launch=launch.name,
-            shard=job.node,
-            worker=job.k,
-            failure=failure.kind,
-        )
+        attrs = dict(launch=launch.name, worker=unit.k, failure=failure.kind)
         if cost is not None:
             attrs["wall_cost_s"] = (
                 cost.t_worker_respawn if kind == "respawn"
@@ -1118,20 +1115,19 @@ class ParallelBackend(ExecutionBackend):
         if prof.enabled:
             span_name = f"execute:{launch.task.name}"
             for g in order:
-                trec = dispatch.tasks[g]
-                if trec.span is None:
+                span = dispatch.spans.get(g)
+                if span is None:
                     continue
-                node, _point = dispatch.points[g]
-                k, offset = dispatch.task_worker[g]
-                start, end = trec.span
+                node, point = points[g]
+                start, end, k = span
                 prof.ingest_span(
                     span_name,
                     Stage.EXECUTION,
                     node,
-                    start + offset,
-                    end + offset,
-                    task=f"{launch.task.name}{tuple(trec.point)}",
-                    point=str(tuple(trec.point)),
+                    start,
+                    end,
+                    task=f"{launch.task.name}{tuple(point)}",
+                    point=str(tuple(point)),
                     worker=k,
                 )
         return fmap
@@ -1153,35 +1149,38 @@ class ParallelBackend(ExecutionBackend):
         interleaving.  Eligibility already guarantees writes and reduces
         never share a (region, field), so the two commute.
         """
-        reduces: Dict[Tuple[int, str], Tuple[str, list, list]] = {}
         stats = self.stats
-        for g in order:
-            trec = dispatch.tasks[g]
-            projs = dispatch.projections[g]
-            for ri, fname, vals in trec.writes:
-                projs[ri].scatter(fname, vals)
-            for uid, fname, idx, vals, opname in trec.reduces:
-                key = (uid, fname)
-                vals = np.asarray(vals).ravel()
-                pending = reduces.get(key)
-                if pending is not None and pending[0] != opname:
-                    self._apply_reduces(region_by_uid, key, pending)
-                    stats.batched_commit_ops += 1
-                    pending = None
-                if pending is None:
-                    reduces[key] = (opname, [idx], [vals])
-                else:
-                    pending[1].append(idx)
-                    pending[2].append(vals)
-        for key, pending in reduces.items():
+        writes, reduces = dispatch.writes, dispatch.reduces
+        pending_by_key: Dict[Tuple[int, str], Tuple[str, list, list]] = {}
+        if writes or reduces:
+            for g in order:
+                back = writes.get(g)
+                if back:
+                    projs = dispatch.projections[g]
+                    for ri, fname, vals in back:
+                        projs[ri].scatter(fname, vals)
+                for uid, fname, idx, vals, opname in reduces.get(g, ()):
+                    key = (uid, fname)
+                    vals = np.asarray(vals).ravel()
+                    pending = pending_by_key.get(key)
+                    if pending is not None and pending[0] != opname:
+                        self._apply_reduces(region_by_uid, key, pending)
+                        stats.batched_commit_ops += 1
+                        pending = None
+                    if pending is None:
+                        pending_by_key[key] = (opname, [idx], [vals])
+                    else:
+                        pending[1].append(idx)
+                        pending[2].append(vals)
+        for key, pending in pending_by_key.items():
             self._apply_reduces(region_by_uid, key, pending)
         # Every task writes back the same (requirement, field) list.
         projs = dispatch.projections[order[0]]
         written = {
             (projs[ri].region.uid, fname)
-            for ri, fname, _ in dispatch.tasks[order[0]].writes
+            for ri, fname, _ in writes.get(order[0], ())
         }
-        stats.batched_commit_ops += len(written) + len(reduces)
+        stats.batched_commit_ops += len(written) + len(pending_by_key)
         stats.batched_commit_tasks += len(order)
 
     @staticmethod

@@ -1,12 +1,18 @@
 """Picklable shard plans and results for the parallel execution backend.
 
-A :class:`ShardPlan` is the self-contained description of one node's share
-of an index launch — the moral equivalent of the per-node launch descriptor
-that DCR ships to each control replica (Section 5 of the paper): the task,
-the local domain slice, requirement templates, and just enough region /
-partition metadata to run expansion and the task bodies in another
-process.  Nothing about the analyzer travels in either direction: physical
-analysis is the parent's (see :mod:`repro.exec.backend`).
+A :class:`ShardPlan` is the self-contained description of one *unit*: one
+worker's slice of an index launch, the points of every node the
+assignment ``node index % workers`` gives that worker — the moral
+equivalent of the per-node launch descriptor DCR ships to each control
+replica (Section 5 of the paper), with one descriptor per process rather
+than per simulated node.  It holds the task, the slice's points in serial
+order with their global ordinals and nodes, requirement templates, and
+just enough region / partition metadata to run expansion and the task
+bodies in another process.  A :class:`ShardResult` answers it as a whole:
+the future values pickled once as a list, and write-backs, reductions and
+spans only for the points that have any.  Nothing about the analyzer
+travels in either direction: physical analysis is the parent's (see
+:mod:`repro.exec.backend`).
 
 Everything here is built from plain values (tuples, ints, strings, numpy
 arrays) plus a handful of repro objects that pickle by value (functors,
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +52,6 @@ __all__ = [
     "ReqTemplate",
     "PartitionEntry",
     "ShardPlan",
-    "TaskResult",
     "ShardResult",
 ]
 
@@ -57,7 +62,7 @@ def dumps(obj: Any) -> bytes:
     Plans and results are almost always plain data (dataclasses, tuples,
     numpy arrays), which the stdlib C pickler handles in under half the
     time of cloudpickle's Python-level pickler — and this runs once per
-    shard per launch on the dispatch hot path.  The fast path is safe
+    unit per launch on the dispatch hot path.  The fast path is safe
     because stdlib pickle *verifies* by-reference identity at save time:
     any object it cannot faithfully reference (a closure, or a ``Task``
     shadowing the function it decorates) raises ``PicklingError`` rather
@@ -155,10 +160,10 @@ class PartitionEntry:
 
 @dataclass
 class ShardPlan:
-    """Everything one worker needs to run its shard of a launch."""
+    """Everything one worker needs to run its unit of a launch."""
 
-    node: int
-    points: List[tuple]             # local domain slice, in serial order
+    nodes: List[int]                # per point, the node it belongs to
+    points: List[tuple]             # the unit's domain points, serial order
     ordinals: List[int]             # global plan-list positions of the points
     task_uid: int
     task_blob: Optional[bytes]      # cloudpickled Task; None when cached
@@ -173,15 +178,16 @@ class ShardPlan:
     #: ("idx", region_uid, field, indices, values)
     read_data: List[tuple]
     profile: bool
-    #: armed fault directives (kind, phase, point|None, hang_s) — injected
-    #: failures the worker fires with real effects; see repro.fault.
+    #: armed fault directives (kind, phase, point|None, hang_s) of every
+    #: node in the unit — injected failures the worker fires with real
+    #: effects; see repro.fault.
     faults: List[tuple] = field(default_factory=list)
     #: undo slots, parallel to ``points``: per point, one (segment,
     #: offset, count, dtype) | None per (WRITE/READ_WRITE requirement,
     #: field) in gather order.  A slot means the field is written in place
     #: and the worker gathers its current bytes there before the body; None
     #: (or no list) means it pickles the final bytes into
-    #: ``TaskResult.writes`` after the body (exec/shm.py).
+    #: ``ShardResult.writes`` after the body (exec/shm.py).
     undo_slots: Optional[List[List[Optional[tuple]]]] = None
     #: (segment, offset, 1, dtype) of an int64 the worker sets to the
     #: number of points whose undo slots are complete; None: no slots.
@@ -189,27 +195,19 @@ class ShardPlan:
 
 
 @dataclass
-class TaskResult:
-    """What one point task produced, addressed by its plan-list ordinal.
-
-    Workers never see the parent's task-id counter: ids are drawn at
-    commit, so a bailed dispatch consumes none.
-    """
-
-    ordinal: int
-    point: tuple
-    value_blob: bytes               # future value (pickled separately)
-    writes: List[tuple]             # (requirement index, field, final values)
-    reduces: List[tuple]            # (region_uid, field, idx, values, op name)
-    span: Optional[tuple]           # (start, end) on the worker clock
-
-
-@dataclass
 class ShardResult:
-    """One worker's answer for one shard."""
+    """One worker's answer for one unit.  Task ids are drawn at commit, so
+    a bailed dispatch consumes none; the maps are keyed by global ordinal
+    and hold only the points that have an entry."""
 
-    node: int
-    t0: float                       # worker perf_counter at shard start
-    tasks: List[TaskResult] = field(default_factory=list)
+    t0: float                       # worker perf_counter at unit start
+    #: the future values in plan order, pickled once as a list apart from
+    #: the rest: a value the parent cannot unpickle is not a garbled result
+    values: bytes = b""
+    #: ordinal -> [(requirement index, field, final values)]
+    writes: Dict[int, List[tuple]] = field(default_factory=dict)
+    #: ordinal -> [(region_uid, field, idx, values, op name)]
+    reduces: Dict[int, List[tuple]] = field(default_factory=dict)
+    spans: Dict[int, tuple] = field(default_factory=dict)  # (start, end)
     shm_released: int = 0           # stale arena mappings dropped
     plan_hit: bool = False          # run from the worker's plan memo

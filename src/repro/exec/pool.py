@@ -1,8 +1,9 @@
 """Persistent worker pools for the parallel execution backend.
 
 A :class:`WorkerPool` owns ``n`` worker slots rather than one shared work
-queue: shard ``i`` of every launch is always submitted to slot ``i % n``,
-which makes worker-side caches (task functions, partition colors, sparse
+queue: node ``i`` of every launch always lands on slot ``i % n`` — the
+backend submits each slot one unit per launch, the points of all its
+nodes — which makes worker-side caches (task functions, partition colors, sparse
 subsets, region skeletons) deterministic — the parent knows exactly what
 each worker already holds and ships only deltas, mirroring how DCR's
 control replicas keep persistent per-node state across launches.
@@ -93,7 +94,7 @@ class _WorkerCaches:
 
 
 class WorkerPool:
-    """``n`` persistent worker slots with deterministic shard affinity."""
+    """``n`` persistent worker slots with deterministic node affinity."""
 
     def __init__(self, n: int, transport: Optional[str] = None):
         if n < 1:
@@ -123,10 +124,6 @@ class WorkerPool:
         #: here and surfaced as obs instants (see shutdown()).
         self.shutdown_errors = 0
         self._profiler = NULL_PROFILER
-        #: optional ``callback(event: str, info: dict)`` fired on worker
-        #: resets; the formal conformance harness uses it to observe the
-        #: real action ordering.  ``None`` costs nothing.
-        self.observer = None
 
     # --------------------------------------------------------------- wiring
     @property
@@ -151,10 +148,6 @@ class WorkerPool:
         self.caches[k].clear()
         self._generations[k] += 1
         self.arena.on_reset(k, self._generations[k])
-        if self.observer is not None:
-            self.observer(
-                "pool.reset", {"worker": k, "generation": self._generations[k]}
-            )
         self._transport.discard_worker(k)
 
     def generation(self, k: int) -> int:
@@ -187,14 +180,14 @@ class WorkerPool:
 
     # ------------------------------------------------------------- dispatch
     def submit_shard(self, k: int, plan_blob: bytes):
-        """Submit one shard blob to worker ``k``; returns the future."""
+        """Submit one plan blob to worker ``k``; returns the future."""
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         return self._transport.submit_shard(k, plan_blob)
 
     def submit_shards(self, k: int, items):
-        """Submit a whole per-worker batch ``[(plan_blob, plan), ...]`` in
-        one vectored write; returns one future per shard, in order."""
+        """Submit a per-worker batch ``[(plan_blob, plan), ...]`` in one
+        vectored write; returns one future per plan, in order."""
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         return self._transport.submit_shards(k, items)

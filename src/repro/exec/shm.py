@@ -22,7 +22,7 @@ data.  On a transport whose workers share the parent's shm namespace
   parent's storage.  So before each point's body the worker gathers the
   point's WRITE/READ_WRITE boxes into undo slots the parent allocated in
   a per-worker arena segment (``ShardPlan.undo_slots``), then bumps the
-  shard's progress counter (``ShardPlan.undo_done``) to the number of
+  unit's progress counter (``ShardPlan.undo_done``) to the number of
   points whose slots are complete.  On every retry, respawn and serial
   fallback the parent scatters the complete slots back — a slot torn by a
   mid-gather death is never counted, and its point's body never ran.
@@ -51,7 +51,7 @@ worker and **generation** (``reproshm-<pid>p<pool>w<k>g<gen>-<seq>``).
 Offsets grow across a dispatch (retries included) and rewind only after
 a commit; ``reset_worker`` and a serial fallback retire the segments a
 stale process could still touch — unlink the name, drop the reference.
-A steady launch takes its shards' slots with :meth:`ShmArena.retake`
+A steady launch takes its units' slots with :meth:`ShmArena.retake`
 instead of allocating them: the recorded offsets, handed out again only
 where fresh allocations would land anyway.  An arena segment that cannot
 be created switches the arena off: a launch that writes a mapped region
@@ -69,7 +69,7 @@ counted as ``ShmStats.instance_fallbacks``.
 Everything unmapped — non-shm-able dtypes, the instance fallback, the
 ``socket`` transport — takes the pickled path: read footprints travel as
 arrays in ``ShardPlan.read_data`` and writes come back in
-``TaskResult.writes``.
+``ShardResult.writes``.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def release_instances(regions=None) -> int:
 
 # -------------------------------------------------------------- footprints
 class Footprint:
-    """What a shard moves of one ``(region, field)`` — a list of rect
+    """What a unit moves of one ``(region, field)`` — a list of rect
     subregions (boxes) or one sparse subregion, values back to back in that
     order — with everything moving it needs worked out once."""
 
@@ -326,7 +326,7 @@ class _Segment:
 
 
 class SlotSet:
-    """One shard attempt's slots, recorded so that a later dispatch can take
+    """One unit attempt's slots, recorded so that a later dispatch can take
     the very same offsets again (:meth:`ShmArena.retake`): the generation
     and segment they were carved from, the byte range, what they charged,
     and the parent view of the progress counter that opens the range."""
@@ -348,7 +348,7 @@ _ARENA_COUNTER = [0]
 #: Smallest segment; grows geometrically per worker as dispatches demand.
 _MIN_SEGMENT = 1 << 16
 
-#: bytes of a shard's progress counter: one int64, padded to a slot.
+#: bytes of a unit's progress counter: one int64, padded to a slot.
 PROGRESS_BYTES = _ALIGN
 
 
@@ -446,7 +446,7 @@ class ShmArena:
     def alloc_progress(
         self, k: int, gen: int
     ) -> Optional[Tuple[tuple, np.ndarray]]:
-        """A shard's zeroed progress counter: (descriptor, parent view)."""
+        """A unit's zeroed progress counter: (descriptor, parent view)."""
         slot = self._slot(k, gen, PROGRESS_BYTES, 1, np.dtype(np.int64))
         if slot is not None:
             slot[1][0] = 0
@@ -454,7 +454,7 @@ class ShmArena:
 
     def record(self, k: int, gen: int, progress, slots: int,
                nbytes: int) -> Optional[SlotSet]:
-        """The slots worker ``k`` was handed since ``progress`` (the shard's
+        """The slots worker ``k`` was handed since ``progress`` (the unit's
         first allocation, from :meth:`alloc_progress`), charged ``slots`` /
         ``nbytes``, as a retakeable set; None when they did not stay in one
         segment."""

@@ -9,7 +9,7 @@ admitted, the connection's fd is handed to the same
 a forked worker it inherits *nothing*: the parent ships its ``sys.path``
 via ``PYTHONPATH`` so by-reference pickles (task functions defined in
 importable modules) resolve, and every piece of cached state arrives as
-a delta inside the shard plans.
+a delta inside the unit plans.
 
 Exit codes: 0 on SHUTDOWN or clean EOF, 3 on a failed handshake, 4 on a
 malformed invocation.  Injected ``kill`` faults still hard-exit with 13

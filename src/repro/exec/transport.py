@@ -9,13 +9,13 @@ parent-side I/O is non-blocking, submits append to a per-worker write
 backlog and flush opportunistically, and one ``selectors`` loop — run
 inline from ``future.result()`` on the caller's own thread, no helper
 thread anywhere — drains every worker's RESULT frames and finishes
-stalled writes.  Collecting a shard costs one ``epoll_wait`` + one
+stalled writes.  Collecting a unit costs one ``epoll_wait`` + one
 ``read``, and completion order is decided by that single loop, not by
 the host's thread scheduler.
 
 The pool keeps everything else — affinity, cache bookkeeping,
 generations, the shm arena, failure metrics — so the recovery ladder in
-``parallel._collect_shard`` sees one failure vocabulary, the three
+``parallel._collect_unit`` sees one failure vocabulary, the three
 exceptions defined here:
 
 * :class:`WorkerLost` — the worker died, its stream hit EOF or a reset,
@@ -23,7 +23,7 @@ exceptions defined here:
   refused handshake).  Raised at submit time or from a collected future;
   the ladder answers with a tier-2 respawn.
 * :class:`ResultCancelled` — the worker was discarded with this future
-  still pending (another shard's recovery reset it); the collect path's
+  still pending (another unit's recovery reset it); the collect path's
   free same-worker retry.
 * :class:`ResultTimeout` — ``future.result(timeout)`` ran out of time.
 
@@ -239,16 +239,16 @@ class Transport:
         return worker.seq, future
 
     def submit_shard(self, k: int, plan_blob: bytes) -> _PipeFuture:
-        """Ship one shard to worker ``k``; future resolves to result bytes."""
+        """Ship one plan to worker ``k``; future resolves to result bytes."""
         worker = self._handle(k)
         seq, future = self._register_future(worker)
         self._send(worker, wire.pack_frame(wire.SHARD, seq, plan_blob))
         return future
 
     def submit_shards(self, k: int, items) -> List[_PipeFuture]:
-        """Ship a whole per-worker batch ``[(plan_blob, plan), ...]``: one
-        SHARDS frame in a single write; the worker answers one RESULT per
-        shard so the fault ladder keeps per-shard granularity."""
+        """Ship a per-worker batch ``[(plan_blob, plan), ...]`` — from the
+        backend, one unit — as one SHARDS frame in a single write; the
+        worker answers one RESULT per plan."""
         worker = self._handle(k)
         futures: List[_PipeFuture] = []
         pairs = []
@@ -569,7 +569,7 @@ class SocketTransport(Transport):
     """Spawn strategy: a standalone worker process over loopback TCP.
 
     Workers inherit no parent state: every cache delta travels inside
-    the shard plans, and shm is off (``local_shm=False``) because a
+    the unit plans, and shm is off (``local_shm=False``) because a
     remote node could not map the parent's segments.
     """
 

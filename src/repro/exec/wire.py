@@ -5,7 +5,7 @@ loopback socket — and every ``repro serve`` session speaks these frames.
 Worker-cache deltas (task blobs, region skeletons, partition colors,
 sparse subsets) need no messages of their own: they ride inside the
 pickled ``ShardPlan`` a SHARD/SHARDS frame carries, and the worker
-installs them before running the shard, so a worker on another machine —
+installs them before running the plan, so a worker on another machine —
 loopback stands in for a cluster node here — holds exactly the
 persistent state the parent's ``_WorkerCaches`` bookkeeping believes it
 does.
@@ -24,14 +24,14 @@ Message types:
 HELLO       worker -> parent: JSON ``{worker, token, pid, version}``
 WELCOME     parent -> worker: handshake accepted
 REJECT      parent -> worker: JSON ``{reason}``; the worker exits
-SHARD       parent -> worker: pickled ``ShardPlan``, cache deltas included
+SHARD       parent -> worker: pickled ``ShardPlan`` (a unit), deltas included
 BATCH       parent -> worker: pickled ``(functor_blob, points)``; the
             RESULT is the pickled array, or ``None`` if the functor raised
 RESULT      worker -> parent: raw result bytes for ``seq``
 SHUTDOWN    parent -> worker: drain and exit cleanly
 SHARDS      parent -> worker: pickled ``[(seq, plan_blob), ...]`` — one
-            vectored write carrying a whole per-worker shard batch; the
-            worker answers one RESULT per listed seq, in order
+            vectored write carrying a per-worker batch of plans (one unit
+            per launch); the worker answers one RESULT per seq, in order
 CALL        client -> service: pickled ``(command, payload)`` session
             request; the service answers RESULT (or BUSY) echoing seq
 BUSY        service -> client: admission control rejected ``seq``; the
@@ -92,7 +92,9 @@ MAGIC = b"RPRO"
 #: renumbered the messages after them.
 #: v6 dropped the analyzer snapshot from ShardPlan and the dependence/op
 #: records from TaskResult (physical analysis is the parent's alone).
-PROTOCOL_VERSION = 6
+#: v7: a plan is one unit (a worker's slice of a launch); one ShardResult
+#: per unit replaced the per-point TaskResults.
+PROTOCOL_VERSION = 7
 
 (
     HELLO,

@@ -3,16 +3,19 @@
 One worker owns a persistent reconstruction of the slice of the parent's
 world it has been shipped: region skeletons — storage mapped from the
 parent's shm instance where the region has one, private and zeroed
-otherwise — partition stubs holding exactly the colors its shards project
+otherwise — partition stubs holding exactly the colors its plans project
 onto, sparse subsets by uid, unpickled task functions, and bare plans
 already run, unpickled and expanded, keyed by their bytes (a steady replay
-sends the same bytes every launch; ``ShardResult.plan_hit``).  Per shard it
-then runs the two stages of the pipeline tail that need no analyzer state
-— expansion (projection) and task-body execution — and ships back
-portable deltas: pickled write-backs of unmapped fields, recorded
-reductions, future values, and execution spans.  Physical analysis is the
-parent's, at commit; the ``physical`` fault phase remains as the boundary
-between the two stages.
+sends the same bytes every launch; ``ShardResult.plan_hit``).
+
+A plan is one *unit*: this worker's slice of a launch, the points of
+every node assigned to it.  Per unit the worker runs expansion and the
+task bodies — the pipeline tail that needs no analyzer state — and
+answers with one result: the future values pickled once as a list, plus
+write-backs of unmapped fields, recorded reductions and spans for the
+points that have any.  Physical analysis is the parent's, at commit; the
+``physical`` fault phase remains as the boundary between the two stages,
+and directives without a point fire at the unit's phase boundaries.
 
 Determinism notes:
 
@@ -23,7 +26,7 @@ Determinism notes:
   serial task order for bit-identical floating point results.
 * Mapped fields are written in place.  Before each point's body the
   worker gathers the point's write footprints into the plan's undo slots
-  and then bumps the shard's progress counter, so the parent can put back
+  and then bumps the unit's progress counter, so the parent can put back
   exactly the points that may have written (see :mod:`repro.exec.shm`).
 * Pickled write-backs return final values addressed by (requirement,
   field): projection is pure, so the parent holds the very subregion they
@@ -50,7 +53,6 @@ from repro.data.privileges import Privilege
 from repro.exec.plan import (
     ShardPlan,
     ShardResult,
-    TaskResult,
     dumps,
     loads,
     priv_from_token,
@@ -72,7 +74,7 @@ _SUBSETS: Dict[int, Any] = {}
 _PARTITIONS: Dict[int, "_PartitionStub"] = {}
 _TASKS: Dict[int, Any] = {}
 _SHM: Dict[str, Any] = {}  # mapped arena segments, by name
-_SHM_NAMED: set = set()    # the segments the shard being run has named
+_SHM_NAMED: set = set()    # the segments the unit being run has named
 #: read-footprint boxes by (region uid, corner bytes), as (subregion, start,
 #: end) into the values: slice geometry is worked out once per box.
 _BOXES: Dict[tuple, list] = {}
@@ -113,7 +115,7 @@ def _release_shm(keep) -> int:
     """Drop every arena mapping not named in ``keep``: the parent retires
     (unlinks) segments without telling anyone, and a mapping kept here is
     then what keeps the pages resident.  Views are transient — made and
-    dropped inside one shard — so the mapping goes with the reference.
+    dropped inside one unit — so the mapping goes with the reference.
     Region instances are not in ``_SHM``: their mappings live as long as
     the installed region."""
     stale = [name for name in _SHM if name not in keep]
@@ -236,7 +238,7 @@ def _resolve_boxes(region: Region, corners: np.ndarray) -> list:
 
 # ----------------------------------------------------------- fault firing
 class _CorruptResult(Exception):
-    """Raised once a shard that fired a ``corrupt`` directive has run to
+    """Raised once a unit that fired a ``corrupt`` directive has run to
     the end: run_shard_bytes garbles its blob."""
 
 
@@ -250,7 +252,7 @@ def _fire_faults(
     failures: ``kill`` hard-exits the process (the parent observes a
     ``WorkerLost``), ``hang`` sleeps (the parent's shard timeout
     converts a long enough sleep into a respawn), ``corrupt`` lets the
-    shard finish — every in-place write lands — and then makes the result
+    unit finish — every in-place write lands — and then makes the result
     blob unreadable (the parent retries the same worker).
     """
     corrupt = False
@@ -258,7 +260,7 @@ def _fire_faults(
         if ph != phase:
             continue
         # Exact anchor match: worker/shard directives (pt None) fire at the
-        # phase boundary; point directives fire only at their point.
+        # unit's phase boundary; point directives only at their point.
         if (pt is None) != (point is None):
             continue
         if pt is not None and tuple(point) != tuple(pt):
@@ -272,12 +274,13 @@ def _fire_faults(
     return corrupt
 
 
-# -------------------------------------------------------------- shard body
+# --------------------------------------------------------------- unit body
 def _expand(plan: ShardPlan):
-    """Project every requirement at every local point: the requirements,
-    their resolved fields, per point ``(i, point, subregions, args)``, and
-    per point the written ``(subregion, requirement index, field)`` in the
-    order ``plan.undo_slots`` lists them."""
+    """Project every requirement at every point of the unit: the
+    requirements, their resolved fields, per point ``(i, point, node,
+    subregions, args)``, and per point the written ``(subregion,
+    requirement index, field)`` in the order ``plan.undo_slots`` lists
+    them."""
     reqs = [
         RegionRequirement(
             privilege=priv_from_token(r.priv),
@@ -290,11 +293,11 @@ def _expand(plan: ShardPlan):
     resolved_fields = [r.resolved_fields for r in plan.reqs]
     extras = plan.point_extra_args
     point_tasks = []
-    for i, pt in enumerate(plan.points):
+    for i, (pt, node) in enumerate(zip(plan.points, plan.nodes)):
         point = Point(*pt)
         subregions = [req.project(point) for req in reqs]
         args = plan.args + (extras[i] if extras is not None else ())
-        point_tasks.append((i, point, subregions, args))
+        point_tasks.append((i, point, node, subregions, args))
     written = [
         [
             (sub, ri, fname)
@@ -305,7 +308,7 @@ def _expand(plan: ShardPlan):
                                                Privilege.REDUCE)
             for fname in rf
         ]
-        for _, _, subregions, _ in point_tasks
+        for _, _, _, subregions, _ in point_tasks
     ]
     return reqs, resolved_fields, point_tasks, written
 
@@ -337,7 +340,7 @@ def _run_shard(blob: bytes) -> ShardResult:
     if expanded is None:
         _install_plan_state(plan)
     task = _TASKS[plan.task_uid]
-    result = ShardResult(node=plan.node, t0=t0, plan_hit=memo is not None)
+    result = ShardResult(t0=t0, plan_hit=memo is not None)
 
     corrupt |= _fire_faults(faults, "expansion")
     if expanded is None:
@@ -355,8 +358,11 @@ def _run_shard(blob: bytes) -> ShardResult:
     # Execution: run bodies against worker storage, recording reductions
     # instead of applying them.
     corrupt |= _fire_faults(faults, "execution")
-    for i, point, subregions, args in point_tasks:
-        corrupt |= _fire_faults(faults, "execution", point=tuple(point))
+    values = []
+    ordinals = plan.ordinals
+    for i, point, node, subregions, args in point_tasks:
+        if faults:
+            corrupt |= _fire_faults(faults, "execution", point=tuple(point))
         slots = plan.undo_slots[i] if plan.undo_slots else [None] * len(
             written[i]
         )
@@ -376,24 +382,22 @@ def _run_shard(blob: bytes) -> ShardResult:
                 )
             else:
                 regions.append(PhysicalRegion(sub, req.privilege, rf))
-        ctx = TaskContext(point=point, node=plan.node, runtime=None)
+        ctx = TaskContext(point=point, node=node, runtime=None)
         start = time.perf_counter() if plan.profile else 0.0
-        value = task(ctx, *regions, *args)
-        end = time.perf_counter() if plan.profile else 0.0
-        result.tasks.append(
-            TaskResult(
-                ordinal=plan.ordinals[i],
-                point=tuple(point),
-                value_blob=dumps(value),
-                writes=[
-                    (ri, fname, sub.gather(fname))
-                    for (sub, ri, fname), slot in zip(written[i], slots)
-                    if slot is None
-                ],
-                reduces=reduce_log,
-                span=(start, end) if plan.profile else None,
-            )
-        )
+        values.append(task(ctx, *regions, *args))
+        if plan.profile:
+            result.spans[ordinals[i]] = (start, time.perf_counter())
+        writes = [
+            (ri, fname, sub.gather(fname))
+            for (sub, ri, fname), slot in zip(written[i], slots)
+            if slot is None
+        ]
+        if writes:
+            result.writes[ordinals[i]] = writes
+        if reduce_log:
+            result.reduces[ordinals[i]] = reduce_log
+    # An unpicklable value raises here: the unit answers "error".
+    result.values = dumps(values)
     if _SHM_NAMED:  # a plan naming none leaves the attachments be
         result.shm_released = _release_shm(keep=_SHM_NAMED)
     if corrupt:
@@ -402,7 +406,7 @@ def _run_shard(blob: bytes) -> ShardResult:
 
 
 def run_shard_bytes(blob: bytes) -> bytes:
-    """One shard, bytes to bytes: ("ok", result) | ("error", ...) pickled."""
+    """One unit, bytes to bytes: ("ok", result) | ("error", ...) pickled."""
     try:
         return dumps(("ok", _run_shard(blob)))
     except _CorruptResult:
@@ -431,9 +435,8 @@ def handle_frame(frame, reply) -> bool:
     if frame.msg == wire.SHARD:
         reply(frame.seq, run_shard_bytes(frame.payload))
     elif frame.msg == wire.SHARDS:
-        # One vectored submit carrying a whole per-worker shard batch;
-        # each shard still answers its own RESULT so the parent's fault
-        # ladder keeps per-shard granularity.
+        # One vectored submit carrying a per-worker batch of plans (the
+        # backend sends one, its unit); each plan answers its own RESULT.
         for seq, blob in loads(frame.payload):
             reply(seq, run_shard_bytes(blob))
     elif frame.msg == wire.BATCH:

@@ -6,7 +6,8 @@ Faults reach their targets by two routes:
 
 * **Worker-side directives** — :meth:`FaultInjector.arm_shard` is called by
   the parallel backend while building each :class:`~repro.exec.plan.
-  ShardPlan`; matching specs are consumed and embedded as plain-tuple
+  ShardPlan`, once per node of the worker's unit, in serial order;
+  matching specs are consumed and embedded as plain-tuple
   directives the worker fires with real effects (``os._exit``, a bounded
   sleep, a garbled result blob).  Because consumption happens at arm time,
   a retried shard is re-armed against the *remaining* counts: a
@@ -203,7 +204,8 @@ class FaultInjector:
 
     # ------------------------------------------------------ worker directives
     def arm_shard(self, worker: int, node: int, points) -> List[FaultDirective]:
-        """Directives for one shard submission; consumes matched firings."""
+        """Directives for one node of a unit submission; consumes matched
+        firings."""
         directives: List[FaultDirective] = []
         local = {tuple(p) for p in points}
         for i, spec in enumerate(self.plan.specs):

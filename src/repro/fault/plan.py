@@ -19,7 +19,7 @@ still propagates to the caller unchanged.
 :class:`RetryPolicy` caps the recovery ladder the parallel backend climbs
 before declaring a launch unrecoverable: same-worker retries, worker
 respawns, capped exponential backoff between attempts, and an optional
-per-shard result timeout that converts a hung worker into a respawn.
+per-unit result timeout that converts a hung worker into a respawn.
 """
 
 from __future__ import annotations

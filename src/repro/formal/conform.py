@@ -8,8 +8,11 @@ from :class:`~repro.formal.commit_model.CommitModel` (or
 :class:`~repro.fault.FaultSchedule` — every ``fault.*`` action becomes a
 :class:`~repro.fault.ScheduledFault` pinned to the same shard and attempt
 ordinal the model faulted — and run through a real ``Runtime`` with the
-matching worker count, shard count, and retry caps.  The real run must
-then land in the model-predicted terminal class:
+matching worker count, shard count, and retry caps.  The commit scenarios
+use as many shards as workers: the real backend dispatches one unit per
+worker (a worker's slice of the launch), so each model shard is then
+exactly one real unit, one node wide.  The real run must then land in the
+model-predicted terminal class:
 
 * ``committed`` — no fallbacks, no poison, byte-identical to fault-free;
 * ``serial-fallback`` — fallbacks, no poison, still byte-identical;
@@ -128,7 +131,8 @@ def _stats_dict(rt) -> dict:
 def _run_commit_program(shards: int, workers: int,
                         schedule: Optional[FaultSchedule] = None,
                         policy: Optional[RetryPolicy] = None):
-    """Two ``_bump`` launches over ``shards`` single-point shards.
+    """Two ``_bump`` launches over ``shards`` single-point nodes — with
+    ``shards == workers``, one unit per model shard.
 
     The second launch is the commit-correctness probe: if launch 0 merged
     a stale cache shipment, launch 1 ships a wrong delta and bails."""
@@ -183,27 +187,26 @@ class _ReplayableFaults:
 
     * **corrupt** faults damage exactly one result blob and nothing else —
       always interleaving-robust;
-    * **kills** are kept only when (a) the phase-ordinal stamp says
-      execution phase (``pord=1``: the worker at least ran the victim's
-      shard body before dying), and (b) the victim is the *last* shard in
-      the worker's queue.  A kill on a worker with further queued shards
-      can beat the parent's remaining submits to that worker — the death
-      then surfaces as a WorkerLost at a sibling's *submit*
-      (uncapped submit-path respawn) instead of at collect (capped
-      ladder), and the two interleavings reach different terminal
-      classes.  With no submits left to race, the death always waits at
-      the victim's collect, matching the model's discovery point.
+    * **kills** are kept only when the phase-ordinal stamp says execution
+      phase (``pord=1``: the worker at least ran the victim's body before
+      dying).
 
-    Dropped entirely: install-phase kills (``pord=0``, immediate death,
-    maximal submit race) and hangs (discovery depends on timeout tuning).
-    Before the phase-ordinal stamp, kills could not be told apart at all
-    and witness search was corrupt-only; the stamp un-skips kill coverage.
+    There used to be a second condition on kills: the victim had to be the
+    last shard in its worker's queue, because a death with sibling shards
+    of the same launch still to submit could surface at a sibling's
+    *submit* (uncapped submit-path respawn) instead of at collect.  It is
+    deleted: a worker now gets one unit per launch in one submit, so no
+    sibling of the launch is ever queued behind the victim, and the
+    scenarios use one model shard per worker (queues never hold two).
+
+    Dropped entirely: install-phase kills (``pord=0``, immediate death)
+    and hangs (discovery depends on timeout tuning).  Before the
+    phase-ordinal stamp, kills could not be told apart at all and witness
+    search was corrupt-only; the stamp un-skips kill coverage.
 
     ``kills_only=True`` additionally drops corrupts, forcing the witness
     to exercise the kill→respawn rungs of the ladder.
     """
-
-    _KILL = re.compile(r"fault\.kill w(?P<worker>\d+)")
 
     def __init__(self, model, kills_only: bool = False):
         self.model = model
@@ -218,11 +221,7 @@ class _ReplayableFaults:
         for a, t in self.model.actions(s):
             if a.startswith("fault.hang"):
                 continue
-            m = self._KILL.match(a)
-            if m and (
-                " pord=1" not in a
-                or len(s.queues[int(m.group("worker"))]) != 1
-            ):
+            if a.startswith("fault.kill") and " pord=1" not in a:
                 continue
             if self.kills_only and a.startswith("fault.corrupt"):
                 continue
@@ -287,7 +286,7 @@ def _commit_scenario(name: str, cfg: CommitConfig, predicate,
 
 
 def _scenario_committed_with_recovery() -> ConformResult:
-    cfg = CommitConfig(workers=2, shards=3, faults=1,
+    cfg = CommitConfig(workers=2, shards=2, faults=1,
                        same_worker_retries=1, respawns=2)
     return _commit_scenario(
         "committed-with-recovery", cfg,
@@ -297,7 +296,7 @@ def _scenario_committed_with_recovery() -> ConformResult:
 
 
 def _scenario_serial_fallback() -> ConformResult:
-    cfg = CommitConfig(workers=2, shards=3, faults=3,
+    cfg = CommitConfig(workers=2, shards=2, faults=3,
                        same_worker_retries=1, respawns=1)
     return _commit_scenario(
         "serial-fallback", cfg,
@@ -310,7 +309,7 @@ def _scenario_serial_fallback() -> ConformResult:
 def _scenario_serial_fallback_via_kill() -> ConformResult:
     """The scenario the corrupt-only restriction used to skip: a witness
     built purely from kills, climbing respawn rungs to the fallback."""
-    cfg = CommitConfig(workers=2, shards=3, faults=3,
+    cfg = CommitConfig(workers=2, shards=2, faults=3,
                        same_worker_retries=1, respawns=1)
     return _commit_scenario(
         "serial-fallback-via-kill", cfg,
@@ -321,7 +320,7 @@ def _scenario_serial_fallback_via_kill() -> ConformResult:
 
 
 def _scenario_poisoned() -> ConformResult:
-    cfg = CommitConfig(workers=2, shards=3, faults=4,
+    cfg = CommitConfig(workers=2, shards=2, faults=4,
                        same_worker_retries=1, respawns=1)
     return _commit_scenario(
         "poisoned", cfg,

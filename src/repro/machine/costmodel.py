@@ -62,8 +62,8 @@ class CostModel:
     # machine: they annotate profiler spans for dispatch accounting but are
     # NEVER charged to simulated time (never passed to ``add_simulated``) —
     # backends must not perturb the paper's timing model.
-    t_worker_dispatch: float = 120e-6  # pickle + submit one shard plan
-    t_worker_result: float = 90e-6     # receive + unpickle one shard result
+    t_worker_dispatch: float = 120e-6  # pickle + submit one unit plan
+    t_worker_result: float = 90e-6     # receive + unpickle one unit result
     t_worker_respawn: float = 8e-3     # replace one dead worker process
     t_retry_backoff: float = 1e-3      # nominal pause before a resubmission
 

@@ -29,7 +29,7 @@ from repro.apps.stencil import (
 )
 from repro.core.projection import ModularFunctor
 from repro.data.partition import equal_partition
-from repro.exec.parallel import _shard_footprints
+from repro.exec.parallel import _unit_footprints
 from repro.exec.pool import shutdown_pools
 from repro.exec.transport import TRANSPORTS
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy
@@ -104,7 +104,7 @@ class TestHaloStencil:
             pass
 
         launch_reqs = rt._build_requirements(body, [grid.halo, grid.interior])
-        fps = _shard_footprints(launch_reqs, projs)
+        fps = _unit_footprints(launch_reqs, projs)
         reads = {}
         for fp in fps.reads:                      # one entry per field
             assert fp.head[0] == "box"            # corners, no index arrays
@@ -265,7 +265,7 @@ class TestArena:
         hits, reuse = stats.plan_memo_hits, stats.plan_memo_blob_reuse
         for _ in range(6):
             op()
-        assert stats.plan_memo_hits - hits == 6 * 4 * 4   # every shard
+        assert stats.plan_memo_hits - hits == 6 * 4 * 2   # every unit
         assert stats.plan_memo_blob_reuse - reuse == stats.plan_memo_hits - hits
         assert stats.fallbacks == 0
         for g, region in enumerate(regions):

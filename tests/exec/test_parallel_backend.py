@@ -6,12 +6,14 @@ count resolution, eligibility gating, fallback/poisoning on worker
 failure, pool lifecycle, and chunked dynamic-check evaluation.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.projection import ModularFunctor, QuadraticFunctor
 from repro.data.partition import equal_partition
-from repro.exec import ParallelBackend, SerialBackend
+from repro.exec import ParallelBackend, SerialBackend, parallel
 from repro.exec.pool import (
     WorkerPool,
     active_pool_count,
@@ -19,12 +21,50 @@ from repro.exec.pool import (
     resolve_workers,
     shutdown_pools,
 )
+from repro.exec.transport import WorkerLost
+from repro.fault import FaultPlan, FaultSpec, RetryPolicy
+from repro.obs import Profiler
 from repro.runtime import Runtime, RuntimeConfig, task
 
 
 @task(privileges=["reads writes"])
 def bump(ctx, r):
     r.write("x", r.read("x") + 1.0)
+
+
+@task(privileges=["reads writes"])
+def bump_by(ctx, r, by):
+    r.write("x", r.read("x") + 1.0)
+
+
+def _refuse():
+    raise ValueError("this value cannot be unpickled")
+
+
+class Unloadable:
+    """Pickles anywhere; unpickling it raises."""
+
+    def __reduce__(self):
+        return _refuse, ()
+
+
+@task(privileges=["reads writes"])
+def returns_unloadable(ctx, r):
+    r.write("x", r.read("x") + 1.0)
+    return Unloadable()
+
+
+_LOCK = threading.Lock()
+
+
+def _locked_task():
+    @task(privileges=["reads writes"])
+    def locked(ctx, r):
+        with _LOCK_HELD[0]:
+            r.write("x", r.read("x") + 1.0)
+
+    _LOCK_HELD = [_LOCK]
+    return locked
 
 
 @task(privileges=["reads", "reduces +"])
@@ -185,6 +225,86 @@ class TestFailureParity:
                 rt.index_launch(bump, 8, p)
             outs.append(rx.storage("x").tobytes())
         assert outs[0] == outs[1]
+
+
+def _force(code, rt, p, monkeypatch):
+    """Issue one launch that bails with ``code``."""
+    backend = rt.backend
+    if code == "task_unpicklable":
+        rt.index_launch(_locked_task(), 8, p)
+    elif code == "plan_unpicklable":
+        rt.index_launch(bump_by, 8, p, args=(_LOCK,))
+    elif code in ("submit_broken", "submit_failed"):
+        error = WorkerLost("gone") if code == "submit_broken" else \
+            RuntimeError("refused")
+
+        def refuse(k, items):
+            raise error
+
+        monkeypatch.setattr(backend.pool(), "submit_shards", refuse)
+        rt.index_launch(bump, 8, p)
+        monkeypatch.undo()
+    elif code == "no_undo_shm":
+        if not backend.pool().arena.available:
+            pytest.skip("no shared memory on this platform")
+        monkeypatch.setattr(backend.pool().arena, "alloc_progress",
+                            lambda k, gen: None)
+        rt.index_launch(bump, 8, p)
+        monkeypatch.undo()
+    elif code == "worker_error":
+        with pytest.raises(RuntimeError, match="boom at point 2"):
+            rt.index_launch(explode_on_two, 8, p)
+    elif code == "ladder_exhausted":
+        rt.index_launch(bump, 8, p)      # the runtime's fault plan fires
+    elif code == "result_inconsistent":
+        real = parallel.loads
+
+        def short(blob):
+            out = real(blob)
+            return out[:-1] if isinstance(out, list) else out
+
+        monkeypatch.setattr(parallel, "loads", short)
+        rt.index_launch(bump, 8, p)
+        monkeypatch.undo()
+    elif code == "value_unpicklable":
+        fmap = rt.index_launch(returns_unloadable, 8, p)
+        assert isinstance(fmap.get((0,)), Unloadable)
+
+
+class TestFallbackReasons:
+    """Every fallback is counted under one constant code."""
+
+    @pytest.mark.parametrize("code", parallel.FALLBACK_REASONS)
+    def test_each_reachable_code_is_counted(self, code, monkeypatch):
+        cfg = dict(
+            transport="pipe", profiler=Profiler(),
+            retry=RetryPolicy(same_worker_retries=1, respawns=1,
+                              backoff_base_s=1e-4, backoff_cap_s=1e-3),
+        )
+        if code == "ladder_exhausted":
+            # Every attempt garbles its result; the serial re-run is clean.
+            cfg["fault_plan"] = FaultPlan(specs=(FaultSpec(
+                kind="corrupt", scope="worker", target=(0,),
+                phase="physical", launch=1, times=-1,
+            ),))
+        runs = []
+        for workers in (1, 2):
+            rt = make_rt(workers=workers, **cfg)
+            rx, p = setup_region(rt)
+            rt.index_launch(bump, 8, p)
+            if workers == 2:
+                _force(code, rt, p, monkeypatch)
+            else:
+                rt.index_launch(bump, 8, p)
+            runs.append(rx.storage("x").tobytes())
+        stats = rt.backend.stats
+        assert stats.fallback_reasons == {code: 1}
+        assert sum(stats.fallback_reasons.values()) == stats.fallbacks
+        instants = [i for i in rt.profiler.instants
+                    if i.name == "parallel.fallback"]
+        assert [i.args["code"] for i in instants] == [code]
+        if code not in ("worker_error", "value_unpicklable"):
+            assert runs[0] == runs[1]
 
 
 class TestPoolLifecycle:

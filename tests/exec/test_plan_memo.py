@@ -48,7 +48,7 @@ def test_untraced_launch_hits_the_memo(analysis_cache):
     """No plan carries analyzer state, so the memo no longer needs a
     template replay: with warm workers (one issue under other broadcast
     args) the first untraced issue keeps its skeleton and the second is a
-    hit in every shard, byte-identical to serial."""
+    hit in every unit, byte-identical to serial."""
     from repro.data.partition import equal_partition
     from repro.runtime import Runtime, RuntimeConfig, task
 
@@ -72,7 +72,7 @@ def test_untraced_launch_hits_the_memo(analysis_cache):
 
     rt_s, x_s, _ = run(1)
     rt_p, x_p, hits = run(2)
-    assert hits == [0, 4]                   # one per shard, second issue
+    assert hits == [0, 2]                   # one per unit, second issue
     assert x_p == x_s
     assert full_stats(rt_p) == full_stats(rt_s)
 

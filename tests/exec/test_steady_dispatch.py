@@ -1,12 +1,13 @@
 """Steady dispatch without rebuilding (exec/parallel.py, exec/worker.py).
 
-A replayed launch on the pipe pool should cost O(1) Python per shard on
-both sides of the pipe: the parent retakes each shard's recorded undo-slot
-set (``ShmArena.retake``) and ships the memoized blob as it is, and the
-worker runs the bytes it has seen before from its plan memo, without
-unpickling, installing or expanding them.  These tests hold that by count,
-check the fault ladder on the warm fast paths, and check that a worker's
-plan memo dies with the state its expansions point into.
+The dispatch unit is a worker's slice of a launch, so a replayed launch
+costs O(workers) frames and objects on each side of the pipe however many
+nodes it spans, and O(1) Python per unit: the parent retakes each unit's
+recorded undo-slot set (``ShmArena.retake``) and ships the memoized blob
+as it is, and the worker runs the bytes it has seen before from its plan
+memo, without unpickling, installing or expanding them.  These tests hold
+that by count, check the fault ladder on the warm fast paths, and check
+that a worker's plan memo dies with the state its expansions point into.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from repro.core.domain import Point
 from repro.core.projection import IdentityFunctor, ModularFunctor
 from repro.data.partition import equal_partition
 from repro.data.privileges import Privilege, PrivilegeSpec
-from repro.exec import worker
+from repro.exec import parallel, wire, worker
 from repro.exec.plan import (
     PartitionEntry,
     ReqTemplate,
@@ -38,6 +39,8 @@ from tests.exec.test_parallel_equivalence import full_stats
 #: pipe workers, whatever the environment picks for the suite
 MAPPED = dict(workers=2, transport="pipe")
 GROUPS = 4
+#: n_nodes=4 over workers=2: two nodes, one unit, per worker
+UNITS = 2
 
 
 @task(privileges=["reads writes"])
@@ -83,19 +86,52 @@ class _Fanout:
         return [region.storage("x").tobytes() for region in self.regions]
 
 
-def _counters(rt):
+class _Wire:
+    """Parent-side counts: SHARDS frames packed, RESULT frames decoded,
+    and unit results unpickled by the backend's ``loads``."""
+
+    def __init__(self, monkeypatch):
+        self.shards = self.results = self.result_loads = 0
+        pack, decode, load = wire.pack_frame, wire.FrameDecoder.next, \
+            parallel.loads
+
+        def counting_pack(msg, *args, **kwargs):
+            self.shards += msg == wire.SHARDS
+            return pack(msg, *args, **kwargs)
+
+        def counting_next(decoder):
+            frame = decode(decoder)
+            self.results += frame is not None and frame.msg == wire.RESULT
+            return frame
+
+        def counting_loads(blob):
+            out = load(blob)
+            self.result_loads += isinstance(out, tuple)
+            return out
+
+        monkeypatch.setattr(wire, "pack_frame", counting_pack)
+        monkeypatch.setattr(wire.FrameDecoder, "next", counting_next)
+        monkeypatch.setattr(parallel, "loads", counting_loads)
+
+
+def _counters(rt, spy=None):
     backend, arena = rt.backend, rt.backend.pool().arena
-    return dict(
+    out = dict(
         allocations=arena.allocations,
         write_slots=arena.stats.write_slots,
         bytes_slotted=arena.stats.bytes_slotted,
         rewinds=arena.stats.rewinds,
         worker_plan_hits=backend.stats.worker_plan_hits,
         shards=backend.stats.shards_dispatched,
+        memo_hits=backend.stats.plan_memo_hits,
     )
+    if spy is not None:
+        out.update(shards_frames=spy.shards, result_frames=spy.results,
+                   result_loads=spy.result_loads)
+    return out
 
 
-def _steady(pieces, warmup=3, steady=3, forget=False, **cfg):
+def _steady(pieces, warmup=3, steady=3, forget=False, spy=None, **cfg):
     """Run the fan-out loop; per steady launch, the counter deltas.
     ``forget`` drops the parent's plan memo before every steady launch, so
     each one builds its plans and allocates its slots afresh."""
@@ -104,10 +140,10 @@ def _steady(pieces, warmup=3, steady=3, forget=False, **cfg):
     for _ in range(warmup):
         loop.op()
     deltas = []
-    last = [_counters(rt)]
+    last = [_counters(rt, spy)]
 
     def note():
-        now = _counters(rt)
+        now = _counters(rt, spy)
         deltas.append({k: v - last[0][k] for k, v in now.items()})
         last[0] = now
         if forget:
@@ -134,7 +170,7 @@ class TestSteadyLaunchCounts:
 
         assert len(deltas) == 3 * GROUPS
         for d in deltas:
-            assert d["shards"] == 4                      # every launch fans out
+            assert d["shards"] == UNITS                  # every launch fans out
             assert d["allocations"] == 0                 # the slots are retaken
             assert d["worker_plan_hits"] == d["shards"]  # and never unpickled
             assert d["write_slots"] == pieces            # one slot per point
@@ -147,6 +183,36 @@ class TestSteadyLaunchCounts:
         assert rt.backend.stats.fallbacks == 0
         assert full_stats(rt) == full_stats(off_rt) == full_stats(ref_rt)
         assert loop.storage() == off_bytes == ref.storage()
+
+    @pytest.mark.parametrize("transport", ["pipe", "socket"])
+    @pytest.mark.parametrize("pieces", [8, 64])
+    def test_one_frame_each_way_per_worker(self, pieces, transport,
+                                           monkeypatch):
+        """Four nodes on two workers: a steady launch is two units — two
+        SHARDS frames out, two RESULT frames in, two results unpickled —
+        where one per node used to be four of each."""
+        ref_rt = _runtime(workers=1)
+        ref = _Fanout(ref_rt, pieces)
+        for _ in range(6):
+            ref.op()
+        spy = _Wire(monkeypatch)
+        rt, loop, deltas = _steady(pieces, spy=spy, workers=2,
+                                   transport=transport)
+
+        mapped = rt.backend.pool().arena.available
+        assert len(deltas) == 3 * GROUPS
+        for d in deltas:
+            assert d["shards_frames"] == d["result_frames"] == UNITS
+            assert d["result_loads"] == UNITS
+            assert d["shards"] == d["memo_hits"] == UNITS
+            assert d["allocations"] == 0
+            # Socket plans carry their read footprints, so no two are the
+            # same bytes and the worker memo never holds one.
+            assert d["worker_plan_hits"] == (d["shards"] if mapped else 0)
+        assert mapped == (transport == "pipe")
+        assert rt.backend.stats.fallbacks == 0
+        assert full_stats(rt) == full_stats(ref_rt)
+        assert loop.storage() == ref.storage()
 
 
 def test_future_map_keys_match_serial():
@@ -185,12 +251,14 @@ RETRY = RetryPolicy(same_worker_retries=1, respawns=2, backoff_base_s=1e-4,
 @task(privileges=["reads writes"])
 def bump_faulting(ctx, r, kind, marker):
     """``+= 1``; on a worker, in the 4th launch (the cells now hold 4), at
-    point 1 — the later of shard 0's two points — ``kind`` fires once (the
-    first process to create ``marker``).  No fault injector is armed, so
+    point 1 — the later of node 0's two points, ahead of node 2's in worker
+    0's unit — ``kind`` fires once (the first process to create
+    ``marker``); ``lost`` never fires here.  No fault injector is armed, so
     the plan memos stay on."""
     x = r.read("x") + 1.0
     r.write("x", x)
-    if ctx.runtime is not None or tuple(ctx.point) != (1,) or x[0] != 4.0:
+    if ctx.runtime is not None or tuple(ctx.point) != (1,) or x[0] != 4.0 \
+            or kind == "lost":
         return
     try:
         os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
@@ -232,13 +300,16 @@ def _slot_spy(pool):
 
 class TestLadderOnAWarmMemo:
     """Kill, hang and corrupt in the 4th launch of a steady ``+=`` loop,
-    once the parent memo, the slot retake and the worker memo are warm.
-    Shard 2 shares worker 0 with shard 0 and is queued behind it: a kill
-    or hang in shard 0 means shard 2 never ran, so its retaken progress
-    counter must read 0 when it is restored."""
+    once the parent memo, the slot retake and the worker memo are warm —
+    and ``lost``: worker 0 dies between the 3rd and the 4th launch.
+    Node 2 shares worker 0's unit with node 0 and follows it: a kill or
+    hang at point 1 means node 2's points never ran.  A lost worker runs
+    none of its unit, so the unit's retaken progress counter must read 0
+    — not the last launch's 4 — when it is restored.  The corrupt retry
+    must not retake slots its own dispatch already handed out."""
 
     @pytest.mark.parametrize("kind, timeout", [
-        ("kill", 30.0), ("hang", 0.3), ("corrupt", 30.0),
+        ("kill", 30.0), ("hang", 0.3), ("corrupt", 30.0), ("lost", 30.0),
     ])
     def test_recovered_run_is_byte_identical(self, kind, timeout, tmp_path):
         marker = str(tmp_path / "fired")
@@ -253,22 +324,25 @@ class TestLadderOnAWarmMemo:
                 if rt is not ref_rt and n == 2:
                     twice = _slot_spy(rt.backend.pool())
                     warm = _counters(rt)
+                if rt is not ref_rt and n == 3 and kind == "lost":
+                    rt.backend.pool().transport.drop_connection(0)
                 rt.index_launch(bump_faulting, 8, part, args=(kind, marker))
                 if rt is not ref_rt and n == 2:
                     # The 3rd launch ran on all three fast paths.
                     now = _counters(rt)
                     assert now["allocations"] == warm["allocations"]
                     assert now["worker_plan_hits"] == warm[
-                        "worker_plan_hits"] + 4
-                    assert rt.backend.stats.plan_memo_blob_reuse == 4
+                        "worker_plan_hits"] + UNITS
+                    assert rt.backend.stats.plan_memo_blob_reuse == UNITS
             runs.append(region.storage("x").tobytes())
-        assert os.path.exists(marker)
+        assert os.path.exists(marker) == (kind != "lost")
         assert twice == []
         assert runs[0] == runs[1] == np.full(32, 6.0).tobytes()
         stats = rt.backend.stats
         assert stats.fallbacks == 0
         assert stats.shard_retries + stats.worker_respawns >= 1
-        assert rt.backend.pool().arena.stats.undo_restores >= 2
+        if kind != "lost":
+            assert rt.backend.pool().arena.stats.undo_restores >= 2
         assert full_stats(rt) == full_stats(ref_rt)
 
 
@@ -290,7 +364,7 @@ def test_reset_state_clears_the_worker_plan_memo():
     def plan(**delta):
         bare = dict(task_blob=None, regions=[], partitions=[])
         return ShardPlan(
-            node=0, points=[(0,)], ordinals=[0], task_uid=name_of.uid,
+            nodes=[0], points=[(0,)], ordinals=[0], task_uid=name_of.uid,
             args=(), point_extra_args=None,
             reqs=[ReqTemplate(
                 priv=priv_token(PrivilegeSpec(Privilege.READ_WRITE)),
@@ -314,7 +388,7 @@ def test_reset_state_clears_the_worker_plan_memo():
     def run(blob):
         status, result = loads(worker.run_shard_bytes(blob))
         assert status == "ok", result
-        return result.plan_hit, loads(result.tasks[0].value_blob)
+        return result.plan_hit, loads(result.values)[0]
 
     bare = dumps(plan())
     try:

@@ -135,7 +135,7 @@ class TestIdentity:
 
 def _four_bumps(transport, workers, retry=FAST_RETRY, before=None, **cfg):
     """Four launches of ``bump`` over a 4-way partition; ``before(rt, i)``
-    runs ahead of launch ``i``.  Shards 0 and 2 land on worker 0."""
+    runs ahead of launch ``i``.  Nodes 0 and 2 share worker 0's unit."""
     rt = Runtime(RuntimeConfig(
         workers=workers, n_nodes=4, transport=transport, retry=retry, **cfg
     ))
@@ -169,12 +169,11 @@ class TestLadder:
         assert out_bytes == ref_bytes
         assert full_stats(rt) == full_stats(ref_rt)
 
-    def test_timeout_respawns_and_sibling_retries_for_free(self, transport):
-        """Shard 0 hangs past the shard timeout: ``ResultTimeout`` sends
-        it to a tier-2 respawn of worker 0, which *cancels* shard 2's
-        result still pending on the old process; that collect sees
-        ``ResultCancelled`` on a stale generation and resubmits to the
-        fresh worker without spending a retry."""
+    def test_timeout_respawns_the_whole_unit(self, transport):
+        """Node 0 hangs past the shard timeout: ``ResultTimeout`` sends
+        worker 0's unit — nodes 0 and 2 — to a tier-2 respawn, and the
+        fresh worker runs both.  Node 2 was never queued apart on the old
+        process, so there is no cancelled sibling and no retry."""
         plan = FaultPlan(specs=(FaultSpec(
             kind="hang", scope="shard", target=(0,), phase="execution",
             hang_s=5.0,
@@ -190,17 +189,49 @@ class TestLadder:
         bstats = rt.backend.stats
         assert bstats.shard_timeouts == 1
         assert bstats.worker_respawns == 1
-        assert bstats.shard_retries >= 1   # allowed although retries=0
+        assert bstats.shard_retries == 0
+        assert bstats.fallbacks == 0
         assert rt.stats.launches_poisoned == 0
         assert out_bytes == ref_bytes
         assert full_stats(rt) == full_stats(ref_rt)
 
+    @pytest.mark.parametrize("kind", ["kill", "hang", "corrupt"])
+    def test_node_fault_inside_a_shared_unit(self, transport, kind):
+        """A shard-scoped fault on node 2 — the second node of worker 0's
+        unit — fires at the unit's phase boundary, so node 0's point goes
+        down with it, and the whole unit climbs the ladder: once,
+        byte-identically to serial.  A corrupt result lands both points'
+        in-place writes first, and both are undone before the retry."""
+        plan = FaultPlan(specs=(FaultSpec(
+            kind=kind, scope="shard", target=(2,), phase="execution",
+            hang_s=5.0,
+        ),))
+        retry = FAST_RETRY
+        if kind == "hang":
+            retry = dataclasses.replace(FAST_RETRY, shard_timeout_s=0.3)
+        ref_rt, ref_bytes = _four_bumps(None, 1)
+        shutdown_pools()        # a fresh arena counts this run's restores
+        rt, out_bytes = _four_bumps(
+            transport, 2, retry=retry, fault_plan=plan
+        )
+        bstats = rt.backend.stats
+        assert rt.fault_injector.fired_count == 1
+        assert (bstats.worker_respawns, bstats.shard_retries,
+                bstats.shard_timeouts) == {
+            "kill": (1, 0, 0), "hang": (1, 0, 1), "corrupt": (0, 1, 0),
+        }[kind]
+        if kind == "corrupt" and rt.backend.pool().arena.available:
+            assert rt.backend.pool().arena.stats.undo_restores == 2
+        assert bstats.fallbacks == 0
+        assert rt.stats.launches_poisoned == 0
+        assert out_bytes == ref_bytes
+        assert full_stats(rt) == full_stats(ref_rt)
 
     @pytest.mark.parametrize("scope", ["worker", "shard"])
     @pytest.mark.parametrize("kind", ["kill", "corrupt", "hang"])
     def test_physical_phase_faults_recover(self, transport, kind, scope):
         """Workers analyse nothing, but ``physical`` is still a boundary of
-        the shard they run — between expansion and the bodies — and a fault
+        the unit they run — between expansion and the bodies — and a fault
         placed there climbs the same ladder to the same bytes."""
         plan = FaultPlan(specs=(FaultSpec(
             kind=kind, scope=scope, target=(0,), phase="physical", hang_s=5.0,
