@@ -78,10 +78,6 @@ class SafetyVerdict:
     check_evaluations: int = 0
     cached: bool = False
 
-    @property
-    def static_only(self) -> bool:
-        return self.method is SafetyMethod.STATIC
-
 
 def _mode(req: RegionRequirement) -> str:
     """Collapse a privilege to the dynamic checks' read/write dichotomy.

@@ -133,10 +133,6 @@ class MachineSimulator:
         return makespan
 
     # -------------------------------------------------------------- queries
-    @property
-    def n_activities(self) -> int:
-        return len(self._activities)
-
     def activity(self, aid: int) -> Activity:
         return self._activities[aid]
 

@@ -352,7 +352,7 @@ def _affine_constant_verdict(domain, args, bounds):
         if image_lo < blo or image_hi > bhi:
             return None
         forms.append((form, mode))
-    rng = (lo, hi)
+    rng = (lo, hi + 1)  # half-open, as form_images_disjoint takes it
     for i, (fi, mi) in enumerate(forms):
         for fj, mj in forms[i + 1 :]:
             if mi != "write" and mj != "write":

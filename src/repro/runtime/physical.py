@@ -1197,17 +1197,3 @@ class PhysicalAnalyzer:
             if error is not None:
                 return error
         return None
-
-    def clear_poison(self, region_uids: Optional[Iterable[int]] = None) -> int:
-        """Explicit recovery: clear taint for the given regions (all when
-        ``None``) after the application has re-initialized their contents.
-        Returns how many taints were cleared."""
-        if region_uids is None:
-            n = len(self.poisoned)
-            self.poisoned.clear()
-            return n
-        n = 0
-        for uid in region_uids:
-            if self.poisoned.pop(uid, None) is not None:
-                n += 1
-        return n

@@ -5,7 +5,7 @@ Section-5 pipeline work for it is amortizable.  This module groups the
 memoization layers, all keyed by the runtime's ``_launch_signature`` —
 (task uid, domain, per-requirement (partition uid, functor, privilege)):
 
-1. **Safety verdicts** (:meth:`LaunchReplayCache.get_verdict`): the full
+1. **Safety verdicts** (:meth:`LaunchReplayCache.replayed_verdict`): the full
    hybrid static/dynamic :class:`~repro.core.safety.SafetyVerdict` of §3–§4
    is a pure function of the signature, so repeated issues reuse it whole.
 2. **Dynamic check results** (:class:`DynamicCheckMemo`): the Listing-3
@@ -379,13 +379,6 @@ class LaunchReplayCache:
             self._bytes -= est
 
     # ------------------------------------------------------------- verdicts
-    def get_verdict(self, sig: tuple, run_dynamic: bool) -> Optional[SafetyVerdict]:
-        found = self._verdicts.get((sig, run_dynamic))
-        self._note("verdict", "hit" if found is not None else "miss")
-        if found is not None:
-            self._touch(sig)
-        return found
-
     def replayed_verdict(
         self, sig: tuple, run_dynamic: bool
     ) -> Optional[SafetyVerdict]:

@@ -60,10 +60,6 @@ class TraceRecorder:
         self._active: Optional[int] = None
         self._profiler = profiler
 
-    @property
-    def active_trace(self) -> Optional[int]:
-        return self._active
-
     def begin(self, trace_id: int) -> None:
         if self._active is not None:
             raise RuntimeError(f"trace {self._active} already active")

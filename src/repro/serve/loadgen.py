@@ -9,8 +9,7 @@ Half the launches go through a :class:`ModularFunctor` so the
 dynamic-check path — the analysis the persisted cache captures — is
 exercised, not just the static-verification fast path.
 
-The emitted report (``results/BENCH_service.json`` via the benchmark
-suite) carries sustained launches/sec and p50/p99 issuance latency,
+The report carries sustained launches/sec and p50/p99 issuance latency,
 aggregated across clients, plus per-tenant cache counters from the
 service's ``stats`` command.
 """

@@ -201,12 +201,6 @@ class ReproService:
             except (NotImplementedError, RuntimeError):
                 pass
 
-    async def serve_until_stopped(self) -> None:
-        await self.start()
-        self.install_signal_handlers()
-        while not self._stopping:
-            await asyncio.sleep(0.05)
-
     async def shutdown(self) -> None:
         """Drain everything, persist caches, release the pool — exactly
         the teardown a batch run gets from ``atexit``, made explicit."""

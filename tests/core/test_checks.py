@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.checks import (
@@ -22,6 +22,7 @@ from repro.core.projection import (
     PlaneProjectionFunctor,
     QuadraticFunctor,
 )
+from repro.runtime.kernels import _affine_constant_verdict
 
 
 def bounds1d(n):
@@ -253,3 +254,46 @@ def test_self_check_agrees_with_bruteforce_injectivity(f, n, vol):
     in_bounds = [f.apply(p) for p in d if b.contains(f.apply(p))]
     expected = len(set(in_bounds)) == len(in_bounds)
     assert self_check_reference(d, f, b).safe == expected
+
+
+# ------------------------------------------- affine constant check verdicts
+
+affine_or_modular = st.one_of(
+    st.builds(AffineFunctor, st.integers(-3, 3), st.integers(-4, 12)),
+    st.builds(ModularFunctor, st.integers(1, 12), st.integers(-4, 12)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # non-modular image bounds: one affine write, inside the bounds
+    args=[(AffineFunctor(-2, 9), "write")], lo=1, n=4, vol=10,
+)
+@example(  # pairwise disjointness: two affine writes interleaving
+    args=[(AffineFunctor(2, 0), "write"), (AffineFunctor(2, 1), "write")],
+    lo=0, n=4, vol=8,
+)
+@example(  # ranges are inclusive: i and i + 3 meet only at the last point
+    args=[(AffineFunctor(1, 0), "write"), (AffineFunctor(1, 3), "write")],
+    lo=0, n=4, vol=8,
+)
+@given(
+    args=st.lists(
+        st.tuples(affine_or_modular, st.sampled_from(["write", "read"])),
+        min_size=1, max_size=2,
+    ),
+    lo=st.integers(-3, 5),
+    n=st.integers(1, 10),
+    vol=st.integers(1, 24),
+)
+def test_affine_constant_verdict_equals_the_sweep(args, lo, n, vol):
+    """A proven-safe constant skips the sweep, so whenever the affine
+    engine proves one it must be exactly what the sweep would report."""
+    d = Domain.rect((lo,), (lo + n - 1,))
+    b = bounds1d(vol)
+    verdict = _affine_constant_verdict(d, args, b)
+    if verdict is None:
+        return
+    sweep = dynamic_cross_check(d, args, b)
+    assert verdict.safe and sweep.safe
+    assert verdict.evaluations == sweep.evaluations
+    assert verdict.out_of_bounds == sweep.out_of_bounds == 0

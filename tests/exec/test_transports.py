@@ -14,6 +14,9 @@ the *engine* is asserted here once, parametrised over
   respawn), a discarded worker's pending results are ``ResultCancelled``
   (the free same-worker retry), a slow one is ``ResultTimeout``;
 * the fault-free dispatch path never sleeps;
+* bodies on different workers run at the same time: four bodies wait
+  for each other, and a backend that runs them one after another fails
+  at a deadline instead of hanging;
 * nothing leaks across the lifecycle: fds, child processes and threads
   return to baseline after respawn cycles and after shutdown.
 
@@ -44,7 +47,7 @@ from repro.exec.transport import (
     WorkerLost,
 )
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy
-from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime import Runtime, RuntimeConfig, task
 
 from tests.exec.test_parallel_equivalence import (
     bump,
@@ -347,6 +350,57 @@ class TestEventDrivenWaits:
         rt, out = _observables(ops, 3, dict(n_nodes=4), 2, transport=transport)
         ref_rt, ref_out = _observables(ops, 3, dict(n_nodes=4), 1)
         assert out == ref_out
+        assert full_stats(rt) == full_stats(ref_rt)
+
+
+# -------------------------------------------------------------- overlap
+RENDEZVOUS_S = 20.0
+
+
+@task(privileges=["reads writes"])
+def rendezvous(ctx, r, marks, parties):
+    """Mark this process, then wait until ``parties`` processes have: the
+    body returns only once that many run bodies of the launch at once."""
+    open(os.path.join(marks, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + RENDEZVOUS_S
+    while len(os.listdir(marks)) < parties:
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{len(os.listdir(marks))} of {parties} "
+                               f"processes met within {RENDEZVOUS_S}s")
+        time.sleep(1e-3)
+    r.write("x", r.read("x") + 1.0)
+    return int(ctx.point[0])
+
+
+class TestOverlap:
+    def test_four_workers_run_bodies_at_once(self, transport, tmp_path):
+        """Each of four workers gets one node's unit and every body waits
+        for all four: the launch completes only if the units overlap.  A
+        serial run meets alone (one process) and must match byte for byte.
+        """
+        def run(workers, parties):
+            marks = tmp_path / f"marks{workers}"
+            marks.mkdir()
+            rt = Runtime(RuntimeConfig(
+                workers=workers, n_nodes=4, transport=transport
+            ))
+            r = rt.create_region("ov", 16, {"x": "f8"})
+            r.storage("x")[:] = np.arange(16.0)
+            p = equal_partition(f"ovp{r.uid}", r, 4)
+            fmap = rt.index_launch(rendezvous, 4, p,
+                                   args=(str(marks), parties))
+            values = [fmap.get((i,)) for i in range(4)]
+            return rt, r.storage("x").tobytes(), values
+
+        ref_rt, ref_bytes, ref_values = run(1, 1)
+        try:
+            rt, out_bytes, values = run(4, 4)
+            bstats = rt.backend.stats
+            assert bstats.shards_dispatched == 4
+            assert bstats.fallbacks == 0
+        finally:
+            shutdown_pools()        # four workers are this test's alone
+        assert (out_bytes, values) == (ref_bytes, ref_values)
         assert full_stats(rt) == full_stats(ref_rt)
 
 

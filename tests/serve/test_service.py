@@ -15,6 +15,7 @@ from repro.exec import wire
 from repro.exec.plan import dumps, loads
 from repro.exec.pool import get_pool
 from repro.runtime.task import task
+from repro.serve import run_loadgen
 from repro.serve.client import ServiceBusy, ServiceClient, ServiceError
 from tests.serve.conftest import running_service
 
@@ -262,24 +263,31 @@ class TestWarmRestartPersistence:
     def test_restart_repays_no_first_issue_analysis(self, tmp_path):
         """Acceptance: a restarted service restores the dynamic-check
         memo, so the first dynamically-checked launch is a hit, not a
-        recomputation (zero misses on the warm run)."""
+        recomputation (zero misses on the warm run) — for one client and
+        for concurrent ``repro loadgen`` tenants beside it, each of which
+        pays its first issue exactly once and finishes byte-correct."""
         persist = str(tmp_path)
-        with running_service(workers=2, persist_dir=persist) as (svc, _):
-            with ServiceClient("127.0.0.1", svc.port,
-                               tenant="warm") as cli:
-                drive(cli, launches=4)
-                cold = cli.stats()
-        assert cold["check_memo_misses"] >= 1
-        assert cold["restored_entries"] == 0
-
-        with running_service(workers=2, persist_dir=persist) as (svc, _):
-            with ServiceClient("127.0.0.1", svc.port,
-                               tenant="warm") as cli:
-                drive(cli, launches=4)
-                warm = cli.stats()
-        assert warm["restored_entries"] >= 1
-        assert warm["check_memo_misses"] == 0
-        assert warm["check_memo_hits"] >= 1
+        clients, launches = 3, 4
+        phases = []
+        for _ in range(2):
+            with running_service(workers=2, persist_dir=persist) as (svc, _):
+                with ServiceClient("127.0.0.1", svc.port,
+                                   tenant="warm") as cli:
+                    drive(cli, launches=4)
+                    stats = [cli.stats()]
+                report = run_loadgen("127.0.0.1", svc.port, clients=clients,
+                                     launches=launches)
+            assert report["errors"] == []
+            assert report["clients_completed"] == clients
+            assert report["total_launches"] == clients * launches
+            assert report["all_correct"]
+            phases.append(stats + report["client_stats"])
+        cold, warm = phases
+        assert [s["check_memo_misses"] for s in cold] == [1] * (clients + 1)
+        assert [s["restored_entries"] for s in cold] == [0] * (clients + 1)
+        assert [s["check_memo_misses"] for s in warm] == [0] * (clients + 1)
+        assert all(s["restored_entries"] >= 1 for s in warm)
+        assert all(s["check_memo_hits"] >= 1 for s in warm)
 
     def test_restart_results_identical(self, tmp_path):
         persist = str(tmp_path)

@@ -1,10 +1,13 @@
 """Repository hygiene: the documentation's claims about files must hold.
 
 DESIGN.md's experiment index and extensions table name modules and
-benchmark targets; EXPERIMENTS.md names regeneration commands.  These
-tests keep docs and code from drifting apart.
+benchmark targets; EXPERIMENTS.md names regeneration commands; README,
+``docs/`` and docstrings name benchmarks and results files.  These tests
+keep docs and code from drifting apart.
 """
 
+import ast
+import glob
 import os
 import re
 
@@ -36,11 +39,46 @@ class TestTopLevelPackage:
             assert hasattr(repro, name), name
 
 
+def prose_texts():
+    """The top-level documents, ``docs/*.md`` and every docstring in
+    ``src/``: everything that tells a reader where a number comes from."""
+    names = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+        os.path.relpath(p, ROOT)
+        for p in glob.glob(os.path.join(ROOT, "docs", "*.md"))
+    )
+    for name in names:
+        yield name, read(name)
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"),
+                                 recursive=True)):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        nodes = [tree] + [
+            node for node in ast.walk(tree) if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        docs = [ast.get_docstring(node) or "" for node in nodes]
+        yield os.path.relpath(path, ROOT), "\n".join(docs)
+
+
+def named_repo_paths(text):
+    """``benchmarks/…`` and ``results/…`` paths as globs; a brace list
+    (``fig8.{txt,csv}``) becomes ``*``."""
+    for match in re.findall(r"\b(?:benchmarks|results)/[\w*.{-]*", text):
+        head, brace, _ = match.partition("{")
+        yield head + "*" if brace else head.rstrip(".")
+
+
 class TestDesignDocument:
     def test_design_names_existing_benchmarks(self):
-        text = read("DESIGN.md")
-        for match in re.findall(r"benchmarks/test_\w+\.py", text):
-            assert os.path.exists(os.path.join(ROOT, match)), match
+        """Prose may point at a benchmark or a results file only if it
+        exists, so a deleted writer or snapshot cannot stay quoted."""
+        missing = [
+            (name, path)
+            for name, text in prose_texts()
+            for path in named_repo_paths(text)
+            if not glob.glob(os.path.join(ROOT, path))
+        ]
+        assert missing == []
 
     def test_design_names_existing_tests(self):
         text = read("DESIGN.md")
