@@ -69,6 +69,7 @@ from repro.data.privileges import REDUCTION_OPS, Privilege
 from repro.exec.backend import ExecutionBackend, SerialBackend
 from repro.fault.plan import RetryPolicy
 from repro.exec.plan import (
+    PLAN_MEMO_CAP,
     PartitionEntry,
     ReqTemplate,
     ShardPlan,
@@ -82,7 +83,6 @@ from repro.exec.pool import get_pool
 from repro.exec.shm import (
     PROGRESS_BYTES,
     Footprint,
-    SlotSet,
     in_place,
     map_region,
     release_instances,
@@ -101,9 +101,6 @@ __all__ = [
     "ParallelBackend",
     "ParallelExecStats",
 ]
-
-#: How many launch signatures keep a memoized unit set (LRU).
-_PLAN_MEMO_CAP = 64
 
 #: Why a dispatch fell back to serial: the codes ``_ParallelBail`` carries,
 #: counted in ``ParallelExecStats.fallback_reasons``.
@@ -202,16 +199,46 @@ def _unit_footprints(requirements, local_projs) -> _Footprints:
 
 @dataclass
 class _UndoSet:
-    """One attempt's undo slots and progress counter: the wire descriptors
-    a plan names, the parent views :meth:`ParallelBackend._restore` reads,
-    and the arena allocation behind them (None when it spans segments)."""
+    """A unit's undo slots and progress counter in its worker's segment:
+    the wire descriptors a plan names, the parent views
+    :meth:`ParallelBackend._restore` reads, and what an attempt charges."""
 
     slots: List[List[Optional[tuple]]]       # ShardPlan.undo_slots
     done: tuple                              # ShardPlan.undo_done
     #: per unit point [(subregion, field, parent view)]
     views: List[list]
     progress: np.ndarray
-    taken: Optional[SlotSet]
+    seg: Any                                 # the segment it is laid out in
+    n_slots: int
+    nbytes: int
+
+
+def _undo_set(seg, footprints: _Footprints) -> _UndoSet:
+    """The unit's slots at fixed offsets in ``seg``: the progress counter
+    at 0, then one slot per in-place write footprint in gather order."""
+
+    def slot(offset, count, dtype):
+        return ((seg.name, offset, count, dtype.str),
+                np.ndarray(count, dtype=dtype, buffer=seg.mm, offset=offset))
+
+    done, progress = slot(0, 1, np.dtype(np.int64))
+    offset, slots, views = PROGRESS_BYTES, [], []
+    for point in footprints.writes:
+        point_slots, point_views = [], []
+        for fp in point:
+            descriptor = None
+            if fp.in_place and fp.nbytes:
+                descriptor, view = slot(offset, fp.count, fp.dtype)
+                point_views.append((fp.sub, fp.fname, view))
+                offset += fp.nbytes
+            point_slots.append(descriptor)
+        slots.append(point_slots)
+        views.append(point_views)
+    return _UndoSet(
+        slots, done, views, progress, seg,
+        n_slots=sum(map(len, views)),
+        nbytes=sum(view.nbytes for point in views for _, _, view in point),
+    )
 
 
 @dataclass
@@ -221,7 +248,7 @@ class _Skeleton:
     gen: int                        # worker generation the skeleton targets
     plan: ShardPlan                 # empty-delta skeleton
     #: pickled ``plan``, set only when it carried no read data at build; it
-    #: ships as-is whenever the arena retakes ``undo``, the set it names.
+    #: ships as-is while ``undo``, the set it names, is still the unit's.
     blob: Optional[bytes]
     undo: Optional[_UndoSet]
 
@@ -242,17 +269,16 @@ class _Unit:
     local_projs: List[List[Any]]
     footprints: _Footprints
     skeleton: Optional[_Skeleton] = None     # set only through a memo
+    #: the undo set, kept for as long as the worker keeps its segment
+    undo: Optional[_UndoSet] = None
     # --- the current attempt
     gen: int = -1                            # worker generation at submit
     mark: float = 0.0                        # profiler mark at submit
     future: Any = None
     staged: Optional[dict] = None            # cache delta of this attempt
     payload: Any = None
-    #: the attempt's undo slots, per point [(subregion, field, parent
-    #: view)], and its progress counter (how many points' slots the worker
-    #: completed; None: nothing written in place).  Rebound on every
-    #: (re)submission, read only by :meth:`ParallelBackend._restore`.
-    undo: List[list] = field(default_factory=list)
+    #: the attempt's progress counter: how many points' slots the worker
+    #: completed (None: nothing staged or nothing written in place).
     progress: Optional[np.ndarray] = None
 
 
@@ -363,21 +389,23 @@ class _PlanMemo:
     the units (points, ordinals, nodes, footprints), requirement
     templates, and the empty cache deltas of a warm worker.  This memo
     keeps the units, and each unit its plan skeleton with the pickled blob
-    and the undo-slot set it names.  On mapped regions there are no read
-    values, and the arena rewinds after every commit, so a steady launch
-    retakes each unit's recorded slots (:meth:`ShmArena.retake`) and ships
-    the blob as it is: per unit, O(1) work and no pickling.  The worker
-    keys its own memo by those bytes (``exec/worker.py``), so a steady
-    replay is not unpickled, installed or expanded there either.
+    and the undo set it names.  On mapped regions there are no read
+    values, and the set sits at fixed offsets in the worker's segment, so
+    a steady launch ships the blob as it is: per unit, O(1) work and no
+    pickling.  The worker keys its own memo by those bytes
+    (``exec/worker.py``), so a steady replay is not unpickled, installed
+    or expanded there either.
 
     Validity is checked structurally on every use (assignment identity,
-    args equality, worker generation, profiler state); anything stale
-    falls back to the ordinary build and overwrites the memo.  Faulty runs
-    (an armed injector) bypass the memo entirely so directive-consumption
-    order is untouched.
+    args bytes, worker generation, profiler state); anything stale falls
+    back to the ordinary build and overwrites the memo.  The args are
+    compared pickled, as a blob ships them: ``==`` cannot compare numpy
+    arrays and misses an array mutated in place.  Faulty runs (an armed
+    injector) bypass the memo entirely so directive-consumption order is
+    untouched.
     """
 
-    args: tuple
+    args: bytes                     # ``dumps(launch.args)``
     assignment_key: Any             # identity token (the sharding cache's dict)
     profile: bool
     # --- from the first dispatch through the memo
@@ -426,7 +454,7 @@ class ParallelBackend(ExecutionBackend):
         self._pool = None
         self._task_blobs: Dict[int, bytes] = {}
         self._poisoned_tasks: set = set()
-        #: sig -> _PlanMemo, LRU-capped at _PLAN_MEMO_CAP signatures.
+        #: sig -> _PlanMemo, LRU-capped at PLAN_MEMO_CAP signatures.
         self._plan_memo: "OrderedDict[tuple, _PlanMemo]" = OrderedDict()
         #: the units of the dispatch in flight: a fallback undoes them all.
         self._units: List[_Unit] = []
@@ -518,7 +546,7 @@ class ParallelBackend(ExecutionBackend):
             dispatch, t_par,
         )
         # Every future was collected and no undo slot is needed any more:
-        # reclaim the arena offsets for the next dispatch.
+        # the slots are free for the next dispatch.
         self._units = []
         self._pool.arena.rewind_all()
         return fmap
@@ -536,8 +564,8 @@ class ParallelBackend(ExecutionBackend):
             self._quiesce()
             for unit in self._units:
                 self._restore(unit)
-            # The slots' offsets are forfeit; their segments unmap once
-            # the units holding views into them are dropped.
+            # The slots are forfeit; their segments unmap once the units
+            # holding views into them are dropped.
             self._pool.arena.abandon_all()
         self._units = []
         if bail.poison:
@@ -577,7 +605,7 @@ class ParallelBackend(ExecutionBackend):
         body never ran."""
         if unit.progress is None:
             return
-        done = unit.undo[: int(unit.progress[0])]
+        done = unit.undo.views[: int(unit.progress[0])]
         for views in done:
             for sub, fname, view in views:
                 sub.scatter(fname, view)
@@ -681,27 +709,32 @@ class ParallelBackend(ExecutionBackend):
 
         Valid while nothing the plan bakes in can have moved — same
         assignment object (the sharding cache returns a stable dict per
-        mapping decision), same broadcast args, no per-point args, no armed
-        fault injector (directive-consumption order is sacred), and the
-        same profiler state.  Stale memos are overwritten."""
+        mapping decision), args that pickle to the same bytes, no
+        per-point args, no armed fault injector (directive-consumption
+        order is sacred), and the same profiler state.  Stale memos are
+        overwritten; unpicklable args get none."""
         enabled = self.rt.profiler.enabled
         if self.rt.fault_injector is not None or launch.point_args is not None:
             return None
+        try:
+            args = dumps(launch.args)
+        except Exception:
+            return None
         memo = self._plan_memo.get(sig)
         if memo is not None and (
-            memo.args != launch.args
+            memo.args != args
             or memo.assignment_key is not assignment
             or memo.profile != enabled
         ):
             memo = None
         if memo is None:
             memo = _PlanMemo(
-                args=launch.args,
+                args=args,
                 assignment_key=assignment,
                 profile=enabled,
             )
             self._plan_memo[sig] = memo
-            while len(self._plan_memo) > _PLAN_MEMO_CAP:
+            while len(self._plan_memo) > PLAN_MEMO_CAP:
                 self._plan_memo.popitem(last=False)
         else:
             self._plan_memo.move_to_end(sig)
@@ -710,8 +743,8 @@ class ParallelBackend(ExecutionBackend):
     def _submit(self, build, unit: _Unit, depth: int = 0):
         """Build and submit one unit — at first, and again on every ladder
         resubmission.  Units are submitted in worker order, which keeps
-        both the fault injector's directive-consumption order (worker,
-        then node) and the arena's per-worker allocation order."""
+        the fault injector's directive-consumption order (worker, then
+        node)."""
         launch, _, _ = build
         pool = self._pool
         k = unit.k
@@ -760,7 +793,7 @@ class ParallelBackend(ExecutionBackend):
         sk = unit.skeleton if memo is not None else None
         if sk is not None and sk.gen != gen:
             sk = None
-        read_data, undo = self._stage_footprints(unit, gen, sk)
+        read_data, undo = self._stage_footprints(unit, gen)
         blob = None
         if sk is None:
             plan, staged = self._build_skeleton(build, unit, read_data, undo)
@@ -790,8 +823,8 @@ class ParallelBackend(ExecutionBackend):
         # Memoize the skeleton only once the worker holds everything the
         # plan assumes (no staged deltas, task blob already cached) and no
         # fault directives were baked in — then the fast path's empty delta
-        # is exact, not an approximation.  A hit that had to allocate fresh
-        # slots re-memoizes, so the next launch can retake them.
+        # is exact, not an approximation.  A hit whose worker moved to a
+        # new segment re-memoizes, so the next launch ships its blob again.
         if memo is not None and (sk is None or undo is not sk.undo) and (
             plan.task_blob is None
             and not (plan.faults or staged["regions"]
@@ -855,60 +888,35 @@ class ParallelBackend(ExecutionBackend):
             ]
         return plan, staged
 
-    def _stage_footprints(self, unit: _Unit, gen: int,
-                          sk: Optional[_Skeleton]):
+    def _stage_footprints(self, unit: _Unit, gen: int):
         """One attempt's live plan parts, ``(read_data, undo)``: pickled
-        read entries for the fields the worker does not map, and the
-        :class:`_UndoSet` for the ones it writes in place — the memoized
-        unit's own set when the arena can retake it, else fresh slots —
-        rebinding ``unit.undo`` and ``unit.progress``."""
+        read entries for the fields the worker does not map, and the unit's
+        :class:`_UndoSet` for the ones it writes in place, its counter
+        zeroed as ``unit.progress``.  A same-worker retry reuses the slots:
+        it follows the worker's reply and :meth:`_restore`."""
         arena = self._pool.arena
         stats = arena.stats
         footprints = unit.footprints
         read_data = [fp.inline() for fp in footprints.reads]
-        unit.undo, unit.progress = [], None
+        unit.progress = None
         if arena.available:
             stats.read_fallbacks += len(read_data)
             stats.bytes_staged += footprints.read_bytes
             stats.write_fallbacks += footprints.pickled_writes
         if not footprints.in_place:
             return read_data, None
-        undo = sk.undo if sk is not None else None
-        if undo is None or undo.taken is None or not arena.retake(
-            unit.k, gen, undo.taken
-        ):
-            undo = self._alloc_undo(unit.k, gen, footprints)
-        unit.undo, unit.progress = undo.views, undo.progress
-        return read_data, undo
-
-    def _alloc_undo(self, k: int, gen: int,
-                    footprints: _Footprints) -> _UndoSet:
-        """Fresh undo slots and progress counter for one attempt.  In-place
-        writes are never made without a way to undo them."""
-        arena = self._pool.arena
-        # One segment per worker per dispatch: the unit's slot bytes are
-        # known before the first slot is allocated.
-        arena.reserve(k, gen, footprints.nbytes)
-        progress = arena.alloc_progress(k, gen)
-        if progress is None:
+        # In-place writes are never made without a way to undo them.
+        seg = arena.segment(unit.k, gen, footprints.nbytes)
+        if seg is None:
             raise _ParallelBail("no_undo_shm")
-        undo_slots, views, nbytes = [], [], 0
-        for point in footprints.writes:
-            slots, point_views = [], []
-            for fp in point:
-                slot = None
-                if fp.in_place and fp.nbytes:
-                    slot = arena.alloc_undo_slot(k, gen, fp)
-                    if slot is None:
-                        raise _ParallelBail("no_undo_shm")
-                    point_views.append((fp.sub, fp.fname, slot[1]))
-                    nbytes += slot[1].nbytes
-                    slot = slot[0]
-                slots.append(slot)
-            undo_slots.append(slots)
-            views.append(point_views)
-        taken = arena.record(k, gen, progress, sum(map(len, views)), nbytes)
-        return _UndoSet(undo_slots, progress[0], views, progress[1], taken)
+        undo = unit.undo
+        if undo is None or undo.seg is not seg:
+            undo = unit.undo = _undo_set(seg, footprints)
+        undo.progress[0] = 0
+        unit.progress = undo.progress
+        stats.write_slots += undo.n_slots
+        stats.bytes_slotted += undo.nbytes
+        return read_data, undo
 
     def _collect_launch(self, launch, dispatch: _Dispatch) -> None:
         """Await every unit of one submitted launch and validate the

@@ -43,6 +43,7 @@ except ImportError:  # pragma: no cover - the container bakes cloudpickle in
     _by_value_pickler = pickle
 
 __all__ = [
+    "PLAN_MEMO_CAP",
     "dumps",
     "loads",
     "subset_ref",
@@ -54,6 +55,14 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
 ]
+
+
+#: How many plans each side memoizes (LRU): the parent one unit set per
+#: launch signature (``exec/parallel.py``), a worker one bare plan blob per
+#: unit it ran (``exec/worker.py``).  A steady replay that cycles through
+#: the parent's signatures finds its blobs in the worker memo only if the
+#: worker keeps at least as many as the parent, so the two share one cap.
+PLAN_MEMO_CAP = 64
 
 
 def dumps(obj: Any) -> bytes:

@@ -186,8 +186,8 @@ class WorkerPool:
         return self._transport.submit_shard(k, plan_blob)
 
     def submit_shards(self, k: int, items):
-        """Submit a per-worker batch ``[(plan_blob, plan), ...]`` in one
-        vectored write; returns one future per plan, in order."""
+        """Submit ``[(plan_blob, plan), ...]`` to worker ``k`` — the backend
+        sends one, its unit; returns one future per plan, in order."""
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         return self._transport.submit_shards(k, items)

@@ -20,12 +20,12 @@ data.  On a transport whose workers share the parent's shm namespace
 * **Undo slots.**  What in-place writes give up is fault atomicity: a
   worker that dies, hangs, or returns garbage has already changed the
   parent's storage.  So before each point's body the worker gathers the
-  point's WRITE/READ_WRITE boxes into undo slots the parent allocated in
-  a per-worker arena segment (``ShardPlan.undo_slots``), then bumps the
-  unit's progress counter (``ShardPlan.undo_done``) to the number of
-  points whose slots are complete.  On every retry, respawn and serial
-  fallback the parent scatters the complete slots back — a slot torn by a
-  mid-gather death is never counted, and its point's body never ran.
+  point's WRITE/READ_WRITE boxes into undo slots in its own parent-owned
+  segment (``ShardPlan.undo_slots``), then bumps the unit's progress
+  counter (``ShardPlan.undo_done``) to the number of points whose slots
+  are complete.  On every retry, respawn and serial fallback the parent
+  scatters the complete slots back — a slot torn by a mid-gather death is
+  never counted, and its point's body never ran.
 
 * **Restore only after the writer is gone.**  The parent restores an
   attempt only once its worker has replied or been killed *and reaped*:
@@ -46,17 +46,20 @@ view that outlives the segment's name or its owner's bookkeeping still
 reads live memory (closing an ``mmap`` under a view leaves a dangling
 pointer).
 
-Arena lifecycle: undo segments are parent-owned and named for their
-worker and **generation** (``reproshm-<pid>p<pool>w<k>g<gen>-<seq>``).
-Offsets grow across a dispatch (retries included) and rewind only after
-a commit; ``reset_worker`` and a serial fallback retire the segments a
-stale process could still touch — unlink the name, drop the reference.
-A steady launch takes its units' slots with :meth:`ShmArena.retake`
-instead of allocating them: the recorded offsets, handed out again only
-where fresh allocations would land anyway.  An arena segment that cannot
-be created switches the arena off: a launch that writes a mapped region
-then falls back to the serial backend ("no shared memory for undo
-slots"), and regions created later stay unmapped.
+Arena lifecycle: a worker carries one unit per launch, so it has one
+parent-owned undo segment, named for the worker and its **generation**
+(``reproshm-<pid>p<pool>w<k>g<gen>-<seq>``).  A unit's slots sit at fixed
+offsets in it — the progress counter at 0, then one slot per in-place
+write footprint in gather order — and serve every later launch of the
+signature, and a retry on the same worker process (it follows that
+worker's reply), for as long as the segment stays the worker's.  The
+parent zeroes the counter before every attempt.  :meth:`ShmArena.segment`
+grows a worker's segment by replacing it; ``reset_worker`` and a serial
+fallback retire the segments a stale process could still touch — unlink
+the name, drop the reference.  A segment that cannot be created switches
+the arena off: a launch that writes a mapped region then falls back to
+the serial backend (``no_undo_shm``), and regions created later stay
+unmapped.
 
 Region segments are unlinked when their region is collected, when its
 runtime's backend shuts down, at :func:`~repro.exec.pool.shutdown_pools`
@@ -95,7 +98,6 @@ __all__ = [
     "Footprint",
     "ShmArena",
     "ShmStats",
-    "SlotSet",
     "attach_instance",
     "in_place",
     "map_region",
@@ -109,7 +111,7 @@ class ShmStats:
     __slots__ = (
         "read_fallbacks",      # read footprints pickled beside the arena
         "write_fallbacks",     # write footprints pickled beside the arena
-        "write_slots",         # undo slots allocated
+        "write_slots",         # undo slots handed to unit attempts
         "bytes_staged",        # read bytes pickled into plans, arena on
         "bytes_slotted",       # undo-slot bytes
         "undo_restores",       # undo slots scattered back on recovery
@@ -316,31 +318,12 @@ class Footprint:
 
 # ------------------------------------------------------------------ arena
 class _Segment:
-    __slots__ = ("name", "mm", "size", "used")
+    __slots__ = ("name", "mm", "size")
 
     def __init__(self, name: str, mm: mmap.mmap, size: int):
         self.name = name
         self.mm = mm
         self.size = size
-        self.used = 0
-
-
-class SlotSet:
-    """One unit attempt's slots, recorded so that a later dispatch can take
-    the very same offsets again (:meth:`ShmArena.retake`): the generation
-    and segment they were carved from, the byte range, what they charged,
-    and the parent view of the progress counter that opens the range."""
-
-    __slots__ = ("gen", "seg", "start", "end", "slots", "nbytes", "progress")
-
-    def __init__(self, gen, seg, start, end, slots, nbytes, progress):
-        self.gen = gen
-        self.seg = seg
-        self.start = start
-        self.end = end
-        self.slots = slots
-        self.nbytes = nbytes
-        self.progress = progress
 
 
 _ARENA_COUNTER = [0]
@@ -353,22 +336,20 @@ PROGRESS_BYTES = _ALIGN
 
 
 class ShmArena:
-    """Per-pool allocator of parent-owned undo-slot segments.
+    """Per-pool owner of the parent's undo segments, one per worker.
 
     One arena serves one :class:`~repro.exec.pool.WorkerPool`; worker ``k``
-    of generation ``g`` draws from segments named for ``(k, g)``.  All
-    methods are parent-side only and single-threaded (the backend's
-    dispatch loop); ``None`` returns mean "no slot" and never raise.
+    of generation ``g`` writes its unit's undo slots into the one segment
+    named for ``(k, g)``.  All methods are parent-side only and
+    single-threaded (the backend's dispatch loop); a ``None`` segment
+    means "no undo slots" and never raises.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.available = _posixshmem is not None
         self.stats = ShmStats()
-        #: slots actually carved out of a segment; ``stats.write_slots`` is
-        #: what the dispatches charged, retaken sets included.
-        self.allocations = 0
-        self._segments: List[List[_Segment]] = [[] for _ in range(n)]
+        self._segments: List[Optional[_Segment]] = [None] * n
         self._gens = [0] * n
         self._seq = [0] * n
         self._owner = os.getpid()
@@ -378,114 +359,36 @@ class ShmArena:
         #: runtime's trace/metrics stream.
         self.profiler = NULL_PROFILER
 
-    # ------------------------------------------------------------ allocation
-    def _alloc(self, k: int, gen: int, nbytes: int):
-        """An (segment, offset) slice for ``nbytes``, or None on failure."""
+    def segment(self, k: int, gen: int, nbytes: int) -> Optional[_Segment]:
+        """Worker ``k``'s segment, at least ``nbytes`` long: the one it
+        has, or a larger one that retires the old (whose writers have all
+        replied or been reaped).  None when the arena is off or cannot
+        create it, which switches it off."""
         if not self.available:
             return None
         if gen != self._gens[k]:
             # The pool respawned this worker without telling us (defensive;
             # reset_worker normally calls on_reset first).
-            self._drop_worker(k)
-            self._gens[k] = gen
-        segs = self._segments[k]
-        if segs:
-            seg = segs[-1]
-            offset = (seg.used + _ALIGN - 1) & ~(_ALIGN - 1)
-            if offset + nbytes <= seg.size:
-                seg.used = offset + nbytes
-                return seg, offset
+            self.on_reset(k, gen)
+        seg = self._segments[k]
+        if seg is not None and nbytes <= seg.size:
+            return seg
         size = max(
             _MIN_SEGMENT,
-            segs[-1].size * 2 if segs else 0,
+            seg.size * 2 if seg is not None else 0,
             1 << max(nbytes - 1, 1).bit_length(),
         )
         name = f"reproshm-{self._tag}w{k}g{gen}-{self._seq[k]}"
         self._seq[k] += 1
         try:
-            seg = _Segment(*_create_segment(name, size), size)
+            new = _Segment(*_create_segment(name, size), size)
         except OSError:
             self.available = False  # e.g. /dev/shm missing or full
             return None
-        segs.append(seg)
+        self._drop_worker(k)
+        self._segments[k] = new
         self.stats.segments_created += 1
-        seg.used = nbytes
-        return seg, 0
-
-    def reserve(self, k: int, gen: int, nbytes: int) -> None:
-        """Make room for a whole dispatch's slots on worker ``k`` at once;
-        sizing a new segment for the slot in hand instead walks
-        8 -> 16 -> 32 MB, retiring two segments it just filled."""
-        slice_ = self._alloc(k, gen, nbytes) if nbytes else None
-        if slice_ is not None:
-            slice_[0].used = slice_[1]      # hand the room straight back
-
-    def view(self, seg: _Segment, offset: int, count: int, dtype):
-        return np.ndarray(count, dtype=dtype, buffer=seg.mm, offset=offset)
-
-    def _slot(self, k: int, gen: int, nbytes: int, count: int, dtype):
-        slice_ = self._alloc(k, gen, nbytes) if nbytes else None
-        if slice_ is None:
-            return None
-        seg, offset = slice_
-        self.allocations += 1
-        return ((seg.name, offset, count, dtype.str),
-                self.view(seg, offset, count, dtype))
-
-    def alloc_undo_slot(
-        self, k: int, gen: int, fp: Footprint
-    ) -> Optional[Tuple[tuple, np.ndarray]]:
-        """An uninitialized undo slot for a write footprint: (wire
-        descriptor, parent view), or None."""
-        slot = self._slot(k, gen, fp.nbytes, fp.count, fp.dtype)
-        if slot is not None:
-            self.stats.write_slots += 1
-            self.stats.bytes_slotted += slot[1].nbytes
-        return slot
-
-    def alloc_progress(
-        self, k: int, gen: int
-    ) -> Optional[Tuple[tuple, np.ndarray]]:
-        """A unit's zeroed progress counter: (descriptor, parent view)."""
-        slot = self._slot(k, gen, PROGRESS_BYTES, 1, np.dtype(np.int64))
-        if slot is not None:
-            slot[1][0] = 0
-        return slot
-
-    def record(self, k: int, gen: int, progress, slots: int,
-               nbytes: int) -> Optional[SlotSet]:
-        """The slots worker ``k`` was handed since ``progress`` (the unit's
-        first allocation, from :meth:`alloc_progress`), charged ``slots`` /
-        ``nbytes``, as a retakeable set; None when they did not stay in one
-        segment."""
-        segs = self._segments[k]
-        descriptor, view = progress
-        if not segs or segs[-1].name != descriptor[0]:
-            return None
-        seg = segs[-1]
-        return SlotSet(gen, seg, descriptor[1], seg.used, slots, nbytes, view)
-
-    def retake(self, k: int, gen: int, taken: SlotSet) -> bool:
-        """Hand ``taken``'s offsets out again, exactly where allocating the
-        same slots would put them: only while worker ``k`` is generation
-        ``gen`` as at the record, ``taken``'s segment is still its newest,
-        and that segment is rewound to where ``taken`` began.  Re-zeroes
-        the progress counter and charges ``write_slots`` / ``bytes_slotted``
-        as the allocations would; False (nothing changed) otherwise."""
-        seg = taken.seg
-        segs = self._segments[k]
-        if not (
-            self.available
-            and gen == taken.gen == self._gens[k]
-            and segs and segs[-1] is seg
-            and (seg.used + _ALIGN - 1) & ~(_ALIGN - 1) == taken.start
-        ):
-            return False
-        seg.used = taken.end
-        taken.progress[0] = 0
-        self.stats.write_slots += taken.slots
-        self.stats.bytes_slotted += taken.nbytes
-        return True
+        return new
 
     # ------------------------------------------------------------ lifecycle
     def _retire(self, seg: _Segment) -> None:
@@ -509,31 +412,23 @@ class ShmArena:
                          kind=type(exc).__name__, detail=str(exc))
 
     def _drop_worker(self, k: int) -> None:
-        for seg in self._segments[k]:
+        seg, self._segments[k] = self._segments[k], None
+        if seg is not None:
             self._retire(seg)
-        self._segments[k] = []
 
     def on_reset(self, k: int, new_gen: int) -> None:
-        """Worker respawn: orphan everything its old incarnation could
-        still be writing to, and key future segments to the new gen."""
+        """Worker respawn: orphan the segment its old incarnation could
+        still be writing to, and key the next one to the new gen."""
         self._drop_worker(k)
         self._gens[k] = new_gen
 
     def rewind_all(self) -> None:
-        """Reclaim offsets after a committed dispatch (no outstanding
-        writers by construction).  Keeps only each worker's newest — and
-        largest — segment so steady state settles to one segment each."""
+        """A dispatch committed: no writer is outstanding by construction,
+        so a commit leaves the slots free again.  Only counted."""
         self.stats.rewinds += 1
-        for k in range(self.n):
-            segs = self._segments[k]
-            for seg in segs[:-1]:
-                self._retire(seg)
-            del segs[:-1]
-            if segs:
-                segs[-1].used = 0
 
     def abandon_all(self) -> None:
-        """A dispatch bailed: its offsets can never be trusted again, so
+        """A dispatch bailed: its slots can never be trusted again, so
         retire the segments."""
         self.stats.abandons += 1
         self.close()
@@ -544,4 +439,4 @@ class ShmArena:
 
     def live_segments(self) -> List[str]:
         """Names of every segment currently linked (leak-test hook)."""
-        return [seg.name for segs in self._segments for seg in segs]
+        return [seg.name for seg in self._segments if seg is not None]

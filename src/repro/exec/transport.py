@@ -240,23 +240,19 @@ class Transport:
 
     def submit_shard(self, k: int, plan_blob: bytes) -> _PipeFuture:
         """Ship one plan to worker ``k``; future resolves to result bytes."""
-        worker = self._handle(k)
-        seq, future = self._register_future(worker)
-        self._send(worker, wire.pack_frame(wire.SHARD, seq, plan_blob))
+        (future,) = self.submit_shards(k, [(plan_blob, None)])
         return future
 
     def submit_shards(self, k: int, items) -> List[_PipeFuture]:
-        """Ship a per-worker batch ``[(plan_blob, plan), ...]`` — from the
-        backend, one unit — as one SHARDS frame in a single write; the
-        worker answers one RESULT per plan."""
+        """Ship ``[(plan_blob, plan), ...]`` — from the backend, one unit —
+        to worker ``k``, one SHARD frame per plan; one future per plan,
+        each resolving to its result bytes."""
         worker = self._handle(k)
         futures: List[_PipeFuture] = []
-        pairs = []
         for plan_blob, _plan in items:
             seq, future = self._register_future(worker)
             futures.append(future)
-            pairs.append((seq, plan_blob))
-        self._send(worker, wire.pack_frame(wire.SHARDS, 0, dumps(pairs)))
+            self._send(worker, wire.pack_frame(wire.SHARD, seq, plan_blob))
         return futures
 
     def submit_batch(self, k: int, functor_blob: bytes, points) -> _PipeFuture:

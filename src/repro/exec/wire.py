@@ -4,7 +4,7 @@ Every worker — a forked child on a pipe pair, a standalone process on a
 loopback socket — and every ``repro serve`` session speaks these frames.
 Worker-cache deltas (task blobs, region skeletons, partition colors,
 sparse subsets) need no messages of their own: they ride inside the
-pickled ``ShardPlan`` a SHARD/SHARDS frame carries, and the worker
+pickled ``ShardPlan`` a SHARD frame carries, and the worker
 installs them before running the plan, so a worker on another machine —
 loopback stands in for a cluster node here — holds exactly the
 persistent state the parent's ``_WorkerCaches`` bookkeeping believes it
@@ -29,9 +29,6 @@ BATCH       parent -> worker: pickled ``(functor_blob, points)``; the
             RESULT is the pickled array, or ``None`` if the functor raised
 RESULT      worker -> parent: raw result bytes for ``seq``
 SHUTDOWN    parent -> worker: drain and exit cleanly
-SHARDS      parent -> worker: pickled ``[(seq, plan_blob), ...]`` — one
-            vectored write carrying a per-worker batch of plans (one unit
-            per launch); the worker answers one RESULT per seq, in order
 CALL        client -> service: pickled ``(command, payload)`` session
             request; the service answers RESULT (or BUSY) echoing seq
 BUSY        service -> client: admission control rejected ``seq``; the
@@ -66,7 +63,6 @@ __all__ = [
     "BATCH",
     "RESULT",
     "SHUTDOWN",
-    "SHARDS",
     "CALL",
     "BUSY",
     "MSG_NAMES",
@@ -94,7 +90,9 @@ MAGIC = b"RPRO"
 #: records from TaskResult (physical analysis is the parent's alone).
 #: v7: a plan is one unit (a worker's slice of a launch); one ShardResult
 #: per unit replaced the per-point TaskResults.
-PROTOCOL_VERSION = 7
+#: v8 removed the SHARDS batch (a worker carries one unit per launch, one
+#: SHARD frame) and renumbered CALL and BUSY.
+PROTOCOL_VERSION = 8
 
 (
     HELLO,
@@ -104,10 +102,9 @@ PROTOCOL_VERSION = 7
     BATCH,
     RESULT,
     SHUTDOWN,
-    SHARDS,
     CALL,
     BUSY,
-) = range(1, 11)
+) = range(1, 10)
 
 MSG_NAMES = {
     HELLO: "HELLO",
@@ -117,7 +114,6 @@ MSG_NAMES = {
     BATCH: "BATCH",
     RESULT: "RESULT",
     SHUTDOWN: "SHUTDOWN",
-    SHARDS: "SHARDS",
     CALL: "CALL",
     BUSY: "BUSY",
 }

@@ -51,6 +51,7 @@ from repro.core.launch import RegionRequirement
 from repro.data.collection import RectSubset, Region, SparseSubset, Subregion
 from repro.data.privileges import Privilege
 from repro.exec.plan import (
+    PLAN_MEMO_CAP,
     ShardPlan,
     ShardResult,
     dumps,
@@ -82,7 +83,6 @@ _BOXES: Dict[tuple, list] = {}
 #: ``_remember``).  What the expansions point into — regions and partition
 #: stubs by uid — is never replaced while this state lives.
 _PLANS: "OrderedDict[bytes, tuple]" = OrderedDict()
-_PLAN_MEMO_CAP = 64
 
 
 def reset_state() -> None:
@@ -321,7 +321,7 @@ def _remember(blob: bytes, plan: ShardPlan, expanded) -> None:
         plan.regions or plan.partitions or plan.read_data or plan.faults
     ):
         _PLANS[blob] = (plan, expanded)
-        if len(_PLANS) > _PLAN_MEMO_CAP:
+        if len(_PLANS) > PLAN_MEMO_CAP:
             _PLANS.popitem(last=False)
 
 
@@ -434,11 +434,6 @@ def handle_frame(frame, reply) -> bool:
         return False
     if frame.msg == wire.SHARD:
         reply(frame.seq, run_shard_bytes(frame.payload))
-    elif frame.msg == wire.SHARDS:
-        # One vectored submit carrying a per-worker batch of plans (the
-        # backend sends one, its unit); each plan answers its own RESULT.
-        for seq, blob in loads(frame.payload):
-            reply(seq, run_shard_bytes(blob))
     elif frame.msg == wire.BATCH:
         functor_blob, points = loads(frame.payload)
         try:

@@ -242,11 +242,15 @@ class ExpansionTemplate:
     plan_list: Optional[list] = field(default=None, repr=False)
 
     def reusable_for(self, launch: IndexLaunch) -> bool:
-        return (
-            not self.had_point_args
-            and launch.point_args is None
-            and launch.args == self.base_args
-        )
+        """Whether the baked-in ``TaskLaunch`` objects serve ``launch``:
+        args that cannot be compared with ``==`` (numpy arrays) are not
+        the same args."""
+        if self.had_point_args or launch.point_args is not None:
+            return False
+        try:
+            return launch.args == self.base_args
+        except Exception:
+            return False
 
     def ordered_plans(self, launch: IndexLaunch, assignment) -> Optional[list]:
         """The cached [(node, PointPlan)] list for ``assignment``, or None.

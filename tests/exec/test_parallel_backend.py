@@ -247,8 +247,8 @@ def _force(code, rt, p, monkeypatch):
     elif code == "no_undo_shm":
         if not backend.pool().arena.available:
             pytest.skip("no shared memory on this platform")
-        monkeypatch.setattr(backend.pool().arena, "alloc_progress",
-                            lambda k, gen: None)
+        monkeypatch.setattr(backend.pool().arena, "segment",
+                            lambda k, gen, nbytes: None)
         rt.index_launch(bump, 8, p)
         monkeypatch.undo()
     elif code == "worker_error":

@@ -2,8 +2,8 @@
 
 In the steady replay state a ``ShardPlan``'s skeleton (reqs, regions,
 points, projections) is a pure function of the launch signature.  The
-memo reuses the skeleton — and, when the shm arena hands back
-byte-identical descriptors after its rewind, the whole pickle blob.
+memo reuses the skeleton — and, while each unit's undo slots stay at
+their fixed offsets in the same worker segment, the whole pickle blob.
 
 Identity discipline: everything observable must be byte-identical to the
 serial backend, including after worker respawns (generation bumps
@@ -78,8 +78,8 @@ def test_untraced_launch_hits_the_memo(analysis_cache):
 
 
 def test_blob_reuse_with_shm():
-    """With the shm arena on, steady-state descriptors repeat after the
-    commit rewind, so whole pickled blobs are resent untouched."""
+    """With the shm arena on, each unit's undo slots stay at fixed offsets
+    in its worker's segment, so whole pickled blobs are resent untouched."""
     from repro.exec.transport import TRANSPORTS, resolve_transport
 
     if not TRANSPORTS[resolve_transport(None)].local_shm:
@@ -114,3 +114,38 @@ def test_memo_off_under_fault_injection():
     rt.drain()
     assert rt.backend.stats.plan_memo_hits == 0
     assert np.array_equal(region.storage("x"), np.arange(32.0) + 4)
+
+
+@pytest.mark.parametrize("mutate", [False, True],
+                         ids=["fresh_equal_arrays", "mutated_in_place"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_array_args_reach_the_bodies(workers, mutate):
+    """Broadcast args holding a numpy array, with the analysis cache on:
+    a fresh but equal array cannot be compared with ``==`` (it raised on
+    both backends), and an array mutated in place compares equal to
+    itself, so a memoized blob shipped the values pickled at build time.
+    Either way the region must read what the serial semantics say."""
+    from repro.data.partition import equal_partition
+    from repro.runtime import Runtime, RuntimeConfig, task
+
+    @task(privileges=["reads writes"])
+    def add_sum(ctx, r, delta):
+        r.write("x", r.read("x") + delta.sum())
+
+    cfg = dict(workers=workers, transport="pipe") if workers > 1 else {}
+    rt = Runtime(RuntimeConfig(n_nodes=4, analysis_cache=True, **cfg))
+    region = rt.create_region("aa_rx", 32, {"x": "f8"})
+    part = equal_partition(f"aa_p{region.uid}", region, 8)
+    delta = np.arange(3.0)
+    total = 0.0
+    for _ in range(4):
+        if not mutate:
+            delta = np.arange(3.0)
+        rt.index_launch(add_sum, 8, part, args=(delta,))
+        total += delta.sum()
+        if mutate:
+            delta += 1.0
+    assert total == (30.0 if mutate else 12.0)
+    assert region.storage("x").tobytes() == np.full(32, total).tobytes()
+    if workers > 1:
+        assert rt.backend.stats.parallel_launches == 4

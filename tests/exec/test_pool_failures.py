@@ -180,9 +180,8 @@ class TestTeardownErrorCounting:
         arena = pool.arena
         if not arena.available:
             pytest.skip("shared memory unavailable on this platform")
-        slice_ = arena._alloc(0, 0, 64)
-        assert slice_ is not None
-        seg, _offset = slice_
+        seg = arena.segment(0, 0, 64)
+        assert seg is not None
         # Unlink out from under the arena so retirement's own unlink fails
         # the way a racing external cleanup would make it fail.
         os.unlink(f"/dev/shm/{seg.name}")

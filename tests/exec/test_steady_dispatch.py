@@ -2,12 +2,13 @@
 
 The dispatch unit is a worker's slice of a launch, so a replayed launch
 costs O(workers) frames and objects on each side of the pipe however many
-nodes it spans, and O(1) Python per unit: the parent retakes each unit's
-recorded undo-slot set (``ShmArena.retake``) and ships the memoized blob
-as it is, and the worker runs the bytes it has seen before from its plan
-memo, without unpickling, installing or expanding them.  These tests hold
-that by count, check the fault ladder on the warm fast paths, and check
-that a worker's plan memo dies with the state its expansions point into.
+nodes it spans, and O(1) Python per unit: each unit's undo slots sit at
+fixed offsets in its worker's one segment, so the parent names the same
+slots again and ships the memoized blob as it is, and the worker runs the
+bytes it has seen before from its plan memo, without unpickling,
+installing or expanding them.  These tests hold that by count, check the
+fault ladder on the warm fast paths, and check that a worker's plan memo
+dies with the state its expansions point into.
 """
 
 import dataclasses
@@ -52,7 +53,7 @@ def bump(ctx, r):
 def _runtime(**cfg):
     shutdown_pools()
     rt = Runtime(RuntimeConfig(n_nodes=4, dcr=True, **cfg))
-    if cfg.get("workers", 1) > 1 and not rt.backend.pool().arena.available:
+    if cfg.get("transport") == "pipe" and not rt.backend.pool().arena.available:
         pytest.skip("no shared memory on this platform")
     return rt
 
@@ -87,7 +88,7 @@ class _Fanout:
 
 
 class _Wire:
-    """Parent-side counts: SHARDS frames packed, RESULT frames decoded,
+    """Parent-side counts: SHARD frames packed, RESULT frames decoded,
     and unit results unpickled by the backend's ``loads``."""
 
     def __init__(self, monkeypatch):
@@ -96,7 +97,7 @@ class _Wire:
             parallel.loads
 
         def counting_pack(msg, *args, **kwargs):
-            self.shards += msg == wire.SHARDS
+            self.shards += msg == wire.SHARD
             return pack(msg, *args, **kwargs)
 
         def counting_next(decoder):
@@ -117,7 +118,7 @@ class _Wire:
 def _counters(rt, spy=None):
     backend, arena = rt.backend, rt.backend.pool().arena
     out = dict(
-        allocations=arena.allocations,
+        segments=arena.stats.segments_created,
         write_slots=arena.stats.write_slots,
         bytes_slotted=arena.stats.bytes_slotted,
         rewinds=arena.stats.rewinds,
@@ -134,7 +135,7 @@ def _counters(rt, spy=None):
 def _steady(pieces, warmup=3, steady=3, forget=False, spy=None, **cfg):
     """Run the fan-out loop; per steady launch, the counter deltas.
     ``forget`` drops the parent's plan memo before every steady launch, so
-    each one builds its plans and allocates its slots afresh."""
+    each one builds its units, plans and undo sets afresh."""
     rt = _runtime(**cfg)
     loop = _Fanout(rt, pieces)
     for _ in range(warmup):
@@ -171,15 +172,15 @@ class TestSteadyLaunchCounts:
         assert len(deltas) == 3 * GROUPS
         for d in deltas:
             assert d["shards"] == UNITS                  # every launch fans out
-            assert d["allocations"] == 0                 # the slots are retaken
+            assert d["segments"] == 0                    # the slots are reused
             assert d["worker_plan_hits"] == d["shards"]  # and never unpickled
             assert d["write_slots"] == pieces            # one slot per point
-        # Retaking charges exactly what allocating did.
-        keys = ("write_slots", "bytes_slotted", "rewinds")
+        # Reusing a unit's slots charges exactly what laying them out did.
+        keys = ("write_slots", "bytes_slotted", "rewinds", "segments")
         assert [{k: d[k] for k in keys} for d in deltas] == [
             {k: d[k] for k in keys} for d in off_deltas
         ]
-        assert all(d["allocations"] > 0 for d in off_deltas)
+        assert all(d["memo_hits"] == 0 for d in off_deltas)
         assert rt.backend.stats.fallbacks == 0
         assert full_stats(rt) == full_stats(off_rt) == full_stats(ref_rt)
         assert loop.storage() == off_bytes == ref.storage()
@@ -189,7 +190,7 @@ class TestSteadyLaunchCounts:
     def test_one_frame_each_way_per_worker(self, pieces, transport,
                                            monkeypatch):
         """Four nodes on two workers: a steady launch is two units — two
-        SHARDS frames out, two RESULT frames in, two results unpickled —
+        SHARD frames out, two RESULT frames in, two results unpickled —
         where one per node used to be four of each."""
         ref_rt = _runtime(workers=1)
         ref = _Fanout(ref_rt, pieces)
@@ -205,7 +206,7 @@ class TestSteadyLaunchCounts:
             assert d["shards_frames"] == d["result_frames"] == UNITS
             assert d["result_loads"] == UNITS
             assert d["shards"] == d["memo_hits"] == UNITS
-            assert d["allocations"] == 0
+            assert d["segments"] == 0
             # Socket plans carry their read footprints, so no two are the
             # same bytes and the worker memo never holds one.
             assert d["worker_plan_hits"] == (d["shards"] if mapped else 0)
@@ -276,9 +277,10 @@ def bump_faulting(ctx, r, kind, marker):
 
 def _slot_spy(pool):
     """Every undo slot or progress counter an attempt names that another
-    attempt of the same dispatch already named: offsets grow across a
-    dispatch, retries included (exec/shm.py), so the list stays empty."""
-    seen, twice = set(), []
+    worker's attempt of the same dispatch already named: each worker has a
+    segment of its own (exec/shm.py), so the list stays empty.  A retry on
+    the same worker names its own slots again by design."""
+    owner, shared = {}, []
     submit = pool.submit_shards
 
     def spy(k, items):
@@ -289,24 +291,23 @@ def _slot_spy(pool):
             ]
             for slot in filter(None, named):
                 key = (epoch, slot[0], slot[1])
-                if key in seen:
-                    twice.append(key[1:])
-                seen.add(key)
+                if owner.setdefault(key, k) != k:
+                    shared.append(key[1:])
         return submit(k, items)
 
     pool.submit_shards = spy
-    return twice
+    return shared
 
 
 class TestLadderOnAWarmMemo:
     """Kill, hang and corrupt in the 4th launch of a steady ``+=`` loop,
-    once the parent memo, the slot retake and the worker memo are warm —
-    and ``lost``: worker 0 dies between the 3rd and the 4th launch.
+    once the parent memo, the reused undo slots and the worker memo are
+    warm — and ``lost``: worker 0 dies between the 3rd and the 4th launch.
     Node 2 shares worker 0's unit with node 0 and follows it: a kill or
     hang at point 1 means node 2's points never ran.  A lost worker runs
-    none of its unit, so the unit's retaken progress counter must read 0
-    — not the last launch's 4 — when it is restored.  The corrupt retry
-    must not retake slots its own dispatch already handed out."""
+    none of its unit, so the unit's reused progress counter must read 0 —
+    not the last launch's 4 — when it is restored.  The corrupt retry
+    reuses its own slots, which no other worker may name."""
 
     @pytest.mark.parametrize("kind, timeout", [
         ("kill", 30.0), ("hang", 0.3), ("corrupt", 30.0), ("lost", 30.0),
@@ -322,7 +323,7 @@ class TestLadderOnAWarmMemo:
             part = equal_partition(f"wm_p{region.uid}", region, 8)
             for n in range(6):
                 if rt is not ref_rt and n == 2:
-                    twice = _slot_spy(rt.backend.pool())
+                    shared = _slot_spy(rt.backend.pool())
                     warm = _counters(rt)
                 if rt is not ref_rt and n == 3 and kind == "lost":
                     rt.backend.pool().transport.drop_connection(0)
@@ -330,13 +331,13 @@ class TestLadderOnAWarmMemo:
                 if rt is not ref_rt and n == 2:
                     # The 3rd launch ran on all three fast paths.
                     now = _counters(rt)
-                    assert now["allocations"] == warm["allocations"]
+                    assert now["segments"] == warm["segments"]
                     assert now["worker_plan_hits"] == warm[
                         "worker_plan_hits"] + UNITS
                     assert rt.backend.stats.plan_memo_blob_reuse == UNITS
             runs.append(region.storage("x").tobytes())
         assert os.path.exists(marker) == (kind != "lost")
-        assert twice == []
+        assert shared == []
         assert runs[0] == runs[1] == np.full(32, 6.0).tobytes()
         stats = rt.backend.stats
         assert stats.fallbacks == 0

@@ -68,6 +68,86 @@ def named_repo_paths(text):
         yield head + "*" if brace else head.rstrip(".")
 
 
+def repro_classes():
+    """Every class defined under ``src/repro``, by name, as AST nodes (a
+    name two modules define maps to both)."""
+    classes = {}
+    for path in glob.glob(os.path.join(ROOT, "src", "repro", "**", "*.py"),
+                          recursive=True):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(node)
+    return classes
+
+
+def own_attributes(node):
+    """What a class body defines: methods, nested classes, class
+    attributes, dataclass fields, ``__slots__`` entries, and every
+    ``self.attr =`` assignment in its methods."""
+    names = set()
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = {
+                sub.id
+                for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target])
+                for sub in ast.walk(target) if isinstance(sub, ast.Name)
+            }
+            names |= targets
+            if "__slots__" in targets:
+                names |= {
+                    c.value for c in ast.walk(stmt.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                }
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+            names.add(sub.attr)
+    return names
+
+
+def class_attributes(classes, name, seen=()):
+    """``own_attributes`` of the class ``name`` and of its ``repro`` bases,
+    plus what every object has."""
+    names = set(dir(object))
+    for node in classes.get(name, ()):
+        names |= own_attributes(node)
+        for base in node.bases:
+            base = getattr(base, "id", None) or getattr(base, "attr", None)
+            if base in classes and base not in seen:
+                names |= class_attributes(classes, base, seen + (name,))
+    return names
+
+
+#: a backticked ``Class.attr`` (or ``Class.attr()``), optionally prefixed
+#: by ``~module.``: the class name and the attribute.
+_SYMBOL = re.compile(r"`~?(?:[a-z_]\w*\.)*([A-Z_]\w*)\.(\w+)(?:\(\))?`")
+
+
+class TestSymbolNames:
+    def test_prose_names_existing_attributes(self):
+        """A backticked ``Class.attr`` naming a ``repro`` class must name
+        something the class has, so prose cannot keep quoting a method or
+        counter after the code dropped it."""
+        classes = repro_classes()
+        attributes = {}
+        unresolved = []
+        for name, text in prose_texts():
+            for cls, attr in _SYMBOL.findall(text):
+                if cls not in classes:
+                    continue
+                if cls not in attributes:
+                    attributes[cls] = class_attributes(classes, cls)
+                if attr not in attributes[cls]:
+                    unresolved.append((name, f"{cls}.{attr}"))
+        assert unresolved == []
+
+
 class TestDesignDocument:
     def test_design_names_existing_benchmarks(self):
         """Prose may point at a benchmark or a results file only if it
