@@ -20,6 +20,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.domain import Domain, Point, coerce_point
 from repro.core.projection import IdentityFunctor, ProjectionFunctor
 from repro.data.privileges import PrivilegeSpec
@@ -78,6 +80,21 @@ class RegionRequirement:
             return self.subregion
         color = self.functor.apply(point)
         return self.partition[color]
+
+    def project_all(self, points: Sequence[Point]) -> List[Subregion]:
+        """``[self.project(p) for p in points]`` from one batched functor
+        evaluation.  A colour the batch cannot resolve sends the whole call
+        per point, which raises exactly what :meth:`project` raises."""
+        if self.partition is None:
+            return [self.subregion] * len(points)
+        try:
+            batch = np.asarray(points, dtype=np.int64)
+            found = self.partition.lookup(self.functor.apply_batch(batch))
+            if len(found) == len(points):
+                return found
+        except Exception:  # per point below: raise what project raises
+            pass
+        return [self.project(p) for p in points]
 
     def resolved_fields(self) -> Tuple[str, ...]:
         """The fields accessed (defaults to all fields of the region)."""

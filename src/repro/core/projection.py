@@ -71,6 +71,8 @@ class ProjectionFunctor:
     def apply_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate over an ``(n, dim)`` int64 array, returning ``(n, out_dim)``.
 
+        Row ``i`` must equal ``apply(points[i])``, for any ``dim``: the
+        1-D families read the first coordinate only, as ``apply`` does.
         The default falls back to a Python loop; numeric subclasses override
         this with numpy expressions.
         """
@@ -177,7 +179,7 @@ class AffineFunctor(ProjectionFunctor):
         return Point(self.a * point[0] + self.b)
 
     def apply_batch(self, points: np.ndarray) -> np.ndarray:
-        return self.a * points + self.b
+        return self.a * points[:, :1] + self.b
 
     def static_injectivity(self, domain: Domain) -> Injectivity:
         if domain.volume <= 1 or self.a != 0:
@@ -216,7 +218,7 @@ class ModularFunctor(ProjectionFunctor):
         return Point((point[0] + self.k) % self.n)
 
     def apply_batch(self, points: np.ndarray) -> np.ndarray:
-        return (points + self.k) % self.n
+        return (points[:, :1] + self.k) % self.n
 
     def describe(self) -> str:
         return f"lambda i: (i + {self.k}) mod {self.n}"
@@ -244,7 +246,8 @@ class QuadraticFunctor(ProjectionFunctor):
         return Point(self.a * i * i + self.b * i + self.c)
 
     def apply_batch(self, points: np.ndarray) -> np.ndarray:
-        return self.a * points * points + self.b * points + self.c
+        i = points[:, :1]
+        return self.a * i * i + self.b * i + self.c
 
     def describe(self) -> str:
         return f"lambda i: {self.a}*i^2 + {self.b}*i + {self.c}"

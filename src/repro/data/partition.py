@@ -140,6 +140,12 @@ class Partition:
     def __getitem__(self, color) -> Subregion:
         return self._subregions[coerce_point(color, self.color_space.dim)]
 
+    def lookup(self, colors: np.ndarray) -> List[Subregion]:
+        """The subregions of an ``(n, dim)`` colour array, in order;
+        ``KeyError`` for a colour (of any length) not in the colour space."""
+        rows = map(tuple, colors.tolist())
+        return list(map(self._subregions.__getitem__, rows))
+
     def subregion(self, color) -> Subregion:
         """The subregion with the given color."""
         return self[color]

@@ -101,8 +101,10 @@ class ExecutionBackend:
 
     def _expansion(self, launch, sig, assignment, cache, total):
         """Post-distribution expansion: reuse the memoized template
-        (requirement footprints, analyzer access triples, PhysicalRegion
-        views) or build and store it on the first issue.
+        (analyzer accesses, PhysicalRegion views and args per point) or
+        build and store it on the first issue (:meth:`ExpansionTemplate.
+        expand`: one batched projection per requirement, one plan per
+        point).
 
         Returns a callable giving the ordered ``[(node, PointPlan)]`` list.
         On a template hit the list is materialised on first call only, so
@@ -114,6 +116,7 @@ class ExecutionBackend:
         t_expand = prof.mark()
         template = cache.get_expansion(sig) if cache is not None else None
         cached = template is not None
+        plan_list = None
         if cached:
             rt.stats.analysis_cache_hits += 1
         else:
@@ -121,26 +124,23 @@ class ExecutionBackend:
                 base_args=launch.args,
                 had_point_args=launch.point_args is not None,
             )
-        plan_list = None
+            plan_list = template.expand(launch, assignment)
+            if cache is not None:
+                cache.put_expansion(sig, template)
 
         def plans() -> List[Tuple[int, PointPlan]]:
             nonlocal plan_list
-            if plan_list is None and cached:
+            if plan_list is None:
                 plan_list = template.ordered_plans(launch, assignment)
             if plan_list is None:
-                make = template.point_plan if cached else template.add_point
                 plan_list = [
-                    (node, make(launch, point))
+                    (node, template.point_plan(launch, point))
                     for node in sorted(assignment)
                     for point in assignment[node]
                 ]
                 template.store_plans(launch, assignment, plan_list)
             return plan_list
 
-        if not cached:
-            plans()
-            if cache is not None:
-                cache.put_expansion(sig, template)
         if prof.enabled:
             prof.phase("expansion", "expansion", t_expand,
                        launch=launch.name, cached=cached, points=total)
@@ -257,17 +257,16 @@ class ExecutionBackend:
         ran = 0
         try:
             for tid, (node, plan) in work:
-                tl = plan.task_launch
-                point = tl.point
+                point = plan.point
                 if inj is not None:
                     inj.fire_inline(point, node)
                 ran += 1
                 ctx = TaskContext(point, node, rt)
                 t0 = prof.now() if prof is not None else None
-                values[point] = fn(ctx, *plan.regions, *tl.args)
+                values[point] = fn(ctx, *plan.regions, *plan.args)
                 if prof is not None:
                     # Spans group by base task name; the point is an arg.
-                    name = tl.name
+                    name = plan.task_launch.name
                     prof.phase(
                         f"execute:{name.split('(', 1)[0]}", Stage.EXECUTION,
                         t0, node=node, task=name,

@@ -661,9 +661,10 @@ class ParallelBackend(ExecutionBackend):
         self.pool()  # a replaced pool invalidates every memo, first
         memo = self._memo_for(sig, launch, assignment)
 
-        # The serial plan order, per-point projections (pure:
-        # functor.apply + partition lookup) and the units built from them
-        # — signature-pure, so a valid memo serves them all.
+        # The serial plan order, per-point projections (pure: one batched
+        # functor evaluation per requirement, then colour lookups) and the
+        # units built from them — signature-pure, so a valid memo serves
+        # them all.
         if memo is not None and memo.units is not None:
             flat_points, projections = memo.flat_points, memo.projections
             units = memo.units
@@ -672,10 +673,9 @@ class ParallelBackend(ExecutionBackend):
             flat_points = [
                 (node, point) for node in nodes for point in assignment[node]
             ]
-            projections = [
-                [req.project(point) for req in launch.requirements]
-                for _, point in flat_points
-            ]
+            points = [point for _, point in flat_points]
+            columns = [req.project_all(points) for req in launch.requirements]
+            projections = list(zip(*columns)) or [()] * len(points)
             units = _build_units(launch.requirements, assignment, nodes,
                                  projections, self.workers)
             if memo is not None:

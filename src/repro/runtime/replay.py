@@ -12,11 +12,13 @@ memoization layers, all keyed by the runtime's ``_launch_signature`` —
    bitmask checks are pure in (domain, functors+modes, color bounds) — a
    strictly *coarser* key than the launch signature — so even distinct
    launches sharing a functor/domain pair skip re-evaluation.
-3. **Expansion templates** (:class:`ExpansionTemplate`): the per-point
-   concrete requirements, dependence-analysis access triples, and
-   :class:`~repro.runtime.task.PhysicalRegion` views produced by
-   ``launch.point_task(point)`` — the object churn happens once per
-   distinct launch, not once per issue.
+3. **Expansion templates** (:class:`ExpansionTemplate`): per point, a
+   :class:`PointPlan` of args, dependence-analysis access triples and
+   :class:`~repro.runtime.task.PhysicalRegion` views, built from one
+   batched projection per requirement
+   (:meth:`~repro.core.launch.RegionRequirement.project_all`) — once per
+   distinct launch, not once per issue.  No ``TaskLaunch`` is built for
+   a point unless a caller asks for one.
 4. **Physical dependence templates**
    (:class:`~repro.runtime.physical.DependenceTemplate`): recorded on a
    trace-validated replay and re-stamped with fresh task ids on later
@@ -37,7 +39,8 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from itertools import starmap
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +65,8 @@ def estimate_bytes(obj, depth: int = 3) -> int:
     Deliberately an *estimate*: shared substructure is double-counted and
     recursion is depth-capped, so the number bounds growth rather than
     reports exact RSS.  numpy buffers (the dominant payloads — check masks,
-    sparse indices) are counted exactly via ``nbytes``.
+    sparse indices) are counted exactly via ``nbytes``, and attributes
+    whether in ``__dict__`` or ``__slots__``.
     """
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes) + 96
@@ -84,6 +88,8 @@ def estimate_bytes(obj, depth: int = 3) -> int:
     inner = getattr(obj, "__dict__", None)
     if inner:
         size += estimate_bytes(inner, depth - 1)
+    for name in getattr(type(obj), "__slots__", ()):
+        size += estimate_bytes(getattr(obj, name, None), depth - 1)
     return size
 
 
@@ -132,8 +138,12 @@ class DynamicCheckMemo:
 
     @property
     def bytes_estimate(self) -> int:
-        """Estimated resident bytes of the memoized results."""
-        return self._bytes
+        """Estimated resident bytes of the memoized results: charged as
+        they are stored under a byte budget, summed when read otherwise."""
+        if self.byte_budget is not None:
+            return self._bytes
+        return sum(estimate_bytes(k) + estimate_bytes(v)
+                   for k, v in self._cache.items())
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -144,10 +154,11 @@ class DynamicCheckMemo:
         return self.byte_budget is not None and self._bytes > self.byte_budget
 
     def _store(self, key: tuple, result: CheckResult) -> None:
-        est = estimate_bytes(key) + estimate_bytes(result)
         self._cache[key] = result
-        self._bytes += est - self._sizes.get(key, 0)
-        self._sizes[key] = est
+        if self.byte_budget is not None:
+            est = estimate_bytes(key) + estimate_bytes(result)
+            self._bytes += est - self._sizes.get(key, 0)
+            self._sizes[key] = est
         # Never evict the entry just stored (it is the MRU end), so a
         # budget of 1 still serves the launch being issued.
         while self._over_budget() and len(self._cache) > 1:
@@ -200,34 +211,55 @@ class DynamicCheckMemo:
         return result
 
 
-@dataclass
+@dataclass(slots=True)
 class PointPlan:
-    """Everything reusable about one point task of a cached launch."""
+    """Everything reusable about one point task: its point and args, the
+    accesses the analyzer reads and the :class:`PhysicalRegion` views its
+    body gets.  Per-task paths hand in their :class:`TaskLaunch`
+    (:meth:`of`); an index launch's plans build one from ``parent`` only
+    when asked (a profiler span name).
+    """
 
-    task_launch: TaskLaunch
-    requirements: List[RegionRequirement]
-    accesses: List[tuple]  # (subregion, privilege, fields) for the analyzer
-    regions: List[PhysicalRegion]
+    point: Optional[tuple]
+    args: tuple
+    accesses: Sequence[tuple]  # (subregion, privilege, fields) triples
+    regions: Sequence[PhysicalRegion]
+    parent: Optional[IndexLaunch] = None
+    _task_launch: Optional[TaskLaunch] = None
 
     @classmethod
     def of(cls, task_launch: TaskLaunch) -> "PointPlan":
         """The plan of a task launch with concrete requirements."""
-        reqs = task_launch.requirements
-        triples = [(r.subregion, r.privilege, r.resolved_fields()) for r in reqs]
-        return cls(task_launch, list(reqs), triples,
-                   [PhysicalRegion(*t) for t in triples])
+        triples = [(r.subregion, r.privilege, r.resolved_fields())
+                   for r in task_launch.requirements]
+        return cls(task_launch.point, task_launch.args, triples,
+                   [PhysicalRegion(*t) for t in triples],
+                   task_launch.parent, task_launch)
+
+    @property
+    def task_launch(self) -> TaskLaunch:
+        """The point task, with concrete requirements (built once)."""
+        if self._task_launch is None:
+            launch = self.parent
+            reqs = [RegionRequirement(r.privilege, r.fields, subregion=acc[0])
+                    for r, acc in zip(launch.requirements, self.accesses)]
+            self._task_launch = TaskLaunch(launch.task, reqs, self.args,
+                                           self.point, parent=launch)
+        return self._task_launch
 
 
 @dataclass
 class ExpansionTemplate:
-    """Memoized ``launch.point_task`` expansion for one launch signature.
+    """The memoized expansion of one launch signature: one
+    :class:`PointPlan` per point, built once by :meth:`expand`.
 
-    The concrete requirements depend only on the signature (partition,
-    functor, domain).  The cached :class:`TaskLaunch` objects additionally
-    bake in the broadcast ``args``, so they are reused only while the
-    reissued launch carries identical args and no per-point argument map;
-    otherwise fresh ``TaskLaunch`` objects are built from the cached
-    requirements (still skipping every ``req.project`` call).
+    The accesses and region views depend only on the signature
+    (partition, functor, domain).  A plan's args also bake in the
+    broadcast ``args`` and any per-point :class:`ArgumentMap` extra, so a
+    reissue whose args moved gets fresh plans that share the cached
+    accesses and views (:meth:`point_plan`).  Neither path builds a
+    :class:`TaskLaunch`, and only :meth:`expand` projects: once per
+    requirement.
     """
 
     plans: Dict[tuple, PointPlan] = field(default_factory=dict)
@@ -242,9 +274,8 @@ class ExpansionTemplate:
     plan_list: Optional[list] = field(default=None, repr=False)
 
     def reusable_for(self, launch: IndexLaunch) -> bool:
-        """Whether the baked-in ``TaskLaunch`` objects serve ``launch``:
-        args that cannot be compared with ``==`` (numpy arrays) are not
-        the same args."""
+        """Whether the baked-in args serve ``launch``: args that cannot be
+        compared with ``==`` (numpy arrays) are not the same args."""
         if self.had_point_args or launch.point_args is not None:
             return False
         try:
@@ -255,8 +286,8 @@ class ExpansionTemplate:
     def ordered_plans(self, launch: IndexLaunch, assignment) -> Optional[list]:
         """The cached [(node, PointPlan)] list for ``assignment``, or None.
 
-        Only valid when the baked-in TaskLaunch objects are reusable as-is;
-        callers build (and may :meth:`store_plans`) otherwise.
+        Only valid when the baked-in args are reusable as-is; callers build
+        (and may :meth:`store_plans`) otherwise.
         """
         if self.plan_list_key is assignment and self.reusable_for(launch):
             return self.plan_list
@@ -267,29 +298,40 @@ class ExpansionTemplate:
             self.plan_list_key = assignment
             self.plan_list = plans
 
-    def add_point(self, launch: IndexLaunch, point) -> PointPlan:
-        """Expand ``point`` for the first time and keep its plan."""
-        plan = self.plans[tuple(point)] = PointPlan.of(launch.point_task(point))
-        return plan
+    def expand(self, launch: IndexLaunch, assignment) -> list:
+        """The first expansion of ``launch``: the [(node, PointPlan)] list
+        in serial plan order (sorted node, then the node's points), from
+        one batched projection per requirement and one plan per point,
+        kept under its point."""
+        flat = [(node, point)
+                for node in sorted(assignment) for point in assignment[node]]
+        points = [point for _, point in flat]
+        columns = [
+            [(sub, req.privilege, fields) for sub in req.project_all(points)]
+            for req in launch.requirements
+            for fields in (req.resolved_fields(),)
+        ]
+        rows = zip(*columns) if columns else [()] * len(flat)
+        args, extra = launch.args, launch.point_args
+        plans = []
+        for (node, point), acc in zip(flat, rows):
+            plan = self.plans[tuple(point)] = PointPlan(
+                point, args if extra is None else args + extra.get(point),
+                acc, list(starmap(PhysicalRegion, acc)), launch,
+            )
+            plans.append((node, plan))
+        self.store_plans(launch, assignment, plans)
+        return plans
 
     def point_plan(self, launch: IndexLaunch, point) -> PointPlan:
-        """The plan for ``point``, rebuilding the TaskLaunch if args moved."""
+        """The plan for ``point``; if args moved, a fresh plan carrying
+        them that shares the cached accesses and views."""
         plan = self.plans[tuple(point)]
         if self.reusable_for(launch):
             return plan
-        extra = (
-            launch.point_args.get(plan.task_launch.point)
-            if launch.point_args is not None
-            else ()
-        )
-        fresh = TaskLaunch(
-            task=launch.task,
-            requirements=plan.requirements,
-            args=launch.args + extra,
-            point=plan.task_launch.point,
-            parent=launch,
-        )
-        return PointPlan(fresh, plan.requirements, plan.accesses, plan.regions)
+        extra = launch.point_args
+        args = launch.args + (() if extra is None else extra.get(plan.point))
+        return PointPlan(plan.point, args, plan.accesses, plan.regions, launch)
 
 
 class LaunchReplayCache:
@@ -303,8 +345,11 @@ class LaunchReplayCache:
     semantically a cold miss: every layer's absence already falls back to
     recomputation, and each layer is pure in the signature (the physical
     template additionally self-validates), so a reissued evicted launch is
-    byte-identical to a never-cached one.  Both budgets default to ``None``
-    = unbounded, the original batch-mode behavior.
+    byte-identical to a never-cached one.  A byte budget charges each
+    signature per layer, so a layer dropped on its own (a physical template
+    on a trace break or a failed validation) stops being charged.  Both
+    budgets default to ``None`` = unbounded, the original batch-mode
+    behavior.
     """
 
     def __init__(self, profiler=None, entry_budget: Optional[int] = None,
@@ -319,7 +364,8 @@ class LaunchReplayCache:
         self._profiler = profiler
         self.entry_budget = entry_budget
         self.byte_budget = byte_budget
-        self._lru: "OrderedDict[tuple, int]" = OrderedDict()  # sig -> est bytes
+        #: sig -> {layer: estimated bytes} (estimates under a byte budget)
+        self._lru: "OrderedDict[tuple, Dict[object, int]]" = OrderedDict()
         self._bytes = 0
         self.evictions = 0
 
@@ -331,8 +377,13 @@ class LaunchReplayCache:
     # ------------------------------------------------------------ budgeting
     @property
     def bytes_estimate(self) -> int:
-        """Estimated resident bytes across the signature-keyed layers."""
-        return self._bytes
+        """Estimated resident bytes across the signature-keyed layers:
+        charged per layer as stored under a byte budget, summed over the
+        live entries when read otherwise."""
+        if self.byte_budget is not None:
+            return self._bytes
+        layers = (self._verdicts, self._expansions, self._physical)
+        return sum(estimate_bytes(v) for d in layers for v in d.values())
 
     def __len__(self) -> int:
         """Distinct signatures currently tracked by the LRU."""
@@ -342,24 +393,32 @@ class LaunchReplayCache:
         if sig in self._lru:
             self._lru.move_to_end(sig)
 
-    def _account(self, sig: tuple, obj) -> None:
-        """Charge ``obj``'s estimated size to ``sig`` and enforce budgets."""
+    def _account(self, sig: tuple, layer, obj) -> None:
+        """Make ``sig`` the most recent signature and enforce budgets.
+
+        Only a byte budget estimates ``obj``: its size replaces whatever
+        ``layer`` of ``sig`` was charged before (an entry budget counts
+        signatures, and an unbounded cache tracks nothing).
+        """
         if self.entry_budget is None and self.byte_budget is None:
-            return  # unbounded: skip the estimator entirely (hot path)
-        est = estimate_bytes(obj)
-        if sig in self._lru:
-            self._lru[sig] += est
-            self._lru.move_to_end(sig)
-        else:
-            self._lru[sig] = est
-        self._bytes += est
+            return  # unbounded: nothing to track (hot path)
+        charges = self._lru.setdefault(sig, {})
+        self._lru.move_to_end(sig)
+        if self.byte_budget is not None:
+            est = estimate_bytes(obj)
+            self._bytes += est - charges.get(layer, 0)
+            charges[layer] = est
         while self._over_budget() and len(self._lru) > 1:
             # The signature just stored sits at the MRU end, so the LRU
             # head is always a *different* signature: the launch being
             # issued keeps its own layers even under a budget of 1.
-            old_sig, old_est = self._lru.popitem(last=False)
-            self._bytes -= old_est
+            old_sig, old = self._lru.popitem(last=False)
+            self._bytes -= sum(old.values())
             self._evict(old_sig)
+
+    def _discharge(self, sig: tuple, layer) -> None:
+        """Stop charging one dropped layer of a signature."""
+        self._bytes -= self._lru.get(sig, {}).pop(layer, 0)
 
     def _over_budget(self) -> bool:
         if self.entry_budget is not None and len(self._lru) > self.entry_budget:
@@ -378,9 +437,7 @@ class LaunchReplayCache:
 
     def _forget(self, sig: tuple) -> None:
         """Stop tracking a signature whose layers were dropped elsewhere."""
-        est = self._lru.pop(sig, None)
-        if est is not None:
-            self._bytes -= est
+        self._bytes -= sum(self._lru.pop(sig, {}).values())
 
     # ------------------------------------------------------------- verdicts
     def replayed_verdict(
@@ -410,7 +467,7 @@ class LaunchReplayCache:
 
     def put_verdict(self, sig: tuple, run_dynamic: bool, verdict: SafetyVerdict):
         self._verdicts[(sig, run_dynamic)] = verdict
-        self._account(sig, verdict)
+        self._account(sig, ("verdict", run_dynamic), verdict)
         self._note("verdict", "stored")
 
     # ------------------------------------------------------------ expansion
@@ -423,7 +480,7 @@ class LaunchReplayCache:
 
     def put_expansion(self, sig: tuple, template: ExpansionTemplate):
         self._expansions[sig] = template
-        self._account(sig, template)
+        self._account(sig, "expansion", template)
         self._note("expansion", "stored")
 
     # ------------------------------------------------------------- physical
@@ -436,17 +493,20 @@ class LaunchReplayCache:
 
     def put_physical(self, sig: tuple, template: DependenceTemplate):
         self._physical[sig] = template
-        self._account(sig, template)
+        self._account(sig, "physical", template)
         self._note("physical", "stored")
 
     def drop_physical_for(self, sig: tuple) -> bool:
         dropped = self._physical.pop(sig, None) is not None
         if dropped:
+            self._discharge(sig, "physical")
             self._note("physical", "dropped")
         return dropped
 
     def drop_physical(self) -> int:
         """Drop every physical template (trace break); returns the count."""
+        for sig in self._physical:
+            self._discharge(sig, "physical")
         n = len(self._physical)
         self._physical.clear()
         return n

@@ -152,3 +152,45 @@ class TestLaunchReplayCacheBudget:
             RuntimeConfig(cache_entry_budget=0)
         with pytest.raises(ValueError):
             RuntimeConfig(cache_byte_budget=-5)
+
+
+def diverging_trace(iters, budget):
+    """A traced loop of two launches over three signatures whose second
+    launch switches functor every other iteration: each switch breaks
+    the trace, dropping every physical template, and the next iteration
+    records them again.  Returns the runtime and ``bytes_estimate`` after
+    each iteration."""
+    rt = Runtime(RuntimeConfig(n_nodes=2, tracing=True,
+                               cache_byte_budget=budget))
+    region = rt.create_region("drift_rx", 32, {"x": "f8"})
+    part = equal_partition("drift_p", region, 8)
+    second = [ModularFunctor(8, 1), ModularFunctor(8, 3)]
+    estimates = []
+    for it in range(iters):
+        rt.begin_trace(4)
+        rt.index_launch(bump, 8, part)
+        rt.index_launch(bump, 8, (part, second[(it // 2) % 2]))
+        rt.end_trace(4)
+        estimates.append(rt.replay_cache.bytes_estimate)
+    return rt, estimates
+
+
+class TestDroppedLayersLeaveTheBudget:
+    def test_estimate_stays_flat_across_trace_breaks(self):
+        rt, estimates = diverging_trace(60, budget=1 << 30)
+        # Every even iteration from the third on diverged and dropped the
+        # physical templates recorded since the last break: the same
+        # state each time, so the same charge.
+        after_breaks = estimates[2::2]
+        assert len(set(after_breaks)) == 1, after_breaks
+        cache = rt.replay_cache
+        live = sum(
+            estimate_bytes(entry)
+            for layer in (cache._verdicts, cache._expansions, cache._physical)
+            for entry in layer.values()
+        )
+        assert abs(cache.bytes_estimate - live) <= live // 4
+
+    def test_a_budget_the_live_layers_fit_evicts_nothing(self):
+        rt, _ = diverging_trace(200, budget=60000)
+        assert rt.replay_cache.evictions == 0

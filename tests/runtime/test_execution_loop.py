@@ -2,9 +2,10 @@
 
 Every in-process body runs through ``ExecutionBackend.execute``: a serial
 launch tail, an expanded launch (fallback loop, No-IDX, early expansion)
-and a single task.  Its bookkeeping is per launch, so the count guard here
-measures Python calls per point of a steady traced replay and the fault
-tests pin what the loop stamps on an ``InjectedFaultError``.
+and a single task.  Its bookkeeping is per launch, so the count guards here
+measure Python calls per point of a steady traced replay and of a first
+issue, and the fault tests pin what the loop stamps on an
+``InjectedFaultError``.
 """
 
 import sys
@@ -71,6 +72,46 @@ class TestCallsPerPoint:
             if large[name] - small.get(name, 0) >= points
         }
         assert scaling == {"noop", "__init__"}      # TaskContext.__init__
+
+
+def calls_in_first_issue(pieces):
+    """Python ``call`` events of one first issue — a signature no cache
+    holds, under an entry budget — of a BUMP launch over a disjoint
+    partition through a bijective functor (the aligned shape), by
+    function name."""
+    rt = Runtime(RuntimeConfig(workers=1, tracing=False,
+                               cache_entry_budget=16))
+    region = rt.create_region("first", 4 * pieces, {"x": "f8"})
+    part = equal_partition(f"first_p{pieces}", region, pieces)
+    for offset in range(1, 4):
+        rt.index_launch(bump, pieces, (part, ModularFunctor(pieces, offset)))
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        rt.index_launch(bump, pieces, (part, ModularFunctor(pieces, 7)))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestFirstIssueCallsPerPoint:
+    """A first issue expands by one batched projection per requirement
+    and one plan per point: no ``TaskLaunch``, concrete requirement or
+    functor call per point, and no size estimate without a byte budget."""
+
+    def test_a_point_costs_its_plan_its_body_and_its_analysis(self):
+        small, large = calls_in_first_issue(16), calls_in_first_issue(256)
+        points = 256 - 16
+        growth = sum(large.values()) - sum(small.values())
+        assert growth / points <= 24
+        for name in ("point_task", "project", "apply", "coerce_point",
+                     "__post_init__", "estimate_bytes"):
+            assert large[name] == small[name], name
 
 
 def _kill(point):

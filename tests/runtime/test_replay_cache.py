@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.domain import Point
+from repro.core.launch import ArgumentMap, IndexLaunch
 from repro.core.projection import ModularFunctor
-from repro.data.partition import equal_partition
+from repro.data.partition import block_partition, equal_partition
 from repro.runtime import Runtime, RuntimeConfig, task
 from repro.runtime.mapper import CyclicMapper
 from repro.tools.graph import GraphRecorder
@@ -356,3 +357,58 @@ class TestPhysicalTemplateArguments:
             rt.end_trace(2)
         assert np.all(ry.storage("y") == 3.0)  # last iteration's alpha
         assert rt.stats.analysis_cache_hits > 0
+
+
+@task(privileges=["reads writes", "reads"])
+def shift(ctx, dst, src, alpha, offset=0.0):
+    dst.write("x", dst.read("x") * alpha + offset)
+    return float(src.read("z").sum()) * alpha + offset
+
+
+def argument_program(analysis_cache):
+    """Two launch signatures over a rotated disjoint partition and a halo
+    partition, issued with moving args: one first issued with a per-point
+    ``ArgumentMap``, one first issued without and later given one.
+    Returns (x bytes, future values per issue)."""
+    rt = Runtime(RuntimeConfig(n_nodes=3, tracing=True,
+                               analysis_cache=analysis_cache))
+    rx = rt.create_region("ax", 24, {"x": "f8"})
+    rz = rt.create_region("az", 24, {"z": "f8"})
+    rx.storage("x")[:] = np.arange(24.0)
+    rz.storage("z")[:] = np.arange(24.0) % 5
+    px = equal_partition(f"apx{rx.uid}", rx, 8)
+    hz = block_partition(f"ahz{rz.uid}", rz, (8,), halo=1)
+    amap = ArgumentMap(lambda p: (p[0] / 4.0,))
+    rotated = (px, ModularFunctor(8, 3))
+    issues = [
+        (rotated, (2.0,), amap), (px, (0.5,), None),
+        (rotated, (2.0,), None), (px, (1.5,), None),
+        (rotated, (3.0,), amap), (px, (1.5,), amap),
+        (px, (1.5,), None),
+    ]
+    futures = []
+    for it in range(2):
+        rt.begin_trace(5)
+        for dst, args, point_args in issues:
+            fm = rt.index_launch(shift, 8, dst, hz, args=args,
+                                 point_args=point_args)
+            futures.append([fm.get(Point(i)) for i in range(8)])
+        rt.end_trace(5)
+    return rx.storage("x").tobytes(), futures
+
+
+class TestBatchedExpansion:
+    def test_argument_maps_and_moved_args_match_the_uncached_run(
+        self, monkeypatch
+    ):
+        """First issues expand by batched projection; reissues whose args
+        moved reuse the cached views with fresh args.  Regions and futures
+        are byte-identical to a run that caches nothing, and no index
+        launch materialises a point task."""
+        def no_point_tasks(self, point):
+            raise AssertionError("index launch expanded through point_task")
+
+        monkeypatch.setattr(IndexLaunch, "point_task", no_point_tasks)
+        assert argument_program(analysis_cache=True) == argument_program(
+            analysis_cache=False
+        )
