@@ -193,7 +193,6 @@ def dynamic_self_check(
     functor: ProjectionFunctor,
     color_bounds: Rect,
     use_numpy: bool = True,
-    apply_batch=None,
     points: Optional[np.ndarray] = None,
 ) -> CheckResult:
     """Vectorized injectivity check for one functor over the launch domain.
@@ -201,8 +200,6 @@ def dynamic_self_check(
     Semantically identical to :func:`self_check_reference`, but evaluates the
     functor over the whole domain at once and detects duplicates with a sort.
     Set ``use_numpy=False`` to run the reference path (early-exit loop).
-    ``apply_batch`` optionally replaces ``functor.apply_batch`` with an
-    exact-preserving evaluator (e.g. chunked across worker processes);
     ``points`` optionally supplies a pre-materialized ``domain.point_array()``
     so repeated checks over one domain share a single array.
     """
@@ -210,11 +207,7 @@ def dynamic_self_check(
         return self_check_reference(domain, functor, color_bounds)
     if points is None:
         points = domain.point_array()
-    values = (
-        apply_batch(functor, points)
-        if apply_batch is not None
-        else functor.apply_batch(points)
-    )
+    values = functor.apply_batch(points)
     linear, oob = _linearize_batch(values, color_bounds)
     dup = _first_duplicate(linear)
     if dup is None:
@@ -242,7 +235,6 @@ def dynamic_cross_check(
     args: Sequence[Tuple[ProjectionFunctor, str]],
     color_bounds: Rect,
     use_numpy: bool = True,
-    apply_batch=None,
     points: Optional[np.ndarray] = None,
 ) -> CheckResult:
     """Vectorized linear-time cross-check for arguments sharing one partition.
@@ -250,10 +242,8 @@ def dynamic_cross_check(
     Writes are validated for mutual disjointness (across *all* write
     arguments, which subsumes each write argument's self-check) and reads
     are validated against the union of write images.  Reads may freely
-    overlap other reads.  ``apply_batch`` optionally replaces
-    ``functor.apply_batch`` with an exact-preserving evaluator (e.g.
-    chunked across worker processes for large domains); ``points``
-    optionally supplies a pre-materialized ``domain.point_array()``.
+    overlap other reads.  ``points`` optionally supplies a
+    pre-materialized ``domain.point_array()``.
     """
     if not use_numpy:
         return cross_check_reference(domain, args, color_bounds)
@@ -267,11 +257,7 @@ def dynamic_cross_check(
     write_order: List[Tuple[int, np.ndarray]] = []
     read_order: List[Tuple[int, np.ndarray]] = []
     for arg_index, (functor, mode) in enumerate(args):
-        values = (
-            apply_batch(functor, points)
-            if apply_batch is not None
-            else functor.apply_batch(points)
-        )
+        values = functor.apply_batch(points)
         linear, oob = _linearize_batch(values, color_bounds)
         oob_total += oob
         if oob:

@@ -466,8 +466,8 @@ class ParallelBackend(ExecutionBackend):
             # Fresh workers hold nothing a memoized skeleton assumes, and a
             # shut-down pool released the instances its footprints mapped.
             self._plan_memo.clear()
-        # Re-point every fetch: pools are shared across runtimes, and pool
-        # failures should land in *this* runtime's metrics/trace.
+        # Re-point every fetch: pools are shared across runtimes, and
+        # teardown errors should land in *this* runtime's metrics/trace.
         self._pool.profiler = self.rt.profiler
         return self._pool
 
@@ -485,10 +485,6 @@ class ParallelBackend(ExecutionBackend):
         region keep its mapping, and a launch after the release would
         write it in place without undo slots."""
         release_instances(self.rt._regions)
-
-    def batch_evaluator(self, functor, points: np.ndarray) -> np.ndarray:
-        """Chunked functor evaluation for large dynamic checks."""
-        return self.pool().apply_batch_chunked(functor, points)
 
     # ---------------------------------------------------------- eligibility
     def _eligible(self, launch, assignment, safe_order_free: bool) -> bool:

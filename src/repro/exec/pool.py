@@ -14,7 +14,9 @@ fds, with ``pipe`` forking persistent workers wired by raw pipes and
 ``socket`` running standalone worker processes over loopback sockets
 (see ``docs/distributed-transport.md``).
 The pool keeps everything transport-independent: cache bookkeeping,
-respawn generations, the shm arena, and failure metrics.
+respawn generations, the shm arena, and teardown-error counts.  The pool
+carries launch units only: dynamic checks are evaluated inline in the
+parent, one vectorised sweep per check.
 
 Pools are cached per ``(worker count, transport)`` in a module-level
 registry so iterated benchmarks and long CLI runs reuse warm workers;
@@ -27,18 +29,10 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.exec.plan import dumps, loads
 from repro.exec.shm import ShmArena, release_instances
-from repro.exec.transport import (
-    WorkerLost,
-    make_transport,
-    resolve_transport,
-)
+from repro.exec.transport import make_transport, resolve_transport
 from repro.obs.profiler import NULL_PROFILER
 
 __all__ = [
@@ -47,12 +41,7 @@ __all__ = [
     "shutdown_pools",
     "active_pool_count",
     "resolve_workers",
-    "CHECK_CHUNK_MIN",
 ]
-
-#: Below this many domain points a dynamic check is evaluated inline —
-#: chunking overhead would dominate the numpy sweep it parallelizes.
-CHECK_CHUNK_MIN = 4096
 
 
 def resolve_workers(configured: Optional[int]) -> int:
@@ -119,7 +108,6 @@ class WorkerPool:
         self.arena = ShmArena(n)
         if not self._transport.local_shm:
             self.arena.available = False
-        self.pool_failures = 0
         #: teardown exceptions that used to vanish in bare excepts: counted
         #: here and surfaced as obs instants (see shutdown()).
         self.shutdown_errors = 0
@@ -191,73 +179,6 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         return self._transport.submit_shards(k, items)
-
-    # ------------------------------------------------- chunked batch evals
-    def _note_failure(self, reason: str) -> None:
-        """Count one infrastructure failure (visible in metrics/traces)."""
-        self.pool_failures += 1
-        prof = self._profiler
-        if prof.enabled:
-            prof.count("pool.failures", 1.0, reason=reason)
-            prof.instant("pool.failure", "execution", reason=reason)
-
-    @staticmethod
-    def _cancel(futures) -> None:
-        """Cancel still-pending chunk futures so nothing leaks into a dead
-        (or abandoned) worker; finished futures ignore the cancel."""
-        for f in futures:
-            f.cancel()
-
-    def apply_batch_chunked(self, functor, points: np.ndarray) -> np.ndarray:
-        """Evaluate ``functor.apply_batch`` across workers in |D|/n chunks.
-
-        Exact-preserving: chunks are contiguous domain slices concatenated
-        in order, so the result is byte-identical to one inline call.
-        *Infrastructure* failures — a dead worker process, a functor that
-        cannot be pickled, a corrupted result blob — fall back to inline
-        evaluation (which is exact) and are counted in ``pool_failures``.
-        A functor that *raises* is an application bug: the worker answers
-        ``None`` and the inline call here raises it for the caller.
-        """
-        n_points = len(points)
-        if n_points < CHECK_CHUNK_MIN or self.n < 2 or self._closed:
-            return functor.apply_batch(points)
-        chunks = np.array_split(points, self.n)
-
-        try:
-            blob = dumps(functor)
-        except Exception:
-            # Unpicklable functor: transport-level, inline is exact.
-            self._note_failure("functor_unpicklable")
-            return functor.apply_batch(points)
-        futures: list = []
-        try:
-            futures = [
-                self._transport.submit_batch(k, blob, chunk)
-                for k, chunk in enumerate(chunks)
-                if len(chunk)
-            ]
-            parts = [loads(f.result()) for f in futures]
-        except WorkerLost:
-            self._cancel(futures)
-            self._note_failure("broken_pool")
-            for k in range(self.n):
-                self.reset_worker(k)
-            return functor.apply_batch(points)
-        except (pickle.UnpicklingError, EOFError, OSError):
-            # Result transport failed; the workers themselves are fine.
-            self._cancel(futures)
-            self._note_failure("transport")
-            return functor.apply_batch(points)
-        except BaseException:
-            self._cancel(futures)
-            raise
-        if any(part is None for part in parts):
-            # The functor itself raised on a worker: not a failure to
-            # count, and inline evaluation raises it exactly as it would
-            # have without a pool.
-            return functor.apply_batch(points)
-        return np.concatenate(parts, axis=0)
 
 
 # ------------------------------------------------------------ pool registry

@@ -256,7 +256,10 @@ class Transport:
         return futures
 
     def submit_batch(self, k: int, functor_blob: bytes, points) -> _PipeFuture:
-        """Chunked dynamic-check evaluation; future resolves to result bytes."""
+        """One ``apply_batch`` call on worker ``k``; the future resolves to
+        the result bytes.  Only the benchmark's idle round-trip probe and
+        the transport-contract tests use it: dynamic checks are evaluated
+        in the parent."""
         worker = self._handle(k)
         seq, future = self._register_future(worker)
         self._send(

@@ -26,7 +26,9 @@ WELCOME     parent -> worker: handshake accepted
 REJECT      parent -> worker: JSON ``{reason}``; the worker exits
 SHARD       parent -> worker: pickled ``ShardPlan`` (a unit), deltas included
 BATCH       parent -> worker: pickled ``(functor_blob, points)``; the
-            RESULT is the pickled array, or ``None`` if the functor raised
+            RESULT is the pickled array, or ``None`` if the functor raised.
+            Sent only by the benchmark's idle round-trip probe and the
+            transport-contract tests
 RESULT      worker -> parent: raw result bytes for ``seq``
 SHUTDOWN    parent -> worker: drain and exit cleanly
 CALL        client -> service: pickled ``(command, payload)`` session

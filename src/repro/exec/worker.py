@@ -439,9 +439,8 @@ def handle_frame(frame, reply) -> bool:
         try:
             out = loads(functor_blob).apply_batch(points)
         except Exception:
-            # The functor raised: an application bug, not a dead worker.
-            # ``None`` tells the parent to evaluate inline, which raises
-            # the very same exception where the caller can see it.
+            # The functor raised: answer ``None`` rather than die.  BATCH
+            # frames come only from round-trip probes, never from checks.
             out = None
         reply(frame.seq, dumps(out))
     return True

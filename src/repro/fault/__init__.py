@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`FaultPlan` / :class:`FaultSpec` — seeded, immutable descriptions
-  of which worker/shard/point fails, how (kill / hang / corrupt), and at
-  which pipeline phase; wired in via ``RuntimeConfig.fault_plan``.
+  of which worker/shard/point fails, how (kill / hang / corrupt), at which
+  pipeline phase, and optionally on which submission attempt; wired in via
+  ``RuntimeConfig.fault_plan``.
 * :class:`RetryPolicy` — caps for the recovery ladder (same-worker retry →
   respawn → serial fallback → poison); ``RuntimeConfig.retry``.
 * :class:`FaultInjector` — per-run firing state (the runtime creates one
@@ -15,7 +16,7 @@ Public surface:
   reference run vs a faulted run, compared byte for byte.
 """
 
-from repro.fault.inject import FaultInjector, FaultSchedule, ScheduledFault
+from repro.fault.inject import FaultInjector
 from repro.fault.plan import (
     FAULT_KINDS,
     FAULT_PHASES,
@@ -35,8 +36,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultInjector",
-    "FaultSchedule",
-    "ScheduledFault",
     "InjectedFaultError",
     "RetryPolicy",
     "FaultSimReport",

@@ -25,7 +25,7 @@ per-unit result timeout that converts a hung worker into a respawn.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
@@ -78,6 +78,13 @@ class FaultSpec:
         times: how many firings before the spec is exhausted; ``-1`` means
             unlimited (the canonical *unrecoverable* fault).
         hang_s: sleep length for ``hang`` faults.
+        attempt: submission ordinal of the spec's (launch, node) it is live
+            on (``None`` = any): 0 is a node's first worker submission in
+            the launch, 1 its first resubmission, and so on.  The serial
+            path's ordinal is the number of worker submissions the node has
+            had, so a fallback after ``k`` of them sees ``k`` (0 on the
+            serial backend).  An attempt-keyed spec fires once; this is
+            how a model-checker trace replays attempt for attempt.
     """
 
     kind: str
@@ -87,6 +94,7 @@ class FaultSpec:
     launch: Optional[int] = None
     times: int = 1
     hang_s: float = 0.25
+    attempt: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -97,8 +105,14 @@ class FaultSpec:
             raise ValueError(f"unknown fault phase {self.phase!r}")
         if self.scope == "point" and self.phase != "execution":
             raise ValueError("point-scoped faults fire at execution only")
-        if self.times == 0:
+        if self.times < 1 and self.times != -1:
             raise ValueError("times must be positive or -1 (unlimited)")
+        if self.attempt is not None:
+            if self.attempt < 0:
+                raise ValueError("attempt must be >= 0")
+            if self.times != 1:
+                raise ValueError("an attempt-keyed fault fires once: "
+                                 "times must be 1")
         if not isinstance(self.target, tuple) or not self.target:
             raise ValueError("target must be a non-empty tuple of ints")
         if self.hang_s < 0:
@@ -108,6 +122,8 @@ class FaultSpec:
         target = ",".join(str(t) for t in self.target)
         times = "unlimited" if self.times < 0 else f"x{self.times}"
         at = f"@launch {self.launch}" if self.launch is not None else "@any"
+        if self.attempt is not None:
+            at += f", attempt {self.attempt}"
         return (
             f"{self.kind} {self.scope} {target} in {self.phase} "
             f"({times}, {at})"

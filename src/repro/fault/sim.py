@@ -47,7 +47,6 @@ class FaultSimReport:
     shard_retries: int = 0
     worker_respawns: int = 0
     shard_timeouts: int = 0
-    pool_failures: int = 0
     backoff_total_s: float = 0.0
     notes: List[str] = field(default_factory=list)
 
@@ -91,7 +90,6 @@ class FaultSimReport:
             f"  shard retries   : {self.shard_retries}",
             f"  worker respawns : {self.worker_respawns}",
             f"  shard timeouts  : {self.shard_timeouts}",
-            f"  pool failures   : {self.pool_failures}",
             f"  backoff slept   : {self.backoff_total_s:.3f}s wall clock",
             f"  result bytes    : "
             f"{'identical' if self.identical else 'MISMATCH'}",
@@ -169,16 +167,12 @@ def run_faultsim(
     if rt.poison_log:
         report.poison_message = str(rt.poison_log[0])
 
-    backend = rt.backend
-    stats = getattr(backend, "stats", None)
+    stats = getattr(rt.backend, "stats", None)
     if stats is not None:
         report.shard_retries = stats.shard_retries
         report.worker_respawns = stats.worker_respawns
         report.shard_timeouts = stats.shard_timeouts
         report.backoff_total_s = stats.backoff_total_s
-    pool = getattr(backend, "_pool", None)
-    if pool is not None:
-        report.pool_failures = pool.pool_failures
 
     if report.recovered:
         report.identical = result.tobytes() == ref_result.tobytes()

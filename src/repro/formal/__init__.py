@@ -12,8 +12,8 @@ plus two protocol models abstracted from the real executor:
 Both ship *mutations* — seeded, intentionally-broken protocol variants
 that must yield counterexamples, proving the checker has teeth — and a
 conformance harness (:mod:`repro.formal.conform`) that replays checker
-traces through the real ``ParallelBackend`` via schedule-driven fault
-injection.  ``repro check`` is the CLI entry point; see
+traces through the real ``ParallelBackend`` by compiling them into
+attempt-keyed :class:`~repro.fault.FaultPlan` specs.  ``repro check`` is the CLI entry point; see
 ``docs/formal-verification.md``.
 """
 

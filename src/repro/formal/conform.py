@@ -5,9 +5,10 @@ closes the loop by replaying checker traces against the real executor and
 asserting both reach the same terminal classification.  A witness trace
 from :class:`~repro.formal.commit_model.CommitModel` (or
 :class:`~repro.formal.poison_model.PoisonModel`) is compiled into a
-:class:`~repro.fault.FaultSchedule` — every ``fault.*`` action becomes a
-:class:`~repro.fault.ScheduledFault` pinned to the same shard and attempt
-ordinal the model faulted — and run through a real ``Runtime`` with the
+:class:`~repro.fault.FaultPlan` — the one fault format ``repro faultsim``
+and CI use — where every ``fault.*`` action becomes a shard-scoped
+:class:`~repro.fault.FaultSpec` keyed on the same shard and attempt
+ordinal the model faulted, and run through a real ``Runtime`` with the
 matching worker count, shard count, and retry caps.  The commit scenarios
 use as many shards as workers: the real backend dispatches one unit per
 worker (a worker's slice of the launch), so each model shard is then
@@ -18,9 +19,9 @@ model-predicted terminal class:
 * ``serial-fallback`` — fallbacks, no poison, still byte-identical;
 * ``poisoned`` — at least one poisoned launch, origins matching.
 
-``run_conformance()`` executes the four stock scenarios (one per terminal
-class plus a poison-propagation chain) and is what ``repro check
---conform`` and ``tests/formal/test_conformance.py`` drive.
+``run_conformance()`` executes the five stock scenarios (one per terminal
+class, a kill-only fallback, and a poison-propagation chain) and is what
+``repro check --conform`` and ``tests/formal/test_conformance.py`` drive.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.data.partition import equal_partition
-from repro.fault import FaultSchedule, RetryPolicy, ScheduledFault
-from repro.formal.commit_model import CommitConfig, CommitModel
+from repro.fault import FaultPlan, FaultSpec, RetryPolicy
+from repro.formal.commit_model import PHASES, CommitConfig, CommitModel
 from repro.formal.kernel import find_trace
 from repro.formal.poison_model import PoisonConfig, PoisonModel, _Launch
 from repro.runtime import Runtime, RuntimeConfig, task
@@ -43,7 +44,7 @@ from repro.runtime.futures import TaskPoisonedError
 __all__ = [
     "ConformResult",
     "run_conformance",
-    "schedule_from_trace",
+    "plan_from_trace",
     "SCENARIOS",
 ]
 
@@ -57,6 +58,8 @@ _FAULT_RE = re.compile(
     r"shard(?P<shard>\d+) attempt(?P<attempt>\d+)"
     r"(?: phase=(?P<phase>\w+))?(?: pord=(?P<pord>\d+))?"
 )
+#: The parent resubmits shard 0 (ladder tiers 1 and 2).
+_RESUBMIT_RE = re.compile(r"collect\.(?:retry|respawn) shard0 ")
 
 
 # ----------------------------------------------------------- real programs
@@ -70,15 +73,18 @@ def _derive(ctx, src, dst):
     dst.write("x", src.read("x") * 2.0 + 1.0)
 
 
-def schedule_from_trace(trace, launch: int = 0) -> FaultSchedule:
-    """Compile a commit-model trace's fault actions into a schedule.
+def plan_from_trace(trace, launch: int = 0) -> FaultPlan:
+    """Compile a commit-model trace's fault actions into a fault plan.
 
     Worker-side actions map directly: the model faults shard ``s`` on its
-    ``a``-th submission, the schedule arms the same fault on arm ordinal
-    ``a`` of node ``s``.  A ``serial.fault`` action becomes an inline
-    entry that fires on the serial fallback path.
+    ``a``-th submission, the plan arms the same fault on attempt ``a`` of
+    node ``s``.  A ``serial.fault`` action becomes a shard-0 kill keyed on
+    shard 0's number of submissions — its first, plus one per retry or
+    respawn the trace gives it — which is the ordinal the serial fallback
+    path reads, and one no worker submission reaches.
     """
-    entries: List[ScheduledFault] = []
+    specs: List[FaultSpec] = []
+    submissions = 1
     for action, _state in trace:
         m = _FAULT_RE.match(action)
         if m:
@@ -86,31 +92,26 @@ def schedule_from_trace(trace, launch: int = 0) -> FaultSchedule:
             if phase is None and m.group("pord") is not None:
                 # Phase-ordinal stamp alone is enough to compile: the
                 # ordinal indexes the model's PHASES tuple.
-                from repro.formal.commit_model import PHASES
-
                 phase = PHASES[int(m.group("pord"))]
-            entries.append(ScheduledFault(
-                node=int(m.group("shard")),
-                attempt=int(m.group("attempt")),
+            specs.append(FaultSpec(
                 kind=m.group("kind"),
+                scope="shard",
+                target=(int(m.group("shard")),),
                 phase=phase or "execution",
+                launch=launch,
                 hang_s=_HANG_S,
-                via="worker",
-                launch=launch,
+                attempt=int(m.group("attempt")),
             ))
+        elif _RESUBMIT_RE.match(action):
+            submissions += 1
         elif action == "serial.fault":
-            entries.append(ScheduledFault(
-                node=-1,
-                attempt=0,
-                kind="kill",
-                via="inline",
-                launch=launch,
-            ))
-    return FaultSchedule(tuple(entries))
+            specs.append(FaultSpec(kind="kill", scope="shard", target=(0,),
+                                   launch=launch, attempt=submissions))
+    return FaultPlan(tuple(specs))
 
 
-def _policy_for(cfg: CommitConfig, schedule: FaultSchedule) -> RetryPolicy:
-    has_hang = any(e.kind == "hang" for e in schedule.entries)
+def _policy_for(cfg: CommitConfig, plan: FaultPlan) -> RetryPolicy:
+    has_hang = any(spec.kind == "hang" for spec in plan.specs)
     return RetryPolicy(
         same_worker_retries=cfg.same_worker_retries,
         respawns=cfg.respawns,
@@ -129,7 +130,7 @@ def _stats_dict(rt) -> dict:
 
 
 def _run_commit_program(shards: int, workers: int,
-                        schedule: Optional[FaultSchedule] = None,
+                        plan: Optional[FaultPlan] = None,
                         policy: Optional[RetryPolicy] = None):
     """Two ``_bump`` launches over ``shards`` single-point nodes — with
     ``shards == workers``, one unit per model shard.
@@ -138,7 +139,7 @@ def _run_commit_program(shards: int, workers: int,
     a stale cache shipment, launch 1 ships a wrong delta and bails."""
     rt = Runtime(RuntimeConfig(
         workers=workers, n_nodes=shards,
-        fault_schedule=schedule, retry=policy,
+        fault_plan=plan, retry=policy,
     ))
     r = rt.create_region("cr", 4 * shards, {"x": "f8"})
     r.storage("x")[:] = np.arange(4.0 * shards)
@@ -181,7 +182,7 @@ class ConformResult:
 class _ReplayableFaults:
     """Witness-search wrapper keeping only replay-deterministic faults.
 
-    A witness schedule is safe to assert a terminal class on only when
+    A witness trace is safe to assert a terminal class on only when
     every fault in it surfaces in the real backend exactly where the model
     discovers it (at the victim shard's collect):
 
@@ -253,16 +254,16 @@ def _commit_scenario(name: str, cfg: CommitConfig, predicate,
     if trace is None:
         return ConformResult(name, predicted, "no-witness", ok=False,
                              detail="model produced no witness trace")
-    schedule = schedule_from_trace(trace)
-    policy = _policy_for(cfg, schedule)
+    plan = plan_from_trace(trace)
+    policy = _policy_for(cfg, plan)
 
     ref_rt, ref_bytes = _run_commit_program(cfg.shards, cfg.workers)
     rt, out_bytes = _run_commit_program(cfg.shards, cfg.workers,
-                                        schedule, policy)
+                                        plan, policy)
     actual = _classify_run(rt)
     identical = None
     detail = (
-        f"{len(schedule.entries)} scheduled fault(s), "
+        f"{len(plan.specs)} attempt-keyed fault(s), "
         f"retries={rt.backend.stats.shard_retries}, "
         f"respawns={rt.backend.stats.worker_respawns}, "
         f"fallbacks={rt.backend.stats.fallbacks}, "
@@ -277,9 +278,7 @@ def _commit_scenario(name: str, cfg: CommitConfig, predicate,
         )
         ok = ok and identical
         if rt.fault_injector is not None:
-            ok = ok and rt.fault_injector.fired_count >= len(
-                schedule.entries
-            )
+            ok = ok and rt.fault_injector.fired_count >= len(plan.specs)
     return ConformResult(name, predicted, actual, ok=ok,
                          byte_identical=identical, detail=detail,
                          trace_actions=[a for a, _ in trace])
@@ -342,11 +341,10 @@ _CONFORM_PROGRAM = (
 )
 
 
-def _run_poison_program(schedule: Optional[FaultSchedule] = None):
+def _run_poison_program(plan: Optional[FaultPlan] = None):
     """The real twin of ``_CONFORM_PROGRAM``, on the serial backend where
-    scheduled inline faults fire directly."""
-    rt = Runtime(RuntimeConfig(workers=1, n_nodes=2,
-                               fault_schedule=schedule))
+    shard faults fire inline."""
+    rt = Runtime(RuntimeConfig(workers=1, n_nodes=2, fault_plan=plan))
     regions = []
     parts = []
     for name in "abcde":
@@ -392,12 +390,11 @@ def _scenario_poison_propagation() -> ConformResult:
         i for i, st in enumerate(final.statuses) if isinstance(st, tuple)
     ]
     # The model faulted launch 0 directly; replay that inline.
-    schedule = FaultSchedule((
-        ScheduledFault(node=-1, attempt=0, kind="kill", via="inline",
-                       launch=0),
+    plan = FaultPlan((
+        FaultSpec(kind="kill", scope="shard", target=(0,), launch=0),
     ))
     ref_rt, ref_regions, _ = _run_poison_program()
-    rt, regions, statuses = _run_poison_program(schedule)
+    rt, regions, statuses = _run_poison_program(plan)
 
     actual_poisoned = [
         i for i, (st, _) in enumerate(statuses) if st == "poisoned"

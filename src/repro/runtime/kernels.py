@@ -385,7 +385,7 @@ class CheckKernelCache:
         self._kernels.clear()
         return n
 
-    def run(self, domain, args, bounds, use_numpy: bool = True, apply_batch=None):
+    def run(self, domain, args, bounds, use_numpy: bool = True):
         from repro.core.checks import dynamic_cross_check
 
         key = (
@@ -411,7 +411,6 @@ class CheckKernelCache:
                 args,
                 bounds,
                 use_numpy=use_numpy,
-                apply_batch=apply_batch,
                 points=points,
             )
         self._kernels[key] = result

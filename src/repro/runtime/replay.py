@@ -118,10 +118,6 @@ class DynamicCheckMemo:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: optional (functor, points) -> values evaluator replacing
-        #: ``functor.apply_batch`` — exact-preserving by contract (the
-        #: parallel backend installs its chunked worker-pool sweep here).
-        self.batch_evaluator = None
         #: optional :class:`~repro.runtime.kernels.CheckKernelCache`
         #: delegated to on memo misses (``RuntimeConfig.kernels``): a
         #: process-wide store of compiled check verdicts that outlives this
@@ -198,15 +194,11 @@ class DynamicCheckMemo:
             return found
         self.misses += 1
         if self.kernels is not None:
-            result = self.kernels.run(
-                domain, args, bounds, use_numpy=use_numpy,
-                apply_batch=self.batch_evaluator,
-            )
+            result = self.kernels.run(domain, args, bounds,
+                                      use_numpy=use_numpy)
         else:
-            result = dynamic_cross_check(
-                domain, args, bounds, use_numpy=use_numpy,
-                apply_batch=self.batch_evaluator,
-            )
+            result = dynamic_cross_check(domain, args, bounds,
+                                         use_numpy=use_numpy)
         self._store(key, result)
         return result
 

@@ -118,18 +118,17 @@ class RuntimeConfig:
             identical either way.
         fault_plan: optional :class:`~repro.fault.FaultPlan` — seeded,
             deterministic fault injection (kill/hang/corrupt a worker,
-            shard, or point task at a chosen phase).  Recovered faults are
-            byte-invisible; unrecovered ones poison the launch (see
+            shard, or point task at a chosen phase, optionally on one
+            submission attempt — how the formal conformance harness
+            replays model-checker traces against the real executor).
+            Recovered faults are byte-invisible; unrecovered ones poison
+            the launch (see
             :class:`~repro.runtime.futures.TaskPoisonedError` and
             ``docs/fault-tolerance.md``).
         retry: optional :class:`~repro.fault.RetryPolicy` capping the
             parallel backend's recovery ladder (same-worker retries,
             worker respawns, backoff, shard timeout); ``None`` uses the
             defaults.
-        fault_schedule: optional :class:`~repro.fault.FaultSchedule` —
-            attempt-ordinal-keyed deterministic fault placement, used by
-            the formal conformance harness to replay model-checker traces
-            against the real executor.  Composes with ``fault_plan``.
         kernels: hot-path engine layer 3 (see ``docs/hot-path.md``) —
             compile steady-state dependence replays into slot programs and
             dynamic checks into constant-verdict kernels.  Purely an
@@ -175,7 +174,6 @@ class RuntimeConfig:
     profiler: Optional[Any] = None
     fault_plan: Optional[Any] = None
     retry: Optional[Any] = None
-    fault_schedule: Optional[Any] = None
     kernels: bool = True
     transport: Optional[str] = None
     cache_entry_budget: Optional[int] = None
@@ -240,17 +238,9 @@ class Runtime:
         #: fault injection (None = no plan): per-run firing state over the
         #: config's immutable FaultPlan.
         plan = self.config.fault_plan
-        schedule = self.config.fault_schedule
-        if (plan is not None and plan.specs) or (
-            schedule is not None and schedule.entries
-        ):
-            from repro.fault.plan import FaultPlan
-
-            self.fault_injector = FaultInjector(
-                plan if plan is not None else FaultPlan(), schedule
-            )
-        else:
-            self.fault_injector = None
+        self.fault_injector = (
+            FaultInjector(plan) if plan is not None and plan.specs else None
+        )
         self._fault_ordinal = itertools.count()
         self.retry_policy: RetryPolicy = self.config.retry or RetryPolicy()
         #: every TaskPoisonedError this runtime minted, in order.
@@ -261,12 +251,6 @@ class Runtime:
             self.replay_cache.check_memo.kernels = GLOBAL_CHECK_KERNELS
         self.workers = resolve_workers(self.config.workers)
         self.backend = resolve_backend(self, self.workers)
-        if self.workers > 1:
-            # Large dynamic checks evaluate their functor sweeps on the
-            # worker pool in contiguous chunks (exact-preserving).
-            self.replay_cache.check_memo.batch_evaluator = (
-                self.backend.batch_evaluator
-            )
 
     # --------------------------------------------------------------- mapper
     @property

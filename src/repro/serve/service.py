@@ -166,14 +166,12 @@ class ReproService:
             cache_byte_budget=self.config.cache_byte_budget,
         )
         rt = Runtime(RuntimeConfig(**cfg_kwargs))
-        # Swap in the tenant's shared check memo, re-applying the hooks
-        # Runtime.__init__ put on the private one (kernels delegation,
-        # worker-pool batch evaluation).
-        private = rt.replay_cache.check_memo
+        # Swap in the tenant's shared check memo, re-applying the hook
+        # Runtime.__init__ put on the private one (kernels delegation).
+        # Nothing on the memo may point back at this runtime: the tenant
+        # outlives its sessions.
         memo = session.tenant.memo
-        memo.kernels = private.kernels or memo.kernels
-        if private.batch_evaluator is not None:
-            memo.batch_evaluator = private.batch_evaluator
+        memo.kernels = rt.replay_cache.check_memo.kernels or memo.kernels
         rt.replay_cache.check_memo = memo
         session.rt = rt
         return rt

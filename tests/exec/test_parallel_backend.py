@@ -3,7 +3,7 @@
 The equivalence property test (``test_parallel_equivalence.py``) covers
 end-to-end byte-identity; this file pins the individual mechanisms: worker
 count resolution, eligibility gating, fallback/poisoning on worker
-failure, pool lifecycle, and chunked dynamic-check evaluation.
+failure, and pool lifecycle.
 """
 
 import threading
@@ -11,7 +11,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.projection import ModularFunctor, QuadraticFunctor
 from repro.data.partition import equal_partition
 from repro.exec import ParallelBackend, SerialBackend, parallel
 from repro.exec.pool import (
@@ -335,42 +334,3 @@ class TestPoolLifecycle:
         shutdown_pools()
         rt.index_launch(bump, 8, p)
         assert rt.backend.stats.parallel_launches == 2
-
-
-class TestChunkedChecks:
-    def test_chunked_apply_batch_matches_inline(self, monkeypatch):
-        """Worker-chunked functor evaluation must be byte-identical to one
-        inline ``apply_batch`` call (contiguous splits, ordered concat)."""
-        monkeypatch.setattr("repro.exec.pool.CHECK_CHUNK_MIN", 8)
-        pool = WorkerPool(2)
-        try:
-            points = np.arange(64, dtype=np.int64).reshape(-1, 1)
-            for functor in (ModularFunctor(64, 3), QuadraticFunctor(64)):
-                inline = functor.apply_batch(points)
-                chunked = pool.apply_batch_chunked(functor, points)
-                assert chunked.dtype == inline.dtype
-                assert chunked.tobytes() == inline.tobytes()
-        finally:
-            pool.shutdown()
-
-    def test_small_batches_stay_inline(self):
-        """Below the chunking threshold no worker is ever started."""
-        pool = WorkerPool(2)
-        try:
-            points = np.arange(16, dtype=np.int64).reshape(-1, 1)
-            functor = ModularFunctor(16, 1)
-            out = pool.apply_batch_chunked(functor, points)
-            assert out.tobytes() == functor.apply_batch(points).tobytes()
-            assert pool.transport._handles == [None, None]
-        finally:
-            pool.shutdown()
-
-    def test_runtime_wires_batch_evaluator(self):
-        rt = make_rt()
-        assert (
-            rt.replay_cache.check_memo.batch_evaluator
-            == rt.backend.batch_evaluator
-        )
-        assert Runtime(
-            RuntimeConfig(workers=1)
-        ).replay_cache.check_memo.batch_evaluator is None

@@ -34,6 +34,14 @@ class TestFaultSpec:
         dict(kind="kill", scope="worker", target=()),
         dict(kind="kill", scope="worker", target=[0]),
         dict(kind="hang", scope="worker", target=(0,), hang_s=-1.0),
+        dict(kind="kill", scope="worker", target=(0,), times=-3),
+        # An attempt-keyed spec fires once, at a real ordinal, in a phase
+        # some worker matches.
+        dict(kind="kill", scope="shard", target=(0,), attempt=-1),
+        dict(kind="kill", scope="shard", target=(0,), attempt=0, times=2),
+        dict(kind="kill", scope="shard", target=(0,), attempt=0, times=-1),
+        dict(kind="kill", scope="shard", target=(0,), attempt=0,
+             phase="exection"),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -61,6 +69,7 @@ class TestParseFault:
     @pytest.mark.parametrize("text", [
         "kill", "kill:worker", "kill:worker:zero",
         "kill:worker:0:execution:soon", "kill:worker:0:execution:1:extra",
+        "kill:shard:0:execution:-3",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
@@ -166,3 +175,59 @@ class TestFaultInjector:
         inj.begin_launch(0)
         inj.fire_inline((0,), node=0)  # must not raise
         assert inj.fired_count == 1
+
+
+class TestAttemptKey:
+    """An attempt-keyed spec is live on one submission ordinal of its
+    (launch, node) and fires once."""
+
+    @staticmethod
+    def _injector(**kwargs):
+        spec = FaultSpec(kind="kill", scope="shard", target=(0,), **kwargs)
+        inj = FaultInjector(FaultPlan(specs=(spec,)))
+        inj.begin_launch(0)
+        return inj
+
+    def test_fires_only_on_its_ordinal(self):
+        inj = self._injector(attempt=1, launch=0)
+        assert inj.arm_shard(0, 1, [(1,)]) == []     # another node
+        assert inj.arm_shard(0, 0, [(0,)]) == []     # attempt 0
+        assert inj.arm_shard(0, 0, [(0,)]) == [
+            ("kill", "execution", None, 0.25)
+        ]                                            # attempt 1
+        assert inj.arm_shard(0, 0, [(0,)]) == []     # fired once
+        assert inj.exhausted()
+        [event] = inj.events
+        assert event["attempt"] == 1 and event["via"] == "worker"
+
+    def test_ordinal_counts_per_launch(self):
+        inj = self._injector(attempt=0, launch=1)
+        assert inj.arm_shard(0, 0, [(0,)]) == []     # launch 0
+        inj.begin_launch(1)
+        assert len(inj.arm_shard(0, 0, [(0,)])) == 1
+
+    def test_serial_ordinal_is_zero_without_submissions(self):
+        inj = self._injector(attempt=0)
+        inj.fire_inline((1,), node=1)                # another node
+        with pytest.raises(InjectedFaultError):
+            inj.fire_inline((0,), node=0)
+        assert inj.events[0]["attempt"] == 0
+        assert inj.events[0]["via"] == "inline"
+
+    def test_serial_ordinal_counts_worker_submissions(self):
+        # A fallback after two submissions of node 0 sees ordinal 2; the
+        # two worker attempts never reach it.
+        inj = self._injector(attempt=2)
+        assert inj.arm_shard(0, 0, [(0,)]) == []
+        assert inj.arm_shard(0, 0, [(0,)]) == []
+        with pytest.raises(InjectedFaultError):
+            inj.fire_inline((0,), node=0)
+        assert inj.events[0]["attempt"] == 2
+        inj.fire_inline((0,), node=0)                # fired once
+
+    def test_describe_names_the_attempt(self):
+        spec = FaultSpec(kind="corrupt", scope="shard", target=(0,),
+                         launch=3, attempt=1)
+        assert spec.describe() == (
+            "corrupt shard 0 in execution (x1, @launch 3, attempt 1)"
+        )

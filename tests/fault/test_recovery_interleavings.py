@@ -4,13 +4,13 @@ These are the orderings the commit-protocol model flags as the dangerous
 ones (see ``src/repro/formal/commit_model.py``): a shard *succeeding* on a
 generation that a sibling's respawn then retires — which dispatching one
 unit per worker now rules out by construction — and a hang landing in the
-middle of a tier-1 same-worker retry.  Schedule-driven injection
-(:class:`~repro.fault.FaultSchedule`) pins the fault to an exact shard
+middle of a tier-1 same-worker retry.  An attempt-keyed
+:class:`~repro.fault.FaultSpec` pins the fault to an exact shard
 submission ordinal, so each interleaving reproduces run after run instead
 of depending on pool timing.
 """
 
-from repro.fault import FaultSchedule, RetryPolicy, ScheduledFault
+from repro.fault import FaultPlan, FaultSpec, RetryPolicy
 
 from tests.exec.test_parallel_equivalence import full_stats, run_program
 
@@ -27,10 +27,10 @@ _TIMEOUT_RETRY = RetryPolicy(
 _OPS = ("bump8", "copy", "total", "reduce")
 
 
-def _run(schedule=None, retry=None):
+def _run(plan=None, retry=None):
     cfg = dict(n_nodes=4)
-    if schedule is not None:
-        cfg.update(fault_schedule=schedule, retry=retry or _TIMEOUT_RETRY)
+    if plan is not None:
+        cfg.update(fault_plan=plan, retry=retry or _TIMEOUT_RETRY)
     rt, x, y, futures, edges = run_program(_OPS, 2, None, cfg, workers=2)
     return rt, (x.tobytes(), y.tobytes(), futures, edges)
 
@@ -44,14 +44,14 @@ class TestHangInASharedUnit:
     ``collect-time-gen-stamp`` mutation needs is left to the model
     (``repro check``), which still queues several shards per worker."""
 
-    SCHEDULE = FaultSchedule((
-        ScheduledFault(node=2, attempt=0, kind="hang", hang_s=_HANG_S,
-                       launch=0),
+    PLAN = FaultPlan((
+        FaultSpec(kind="hang", scope="shard", target=(2,), attempt=0,
+                  hang_s=_HANG_S, launch=0),
     ))
 
     def test_unit_respawns_whole_and_run_identical(self):
         ref_rt, ref_out = _run()
-        rt, out = _run(self.SCHEDULE)
+        rt, out = _run(self.PLAN)
 
         assert rt.fault_injector.fired_count >= 1
         bstats = rt.backend.stats
@@ -73,21 +73,22 @@ class TestHangDuringTier1Retry:
     the *retry* hangs: the timeout must climb to tier 2 and respawn, not
     re-enter tier 1 or wedge the collect loop."""
 
-    SCHEDULE = FaultSchedule((
-        ScheduledFault(node=0, attempt=0, kind="corrupt", launch=0),
-        ScheduledFault(node=0, attempt=1, kind="hang", hang_s=_HANG_S,
-                       launch=0),
+    PLAN = FaultPlan((
+        FaultSpec(kind="corrupt", scope="shard", target=(0,), attempt=0,
+                  launch=0),
+        FaultSpec(kind="hang", scope="shard", target=(0,), attempt=1,
+                  hang_s=_HANG_S, launch=0),
     ))
 
     def test_timeout_escalates_the_retry_to_respawn(self):
         ref_rt, ref_out = _run()
-        rt, out = _run(self.SCHEDULE)
+        rt, out = _run(self.PLAN)
 
-        # Both scheduled entries fired: the corrupt on attempt 0, the
+        # Both attempt-keyed specs fired: the corrupt on attempt 0, the
         # hang on the tier-1 resubmission.
         assert rt.fault_injector.fired_count >= 2
-        attempts = [e.get("attempt") for e in rt.fault_injector.events
-                    if e["scope"] == "schedule"]
+        attempts = [e["attempt"] for e in rt.fault_injector.events
+                    if "attempt" in e]
         assert 0 in attempts and 1 in attempts
 
         bstats = rt.backend.stats

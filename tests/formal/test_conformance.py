@@ -1,7 +1,7 @@
 """Trace-to-runtime conformance and the ``repro check`` CLI.
 
 The conformance scenarios are the PR's acceptance gate: checker traces
-compiled into fault schedules must drive the real ``ParallelBackend`` to
+compiled into attempt-keyed fault plans must drive the real ``ParallelBackend`` to
 the model-predicted terminal class, byte-identically where the model says
 so.
 """
@@ -9,10 +9,8 @@ so.
 import json
 
 from repro.cli import main
-from repro.fault import ScheduledFault
-from repro.formal.conform import (
-    SCENARIOS, run_conformance, schedule_from_trace,
-)
+from repro.fault import FaultSpec
+from repro.formal.conform import SCENARIOS, plan_from_trace, run_conformance
 
 
 class TestScheduleCompilation:
@@ -24,27 +22,40 @@ class TestScheduleCompilation:
             ("fault.hang w0 shard1 attempt0", None),
             ("work.complete w1 shard2", None),
         ]
-        schedule = schedule_from_trace(trace, launch=3)
+        plan = plan_from_trace(trace, launch=3)
         assert [
-            (e.node, e.attempt, e.kind, e.phase, e.via)
-            for e in schedule.entries
+            (s.scope, s.target, s.attempt, s.kind, s.phase, s.times)
+            for s in plan.specs
         ] == [
-            (2, 0, "corrupt", "execution", "worker"),
-            (0, 1, "kill", "install", "worker"),
-            (1, 0, "hang", "execution", "worker"),
+            ("shard", (2,), 0, "corrupt", "execution", 1),
+            ("shard", (0,), 1, "kill", "install", 1),
+            ("shard", (1,), 0, "hang", "execution", 1),
         ]
-        assert all(e.launch == 3 for e in schedule.entries)
+        assert all(s.launch == 3 for s in plan.specs)
 
     def test_serial_fault_becomes_inline_entry(self):
-        schedule = schedule_from_trace([("serial.fault", None)])
-        [entry] = schedule.entries
-        assert entry == ScheduledFault(node=-1, attempt=0, kind="kill",
-                                       via="inline", launch=0)
+        # Keyed on shard 0's submission count: its first submission plus
+        # one per retry or respawn, so no worker attempt can fire it.
+        [spec] = plan_from_trace([("serial.fault", None)]).specs
+        assert spec == FaultSpec(kind="kill", scope="shard", target=(0,),
+                                 launch=0, attempt=1)
+        trace = [
+            ("<init>", None),
+            ("fault.kill w0 shard0 attempt0 phase=execution pord=1", None),
+            ("collect.respawn shard0 kind=broken", None),
+            ("fault.corrupt w1 shard1 attempt0 phase=execution pord=1",
+             None),
+            ("collect.retry shard1 kind=corrupt", None),
+            ("collect.retry shard0 kind=corrupt", None),
+            ("collect.bail shard0 kind=corrupt", None),
+            ("serial.fault", None),
+        ]
+        assert plan_from_trace(trace).specs[-1].attempt == 3
 
     def test_non_fault_actions_ignored(self):
         trace = [("<init>", None), ("collect.ok shard0", None),
                  ("commit", None)]
-        assert schedule_from_trace(trace).entries == ()
+        assert plan_from_trace(trace).specs == ()
 
     def test_phase_ordinal_stamp_compiles(self):
         # Stamped actions (phase name + pord) and ordinal-only actions
@@ -54,14 +65,14 @@ class TestScheduleCompilation:
             ("fault.corrupt w0 shard0 attempt1 phase=install pord=0", None),
             ("fault.kill w0 shard2 attempt0 pord=0", None),
         ]
-        schedule = schedule_from_trace(trace)
+        plan = plan_from_trace(trace)
         assert [
-            (e.node, e.attempt, e.kind, e.phase)
-            for e in schedule.entries
+            (s.target, s.attempt, s.kind, s.phase)
+            for s in plan.specs
         ] == [
-            (1, 0, "kill", "execution"),
-            (0, 1, "corrupt", "install"),
-            (2, 0, "kill", "install"),
+            ((1,), 0, "kill", "execution"),
+            ((0,), 1, "corrupt", "install"),
+            ((2,), 0, "kill", "install"),
         ]
 
 
@@ -86,7 +97,7 @@ class TestConformance:
     def test_kill_witness_replays(self):
         """The scenario the old corrupt-only restriction skipped: a
         pure-kill witness (phase-ordinal-stamped, last-queued victim)
-        compiled into a schedule and replayed to the predicted class."""
+        compiled into a fault plan and replayed to the predicted class."""
         by_name = {r.scenario: r for r in run_conformance()}
         res = by_name["serial-fallback-via-kill"]
         assert res.ok, res.summary()

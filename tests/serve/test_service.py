@@ -2,10 +2,12 @@
 shutdown (the long-running-process leak sweep), and warm-restart
 persistence of the analysis cache."""
 
+import gc
 import glob
 import os
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -116,6 +118,28 @@ class TestCommands:
             with ServiceClient("127.0.0.1", svc.port) as cli:
                 with pytest.raises(ServiceError, match="unknown handle"):
                     cli.read_field(999, "x")
+
+
+class TestSessionLifetime:
+    def test_reaped_session_releases_its_runtime(self):
+        """The tenant memo outlives its sessions, so nothing on it may
+        point back at one: a departed session's ``Runtime`` (its regions
+        and their segments) must be collectable once it is reaped."""
+        with running_service(workers=2) as (svc, _):
+            keep = ServiceClient("127.0.0.1", svc.port, tenant="pin")
+            gone = ServiceClient("127.0.0.1", svc.port, tenant="pin")
+            drive(gone, launches=1)
+            session = svc.sessions[gone.session]
+            rt_ref = weakref.ref(session.rt)
+            gone.close()
+            wait_for(lambda: session.closed)
+            keep.drain()                # the sweep that reaps ``gone``
+            wait_for(lambda: gone.session not in svc.sessions)
+            del session
+            keep.drain()                # after the reaped runtime's drain
+            gc.collect()
+            assert rt_ref() is None
+            keep.close()
 
 
 class TestAdmissionControl:
