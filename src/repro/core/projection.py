@@ -15,11 +15,16 @@ check in :mod:`repro.core.checks`.
 Every functor supports vectorized evaluation over an ``(n, dim)`` point
 array; this is the fast path used by the dynamic checks, keeping their
 measured cost linear with small constants (Tables 2 and 3).
+
+**Purity contract.**  A functor is a pure function of the point (§2), and
+caches key on :attr:`ProjectionFunctor.key`.  A :class:`CallableFunctor`
+over mutable captured state is outside the contract; nothing detects it.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +43,7 @@ __all__ = [
     "ComposedFunctor",
     "AffineNDFunctor",
     "PlaneProjectionFunctor",
+    "is_value_key",
 ]
 
 
@@ -93,8 +99,28 @@ class ProjectionFunctor:
         return Injectivity.UNKNOWN
 
     def describe(self) -> str:
-        """Human-readable form, e.g. ``lambda i: a*i + b``."""
+        """Human-readable form, e.g. ``lambda i: a*i + b``; never a key."""
         return type(self).__name__
+
+    @cached_property
+    def key(self):
+        """Identity, computed once: ``(exact class, *_params values)`` for
+        this module's classes, else the object itself (a subclass may
+        compute anything).  ``==`` and ``hash`` derive from it."""
+        cls = type(self)
+        if cls.__module__ != __name__:
+            return self
+        return (cls, *(getattr(self, name) for name in cls._params))
+
+    def __eq__(self, other) -> bool:
+        key = self.key
+        if key is self or not isinstance(other, ProjectionFunctor):
+            return self is other
+        return key == other.key
+
+    def __hash__(self) -> int:
+        key = self.key
+        return object.__hash__(self) if key is self else hash(key)
 
     def __repr__(self) -> str:
         return f"<{self.describe()}>"
@@ -108,6 +134,8 @@ class IdentityFunctor(ProjectionFunctor):
     statically (as in the paper's Circuit and Stencil codes).
     """
 
+    _params = ()
+
     def apply(self, point: Point) -> Point:
         return point
 
@@ -120,12 +148,6 @@ class IdentityFunctor(ProjectionFunctor):
     def describe(self) -> str:
         return "lambda i: i"
 
-    def __eq__(self, other):
-        return isinstance(other, IdentityFunctor)
-
-    def __hash__(self):
-        return hash("IdentityFunctor")
-
 
 class ConstantFunctor(ProjectionFunctor):
     """``lambda i: c`` — every task selects the same subregion.
@@ -133,6 +155,8 @@ class ConstantFunctor(ProjectionFunctor):
     Statically *not* injective over any domain with more than one point, so a
     launch writing through it is rejected without any dynamic check.
     """
+
+    _params = ("value",)
 
     def __init__(self, value):
         self.value = coerce_point(value)
@@ -154,12 +178,6 @@ class ConstantFunctor(ProjectionFunctor):
     def describe(self) -> str:
         return f"lambda i: {tuple(self.value) if self.value.dim > 1 else self.value[0]}"
 
-    def __eq__(self, other):
-        return isinstance(other, ConstantFunctor) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("ConstantFunctor", self.value))
-
 
 class AffineFunctor(ProjectionFunctor):
     """``lambda i: a*i + b`` on 1-D domains.
@@ -168,6 +186,7 @@ class AffineFunctor(ProjectionFunctor):
     "slightly more general affine case" the paper's static analysis accepts.
     """
 
+    _params = ("a", "b")
     input_dim = 1
     output_dim = 1
 
@@ -189,12 +208,6 @@ class AffineFunctor(ProjectionFunctor):
     def describe(self) -> str:
         return f"lambda i: {self.a}*i + {self.b}"
 
-    def __eq__(self, other):
-        return isinstance(other, AffineFunctor) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash(("AffineFunctor", self.a, self.b))
-
 
 class ModularFunctor(ProjectionFunctor):
     """``lambda i: (i + k) mod n`` on 1-D domains.
@@ -205,6 +218,7 @@ class ModularFunctor(ProjectionFunctor):
     check (Table 2, "Modular").
     """
 
+    _params = ("n", "k")
     input_dim = 1
     output_dim = 1
 
@@ -223,16 +237,11 @@ class ModularFunctor(ProjectionFunctor):
     def describe(self) -> str:
         return f"lambda i: (i + {self.k}) mod {self.n}"
 
-    def __eq__(self, other):
-        return isinstance(other, ModularFunctor) and (self.n, self.k) == (other.n, other.k)
-
-    def __hash__(self):
-        return hash(("ModularFunctor", self.n, self.k))
-
 
 class QuadraticFunctor(ProjectionFunctor):
     """``lambda i: a*i**2 + b*i + c`` on 1-D domains (dynamic analysis only)."""
 
+    _params = ("a", "b", "c")
     input_dim = 1
     output_dim = 1
 
@@ -252,21 +261,15 @@ class QuadraticFunctor(ProjectionFunctor):
     def describe(self) -> str:
         return f"lambda i: {self.a}*i^2 + {self.b}*i + {self.c}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticFunctor)
-            and (self.a, self.b, self.c) == (other.a, other.b, other.c)
-        )
-
-    def __hash__(self):
-        return hash(("QuadraticFunctor", self.a, self.b, self.c))
-
 
 class CallableFunctor(ProjectionFunctor):
     """Wrap an arbitrary Python callable — the opaque ``f`` of ``bar(q[f(i)])``.
 
     Statically unanalyzable by design; always resolved by the dynamic check.
     """
+
+    # Functions compare by identity: two lambdas never share a key.
+    _params = ("fn", "output_dim")
 
     def __init__(self, fn: Callable, output_dim: int = None, name: str = None):
         self.fn = fn
@@ -283,6 +286,8 @@ class CallableFunctor(ProjectionFunctor):
 
 class ComposedFunctor(ProjectionFunctor):
     """``outer . inner`` — composition; injective if both components are."""
+
+    _params = ("outer", "inner")
 
     def __init__(self, outer: ProjectionFunctor, inner: ProjectionFunctor):
         self.outer = outer
@@ -327,6 +332,8 @@ class AffineNDFunctor(ProjectionFunctor):
     accepted or rejected without a dynamic check.
     """
 
+    _params = ("_values",)
+
     def __init__(self, matrix: Sequence[Sequence[int]], offset: Sequence[int] = None):
         self.matrix = np.asarray(matrix, dtype=np.int64)
         if self.matrix.ndim != 2:
@@ -341,6 +348,8 @@ class AffineNDFunctor(ProjectionFunctor):
             raise ValueError("offset length must match matrix rows")
         self.input_dim = in_dim
         self.output_dim = out_dim
+        self._values = (self.matrix.shape, self.matrix.tobytes(),
+                        self.offset.tobytes())
 
     def apply(self, point: Point) -> Point:
         p = np.asarray(point, dtype=np.int64)
@@ -373,6 +382,8 @@ class PlaneProjectionFunctor(ProjectionFunctor):
     a static compiler, trivial for the dynamic check.
     """
 
+    _params = ("keep_axes",)
+
     def __init__(self, keep_axes: Sequence[int]):
         self.keep_axes = tuple(int(a) for a in keep_axes)
         if len(set(self.keep_axes)) != len(self.keep_axes):
@@ -389,8 +400,13 @@ class PlaneProjectionFunctor(ProjectionFunctor):
         axes = ",".join(f"p[{a}]" for a in self.keep_axes)
         return f"lambda p: ({axes})"
 
-    def __eq__(self, other):
-        return isinstance(other, PlaneProjectionFunctor) and self.keep_axes == other.keep_axes
 
-    def __hash__(self):
-        return hash(("PlaneProjectionFunctor", self.keep_axes))
+def is_value_key(key) -> bool:
+    """Is ``key`` (a functor key, or a cache key holding some) free of
+    callables and user objects, so it may outlive a runtime?"""
+    if isinstance(key, ProjectionFunctor):
+        return key.key is not key and is_value_key(key.key)
+    if isinstance(key, tuple):
+        return (not (key and key[0] is CallableFunctor)
+                and all(map(is_value_key, key)))
+    return True

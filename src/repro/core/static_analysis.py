@@ -160,16 +160,18 @@ def affine_form(a: int, b: int, mod: Optional[int] = None) -> AffineForm:
 
 
 def functor_to_form(functor: ProjectionFunctor) -> Optional[AffineForm]:
-    """Express a 1-D runtime functor as an :class:`AffineForm`, or None."""
-    if isinstance(functor, IdentityFunctor):
+    """Express a 1-D runtime functor as an :class:`AffineForm`, or None.
+    Exact classes only: a subclass may override ``apply``."""
+    cls = type(functor)
+    if cls is IdentityFunctor:
         return AffineForm(1, 0)
-    if isinstance(functor, ConstantFunctor):
+    if cls is ConstantFunctor:
         if functor.value.dim != 1:
             return None
         return AffineForm(0, int(functor.value[0]))
-    if isinstance(functor, AffineFunctor):
+    if cls is AffineFunctor:
         return AffineForm(functor.a, functor.b)
-    if isinstance(functor, ModularFunctor):
+    if cls is ModularFunctor:
         return affine_form(1, functor.k, mod=functor.n)
     return None
 
@@ -384,12 +386,9 @@ def images_disjoint_static(
     """
     if domain.volume == 0:
         return True
-    try:
-        if f == g:
-            return False  # identical images over a non-empty domain
-    except Exception:
-        pass
-    if isinstance(f, ConstantFunctor) and isinstance(g, ConstantFunctor):
+    if f == g:
+        return False  # identical images over a non-empty domain
+    if type(f) is ConstantFunctor and type(g) is ConstantFunctor:
         return f.value != g.value
     ff = functor_to_form(f)
     gg = functor_to_form(g)

@@ -19,8 +19,8 @@ replay executes straight-line integer programs instead of key machinery:
   replays in O(1) — the launch stays one object through physical state.
 
 * :class:`CheckKernelCache` — Listing-3 dynamic checks promoted to
-  kernels keyed by (domain identity, functor descriptions, modes, color
-  bounds).  A kernel is a constant verdict: proven up front by the affine
+  kernels under the memo's key, when its functor keys are values.  A
+  kernel is a constant verdict: proven up front by the affine
   engine when possible (injectivity over the concrete window plus an
   image-bounds argument so the reported ``evaluations``/``out_of_bounds``
   counts match the sweep exactly), otherwise promoted from one vectorized
@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.projection import is_value_key
 from repro.runtime.physical import (
     LaunchDependences,
     TaskDependence,
@@ -367,8 +368,8 @@ def _affine_constant_verdict(domain, args, bounds):
 class CheckKernelCache:
     """Dynamic-check kernels: constant verdicts keyed below the memo.
 
-    ``run`` is a drop-in for :meth:`DynamicCheckMemo.run` /
-    :func:`~repro.core.checks.dynamic_cross_check`.  Hits return the pinned
+    ``run`` serves :meth:`DynamicCheckMemo.run`'s misses under the key the
+    memo built.  Hits return the pinned
     :class:`CheckResult` without evaluating anything; misses compile a
     kernel — by affine proof when possible, else by one vectorized sweep
     over the shared point-array arena — and pin its verdict.
@@ -385,15 +386,9 @@ class CheckKernelCache:
         self._kernels.clear()
         return n
 
-    def run(self, domain, args, bounds, use_numpy: bool = True):
+    def run(self, key, domain, args, bounds, use_numpy: bool = True):
         from repro.core.checks import dynamic_cross_check
 
-        key = (
-            domain,
-            tuple((functor.describe(), mode) for functor, mode in args),
-            bounds,
-            use_numpy,
-        )
         found = self._kernels.get(key)
         if found is not None:
             self.hits += 1
@@ -413,7 +408,8 @@ class CheckKernelCache:
                 use_numpy=use_numpy,
                 points=points,
             )
-        self._kernels[key] = result
+        if is_value_key(key):  # this store is process-wide and unbudgeted
+            self._kernels[key] = result
         return result
 
 

@@ -3,7 +3,7 @@
 Iterative workloads reissue the *same* index launch every timestep, and the
 Section-5 pipeline work for it is amortizable.  This module groups the
 memoization layers, all keyed by the runtime's ``_launch_signature`` —
-(task uid, domain, per-requirement (partition uid, functor, privilege)):
+(task uid, domain, per-requirement (partition uid, functor key, privilege)):
 
 1. **Safety verdicts** (:meth:`LaunchReplayCache.replayed_verdict`): the full
    hybrid static/dynamic :class:`~repro.core.safety.SafetyVerdict` of §3–§4
@@ -96,9 +96,9 @@ def estimate_bytes(obj, depth: int = 3) -> int:
 class DynamicCheckMemo:
     """Memoizes :func:`~repro.core.checks.dynamic_cross_check` results.
 
-    Keyed by (domain, ((functor description, mode), ...), color bounds):
-    everything the check's outcome depends on, and nothing tied to a
-    particular launch.  The memoized :class:`CheckResult` carries the
+    Keyed by (domain, ((functor key, mode), ...), color bounds): everything
+    the check's outcome depends on, and nothing tied to a particular
+    launch.  The memoized :class:`CheckResult` carries the
     evaluation count the original run paid, so verdicts assembled from
     memoized checks report the same ``check_evaluations`` as fresh ones.
 
@@ -183,7 +183,7 @@ class DynamicCheckMemo:
         :func:`~repro.core.safety.analyze_launch_safety`)."""
         key = (
             domain,
-            tuple((functor.describe(), mode) for functor, mode in args),
+            tuple((functor.key, mode) for functor, mode in args),
             bounds,
             use_numpy,
         )
@@ -194,8 +194,7 @@ class DynamicCheckMemo:
             return found
         self.misses += 1
         if self.kernels is not None:
-            result = self.kernels.run(domain, args, bounds,
-                                      use_numpy=use_numpy)
+            result = self.kernels.run(key, domain, args, bounds, use_numpy)
         else:
             result = dynamic_cross_check(domain, args, bounds,
                                          use_numpy=use_numpy)

@@ -575,7 +575,7 @@ class Runtime:
             launch.task.uid,
             launch.domain,
             tuple(
-                (req.partition.uid, req.functor.describe(), str(req.privilege))
+                (req.partition.uid, req.functor.key, req.privilege)
                 for req in launch.requirements
             ),
         )

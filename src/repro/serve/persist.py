@@ -1,17 +1,19 @@
 """Persistence for the analysis caches a warm restart can reuse.
 
-Only the :class:`~repro.runtime.replay.DynamicCheckMemo` is persisted.
-Its keys — ``(domain, ((functor description, mode), ...), color bounds,
-use_numpy)`` — are *content-addressed*: pure values with structural
-equality, naming nothing tied to a live process (no region uids, no
-storage views).  The other replay layers (safety verdicts, expansion and
-physical templates) hold references into a session's live region tree
-and are deliberately rebuilt; they are cheap relative to the dynamic
-check sweep the memo captures, which is the first-issue cost the paper's
-§6 measures.
+Only the :class:`~repro.runtime.replay.DynamicCheckMemo` is persisted,
+and only its entries whose keys — ``(domain, ((functor key, mode), ...),
+color bounds, use_numpy)`` — are pure values
+(:func:`~repro.core.projection.is_value_key`).  Entries keyed by a
+callable or user functor are skipped and counted
+(``serve.persist_skipped``): a module function whose body changed across
+a restart would otherwise get its old verdict.  The other replay layers
+(safety verdicts, expansion and physical templates) hold references into
+a session's live region tree and are deliberately rebuilt; they are
+cheap relative to the dynamic check sweep the memo captures, which is
+the first-issue cost the paper's §6 measures.
 
 Format: one pickle per tenant, ``{"magic", "version", "entries"}``, with
-``entries`` the memo's ``export_entries()`` list (oldest first, so
+``entries`` the memo's value-keyed ``export_entries()`` (oldest first, so
 recency order survives the round trip).  Writes are atomic (temp file +
 ``os.replace``) so a crash mid-save leaves the previous snapshot intact.
 
@@ -28,6 +30,8 @@ import re
 import tempfile
 from typing import Optional
 
+from repro.core.projection import is_value_key
+
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "CACHE_MAGIC",
@@ -39,7 +43,7 @@ __all__ = [
 CACHE_MAGIC = "repro-check-memo"
 #: Bump on any incompatible change to memo keys or CheckResult layout;
 #: loaders treat a mismatched snapshot as absent (cold start).
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 def tenant_cache_path(persist_dir: str, tenant: str) -> str:
@@ -48,10 +52,16 @@ def tenant_cache_path(persist_dir: str, tenant: str) -> str:
     return os.path.join(persist_dir, f"tenant-{safe}.pkl")
 
 
-def save_tenant_memo(persist_dir: str, tenant: str, memo) -> Optional[str]:
-    """Atomically snapshot ``memo`` for ``tenant``; returns the path, or
+def save_tenant_memo(persist_dir: str, tenant: str, memo,
+                     metrics=None) -> Optional[str]:
+    """Atomically snapshot ``memo``'s value-keyed entries for ``tenant``,
+    counting the rest on ``metrics`` if given; returns the path, or
     ``None`` when the memo has nothing worth persisting."""
-    entries = memo.export_entries()
+    exported = memo.export_entries()
+    entries = [entry for entry in exported if is_value_key(entry[0])]
+    if metrics is not None and len(entries) < len(exported):
+        metrics.inc("serve.persist_skipped", len(exported) - len(entries),
+                    tenant=tenant)
     if not entries:
         return None
     os.makedirs(persist_dir, exist_ok=True)

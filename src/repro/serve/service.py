@@ -223,7 +223,8 @@ class ReproService:
 
             for state in self.tenants.values():
                 save_tenant_memo(
-                    self.config.persist_dir, state.name, state.memo
+                    self.config.persist_dir, state.name, state.memo,
+                    self.metrics,
                 )
         self._executor.shutdown(wait=True)
         self._stopped.set()

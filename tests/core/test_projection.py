@@ -1,11 +1,14 @@
 """Tests for projection functors and their static injectivity knowledge."""
 
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.domain import Domain, Point
+from repro.core.domain import Domain, Point, Rect
+from repro.core.launch import IndexLaunch
 from repro.core.projection import (
     AffineFunctor,
     AffineNDFunctor,
@@ -16,8 +19,13 @@ from repro.core.projection import (
     Injectivity,
     ModularFunctor,
     PlaneProjectionFunctor,
+    ProjectionFunctor,
     QuadraticFunctor,
+    is_value_key,
 )
+from repro.data.partition import equal_partition
+from repro.runtime import Runtime, RuntimeConfig, task
+from repro.runtime.replay import DynamicCheckMemo
 
 D10 = Domain.range(10)
 
@@ -244,3 +252,151 @@ def test_batch_scalar_agreement_randomized(a, b, n, k):
         batch = f.apply_batch(pts).reshape(domain.volume, -1)
         for row_in, row_out in zip(pts, batch):
             assert f.apply(Point(*row_in)) == Point(*row_out)
+
+
+# ------------------------------------------------------------ functor keys
+class Reverse(ProjectionFunctor):
+    """A user functor: ``i -> n - 1 - i``."""
+
+    input_dim = output_dim = 1
+
+    def __init__(self, n):
+        self.n = n
+
+    def apply(self, point):
+        return Point(self.n - 1 - point[0])
+
+
+class Folded(ModularFunctor):
+    """A user subclass of a value class that maps every point to 0."""
+
+    def apply(self, point):
+        return Point(0)
+
+    def apply_batch(self, points):
+        return points[:, :1] * 0
+
+
+def shift(k):
+    return CallableFunctor(lambda i: i + k)
+
+
+def _double(i):
+    return 2 * i
+
+
+class TestKeys:
+    def test_value_classes_compare_by_parameters(self):
+        assert ModularFunctor(4, 1) == ModularFunctor(4, 1)
+        assert hash(ModularFunctor(4, 1)) == hash(ModularFunctor(4, 1))
+        assert ModularFunctor(4, 1) != ModularFunctor(4, 2)
+        assert AffineNDFunctor([[1, 2]], [3]) == AffineNDFunctor([[1, 2]], [3])
+        assert AffineNDFunctor([[1, 2]]) != AffineNDFunctor([[1], [2]])
+        assert (ComposedFunctor(AffineFunctor(2), ModularFunctor(3))
+                == ComposedFunctor(AffineFunctor(2), ModularFunctor(3)))
+
+    def test_equality_is_exact_class(self):
+        assert Folded(4, 1) != ModularFunctor(4, 1)
+        assert ModularFunctor(4, 1) != Folded(4, 1)
+        assert Folded(4, 1) != Folded(4, 1)  # user code: the object itself
+
+    def test_user_functors_are_keyed_by_the_object(self):
+        r = Reverse(4)
+        assert r.key is r
+        assert r == r and hash(r) == hash(r)
+        assert r != Reverse(4)
+        clone = pickle.loads(pickle.dumps(r))
+        assert clone.key is clone and clone != r
+
+    def test_callables_compare_by_the_wrapped_function(self):
+        assert CallableFunctor(_double) == CallableFunctor(_double, name="x")
+        assert CallableFunctor(lambda i: i) != CallableFunctor(lambda i: i)
+        assert shift(1) != shift(1)
+
+    def test_value_keys_survive_pickling(self):
+        f = ModularFunctor(4, 1)
+        assert f.key == (ModularFunctor, 4, 1)
+        clone = pickle.loads(pickle.dumps(f))
+        assert clone == f and hash(clone) == hash(f)
+
+    def test_value_keys(self):
+        assert is_value_key(ModularFunctor(4, 1).key)
+        assert is_value_key(ComposedFunctor(IdentityFunctor(),
+                                            AffineFunctor(2)).key)
+        assert not is_value_key(CallableFunctor(_double).key)
+        assert not is_value_key(Reverse(4).key)
+        assert not is_value_key(Folded(4, 1).key)
+        assert not is_value_key(ComposedFunctor(IdentityFunctor(),
+                                                CallableFunctor(_double)).key)
+
+
+KEY_DOMAIN = Domain.range(8)
+_small = st.integers(-2, 2)
+_FUNCTORS = st.one_of(
+    st.builds(IdentityFunctor),
+    st.builds(ConstantFunctor, st.integers(0, 3)),
+    st.builds(AffineFunctor, _small, _small),
+    st.builds(ModularFunctor, st.integers(1, 4), _small),
+    st.builds(QuadraticFunctor, _small, _small, _small),
+    st.builds(lambda a, b: AffineNDFunctor([[a]], [b]), _small, _small),
+    st.builds(PlaneProjectionFunctor, st.just((0,))),
+    st.builds(ComposedFunctor,
+              st.builds(AffineFunctor, _small, _small),
+              st.builds(ModularFunctor, st.integers(1, 4), _small)),
+    st.builds(lambda: CallableFunctor(lambda i: i)),
+    st.builds(lambda: CallableFunctor(lambda i: 0)),
+    st.builds(CallableFunctor, st.just(_double)),
+    st.builds(shift, _small),
+    st.builds(Reverse, st.integers(1, 8)),
+    st.builds(Folded, st.integers(1, 4), _small),
+)
+_KEY_WORLD = {}
+
+
+def _key_world():
+    """One runtime, an 8-piece partition and a task, built once."""
+    if not _KEY_WORLD:
+        @task(privileges=["reads writes"])
+        def touch(ctx, r):
+            pass
+
+        rt = Runtime(RuntimeConfig(workers=1))
+        region = rt.create_region("keys", KEY_DOMAIN.volume, {"x": "f8"})
+        part = equal_partition("keys_p", region, KEY_DOMAIN.volume)
+        _KEY_WORLD.update(rt=rt, part=part, task=touch)
+    return _KEY_WORLD
+
+
+def launch_signature(functor):
+    world = _key_world()
+    rt, task = world["rt"], world["task"]
+    reqs = rt._build_requirements(task, [(world["part"], functor)])
+    return rt._launch_signature(IndexLaunch(task, KEY_DOMAIN, reqs))
+
+
+def check_memo_key(functor):
+    memo = DynamicCheckMemo()
+    memo.run(KEY_DOMAIN, ((functor, "write"),),
+             Rect((0,), (KEY_DOMAIN.volume - 1,)))
+    [(key, _)] = memo.export_entries()
+    return key
+
+
+def images(functor):
+    pts = KEY_DOMAIN.point_array()
+    return functor.apply_batch(pts).reshape(len(pts), -1)
+
+
+@given(f=_FUNCTORS, g=_FUNCTORS)
+@example(f=CallableFunctor(lambda i: i), g=CallableFunctor(lambda i: 0))
+@example(f=shift(0), g=shift(1))
+@example(f=Reverse(4), g=Reverse(8))
+@example(f=ModularFunctor(4, 1), g=Folded(4, 1))
+def test_equal_keys_mean_equal_functions(f, g):
+    """Key soundness: two functors that share a launch signature or a
+    check-memo key compute the same colors over the domain."""
+    same = np.array_equal(images(f), images(g))
+    if launch_signature(f) == launch_signature(g):
+        assert same, (f, g)
+    if check_memo_key(f) == check_memo_key(g):
+        assert same, (f, g)

@@ -6,7 +6,8 @@ import os
 import pickle
 
 from repro.core.domain import Domain, Rect
-from repro.core.projection import ModularFunctor
+from repro.core.projection import CallableFunctor, ModularFunctor
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.replay import DynamicCheckMemo
 from repro.serve.persist import (
     CACHE_FORMAT_VERSION, CACHE_MAGIC, load_tenant_memo, save_tenant_memo,
@@ -112,3 +113,47 @@ def test_save_is_atomic_no_temp_residue(tmp_path):
     save_tenant_memo(str(tmp_path), "t", _warm_memo(1))
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert leftovers == []
+
+
+def _rotate(i):
+    return (i + 1) % 4
+
+
+def test_only_value_keyed_entries_are_snapshot(tmp_path):
+    """An entry keyed by a callable names a live function object: after a
+    restart the same name may be bound to a different body, so it is
+    skipped (and counted), never written."""
+    memo = DynamicCheckMemo()
+    bounds = Rect((0,), (3,))
+    memo.run(Domain.range(4), ((ModularFunctor(4, 1), "write"),), bounds)
+    memo.run(Domain.range(4), ((CallableFunctor(_rotate), "write"),), bounds)
+    assert len(memo) == 2
+    metrics = MetricsRegistry()
+    path = save_tenant_memo(str(tmp_path), "t", memo, metrics)
+    with open(path, "rb") as fh:
+        entries = pickle.load(fh)["entries"]
+    assert [key for key, _ in entries] == [memo.export_entries()[0][0]]
+    assert metrics.value("serve.persist_skipped", tenant="t") == 1
+
+    fresh = DynamicCheckMemo()
+    assert load_tenant_memo(str(tmp_path), "t", fresh) == 1
+
+
+def test_callable_only_memo_saves_nothing(tmp_path):
+    memo = DynamicCheckMemo()
+    memo.run(Domain.range(4), ((CallableFunctor(lambda i: i), "write"),),
+             Rect((0,), (3,)))
+    assert save_tenant_memo(str(tmp_path), "t", memo) is None
+    assert os.listdir(tmp_path) == []
+
+
+def test_version_1_snapshot_is_cold(tmp_path):
+    """Version 1 keyed functors by their ``describe()`` text."""
+    _write_raw(tmp_path, "t", pickle.dumps({
+        "magic": CACHE_MAGIC,
+        "version": 1,
+        "entries": _warm_memo(2).export_entries(),
+    }))
+    fresh = DynamicCheckMemo()
+    assert load_tenant_memo(str(tmp_path), "t", fresh) == 0
+    assert len(fresh) == 0

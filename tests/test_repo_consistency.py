@@ -270,3 +270,18 @@ class TestFunctionLengthRatchet:
         allowed = {"_issue_index_launch", "replay_tasks"}
         too_long = self.too_long("runtime")
         assert too_long <= allowed, too_long - allowed
+
+
+class TestFunctorIdentity:
+    def test_no_cache_keys_on_functor_text(self):
+        """Caches key a functor on its ``key``; ``describe()`` is only
+        text, and the layers that cache never call it."""
+        calls = []
+        for package in ("runtime", "exec", "serve"):
+            pattern = os.path.join(ROOT, "src", "repro", package, "*.py")
+            for path in sorted(glob.glob(pattern)):
+                with open(path) as fh:
+                    for lineno, line in enumerate(fh, 1):
+                        if re.search(r"functor\.describe\(", line):
+                            calls.append(f"{os.path.relpath(path, ROOT)}:{lineno}")
+        assert calls == []
