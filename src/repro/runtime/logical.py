@@ -20,7 +20,7 @@ paper's No-IDX configurations pay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.privileges import Privilege, PrivilegeSpec
 
@@ -132,6 +132,86 @@ class LogicalAnalyzer:
         — for an index launch, one per region requirement (whole-partition
         reasoning); for an individual task, the same but registered per task.
         """
+        out = self._register(op_id, accesses)
+        self._count(len(accesses), len(out))
+        return out
+
+    def analyze_run(
+        self,
+        op_ids: Sequence[int],
+        accesses: List[Tuple[int, Tuple[str, ...], PrivilegeSpec]],
+    ) -> List[List[LogicalDependence]]:
+        """Register consecutive ops that share one access list — the point
+        tasks of an expanded launch — as ``[self.analyze_operation(op,
+        accesses) for op in op_ids]`` would, in one call.  ``op_ids`` are
+        consecutive and above every id registered before.
+
+        Ops are registered one by one only until the run settles.  Every
+        field an op touches is then either *joining* (all of the op's
+        accesses to it share one read or reduce epoch, so each op joins
+        that epoch, depends on its fixed exclusive set and grows its
+        group) or *moving* (its state after the op is its state before the
+        op with every run id shifted by one).  The analysis compares op ids
+        only for equality, so from there on each op repeats the last one
+        shifted by one: its dependences are the last registered op's with
+        run ids shifted, and the end state is written directly.
+        """
+        out: List[List[LogicalDependence]] = []
+        if not op_ids:
+            return out
+        first, count = op_ids[0], len(op_ids)
+        touched: Dict[FieldKey, set] = {}
+        for region_uid, fields, privilege in accesses:
+            for fname in fields:
+                touched.setdefault((region_uid, fname), set()).add(
+                    _epoch_mode(privilege)
+                )
+        joining, moving = [], []
+        for key, modes in touched.items():
+            single = len(modes) == 1 and next(iter(modes))[0] != "exclusive"
+            (joining if single else moving).append(key)
+
+        def shift(ids, by):
+            return [i + by if i >= first else i for i in ids]
+
+        out.append(self._register(first, accesses))
+        states = [self._regions[key] for key in moving]
+        done = 1
+        while done < count:
+            before = [(st.exclusive[:], st.group_mode, st.group[:])
+                      for st in states]
+            out.append(self._register(first + done, accesses))
+            done += 1
+            if all(
+                (shift(ex, 1), mode, shift(group, 1))
+                == (st.exclusive, st.group_mode, st.group)
+                for (ex, mode, group), st in zip(before, states)
+            ):
+                break
+        rest = count - done
+        if rest:
+            last = first + done - 1
+            derived = range(last + 1, first + count)
+            pattern = [(d.earlier_op, d.region_uid) for d in out[-1]]
+            for later in derived:
+                by = later - last
+                out.append([
+                    LogicalDependence(e + by if e >= first else e, later, r)
+                    for e, r in pattern
+                ])
+            for st in states:
+                st.exclusive = shift(st.exclusive, rest)
+                st.group = shift(st.group, rest)
+                st.group_members = set(st.group)
+            for key in joining:
+                st = self._regions[key]
+                st.group.extend(derived)
+                st.group_members.update(derived)
+            self.users_processed += rest * len(accesses)
+        self._count(count * len(accesses), sum(map(len, out)))
+        return out
+
+    def _register(self, op_id, accesses) -> List[LogicalDependence]:
         seen = set()
         out: List[LogicalDependence] = []
         for region_uid, fields, privilege in accesses:
@@ -144,8 +224,10 @@ class LogicalAnalyzer:
                     if key not in seen:
                         seen.add(key)
                         out.append(dep)
+        return out
+
+    def _count(self, users: int, dependences: int) -> None:
         prof = self._profiler
         if prof is not None and prof.enabled:
-            prof.count("logical.users", float(len(accesses)))
-            prof.count("logical.dependences", float(len(out)))
-        return out
+            prof.count("logical.users", float(users))
+            prof.count("logical.dependences", float(dependences))

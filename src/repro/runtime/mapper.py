@@ -12,6 +12,14 @@ point array of :meth:`repro.core.domain.Domain.point_array` and returns one
 node id per point.  The built-in mappers implement it with vectorized numpy
 arithmetic; custom mappers inherit a per-point fallback that preserves the
 pure-``shard`` contract.
+
+The sharding functor places every point task, whichever route its launch
+takes: an index launch, the fallback loop of a launch that failed its
+dynamic check, early expansion and No-IDX all place point ``p`` of domain
+``D`` on ``shard(p, D, n)`` (the expanded routes in one
+:meth:`Mapper.shard_batch` call), so a launch's per-node distribution does
+not depend on how it ran.  :meth:`Mapper.select_node` places only single
+tasks, which have no launch domain.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ import numpy as np
 
 from repro.core.domain import Domain, Point
 
-__all__ = ["Mapper", "DefaultMapper", "CyclicMapper", "ShardingCache"]
+__all__ = [
+    "Mapper", "DefaultMapper", "CyclicMapper", "ShardingCache", "shard_nodes",
+]
 
 
 class Mapper:
@@ -70,8 +80,6 @@ class Mapper:
 
     def select_node(self, task_launch, n_nodes: int) -> int:
         """Node for a single (non-index) task launch."""
-        if task_launch.point is not None and n_nodes > 0:
-            return hash(tuple(task_launch.point)) % n_nodes
         return 0
 
 
@@ -103,13 +111,6 @@ class DefaultMapper(Mapper):
         index = domain.bounds.linearize_batch(points)
         total = domain.bounds.volume
         return np.minimum(index * n_nodes // total, n_nodes - 1)
-
-    def select_node(self, task_launch, n_nodes: int) -> int:
-        if task_launch.point is not None and n_nodes > 1:
-            parent = task_launch.parent
-            if parent is not None:
-                return self.shard(task_launch.point, parent.domain, n_nodes)
-        return 0
 
 
 class CyclicMapper(Mapper):
@@ -159,18 +160,26 @@ class ShardingCache:
             self.hits += 1
             return found
         self.misses += 1
-        points = list(domain)
         assignment: Dict[int, List[Point]] = {}
-        if points:
-            nodes = mapper.shard_batch(domain.point_array(), domain, n_nodes)
-            bad = (nodes < 0) | (nodes >= max(n_nodes, 1))
-            if np.any(bad):
-                pos = int(np.nonzero(bad)[0][0])
-                raise ValueError(
-                    f"sharding functor sent {points[pos]} to node "
-                    f"{int(nodes[pos])} of {n_nodes}"
-                )
-            for p, node in zip(points, nodes):
-                assignment.setdefault(int(node), []).append(p)
+        for p, node in zip(domain, shard_nodes(mapper, domain, n_nodes)):
+            assignment.setdefault(node, []).append(p)
         self._cache[key] = assignment
         return assignment
+
+
+def shard_nodes(mapper: Mapper, domain: Domain, n_nodes: int) -> List[int]:
+    """The node of every point of ``domain``, in iteration order, from one
+    :meth:`Mapper.shard_batch` call; a node outside ``[0, n_nodes)`` is
+    rejected, on every route a launch can take."""
+    points = domain.point_array()
+    if not len(points):
+        return []
+    nodes = mapper.shard_batch(points, domain, n_nodes)
+    bad = (nodes < 0) | (nodes >= max(n_nodes, 1))
+    if np.any(bad):
+        pos = int(np.nonzero(bad)[0][0])
+        raise ValueError(
+            f"sharding functor sent {Point(*points[pos])} to node "
+            f"{int(nodes[pos])} of {n_nodes}"
+        )
+    return nodes.tolist()

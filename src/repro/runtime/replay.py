@@ -53,6 +53,7 @@ from repro.runtime.task import PhysicalRegion
 __all__ = [
     "DynamicCheckMemo",
     "PointPlan",
+    "point_plans",
     "ExpansionTemplate",
     "LaunchReplayCache",
     "estimate_bytes",
@@ -206,9 +207,9 @@ class DynamicCheckMemo:
 class PointPlan:
     """Everything reusable about one point task: its point and args, the
     accesses the analyzer reads and the :class:`PhysicalRegion` views its
-    body gets.  Per-task paths hand in their :class:`TaskLaunch`
-    (:meth:`of`); an index launch's plans build one from ``parent`` only
-    when asked (a profiler span name).
+    body gets.  A single task hands in its :class:`TaskLaunch`
+    (:meth:`of`); an index launch's plans (:func:`point_plans`) build one
+    from ``parent`` only when asked (a profiler span name).
     """
 
     point: Optional[tuple]
@@ -237,6 +238,24 @@ class PointPlan:
             self._task_launch = TaskLaunch(launch.task, reqs, self.args,
                                            self.point, parent=launch)
         return self._task_launch
+
+
+def point_plans(launch: IndexLaunch, points: Sequence) -> List[PointPlan]:
+    """One :class:`PointPlan` per point of ``launch``, in order, from one
+    batched projection per requirement
+    (:meth:`~repro.core.launch.RegionRequirement.project_all`)."""
+    columns = [
+        [(sub, req.privilege, fields) for sub in req.project_all(points)]
+        for req in launch.requirements
+        for fields in (req.resolved_fields(),)
+    ]
+    rows = zip(*columns) if columns else [()] * len(points)
+    args, extra = launch.args, launch.point_args
+    return [
+        PointPlan(point, args if extra is None else args + extra.get(point),
+                  acc, list(starmap(PhysicalRegion, acc)), launch)
+        for point, acc in zip(points, rows)
+    ]
 
 
 @dataclass
@@ -291,25 +310,15 @@ class ExpansionTemplate:
 
     def expand(self, launch: IndexLaunch, assignment) -> list:
         """The first expansion of ``launch``: the [(node, PointPlan)] list
-        in serial plan order (sorted node, then the node's points), from
-        one batched projection per requirement and one plan per point,
-        kept under its point."""
+        in serial plan order (sorted node, then the node's points), each
+        plan kept under its point."""
         flat = [(node, point)
                 for node in sorted(assignment) for point in assignment[node]]
-        points = [point for _, point in flat]
-        columns = [
-            [(sub, req.privilege, fields) for sub in req.project_all(points)]
-            for req in launch.requirements
-            for fields in (req.resolved_fields(),)
-        ]
-        rows = zip(*columns) if columns else [()] * len(flat)
-        args, extra = launch.args, launch.point_args
         plans = []
-        for (node, point), acc in zip(flat, rows):
-            plan = self.plans[tuple(point)] = PointPlan(
-                point, args if extra is None else args + extra.get(point),
-                acc, list(starmap(PhysicalRegion, acc)), launch,
-            )
+        for (node, point), plan in zip(
+            flat, point_plans(launch, [point for _, point in flat])
+        ):
+            self.plans[tuple(point)] = plan
             plans.append((node, plan))
         self.store_plans(launch, assignment, plans)
         return plans

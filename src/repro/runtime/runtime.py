@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.domain import Domain, Point, Rect, coerce_point
+from repro.core.domain import Domain, Rect
 from repro.obs.profiler import NULL_PROFILER
 from repro.core.launch import ArgumentMap, IndexLaunch, RegionRequirement, TaskLaunch
 from repro.core.projection import IdentityFunctor, ProjectionFunctor
@@ -34,12 +35,14 @@ from repro.fault.plan import InjectedFaultError, RetryPolicy
 from repro.runtime.distribution import SlicingCache, build_slices, shard_points
 from repro.runtime.futures import Future, FutureMap, TaskPoisonedError
 from repro.runtime.logical import LogicalAnalyzer
-from repro.runtime.mapper import DefaultMapper, Mapper, ShardingCache
+from repro.runtime.mapper import (
+    DefaultMapper, Mapper, ShardingCache, shard_nodes,
+)
 from repro.exec.backend import resolve_backend
 from repro.exec.pool import resolve_workers
 from repro.runtime.physical import PhysicalAnalyzer
 from repro.runtime.pipeline import PipelineStats, Stage
-from repro.runtime.replay import LaunchReplayCache, PointPlan
+from repro.runtime.replay import LaunchReplayCache, PointPlan, point_plans
 from repro.runtime.task import Task
 from repro.runtime.tracing import TraceRecorder
 
@@ -412,66 +415,54 @@ class Runtime:
         return future
 
     def _pipeline_single(self, plan: PointPlan, node: int) -> int:
-        """The analysis stages of one single task; returns its task id."""
+        """One single task through issuance, logical analysis,
+        distribution and physical analysis: counters charged, graph
+        recorded, profiler phases closed.  Returns its task id."""
+        cfg = self.config
         prof = self.profiler
-        t0 = prof.mark()
-        issuers = (
-            range(self.config.n_nodes) if self.config.dcr else (0,)
-        )
-        op_id, task_id = self._analyze_task(plan, node, issuers)
-        self.stats.logical_users = self.logical.users_processed
-        self.stats.overlap_queries = self.physical.overlap_queries
-        if prof.enabled:
-            attrs = dict(task=plan.task_launch.name, op=op_id, aggregate=True)
-            prof.phase("issuance", Stage.ISSUANCE, t0,
-                       nodes=tuple(issuers), **attrs)
-            prof.phase("logical", Stage.LOGICAL, t0,
-                       nodes=tuple(issuers), **attrs)
-            prof.phase("distribution", Stage.DISTRIBUTION, t0,
-                       node=node, **attrs)
-            prof.phase("physical", Stage.PHYSICAL, t0, node=node, **attrs)
-        return task_id
-
-    def _analyze_task(
-        self,
-        plan: PointPlan,
-        node: int,
-        issuers,
-        skip_issuance: bool = False,
-        op_kind: str = "task",
-    ) -> Tuple[int, int]:
-        """One task through issuance, logical analysis, distribution and
-        physical analysis: counters charged, graph recorded.  Returns its
-        ``(op_id, task_id)``; profiler phases and the ``logical_users`` /
-        ``overlap_queries`` copies are the caller's."""
-        launch = plan.task_launch
         stats = self.stats
+        t0 = prof.mark()
+        launch = plan.task_launch
+        issuers = range(cfg.n_nodes) if cfg.dcr else (0,)
         for n in issuers:
-            if not skip_issuance:
-                stats.add_representation(Stage.ISSUANCE, n, 1)
+            stats.add_representation(Stage.ISSUANCE, n, 1)
             stats.add_representation(Stage.LOGICAL, n, 1)
         op_id = next(self._op_counter)
-        deps = self.logical.analyze_operation(
-            op_id,
-            [
-                (req.region.uid, req.resolved_fields(), req.privilege)
-                for req in launch.requirements
-            ],
-        )
+        deps = self.logical.analyze_operation(op_id, _logical_accesses(launch))
         stats.logical_dependences += len(deps)
         stats.add_representation(Stage.DISTRIBUTION, node, 1)
-        if not self.config.dcr and node != 0:
+        if not cfg.dcr and node != 0:
             stats.slice_messages += 1  # point-to-point, no tree
         task_id = next(self._task_counter)
         tdeps = self.physical.record_task(task_id, plan.accesses)
         stats.physical_dependences += len(tdeps)
         stats.add_representation(Stage.PHYSICAL, node, 1)
         if self.graph_recorder is not None:
-            self.graph_recorder.record_op(op_id, launch.name, op_kind)
+            self.graph_recorder.record_op(op_id, launch.name, "task")
             self.graph_recorder.record_logical_edges(deps)
             self.graph_recorder.record_task(task_id, launch.name, op_id, node)
             self.graph_recorder.record_physical_edges(tdeps)
-        return op_id, task_id
+        stats.logical_users = self.logical.users_processed
+        stats.overlap_queries = self.physical.overlap_queries
+        if prof.enabled:
+            self._close_task_phases(t0, issuers, (node,), True,
+                                    task=launch.name, op=op_id,
+                                    aggregate=True)
+        return task_id
+
+    def _close_task_phases(self, t0, issuers, nodes, issued, **attrs) -> None:
+        """Close the aggregate stage phases of task-granular work opened
+        at ``t0``: issuance (unless the tasks were not ``issued`` here)
+        and logical on the issuers, distribution and physical on
+        ``nodes``."""
+        prof = self.profiler
+        if issued:
+            prof.phase("issuance", Stage.ISSUANCE, t0,
+                       nodes=tuple(issuers), **attrs)
+        prof.phase("logical", Stage.LOGICAL, t0, nodes=tuple(issuers), **attrs)
+        prof.phase("distribution", Stage.DISTRIBUTION, t0, nodes=nodes,
+                   **attrs)
+        prof.phase("physical", Stage.PHYSICAL, t0, nodes=nodes, **attrs)
 
     # -------------------------------------------------------- index launches
     def index_launch(
@@ -683,13 +674,7 @@ class Runtime:
         # --- logical analysis: whole-partition reasoning, one user per arg.
         t_logical = prof.mark()
         op_id = next(self._op_counter)
-        deps = self.logical.analyze_operation(
-            op_id,
-            [
-                (req.region.uid, req.resolved_fields(), req.privilege)
-                for req in launch.requirements
-            ],
-        )
+        deps = self.logical.analyze_operation(op_id, _logical_accesses(launch))
         self.stats.logical_users = self.logical.users_processed
         self.stats.logical_dependences += len(deps)
         for n in issuers:
@@ -775,36 +760,68 @@ class Runtime:
         skip_issuance: bool = False,
         op_kind: str = "task",
     ) -> FutureMap:
-        """Process a launch one task at a time (No-IDX, early-expansion, or
-        serial fallback after a failed check)."""
+        """Run ``launch`` as the original task loop: No-IDX, early
+        expansion (tracing without DCR), or Listing 3's else-branch.
+
+        Each point is an op and a task, charged as one: the O(|D|) of the
+        paper's No-IDX baseline.  What the points share is done once per
+        launch: one batched projection per requirement (``point_plans``),
+        one ``shard_batch`` placement, one charge per (stage, node), and
+        one logical analysis of the |D| ops, which share one access list
+        (``analyze_run``).  Per point remain the ids, physical analysis
+        and the body.  Physical analysis stays per task: the points'
+        footprints differ, and where two points of an unsafe launch touch
+        one piece the later really depends on the earlier.
+        """
         cfg = self.config
         prof = self.profiler
+        stats = self.stats
         t0 = prof.mark()
         issuers = range(cfg.n_nodes) if cfg.dcr else (0,)
-        executed: List[Tuple[int, Tuple[int, PointPlan]]] = []
-        for point in launch.domain:
-            plan = PointPlan.of(launch.point_task(point))
-            self.stats.single_tasks += 1
-            node = self.mapper.select_node(plan.task_launch, cfg.n_nodes)
-            _, task_id = self._analyze_task(
-                plan, node, issuers, skip_issuance, op_kind
-            )
-            executed.append((task_id, (node, plan)))
-        self.stats.logical_users = self.logical.users_processed
-        self.stats.overlap_queries = self.physical.overlap_queries
+        domain = launch.domain
+        points = list(domain)
+        count = len(points)
+        plans = point_plans(launch, points)
+        nodes = shard_nodes(self.mapper, domain, cfg.n_nodes)
+        per_node = Counter(nodes)
+        op_ids = list(itertools.islice(self._op_counter, count))
+        task_ids = list(itertools.islice(self._task_counter, count))
+        if count:  # an empty launch adds no representation rows
+            for n in issuers:
+                if not skip_issuance:
+                    stats.add_representation(Stage.ISSUANCE, n, count)
+                stats.add_representation(Stage.LOGICAL, n, count)
+            for node, local in per_node.items():
+                stats.add_representation(Stage.DISTRIBUTION, node, local)
+                stats.add_representation(Stage.PHYSICAL, node, local)
+        stats.single_tasks += count
+        if not cfg.dcr:
+            stats.slice_messages += count - per_node[0]  # point-to-point
+        deps = self.logical.analyze_run(op_ids, _logical_accesses(launch))
+        stats.logical_dependences += sum(map(len, deps))
+        record = self.physical.record_task
+        tdeps = [record(t, plan.accesses) for t, plan in zip(task_ids, plans)]
+        stats.physical_dependences += sum(map(len, tdeps))
+        recorder = self.graph_recorder
+        if recorder is not None:
+            names = [f"{launch.task.name}{tuple(p)}" for p in points]
+            for op_id, name, edges in zip(op_ids, names, deps):
+                recorder.record_op(op_id, name, op_kind)
+                recorder.record_logical_edges(edges)
+            for task_id, op_id, name, node, edges in zip(
+                task_ids, op_ids, names, nodes, tdeps
+            ):
+                recorder.record_task(task_id, name, op_id, node)
+                recorder.record_physical_edges(edges)
+        stats.logical_users = self.logical.users_processed
+        stats.overlap_queries = self.physical.overlap_queries
         if prof.enabled:
-            attrs = dict(aggregate=True, kind=op_kind, launch=launch.name,
-                         tasks=launch.domain.volume)
-            if not skip_issuance:
-                prof.phase("issuance", Stage.ISSUANCE, t0,
-                           nodes=tuple(issuers), **attrs)
-            prof.phase("logical", Stage.LOGICAL, t0,
-                       nodes=tuple(issuers), **attrs)
-            exec_nodes = tuple(sorted({node for _, (node, _) in executed}))
-            prof.phase("distribution", Stage.DISTRIBUTION, t0,
-                       nodes=exec_nodes, **attrs)
-            prof.phase("physical", Stage.PHYSICAL, t0,
-                       nodes=exec_nodes, **attrs)
+            self._close_task_phases(
+                t0, issuers, tuple(sorted(per_node)), not skip_issuance,
+                aggregate=True, kind=op_kind, launch=launch.name,
+                tasks=count,
+            )
+        executed = list(zip(task_ids, zip(nodes, plans)))
         if cfg.shuffle_intra_launch and order_free:
             self._rng.shuffle(executed)
         fmap = FutureMap(label=launch.name)
@@ -906,6 +923,15 @@ class Runtime:
         future = Future(label=launch.name)
         future.poison(err)
         return future
+
+
+def _logical_accesses(launch) -> list:
+    """A launch's ``(region uid, fields, privilege)`` per requirement: what
+    logical analysis registers for it, or for each of its point tasks."""
+    return [
+        (req.region.uid, req.resolved_fields(), req.privilege)
+        for req in launch.requirements
+    ]
 
 
 # ------------------------------------------------ built-in fill/copy tasks

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.domain import Domain, Point
+from repro.core.projection import ModularFunctor
+from repro.data.partition import equal_partition
+from repro.runtime import Runtime, RuntimeConfig, task
 from repro.runtime.distribution import build_slices, shard_points
 from repro.runtime.mapper import CyclicMapper, DefaultMapper, Mapper, ShardingCache
+from repro.runtime.pipeline import Stage
 
 
 class TestDefaultMapper:
@@ -144,3 +148,50 @@ class TestSlicing:
         result = build_slices(DefaultMapper(), d, nodes)
         pts = sorted(p[0] for s in result.slices for p in s.points)
         assert pts == list(range(n))
+
+
+@task(privileges=["reads writes"])
+def _bump(ctx, r):
+    r.write("x", r.read("x") + 1.0)
+
+
+class TestPlacementByRoute:
+    """A point task is placed by its launch's sharding functor, whatever
+    route the launch takes and whatever the mapper: an index launch,
+    No-IDX and the fallback loop put the same tasks on the same nodes.
+    (An index launch charges distribution one shard descriptor per node,
+    the task loop one unit per task, so only that row's nodes compare.)"""
+
+    def _placement(self, mapper, index_launches, functor=None):
+        rt = Runtime(RuntimeConfig(n_nodes=4, index_launches=index_launches),
+                     mapper=mapper)
+        region = rt.create_region("placed", 16, {"x": "f8"})
+        part = equal_partition("placed_p", region, 8)
+        rt.index_launch(_bump, 8, part if functor is None else (part, functor))
+        rows = rt.stats.representation
+        return (
+            sorted(n for s, n in rows if s == Stage.DISTRIBUTION),
+            {n: u for (s, n), u in rows.items() if s == Stage.PHYSICAL},
+            {n: u for (s, n), u in rows.items() if s == Stage.EXECUTION},
+        )
+
+    @pytest.mark.parametrize("mapper", [DefaultMapper, CyclicMapper])
+    def test_idx_noidx_and_fallback_place_alike(self, mapper):
+        idx = self._placement(mapper(), True)
+        assert idx == ([0, 1, 2, 3], {n: 2 for n in range(4)},
+                       {n: 2 for n in range(4)})
+        assert self._placement(mapper(), False) == idx
+        # ModularFunctor(4, 0) is not injective over 8 points: the launch
+        # fails its dynamic check and runs as the fallback loop.
+        assert self._placement(mapper(), True, ModularFunctor(4, 0)) == idx
+
+    @pytest.mark.parametrize("index_launches", [True, False])
+    def test_an_out_of_range_node_is_rejected_on_every_route(
+        self, index_launches
+    ):
+        class BadMapper(Mapper):
+            def shard(self, point, domain, n_nodes):
+                return n_nodes  # off by one
+
+        with pytest.raises(ValueError, match="to node 4 of 4"):
+            self._placement(BadMapper(), index_launches)

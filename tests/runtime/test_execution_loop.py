@@ -114,6 +114,56 @@ class TestFirstIssueCallsPerPoint:
             assert large[name] == small[name], name
 
 
+def calls_in_expanded_launch(pieces, index_launches):
+    """Python ``call`` events of one BUMP launch run as the task loop, by
+    function name: under IDX a non-injective functor fails its dynamic
+    check and takes the fallback loop; under No-IDX every launch does.
+    Four DCR nodes, so placement and charges spread over nodes."""
+    rt = Runtime(RuntimeConfig(workers=1, tracing=False, n_nodes=4,
+                               index_launches=index_launches))
+    region = rt.create_region("expanded", 2 * pieces, {"x": "f8"})
+    part = equal_partition(f"expanded_p{pieces}", region, pieces)
+    for offset in range(1, 4):
+        rt.index_launch(bump, pieces,
+                        (part, ModularFunctor(pieces // 2, offset)))
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        rt.index_launch(bump, pieces, (part, ModularFunctor(pieces // 2, 7)))
+    finally:
+        sys.setprofile(None)
+    if index_launches:
+        assert rt.stats.launches_fallback_serial == 4
+    return calls
+
+
+class TestExpandedLoopCallsPerPoint:
+    """The fallback loop and No-IDX project, place, charge and run logical
+    analysis once per launch; per point remain the ids, the physical
+    analysis, the plan and the body."""
+
+    @pytest.mark.parametrize("index_launches", [True, False],
+                             ids=["fallback", "noidx"])
+    def test_a_point_costs_its_plan_its_body_and_its_physical_analysis(
+        self, index_launches
+    ):
+        small = calls_in_expanded_launch(16, index_launches)
+        large = calls_in_expanded_launch(256, index_launches)
+        points = 256 - 16
+        growth = sum(large.values()) - sum(small.values())
+        assert growth / points <= 64
+        for name in ("point_task", "project", "apply", "coerce_point",
+                     "__post_init__", "of", "select_node", "shard",
+                     "add_representation", "analyze_operation",
+                     "record_field_access"):
+            assert large[name] == small[name], name
+
+
 def _kill(point):
     return FaultPlan(specs=(
         FaultSpec(kind="kill", scope="point", target=point, times=1),
