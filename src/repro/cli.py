@@ -406,6 +406,7 @@ def _cmd_faultsim(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.serve.service import ReproService, ServiceConfig
 
@@ -427,12 +428,14 @@ def _cmd_serve(args) -> int:
 
     async def _run():
         await service.start()
-        service.install_signal_handlers()
+        stop = asyncio.Event()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            asyncio.get_running_loop().add_signal_handler(sig, stop.set)
         # The port line is the startup contract: smoke scripts parse it.
         print(f"repro serve listening on {service.config.host}:"
               f"{service.port}", flush=True)
-        while not service._stopped.is_set():
-            await asyncio.sleep(0.05)
+        await stop.wait()
+        await service.shutdown()
 
     asyncio.run(_run())
     print("repro serve: shut down cleanly", flush=True)

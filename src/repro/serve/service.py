@@ -17,16 +17,17 @@ Architecture (see ``docs/service.md``):
   per-session runtimes dispatch onto the same warm workers);
 * commands execute strictly one at a time on a single dedicated runtime
   thread — the runtimes, arenas and transports are not thread-safe —
-  drained from per-session queues in **round-robin** order so one chatty
-  session cannot starve the rest;
+  which drains the per-session queues itself, least recently served
+  session first, so one chatty session cannot starve the rest;
 * **admission control**: a session whose command queue is full gets an
   immediate BUSY frame (echoing the rejected seq) instead of unbounded
-  buffering.
+  buffering; a session that stops reading its replies stops being read,
+  and stalls no one else.
 
-Shutdown (SIGTERM/SIGINT or :meth:`ReproService.shutdown`) finishes every
-admitted command, retires the shared pool — transports, shm arenas and
-the sessions' region instances — and snapshots each tenant's check memo
-to the persist directory.
+Shutdown (:meth:`ReproService.shutdown`, which ``repro serve`` calls on
+SIGTERM/SIGINT) finishes every admitted command, retires the shared pool
+— transports, shm arenas and the sessions' region instances — and
+snapshots each tenant's check memo to the persist directory.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import itertools
-import signal
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -59,7 +60,7 @@ class ServiceConfig:
     #: multi-shard launches shard across nodes and take the parallel path.
     n_nodes: int = 4
     #: per-session command-queue bound; a CALL arriving while the queue
-    #: holds this many undispatched commands is answered with BUSY.
+    #: holds this many waiting commands is answered with BUSY.
     queue_limit: int = 8
     #: persisted-cache directory (None = no persistence).
     persist_dir: Optional[str] = None
@@ -74,7 +75,6 @@ class TenantState:
 
     name: str
     memo: Any  # DynamicCheckMemo shared by the tenant's sessions
-    sessions: int = 0
     restored_entries: int = 0
 
 
@@ -86,6 +86,7 @@ class Session:
     tenant: TenantState
     writer: asyncio.StreamWriter
     rt: Any = None
+    #: admitted commands waiting for the runtime thread
     queue: "List[Tuple[int, str, dict]]" = field(default_factory=list)
     closed: bool = False
     #: region/partition/task handles are small server-assigned ints so
@@ -112,7 +113,8 @@ class ReproService:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
         self.tenants: Dict[str, TenantState] = {}
-        self.sessions: Dict[int, Session] = {}
+        #: least recently served first (see :meth:`_drain_queues`)
+        self.sessions: "OrderedDict[int, Session]" = OrderedDict()
         self._sid = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -121,8 +123,10 @@ class ReproService:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-rt"
         )
-        self._dispatch_wakeup: Optional[asyncio.Event] = None
-        self._dispatcher: Optional[asyncio.Task] = None
+        # Guards ``sessions``, every session's ``queue`` and
+        # ``_draining``: the event loop admits, the runtime thread drains.
+        self._lock = threading.Lock()
+        self._draining = False  # a _drain_queues job is submitted
         self._stopping = False
         self._stopped = threading.Event()
         self.port: Optional[int] = None
@@ -179,25 +183,10 @@ class ReproService:
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._dispatch_wakeup = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → graceful shutdown (main thread only)."""
-        if threading.current_thread() is not threading.main_thread():
-            return
-        loop = self._loop
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(self.shutdown())
-                )
-            except (NotImplementedError, RuntimeError):
-                pass
 
     async def shutdown(self) -> None:
         """Drain everything, persist caches, release the pool — exactly
@@ -208,9 +197,8 @@ class ReproService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._dispatcher is not None:
-            self._dispatch_wakeup.set()
-            await self._dispatcher
+        # The executor runs jobs in order, so any drain job admitted
+        # commands started finishes them before the teardown begins.
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(self._executor, self._teardown_runtimes)
         for session in list(self.sessions.values()):
@@ -233,7 +221,9 @@ class ReproService:
         """Runtime-thread half of shutdown: release each session's backend,
         then retire the shared pool (shm arenas, transports, region
         instances)."""
-        for session in list(self.sessions.values()):
+        with self._lock:
+            sessions = list(self.sessions.values())
+        for session in sessions:
             rt = session.rt
             if rt is None:
                 continue
@@ -284,8 +274,8 @@ class ReproService:
                 writer=writer,
                 _next_handle=itertools.count(1),
             )
-            tenant.sessions += 1
-            self.sessions[session.sid] = session
+            with self._lock:
+                self.sessions[session.sid] = session
             self.metrics.inc("serve.sessions", tenant=tenant.name)
             await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._make_runtime, session
@@ -293,9 +283,12 @@ class ReproService:
             writer.write(wire.pack_frame(
                 wire.WELCOME, 0, wire.json_payload(session=session.sid)
             ))
-            await writer.drain()
 
-            while not self._stopping:
+            while True:
+                # A client that stops reading its replies stops being
+                # read: it holds at most queue_limit + 1 replies here and
+                # stalls no other session.
+                await writer.drain()
                 frame = await self._read_frame(reader, decoder)
                 if frame is None or frame.msg == wire.SHUTDOWN:
                     break
@@ -304,29 +297,43 @@ class ReproService:
                 try:
                     command, payload = loads(frame.payload)
                 except Exception:
-                    writer.write(wire.pack_frame(
-                        wire.RESULT, frame.seq,
-                        dumps(("error", "undecodable CALL payload")),
+                    writer.write(self._error_frame(
+                        frame.seq, "undecodable CALL payload"
                     ))
-                    await writer.drain()
                     continue
-                if len(session.queue) >= self.config.queue_limit:
+                if self._stopping:
+                    # The runtimes are being torn down: answer, never run.
+                    writer.write(self._error_frame(
+                        frame.seq, "service is shutting down"
+                    ))
+                    continue
+                with self._lock:
+                    admitted = len(session.queue) < self.config.queue_limit
+                    if admitted:
+                        session.queue.append((frame.seq, command, payload))
+                        start = not self._draining
+                        self._draining = True
+                if not admitted:
                     # Admission control: reject, don't buffer unboundedly.
                     writer.write(wire.pack_frame(wire.BUSY, frame.seq))
-                    await writer.drain()
                     self.metrics.inc(
                         "serve.busy_rejections", tenant=tenant.name
                     )
                     continue
-                session.queue.append((frame.seq, command, payload))
                 self.metrics.inc("serve.admissions", tenant=tenant.name)
-                self._dispatch_wakeup.set()
+                if start:
+                    self._executor.submit(self._drain_queues)
+        except ConnectionError:
+            pass  # the client went away; reaped below like any other
         finally:
             if session is not None:
                 session.closed = True
-                # Leave teardown of the session runtime to the dispatcher
-                # (its queue may still hold admitted commands).
-                self._dispatch_wakeup.set()
+                if not self._stopping:
+                    # Queued behind any drain job, which empties this
+                    # session's queue first; at shutdown the teardown
+                    # releases every session instead.
+                    writer.close()
+                    self._executor.submit(self._reap, session)
 
     @staticmethod
     async def _read_frame(reader, decoder):
@@ -339,67 +346,47 @@ class ReproService:
                 return None
             decoder.feed(chunk)
 
-    # ------------------------------------------------------------ dispatch
-    async def _dispatch_loop(self) -> None:
-        """Round-robin one command per ready session per sweep."""
-        loop = asyncio.get_running_loop()
-        rr: List[int] = []
+    @staticmethod
+    def _error_frame(seq: int, message: str) -> bytes:
+        return wire.pack_frame(wire.RESULT, seq, dumps(("error", message)))
+
+    # ------------------------------------------------------- runtime thread
+    def _drain_queues(self) -> None:
+        """The runtime thread's job: run queued commands until every queue
+        is empty, each time taking the head of the least recently served
+        ready session, so while another session has commands waiting no
+        session is served twice in a row.  Each reply goes back to the
+        event loop in one ``call_soon_threadsafe``."""
         while True:
-            if self._stopping and not any(
-                s.queue for s in self.sessions.values()
-            ):
-                return
-            ready = [s for s in self.sessions.values() if s.queue]
-            if not ready:
-                if self._stopping:
+            with self._lock:
+                session = next(
+                    (s for s in self.sessions.values() if s.queue), None
+                )
+                if session is None:
+                    self._draining = False
                     return
-                self._dispatch_wakeup.clear()
-                # Re-check after clear: a frame may have been admitted
-                # between the scan and the clear.
-                if not any(s.queue for s in self.sessions.values()):
-                    await self._dispatch_wakeup.wait()
-                continue
-            # Stable round-robin: continue the rotation from last sweep.
-            order = {sid: i for i, sid in enumerate(rr)}
-            ready.sort(key=lambda s: order.get(s.sid, len(order)))
-            for session in ready:
-                if not session.queue:
-                    continue
+                self.sessions.move_to_end(session.sid)
                 seq, command, payload = session.queue.pop(0)
-                rr = [s.sid for s in ready if s.sid != session.sid]
-                rr.append(session.sid)
-                try:
-                    result = await loop.run_in_executor(
-                        self._executor,
-                        self._execute, session, command, payload,
-                    )
-                    reply = dumps(("ok", result))
-                except Exception as exc:  # surfaced to the client, typed
-                    reply = dumps(("error", f"{type(exc).__name__}: {exc}"))
-                if not session.closed:
-                    try:
-                        session.writer.write(
-                            wire.pack_frame(wire.RESULT, seq, reply)
-                        )
-                        await session.writer.drain()
-                    except (ConnectionError, RuntimeError):
-                        session.closed = True
-            self._reap_closed()
+            try:
+                reply = dumps(("ok", self._execute(session, command, payload)))
+                frame = wire.pack_frame(wire.RESULT, seq, reply)
+            except Exception as exc:  # surfaced to the client, typed
+                frame = self._error_frame(seq, f"{type(exc).__name__}: {exc}")
+            self._loop.call_soon_threadsafe(self._send_reply, session, frame)
 
-    def _reap_closed(self) -> None:
-        for sid, session in list(self.sessions.items()):
-            if session.closed and not session.queue:
-                del self.sessions[sid]
-                session.tenant.sessions -= 1
-                rt = session.rt
-                if rt is not None:
-                    # Drain on the runtime thread; the shared pool stays
-                    # warm for the tenant's next session.
-                    self._executor.submit(self._drain_quietly, rt)
+    @staticmethod
+    def _send_reply(session: Session, frame: bytes) -> None:
+        if not session.closed:
+            session.writer.write(frame)
 
-    def _drain_quietly(self, rt) -> None:
+    def _reap(self, session: Session) -> None:
+        """Forget a departed session and drain its runtime; the shared
+        pool stays warm for the tenant's next session."""
+        with self._lock:
+            del self.sessions[session.sid]
         try:
-            rt.drain()
+            if session.rt is not None:
+                session.rt.drain()
         except Exception as exc:
             self._swallowed("drain", exc)
 

@@ -5,6 +5,7 @@ persistence of the analysis cache."""
 import gc
 import glob
 import os
+import sys
 import threading
 import time
 import weakref
@@ -141,6 +142,149 @@ class TestSessionLifetime:
             assert rt_ref() is None
             keep.close()
 
+    def test_a_session_is_reaped_at_disconnect(self):
+        """With no other traffic on the service, a departing session
+        leaves ``sessions`` and its ``Runtime`` becomes collectable."""
+        with running_service(workers=2) as (svc, _):
+            cli = ServiceClient("127.0.0.1", svc.port)
+            drive(cli, launches=1)
+            sid = cli.session
+            rt_ref = weakref.ref(svc.sessions[sid].rt)
+            cli.close()
+            wait_for(lambda: sid not in svc.sessions)
+
+            def collected():
+                gc.collect()
+                return rt_ref() is None
+
+            wait_for(collected)
+
+
+class TestFairness:
+    def test_no_session_is_served_twice_while_another_waits(self):
+        """Two sessions with three commands queued each are served
+        alternately."""
+        with running_service() as (svc, _):
+            first, a, b = (ServiceClient("127.0.0.1", svc.port,
+                                         tenant=f"rr{i}") for i in range(3))
+            order = []
+            execute = svc._execute
+
+            def recording(session, command, payload):
+                order.append(session.sid)
+                return execute(session, command, payload)
+
+            svc._execute = recording
+            gate = threading.Event()
+            try:
+                svc._executor.submit(gate.wait)  # pin the runtime thread
+                # ``first``'s call is admitted before the others arrive,
+                # so ``a`` and ``b`` both have all three commands queued
+                # whenever the order between them is decided.
+                wire.send_frame(first._sock, wire.CALL, 1,
+                                dumps(("drain", {})))
+                wait_for(lambda: svc.metrics.total("serve.admissions") == 1)
+                for cli in (a, b):
+                    for seq in (1, 2, 3):
+                        wire.send_frame(cli._sock, wire.CALL, seq,
+                                        dumps(("drain", {})))
+                wait_for(lambda: svc.metrics.total("serve.admissions") == 7)
+                gate.set()
+                for cli, calls in ((first, 1), (a, 3), (b, 3)):
+                    for _ in range(calls):
+                        assert wire.recv_frame(cli._sock).msg == wire.RESULT
+            finally:
+                gate.set()
+                for cli in (first, a, b):
+                    cli.close()
+        assert order[0] == first.session
+        alternating = [a.session, b.session] * 3
+        assert order[1:] in (alternating, alternating[1:] + alternating[:1])
+
+
+class TestHandoffStress:
+    def test_churning_sessions_lose_no_command(self):
+        """The event loop and the runtime thread share the session queues
+        and the session table.  Clients outnumbering the cores connect,
+        call and disconnect with thread switches forced often: every call
+        is answered, every admission executed, every session reaped."""
+        clients, rounds, calls, burst = 6, 3, 40, 4
+        errors = []
+        with running_service() as (svc, _):
+            def churn(i):
+                try:
+                    for _ in range(rounds):
+                        with ServiceClient("127.0.0.1", svc.port,
+                                           tenant=f"churn{i}",
+                                           timeout=20) as cli:
+                            for _ in range(calls // burst):
+                                for seq in range(burst):
+                                    wire.send_frame(cli._sock, wire.CALL,
+                                                    seq, dumps(("stats", {})))
+                                for _ in range(burst):
+                                    frame = wire.recv_frame(cli._sock)
+                                    assert frame.msg == wire.RESULT
+                except Exception as exc:
+                    errors.append(f"client {i}: {exc!r}")
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=churn, args=(i,))
+                           for i in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            wait_for(lambda: not svc.sessions)
+            assert svc.metrics.total("serve.admissions") == \
+                clients * rounds * calls
+            assert svc.metrics.total("serve.busy_rejections") == 0
+
+
+class TestSlowReader:
+    def test_a_client_that_stops_reading_stalls_only_itself(self):
+        """A session that never reads its replies (four of 16 MB each,
+        more than the socket buffers hold) must not delay another
+        session's command."""
+        elems = 2 * 1024 * 1024
+        with running_service() as (svc, _):
+            slow = ServiceClient("127.0.0.1", svc.port, tenant="slow")
+            fast = ServiceClient("127.0.0.1", svc.port, tenant="fast")
+            region = slow.create_region("big", elems, {"x": "f8"})
+            done = threading.Event()
+            errors = []
+
+            def fast_call():
+                try:
+                    fast.create_region("small", 8, {"x": "f8"})
+                    done.set()
+                except Exception as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=fast_call, daemon=True)
+            try:
+                for seq in range(100, 104):
+                    wire.send_frame(slow._sock, wire.CALL, seq, dumps((
+                        "read_field", {"region": region, "fname": "x"},
+                    )))
+                thread.start()
+                served = done.wait(timeout=5)
+            finally:
+                # Reading the replies unblocks a service that stalled.
+                for _ in range(4):
+                    assert wire.recv_frame(slow._sock).msg == wire.RESULT
+                thread.join(timeout=30)
+                slow.close()
+                fast.close()
+            assert not thread.is_alive()
+            assert errors == []
+            assert served, "a slow reader stalled another session"
+
 
 class TestAdmissionControl:
     def test_busy_backpressure(self):
@@ -197,13 +341,11 @@ class TestAdmissionControl:
                     )
 
                 # Fill the queue behind the pinned thread by hand, gating
-                # on server state rather than on arrival timing: 900 has
-                # left the queue for the pinned executor, 901 waits in it.
-                for seq, queued in ((900, 0), (901, 1)):
-                    wire.send_frame(cli._sock, wire.CALL, seq,
-                                    dumps(("drain", {})))
-                    wait_for(lambda: admitted() == seq - 899
-                             and len(session.queue) == queued)
+                # on server state rather than on arrival timing: 900 waits
+                # in the queue, which holds one command.
+                wire.send_frame(cli._sock, wire.CALL, 900,
+                                dumps(("drain", {})))
+                wait_for(lambda: admitted() == 1 and len(session.queue) == 1)
                 # So a normal call must raise ServiceBusy.
                 with pytest.raises(ServiceBusy):
                     cli.drain()
@@ -244,6 +386,34 @@ class TestGracefulShutdown:
             ).result(timeout=30)
             # The context manager's teardown calls shutdown() again.
         assert svc._stopped.is_set()
+
+
+    def test_a_call_read_after_shutdown_begins_is_answered(self):
+        """A CALL admitted before shutdown runs; one read after it began
+        is answered with an error and never run."""
+        with running_service() as (svc, loop):
+            import asyncio
+
+            cli = ServiceClient("127.0.0.1", svc.port)
+            gate = threading.Event()
+            try:
+                svc._executor.submit(gate.wait)  # pin the runtime thread
+                wire.send_frame(cli._sock, wire.CALL, 1, dumps(("stats", {})))
+                wait_for(lambda: svc.metrics.total("serve.admissions") == 1)
+                done = asyncio.run_coroutine_threadsafe(svc.shutdown(), loop)
+                wait_for(lambda: svc._stopping)
+                wire.send_frame(cli._sock, wire.CALL, 2, dumps(("stats", {})))
+                frame = wire.recv_frame(cli._sock)
+                assert (frame.seq, loads(frame.payload)) == (
+                    2, ("error", "service is shutting down"))
+                gate.set()
+                frame = wire.recv_frame(cli._sock)
+                assert frame.seq == 1 and loads(frame.payload)[0] == "ok"
+                done.result(timeout=30)
+            finally:
+                gate.set()
+                cli.close()
+        assert svc.metrics.total("serve.admissions") == 1
 
 
 class TestSwallowedErrors:
