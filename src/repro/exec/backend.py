@@ -1,15 +1,18 @@
-"""Execution backends for the pipeline tail of an index launch.
+"""Execution backends: the per-node tail of a committed index launch.
 
-``Runtime._issue_index_launch`` handles the launch-level stages — issuance,
-safety, logical analysis, distribution — and then hands the per-node tail
-(expansion, physical analysis, task-body execution) to its backend.
-:class:`ExecutionBackend` owns the part of that tail every backend shares
-— expansion, physical analysis on the parent's one analyzer, and their
-accounting — so the two backends hold only what differs:
+Issue is two phases (``docs/architecture.md``).  ``Runtime._plan`` runs all
+of a launch's user code — the verdict, the distribution and the point
+plans — and changes no runtime state; ``Runtime._commit`` then acts on the
+resulting :class:`~repro.runtime.runtime.LaunchPlan`.  A launch-granular
+plan's commit registers one op in logical analysis and hands the plan to
+its backend's :meth:`ExecutionBackend.finish_launch`, which runs physical
+analysis and the task bodies.  :class:`ExecutionBackend` owns what every
+backend shares — physical analysis on the parent's one analyzer, its
+accounting, and the in-process execution loop the task-loop commit also
+takes — so the two backends hold only what differs:
 
 * :class:`SerialBackend` runs the task bodies in-process, through the
-  execution loop (:meth:`ExecutionBackend.execute`) every in-process body
-  takes.
+  execution loop (:meth:`ExecutionBackend.execute`).
 * :class:`~repro.exec.parallel.ParallelBackend` has workers run them and
   applies their effects at commit; selected with
   ``RuntimeConfig.workers > 1`` (or env ``REPRO_WORKERS``).
@@ -17,33 +20,33 @@ accounting — so the two backends hold only what differs:
 The backend boundary is *after* distribution on purpose: everything up to
 the assignment is O(launch) work the paper's control replicas replicate
 anyway, while everything below it is the O(|D|_local) per-node work that
-Section 5 distributes.
+Section 5 distributes.  Nothing below the boundary runs user code but the
+bodies: the plan already holds every projection and argument.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.fault.plan import InjectedFaultError
 from repro.runtime.futures import FutureMap
 from repro.runtime.physical import LaunchDependences
 from repro.runtime.pipeline import Stage
-from repro.runtime.replay import ExpansionTemplate, PointPlan
 from repro.runtime.task import TaskContext
 
 __all__ = ["ExecutionBackend", "SerialBackend", "resolve_backend"]
 
 
 class ExecutionBackend:
-    """Finish one distributed index launch.
+    """Finish one launch-granular plan.
 
-    Everything between distribution and the task bodies is the same on
-    every backend and is written once, here: :meth:`analyze_launch` runs
-    expansion, then physical analysis against the runtime's one live
-    analyzer in serial plan order (sorted node, then the node's points),
-    then the accounting both leave behind.  A backend adds only how the
-    bodies run and how their effects reach the parent's regions.
+    Everything between the commit's logical analysis and the task bodies
+    is the same on every backend and is written once, here:
+    :meth:`analyze_launch` runs physical analysis against the runtime's one
+    live analyzer in serial plan order (sorted node, then the node's
+    points), then the accounting it leaves behind.  A backend adds only
+    how the bodies run and how their effects reach the parent's regions.
     """
 
     name = "abstract"
@@ -51,17 +54,9 @@ class ExecutionBackend:
     def __init__(self, rt):
         self.rt = rt
 
-    def finish_launch(
-        self,
-        launch,
-        sig: tuple,
-        op_id: int,
-        assignment: Dict[int, list],
-        replay: bool,
-        safe_order_free: bool,
-        cache,
-    ) -> FutureMap:
-        """Expansion -> physical analysis -> execution for ``assignment``."""
+    def finish_launch(self, plan, op_id: int) -> FutureMap:
+        """Physical analysis and execution of ``plan``, whose launch
+        logical analysis registered as op ``op_id``."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -73,83 +68,17 @@ class ExecutionBackend:
         backends leave it in plain numpy storage."""
 
     # ------------------------------------------------- the shared launch tail
-    def analyze_launch(self, launch, sig, op_id, assignment, replay, cache):
-        """Expansion, physical analysis and their accounting.
-
-        Returns ``(task_ids, plans, per_node)``: the fresh task ids in
-        serial plan order, a callable giving the ``[(node, PointPlan)]``
-        list in that order (see :meth:`_expansion`), and the task count of
-        every node that has any.
-        """
+    def analyze_launch(self, plan, op_id: int) -> List[int]:
+        """Physical analysis of ``plan`` and its accounting; returns the
+        fresh task ids, in serial plan order."""
         rt = self.rt
-        per_node = {
-            node: len(assignment[node])
-            for node in sorted(assignment) if assignment[node]
-        }
-        total = sum(per_node.values())
-        plans = self._expansion(launch, sig, assignment, cache, total)
         t_phys = rt.profiler.mark()
-        task_ids = list(islice(rt._task_counter, total))
-        tdeps_lists, replayed = self._physical(
-            launch, sig, replay, cache, task_ids, plans
-        )
-        self._account(
-            launch, op_id, assignment, per_node, task_ids, tdeps_lists,
-            replayed, t_phys,
-        )
-        return task_ids, plans, per_node
+        task_ids = list(islice(rt._task_counter, len(plan.plans)))
+        tdeps_lists, replayed = self._physical(plan, task_ids)
+        self._account(plan, op_id, task_ids, tdeps_lists, replayed, t_phys)
+        return task_ids
 
-    def _expansion(self, launch, sig, assignment, cache, total):
-        """Post-distribution expansion: reuse the memoized template
-        (analyzer accesses, PhysicalRegion views and args per point) or
-        build and store it on the first issue (:meth:`ExpansionTemplate.
-        expand`: one batched projection per requirement, one plan per
-        point).
-
-        Returns a callable giving the ordered ``[(node, PointPlan)]`` list.
-        On a template hit the list is materialised on first call only, so
-        a launch that replays its physical template and runs its bodies
-        elsewhere never builds it.
-        """
-        rt = self.rt
-        prof = rt.profiler
-        t_expand = prof.mark()
-        template = cache.get_expansion(sig) if cache is not None else None
-        cached = template is not None
-        plan_list = None
-        if cached:
-            rt.stats.analysis_cache_hits += 1
-        else:
-            template = ExpansionTemplate(
-                base_args=launch.args,
-                had_point_args=launch.point_args is not None,
-            )
-            plan_list = template.expand(launch, assignment)
-            if cache is not None:
-                cache.put_expansion(sig, template)
-
-        def plans() -> List[Tuple[int, PointPlan]]:
-            nonlocal plan_list
-            if plan_list is None:
-                plan_list = template.ordered_plans(launch, assignment)
-            if plan_list is None:
-                plan_list = [
-                    (node, template.point_plan(launch, point))
-                    for node in sorted(assignment)
-                    for point in assignment[node]
-                ]
-                template.store_plans(launch, assignment, plan_list)
-            return plan_list
-
-        if prof.enabled:
-            prof.phase("expansion", "expansion", t_expand,
-                       launch=launch.name, cached=cached, points=total)
-            if cached:
-                prof.instant("cache.expansion_hit", "expansion",
-                             launch=launch.name)
-        return plans
-
-    def _physical(self, launch, sig, replay, cache, task_ids, plans):
+    def _physical(self, plan, task_ids):
         """Physical analysis, as ``(dependences per task, replayed)``.
 
         On a trace-validated replay, re-stamp the recorded dependence
@@ -162,7 +91,9 @@ class ExecutionBackend:
         """
         rt = self.rt
         prof = rt.profiler
-        templated = replay and cache is not None
+        launch, sig = plan.launch, plan.sig
+        cache = rt.replay_cache if rt.config.analysis_cache else None
+        templated = plan.replay and cache is not None
         if templated:
             ptemplate = cache.get_physical(sig)
             if ptemplate is not None:
@@ -182,7 +113,7 @@ class ExecutionBackend:
                                  launch=launch.name)
         tdeps_lists, ptemplate = rt.physical.record_launch(
             task_ids,
-            [plan.accesses for _, plan in plans()],
+            [point_plan.accesses for _, point_plan in plan.plans],
             {req.region.uid for req in launch.requirements}
             if templated else None,
         )
@@ -191,15 +122,13 @@ class ExecutionBackend:
         return tdeps_lists, False
 
     def _account(
-        self, launch, op_id, assignment, per_node, task_ids, tdeps_lists,
-        replayed, t_phys,
+        self, plan, op_id, task_ids, tdeps_lists, replayed, t_phys
     ) -> None:
         """What physical analysis leaves in ``PipelineStats``, the graph
-        recorder and the profiler.  The representation table is a pure
-        additive counter, so one call per node lands the same totals as
-        one call per task."""
+        recorder and the profiler (the plan charged its representation)."""
         rt = self.rt
         prof = rt.profiler
+        launch = plan.launch
         # A launch-user replay knows its edge count without building the
         # edges; they are materialised only for a graph recorder, below.
         rt.stats.physical_dependences += (
@@ -207,24 +136,19 @@ class ExecutionBackend:
             if isinstance(tdeps_lists, LaunchDependences)
             else sum(len(t) for t in tdeps_lists)
         )
-        for node, local in per_node.items():
-            rt.stats.add_representation(Stage.PHYSICAL, node, local)
         if rt.graph_recorder is not None:
-            points = (
-                (node, point)
-                for node in per_node for point in assignment[node]
-            )
-            for tid, (node, point), tdeps in zip(
-                task_ids, points, tdeps_lists
+            for tid, (node, point_plan), tdeps in zip(
+                task_ids, plan.plans, tdeps_lists
             ):
                 rt.graph_recorder.record_task(
-                    tid, f"{launch.task.name}{tuple(point)}", op_id, node
+                    tid, f"{launch.task.name}{tuple(point_plan.point)}",
+                    op_id, node,
                 )
                 rt.graph_recorder.record_physical_edges(tdeps)
         rt.stats.overlap_queries = rt.physical.overlap_queries
         if prof.enabled:
             cost = prof.costmodel
-            for node, local in per_node.items():
+            for node, local in plan.per_node.items():
                 attrs = dict(op=op_id, launch=launch.name, tasks=local,
                              replayed=replayed)
                 if cost is not None:
@@ -239,9 +163,11 @@ class ExecutionBackend:
                            node=node, **attrs)
 
     # ------------------------------------------------------ the execution loop
-    def execute(self, fn, work) -> dict:
-        """Run ``fn`` in this process for each ``(task_id, (node,
-        PointPlan))`` of ``work``, in order; returns the values by point.
+    def execute(self, plan, task_ids) -> dict:
+        """Run ``plan``'s bodies in this process, task ``task_ids[i]`` the
+        ``i``-th of its ``(node, PointPlan)`` list — in that order, or
+        shuffled when the launch is order-free and the config asks;
+        returns the values by point.
 
         Per task: the context and the body.  Per launch: reading the fault
         injector and profiler, and charging ``tasks_executed`` and the
@@ -251,6 +177,10 @@ class ExecutionBackend:
         stamped with its task id and point.
         """
         rt = self.rt
+        fn = plan.launch.task.fn
+        work = list(zip(task_ids, plan.plans))
+        if rt.config.shuffle_intra_launch and plan.order_free:
+            rt._rng.shuffle(work)
         inj = rt.fault_injector
         prof = rt.profiler if rt.profiler.enabled else None
         values = {}
@@ -293,19 +223,9 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def finish_launch(
-        self, launch, sig, op_id, assignment, replay, safe_order_free, cache
-    ) -> FutureMap:
-        rt = self.rt
-        task_ids, plans, _ = self.analyze_launch(
-            launch, sig, op_id, assignment, replay, cache
-        )
-        # --- execution (functionally; order free for verified launches).
-        work = list(zip(task_ids, plans()))
-        if rt.config.shuffle_intra_launch and safe_order_free:
-            rt._rng.shuffle(work)
-        fmap = FutureMap(label=launch.name)
-        fmap.fill(self.execute(launch.task.fn, work))
+    def finish_launch(self, plan, op_id: int) -> FutureMap:
+        fmap = FutureMap(label=plan.launch.name)
+        fmap.fill(self.execute(plan, self.analyze_launch(plan, op_id)))
         return fmap
 
 

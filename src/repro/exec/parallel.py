@@ -63,7 +63,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.domain import Point
 from repro.data.collection import covering_subregions
 from repro.data.privileges import REDUCTION_OPS, Privilege
 from repro.exec.backend import ExecutionBackend, SerialBackend
@@ -282,26 +281,29 @@ class _Unit:
     progress: Optional[np.ndarray] = None
 
 
-def _build_units(requirements, assignment, nodes, projections,
-                 workers: int) -> List[_Unit]:
-    """Node ``i`` of ``nodes`` to worker ``i % workers``: one unit per
-    worker that gets any, its points in serial (ordinal) order."""
-    runs = [[] for _ in range(min(workers, len(nodes)))]
+def _build_units(plan, workers: int) -> List[_Unit]:
+    """Node ``i`` of the plan's sorted nodes to worker ``i % workers``: one
+    unit per worker that gets any, its points in serial (ordinal) order,
+    each point's subregions those the plan projected."""
+    runs = [[] for _ in range(min(workers, len(plan.per_node)))]
     ordinals = [[] for _ in runs]
     start = 0
-    for i, node in enumerate(nodes):
-        local = assignment[node]
+    for i, node in enumerate(plan.per_node):
+        local = plan.assignment[node]
         runs[i % workers].append((node, local))
         ordinals[i % workers].extend(range(start, start + len(local)))
         start += len(local)
     units = []
     for k, (run, ords) in enumerate(zip(runs, ordinals)):
-        local_projs = [projections[o] for o in ords]
+        local_projs = [
+            [access[0] for access in plan.plans[o][1].accesses] for o in ords
+        ]
         units.append(_Unit(
             k=k, runs=run, nodes=[node for node, local in run for _ in local],
             points=[point for _, local in run for point in local],
             ordinals=ords, local_projs=local_projs,
-            footprints=_unit_footprints(requirements, local_projs),
+            footprints=_unit_footprints(plan.launch.requirements,
+                                        local_projs),
         ))
     return units
 
@@ -385,8 +387,8 @@ class _PlanMemo:
     """Memoized unit construction for one launch signature.
 
     Everything in a plan except its live parts — pickled read values and
-    undo slots — is pure in (signature, assignment, args): projections,
-    the units (points, ordinals, nodes, footprints), requirement
+    undo slots — is pure in (signature, assignment, args): the units
+    (points, ordinals, nodes, projections, footprints), requirement
     templates, and the empty cache deltas of a warm worker.  This memo
     keeps the units, and each unit its plan skeleton with the pickled blob
     and the undo set it names.  On mapped regions there are no read
@@ -408,20 +410,14 @@ class _PlanMemo:
     args: bytes                     # ``dumps(launch.args)``
     assignment_key: Any             # identity token (the sharding cache's dict)
     profile: bool
-    # --- from the first dispatch through the memo
-    flat_points: Optional[List[Tuple[int, Point]]] = None
-    projections: Optional[List[List[Any]]] = None
-    units: Optional[List[_Unit]] = None
+    units: Optional[List[_Unit]] = None     # from the first dispatch
 
 
 @dataclass
 class _Dispatch:
-    """A launch's units from submission on, and what collecting validated."""
+    """A launch's units from submission on, and what collecting validated
+    (by global ordinal: the plan's serial order)."""
 
-    points: List[Tuple[int, Point]]          # (node, point) in serial order
-    #: per global ordinal, the subregion each requirement projects to:
-    #: pickled write-backs name their requirement, not an index set.
-    projections: List[List[Any]]
     units: List[_Unit]
     #: per-unit rebuild-and-resubmit closure for the recovery ladder.
     resubmit: Any
@@ -520,37 +516,24 @@ class ParallelBackend(ExecutionBackend):
         return True
 
     # -------------------------------------------------------- entry point
-    def finish_launch(
-        self, launch, sig, op_id, assignment, replay, safe_order_free, cache
-    ) -> FutureMap:
-        if not self._eligible(launch, assignment, safe_order_free):
+    def finish_launch(self, plan, op_id: int) -> FutureMap:
+        if not self._eligible(plan.launch, plan.assignment, plan.order_free):
             self.stats.serial_launches += 1
-            return self.serial.finish_launch(
-                launch, sig, op_id, assignment, replay, safe_order_free, cache
-            )
+            return self.serial.finish_launch(plan, op_id)
         t_par = self.rt.profiler.mark()
         try:
-            dispatch = self._submit_launch(launch, sig, assignment)
-            self._collect_launch(launch, dispatch)
+            dispatch = self._submit_launch(plan)
+            self._collect_launch(plan, dispatch)
         except _ParallelBail as bail:
-            return self._fallback(
-                launch, sig, op_id, assignment, replay, safe_order_free,
-                cache, bail,
-            )
-        fmap = self._finish_dispatch(
-            launch, sig, op_id, assignment, replay, safe_order_free, cache,
-            dispatch, t_par,
-        )
+            return self._fallback(plan, op_id, bail)
+        fmap = self._finish_dispatch(plan, op_id, dispatch, t_par)
         # Every future was collected and no undo slot is needed any more:
         # the slots are free for the next dispatch.
         self._units = []
         self._pool.arena.rewind_all()
         return fmap
 
-    def _fallback(
-        self, launch, sig, op_id, assignment, replay, safe_order_free, cache,
-        bail,
-    ) -> FutureMap:
+    def _fallback(self, plan, op_id: int, bail) -> FutureMap:
         """Tier 3: abandon a bailed dispatch, undo what its workers wrote
         in place, and re-run serially."""
         prof = self.rt.profiler
@@ -565,18 +548,16 @@ class ParallelBackend(ExecutionBackend):
             self._pool.arena.abandon_all()
         self._units = []
         if bail.poison:
-            self._poisoned_tasks.add(launch.task.uid)
+            self._poisoned_tasks.add(plan.launch.task.uid)
         if prof.enabled:
             prof.instant(
                 "parallel.fallback",
                 Stage.EXECUTION,
-                launch=launch.name,
+                launch=plan.launch.name,
                 code=bail.code,
                 reason=bail.detail,
             )
-        return self.serial.finish_launch(
-            launch, sig, op_id, assignment, replay, safe_order_free, cache
-        )
+        return self.serial.finish_launch(plan, op_id)
 
     def _quiesce(self) -> None:
         """Make sure no worker of the bailed dispatch can still write: a
@@ -607,15 +588,12 @@ class ParallelBackend(ExecutionBackend):
                 sub.scatter(fname, view)
         self._pool.arena.stats.undo_restores += sum(map(len, done))
 
-    def _finish_dispatch(
-        self, launch, sig, op_id, assignment, replay, safe_order_free, cache,
-        dispatch, t_par,
-    ) -> FutureMap:
+    def _finish_dispatch(self, plan, op_id, dispatch, t_par) -> FutureMap:
         """Account, ship cache deltas, and commit one collected dispatch."""
         prof = self.rt.profiler
         self.stats.parallel_launches += 1
         self.stats.shards_dispatched += len(dispatch.units)
-        self.stats.tasks_shipped += len(dispatch.points)
+        self.stats.tasks_shipped += len(plan.plans)
         pool = self._pool
         for k, gen, staged in dispatch.shipments:
             if pool.generation(k) != gen:
@@ -633,10 +611,10 @@ class ParallelBackend(ExecutionBackend):
         if prof.enabled:
             cost = prof.costmodel
             attrs = dict(
-                launch=launch.name,
+                launch=plan.launch.name,
                 workers=self.workers,
                 units=len(dispatch.units),
-                points=len(dispatch.points),
+                points=len(plan.plans),
             )
             if cost is not None:
                 # Wall-clock bookkeeping only: the pool is an artifact of
@@ -647,35 +625,20 @@ class ParallelBackend(ExecutionBackend):
                 ) * len(dispatch.units)
             prof.phase("parallel.shards", Stage.EXECUTION, t_par, **attrs)
             prof.count("parallel.dispatches", 1.0)
-        return self._commit(
-            launch, sig, op_id, replay, safe_order_free, cache, dispatch,
-            assignment,
-        )
+        return self._commit(plan, op_id, dispatch)
 
-    def _submit_launch(self, launch, sig, assignment) -> _Dispatch:
+    def _submit_launch(self, plan) -> _Dispatch:
+        launch = plan.launch
         self._units = []
         self.pool()  # a replaced pool invalidates every memo, first
-        memo = self._memo_for(sig, launch, assignment)
+        memo = self._memo_for(plan.sig, launch, plan.assignment)
 
-        # The serial plan order, per-point projections (pure: one batched
-        # functor evaluation per requirement, then colour lookups) and the
-        # units built from them — signature-pure, so a valid memo serves
-        # them all.
-        if memo is not None and memo.units is not None:
-            flat_points, projections = memo.flat_points, memo.projections
-            units = memo.units
-        else:
-            nodes = sorted(assignment)
-            flat_points = [
-                (node, point) for node in nodes for point in assignment[node]
-            ]
-            points = [point for _, point in flat_points]
-            columns = [req.project_all(points) for req in launch.requirements]
-            projections = list(zip(*columns)) or [()] * len(points)
-            units = _build_units(launch.requirements, assignment, nodes,
-                                 projections, self.workers)
+        # The units, built from the plan's projections — signature-pure,
+        # so a valid memo serves them.
+        units = memo.units if memo is not None else None
+        if units is None:
+            units = _build_units(plan, self.workers)
             if memo is not None:
-                memo.flat_points, memo.projections = flat_points, projections
                 memo.units = units
 
         try:
@@ -690,15 +653,11 @@ class ParallelBackend(ExecutionBackend):
         for unit in units:
             unit.future = unit.progress = None
         self._units = units
-        build = (launch, memo, task_blob)
+        build = (plan, memo, task_blob)
         for unit in units:
             self._submit(build, unit)
-        return _Dispatch(
-            points=flat_points,
-            projections=projections,
-            units=units,
-            resubmit=lambda unit: self._submit(build, unit),
-        )
+        return _Dispatch(units=units,
+                         resubmit=lambda unit: self._submit(build, unit))
 
     def _memo_for(self, sig, launch, assignment):
         """The launch signature's plan memo, or None.
@@ -741,7 +700,7 @@ class ParallelBackend(ExecutionBackend):
         resubmission.  Units are submitted in worker order, which keeps
         the fault injector's directive-consumption order (worker, then
         node)."""
-        launch, _, _ = build
+        launch = build[0].launch
         pool = self._pool
         k = unit.k
         item = self._build_plan(build, unit)
@@ -837,7 +796,8 @@ class ParallelBackend(ExecutionBackend):
     def _build_skeleton(self, build, unit: _Unit, read_data, undo):
         """The plan against the worker's *current* committed cache view,
         and the cache delta shipping it stages."""
-        launch, _, task_blob = build
+        plan, _, task_blob = build
+        launch = plan.launch
         k = unit.k
         caches = self._pool.caches[k]
         staged = _empty_delta()
@@ -855,7 +815,9 @@ class ParallelBackend(ExecutionBackend):
 
         extra = None
         if launch.point_args is not None:
-            extra = [launch.point_args.get(p) for p in unit.points]
+            # The ArgumentMap's values, as the plan evaluated them.
+            n = len(launch.args)
+            extra = [plan.plans[o][1].args[n:] for o in unit.ordinals]
 
         plan = ShardPlan(
             nodes=unit.nodes,
@@ -914,7 +876,7 @@ class ParallelBackend(ExecutionBackend):
         stats.bytes_slotted += undo.nbytes
         return read_data, undo
 
-    def _collect_launch(self, launch, dispatch: _Dispatch) -> None:
+    def _collect_launch(self, plan, dispatch: _Dispatch) -> None:
         """Await every unit of one submitted launch and validate the
         results into ``dispatch``, recovering per unit (retry -> respawn),
         bailing to serial only when a unit exhausts its retry policy."""
@@ -922,7 +884,7 @@ class ParallelBackend(ExecutionBackend):
         policy = getattr(self.rt, "retry_policy", None) or RetryPolicy()
         for unit in dispatch.units:
             unit.payload = self._collect_unit(
-                launch, pool, policy, unit, dispatch.resubmit
+                plan.launch, pool, policy, unit, dispatch.resubmit
             )
             # Stamp the shipment with the generation that *produced* it
             # (unit.gen, set at submit), never the generation at collect
@@ -934,7 +896,7 @@ class ParallelBackend(ExecutionBackend):
             dispatch.shipments.append((unit.k, unit.gen, unit.staged))
 
         # Validate everything before committing.
-        values = dispatch.values = [None] * len(dispatch.points)
+        values = dispatch.values = [None] * len(plan.plans)
         for unit in dispatch.units:
             result = unit.payload
             pool.arena.stats.worker_releases += result.shm_released
@@ -1090,31 +1052,26 @@ class ParallelBackend(ExecutionBackend):
         prof.count("recovery.events", 1.0, kind=kind, failure=failure.kind)
 
     # -------------------------------------------------------------- commit
-    def _commit(
-        self, launch, sig, op_id, replay, safe_order_free, cache, dispatch,
-        assignment,
-    ) -> FutureMap:
+    def _commit(self, plan, op_id, dispatch) -> FutureMap:
         rt = self.rt
-        cfg = rt.config
         prof = rt.profiler
-        total = len(dispatch.points)
-        _, _, per_node = self.analyze_launch(
-            launch, sig, op_id, assignment, replay, cache
-        )
+        launch, plans = plan.launch, plan.plans
+        total = len(plans)
+        self.analyze_launch(plan, op_id)
         fmap = FutureMap(label=launch.name)
 
         # --- execution commit: apply effects in serial (or shuffled) order.
         order = list(range(total))
-        if cfg.shuffle_intra_launch and safe_order_free:
+        if rt.config.shuffle_intra_launch and plan.order_free:
             rt._rng.shuffle(order)
         region_by_uid = {
             req.region.uid: req.region for req in launch.requirements
         }
-        self._commit_effects(dispatch, order, region_by_uid)
-        points, values = dispatch.points, dispatch.values
-        fmap.fill({points[g][1]: values[g] for g in order})
+        self._commit_effects(plans, dispatch, order, region_by_uid)
+        values = dispatch.values
+        fmap.fill({plans[g][1].point: values[g] for g in order})
         rt.stats.tasks_executed += total
-        for node, local in per_node.items():
+        for node, local in plan.per_node.items():
             rt.stats.add_representation(Stage.EXECUTION, node, local)
         if prof.enabled:
             span_name = f"execute:{launch.task.name}"
@@ -1122,7 +1079,7 @@ class ParallelBackend(ExecutionBackend):
                 span = dispatch.spans.get(g)
                 if span is None:
                     continue
-                node, point = points[g]
+                node, point = plans[g][0], plans[g][1].point
                 start, end, k = span
                 prof.ingest_span(
                     span_name,
@@ -1136,7 +1093,7 @@ class ParallelBackend(ExecutionBackend):
                 )
         return fmap
 
-    def _commit_effects(self, dispatch, order, region_by_uid) -> None:
+    def _commit_effects(self, plans, dispatch, order, region_by_uid) -> None:
         """Apply pickled write-backs and recorded reduces in commit order
         (writes to mapped fields already landed in place).
 
@@ -1160,9 +1117,9 @@ class ParallelBackend(ExecutionBackend):
             for g in order:
                 back = writes.get(g)
                 if back:
-                    projs = dispatch.projections[g]
+                    accesses = plans[g][1].accesses
                     for ri, fname, vals in back:
-                        projs[ri].scatter(fname, vals)
+                        accesses[ri][0].scatter(fname, vals)
                 for uid, fname, idx, vals, opname in reduces.get(g, ()):
                     key = (uid, fname)
                     vals = np.asarray(vals).ravel()
@@ -1179,9 +1136,9 @@ class ParallelBackend(ExecutionBackend):
         for key, pending in pending_by_key.items():
             self._apply_reduces(region_by_uid, key, pending)
         # Every task writes back the same (requirement, field) list.
-        projs = dispatch.projections[order[0]]
+        accesses = plans[order[0]][1].accesses
         written = {
-            (projs[ri].region.uid, fname)
+            (accesses[ri][0].region.uid, fname)
             for ri, fname, _ in writes.get(order[0], ())
         }
         stats.batched_commit_ops += len(written) + len(pending_by_key)

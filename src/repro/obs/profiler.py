@@ -98,9 +98,11 @@ class Profiler:
         start: Optional[float],
         node: int = 0,
         nodes: Optional[Iterable[int]] = None,
+        end: Optional[float] = None,
         **args: Any,
     ) -> None:
-        """Close the phase opened at ``start`` (a :meth:`mark` value).
+        """Close the phase opened at ``start`` (a :meth:`mark` value), now
+        or at the mark ``end``.
 
         One span is recorded per entry of ``nodes`` (default: just
         ``node``) — replicated control work (DCR issuance, logical
@@ -109,7 +111,8 @@ class Profiler:
         """
         if start is None or not self.enabled:
             return
-        end = self._clock()
+        if end is None:
+            end = self._clock()
         targets = tuple(nodes) if nodes is not None else (node,)
         for n in targets:
             self.spans.append(Span(name, stage, int(n), start, end, args=dict(args)))

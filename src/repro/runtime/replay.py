@@ -293,21 +293,6 @@ class ExpansionTemplate:
         except Exception:
             return False
 
-    def ordered_plans(self, launch: IndexLaunch, assignment) -> Optional[list]:
-        """The cached [(node, PointPlan)] list for ``assignment``, or None.
-
-        Only valid when the baked-in args are reusable as-is; callers build
-        (and may :meth:`store_plans`) otherwise.
-        """
-        if self.plan_list_key is assignment and self.reusable_for(launch):
-            return self.plan_list
-        return None
-
-    def store_plans(self, launch: IndexLaunch, assignment, plans: list) -> None:
-        if self.reusable_for(launch):
-            self.plan_list_key = assignment
-            self.plan_list = plans
-
     def expand(self, launch: IndexLaunch, assignment) -> list:
         """The first expansion of ``launch``: the [(node, PointPlan)] list
         in serial plan order (sorted node, then the node's points), each
@@ -320,8 +305,26 @@ class ExpansionTemplate:
         ):
             self.plans[tuple(point)] = plan
             plans.append((node, plan))
-        self.store_plans(launch, assignment, plans)
+        self._keep(launch, assignment, plans)
         return plans
+
+    def reissue(self, launch: IndexLaunch, assignment) -> list:
+        """The [(node, PointPlan)] list of a reissue: the kept list while
+        its assignment object and args still hold, else one rebuilt from
+        the cached plans (:meth:`point_plan`) and kept."""
+        if self.plan_list_key is assignment and self.reusable_for(launch):
+            return self.plan_list
+        plans = [
+            (node, self.point_plan(launch, point))
+            for node in sorted(assignment) for point in assignment[node]
+        ]
+        self._keep(launch, assignment, plans)
+        return plans
+
+    def _keep(self, launch: IndexLaunch, assignment, plans: list) -> None:
+        if self.reusable_for(launch):
+            self.plan_list_key = assignment
+            self.plan_list = plans
 
     def point_plan(self, launch: IndexLaunch, point) -> PointPlan:
         """The plan for ``point``; if args moved, a fresh plan carrying

@@ -32,7 +32,7 @@ from repro.data.partition import Partition
 from repro.data.privileges import Privilege
 from repro.fault.inject import FaultInjector
 from repro.fault.plan import InjectedFaultError, RetryPolicy
-from repro.runtime.distribution import SlicingCache, build_slices, shard_points
+from repro.runtime.distribution import SlicingCache, build_slices
 from repro.runtime.futures import Future, FutureMap, TaskPoisonedError
 from repro.runtime.logical import LogicalAnalyzer
 from repro.runtime.mapper import (
@@ -42,11 +42,13 @@ from repro.exec.backend import resolve_backend
 from repro.exec.pool import resolve_workers
 from repro.runtime.physical import PhysicalAnalyzer
 from repro.runtime.pipeline import PipelineStats, Stage
-from repro.runtime.replay import LaunchReplayCache, PointPlan, point_plans
+from repro.runtime.replay import (
+    ExpansionTemplate, LaunchReplayCache, PointPlan, point_plans,
+)
 from repro.runtime.task import Task
 from repro.runtime.tracing import TraceRecorder
 
-__all__ = ["Runtime", "RuntimeConfig"]
+__all__ = ["LaunchPlan", "Runtime", "RuntimeConfig"]
 
 # A requirement argument to index_launch: a Partition (identity functor) or
 # a (Partition, ProjectionFunctor) pair.
@@ -197,6 +199,44 @@ class RuntimeConfig:
             f"{'DCR' if self.dcr else 'No DCR'}, "
             f"{'IDX' if self.index_launches else 'No IDX'}"
         )
+
+
+@dataclass(eq=False, slots=True)
+class LaunchPlan:
+    """One launch as data: everything its user code decided, before the
+    runtime acts on it.
+
+    :meth:`Runtime._plan` builds it and changes no runtime state;
+    :meth:`Runtime._commit` acts on it.  A plan with an ``assignment`` is
+    committed at launch granularity (one op, then the backend); any other
+    — No-IDX, early expansion, Listing 3's fallback, a single task — as
+    the task loop (an op and a task per point).
+    """
+
+    launch: Any                      # an IndexLaunch, or a single TaskLaunch
+    sig: Optional[tuple]             # tracer (and replay-cache) key, if traced
+    index: bool = False              # an index launch under IDX
+    kind: str = "task"               # a task loop's op kind in the graph
+    early: bool = False              # expanded after issuance (§6.2.1)
+    order_free: bool = True          # verified: bodies may run in any order
+    verdict: Optional[SafetyVerdict] = None
+    #: a first expansion, for the commit to store in the replay cache
+    new_template: Optional[ExpansionTemplate] = None
+    cache_hits: int = 0              # analysis-cache hits planning found
+    #: ((stage, node), units), in the order the rows are charged
+    charges: list = field(default_factory=list)
+    slicing: Any = None              # the SlicingResult, without DCR
+    assignment: Optional[Dict[int, list]] = None   # node -> its points
+    per_node: Optional[Dict[int, int]] = None      # node -> its task count
+    plans: Optional[list] = None     # [(node, PointPlan)], serial plan order
+    replay: bool = False             # set at commit: the tracer matched
+    # profiler marks (None when it is off): issue, verdict, distribution,
+    # expansion, end of planning
+    t_issue: Optional[float] = None
+    t_issued: Optional[float] = None
+    t_dist: Optional[float] = None
+    t_expand: Optional[float] = None
+    t_planned: Optional[float] = None
 
 
 class Runtime:
@@ -392,8 +432,6 @@ class Runtime:
             for i in range(len(subregions))
         ]
         launch = TaskLaunch(task=task, requirements=requirements, args=args)
-        self.stats.ops_issued += 1
-        self.stats.single_tasks += 1
         poison = self.physical.poison_for(
             [req.region.uid for req in requirements]
         )
@@ -401,68 +439,9 @@ class Runtime:
             # A region this task touches was tainted by an unrecovered
             # fault: the task never runs, its future carries the root cause.
             return self._poison_single(launch, poison)
-        if self.config.tracing:
-            self.tracer.observe(("single", task.uid))
-        target = node if node is not None else self.mapper.select_node(
-            launch, self.config.n_nodes
-        )
-        plan = PointPlan.of(launch)
-        task_id = self._pipeline_single(plan, target)
         future = Future()
-        future.set(
-            self.backend.execute(task.fn, [(task_id, (target, plan))])[None]
-        )
+        future.set(self._commit(self._plan(launch, node)))
         return future
-
-    def _pipeline_single(self, plan: PointPlan, node: int) -> int:
-        """One single task through issuance, logical analysis,
-        distribution and physical analysis: counters charged, graph
-        recorded, profiler phases closed.  Returns its task id."""
-        cfg = self.config
-        prof = self.profiler
-        stats = self.stats
-        t0 = prof.mark()
-        launch = plan.task_launch
-        issuers = range(cfg.n_nodes) if cfg.dcr else (0,)
-        for n in issuers:
-            stats.add_representation(Stage.ISSUANCE, n, 1)
-            stats.add_representation(Stage.LOGICAL, n, 1)
-        op_id = next(self._op_counter)
-        deps = self.logical.analyze_operation(op_id, _logical_accesses(launch))
-        stats.logical_dependences += len(deps)
-        stats.add_representation(Stage.DISTRIBUTION, node, 1)
-        if not cfg.dcr and node != 0:
-            stats.slice_messages += 1  # point-to-point, no tree
-        task_id = next(self._task_counter)
-        tdeps = self.physical.record_task(task_id, plan.accesses)
-        stats.physical_dependences += len(tdeps)
-        stats.add_representation(Stage.PHYSICAL, node, 1)
-        if self.graph_recorder is not None:
-            self.graph_recorder.record_op(op_id, launch.name, "task")
-            self.graph_recorder.record_logical_edges(deps)
-            self.graph_recorder.record_task(task_id, launch.name, op_id, node)
-            self.graph_recorder.record_physical_edges(tdeps)
-        stats.logical_users = self.logical.users_processed
-        stats.overlap_queries = self.physical.overlap_queries
-        if prof.enabled:
-            self._close_task_phases(t0, issuers, (node,), True,
-                                    task=launch.name, op=op_id,
-                                    aggregate=True)
-        return task_id
-
-    def _close_task_phases(self, t0, issuers, nodes, issued, **attrs) -> None:
-        """Close the aggregate stage phases of task-granular work opened
-        at ``t0``: issuance (unless the tasks were not ``issued`` here)
-        and logical on the issuers, distribution and physical on
-        ``nodes``."""
-        prof = self.profiler
-        if issued:
-            prof.phase("issuance", Stage.ISSUANCE, t0,
-                       nodes=tuple(issuers), **attrs)
-        prof.phase("logical", Stage.LOGICAL, t0, nodes=tuple(issuers), **attrs)
-        prof.phase("distribution", Stage.DISTRIBUTION, t0, nodes=nodes,
-                   **attrs)
-        prof.phase("physical", Stage.PHYSICAL, t0, nodes=nodes, **attrs)
 
     # -------------------------------------------------------- index launches
     def index_launch(
@@ -504,15 +483,12 @@ class Runtime:
             # lost too — with the *originating* failure as its diagnosis.
             fmap = self._poison_launch(launch, poison, propagated=True)
         else:
+            plan = self._plan(launch)
             inj = self.fault_injector
             if inj is not None:
                 inj.begin_launch(next(self._fault_ordinal))
             try:
-                fmap = (
-                    self._issue_index_launch(launch)
-                    if self.config.index_launches
-                    else self._issue_expanded(launch)
-                )
+                fmap = self._commit(plan)
             except InjectedFaultError as exc:
                 # Tier 4 of the recovery ladder: every cheaper tier failed
                 # (or never applied); convert the injected fault into a
@@ -571,262 +547,350 @@ class Runtime:
             ),
         )
 
-    def _issue_index_launch(self, launch: IndexLaunch) -> FutureMap:
-        cfg = self.config
-        prof = self.profiler
-        cost = prof.costmodel if prof.enabled else None
-        t_issue = prof.mark()
-        self.stats.ops_issued += 1
-        self.stats.index_launches += 1
-        sig = self._launch_signature(launch)
-        cache = self.replay_cache if cfg.analysis_cache else None
-        replay = False
-        if cfg.tracing:
-            replay = self.tracer.observe(sig)
-            if replay:
-                self.stats.launch_replays += 1
-                if prof.enabled:
-                    prof.instant("trace.launch_replay", Stage.ISSUANCE,
-                                 launch=launch.name)
+    def _issuers(self):
+        """The nodes that issue and logically analyse every operation: all
+        of them under DCR (replicated control), node 0 without."""
+        return range(self.config.n_nodes) if self.config.dcr else (0,)
 
-        # --- safety: the hybrid analysis gates index-launch execution.
-        # Verdicts are pure in the launch signature, so replays reuse the
-        # memoized verdict (flagged ``cached``, same counters charged — a
-        # replayed launch is still a verified launch, not a skipped one).
-        safe_order_free = True
-        t_safety = prof.mark()
+    # -------------------------------------------------------------- planning
+    def _plan(self, launch, node: Optional[int] = None) -> LaunchPlan:
+        """Run all of ``launch``'s user code and return what it decided.
+
+        ``launch`` is an :class:`IndexLaunch`, or a single
+        :class:`TaskLaunch` placed on ``node`` (else by ``select_node``).
+        The verdict (static analysis, then the dynamic check), the
+        placement and the point plans are computed here, so a raise leaves
+        the runtime as it was: no op or task id, stat, trace, log, analysis
+        or graph entry.  Only pure memo fills happen — the check memo, the
+        sharding and slicing caches, an expansion template's plan list.
+        """
+        cfg = self.config
+        mark = self.profiler.mark
+        t_issue = mark()
+        if isinstance(launch, TaskLaunch):
+            if node is None:
+                node = self.mapper.select_node(launch, cfg.n_nodes)
+            plan = LaunchPlan(launch, ("single", launch.task.uid),
+                              t_issue=t_issue, t_issued=t_issue)
+            return self._plan_tasks(plan, [node], [PointPlan.of(launch)])
+        if not cfg.index_launches:
+            return self._plan_tasks(LaunchPlan(
+                launch, None, order_free=False, t_issue=t_issue,
+                t_issued=t_issue,
+            ))
+        plan = LaunchPlan(launch, self._launch_signature(launch), index=True,
+                          t_issue=t_issue)
+        cache = self.replay_cache if cfg.analysis_cache else None
         if cfg.validate_safety:
-            verdict = (
-                cache.replayed_verdict(sig, cfg.dynamic_checks)
-                if cache is not None
-                else None
+            # The hybrid analysis gates index-launch execution.  Verdicts
+            # are pure in the signature, so a reissue reuses the memoized
+            # one (flagged ``cached``; the same counters are charged).
+            plan.verdict = (
+                cache.replayed_verdict(plan.sig, cfg.dynamic_checks)
+                if cache is not None else None
             )
-            if verdict is not None:
-                self.stats.analysis_cache_hits += 1
+            if plan.verdict is not None:
+                plan.cache_hits = 1
             else:
                 memo = cache.check_memo if cache is not None else None
-                memo_hits = memo.hits if memo is not None else 0
-                verdict = analyze_launch_safety(
+                hits = memo.hits if memo is not None else 0
+                plan.verdict = analyze_launch_safety(
                     launch, run_dynamic=cfg.dynamic_checks, check_memo=memo
                 )
                 if memo is not None:
-                    self.stats.analysis_cache_hits += memo.hits - memo_hits
-                if cache is not None:
-                    cache.put_verdict(sig, cfg.dynamic_checks, verdict)
-            self.safety_log.append(verdict)
-            self.stats.check_evaluations += verdict.check_evaluations
-            if verdict.method is SafetyMethod.STATIC:
-                self.stats.launches_verified_static += 1
-            elif verdict.method is SafetyMethod.HYBRID:
-                self.stats.launches_verified_dynamic += 1
-            elif verdict.method is SafetyMethod.UNVERIFIED:
-                self.stats.launches_unverified += 1
-            if prof.enabled:
-                prof.phase(
-                    "safety", "safety", t_safety,
-                    launch=launch.name,
-                    method=verdict.method.name,
-                    cached=verdict.cached,
-                    safe=verdict.safe,
-                    check_evaluations=verdict.check_evaluations,
-                )
-                if verdict.cached:
-                    prof.instant("cache.verdict_hit", "safety",
-                                 launch=launch.name)
-            if not verdict.safe:
-                # Listing 3's else-branch: fall back to the original task loop.
-                self.stats.launches_fallback_serial += 1
-                if prof.enabled:
-                    prof.instant("safety.fallback_serial", "safety",
-                                 launch=launch.name)
-                    prof.phase("issuance", Stage.ISSUANCE, t_issue,
-                               launch=launch.name, fallback=True)
-                return self._run_expanded(
-                    launch, order_free=False, op_kind="fallback_loop"
-                )
-            safe_order_free = verdict.method is not SafetyMethod.UNVERIFIED
-
-        # --- issuance: one O(1) descriptor per issuing node.
-        issuers = range(cfg.n_nodes) if cfg.dcr else (0,)
-        for n in issuers:
-            self.stats.add_representation(Stage.ISSUANCE, n, 1)
-        if prof.enabled:
-            attrs = dict(launch=launch.name, domain=launch.domain.volume,
-                         replay=replay)
-            if cost is not None:
-                attrs["sim_cost_s"] = cost.t_issue_launch
-            prof.phase("issuance", Stage.ISSUANCE, t_issue,
-                       nodes=tuple(issuers), **attrs)
-
-        # Tracing without DCR forces expansion before distribution
-        # (Section 6.2.1): the launch degrades to per-task processing from
-        # the logical stage onward.  Bulk tracing — the paper's future-work
-        # extension — records traces at launch granularity instead, so the
-        # O(1) representation survives distribution.
-        if cfg.tracing and not cfg.dcr and not cfg.bulk_tracing:
-            if prof.enabled:
-                prof.instant("trace.early_expansion", Stage.ISSUANCE,
-                             launch=launch.name)
-            return self._run_expanded(
-                launch, order_free=safe_order_free, skip_issuance=True
+                    plan.cache_hits = memo.hits - hits
+            plan.order_free = (
+                plan.verdict.method is not SafetyMethod.UNVERIFIED
             )
+        plan.t_issued = mark()
+        if plan.verdict is not None and not plan.verdict.safe:
+            # Listing 3's else-branch: fall back to the original task loop.
+            plan.kind, plan.order_free = "fallback_loop", False
+            return self._plan_tasks(plan)
+        issuers = self._issuers()
+        plan.charges = [((Stage.ISSUANCE, n), 1) for n in issuers]
+        if cfg.tracing and not cfg.dcr and not cfg.bulk_tracing:
+            # Tracing without DCR forces expansion before distribution
+            # (Section 6.2.1): the launch degrades to per-task processing
+            # from the logical stage on.  Bulk tracing — the paper's
+            # future-work extension — records traces at launch granularity
+            # instead, so the O(1) representation survives distribution.
+            plan.early = True
+            return self._plan_tasks(plan)
+        plan.charges += [((Stage.LOGICAL, n), 1) for n in issuers]
+        return self._plan_launch(plan, cache)
 
-        # --- logical analysis: whole-partition reasoning, one user per arg.
-        t_logical = prof.mark()
-        op_id = next(self._op_counter)
-        deps = self.logical.analyze_operation(op_id, _logical_accesses(launch))
-        self.stats.logical_users = self.logical.users_processed
-        self.stats.logical_dependences += len(deps)
-        for n in issuers:
-            self.stats.add_representation(Stage.LOGICAL, n, 1)
-        if prof.enabled:
-            attrs = dict(op=op_id, launch=launch.name, dependences=len(deps))
-            if cost is not None:
-                attrs["sim_cost_s"] = (
-                    cost.t_logical_launch_arg * len(launch.requirements)
-                )
-            prof.phase("logical", Stage.LOGICAL, t_logical,
-                       nodes=tuple(issuers), **attrs)
-        if self.graph_recorder is not None:
-            self.graph_recorder.record_op(op_id, launch.name, "index_launch")
-            self.graph_recorder.record_logical_edges(deps)
+    def _plan_launch(self, plan: LaunchPlan, cache) -> LaunchPlan:
+        """Distribution and expansion of a launch-granular plan.
 
-        # --- distribution: sharding (DCR) or slicing (broadcast tree).
-        # Both functors are pure, so both paths are memoized (sharding was
-        # always; slicing joins it under the analysis-cache knob).
-        t_dist = prof.mark()
-        dist_attrs: Dict[str, Any] = {}
+        Distribution is the sharding map (DCR) or the slicing (the
+        broadcast tree); both functors are pure, so both are memoized.
+        Expansion reuses the signature's template, or expands the launch
+        once: one batched projection per requirement, one plan per point.
+        """
+        cfg = self.config
+        mark = self.profiler.mark
+        launch = plan.launch
+        plan.t_dist = mark()
         if cfg.dcr:
             assignment = self.sharding_cache.shard_map(
                 self.mapper, launch.domain, cfg.n_nodes
             )
-            for node in assignment:
-                self.stats.add_representation(Stage.DISTRIBUTION, node, 1)
-            dist_attrs["mode"] = "shard"
+            plan.charges += [((Stage.DISTRIBUTION, n), 1) for n in assignment]
         else:
-            if cache is not None:
-                slicing = self.slicing_cache.slice(
-                    self.mapper, launch.domain, cfg.n_nodes
-                )
-            else:
-                slicing = build_slices(self.mapper, launch.domain, cfg.n_nodes)
-            self.stats.slice_messages += slicing.n_messages
-            self.stats.max_slice_depth = max(
-                self.stats.max_slice_depth, slicing.max_depth
+            plan.slicing = (
+                self.slicing_cache.slice(self.mapper, launch.domain,
+                                         cfg.n_nodes)
+                if cache is not None
+                else build_slices(self.mapper, launch.domain, cfg.n_nodes)
             )
             assignment = {}
-            for slc in slicing.slices:
+            for slc in plan.slicing.slices:
                 assignment.setdefault(slc.node, []).extend(slc.points)
-                self.stats.add_representation(Stage.DISTRIBUTION, slc.node, 1)
-            dist_attrs.update(
-                mode="slice",
-                messages=slicing.n_messages,
-                max_depth=slicing.max_depth,
+                plan.charges.append(((Stage.DISTRIBUTION, slc.node), 1))
+        plan.assignment = assignment
+        plan.per_node = {
+            node: len(assignment[node])
+            for node in sorted(assignment) if assignment[node]
+        }
+        plan.charges += [
+            ((Stage.PHYSICAL, node), local)
+            for node, local in plan.per_node.items()
+        ]
+        plan.t_expand = mark()
+        template = cache.get_expansion(plan.sig) if cache is not None else None
+        if template is None:
+            template = ExpansionTemplate(
+                base_args=launch.args,
+                had_point_args=launch.point_args is not None,
             )
-        if prof.enabled:
-            for node in sorted(assignment):
-                local = len(assignment[node])
-                attrs = dict(dist_attrs, launch=launch.name, points=local)
-                if cost is not None:
-                    attrs["sim_cost_s"] = (
-                        cost.t_shard_point * local if cfg.dcr
-                        else cost.t_slice_process * (dist_attrs["max_depth"] + 1)
-                    )
-                prof.phase("distribution", Stage.DISTRIBUTION, t_dist,
-                           node=node, **attrs)
+            plan.plans = template.expand(launch, assignment)
+            if cache is not None:
+                plan.new_template = template
+        else:
+            plan.cache_hits += 1
+            plan.plans = template.reissue(launch, assignment)
+        plan.t_planned = mark()
+        return plan
 
-        # --- expansion, physical analysis, and execution are per-node work:
-        # the execution backend owns them (serially in-process by default;
-        # fanned out across the worker pool when ``workers > 1``).
-        return self.backend.finish_launch(
-            launch,
-            sig,
-            op_id,
-            assignment,
-            replay,
-            safe_order_free,
-            cache,
-        )
+    def _plan_tasks(self, plan: LaunchPlan, nodes=None,
+                    point_list=None) -> LaunchPlan:
+        """The task loop's plan: No-IDX, early expansion, Listing 3's
+        fallback, or a single task (its ``nodes`` and ``point_list``
+        given).  What the points share is planned once: one batched
+        projection per requirement (``point_plans``), one ``shard_batch``
+        placement and one charge per (stage, node), so the O(|D|) of the
+        paper's No-IDX baseline is the ids, analyses and bodies the commit
+        runs per point."""
+        if nodes is None:
+            launch = plan.launch
+            point_list = point_plans(launch, list(launch.domain))
+            nodes = shard_nodes(self.mapper, launch.domain,
+                                self.config.n_nodes)
+        plan.plans = list(zip(nodes, point_list))
+        plan.per_node = per_node = Counter(nodes)
+        count = len(nodes)
+        if count:  # an empty launch adds no representation rows
+            for n in self._issuers():
+                if not plan.early:
+                    plan.charges.append(((Stage.ISSUANCE, n), count))
+                plan.charges.append(((Stage.LOGICAL, n), count))
+            for node, local in per_node.items():
+                plan.charges += [((Stage.DISTRIBUTION, node), local),
+                                 ((Stage.PHYSICAL, node), local)]
+        return plan
 
-    def _issue_expanded(self, launch: IndexLaunch) -> FutureMap:
-        """No-IDX path: the forall is a loop of individual task launches."""
-        self.stats.ops_issued += 1
-        return self._run_expanded(launch, order_free=False)
-
-    def _run_expanded(
-        self,
-        launch: IndexLaunch,
-        order_free: bool,
-        skip_issuance: bool = False,
-        op_kind: str = "task",
-    ) -> FutureMap:
-        """Run ``launch`` as the original task loop: No-IDX, early
-        expansion (tracing without DCR), or Listing 3's else-branch.
-
-        Each point is an op and a task, charged as one: the O(|D|) of the
-        paper's No-IDX baseline.  What the points share is done once per
-        launch: one batched projection per requirement (``point_plans``),
-        one ``shard_batch`` placement, one charge per (stage, node), and
-        one logical analysis of the |D| ops, which share one access list
-        (``analyze_run``).  Per point remain the ids, physical analysis
-        and the body.  Physical analysis stays per task: the points'
-        footprints differ, and where two points of an unsafe launch touch
-        one piece the later really depends on the earlier.
-        """
-        cfg = self.config
-        prof = self.profiler
+    # ---------------------------------------------------------------- commit
+    def _commit(self, plan: LaunchPlan):
+        """Act on ``plan``: the counters, the tracer, the verdict, logical
+        and physical analysis, the graph recorder, and the bodies — a
+        launch-granular plan through the backend, any other as the task
+        loop.  Only a runtime bug or a task body raises here, never the
+        plan's user code.  Returns the launch's FutureMap, or a single
+        task's value."""
         stats = self.stats
-        t0 = prof.mark()
-        issuers = range(cfg.n_nodes) if cfg.dcr else (0,)
-        domain = launch.domain
-        points = list(domain)
-        count = len(points)
-        plans = point_plans(launch, points)
-        nodes = shard_nodes(self.mapper, domain, cfg.n_nodes)
-        per_node = Counter(nodes)
+        stats.ops_issued += 1
+        if self.config.tracing and plan.sig is not None:
+            plan.replay = self.tracer.observe(plan.sig)
+        if plan.index:
+            self._commit_issuance(plan)
+        stats.analysis_cache_hits += plan.cache_hits
+        representation = stats.representation
+        for key, units in plan.charges:
+            representation[key] += units
+        if plan.assignment is not None:
+            return self._commit_launch(plan)
+        values = self._commit_tasks(plan)
+        if isinstance(plan.launch, TaskLaunch):
+            return values[None]
+        fmap = FutureMap(label=plan.launch.name)
+        fmap.fill(values)
+        return fmap
+
+    def _commit_issuance(self, plan: LaunchPlan) -> None:
+        """An index launch's issuance: its counters, its verdict in the
+        safety log and the replay cache, and the issuance phases."""
+        cfg, stats, prof = self.config, self.stats, self.profiler
+        verdict = plan.verdict
+        name = plan.launch.name if prof.enabled else None
+        stats.index_launches += 1
+        if plan.replay:
+            stats.launch_replays += 1
+            if prof.enabled:
+                prof.instant("trace.launch_replay", Stage.ISSUANCE,
+                             launch=name)
+        if verdict is not None:
+            if cfg.analysis_cache and not verdict.cached:
+                self.replay_cache.put_verdict(plan.sig, cfg.dynamic_checks,
+                                              verdict)
+            self.safety_log.append(verdict)
+            stats.check_evaluations += verdict.check_evaluations
+            if verdict.method is SafetyMethod.STATIC:
+                stats.launches_verified_static += 1
+            elif verdict.method is SafetyMethod.HYBRID:
+                stats.launches_verified_dynamic += 1
+            elif verdict.method is SafetyMethod.UNVERIFIED:
+                stats.launches_unverified += 1
+            if prof.enabled:
+                prof.phase(
+                    "safety", "safety", plan.t_issue, end=plan.t_issued,
+                    launch=name, method=verdict.method.name,
+                    cached=verdict.cached, safe=verdict.safe,
+                    check_evaluations=verdict.check_evaluations,
+                )
+                if verdict.cached:
+                    prof.instant("cache.verdict_hit", "safety", launch=name)
+            if not verdict.safe:
+                stats.launches_fallback_serial += 1
+                if prof.enabled:
+                    prof.instant("safety.fallback_serial", "safety",
+                                 launch=name)
+                    prof.phase("issuance", Stage.ISSUANCE, plan.t_issue,
+                               end=plan.t_issued, launch=name, fallback=True)
+                return
+        if prof.enabled:
+            attrs = dict(launch=name, domain=plan.launch.domain.volume,
+                         replay=plan.replay)
+            if prof.costmodel is not None:
+                attrs["sim_cost_s"] = prof.costmodel.t_issue_launch
+            prof.phase("issuance", Stage.ISSUANCE, plan.t_issue,
+                       end=plan.t_issued, nodes=tuple(self._issuers()),
+                       **attrs)
+            if plan.early:
+                prof.instant("trace.early_expansion", Stage.ISSUANCE,
+                             launch=name)
+
+    def _commit_launch(self, plan: LaunchPlan) -> FutureMap:
+        """The launch-granular commit: one op through logical analysis
+        (whole-partition reasoning, one user per requirement), then the
+        backend runs physical analysis and the bodies — the per-node work,
+        serially in-process or fanned out across the worker pool."""
+        stats, prof = self.stats, self.profiler
+        launch = plan.launch
+        t_logical = prof.mark()
+        op_id = next(self._op_counter)
+        deps = self.logical.analyze_operation(op_id, _logical_accesses(launch))
+        stats.logical_users = self.logical.users_processed
+        stats.logical_dependences += len(deps)
+        if plan.slicing is not None:
+            stats.slice_messages += plan.slicing.n_messages
+            stats.max_slice_depth = max(stats.max_slice_depth,
+                                        plan.slicing.max_depth)
+        if plan.new_template is not None:
+            self.replay_cache.put_expansion(plan.sig, plan.new_template)
+        if self.graph_recorder is not None:
+            self.graph_recorder.record_op(op_id, launch.name, "index_launch")
+            self.graph_recorder.record_logical_edges(deps)
+        if prof.enabled:
+            self._profile_launch(plan, op_id, len(deps), t_logical)
+        return self.backend.finish_launch(plan, op_id)
+
+    def _profile_launch(self, plan, op_id, n_deps, t_logical) -> None:
+        """The logical phase of a launch-granular commit, then the
+        distribution and expansion phases its plan timed."""
+        prof = self.profiler
+        cost = prof.costmodel
+        name, slicing = plan.launch.name, plan.slicing
+        attrs = dict(op=op_id, launch=name, dependences=n_deps)
+        if cost is not None:
+            attrs["sim_cost_s"] = (
+                cost.t_logical_launch_arg * len(plan.launch.requirements)
+            )
+        prof.phase("logical", Stage.LOGICAL, t_logical,
+                   nodes=tuple(self._issuers()), **attrs)
+        mode = dict(mode="shard") if slicing is None else dict(
+            mode="slice", messages=slicing.n_messages,
+            max_depth=slicing.max_depth,
+        )
+        for node in sorted(plan.assignment):
+            local = len(plan.assignment[node])
+            attrs = dict(mode, launch=name, points=local)
+            if cost is not None:
+                attrs["sim_cost_s"] = (
+                    cost.t_shard_point * local if slicing is None
+                    else cost.t_slice_process * (slicing.max_depth + 1)
+                )
+            prof.phase("distribution", Stage.DISTRIBUTION, plan.t_dist,
+                       end=plan.t_expand, node=node, **attrs)
+        cached = self.config.analysis_cache and plan.new_template is None
+        prof.phase("expansion", "expansion", plan.t_expand,
+                   end=plan.t_planned, launch=name, cached=cached,
+                   points=len(plan.plans))
+        if cached:
+            prof.instant("cache.expansion_hit", "expansion", launch=name)
+
+    def _commit_tasks(self, plan: LaunchPlan) -> dict:
+        """The task-loop commit: each point is an op and a task, charged as
+        one.  The |D| ops share one access list, so logical analysis runs
+        once for all of them (``analyze_run``); physical analysis stays
+        per task, because the points' footprints differ, and where two
+        points of an unsafe launch touch one piece the later really
+        depends on the earlier.  Returns the values by point."""
+        cfg, stats, prof = self.config, self.stats, self.profiler
+        launch, plans = plan.launch, plan.plans
+        count = len(plans)
         op_ids = list(itertools.islice(self._op_counter, count))
         task_ids = list(itertools.islice(self._task_counter, count))
-        if count:  # an empty launch adds no representation rows
-            for n in issuers:
-                if not skip_issuance:
-                    stats.add_representation(Stage.ISSUANCE, n, count)
-                stats.add_representation(Stage.LOGICAL, n, count)
-            for node, local in per_node.items():
-                stats.add_representation(Stage.DISTRIBUTION, node, local)
-                stats.add_representation(Stage.PHYSICAL, node, local)
         stats.single_tasks += count
-        if not cfg.dcr:
-            stats.slice_messages += count - per_node[0]  # point-to-point
+        if not cfg.dcr:  # point-to-point, no tree
+            stats.slice_messages += count - plan.per_node.get(0, 0)
         deps = self.logical.analyze_run(op_ids, _logical_accesses(launch))
         stats.logical_dependences += sum(map(len, deps))
         record = self.physical.record_task
-        tdeps = [record(t, plan.accesses) for t, plan in zip(task_ids, plans)]
+        tdeps = [record(t, pp.accesses) for t, (_, pp) in zip(task_ids, plans)]
         stats.physical_dependences += sum(map(len, tdeps))
         recorder = self.graph_recorder
         if recorder is not None:
-            names = [f"{launch.task.name}{tuple(p)}" for p in points]
+            names = [
+                launch.task.name + ("" if pp.point is None
+                                    else str(tuple(pp.point)))
+                for _, pp in plans
+            ]
             for op_id, name, edges in zip(op_ids, names, deps):
-                recorder.record_op(op_id, name, op_kind)
+                recorder.record_op(op_id, name, plan.kind)
                 recorder.record_logical_edges(edges)
-            for task_id, op_id, name, node, edges in zip(
-                task_ids, op_ids, names, nodes, tdeps
+            for task_id, op_id, name, (node, _), edges in zip(
+                task_ids, op_ids, names, plans, tdeps
             ):
                 recorder.record_task(task_id, name, op_id, node)
                 recorder.record_physical_edges(edges)
         stats.logical_users = self.logical.users_processed
         stats.overlap_queries = self.physical.overlap_queries
         if prof.enabled:
-            self._close_task_phases(
-                t0, issuers, tuple(sorted(per_node)), not skip_issuance,
-                aggregate=True, kind=op_kind, launch=launch.name,
-                tasks=count,
-            )
-        executed = list(zip(task_ids, zip(nodes, plans)))
-        if cfg.shuffle_intra_launch and order_free:
-            self._rng.shuffle(executed)
-        fmap = FutureMap(label=launch.name)
-        fmap.fill(self.backend.execute(launch.task.fn, executed))
-        return fmap
+            attrs = dict(aggregate=True, kind=plan.kind, launch=launch.name,
+                         tasks=count)
+            issuers = tuple(self._issuers())
+            nodes = tuple(sorted(plan.per_node))
+            if not plan.early:
+                prof.phase("issuance", Stage.ISSUANCE, plan.t_issued,
+                           nodes=issuers, **attrs)
+            prof.phase("logical", Stage.LOGICAL, plan.t_issued,
+                       nodes=issuers, **attrs)
+            prof.phase("distribution", Stage.DISTRIBUTION, plan.t_issued,
+                       nodes=nodes, **attrs)
+            prof.phase("physical", Stage.PHYSICAL, plan.t_issued,
+                       nodes=nodes, **attrs)
+        return self.backend.execute(plan, task_ids)
 
     # ------------------------------------------------------- fault poisoning
     def _mint_poison(self, launch_name: str, cause) -> TaskPoisonedError:
@@ -908,6 +972,8 @@ class Runtime:
 
     def _poison_single(self, launch: TaskLaunch, cause) -> Future:
         """Propagated poison for a single-task launch (fill/copy included)."""
+        self.stats.ops_issued += 1
+        self.stats.single_tasks += 1
         self.stats.launches_poisoned += 1
         self.stats.poison_propagations += 1
         err = self._mint_poison(launch.name, cause)

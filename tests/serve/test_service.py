@@ -371,6 +371,8 @@ class TestGracefulShutdown:
             clients[2].close()
             pool = get_pool(2)  # the one shared pool all sessions use
             # Context exit runs svc.shutdown() — the SIGTERM path.
+        for cli in clients[:2]:
+            cli.close()
         assert svc._stopped.is_set()
         assert pool.shutdown_errors == 0
         assert pool.arena.stats.teardown_errors == 0

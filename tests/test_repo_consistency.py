@@ -267,7 +267,7 @@ class TestFunctionLengthRatchet:
         assert too_long <= allowed, too_long - allowed
 
     def test_runtime_functions_stay_short(self):
-        allowed = {"_issue_index_launch", "replay_tasks"}
+        allowed = {"replay_tasks"}
         too_long = self.too_long("runtime")
         assert too_long <= allowed, too_long - allowed
 
