@@ -335,11 +335,13 @@ def _bench_summary_table(rt) -> str:
     Collects the three layers' counters — shared-memory transport, batched
     physical commit, precompiled check/dependence kernels — the users the
     physical analyzer retired at launch level, the launches it analysed by
-    colour, the units workers ran from their plan memo, and the parallel
-    fallbacks with one row per reason code that occurred, from wherever
+    colour, the units workers ran from their plan memo, the parallel
+    fallbacks with one row per reason code that occurred, and hits /
+    misses / evictions per layer of every analysis store, from wherever
     they live (runtime, backend, pool arena) into one aligned block.
     """
     from repro.runtime.kernels import GLOBAL_CHECK_KERNELS
+    from repro.runtime.store import PROCESS_STORE
 
     rows = [
         ("dependence kernel replays", rt.physical.kernel_replays),
@@ -349,6 +351,14 @@ def _bench_summary_table(rt) -> str:
         ("check kernel misses", GLOBAL_CHECK_KERNELS.misses),
         ("check kernel affine constants", GLOBAL_CHECK_KERNELS.affine_constants),
     ]
+    for name, store in dict(rt.analysis_stores(),
+                            process=PROCESS_STORE).items():
+        for layer in sorted(store.hits.keys() | store.misses.keys()):
+            rows.append((
+                f"store {name} {layer} hits/misses/evictions",
+                f"{store.hits[layer]} / {store.misses[layer]} / "
+                f"{store.evictions[layer]}",
+            ))
     bstats = getattr(rt.backend, "stats", None)
     if bstats is not None and hasattr(bstats, "batched_commit_ops"):
         rows += [

@@ -83,17 +83,22 @@ class RegionRequirement:
 
     def project_all(self, points: Sequence[Point]) -> List[Subregion]:
         """``[self.project(p) for p in points]`` from one batched functor
-        evaluation.  A colour the batch cannot resolve sends the whole call
-        per point, which raises exactly what :meth:`project` raises."""
+        evaluation, whose raise propagates as it is.  Colours the batch
+        cannot resolve (not ``(len(points), dim)``, or one outside the
+        colour space) send the whole call per point, which raises exactly
+        what :meth:`project` raises."""
         if self.partition is None:
             return [self.subregion] * len(points)
-        try:
-            batch = np.asarray(points, dtype=np.int64)
-            found = self.partition.lookup(self.functor.apply_batch(batch))
-            if len(found) == len(points):
-                return found
-        except Exception:  # per point below: raise what project raises
-            pass
+        if not len(points):
+            return []
+        colors = np.asarray(
+            self.functor.apply_batch(np.asarray(points, dtype=np.int64))
+        )
+        if colors.ndim == 2 and len(colors) == len(points):
+            try:
+                return self.partition.lookup(colors)
+            except KeyError:  # per point below: raise what project raises
+                pass
         return [self.project(p) for p in points]
 
     def resolved_fields(self) -> Tuple[str, ...]:

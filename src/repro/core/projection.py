@@ -352,8 +352,8 @@ class AffineNDFunctor(ProjectionFunctor):
                         self.offset.tobytes())
 
     def apply(self, point: Point) -> Point:
-        p = np.asarray(point, dtype=np.int64)
-        return Point(*(self.matrix @ p + self.offset))
+        # A batch of one, so a point raises exactly what a batch raises.
+        return Point(*self.apply_batch(np.asarray([point], dtype=np.int64))[0])
 
     def apply_batch(self, points: np.ndarray) -> np.ndarray:
         return points @ self.matrix.T + self.offset
@@ -391,7 +391,8 @@ class PlaneProjectionFunctor(ProjectionFunctor):
         self.output_dim = len(self.keep_axes)
 
     def apply(self, point: Point) -> Point:
-        return Point(*(point[a] for a in self.keep_axes))
+        # As AffineNDFunctor.apply: a point raises what a batch raises.
+        return Point(*self.apply_batch(np.asarray([point], dtype=np.int64))[0])
 
     def apply_batch(self, points: np.ndarray) -> np.ndarray:
         return points[:, list(self.keep_axes)]

@@ -106,7 +106,7 @@ class ExecutionBackend:
                     return tdeps_lists, True
                 # Validation failed (foreign state change): drop the
                 # template and fall back to live analysis below.
-                cache.drop_physical_for(sig)
+                cache.store.drop_group(sig, "physical")
                 rt.stats.analysis_cache_invalidations += 1
                 if prof.enabled:
                     prof.instant("cache.physical_bail", Stage.PHYSICAL,

@@ -16,17 +16,18 @@ the O(log) depth.  Shard targets are evaluated once for the whole domain
 (one batched :meth:`Mapper.shard_batch` call) and threaded through the
 recursion, instead of re-invoking the sharding functor for every point at
 every tree level.  Slicing is pure in (mapper, domain, n_nodes, origin), so
-:class:`SlicingCache` memoizes whole results the same way sharding maps are
-memoized on the DCR path.
+:class:`SlicingCache` memoizes whole results — with the node assignment
+built from them — the same way sharding maps are memoized on the DCR path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.domain import Domain, Point
-from repro.runtime.mapper import Mapper
+from repro.runtime.mapper import Mapper, shard_nodes, shard_points
+from repro.runtime.store import AnalysisStore
 
 __all__ = [
     "Slice",
@@ -64,23 +65,13 @@ class SlicingResult:
     slices: List[Slice]
     transfers: List[SliceTransfer]
     max_depth: int
+    #: node -> its points, in slice order: built once with the result, so
+    #: a cached slicing hands every reissue the same assignment object
+    assignment: Dict[int, List[Point]] = field(default_factory=dict)
 
     @property
     def n_messages(self) -> int:
         return len(self.transfers)
-
-
-def shard_points(
-    mapper: Mapper, domain: Domain, n_nodes: int
-) -> Dict[int, List[Point]]:
-    """DCR path: node -> locally owned points via the sharding functor."""
-    assignment: Dict[int, List[Point]] = {}
-    points = list(domain)
-    if points:
-        nodes = mapper.shard_batch(domain.point_array(), domain, n_nodes)
-        for p, node in zip(points, nodes):
-            assignment.setdefault(int(node), []).append(p)
-    return assignment
 
 
 def build_slices(
@@ -103,10 +94,7 @@ def build_slices(
 
     # One batched functor evaluation for the whole domain; the recursion
     # below only does set arithmetic on the precomputed targets.
-    shard_of: Dict[Point, int] = {}
-    if points:
-        targets = mapper.shard_batch(domain.point_array(), domain, n_nodes)
-        shard_of = {p: int(node) for p, node in zip(points, targets)}
+    shard_of = dict(zip(points, shard_nodes(mapper, domain, n_nodes)))
 
     def recurse(pts: List[Point], holder: int, depth: int) -> None:
         nonlocal max_depth
@@ -134,43 +122,34 @@ def build_slices(
             recurse(sub_pts, next_holder, depth + 1)
 
     recurse(points, origin_node, 0)
-    return SlicingResult(slices=slices, transfers=transfers, max_depth=max_depth)
+    assignment: Dict[int, List[Point]] = {}
+    for slc in slices:
+        assignment.setdefault(slc.node, []).extend(slc.points)
+    return SlicingResult(slices, transfers, max_depth, assignment)
 
 
 class SlicingCache:
-    """Memoizes :func:`build_slices` per (mapper, domain, n_nodes, origin).
+    """Memoizes :func:`build_slices` per (mapper key, domain, n_nodes,
+    origin) in the ``slicing`` layer of an :class:`~repro.runtime.store.
+    AnalysisStore`.
 
     Slicing functors, like sharding functors, are required to be pure, so a
     launch domain slices identically every time it is issued.  The cached
     :class:`SlicingResult` is shared — callers must not mutate it.
     """
 
-    def __init__(self, profiler=None):
-        self._cache: Dict[Tuple[int, Domain, int, int], SlicingResult] = {}
-        self.hits = 0
-        self.misses = 0
-        self._profiler = profiler
+    def __init__(self, store: Optional[AnalysisStore] = None):
+        self.store = AnalysisStore() if store is None else store
 
-    def clear(self) -> int:
-        """Drop all memoized slicings; returns how many were dropped."""
-        n = len(self._cache)
-        self._cache.clear()
-        return n
+    hits = property(lambda self: self.store.hits["slicing"])
+    misses = property(lambda self: self.store.misses["slicing"])
 
     def slice(
         self, mapper: Mapper, domain: Domain, n_nodes: int, origin_node: int = 0
     ) -> SlicingResult:
-        key = (id(mapper), domain, n_nodes, origin_node)
-        prof = self._profiler
-        found = self._cache.get(key)
-        if found is not None:
-            self.hits += 1
-            if prof is not None and prof.enabled:
-                prof.count("cache.slicing", 1.0, outcome="hit")
-            return found
-        self.misses += 1
-        if prof is not None and prof.enabled:
-            prof.count("cache.slicing", 1.0, outcome="miss")
-        result = build_slices(mapper, domain, n_nodes, origin_node)
-        self._cache[key] = result
-        return result
+        key = (mapper.key, domain, n_nodes, origin_node)
+        found = self.store.get("slicing", key)
+        if found is None:
+            found = build_slices(mapper, domain, n_nodes, origin_node)
+            self.store.put("slicing", key, found)
+        return found

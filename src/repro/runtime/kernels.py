@@ -19,13 +19,13 @@ replay executes straight-line integer programs instead of key machinery:
   replays in O(1) — the launch stays one object through physical state.
 
 * :class:`CheckKernelCache` — Listing-3 dynamic checks promoted to
-  kernels under the memo's key, when its functor keys are values.  A
-  kernel is a constant verdict: proven up front by the affine
-  engine when possible (injectivity over the concrete window plus an
-  image-bounds argument so the reported ``evaluations``/``out_of_bounds``
-  counts match the sweep exactly), otherwise promoted from one vectorized
-  evaluation over a shared per-domain point-array arena.  Distinct launches
-  sharing a (domain, functor) pair hit the same kernel.
+  constant verdicts under the memo's key: proven by the affine engine
+  when possible (with ``evaluations``/``out_of_bounds`` counts matching
+  the sweep exactly), otherwise from one vectorized sweep over a shared
+  per-domain point array.  Kernels and point arrays live in the process
+  tier (:data:`~repro.runtime.store.PROCESS_STORE`): value keys only,
+  under finite budgets, so a long-lived process evicts the checks it no
+  longer issues.
 
 All kernels preserve observable behavior exactly — dependence edge order,
 ``overlap_queries`` charging, ``CheckResult`` counts — and every consumer
@@ -36,17 +36,18 @@ changing results.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.projection import is_value_key
 from repro.runtime.physical import (
     LaunchDependences,
     TaskDependence,
     _LaunchUser,
     _User,
 )
+from repro.runtime.store import PROCESS_STORE
 
 __all__ = [
     "DependenceKernel",
@@ -293,23 +294,22 @@ def _aligned_perms(steps, final_order) -> Optional[Dict[int, List[int]]]:
     return perms
 
 
-# --------------------------------------------------------------------------
-# Shared point-array arena: every dynamic check over the same domain reuses
-# one materialized (volume, dim) array instead of re-running meshgrid.
-
-_POINT_ARENA: Dict[object, np.ndarray] = {}
-_POINT_ARENA_MAX = 256
+#: The process tier is every runtime's, whichever thread drives one, and
+#: an LRU step is not atomic: each store call holds this lock.
+_PROCESS_LOCK = threading.Lock()
 
 
 def domain_points_cached(domain) -> np.ndarray:
-    """``domain.point_array()`` through a bounded process-wide arena."""
-    pts = _POINT_ARENA.get(domain)
+    """``domain.point_array()``, read-only, through the process tier's
+    ``points`` layer: every dynamic check over the same domain reuses one
+    materialized (volume, dim) array instead of re-running meshgrid."""
+    with _PROCESS_LOCK:
+        pts = PROCESS_STORE.get("points", domain)
     if pts is None:
-        if len(_POINT_ARENA) >= _POINT_ARENA_MAX:
-            _POINT_ARENA.clear()
         pts = domain.point_array()
         pts.setflags(write=False)
-        _POINT_ARENA[domain] = pts
+        with _PROCESS_LOCK:
+            PROCESS_STORE.put("points", domain, pts)
     return pts
 
 
@@ -369,31 +369,27 @@ class CheckKernelCache:
     """Dynamic-check kernels: constant verdicts keyed below the memo.
 
     ``run`` serves :meth:`DynamicCheckMemo.run`'s misses under the key the
-    memo built.  Hits return the pinned
-    :class:`CheckResult` without evaluating anything; misses compile a
-    kernel — by affine proof when possible, else by one vectorized sweep
-    over the shared point-array arena — and pin its verdict.
+    memo built, from the ``check`` layer of the process tier
+    (:data:`~repro.runtime.store.PROCESS_STORE`, value keys only).  Hits
+    return the pinned :class:`CheckResult` without evaluating anything;
+    misses compile a kernel — by affine proof when possible, else by one
+    vectorized sweep over the shared point arrays — and pin its verdict.
     """
 
     def __init__(self):
-        self._kernels: Dict[tuple, object] = {}
-        self.hits = 0
-        self.misses = 0
+        self.store = PROCESS_STORE
         self.affine_constants = 0
 
-    def clear(self) -> int:
-        n = len(self._kernels)
-        self._kernels.clear()
-        return n
+    hits = property(lambda self: self.store.hits["check"])
+    misses = property(lambda self: self.store.misses["check"])
 
     def run(self, key, domain, args, bounds, use_numpy: bool = True):
         from repro.core.checks import dynamic_cross_check
 
-        found = self._kernels.get(key)
+        with _PROCESS_LOCK:
+            found = self.store.get("check", key)
         if found is not None:
-            self.hits += 1
             return found
-        self.misses += 1
         result = None
         if use_numpy:
             result = _affine_constant_verdict(domain, args, bounds)
@@ -408,12 +404,12 @@ class CheckKernelCache:
                 use_numpy=use_numpy,
                 points=points,
             )
-        if is_value_key(key):  # this store is process-wide and unbudgeted
-            self._kernels[key] = result
+        with _PROCESS_LOCK:
+            self.store.put("check", key, result)
         return result
 
 
-#: Process-wide kernel store.  Check results are pure in the kernel key, so
-#: one arena safely outlives any single Runtime (and its cache
-#: invalidations), giving cross-runtime steady-state hits.
+#: The process-wide kernels.  Check results are pure in the kernel key, so
+#: they safely outlive any single Runtime (and its cache invalidations),
+#: giving cross-runtime steady-state hits.
 GLOBAL_CHECK_KERNELS = CheckKernelCache()

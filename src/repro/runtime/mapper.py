@@ -24,20 +24,31 @@ tasks, which have no launch domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.domain import Domain, Point
+from repro.runtime.store import AnalysisStore
 
 __all__ = [
     "Mapper", "DefaultMapper", "CyclicMapper", "ShardingCache", "shard_nodes",
+    "shard_points",
 ]
 
 
 class Mapper:
     """Base mapper interface."""
+
+    @cached_property
+    def key(self):
+        """Identity for the sharding and slicing memos, computed once:
+        ``(exact class,)`` for this module's mappers, which have no
+        parameters, else the object itself (a subclass may decide
+        anything)."""
+        cls = type(self)
+        return (cls,) if cls.__module__ == __name__ else self
 
     def shard(self, point: Point, domain: Domain, n_nodes: int) -> int:
         """Sharding functor: which node owns ``point`` of ``domain`` (DCR mode).
@@ -131,7 +142,8 @@ class CyclicMapper(Mapper):
 
 
 class ShardingCache:
-    """Memoizes sharding decisions per (mapper, domain, n_nodes).
+    """Memoizes sharding decisions per (mapper key, domain, n_nodes) in the
+    ``sharding`` layer of an :class:`~repro.runtime.store.AnalysisStore`.
 
     Sharding functors are pure, so Legion memoizes them; we do the same and
     expose hit statistics so tests can assert the memoization happens.  The
@@ -139,32 +151,32 @@ class ShardingCache:
     call instead of |D| scalar ``shard`` calls.
     """
 
-    def __init__(self):
-        self._cache: Dict[Tuple[int, Domain, int], Dict[int, List[Point]]] = {}
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, store: Optional[AnalysisStore] = None):
+        self.store = AnalysisStore() if store is None else store
 
-    def clear(self) -> int:
-        """Drop all memoized assignments; returns how many were dropped."""
-        n = len(self._cache)
-        self._cache.clear()
-        return n
+    hits = property(lambda self: self.store.hits["sharding"])
+    misses = property(lambda self: self.store.misses["sharding"])
 
     def shard_map(
         self, mapper: Mapper, domain: Domain, n_nodes: int
     ) -> Dict[int, List[Point]]:
         """Node -> locally-owned points, computed once per distinct launch shape."""
-        key = (id(mapper), domain, n_nodes)
-        found = self._cache.get(key)
-        if found is not None:
-            self.hits += 1
-            return found
-        self.misses += 1
-        assignment: Dict[int, List[Point]] = {}
-        for p, node in zip(domain, shard_nodes(mapper, domain, n_nodes)):
-            assignment.setdefault(node, []).append(p)
-        self._cache[key] = assignment
-        return assignment
+        key = (mapper.key, domain, n_nodes)
+        found = self.store.get("sharding", key)
+        if found is None:
+            found = shard_points(mapper, domain, n_nodes)
+            self.store.put("sharding", key, found)
+        return found
+
+
+def shard_points(
+    mapper: Mapper, domain: Domain, n_nodes: int
+) -> Dict[int, List[Point]]:
+    """DCR path: node -> locally owned points via the sharding functor."""
+    assignment: Dict[int, List[Point]] = {}
+    for p, node in zip(domain, shard_nodes(mapper, domain, n_nodes)):
+        assignment.setdefault(node, []).append(p)
+    return assignment
 
 
 def shard_nodes(mapper: Mapper, domain: Domain, n_nodes: int) -> List[int]:

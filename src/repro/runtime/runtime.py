@@ -42,6 +42,7 @@ from repro.exec.backend import resolve_backend
 from repro.exec.pool import resolve_workers
 from repro.runtime.physical import PhysicalAnalyzer
 from repro.runtime.pipeline import PipelineStats, Stage
+from repro.runtime.store import AnalysisStore
 from repro.runtime.replay import (
     ExpansionTemplate, LaunchReplayCache, PointPlan, point_plans,
 )
@@ -260,17 +261,16 @@ class Runtime:
             profiler=self.profiler, kernels=self.config.kernels
         )
         self.tracer = TraceRecorder(profiler=self.profiler)
-        self.sharding_cache = ShardingCache()
-        self.slicing_cache = SlicingCache(profiler=self.profiler)
-        self.replay_cache = LaunchReplayCache(
-            profiler=self.profiler,
-            entry_budget=_resolve_budget(
-                self.config.cache_entry_budget, "REPRO_CACHE_ENTRIES"
-            ),
-            byte_budget=_resolve_budget(
-                self.config.cache_byte_budget, "REPRO_CACHE_BYTES"
-            ),
+        budgets = (
+            _resolve_budget(self.config.cache_entry_budget,
+                            "REPRO_CACHE_ENTRIES"),
+            _resolve_budget(self.config.cache_byte_budget,
+                            "REPRO_CACHE_BYTES"),
         )
+        distribution = AnalysisStore(*budgets, profiler=self.profiler)
+        self.sharding_cache = ShardingCache(distribution)
+        self.slicing_cache = SlicingCache(distribution)
+        self.replay_cache = LaunchReplayCache(self.profiler, *budgets)
         self._op_counter = itertools.count()
         self._task_counter = itertools.count()
         self._rng = random.Random(self.config.seed)
@@ -306,16 +306,22 @@ class Runtime:
         self._mapper = mapper
         self.invalidate_analysis_cache()
 
+    def analysis_stores(self) -> Dict[str, AnalysisStore]:
+        """This runtime's analysis stores by name; the check memo's is a
+        service tenant's when shared, and the process tier is not here."""
+        return {
+            "replay": self.replay_cache.store,
+            "check": self.replay_cache.check_memo.store,
+            "distribution": self.sharding_cache.store,
+        }
+
     def invalidate_analysis_cache(self) -> int:
-        """Flush all memoized analysis products (launch-replay cache plus
-        the sharding/slicing memos).  Called automatically on mapper
+        """Flush all memoized analysis products: every layer of every
+        store of :meth:`analysis_stores`.  Called automatically on mapper
         changes; call it manually after any out-of-band change that affects
         mapping or partitioning decisions.  Returns entries dropped."""
-        dropped = (
-            self.replay_cache.clear()
-            + self.slicing_cache.clear()
-            + self.sharding_cache.clear()
-        )
+        stores = self.analysis_stores().values()
+        dropped = sum(store.drop() for store in stores)
         if dropped:
             self.stats.analysis_cache_invalidations += dropped
         return dropped
@@ -402,7 +408,7 @@ class Runtime:
                 # dependence templates were recorded against a context that
                 # no longer recurs, so drop them (the context-free layers —
                 # verdicts, checks, expansion, sharding — remain valid).
-                dropped = self.replay_cache.drop_physical()
+                dropped = self.replay_cache.store.drop("physical")
                 if dropped:
                     self.stats.analysis_cache_invalidations += dropped
 
@@ -570,6 +576,9 @@ class Runtime:
         if isinstance(launch, TaskLaunch):
             if node is None:
                 node = self.mapper.select_node(launch, cfg.n_nodes)
+            if not 0 <= node < max(cfg.n_nodes, 1):
+                raise ValueError(f"mapper sent task {launch.task.name!r} "
+                                 f"to node {node} of {cfg.n_nodes}")
             plan = LaunchPlan(launch, ("single", launch.task.uid),
                               t_issue=t_issue, t_issued=t_issue)
             return self._plan_tasks(plan, [node], [PointPlan.of(launch)])
@@ -644,10 +653,9 @@ class Runtime:
                 if cache is not None
                 else build_slices(self.mapper, launch.domain, cfg.n_nodes)
             )
-            assignment = {}
-            for slc in plan.slicing.slices:
-                assignment.setdefault(slc.node, []).extend(slc.points)
-                plan.charges.append(((Stage.DISTRIBUTION, slc.node), 1))
+            assignment = plan.slicing.assignment
+            plan.charges += [((Stage.DISTRIBUTION, slc.node), 1)
+                             for slc in plan.slicing.slices]
         plan.assignment = assignment
         plan.per_node = {
             node: len(assignment[node])
@@ -950,12 +958,11 @@ class Runtime:
             err.launch = launch.name
         self._taint_written(launch, err)
         if cfg.analysis_cache:
-            dropped = self.replay_cache.poison_signature(
-                self._launch_signature(launch)
-            )
+            store = self.replay_cache.store
+            dropped = store.drop_group(self._launch_signature(launch))
             # Physical templates of *other* launches were recorded against
             # analyzer state this launch has now perturbed mid-flight.
-            dropped += self.replay_cache.drop_physical()
+            dropped += store.drop("physical")
             if dropped:
                 self.stats.analysis_cache_invalidations += dropped
         if prof.enabled:

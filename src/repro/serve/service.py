@@ -469,7 +469,8 @@ class ReproService:
                 "check_memo_entries": len(memo),
                 "check_memo_evictions": memo.evictions,
                 "restored_entries": session.tenant.restored_entries,
-                "replay_cache_entries": len(rt.replay_cache._physical),
+                "replay_cache_entries":
+                    len(rt.replay_cache.store.layer("physical")),
                 "replay_cache_evictions": rt.replay_cache.evictions,
                 "analysis_cache_hits": rt.stats.analysis_cache_hits,
                 "launches_verified_dynamic":

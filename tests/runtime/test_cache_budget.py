@@ -97,25 +97,28 @@ class TestLaunchReplayCacheBudget:
         # Unbounded runs skip LRU tracking entirely (hot path), so growth
         # shows in the layer dicts: one signature per distinct partition.
         rt, _ = churn_program({})
-        assert len(rt.replay_cache._expansions) >= 10
+        assert len(rt.replay_cache.store.layer("expansion")) >= 10
 
     def test_entry_budget_bounds_signatures(self):
         rt, _ = churn_program({"cache_entry_budget": 4})
         cache = rt.replay_cache
         assert len(cache) <= 4
         assert cache.evictions > 0
-        assert len(cache._physical) <= 4
-        assert len(cache._expansions) <= 4
+        assert len(cache.store.layer("physical")) <= 4
+        assert len(cache.store.layer("expansion")) <= 4
 
     def test_byte_budget_bounds_estimate(self):
         probe, _ = churn_program({"cache_entry_budget": None})
         # Pick a budget around a third of the unbounded footprint so
         # eviction must fire whatever the estimator says exactly.
-        budget = max(1, estimate_bytes(probe.replay_cache._physical) // 3)
+        budget = max(
+            1, estimate_bytes(probe.replay_cache.store.layer("physical")) // 3
+        )
         rt, _ = churn_program({"cache_byte_budget": budget})
         cache = rt.replay_cache
         assert cache.evictions > 0
-        assert len(cache._expansions) < len(probe.replay_cache._expansions)
+        assert (len(cache.store.layer("expansion"))
+                < len(probe.replay_cache.store.layer("expansion")))
 
     def test_budgeted_run_byte_identical_to_cache_off(self):
         _, with_budget = churn_program({"cache_entry_budget": 3})
@@ -186,8 +189,8 @@ class TestDroppedLayersLeaveTheBudget:
         cache = rt.replay_cache
         live = sum(
             estimate_bytes(entry)
-            for layer in (cache._verdicts, cache._expansions, cache._physical)
-            for entry in layer.values()
+            for name in ("verdict", "expansion", "physical")
+            for entry in cache.store.layer(name).values()
         )
         assert abs(cache.bytes_estimate - live) <= live // 4
 

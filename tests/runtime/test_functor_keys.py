@@ -77,11 +77,11 @@ def test_a_fresh_runtime_does_not_inherit_another_lambdas_verdict():
     _bump_through(rt_a, CallableFunctor(lambda i: i))
     assert rt_a.safety_log[-1].safe
 
-    before = len(GLOBAL_CHECK_KERNELS._kernels)
+    before = len(GLOBAL_CHECK_KERNELS.store.layer("check"))
     rt_b = Runtime(RuntimeConfig(workers=1))
     _bump_through(rt_b, CallableFunctor(lambda i: 0))
     assert not rt_b.safety_log[-1].safe
-    assert len(GLOBAL_CHECK_KERNELS._kernels) == before
+    assert len(GLOBAL_CHECK_KERNELS.store.layer("check")) == before
 
 
 def test_same_function_still_hits_across_wrappers():

@@ -19,6 +19,7 @@ from repro.core.projection import ModularFunctor
 from repro.data.partition import block_partition, equal_partition
 from repro.runtime import Runtime, RuntimeConfig, task
 from repro.runtime.mapper import CyclicMapper
+from repro.runtime.replay import ExpansionTemplate
 from repro.tools.graph import GraphRecorder
 
 
@@ -115,16 +116,16 @@ class TestEquivalence:
         assert rt.stats.analysis_cache_hits > 0
         assert rt.stats.launch_replays > 0
         # Steady state: physical dependence templates recorded and reused.
-        assert len(rt.replay_cache._physical) > 0
+        assert len(rt.replay_cache.store.layer("physical")) > 0
 
     def test_knob_off_keeps_cache_empty(self):
         rt, *_ = iterated_program(
             RuntimeConfig(n_nodes=4, dcr=True, tracing=True, analysis_cache=False)
         )
         assert rt.stats.analysis_cache_hits == 0
-        assert len(rt.replay_cache._verdicts) == 0
-        assert len(rt.replay_cache._expansions) == 0
-        assert len(rt.replay_cache._physical) == 0
+        assert len(rt.replay_cache.store.layer("verdict")) == 0
+        assert len(rt.replay_cache.store.layer("expansion")) == 0
+        assert len(rt.replay_cache.store.layer("physical")) == 0
 
 
 class TestAccounting:
@@ -212,12 +213,13 @@ class TestInvalidation:
 
     def test_mapper_setter_flushes_all_memos(self):
         rt, *_ = iterated_program(RuntimeConfig(n_nodes=4, dcr=True, tracing=True))
-        assert len(rt.replay_cache._expansions) > 0
+        assert len(rt.replay_cache.store.layer("expansion")) > 0
         rt.mapper = CyclicMapper()
-        assert len(rt.replay_cache._verdicts) == 0
-        assert len(rt.replay_cache._expansions) == 0
-        assert len(rt.replay_cache._physical) == 0
-        assert rt.sharding_cache.misses == 0 or len(rt.sharding_cache._cache) == 0
+        assert len(rt.replay_cache.store.layer("verdict")) == 0
+        assert len(rt.replay_cache.store.layer("expansion")) == 0
+        assert len(rt.replay_cache.store.layer("physical")) == 0
+        assert (rt.sharding_cache.misses == 0
+                or len(rt.sharding_cache.store.layer("sharding")) == 0)
 
     def test_partition_change_breaks_trace_and_drops_templates(self):
         """Switching a launch to a different partition changes its signature:
@@ -262,7 +264,7 @@ class TestPhysicalTemplates:
         # Templates recorded on the first validated replay (iteration 1)
         # and re-stamped on iterations 2..5; the analyzer is only queried
         # live for iterations 0-1.
-        assert len(rt.replay_cache._physical) > 0
+        assert len(rt.replay_cache.store.layer("physical")) > 0
         hits = rt.stats.analysis_cache_hits
         # Per replayed iteration: verdict x3 + expansion x3 (+ physical x3
         # from iteration 2 on).
@@ -338,6 +340,39 @@ class TestNonDCRCharging:
         assert rt_on.stats.max_slice_depth == rt_off.stats.max_slice_depth > 0
         assert rt_on.stats.check_evaluations == rt_off.stats.check_evaluations
         assert observable_stats(rt_on) == observable_stats(rt_off)
+
+    def test_reissues_keep_the_plan_list(self, monkeypatch):
+        """The slicing memo hands every reissue the same assignment object,
+        so the expansion template's kept plan list (and the worker pool's
+        plan memo) serve it: no plan is rebuilt point by point."""
+        rebuilt = []
+        point_plan = ExpansionTemplate.point_plan
+
+        def counting(self, launch, point):
+            rebuilt.append(point)
+            return point_plan(self, launch, point)
+
+        monkeypatch.setattr(ExpansionTemplate, "point_plan", counting)
+
+        def run(cache):
+            rt = Runtime(RuntimeConfig(n_nodes=4, dcr=False, tracing=True,
+                                       bulk_tracing=True,
+                                       analysis_cache=cache))
+            r = rt.create_region("r", 16, {"x": "f8"})
+            r.storage("x")[:] = np.arange(16.0)
+            p = equal_partition(f"p{r.uid}", r, 8)
+            for _ in range(4):  # a first issue, then three reissues
+                rt.begin_trace(5)
+                rt.index_launch(bump, 8, p)
+                rt.end_trace(5)
+            return rt, r.storage("x").copy()
+
+        rt_on, x_on = run(True)
+        assert rebuilt == []
+        rt_off, x_off = run(False)
+        assert np.array_equal(x_on, x_off)
+        assert observable_stats(rt_on) == observable_stats(rt_off)
+        assert rt_on.stats.launch_replays == 3
 
 
 class TestPhysicalTemplateArguments:

@@ -297,7 +297,7 @@ def digest(w):
         "physical": rt.physical,
         "tracer": rt.tracer,
         "counters": (rt._op_counter, rt._task_counter, rt._fault_ordinal),
-        "templates": rt.replay_cache._physical,
+        "templates": rt.replay_cache.store.layer("physical"),
         "safety_log": [id(verdict) for verdict in rt.safety_log],
         "poison_log": [(e.task_id, e.launch, e.point) for e in rt.poison_log],
         "graph": (recorder.ops, recorder.tasks, recorder.logical_edges,
@@ -369,3 +369,58 @@ def test_a_raising_hook_leaves_no_trace_on_the_worker_pool(route, hook):
     config = _route_config(route, True, True, False, True, 2, workers=2)
     for warm in (False, True):
         _run(config, route, hook, 1, warm)
+
+
+# ------------------------------------------- placement and projection
+class _Beyond(DefaultMapper):
+    """Places every single task on node 5."""
+
+    def select_node(self, task_launch, n_nodes):
+        return 5
+
+
+class _BatchRaisesOnce(ProjectionFunctor):
+    """The identity, whose first batch call raises; counts its calls."""
+
+    def __init__(self):
+        self.batches = self.applies = 0
+
+    def apply(self, point):
+        self.applies += 1
+        return Point(point[0])
+
+    def apply_batch(self, points):
+        self.batches += 1
+        if self.batches == 1:
+            raise Boom("batch")
+        return points[:, :1]
+
+
+def _bare(config):
+    rt = Runtime(config)
+    recorder = GraphRecorder().attach(rt)
+    region, part = _world(rt)
+    return SimpleNamespace(rt=rt, recorder=recorder, region=region,
+                           part=part)
+
+
+def test_a_single_task_placed_off_the_machine_issues_nothing():
+    w = _bare(RuntimeConfig(n_nodes=2, workers=1))
+    w.rt.mapper = _Beyond()
+    before = digest(w)
+    with pytest.raises(ValueError, match="node 5 of 2"):
+        w.rt.fill(w.region, "x", 1.0)
+    assert digest(w) == before
+    assert dict(w.rt.stats.representation) == {}
+
+
+@pytest.mark.parametrize("index_launches", [True, False])
+def test_a_batch_projection_raise_reaches_the_caller_once(index_launches):
+    w = _bare(RuntimeConfig(n_nodes=2, workers=1, validate_safety=False,
+                            index_launches=index_launches))
+    before = digest(w)
+    functor = _BatchRaisesOnce()
+    with pytest.raises(Boom, match="batch"):
+        w.rt.index_launch(bump, 8, (w.part, functor))
+    assert (functor.batches, functor.applies) == (1, 0)
+    assert digest(w) == before
