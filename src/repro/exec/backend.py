@@ -26,6 +26,7 @@ bodies: the plan already holds every projection and argument.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 from typing import List
 
@@ -69,13 +70,32 @@ class ExecutionBackend:
 
     # ------------------------------------------------- the shared launch tail
     def analyze_launch(self, plan, op_id: int) -> List[int]:
-        """Physical analysis of ``plan`` and its accounting; returns the
-        fresh task ids, in serial plan order."""
+        """Physical analysis of ``plan``, what it leaves in
+        ``PipelineStats`` and the graph recorder, and the plan's physical
+        rows; returns the fresh task ids, in serial plan order."""
         rt = self.rt
         t_phys = rt.profiler.mark()
         task_ids = list(islice(rt._task_counter, len(plan.plans)))
         tdeps_lists, replayed = self._physical(plan, task_ids)
-        self._account(plan, op_id, task_ids, tdeps_lists, replayed, t_phys)
+        # A launch-user replay knows its edge count without building the
+        # edges; they are materialised only for a graph recorder, below.
+        rt.stats.physical_dependences += (
+            tdeps_lists.n_edges
+            if isinstance(tdeps_lists, LaunchDependences)
+            else sum(len(t) for t in tdeps_lists)
+        )
+        if rt.graph_recorder is not None:
+            name = plan.launch.task.name
+            for tid, (node, point_plan), tdeps in zip(
+                task_ids, plan.plans, tdeps_lists
+            ):
+                rt.graph_recorder.record_task(
+                    tid, f"{name}{tuple(point_plan.point)}", op_id, node,
+                )
+                rt.graph_recorder.record_physical_edges(tdeps)
+        rt.stats.overlap_queries = rt.physical.overlap_queries
+        rt._charge(plan, plan.rows[Stage.PHYSICAL], t_phys, each="tasks",
+                   op=op_id, replayed=replayed)
         return task_ids
 
     def _physical(self, plan, task_ids):
@@ -100,7 +120,7 @@ class ExecutionBackend:
                 tdeps_lists = rt.physical.replay_tasks(task_ids, ptemplate)
                 if tdeps_lists is not None:
                     rt.stats.analysis_cache_hits += 1
-                    if prof.enabled:
+                    if prof.enabled:  # names the launch only when traced
                         prof.instant("cache.physical_replay", Stage.PHYSICAL,
                                      launch=launch.name)
                     return tdeps_lists, True
@@ -108,9 +128,8 @@ class ExecutionBackend:
                 # template and fall back to live analysis below.
                 cache.store.drop_group(sig, "physical")
                 rt.stats.analysis_cache_invalidations += 1
-                if prof.enabled:
-                    prof.instant("cache.physical_bail", Stage.PHYSICAL,
-                                 launch=launch.name)
+                prof.instant("cache.physical_bail", Stage.PHYSICAL,
+                             launch=launch.name)
         tdeps_lists, ptemplate = rt.physical.record_launch(
             task_ids,
             [point_plan.accesses for _, point_plan in plan.plans],
@@ -121,47 +140,6 @@ class ExecutionBackend:
             cache.put_physical(sig, ptemplate)
         return tdeps_lists, False
 
-    def _account(
-        self, plan, op_id, task_ids, tdeps_lists, replayed, t_phys
-    ) -> None:
-        """What physical analysis leaves in ``PipelineStats``, the graph
-        recorder and the profiler (the plan charged its representation)."""
-        rt = self.rt
-        prof = rt.profiler
-        launch = plan.launch
-        # A launch-user replay knows its edge count without building the
-        # edges; they are materialised only for a graph recorder, below.
-        rt.stats.physical_dependences += (
-            tdeps_lists.n_edges
-            if isinstance(tdeps_lists, LaunchDependences)
-            else sum(len(t) for t in tdeps_lists)
-        )
-        if rt.graph_recorder is not None:
-            for tid, (node, point_plan), tdeps in zip(
-                task_ids, plan.plans, tdeps_lists
-            ):
-                rt.graph_recorder.record_task(
-                    tid, f"{launch.task.name}{tuple(point_plan.point)}",
-                    op_id, node,
-                )
-                rt.graph_recorder.record_physical_edges(tdeps)
-        rt.stats.overlap_queries = rt.physical.overlap_queries
-        if prof.enabled:
-            cost = prof.costmodel
-            for node, local in plan.per_node.items():
-                attrs = dict(op=op_id, launch=launch.name, tasks=local,
-                             replayed=replayed)
-                if cost is not None:
-                    attrs["sim_cost_s"] = (
-                        cost.t_replay_cache_hit
-                        + cost.t_trace_replay_task * local
-                        if replayed
-                        else cost.physical_task_time(launch.domain.volume)
-                        * local
-                    )
-                prof.phase("physical", Stage.PHYSICAL, t_phys,
-                           node=node, **attrs)
-
     # ------------------------------------------------------ the execution loop
     def execute(self, plan, task_ids) -> dict:
         """Run ``plan``'s bodies in this process, task ``task_ids[i]`` the
@@ -171,10 +149,10 @@ class ExecutionBackend:
 
         Per task: the context and the body.  Per launch: reading the fault
         injector and profiler, and charging ``tasks_executed`` and the
-        execution representation per node.  On a raise the charge is the
-        tasks whose inline fault check passed — a body that raised counts,
-        a fired fault does not — and an :class:`InjectedFaultError` leaves
-        stamped with its task id and point.
+        plan's execution rows.  On a raise the charge is the tasks whose
+        inline fault check passed — a body that raised counts, a fired
+        fault does not — and an :class:`InjectedFaultError` leaves stamped
+        with its task id and point.
         """
         rt = self.rt
         fn = plan.launch.task.fn
@@ -186,17 +164,17 @@ class ExecutionBackend:
         values = {}
         ran = 0
         try:
-            for tid, (node, plan) in work:
-                point = plan.point
+            for tid, (node, pp) in work:
+                point = pp.point
                 if inj is not None:
                     inj.fire_inline(point, node)
                 ran += 1
                 ctx = TaskContext(point, node, rt)
                 t0 = prof.now() if prof is not None else None
-                values[point] = fn(ctx, *plan.regions, *plan.args)
+                values[point] = fn(ctx, *pp.regions, *pp.args)
                 if prof is not None:
                     # Spans group by base task name; the point is an arg.
-                    name = plan.task_launch.name
+                    name = pp.task_launch.name
                     prof.phase(
                         f"execute:{name.split('(', 1)[0]}", Stage.EXECUTION,
                         t0, node=node, task=name,
@@ -209,12 +187,13 @@ class ExecutionBackend:
                 exc.point = tuple(point)
             raise
         finally:
-            per_node = {}
-            for _, (node, _) in work[:ran]:
-                per_node[node] = per_node.get(node, 0) + 1
             rt.stats.tasks_executed += ran
-            for node, local in per_node.items():
-                rt.stats.add_representation(Stage.EXECUTION, node, local)
+            rows = plan.rows[Stage.EXECUTION]
+            if ran < len(work):
+                ran_on = Counter(node for _, (node, _) in work[:ran])
+                rows = [((Stage.EXECUTION, node), n, n)
+                        for node, n in ran_on.items()]
+            rt._charge(plan, rows, None)
         return values
 
 

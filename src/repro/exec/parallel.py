@@ -285,10 +285,10 @@ def _build_units(plan, workers: int) -> List[_Unit]:
     """Node ``i`` of the plan's sorted nodes to worker ``i % workers``: one
     unit per worker that gets any, its points in serial (ordinal) order,
     each point's subregions those the plan projected."""
-    runs = [[] for _ in range(min(workers, len(plan.per_node)))]
+    runs = [[] for _ in range(min(workers, len(plan.assignment)))]
     ordinals = [[] for _ in runs]
     start = 0
-    for i, node in enumerate(plan.per_node):
+    for i, node in enumerate(sorted(plan.assignment)):
         local = plan.assignment[node]
         runs[i % workers].append((node, local))
         ordinals[i % workers].extend(range(start, start + len(local)))
@@ -549,14 +549,13 @@ class ParallelBackend(ExecutionBackend):
         self._units = []
         if bail.poison:
             self._poisoned_tasks.add(plan.launch.task.uid)
-        if prof.enabled:
-            prof.instant(
-                "parallel.fallback",
-                Stage.EXECUTION,
-                launch=plan.launch.name,
-                code=bail.code,
-                reason=bail.detail,
-            )
+        prof.instant(
+            "parallel.fallback",
+            Stage.EXECUTION,
+            launch=plan.launch.name,
+            code=bail.code,
+            reason=bail.detail,
+        )
         return self.serial.finish_launch(plan, op_id)
 
     def _quiesce(self) -> None:
@@ -608,22 +607,10 @@ class ParallelBackend(ExecutionBackend):
             caches.regions |= staged["regions"]
             caches.partition_colors |= staged["partition_colors"]
             caches.subsets |= staged["subsets"]
-        if prof.enabled:
-            cost = prof.costmodel
-            attrs = dict(
-                launch=plan.launch.name,
-                workers=self.workers,
-                units=len(dispatch.units),
-                points=len(plan.plans),
-            )
-            if cost is not None:
-                # Wall-clock bookkeeping only: the pool is an artifact of
-                # this implementation, not of the modeled machine, so its
-                # overhead is never charged to simulated time.
-                attrs["pool_overhead_s"] = (
-                    cost.t_worker_dispatch + cost.t_worker_result
-                ) * len(dispatch.units)
-            prof.phase("parallel.shards", Stage.EXECUTION, t_par, **attrs)
+        if prof.enabled:  # names the launch only when traced
+            prof.phase("parallel.shards", Stage.EXECUTION, t_par,
+                       launch=plan.launch.name, workers=self.workers,
+                       units=len(dispatch.units), points=len(plan.plans))
             prof.count("parallel.dispatches", 1.0)
         return self._commit(plan, op_id, dispatch)
 
@@ -1036,19 +1023,10 @@ class ParallelBackend(ExecutionBackend):
         )
 
     def _note_recovery(self, kind, launch, unit, failure) -> None:
-        """One recovery-ladder transition: instant + counter, wall-clock
-        cost annotations only (never charged to simulated time)."""
+        """One recovery-ladder transition: an instant and a counter."""
         prof = self.rt.profiler
-        if not prof.enabled:
-            return
-        cost = prof.costmodel
-        attrs = dict(launch=launch.name, worker=unit.k, failure=failure.kind)
-        if cost is not None:
-            attrs["wall_cost_s"] = (
-                cost.t_worker_respawn if kind == "respawn"
-                else cost.t_retry_backoff
-            )
-        prof.instant(f"recovery.{kind}", Stage.EXECUTION, **attrs)
+        prof.instant(f"recovery.{kind}", Stage.EXECUTION, launch=launch.name,
+                     worker=unit.k, failure=failure.kind)
         prof.count("recovery.events", 1.0, kind=kind, failure=failure.kind)
 
     # -------------------------------------------------------------- commit
@@ -1071,9 +1049,8 @@ class ParallelBackend(ExecutionBackend):
         values = dispatch.values
         fmap.fill({plans[g][1].point: values[g] for g in order})
         rt.stats.tasks_executed += total
-        for node, local in plan.per_node.items():
-            rt.stats.add_representation(Stage.EXECUTION, node, local)
-        if prof.enabled:
+        rt._charge(plan, plan.rows[Stage.EXECUTION], None)
+        if dispatch.spans:  # the workers timed their bodies: profiled
             span_name = f"execute:{launch.task.name}"
             for g in order:
                 span = dispatch.spans.get(g)

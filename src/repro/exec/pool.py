@@ -156,11 +156,9 @@ class WorkerPool:
         instant so leaked worker processes are diagnosable."""
         self.shutdown_errors += 1
         prof = self._profiler
-        if prof.enabled:
-            prof.count("pool.shutdown_errors", 1.0,
-                       kind=type(exc).__name__)
-            prof.instant("pool.shutdown_error", "execution",
-                         kind=type(exc).__name__, detail=str(exc))
+        prof.count("pool.shutdown_errors", 1.0, kind=type(exc).__name__)
+        prof.instant("pool.shutdown_error", "execution",
+                     kind=type(exc).__name__, detail=str(exc))
 
     @property
     def closed(self) -> bool:

@@ -406,10 +406,9 @@ class ShmArena:
         emitted as an obs instant so shm leaks are diagnosable."""
         self.stats.teardown_errors += 1
         prof = self.profiler
-        if prof.enabled:
-            prof.count("shm.teardown_errors", 1.0, kind=type(exc).__name__)
-            prof.instant("shm.teardown_error", "execution",
-                         kind=type(exc).__name__, detail=str(exc))
+        prof.count("shm.teardown_errors", 1.0, kind=type(exc).__name__)
+        prof.instant("shm.teardown_error", "execution",
+                     kind=type(exc).__name__, detail=str(exc))
 
     def _drop_worker(self, k: int) -> None:
         seg, self._segments[k] = self._segments[k], None

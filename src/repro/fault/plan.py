@@ -175,9 +175,8 @@ class FaultPlan:
 class RetryPolicy:
     """Caps on the recovery ladder (see ``docs/fault-tolerance.md``).
 
-    All delays here are *wall-clock* implementation overhead, mirrored by
-    the cost model's ``t_retry_backoff`` / ``t_worker_respawn`` fields —
-    never charged to simulated time.
+    All delays here are *wall-clock* implementation overhead of the host
+    running the reproduction, never charged to simulated time.
     """
 
     same_worker_retries: int = 1    # tier 1: resubmit to the same process

@@ -56,17 +56,6 @@ class CostModel:
     t_check_per_point: float = 2.5e-9  # per (domain point x argument) bitmask op
     t_check_bitmask_init: float = 0.4e-9  # per partition color (bitmask init)
 
-    # --- host worker pool (wall-clock only; see repro.exec) -----------------
-    # Overheads of the shard-parallel execution backend's process pool.
-    # These describe the *host* running the reproduction, not the modeled
-    # machine: they annotate profiler spans for dispatch accounting but are
-    # NEVER charged to simulated time (never passed to ``add_simulated``) —
-    # backends must not perturb the paper's timing model.
-    t_worker_dispatch: float = 120e-6  # pickle + submit one unit plan
-    t_worker_result: float = 90e-6     # receive + unpickle one unit result
-    t_worker_respawn: float = 8e-3     # replace one dead worker process
-    t_retry_backoff: float = 1e-3      # nominal pause before a resubmission
-
     # --- network (Aries-like) ----------------------------------------------
     net_latency: float = 1.8e-6     # per message
     net_bandwidth: float = 9.0e9    # bytes/s
@@ -111,3 +100,34 @@ class CostModel:
 
         log_p = math.log2(max(partition_size, 2))
         return self.t_physical_task + self.t_physical_log_factor * log_p
+
+    def record_time(self, stage: str, units: int, points: int, *,
+                    granular: bool, dcr: bool = True, remote: bool = True,
+                    args: int = 1, colors: int = 1,
+                    replayed: bool = False) -> float:
+        """Modeled cost of one stage record: ``units`` representation
+        units of ``stage`` on one node, covering ``points`` point tasks.
+        ``granular`` units are index launches (or slices of one, without
+        DCR), else individual tasks; without DCR, only a ``remote`` node's
+        tasks are sent.  ``args`` counts the launch's region arguments,
+        ``colors`` the partition physical analysis descends, and
+        ``replayed`` marks re-stamped dependence templates.  Bodies
+        (execution) are the application's, not priced here."""
+        if stage == "issuance":
+            return units * (self.t_issue_launch if granular
+                            else self.t_issue_task)
+        if stage == "logical":
+            return units * (self.t_logical_launch_arg * args if granular
+                            else self.t_logical_task)
+        if stage == "distribution":
+            if dcr:  # every node evaluates the sharding functor
+                return points * self.t_shard_point
+            if granular:
+                return units * self.t_slice_process
+            return units * self.t_single_send if remote else 0.0
+        if stage == "physical":
+            if replayed:
+                return (self.t_replay_cache_hit
+                        + points * self.t_trace_replay_task)
+            return points * self.physical_task_time(colors)
+        return 0.0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -97,28 +97,19 @@ class Profiler:
         stage: str,
         start: Optional[float],
         node: int = 0,
-        nodes: Optional[Iterable[int]] = None,
         end: Optional[float] = None,
         **args: Any,
     ) -> None:
-        """Close the phase opened at ``start`` (a :meth:`mark` value), now
-        or at the mark ``end``.
-
-        One span is recorded per entry of ``nodes`` (default: just
-        ``node``) — replicated control work (DCR issuance, logical
-        analysis) appears on every issuing node's track, like the real
-        runtime's replicated control programs.
-        """
+        """Close the phase opened at ``start`` (a :meth:`mark` value) on
+        ``node``'s track, now or at the mark ``end``."""
         if start is None or not self.enabled:
             return
         if end is None:
             end = self._clock()
-        targets = tuple(nodes) if nodes is not None else (node,)
-        for n in targets:
-            self.spans.append(Span(name, stage, int(n), start, end, args=dict(args)))
-        dur = end - start
-        self.metrics.inc("spans", float(len(targets)), stage=stage, name=name)
-        self.metrics.observe("span_seconds", dur, stage=stage, name=name)
+        self.spans.append(Span(name, stage, int(node), start, end, args=args))
+        self.metrics.inc("spans", 1.0, stage=stage, name=name)
+        self.metrics.observe("span_seconds", end - start, stage=stage,
+                             name=name)
 
     @contextmanager
     def span(self, name: str, stage: str, node: int = 0, **args: Any):

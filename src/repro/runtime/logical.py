@@ -20,7 +20,7 @@ paper's No-IDX configurations pay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.privileges import Privilege, PrivilegeSpec
 
@@ -140,11 +140,14 @@ class LogicalAnalyzer:
         self,
         op_ids: Sequence[int],
         accesses: List[Tuple[int, Tuple[str, ...], PrivilegeSpec]],
-    ) -> List[List[LogicalDependence]]:
+        edges: bool = True,
+    ) -> Union[List[List[LogicalDependence]], int]:
         """Register consecutive ops that share one access list — the point
         tasks of an expanded launch — as ``[self.analyze_operation(op,
         accesses) for op in op_ids]`` would, in one call.  ``op_ids`` are
-        consecutive and above every id registered before.
+        consecutive and above every id registered before.  With ``edges``
+        off, only the number of dependences is returned, and those of the
+        derived ops below are never built.
 
         Ops are registered one by one only until the run settles.  Every
         field an op touches is then either *joining* (all of the op's
@@ -158,7 +161,7 @@ class LogicalAnalyzer:
         """
         out: List[List[LogicalDependence]] = []
         if not op_ids:
-            return out
+            return out if edges else 0
         first, count = op_ids[0], len(op_ids)
         touched: Dict[FieldKey, set] = {}
         for region_uid, fields, privilege in accesses:
@@ -189,11 +192,13 @@ class LogicalAnalyzer:
             ):
                 break
         rest = count - done
+        n_deps = sum(map(len, out))
         if rest:
             last = first + done - 1
             derived = range(last + 1, first + count)
             pattern = [(d.earlier_op, d.region_uid) for d in out[-1]]
-            for later in derived:
+            n_deps += rest * len(pattern)
+            for later in derived if edges else ():
                 by = later - last
                 out.append([
                     LogicalDependence(e + by if e >= first else e, later, r)
@@ -208,8 +213,8 @@ class LogicalAnalyzer:
                 st.group.extend(derived)
                 st.group_members.update(derived)
             self.users_processed += rest * len(accesses)
-        self._count(count * len(accesses), sum(map(len, out)))
-        return out
+        self._count(count * len(accesses), n_deps)
+        return out if edges else n_deps
 
     def _register(self, op_id, accesses) -> List[LogicalDependence]:
         seen = set()

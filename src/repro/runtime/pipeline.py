@@ -8,8 +8,13 @@ is one unit regardless of |D|; each individual task is one unit), plus the
 work counters the evaluation reasons about (users analyzed, overlap queries,
 messages sent, dynamic-check evaluations).
 
-These counters are what the Figure 2/3 reproduction prints, and what the
-machine model multiplies by calibrated per-unit costs.
+These counters are what the Figure 2/3 reproduction prints.  The runtime
+charges the representation from one place: each launch's stage records —
+rows ``((stage, node), units, points)`` on its ``LaunchPlan`` — pass
+through one sink, ``Runtime._charge``, as each stage finishes.  It adds
+their units here and, when profiling, closes one span per row carrying the
+``sim_cost_s`` that :meth:`~repro.machine.costmodel.CostModel.record_time`
+prices the row at.
 """
 
 from __future__ import annotations

@@ -196,6 +196,11 @@ class ExpansionTemplate:
     #: validity token).
     plan_list_key: Optional[object] = field(default=None, repr=False)
     plan_list: Optional[list] = field(default=None, repr=False)
+    #: the launch's stage records for one assignment
+    #: (``Runtime._launch_rows``): the same identity token, whatever the
+    #: args
+    rows_key: Optional[object] = field(default=None, repr=False)
+    rows: Optional[dict] = field(default=None, repr=False)
 
     def reusable_for(self, launch: IndexLaunch) -> bool:
         """Whether the baked-in args serve ``launch``: args that cannot be

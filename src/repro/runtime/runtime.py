@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.domain import Domain, Rect
@@ -224,11 +224,12 @@ class LaunchPlan:
     #: a first expansion, for the commit to store in the replay cache
     new_template: Optional[ExpansionTemplate] = None
     cache_hits: int = 0              # analysis-cache hits planning found
-    #: ((stage, node), units), in the order the rows are charged
-    charges: list = field(default_factory=list)
+    #: the stage records, ``((stage, node), units, points)``, by the stage
+    #: whose end charges them (:meth:`Runtime._charge`); the task loop's
+    #: control stages end together, so they all sit under ``physical``
+    rows: Optional[Dict[str, list]] = None
     slicing: Any = None              # the SlicingResult, without DCR
     assignment: Optional[Dict[int, list]] = None   # node -> its points
-    per_node: Optional[Dict[int, int]] = None      # node -> its task count
     plans: Optional[list] = None     # [(node, PointPlan)], serial plan order
     replay: bool = False             # set at commit: the tracer matched
     # profiler marks (None when it is off): issue, verdict, distribution,
@@ -616,17 +617,16 @@ class Runtime:
             # Listing 3's else-branch: fall back to the original task loop.
             plan.kind, plan.order_free = "fallback_loop", False
             return self._plan_tasks(plan)
-        issuers = self._issuers()
-        plan.charges = [((Stage.ISSUANCE, n), 1) for n in issuers]
         if cfg.tracing and not cfg.dcr and not cfg.bulk_tracing:
             # Tracing without DCR forces expansion before distribution
             # (Section 6.2.1): the launch degrades to per-task processing
             # from the logical stage on.  Bulk tracing — the paper's
             # future-work extension — records traces at launch granularity
             # instead, so the O(1) representation survives distribution.
-            plan.early = True
+            plan.early, volume = True, launch.domain.volume
+            plan.rows = {Stage.ISSUANCE: [((Stage.ISSUANCE, n), 1, volume)
+                                          for n in self._issuers()]}
             return self._plan_tasks(plan)
-        plan.charges += [((Stage.LOGICAL, n), 1) for n in issuers]
         return self._plan_launch(plan, cache)
 
     def _plan_launch(self, plan: LaunchPlan, cache) -> LaunchPlan:
@@ -645,7 +645,6 @@ class Runtime:
             assignment = self.sharding_cache.shard_map(
                 self.mapper, launch.domain, cfg.n_nodes
             )
-            plan.charges += [((Stage.DISTRIBUTION, n), 1) for n in assignment]
         else:
             plan.slicing = (
                 self.slicing_cache.slice(self.mapper, launch.domain,
@@ -654,17 +653,7 @@ class Runtime:
                 else build_slices(self.mapper, launch.domain, cfg.n_nodes)
             )
             assignment = plan.slicing.assignment
-            plan.charges += [((Stage.DISTRIBUTION, slc.node), 1)
-                             for slc in plan.slicing.slices]
         plan.assignment = assignment
-        plan.per_node = {
-            node: len(assignment[node])
-            for node in sorted(assignment) if assignment[node]
-        }
-        plan.charges += [
-            ((Stage.PHYSICAL, node), local)
-            for node, local in plan.per_node.items()
-        ]
         plan.t_expand = mark()
         template = cache.get_expansion(plan.sig) if cache is not None else None
         if template is None:
@@ -678,8 +667,34 @@ class Runtime:
         else:
             plan.cache_hits += 1
             plan.plans = template.reissue(launch, assignment)
+        if template.rows_key is not assignment:
+            template.rows_key = assignment
+            template.rows = self._launch_rows(plan)
+        plan.rows = template.rows
         plan.t_planned = mark()
         return plan
+
+    def _launch_rows(self, plan: LaunchPlan) -> Dict[str, list]:
+        """A launch-granular plan's stage records: one unit per issuer for
+        issuance and logical analysis; per node, one (DCR) or one per slice
+        for distribution, and its points for physical analysis and
+        execution.  They depend only on the issuers and the assignment, so
+        the template keeps them for every reissue."""
+        assignment, slicing = plan.assignment, plan.slicing
+        volume = len(plan.plans)
+        placed = (dict.fromkeys(assignment, 1) if slicing is None
+                  else Counter(slc.node for slc in slicing.slices))
+        local = {node: len(assignment[node]) for node in sorted(assignment)}
+        rows = {Stage.DISTRIBUTION: [
+            ((Stage.DISTRIBUTION, node), units, local[node])
+            for node, units in placed.items()
+        ]}
+        issuers = self._issuers()
+        for stage in (Stage.ISSUANCE, Stage.LOGICAL):
+            rows[stage] = [((stage, n), 1, volume) for n in issuers]
+        for stage in (Stage.PHYSICAL, Stage.EXECUTION):
+            rows[stage] = [((stage, node), n, n) for node, n in local.items()]
+        return rows
 
     def _plan_tasks(self, plan: LaunchPlan, nodes=None,
                     point_list=None) -> LaunchPlan:
@@ -696,16 +711,21 @@ class Runtime:
             nodes = shard_nodes(self.mapper, launch.domain,
                                 self.config.n_nodes)
         plan.plans = list(zip(nodes, point_list))
-        plan.per_node = per_node = Counter(nodes)
+        per_node = Counter(nodes).items()
         count = len(nodes)
+        loop = []
         if count:  # an empty launch adds no representation rows
             for n in self._issuers():
                 if not plan.early:
-                    plan.charges.append(((Stage.ISSUANCE, n), count))
-                plan.charges.append(((Stage.LOGICAL, n), count))
-            for node, local in per_node.items():
-                plan.charges += [((Stage.DISTRIBUTION, node), local),
-                                 ((Stage.PHYSICAL, node), local)]
+                    loop.append(((Stage.ISSUANCE, n), count, count))
+                loop.append(((Stage.LOGICAL, n), count, count))
+            for node, local in per_node:
+                loop += [((Stage.DISTRIBUTION, node), local, local),
+                         ((Stage.PHYSICAL, node), local, local)]
+        plan.rows = plan.rows or {}
+        plan.rows[Stage.PHYSICAL] = loop
+        plan.rows[Stage.EXECUTION] = [((Stage.EXECUTION, node), local, local)
+                                      for node, local in per_node]
         return plan
 
     # ---------------------------------------------------------------- commit
@@ -713,9 +733,10 @@ class Runtime:
         """Act on ``plan``: the counters, the tracer, the verdict, logical
         and physical analysis, the graph recorder, and the bodies — a
         launch-granular plan through the backend, any other as the task
-        loop.  Only a runtime bug or a task body raises here, never the
-        plan's user code.  Returns the launch's FutureMap, or a single
-        task's value."""
+        loop.  Each stage's rows are charged as it finishes
+        (:meth:`_charge`).  Only a runtime bug or a task body raises here,
+        never the plan's user code.  Returns the launch's FutureMap, or a
+        single task's value."""
         stats = self.stats
         stats.ops_issued += 1
         if self.config.tracing and plan.sig is not None:
@@ -723,9 +744,6 @@ class Runtime:
         if plan.index:
             self._commit_issuance(plan)
         stats.analysis_cache_hits += plan.cache_hits
-        representation = stats.representation
-        for key, units in plan.charges:
-            representation[key] += units
         if plan.assignment is not None:
             return self._commit_launch(plan)
         values = self._commit_tasks(plan)
@@ -735,18 +753,52 @@ class Runtime:
         fmap.fill(values)
         return fmap
 
+    def _charge(self, plan: LaunchPlan, rows, start, end=None, each=None,
+                **attrs) -> None:
+        """The one sink of stage records, called as a stage finishes: adds
+        each ``((stage, node), units, points)`` row's units to
+        ``PipelineStats.representation``, in row order.  Profiled
+        (``start`` is a mark), it closes one phase per row, by stage then
+        node, from ``start`` to ``end`` (default: now), carrying ``attrs``,
+        the launch name, the row's points as ``each`` and, under a cost
+        model, the ``sim_cost_s`` of
+        :meth:`~repro.machine.costmodel.CostModel.record_time` — per task
+        for the task loop's ``aggregate`` rows, else per launch."""
+        representation = self.stats.representation
+        for key, units, _ in rows:
+            representation[key] += units
+        if start is None:
+            return
+        prof = self.profiler
+        cost = prof.costmodel
+        if end is None:
+            end = prof.now()
+        launch = plan.launch
+        attrs["launch"] = launch.name
+        granular = not attrs.get("aggregate", False)
+        for (stage, node), units, points in sorted(
+            rows, key=lambda row: (Stage.ALL.index(row[0][0]), row[0][1])
+        ):
+            if each is not None:
+                attrs[each] = points
+            if cost is not None:
+                attrs["sim_cost_s"] = cost.record_time(
+                    stage, units, points, granular=granular,
+                    dcr=self.config.dcr, remote=node != 0,
+                    args=len(launch.requirements),
+                    colors=len(plan.plans),
+                    replayed=attrs.get("replayed", False),
+                )
+            prof.phase(stage, stage, start, node=node, end=end, **attrs)
+
     def _commit_issuance(self, plan: LaunchPlan) -> None:
         """An index launch's issuance: its counters, its verdict in the
-        safety log and the replay cache, and the issuance phases."""
+        safety log and the replay cache, its annotations and its rows."""
         cfg, stats, prof = self.config, self.stats, self.profiler
         verdict = plan.verdict
-        name = plan.launch.name if prof.enabled else None
         stats.index_launches += 1
         if plan.replay:
             stats.launch_replays += 1
-            if prof.enabled:
-                prof.instant("trace.launch_replay", Stage.ISSUANCE,
-                             launch=name)
         if verdict is not None:
             if cfg.analysis_cache and not verdict.cached:
                 self.replay_cache.put_verdict(plan.sig, cfg.dynamic_checks,
@@ -759,7 +811,14 @@ class Runtime:
                 stats.launches_verified_dynamic += 1
             elif verdict.method is SafetyMethod.UNVERIFIED:
                 stats.launches_unverified += 1
-            if prof.enabled:
+            if not verdict.safe:
+                stats.launches_fallback_serial += 1
+        if prof.enabled:  # names the launch only when traced
+            name = plan.launch.name
+            if plan.replay:
+                prof.instant("trace.launch_replay", Stage.ISSUANCE,
+                             launch=name)
+            if verdict is not None:
                 prof.phase(
                     "safety", "safety", plan.t_issue, end=plan.t_issued,
                     launch=name, method=verdict.method.name,
@@ -768,25 +827,18 @@ class Runtime:
                 )
                 if verdict.cached:
                     prof.instant("cache.verdict_hit", "safety", launch=name)
-            if not verdict.safe:
-                stats.launches_fallback_serial += 1
-                if prof.enabled:
+                if not verdict.safe:
                     prof.instant("safety.fallback_serial", "safety",
                                  launch=name)
                     prof.phase("issuance", Stage.ISSUANCE, plan.t_issue,
                                end=plan.t_issued, launch=name, fallback=True)
-                return
-        if prof.enabled:
-            attrs = dict(launch=name, domain=plan.launch.domain.volume,
-                         replay=plan.replay)
-            if prof.costmodel is not None:
-                attrs["sim_cost_s"] = prof.costmodel.t_issue_launch
-            prof.phase("issuance", Stage.ISSUANCE, plan.t_issue,
-                       end=plan.t_issued, nodes=tuple(self._issuers()),
-                       **attrs)
             if plan.early:
                 prof.instant("trace.early_expansion", Stage.ISSUANCE,
                              launch=name)
+        rows = plan.rows.get(Stage.ISSUANCE)
+        if rows is not None:  # a fallback's are its tasks', charged later
+            self._charge(plan, rows, plan.t_issue, plan.t_issued,
+                         each="domain", replay=plan.replay)
 
     def _commit_launch(self, plan: LaunchPlan) -> FutureMap:
         """The launch-granular commit: one op through logical analysis
@@ -794,58 +846,39 @@ class Runtime:
         backend runs physical analysis and the bodies — the per-node work,
         serially in-process or fanned out across the worker pool."""
         stats, prof = self.stats, self.profiler
-        launch = plan.launch
+        launch, slicing = plan.launch, plan.slicing
         t_logical = prof.mark()
         op_id = next(self._op_counter)
         deps = self.logical.analyze_operation(op_id, _logical_accesses(launch))
         stats.logical_users = self.logical.users_processed
         stats.logical_dependences += len(deps)
-        if plan.slicing is not None:
-            stats.slice_messages += plan.slicing.n_messages
+        if slicing is not None:
+            stats.slice_messages += slicing.n_messages
             stats.max_slice_depth = max(stats.max_slice_depth,
-                                        plan.slicing.max_depth)
+                                        slicing.max_depth)
         if plan.new_template is not None:
             self.replay_cache.put_expansion(plan.sig, plan.new_template)
         if self.graph_recorder is not None:
             self.graph_recorder.record_op(op_id, launch.name, "index_launch")
             self.graph_recorder.record_logical_edges(deps)
-        if prof.enabled:
-            self._profile_launch(plan, op_id, len(deps), t_logical)
-        return self.backend.finish_launch(plan, op_id)
-
-    def _profile_launch(self, plan, op_id, n_deps, t_logical) -> None:
-        """The logical phase of a launch-granular commit, then the
-        distribution and expansion phases its plan timed."""
-        prof = self.profiler
-        cost = prof.costmodel
-        name, slicing = plan.launch.name, plan.slicing
-        attrs = dict(op=op_id, launch=name, dependences=n_deps)
-        if cost is not None:
-            attrs["sim_cost_s"] = (
-                cost.t_logical_launch_arg * len(plan.launch.requirements)
-            )
-        prof.phase("logical", Stage.LOGICAL, t_logical,
-                   nodes=tuple(self._issuers()), **attrs)
+        rows = plan.rows
+        self._charge(plan, rows[Stage.LOGICAL], t_logical, op=op_id,
+                     dependences=len(deps))
         mode = dict(mode="shard") if slicing is None else dict(
             mode="slice", messages=slicing.n_messages,
             max_depth=slicing.max_depth,
         )
-        for node in sorted(plan.assignment):
-            local = len(plan.assignment[node])
-            attrs = dict(mode, launch=name, points=local)
-            if cost is not None:
-                attrs["sim_cost_s"] = (
-                    cost.t_shard_point * local if slicing is None
-                    else cost.t_slice_process * (slicing.max_depth + 1)
-                )
-            prof.phase("distribution", Stage.DISTRIBUTION, plan.t_dist,
-                       end=plan.t_expand, node=node, **attrs)
-        cached = self.config.analysis_cache and plan.new_template is None
-        prof.phase("expansion", "expansion", plan.t_expand,
-                   end=plan.t_planned, launch=name, cached=cached,
-                   points=len(plan.plans))
-        if cached:
-            prof.instant("cache.expansion_hit", "expansion", launch=name)
+        self._charge(plan, rows[Stage.DISTRIBUTION], plan.t_dist,
+                     plan.t_expand, each="points", **mode)
+        if prof.enabled:  # names the launch only when traced
+            name = launch.name
+            cached = self.config.analysis_cache and plan.new_template is None
+            prof.phase("expansion", "expansion", plan.t_expand,
+                       end=plan.t_planned, launch=name, cached=cached,
+                       points=len(plan.plans))
+            if cached:
+                prof.instant("cache.expansion_hit", "expansion", launch=name)
+        return self.backend.finish_launch(plan, op_id)
 
     def _commit_tasks(self, plan: LaunchPlan) -> dict:
         """The task-loop commit: each point is an op and a task, charged as
@@ -854,20 +887,25 @@ class Runtime:
         per task, because the points' footprints differ, and where two
         points of an unsafe launch touch one piece the later really
         depends on the earlier.  Returns the values by point."""
-        cfg, stats, prof = self.config, self.stats, self.profiler
+        cfg, stats = self.config, self.stats
         launch, plans = plan.launch, plan.plans
         count = len(plans)
         op_ids = list(itertools.islice(self._op_counter, count))
         task_ids = list(itertools.islice(self._task_counter, count))
         stats.single_tasks += count
-        if not cfg.dcr:  # point-to-point, no tree
-            stats.slice_messages += count - plan.per_node.get(0, 0)
-        deps = self.logical.analyze_run(op_ids, _logical_accesses(launch))
-        stats.logical_dependences += sum(map(len, deps))
+        if not cfg.dcr:  # point-to-point, no tree: one per task off node 0
+            stats.slice_messages += sum(
+                local for (_, node), local, _ in plan.rows[Stage.EXECUTION]
+                if node != 0
+            )
+        recorder = self.graph_recorder
+        deps = self.logical.analyze_run(op_ids, _logical_accesses(launch),
+                                        edges=recorder is not None)
+        stats.logical_dependences += (
+            deps if recorder is None else sum(map(len, deps)))
         record = self.physical.record_task
         tdeps = [record(t, pp.accesses) for t, (_, pp) in zip(task_ids, plans)]
         stats.physical_dependences += sum(map(len, tdeps))
-        recorder = self.graph_recorder
         if recorder is not None:
             names = [
                 launch.task.name + ("" if pp.point is None
@@ -884,20 +922,8 @@ class Runtime:
                 recorder.record_physical_edges(edges)
         stats.logical_users = self.logical.users_processed
         stats.overlap_queries = self.physical.overlap_queries
-        if prof.enabled:
-            attrs = dict(aggregate=True, kind=plan.kind, launch=launch.name,
-                         tasks=count)
-            issuers = tuple(self._issuers())
-            nodes = tuple(sorted(plan.per_node))
-            if not plan.early:
-                prof.phase("issuance", Stage.ISSUANCE, plan.t_issued,
-                           nodes=issuers, **attrs)
-            prof.phase("logical", Stage.LOGICAL, plan.t_issued,
-                       nodes=issuers, **attrs)
-            prof.phase("distribution", Stage.DISTRIBUTION, plan.t_issued,
-                       nodes=nodes, **attrs)
-            prof.phase("physical", Stage.PHYSICAL, plan.t_issued,
-                       nodes=nodes, **attrs)
+        self._charge(plan, plan.rows[Stage.PHYSICAL], plan.t_issued,
+                     aggregate=True, kind=plan.kind, tasks=count)
         return self.backend.execute(plan, task_ids)
 
     # ------------------------------------------------------- fault poisoning
@@ -965,14 +991,13 @@ class Runtime:
             dropped += store.drop("physical")
             if dropped:
                 self.stats.analysis_cache_invalidations += dropped
-        if prof.enabled:
-            prof.instant(
-                "fault.poison_propagated" if propagated else "fault.poisoned",
-                Stage.EXECUTION,
-                launch=launch.name,
-                cause=str(cause),
-            )
-            prof.count("fault.poisoned_launches", 1.0, propagated=propagated)
+        prof.instant(
+            "fault.poison_propagated" if propagated else "fault.poisoned",
+            Stage.EXECUTION,
+            launch=launch.name,
+            cause=str(cause),
+        )
+        prof.count("fault.poisoned_launches", 1.0, propagated=propagated)
         fmap = FutureMap(label=launch.name)
         fmap.poison(err)
         return fmap
@@ -985,14 +1010,11 @@ class Runtime:
         self.stats.poison_propagations += 1
         err = self._mint_poison(launch.name, cause)
         self._taint_written(launch, err)
-        if self.profiler.enabled:
-            self.profiler.instant(
-                "fault.poison_propagated", Stage.EXECUTION,
-                launch=launch.name, cause=str(cause),
-            )
-            self.profiler.count(
-                "fault.poisoned_launches", 1.0, propagated=True
-            )
+        self.profiler.instant(
+            "fault.poison_propagated", Stage.EXECUTION,
+            launch=launch.name, cause=str(cause),
+        )
+        self.profiler.count("fault.poisoned_launches", 1.0, propagated=True)
         future = Future(label=launch.name)
         future.poison(err)
         return future

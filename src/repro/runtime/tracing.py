@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.profiler import NULL_PROFILER
+
 __all__ = ["TraceRecorder", "OpSignature"]
 
 # (task uid, domain hash, requirement signature) — enough to recognize the
@@ -58,7 +60,7 @@ class TraceRecorder:
     def __init__(self, profiler=None):
         self._traces: Dict[int, _Trace] = {}
         self._active: Optional[int] = None
-        self._profiler = profiler
+        self._profiler = NULL_PROFILER if profiler is None else profiler
 
     def begin(self, trace_id: int) -> None:
         if self._active is not None:
@@ -67,10 +69,8 @@ class TraceRecorder:
         trace = self._traces.setdefault(trace_id, _Trace())
         trace.current = []
         trace.valid = trace.recorded is not None
-        prof = self._profiler
-        if prof is not None and prof.enabled:
-            prof.instant("trace.begin", "tracing", trace_id=trace_id,
-                         recorded_len=len(trace.recorded or ()))
+        self._profiler.instant("trace.begin", "tracing", trace_id=trace_id,
+                               recorded_len=len(trace.recorded or ()))
 
     def observe(self, signature: OpSignature) -> bool:
         """Record one operation; returns True when the *entire* iteration
@@ -124,10 +124,9 @@ class TraceRecorder:
 
     def _note_end(self, trace_id: int, verdict: str) -> None:
         prof = self._profiler
-        if prof is not None and prof.enabled:
-            prof.instant("trace.end", "tracing", trace_id=trace_id,
-                         verdict=verdict)
-            prof.count("trace.iterations", 1.0, verdict=verdict)
+        prof.instant("trace.end", "tracing", trace_id=trace_id,
+                     verdict=verdict)
+        prof.count("trace.iterations", 1.0, verdict=verdict)
 
     def replays(self, trace_id: int) -> int:
         return self._traces[trace_id].replays if trace_id in self._traces else 0

@@ -26,7 +26,10 @@ def fake_clock(step=1.0):
 def sample_profiler():
     prof = Profiler(clock=fake_clock(step=0.001))
     t = prof.mark()
-    prof.phase("issuance", "issuance", t, nodes=(0, 1), launch="bump")
+    end = prof.now()
+    for node in (0, 1):
+        prof.phase("issuance", "issuance", t, node=node, end=end,
+                   launch="bump")
     t = prof.mark()
     prof.phase("logical", "logical", t, node=0, dependences=2)
     prof.instant("cache.verdict_hit", "safety", node=0)

@@ -22,18 +22,6 @@ class TestWallSpans:
         assert span.duration == 1.0
         assert prof.metrics.value("spans", stage="logical", name="logical") == 1
 
-    def test_phase_fans_out_per_node(self):
-        prof = Profiler(clock=fake_clock())
-        t = prof.mark()
-        prof.phase("issuance", "issuance", t, nodes=(0, 1, 2))
-        assert [s.node for s in prof.spans] == [0, 1, 2]
-        # One shared interval, counted once per node.
-        assert prof.metrics.value("spans", stage="issuance",
-                                  name="issuance") == 3
-        hist = prof.metrics.histogram("span_seconds", stage="issuance",
-                                      name="issuance")
-        assert hist.count == 1
-
     def test_span_contextmanager_annotates(self):
         prof = Profiler(clock=fake_clock())
         with prof.span("expansion", "expansion", node=1) as attrs:

@@ -62,6 +62,11 @@ def calls_in_steady_op(pieces):
 
 
 class TestCallsPerPoint:
+    def test_a_steady_op_makes_no_more_calls(self):
+        """The whole steady op, pinned: its issue and stage records are
+        per launch, so a rise here is bookkeeping added to every op."""
+        assert sum(calls_in_steady_op(16).values()) <= 345
+
     def test_a_point_costs_its_body_and_its_context(self):
         small, large = calls_in_steady_op(16), calls_in_steady_op(256)
         points = 2 * (256 - 16)
@@ -156,10 +161,10 @@ class TestExpandedLoopCallsPerPoint:
         large = calls_in_expanded_launch(256, index_launches)
         points = 256 - 16
         growth = sum(large.values()) - sum(small.values())
-        assert growth / points <= 64
+        assert growth / points <= 62
         for name in ("point_task", "project", "apply", "coerce_point",
                      "__post_init__", "of", "select_node", "shard",
-                     "add_representation", "analyze_operation",
+                     "_charge", "analyze_operation",
                      "record_field_access"):
             assert large[name] == small[name], name
 

@@ -48,20 +48,25 @@ def _state(analyzer):
     after=accesses,
 )
 def test_a_batched_run_is_its_ops_one_by_one(prior, run, gap, count, after):
-    naive, batched = LogicalAnalyzer(), LogicalAnalyzer()
+    naive, batched, counted = (LogicalAnalyzer(), LogicalAnalyzer(),
+                               LogicalAnalyzer())
     for op_id, acc in enumerate(prior):
-        naive.analyze_operation(op_id, acc)
-        batched.analyze_operation(op_id, acc)
+        for analyzer in (naive, batched, counted):
+            analyzer.analyze_operation(op_id, acc)
     first = len(prior) + gap
     op_ids = list(range(first, first + count))
 
     expected = [naive.analyze_operation(op, run) for op in op_ids]
     assert batched.analyze_run(op_ids, run) == expected
-    assert batched.users_processed == naive.users_processed
-    assert _state(batched) == _state(naive)
+    assert counted.analyze_run(op_ids, run, edges=False) == sum(
+        map(len, expected))
+    for analyzer in (batched, counted):
+        assert analyzer.users_processed == naive.users_processed
+        assert _state(analyzer) == _state(naive)
     nxt = first + count
-    assert (batched.analyze_operation(nxt, after)
-            == naive.analyze_operation(nxt, after))
+    following = naive.analyze_operation(nxt, after)
+    for analyzer in (batched, counted):
+        assert analyzer.analyze_operation(nxt, after) == following
 
 
 def test_an_empty_run_registers_nothing():

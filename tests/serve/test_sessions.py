@@ -129,3 +129,16 @@ class TestConcurrentIsolation:
                                       np.full(8, 1.0))
                 assert np.array_equal(b.read_field(rb, "x"),
                                       np.full(8, 2.0))
+
+
+def test_replay_cache_entries_counts_signatures_not_templates():
+    """Untraced launches record no physical template, but the replay
+    cache still holds their signature (verdict and expansion)."""
+    with running_service(workers=1) as (svc, _):
+        with ServiceClient("127.0.0.1", svc.port, tenant="sig") as cli:
+            region = cli.create_region("sig_rx", ELEMS, {"x": "f8"})
+            part = cli.equal_partition("sig_p", region, SHARDS)
+            bump = cli.define_task(BUMP)
+            for _ in range(3):
+                cli.index_launch(bump, SHARDS, part)
+            assert cli.stats()["replay_cache_entries"] == 1
