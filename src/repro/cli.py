@@ -335,7 +335,8 @@ def _bench_summary_table(rt) -> str:
     Collects the three layers' counters — shared-memory transport, batched
     physical commit, precompiled check/dependence kernels — the users the
     physical analyzer retired at launch level, the launches it analysed by
-    colour, the units workers ran from their plan memo, the parallel
+    colour and the region columns it could not (one row per miss code that
+    occurred), the units workers ran from their plan memo, the parallel
     fallbacks with one row per reason code that occurred, and hits /
     misses / evictions per layer of every analysis store, from wherever
     they live (runtime, backend, pool arena) into one aligned block.
@@ -347,6 +348,10 @@ def _bench_summary_table(rt) -> str:
         ("dependence kernel replays", rt.physical.kernel_replays),
         ("launch retired", rt.physical.launch_retired),
         ("launch aligned", rt.physical.launch_aligned),
+    ]
+    rows += [(f"colour miss {code}", n)
+             for code, n in sorted(rt.physical.colour_misses.items())]
+    rows += [
         ("check kernel hits", GLOBAL_CHECK_KERNELS.hits),
         ("check kernel misses", GLOBAL_CHECK_KERNELS.misses),
         ("check kernel affine constants", GLOBAL_CHECK_KERNELS.affine_constants),

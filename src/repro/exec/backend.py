@@ -32,7 +32,7 @@ from typing import List
 
 from repro.fault.plan import InjectedFaultError
 from repro.runtime.futures import FutureMap
-from repro.runtime.physical import LaunchDependences
+from repro.runtime.physical import edge_count
 from repro.runtime.pipeline import Stage
 from repro.runtime.task import TaskContext
 
@@ -79,11 +79,7 @@ class ExecutionBackend:
         tdeps_lists, replayed = self._physical(plan, task_ids)
         # A launch-user replay knows its edge count without building the
         # edges; they are materialised only for a graph recorder, below.
-        rt.stats.physical_dependences += (
-            tdeps_lists.n_edges
-            if isinstance(tdeps_lists, LaunchDependences)
-            else sum(len(t) for t in tdeps_lists)
-        )
+        rt.stats.physical_dependences += edge_count(tdeps_lists)
         if rt.graph_recorder is not None:
             name = plan.launch.task.name
             for tid, (node, point_plan), tdeps in zip(

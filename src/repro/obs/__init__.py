@@ -21,7 +21,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profiler import NULL_PROFILER, Profiler, Span
-from repro.obs.schema import validate_chrome_trace, validate_chrome_trace_file
 
 __all__ = [
     "Profiler",
@@ -37,3 +36,13 @@ __all__ = [
     "validate_chrome_trace",
     "validate_chrome_trace_file",
 ]
+
+
+def __getattr__(name):
+    # The validators load on first use, so ``python -m repro.obs.schema``
+    # finds its module unimported (runpy warns otherwise).
+    if name in ("validate_chrome_trace", "validate_chrome_trace_file"):
+        from repro.obs import schema
+
+        return getattr(schema, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -192,7 +192,9 @@ class DependenceKernel:
                 self.entry_keys[uid] = entry.keys
             sources.append((uid, entry.task_ids, perm))
         self._commit_launch_users(analyzer, task_ids)
-        return LaunchDependences(task_ids, sources)
+        # One entry user per task and region: one region, one edge per task.
+        return LaunchDependences(task_ids, sources,
+                                 len(task_ids) if len(sources) == 1 else None)
 
     def _apply_slots(self, analyzer, task_ids) -> Optional[List[list]]:
         """The slot program over per-point buckets.

@@ -13,24 +13,28 @@ disjoint partition runs at most |D| exact overlap tests whatever |P| is —
 counted at |P| = 32 … 1 024 by ``TestLiveWorkByCount`` in
 ``tests/runtime/test_launch_users.py``.
 
-A bucket has a second form.  When a launch retires every user of a bucket
-and leaves one of its own per task — a write through an injective functor
-over a disjoint partition — what it leaves is a function of the launch
-alone, and it is installed as a single :class:`_LaunchUser` (key tuple,
-creations, the launch's task-id list) instead of |D| :class:`_User`
-objects.  Two installers: a replayed launch's dependence kernel, in O(1),
-which also replays against a launch user by id arithmetic
-(:mod:`repro.runtime.kernels`); and :meth:`PhysicalAnalyzer.record_launch`
-on a first issue, which checks that shape per region from the launch's
-accesses and the bucket (:meth:`PhysicalAnalyzer._aligned_region`) and
-then analyses the launch by colour: no candidate index, no exact test, no
-footprint hashed.  The ordered ``List[_User]`` stays the representation of
-record for everything else: :meth:`PhysicalAnalyzer._bucket`, the one
-accessor in front of ``_users``, expands a launch user in place — same
-users, order, task ids and keys the per-point path would hold — the first
-time the per-point path, a key snapshot, the validating overlay or a
-kernel of any other shape looks at the bucket.  With ``kernels=False`` no
-launch user is ever installed.
+A bucket has a second form.  When every user a launch leaves in a bucket
+holds one task — the launch goes through one disjoint partition, over
+single-task users of that partition — the bucket is a function of the
+launch and the bucket before it, and it is installed as a single
+:class:`_LaunchUser` (key tuple, creations, task-id list) instead of
+per-point :class:`_User` objects.  Two installers: a replayed launch's
+dependence kernel, in O(1), which also replays against a launch user by
+id arithmetic (:mod:`repro.runtime.kernels`); and
+:meth:`PhysicalAnalyzer.record_launch`, which checks that shape per region
+from the launch's accesses and the bucket
+(:meth:`PhysicalAnalyzer._colour_region`) and then analyses the launch by
+colour — a first issue, and the task loop of No-IDX and the unsafe-launch
+fallback alike: no candidate index, no exact test, no footprint hashed.
+Points of a writing launch that share a colour form a chain, each
+depending on the previous one; distinct colours are independent.  The
+ordered ``List[_User]`` stays the representation of record for
+everything else: :meth:`PhysicalAnalyzer._bucket`, the one accessor in
+front of ``_users``, expands a launch user in place — same users, order,
+task ids and keys the per-point path would hold — the first time the
+per-point path, a key snapshot, the validating overlay or a kernel of any
+other shape looks at the bucket.  With ``kernels=False`` no launch user
+is ever installed.
 
 Retirement has two rules.  Per access, a writing access retires every
 prior user whose footprint and field set it covers on its own.  Per index
@@ -44,10 +48,10 @@ later access that overlaps the retired user on one of its fields overlaps
 one of those writers on it, and each writer already depends on the user.
 Only the users a writing access overlapped without retiring are
 candidates, so a launch with no partial overlap does no extra work.
-No-IDX and the unsafe-launch fallback loop record task by task and keep
-the per-access rule alone.
+No-IDX and the unsafe-launch fallback loop keep the per-access rule
+alone (``record_launch(joint=False)``).
 
-Five counters keep charged and performed work apart.  ``overlap_queries``
+Six counters keep charged and performed work apart.  ``overlap_queries``
 is the *charged* scan length — ``len(bucket)`` per access, what a linear
 scan would have asked and what template replay, dependence kernels and a
 launch analysed by colour charge without performing; it feeds
@@ -59,8 +63,10 @@ launch users hold.  ``launch_retired`` counts the users a launch's union
 retired, on the live path and the validating overlay (a dependence
 kernel's committed order already leaves them out).  ``launch_aligned``
 counts the launches :meth:`PhysicalAnalyzer.record_launch` analysed by
-colour.  All but the first legitimately differ between ``kernels=True``
-and ``kernels=False``, so none of them is part of ``PipelineStats``.
+colour, and ``colour_misses`` the region columns that kept the others
+point by point, by reason.  All but the first legitimately differ between
+``kernels=True`` and ``kernels=False``, so none of them is part of
+``PipelineStats``.
 
 Replay support (tracing [20]): when an identical launch is reissued inside
 a validated trace, its dependence structure is the same *shape* — only the
@@ -85,6 +91,7 @@ from __future__ import annotations
 import collections.abc
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -97,6 +104,7 @@ __all__ = [
     "TaskDependence",
     "LaunchDependences",
     "PhysicalAnalyzer",
+    "edge_count",
     "AccessOp",
     "DependenceTemplate",
     "make_template",
@@ -106,6 +114,7 @@ __all__ = [
 #: one region requirement of one task: (subregion, privilege, fields).
 _Access = Tuple[Subregion, PrivilegeSpec, Tuple[str, ...]]
 
+_WRITING = (Privilege.WRITE, Privilege.READ_WRITE)
 
 @dataclass(frozen=True)
 class TaskDependence:
@@ -234,18 +243,20 @@ class _User:
 
 
 class _LaunchUser:
-    """A whole region bucket held as one entry: the users one launch left.
+    """A whole region bucket held as one entry: the users a launch left.
 
     Stands for the per-point list ``[_User([task_ids[i]], *creations[i],
     keys[i]) for i in range(n)]`` — what a launch leaves in a bucket when
-    every task retires one entry user and creates one.  Two installers:
-    an *aligned* :class:`~repro.runtime.kernels.DependenceKernel`, whose
-    ``keys`` and ``creations`` are fixed at compile and shared by every
-    launch user it installs, and :meth:`PhysicalAnalyzer.record_launch`'s
-    aligned path, which passes no keys: they are hashed the first time
-    something reads :attr:`keys`.  ``task_ids`` is the launch's own id
-    list.  :meth:`PhysicalAnalyzer._bucket` swaps in the per-point list the
-    first time anything but an aligned launch looks at the bucket.
+    every user there holds one task.  Two installers: an *aligned*
+    :class:`~repro.runtime.kernels.DependenceKernel`, whose ``keys`` and
+    ``creations`` are fixed at compile and shared by every launch user it
+    installs, and :meth:`PhysicalAnalyzer.record_launch`'s colour path,
+    which passes no keys: they are hashed the first time something reads
+    :attr:`keys`.  ``task_ids`` is the kernel's launch's own id list; from
+    the colour path it may begin with ids of earlier launches, the prior
+    users the launch left untouched.  :meth:`PhysicalAnalyzer._bucket`
+    swaps in the per-point list the first time anything but a launch by
+    colour or an aligned kernel looks at the bucket.
     """
 
     __slots__ = ("_keys", "creations", "task_ids")
@@ -283,26 +294,29 @@ class _LaunchUser:
 
 
 class LaunchDependences(collections.abc.Sequence):
-    """Per-task dependence lists of an aligned kernel replay, built only
-    when someone iterates them.
+    """Per-task dependence lists of a launch analysed by colour or of an
+    aligned kernel replay, built only when someone iterates them.
 
     ``sources`` holds, per region bucket in requirement order, ``(region
-    uid, the entry launch user's task ids, perm)``: task *i* depends on
-    ``ids[perm[i]]`` through that region.  The lists are element for
-    element what the slot program builds; replayed task ids are fresh, so
-    no dependence is ever a task on itself.
+    uid, task ids, perm)``: task *i* depends on ``ids[perm[i]]`` through
+    that region, or on nothing there when ``perm[i]`` is -1.  The lists
+    are element for element what the per-point path builds.  ``n_edges``,
+    when the builder knows it without the lists (one region), is passed
+    in; otherwise it is counted from them.
     """
 
-    __slots__ = ("task_ids", "sources", "_lists")
+    __slots__ = ("task_ids", "sources", "_lists", "_n_edges")
 
     def __init__(
         self,
         task_ids: Sequence[int],
         sources: List[Tuple[int, Sequence[int], Sequence[int]]],
+        n_edges: Optional[int] = None,
     ):
         self.task_ids = task_ids
         self.sources = sources
         self._lists: Optional[List[List[TaskDependence]]] = None
+        self._n_edges = n_edges
 
     def _materialise(self) -> List[List[TaskDependence]]:
         lists = self._lists
@@ -312,10 +326,10 @@ class LaunchDependences(collections.abc.Sequence):
                 seen = set()
                 out: List[TaskDependence] = []
                 for uid, ids, perm in self.sources:
-                    earlier = ids[perm[i]]
-                    if earlier not in seen:
-                        seen.add(earlier)
-                        out.append(TaskDependence(earlier, tid, uid))
+                    j = perm[i]
+                    if j >= 0 and ids[j] not in seen:
+                        seen.add(ids[j])
+                        out.append(TaskDependence(ids[j], tid, uid))
                 lists.append(out)
         return lists
 
@@ -330,11 +344,18 @@ class LaunchDependences(collections.abc.Sequence):
 
     @property
     def n_edges(self) -> int:
-        """Total dependence count; one region means one edge per task,
-        known without building any."""
-        if len(self.sources) == 1:
-            return len(self.task_ids)
-        return sum(len(deps) for deps in self._materialise())
+        """Total dependence count (:func:`edge_count`)."""
+        return edge_count(self)
+
+
+def edge_count(deps: Sequence[List[TaskDependence]]) -> int:
+    """Dependences in per-task lists; a :class:`LaunchDependences` counts
+    them without building any when it was given the count."""
+    if type(deps) is not LaunchDependences:
+        return sum(map(len, deps))
+    if deps._n_edges is None:
+        deps._n_edges = sum(map(len, deps))
+    return deps._n_edges
 
 
 @dataclass
@@ -661,6 +682,10 @@ class PhysicalAnalyzer:
         #: launches :meth:`record_launch` analysed by colour, installing
         #: launch users, instead of point by point.
         self.launch_aligned = 0
+        #: why region columns sent their launch point by point: code ->
+        #: columns (:meth:`_colour_region`'s codes, and ``region_twice``
+        #: for a second column on one region).
+        self.colour_misses: Counter = Counter()
         self.kernels_enabled = kernels
         self.kernel_replays = 0
         self._profiler = profiler
@@ -712,7 +737,7 @@ class PhysicalAnalyzer:
         writing access overlaps without retiring (:func:`_note_partial`)."""
         region_uid = subregion.region.uid
         fieldset = frozenset(fields)
-        writing = privilege.privilege in (Privilege.WRITE, Privilege.READ_WRITE)
+        writing = privilege.privilege in _WRITING
         index = self._index(region_uid)
         users = index.users
         self.overlap_queries += len(users)
@@ -798,25 +823,28 @@ class PhysicalAnalyzer:
             List[Tuple[Subregion, PrivilegeSpec, Tuple[str, ...]]]
         ],
         template_regions: Optional[Iterable[int]] = None,
+        joint: bool = True,
     ) -> Tuple[Sequence[List[TaskDependence]], Optional[DependenceTemplate]]:
-        """Register every task of one index launch in order, then retire
-        what the launch's writes cover jointly (see the module docstring).
+        """Register every task of one launch in order, then — unless
+        ``joint`` is False, as for the task loop, which keeps the
+        per-access rule — retire what the launch's writes cover jointly
+        (see the module docstring).
 
         Returns the per-task dependence lists and, when ``template_regions``
         names the regions to snapshot, the launch captured as a
         :class:`DependenceTemplate` (None when it is not replayable).  A
-        launch of the aligned shape that captures nothing is analysed by
-        colour (:meth:`_record_aligned`) unless kernels are off."""
-        if template_regions is None and self.kernels_enabled:
+        launch that captures nothing is analysed by colour
+        (:meth:`_record_by_colour`) when it can be and kernels are on."""
+        if template_regions is None and self.kernels_enabled and task_ids:
             access_lists = list(access_lists)
-            aligned = self._record_aligned(task_ids, access_lists)
-            if aligned is not None:
-                return aligned, None
+            by_colour = self._record_by_colour(task_ids, access_lists)
+            if by_colour is not None:
+                return by_colour, None
         capture = entry_keys = None
         if template_regions is not None:
             entry_keys = self.snapshot_keys(template_regions)
             capture = []
-        writes: dict = {}
+        writes: Optional[dict] = {} if joint else None
         deps = [
             self.record_task(tid, accesses, _capture=capture, _writes=writes)
             for tid, accesses in zip(task_ids, access_lists)
@@ -826,103 +854,117 @@ class PhysicalAnalyzer:
             return deps, None
         return deps, make_template(capture, entry_keys, retired)
 
-    def _record_aligned(
+    def _record_by_colour(
         self,
         task_ids: Sequence[int],
         access_lists: List[List[_Access]],
     ) -> Optional[LaunchDependences]:
-        """The whole launch by colour, when every region it touches has the
-        aligned shape (:meth:`_aligned_region`); None, with nothing changed,
-        when one does not.
-
-        The per-point outcome is then forced: each access's one overlapping
-        candidate is the same-colour prior user, which it depends on and
-        retires, and nothing coalesces — so the launch leaves one launch
-        user per region, its dependences are the lazy form an aligned
-        kernel replay returns, and ``overlap_queries`` is charged what the
-        per-point path would have charged."""
-        if not task_ids or not access_lists[0]:
+        """The whole launch by colour, when every region column qualifies
+        (:meth:`_colour_region`) and no two columns share a region; else
+        None, with nothing changed but one ``colour_misses`` count per
+        column that missed.  Each region's bucket becomes one launch user,
+        the dependences come in the lazy form an aligned kernel replay
+        returns, and ``overlap_queries`` is charged what the per-point path
+        would have charged."""
+        shapes, misses, regions = [], [], set()
+        for column in zip(*access_lists):
+            uid = column[0][0].region.uid
+            shape = ("region_twice" if uid in regions
+                     else self._colour_region(uid, column, task_ids))
+            regions.add(uid)
+            (misses if type(shape) is str else shapes).append(shape)
+        if misses:
+            self.colour_misses.update(misses)
             return None
-        width = len(access_lists[0])
-        if any(len(accesses) != width for accesses in access_lists):
-            return None
-        shapes = []
-        for column in range(width):
-            shape = self._aligned_region(
-                [accesses[column] for accesses in access_lists], task_ids[0]
-            )
-            if shape is None:
-                return None
-            shapes.append(shape)
-        if len({shape[0] for shape in shapes}) != width:
-            return None             # a task accesses one region twice
-        sources = []
-        for uid, ids, perm, creations, charge in shapes:
+        sources, n_edges = [], 0
+        for uid, ids, perm, edges, left_ids, left, charge in shapes:
             self.overlap_queries += charge
-            if ids is not None:
+            if edges:
                 sources.append((uid, ids, perm))
-            self.install_launch_user(uid, None, creations, task_ids)
+                n_edges += edges
+            self.install_launch_user(uid, None, left, left_ids)
         self.launch_aligned += 1
-        return LaunchDependences(task_ids, sources)
+        return LaunchDependences(task_ids, sources,
+                                 n_edges if len(sources) < 2 else None)
 
-    def _aligned_region(
+    def _colour_region(
         self,
-        accesses: List[_Access],
-        first_task: int,
-    ) -> Optional[tuple]:
-        """One region's part of an aligned launch, from the launch's
-        accesses to it (one per task) and the region's bucket alone.
+        uid: int,
+        accesses: Sequence[_Access],
+        task_ids: Sequence[int],
+    ):
+        """One region's part of a launch by colour, from the launch's
+        accesses to it (one per task) and the region's bucket alone; a
+        miss code (a constant string) when the per-point path must run.
 
         The accesses go through one disjoint partition P with one privilege
-        and one field set, to distinct non-empty pieces.  The bucket is
-        empty, or holds one user per access, each holding one task that
-        predates the launch, each a piece of P the launch hits once, on a
-        non-empty field set the launch writes all of (a write conflicts
-        with every privilege).  Returns ``(region uid, the prior users'
-        task ids or None when the bucket is empty, perm, creations, charged
-        queries)``: task *i* depends on ``ids[perm[i]]``."""
+        and one field set, to non-empty pieces.  The bucket is empty, or
+        holds users that each hold one task older than the launch, on
+        distinct colours of P, on a non-empty field set the launch writes
+        all of.  Then the per-point outcome is forced: under a write, which
+        conflicts with every privilege, each access depends on its colour's
+        holder — a prior user, or the colour's previous point — and retires
+        it; a read or reduction over an empty bucket meets nothing, on
+        distinct colours.  Nothing coalesces.  Returns ``(uid, ids, perm,
+        edges, task ids left, creations left, charged queries)``: task *i*
+        depends on ``ids[perm[i]]`` unless ``perm[i]`` is -1, and the
+        bucket left holds the untouched prior users in order, then one user
+        per colour in the order of that colour's last access."""
         subregion, privilege, fields = accesses[0]
         part = subregion.partition
-        if part is None or not part.disjoint:
-            return None
-        colours: Dict[Any, int] = {}
-        for i, (sub, priv, f) in enumerate(accesses):
-            if (
-                sub.partition is not part
-                or priv != privilege
-                or f != fields
-                or sub.bounding_box() is None
-                or colours.setdefault(sub.color, i) != i
-            ):
-                return None
-        n = len(accesses)
-        uid = subregion.region.uid
+        if part is None:
+            return "root_region"
+        if not part.disjoint:
+            return "aliased_partition"
+        writing = privilege.privilege in _WRITING
         fieldset = frozenset(fields)
-        creations = [(sub, privilege, fieldset) for sub, _, _ in accesses]
-        bucket = self._users.get(uid)
-        if not bucket:
-            return uid, None, None, creations, n * (n - 1) // 2
-        if len(bucket) != n or privilege.privilege not in (
-            Privilege.WRITE, Privilege.READ_WRITE
-        ):
-            return None
+        bucket = self._users.get(uid) or ()
         if type(bucket) is _LaunchUser:
-            ids, priors = bucket.task_ids, bucket.creations
+            prior_ids, priors = bucket.task_ids, bucket.creations
         else:
             if any(len(user.task_ids) != 1 for user in bucket):
-                return None
-            ids = [user.task_ids[0] for user in bucket]
+                return "shared_user"
+            prior_ids = [user.task_ids[0] for user in bucket]
             priors = [(u.subregion, u.privilege, u.fields) for u in bucket]
-        perm = [-1] * n
+        if priors and not writing:
+            return "read_over_users"
+        holder: Dict[Any, int] = {}         # colour -> its holder's index
+        first_task = task_ids[0]
         for j, (sub, _, f) in enumerate(priors):
-            i = colours.get(sub.color, -1) if sub.partition is part else -1
-            if (
-                i < 0 or perm[i] >= 0 or ids[j] >= first_task
-                or not f or not f <= fieldset
-            ):
-                return None
-            perm[i] = j
-        return uid, ids, perm, creations, n * n
+            if sub.partition is not part:
+                return "foreign_partition"
+            if prior_ids[j] >= first_task:
+                return "shared_user"
+            if not f or not f <= fieldset:
+                return "unwritten_fields"
+            if holder.setdefault(sub.color, j) != j:
+                return "colour_held_twice"
+        base = held = len(priors)
+        perm: List[int] = []
+        charge = edges = 0
+        for i, (sub, priv, f) in enumerate(accesses, base):
+            if sub.partition is not part:
+                return "foreign_partition"
+            if (priv is not privilege and priv != privilege) or f != fields:
+                return "mixed_access"
+            charge += held
+            j = holder.get(sub.color, -1)
+            if j < base:                    # the launch's first visit
+                if sub.bounding_box() is None:
+                    return "empty_piece"
+                held += j < 0               # a colour no prior user held
+            if j >= 0:
+                if not writing:
+                    return "read_chain"
+                edges += 1
+            perm.append(j)
+            holder[sub.color] = i
+        ids = [*prior_ids, *task_ids]
+        creations = [*priors, *[(sub, privilege, fieldset)
+                                for sub, _, _ in accesses]]
+        left = sorted(holder.values())
+        return (uid, ids, perm, edges, [ids[k] for k in left],
+                [creations[k] for k in left], charge)
 
     def _retire_jointly(
         self, writes: dict, first_task: int

@@ -40,7 +40,7 @@ from repro.runtime.mapper import (
 )
 from repro.exec.backend import resolve_backend
 from repro.exec.pool import resolve_workers
-from repro.runtime.physical import PhysicalAnalyzer
+from repro.runtime.physical import PhysicalAnalyzer, edge_count
 from repro.runtime.pipeline import PipelineStats, Stage
 from repro.runtime.store import AnalysisStore
 from repro.runtime.replay import (
@@ -883,10 +883,12 @@ class Runtime:
     def _commit_tasks(self, plan: LaunchPlan) -> dict:
         """The task-loop commit: each point is an op and a task, charged as
         one.  The |D| ops share one access list, so logical analysis runs
-        once for all of them (``analyze_run``); physical analysis stays
-        per task, because the points' footprints differ, and where two
-        points of an unsafe launch touch one piece the later really
-        depends on the earlier.  Returns the values by point."""
+        once for all of them (``analyze_run``).  Physical analysis runs
+        once per launch too, without joint retirement
+        (``record_launch(joint=False)``): by colour where it can, where two
+        points of an unsafe launch writing one piece form a chain, the
+        later depending on the earlier; else task by task, as a single
+        task always is.  Returns the values by point."""
         cfg, stats = self.config, self.stats
         launch, plans = plan.launch, plan.plans
         count = len(plans)
@@ -903,9 +905,13 @@ class Runtime:
                                         edges=recorder is not None)
         stats.logical_dependences += (
             deps if recorder is None else sum(map(len, deps)))
-        record = self.physical.record_task
-        tdeps = [record(t, pp.accesses) for t, (_, pp) in zip(task_ids, plans)]
-        stats.physical_dependences += sum(map(len, tdeps))
+        accesses = [pp.accesses for _, pp in plans]
+        if isinstance(launch, TaskLaunch):
+            tdeps = [self.physical.record_task(task_ids[0], accesses[0])]
+        else:
+            tdeps, _ = self.physical.record_launch(task_ids, accesses,
+                                                   joint=False)
+        stats.physical_dependences += edge_count(tdeps)
         if recorder is not None:
             names = [
                 launch.task.name + ("" if pp.point is None

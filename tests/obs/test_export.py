@@ -2,9 +2,13 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs import (
     Profiler,
     chrome_trace,
@@ -150,6 +154,20 @@ class TestSchemaValidator:
         bad.write_text("[]")
         assert main([str(bad)]) == 1
         assert main([]) == 2
+
+    def test_module_entrypoint_runs_without_a_warning(self, tmp_path):
+        """``python -m repro.obs.schema`` as CI runs it: importing the
+        package must not import the module first (runpy warns then)."""
+        path = tmp_path / "trace.json"
+        write_chrome_trace(str(path), sample_profiler())
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.obs.schema", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestJsonl:

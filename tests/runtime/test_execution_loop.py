@@ -149,24 +149,69 @@ def calls_in_expanded_launch(pieces, index_launches):
 
 class TestExpandedLoopCallsPerPoint:
     """The fallback loop and No-IDX project, place, charge and run logical
-    analysis once per launch; per point remain the ids, the physical
-    analysis, the plan and the body."""
+    and physical analysis once per launch — the latter by colour, as the
+    launch writes through one disjoint partition; per point remain the
+    ids, the plan and the body."""
 
     @pytest.mark.parametrize("index_launches", [True, False],
                              ids=["fallback", "noidx"])
-    def test_a_point_costs_its_plan_its_body_and_its_physical_analysis(
+    def test_a_point_costs_its_plan_its_body_and_no_physical_analysis(
         self, index_launches
     ):
         small = calls_in_expanded_launch(16, index_launches)
         large = calls_in_expanded_launch(256, index_launches)
         points = 256 - 16
         growth = sum(large.values()) - sum(small.values())
-        assert growth / points <= 62
+        assert growth / points <= 30
         for name in ("point_task", "project", "apply", "coerce_point",
                      "__post_init__", "of", "select_node", "shard",
                      "_charge", "analyze_operation",
-                     "record_field_access"):
+                     "record_field_access", "_colour_region"):
             assert large[name] == small[name], name
+        for name in ("record_task", "record_task_access", "candidates",
+                     "_insert"):
+            assert large[name] == small[name] == 0, name
+
+
+def first_issue_cycle():
+    """The physical analyzer after a warm-up cycle and its counters over
+    one more: a compact ``first_issue`` program — eight regions of 32
+    blocks, 64 signatures of (region, rotation), one functor column
+    folding 32 points onto 16 colours (Listing 3's fallback), a 16-entry
+    cache budget, tracing off."""
+    rt = Runtime(RuntimeConfig(workers=1, tracing=False, n_nodes=4,
+                               cache_entry_budget=16))
+    parts = [
+        equal_partition(f"cycle_p{i}",
+                        rt.create_region(f"cycle{i}", 128, {"x": "f8"}), 32)
+        for i in range(8)
+    ]
+    order = [(i * 5 + 3) % 64 for i in range(64)]
+
+    def cycle(n):
+        for sig in order:
+            region, column = divmod(sig, 8)
+            functor = (ModularFunctor(16, column + 16 * n) if column == 5
+                       else ModularFunctor(32, 7 * sig + 1))
+            rt.index_launch(bump, 32, (parts[region], functor))
+
+    cycle(0)
+    physical = rt.physical
+    before = (physical.overlap_tests, physical.users_restamped,
+              physical.launch_aligned, rt.stats.launches_fallback_serial)
+    cycle(1)
+    return (physical.overlap_tests - before[0],
+            physical.users_restamped - before[1],
+            physical.launch_aligned - before[2],
+            rt.stats.launches_fallback_serial - before[3])
+
+
+def test_a_first_issue_cycle_runs_no_exact_test_and_restamps_no_user():
+    """Every launch of the cycle is analysed by colour, the eight fallback
+    loops included: no exact overlap test, no per-point user."""
+    tests, restamped, aligned, fallbacks = first_issue_cycle()
+    assert fallbacks == 8
+    assert (tests, restamped, aligned) == (0, 0, 64)
 
 
 def _kill(point):

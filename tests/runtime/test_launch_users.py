@@ -13,6 +13,8 @@ work free of exact tests at any |P| — by counting work performed, not by
 time.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -433,10 +435,11 @@ SHAPE_PARTS = {
 }
 
 
-def analyse_shape(kernels, priors, privilege, fields):
+def analyse_shape(kernels, priors, privilege, fields, colours=(1, 2, 3, 0)):
     """Record ``priors`` — ``(task id, partition, colour, privilege,
     fields)`` one task each — then a four-task launch over the pieces of P
-    in rotated order: ``(analyzer, dependences, expanded bucket)``."""
+    of ``colours`` (a rotation by default): ``(analyzer, dependences,
+    expanded bucket)``."""
     analyzer = PhysicalAnalyzer(kernels=kernels)
     for tid, name, colour, prior, prior_fields in priors:
         spec = PrivilegeSpec.parse(prior)
@@ -447,7 +450,7 @@ def analyse_shape(kernels, priors, privilege, fields):
     part = SHAPE_PARTS["P"]
     deps, _ = analyzer.record_launch(
         [10, 11, 12, 13],
-        [[(part[(i + 1) % 4], spec, fields)] for i in range(4)],
+        [[(part[colour], spec, fields)] for colour in colours],
     )
     uid = SHAPE_REGION.uid
     keys = analyzer.snapshot_keys([uid])[uid]
@@ -466,41 +469,60 @@ def one_each(prior, fields, name="P"):
 class TestAlignedShape:
     """``record_launch`` against ``kernels=False`` over hand-built buckets:
     a launch is analysed by colour exactly when every condition of the
-    shape holds, and either way the outcome is the per-point one."""
+    shape holds, a miss is counted under its code, and either way the
+    outcome is the per-point one."""
 
     XZ = ("x", "z")
+    ROTATION = (1, 2, 3, 0)
 
-    @pytest.mark.parametrize("priors, privilege, fields, aligned", [
-        pytest.param([], "reads writes", XZ, True, id="empty"),
+    @pytest.mark.parametrize("priors, privilege, fields, colours, code", [
+        pytest.param([], "reads writes", XZ, ROTATION, None, id="empty"),
         # nothing to conflict with
-        pytest.param([], "reads", XZ, True, id="empty-read"),
-        pytest.param(one_each("reads writes", XZ), "reads writes", XZ, True,
-                     id="over-writes"),
-        pytest.param(one_each("reads", ("x",)), "writes", XZ, True,
+        pytest.param([], "reads", XZ, ROTATION, None, id="empty-read"),
+        pytest.param(one_each("reads writes", XZ), "reads writes", XZ,
+                     ROTATION, None, id="over-writes"),
+        pytest.param(one_each("reads", ("x",)), "writes", XZ, ROTATION, None,
                      id="over-readers-of-fewer-fields"),
+        # the bucket holds some of the colours; the launch hits others too
+        pytest.param(one_each("reads writes", XZ)[1:3], "writes", XZ,
+                     ROTATION, None, id="bucket-holds-some-colours"),
+        # writes that repeat colours chain; colour 0 is left untouched
+        pytest.param(one_each("reads", XZ), "reads writes", XZ, (2, 1, 2, 2),
+                     None, id="write-chain"),
+        pytest.param([], "writes", XZ, (3, 3, 3, 3), None,
+                     id="write-chain-over-empty"),
+        # readers that repeat a colour coalesce
+        pytest.param([], "reads", XZ, (0, 1, 0, 2), "read_chain",
+                     id="read-chain"),
         # one user holds two task ids
         pytest.param(one_each("reads", XZ) + [(4, "P", 0, "reads", XZ)],
-                     "reads writes", XZ, False, id="coalesced-reader"),
+                     "reads writes", XZ, ROTATION, "shared_user",
+                     id="coalesced-reader"),
         # one piece held twice (two field sets), another not at all
         pytest.param(one_each("reads writes", ("x",))[:3]
                      + [(3, "P", 0, "writes", ("z",))],
-                     "reads writes", XZ, False, id="piece-held-twice"),
+                     "reads writes", XZ, ROTATION, "colour_held_twice",
+                     id="piece-held-twice"),
         # a compatible prior privilege: readers after readers coalesce
-        pytest.param(one_each("reads", XZ), "reads", XZ, False,
-                     id="read-after-read"),
+        pytest.param(one_each("reads", XZ), "reads", XZ, ROTATION,
+                     "read_over_users", id="read-after-read"),
         # the launch does not write every field of its prior users
         pytest.param(one_each("reads writes", XZ), "reads writes", ("x",),
-                     False, id="field-left-unwritten"),
+                     ROTATION, "unwritten_fields", id="field-left-unwritten"),
         pytest.param(one_each("reads writes", XZ, name="Q"), "reads writes",
-                     XZ, False, id="pieces-of-another-partition"),
+                     XZ, ROTATION, "foreign_partition",
+                     id="pieces-of-another-partition"),
     ])
     def test_by_colour_only_in_the_shape(self, priors, privilege, fields,
-                                         aligned):
-        on, on_deps, on_bucket = analyse_shape(True, priors, privilege, fields)
-        ref, ref_deps, ref_bucket = analyse_shape(
-            False, priors, privilege, fields
+                                         colours, code):
+        on, on_deps, on_bucket = analyse_shape(
+            True, priors, privilege, fields, colours
         )
-        assert on.launch_aligned == int(aligned)
+        ref, ref_deps, ref_bucket = analyse_shape(
+            False, priors, privilege, fields, colours
+        )
+        assert on.launch_aligned == int(code is None)
+        assert on.colour_misses == Counter([code] if code else [])
         assert ref.launch_aligned == 0
         assert on_deps == ref_deps
         assert on_bucket == ref_bucket

@@ -15,7 +15,8 @@ Random programs cover 1-D and 2-D regions; disjoint, halo and sparse
 launches over every colour or all but one; traced and untraced runs with
 dependence kernels on and off; launches trusted without the safety check,
 whose own points may then conflict; and a launch interleaved between trace
-iterations.  The examples pin one witness for each way the launch-level
+iterations.  One example writes through a functor folding the colours,
+so its task loop chains the points that share a piece.  The examples pin one witness for each way the launch-level
 retirement rule could go wrong: ignoring field sets, retiring a user that
 holds a task of the launch, and not noticing that a launch left one writer
 out of the union.
@@ -29,11 +30,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.domain import Domain
+from repro.core.projection import ModularFunctor
 from repro.data.partition import block_partition, explicit_partition
 from repro.runtime import Runtime, RuntimeConfig, task
 from repro.tools.graph import GraphRecorder
 
 SHAPES = {1: (24,), 2: (4, 6)}
+#: requirement letter F, 1-D only: the blocks D through this functor, which
+#: folds the four colours onto two — a launch that writes through it fails
+#: its dynamic check and runs as Listing 3's fallback loop
+FOLD = ModularFunctor(2, 1)
 BLOCKS = {1: (4,), 2: (2, 2)}
 PRIVILEGES = ["reads", "writes", "reads writes", "reduces +", "reduces max"]
 FIELD_SETS = [("f",), ("g",), ("f", "g")]
@@ -119,9 +125,10 @@ def run(program):
             [c for i, c in enumerate(colours) if i != skip]
         )
         known = set(recorder.tasks)
-        rt.index_launch(
-            task_for(reqs), domain, *[parts[part] for part, _, _ in reqs]
-        )
+        rt.index_launch(task_for(reqs), domain, *[
+            (parts["D"], FOLD) if part == "F" else parts[part]
+            for part, _, _ in reqs
+        ])
         issued.append((reqs, sorted(set(recorder.tasks) - known)))
 
     interlude = program["interlude"]
@@ -142,6 +149,8 @@ def check_ordering(program):
     masks = {}
 
     def mask(part, point):
+        if part == "F":
+            part, point = "D", FOLD.apply(point)
         if (part, point) not in masks:
             indices = parts[part][point].subset.linear_indices(region.bounds)
             masks[part, point] = sum(1 << int(i) for i in indices)
@@ -243,6 +252,11 @@ UNION_WITNESS = program_of(
     [([("H", "reads", 0), ("D", "reads writes", 1)], None),
      ([("D", "reads writes", 0)], None)],
     dim=2, n_fields=2, iters=5, traced=True,
+))
+@example(program_of(                     # a fallback loop chaining colours
+    [([("D", "reads writes", 0)], None), ([("F", "reads writes", 0)], None),
+     ([("H", "reads", 0)], None), ([("F", "writes", 0)], 3)],
+    iters=2,
 ))
 @example(program_of(                     # Circuit's step, sparse owners
     [([("A", "reads", 0)], None), ([("A", "reduces +", 1)], None),
