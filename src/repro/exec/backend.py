@@ -34,7 +34,7 @@ from repro.fault.plan import InjectedFaultError
 from repro.runtime.futures import FutureMap
 from repro.runtime.physical import edge_count
 from repro.runtime.pipeline import Stage
-from repro.runtime.task import TaskContext
+from repro.runtime.replay import prepared_calls
 
 __all__ = ["ExecutionBackend", "SerialBackend", "resolve_backend"]
 
@@ -143,37 +143,48 @@ class ExecutionBackend:
         shuffled when the launch is order-free and the config asks;
         returns the values by point.
 
-        Per task: the context and the body.  Per launch: reading the fault
-        injector and profiler, and charging ``tasks_executed`` and the
-        plan's execution rows.  On a raise the charge is the tasks whose
-        inline fault check passed — a body that raised counts, a fired
-        fault does not — and an :class:`InjectedFaultError` leaves stamped
-        with its task id and point.
+        One loop over the prepared calls, ``(point, context, (*regions,
+        *args))``: the expansion template's, kept for a reissued plan list
+        (:meth:`~repro.runtime.replay.ExpansionTemplate.reissue`), so a
+        steady replay builds nothing per point and a task costs its body
+        call; else prepared here, one context per point.  Per launch:
+        reading the body (``launch.task.fn``, which a caller may rebind),
+        the fault injector and the profiler, and charging
+        ``tasks_executed`` and the plan's execution rows.  On a raise the
+        charge is the tasks whose inline fault check passed — a body that
+        raised counts, a fired fault does not — and an
+        :class:`InjectedFaultError` leaves stamped with its task id and
+        point.
         """
         rt = self.rt
-        fn = plan.launch.task.fn
-        work = list(zip(task_ids, plan.plans))
+        task = plan.launch.task
+        fn = task.fn
+        calls = plan.calls
+        if calls is None:
+            calls = prepared_calls(plan.plans, rt)
         if rt.config.shuffle_intra_launch and plan.order_free:
+            work = list(zip(task_ids, calls))
             rt._rng.shuffle(work)
+            task_ids = [tid for tid, _ in work]
+            calls = [call for _, call in work]
         inj = rt.fault_injector
         prof = rt.profiler if rt.profiler.enabled else None
         values = {}
         ran = 0
         try:
-            for tid, (node, pp) in work:
-                point = pp.point
+            for tid, (point, ctx, args) in zip(task_ids, calls):
                 if inj is not None:
-                    inj.fire_inline(point, node)
+                    inj.fire_inline(point, ctx.node)
                 ran += 1
-                ctx = TaskContext(point, node, rt)
                 t0 = prof.now() if prof is not None else None
-                values[point] = fn(ctx, *pp.regions, *pp.args)
+                values[point] = fn(ctx, *args)
                 if prof is not None:
                     # Spans group by base task name; the point is an arg.
-                    name = pp.task_launch.name
+                    name = task.name + ("" if point is None
+                                        else str(tuple(point)))
                     prof.phase(
-                        f"execute:{name.split('(', 1)[0]}", Stage.EXECUTION,
-                        t0, node=node, task=name,
+                        f"execute:{task.name.split('(', 1)[0]}",
+                        Stage.EXECUTION, t0, node=ctx.node, task=name,
                         point=str(tuple(point)) if point is not None else None,
                     )
         except InjectedFaultError as exc:
@@ -185,8 +196,8 @@ class ExecutionBackend:
         finally:
             rt.stats.tasks_executed += ran
             rows = plan.rows[Stage.EXECUTION]
-            if ran < len(work):
-                ran_on = Counter(node for _, (node, _) in work[:ran])
+            if ran < len(calls):
+                ran_on = Counter(ctx.node for _, ctx, _ in calls[:ran])
                 rows = [((Stage.EXECUTION, node), n, n)
                         for node, n in ran_on.items()]
             rt._charge(plan, rows, None)

@@ -6,7 +6,10 @@ parent's shm instance where the region has one, private and zeroed
 otherwise — partition stubs holding exactly the colors its plans project
 onto, sparse subsets by uid, unpickled task functions, and bare plans
 already run, unpickled and expanded, keyed by their bytes (a steady replay
-sends the same bytes every launch; ``ShardResult.plan_hit``).
+sends the same bytes every launch; ``ShardResult.plan_hit``).  An
+expansion holds each point's prepared state — its context, accessors,
+argument tuple and undo-slot plan — so a memo hit builds no per-point
+object but a REDUCE accessor, which records into the run's log.
 
 A plan is one *unit*: this worker's slice of a launch, the points of
 every node assigned to it.  Per unit the worker runs expansion and the
@@ -74,7 +77,9 @@ _REGIONS: Dict[int, Region] = {}
 _SUBSETS: Dict[int, Any] = {}
 _PARTITIONS: Dict[int, "_PartitionStub"] = {}
 _TASKS: Dict[int, Any] = {}
-_SHM: Dict[str, Any] = {}  # mapped arena segments, by name
+#: mapped arena segments, by name: (mapping, {slot descriptor: view}).
+#: A view is made once per descriptor and goes with its mapping.
+_SHM: Dict[str, tuple] = {}
 _SHM_NAMED: set = set()    # the segments the unit being run has named
 #: read-footprint boxes by (region uid, corner bytes), as (subregion, start,
 #: end) into the values: slice geometry is worked out once per box.
@@ -102,22 +107,31 @@ def reset_state() -> None:
     _release_shm(keep=())
 
 
-def _shm_view(name: str, offset: int, count: int, dtype: str) -> np.ndarray:
-    """A view of one parent-owned arena segment, mapped once per name."""
+def _shm_view(slot: tuple) -> np.ndarray:
+    """The view ``slot`` — ``(segment, offset, count, dtype)`` — names in
+    one parent-owned arena segment: the segment mapped once per name, the
+    view made once per descriptor and kept beside the mapping."""
+    name = slot[0]
     _SHM_NAMED.add(name)
-    mm = _SHM.get(name)
-    if mm is None:
-        mm = _SHM[name] = _open_segment(name)
-    return np.ndarray(count, dtype=np.dtype(dtype), buffer=mm, offset=offset)
+    entry = _SHM.get(name)
+    if entry is None:
+        entry = _SHM[name] = (_open_segment(name), {})
+    view = entry[1].get(slot)
+    if view is None:
+        _, offset, count, dtype = slot
+        view = entry[1][slot] = np.ndarray(
+            count, dtype=np.dtype(dtype), buffer=entry[0], offset=offset
+        )
+    return view
 
 
 def _release_shm(keep) -> int:
     """Drop every arena mapping not named in ``keep``: the parent retires
     (unlinks) segments without telling anyone, and a mapping kept here is
-    then what keeps the pages resident.  Views are transient — made and
-    dropped inside one unit — so the mapping goes with the reference.
-    Region instances are not in ``_SHM``: their mappings live as long as
-    the installed region."""
+    then what keeps the pages resident.  Views are held only in the
+    mapping's own cache — plan memos hold descriptors, never views — so
+    the mapping goes with that one reference.  Region instances are not
+    in ``_SHM``: their mappings live as long as the installed region."""
     stale = [name for name in _SHM if name not in keep]
     for name in stale:
         del _SHM[name]
@@ -275,12 +289,20 @@ def _fire_faults(
 
 
 # --------------------------------------------------------------- unit body
-def _expand(plan: ShardPlan):
-    """Project every requirement at every point of the unit: the
-    requirements, their resolved fields, per point ``(i, point, node,
-    subregions, args)``, and per point the written ``(subregion,
-    requirement index, field)`` in the order ``plan.undo_slots`` lists
-    them."""
+def _expand(plan: ShardPlan) -> list:
+    """Project every requirement at every point of the unit and prepare
+    what every run of it reuses, per point ``(i, point, context, call,
+    reducers, undo, pickled)``:
+
+    * ``call``: the body's ``(*regions, *args)``, None where a REDUCE
+      accessor goes — ``reducers`` lists those as ``(position, subregion,
+      privilege, fields)``, built per run as they record into its log;
+    * the written ``(subregion, requirement index, field)`` in the order
+      ``plan.undo_slots`` lists them, split by slot: ``undo`` holds
+      ``(subregion, field, slot)`` for those written in place, gathered
+      into their slot before the body; ``pickled`` the rest, gathered
+      after it into ``ShardResult.writes``.
+    """
     reqs = [
         RegionRequirement(
             privilege=priv_from_token(r.priv),
@@ -295,22 +317,29 @@ def _expand(plan: ShardPlan):
     point_tasks = []
     for i, (pt, node) in enumerate(zip(plan.points, plan.nodes)):
         point = Point(*pt)
-        subregions = [req.project(point) for req in reqs]
+        regions, reducers, written = [], [], []
+        for ri, (req, rf) in enumerate(zip(reqs, resolved_fields)):
+            sub, privilege = req.project(point), req.privilege
+            if privilege.privilege is Privilege.REDUCE:
+                reducers.append((ri, sub, privilege, rf))
+                regions.append(None)
+                continue
+            regions.append(PhysicalRegion(sub, privilege, rf))
+            if privilege.privilege is not Privilege.READ:
+                written += [(sub, ri, fname) for fname in rf]
+        slots = plan.undo_slots[i] if plan.undo_slots else [None] * len(
+            written
+        )
         args = plan.args + (extras[i] if extras is not None else ())
-        point_tasks.append((i, point, node, subregions, args))
-    written = [
-        [
-            (sub, ri, fname)
-            for ri, (sub, req, rf) in enumerate(
-                zip(subregions, reqs, resolved_fields)
-            )
-            if req.privilege.privilege not in (Privilege.READ,
-                                               Privilege.REDUCE)
-            for fname in rf
-        ]
-        for _, _, _, subregions, _ in point_tasks
-    ]
-    return reqs, resolved_fields, point_tasks, written
+        point_tasks.append((
+            i, point, TaskContext(point, node, None), (*regions, *args),
+            reducers,
+            [(sub, fname, slot)
+             for (sub, _, fname), slot in zip(written, slots)
+             if slot is not None],
+            [entry for entry, slot in zip(written, slots) if slot is None],
+        ))
+    return point_tasks
 
 
 def _remember(blob: bytes, plan: ShardPlan, expanded) -> None:
@@ -346,9 +375,8 @@ def _run_shard(blob: bytes) -> ShardResult:
     if expanded is None:
         expanded = _expand(plan)
         _remember(blob, plan, expanded)
-    reqs, resolved_fields, point_tasks, written = expanded
     progress = (
-        _shm_view(*plan.undo_done) if plan.undo_done is not None else None
+        _shm_view(plan.undo_done) if plan.undo_done is not None else None
     )
 
     # Physical analysis is the parent's, at commit; its fault phase stays
@@ -360,41 +388,29 @@ def _run_shard(blob: bytes) -> ShardResult:
     corrupt |= _fire_faults(faults, "execution")
     values = []
     ordinals = plan.ordinals
-    for i, point, node, subregions, args in point_tasks:
+    for i, point, ctx, call, reducers, undo, pickled in expanded:
         if faults:
             corrupt |= _fire_faults(faults, "execution", point=tuple(point))
-        slots = plan.undo_slots[i] if plan.undo_slots else [None] * len(
-            written[i]
-        )
-        for (sub, _, fname), slot in zip(written[i], slots):
-            if slot is not None:
-                # Written in place: keep what was there, for the parent to
-                # put back if this attempt does not commit.
-                sub.gather(fname, _shm_view(*slot))
+        for sub, fname, slot in undo:
+            # Written in place: keep what was there, for the parent to put
+            # back if this attempt does not commit.
+            sub.gather(fname, _shm_view(slot))
         if progress is not None:
             progress[0] = i + 1
-        reduce_log: List[tuple] = []
-        regions = []
-        for sub, req, rf in zip(subregions, reqs, resolved_fields):
-            if req.privilege.privilege is Privilege.REDUCE:
-                regions.append(
-                    _RecordingRegion(sub, req.privilege, rf, reduce_log)
-                )
-            else:
-                regions.append(PhysicalRegion(sub, req.privilege, rf))
-        ctx = TaskContext(point=point, node=node, runtime=None)
+        if reducers:
+            reduce_log: List[tuple] = []
+            call = list(call)
+            for ri, sub, privilege, rf in reducers:
+                call[ri] = _RecordingRegion(sub, privilege, rf, reduce_log)
         start = time.perf_counter() if plan.profile else 0.0
-        values.append(task(ctx, *regions, *args))
+        values.append(task(ctx, *call))
         if plan.profile:
             result.spans[ordinals[i]] = (start, time.perf_counter())
-        writes = [
-            (ri, fname, sub.gather(fname))
-            for (sub, ri, fname), slot in zip(written[i], slots)
-            if slot is None
-        ]
-        if writes:
-            result.writes[ordinals[i]] = writes
-        if reduce_log:
+        if pickled:
+            result.writes[ordinals[i]] = [
+                (ri, fname, sub.gather(fname)) for sub, ri, fname in pickled
+            ]
+        if reducers and reduce_log:
             result.reduces[ordinals[i]] = reduce_log
     # An unpicklable value raises here: the unit answers "error".
     result.values = dumps(values)

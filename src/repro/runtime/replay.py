@@ -21,7 +21,9 @@ computation; keys, budgets, eviction, counters and invalidation are the
    batched projection per requirement
    (:meth:`~repro.core.launch.RegionRequirement.project_all`) — once per
    distinct launch, not once per issue.  No ``TaskLaunch`` is built for
-   a point unless a caller asks for one.
+   a point.  A plan list that is reissued also keeps its prepared body
+   calls (:func:`prepared_calls`), so a steady replay's execution loop
+   builds no object per point.
 4. **Physical dependence templates**
    (:class:`~repro.runtime.physical.DependenceTemplate`): recorded on a
    trace-validated replay and re-stamped with fresh task ids on later
@@ -44,16 +46,17 @@ from itertools import starmap
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.checks import CheckResult, dynamic_cross_check
-from repro.core.launch import IndexLaunch, RegionRequirement, TaskLaunch
+from repro.core.launch import IndexLaunch, TaskLaunch
 from repro.core.safety import SafetyVerdict
 from repro.runtime.physical import DependenceTemplate
 from repro.runtime.store import AnalysisStore, estimate_bytes
-from repro.runtime.task import PhysicalRegion
+from repro.runtime.task import PhysicalRegion, TaskContext
 
 __all__ = [
     "DynamicCheckMemo",
     "PointPlan",
     "point_plans",
+    "prepared_calls",
     "ExpansionTemplate",
     "LaunchReplayCache",
     "estimate_bytes",
@@ -120,17 +123,14 @@ class DynamicCheckMemo:
 class PointPlan:
     """Everything reusable about one point task: its point and args, the
     accesses the analyzer reads and the :class:`PhysicalRegion` views its
-    body gets.  A single task hands in its :class:`TaskLaunch`
-    (:meth:`of`); an index launch's plans (:func:`point_plans`) build one
-    from ``parent`` only when asked (a profiler span name).
+    body gets.  A single task's comes from its :class:`TaskLaunch`
+    (:meth:`of`); an index launch's from :func:`point_plans`.
     """
 
     point: Optional[tuple]
     args: tuple
     accesses: Sequence[tuple]  # (subregion, privilege, fields) triples
     regions: Sequence[PhysicalRegion]
-    parent: Optional[IndexLaunch] = None
-    _task_launch: Optional[TaskLaunch] = None
 
     @classmethod
     def of(cls, task_launch: TaskLaunch) -> "PointPlan":
@@ -138,19 +138,7 @@ class PointPlan:
         triples = [(r.subregion, r.privilege, r.resolved_fields())
                    for r in task_launch.requirements]
         return cls(task_launch.point, task_launch.args, triples,
-                   [PhysicalRegion(*t) for t in triples],
-                   task_launch.parent, task_launch)
-
-    @property
-    def task_launch(self) -> TaskLaunch:
-        """The point task, with concrete requirements (built once)."""
-        if self._task_launch is None:
-            launch = self.parent
-            reqs = [RegionRequirement(r.privilege, r.fields, subregion=acc[0])
-                    for r, acc in zip(launch.requirements, self.accesses)]
-            self._task_launch = TaskLaunch(launch.task, reqs, self.args,
-                                           self.point, parent=launch)
-        return self._task_launch
+                   [PhysicalRegion(*t) for t in triples])
 
 
 def point_plans(launch: IndexLaunch, points: Sequence) -> List[PointPlan]:
@@ -166,8 +154,19 @@ def point_plans(launch: IndexLaunch, points: Sequence) -> List[PointPlan]:
     args, extra = launch.args, launch.point_args
     return [
         PointPlan(point, args if extra is None else args + extra.get(point),
-                  acc, list(starmap(PhysicalRegion, acc)), launch)
+                  acc, list(starmap(PhysicalRegion, acc)))
         for point, acc in zip(points, rows)
+    ]
+
+
+def prepared_calls(plans: list, runtime) -> list:
+    """The body call of each ``(node, PointPlan)`` of ``plans``, in order,
+    as ``(point, context, (*regions, *args))``: what the execution loop
+    (:meth:`~repro.exec.backend.ExecutionBackend.execute`) runs."""
+    return [
+        (pp.point, TaskContext(pp.point, node, runtime),
+         (*pp.regions, *pp.args))
+        for node, pp in plans
     ]
 
 
@@ -201,6 +200,11 @@ class ExpansionTemplate:
     #: args
     rows_key: Optional[object] = field(default=None, repr=False)
     rows: Optional[dict] = field(default=None, repr=False)
+    #: the kept plan list's :func:`prepared_calls`, built on its first
+    #: reissue: a first expansion is often the only one (``first_issue``
+    #: cycles past its cache budget), so it builds nothing it might not
+    #: reuse.  Contexts are immutable, so every replay shares them.
+    calls: Optional[list] = field(default=None, repr=False)
 
     def reusable_for(self, launch: IndexLaunch) -> bool:
         """Whether the baked-in args serve ``launch``: args that cannot be
@@ -227,23 +231,27 @@ class ExpansionTemplate:
         self._keep(launch, assignment, plans)
         return plans
 
-    def reissue(self, launch: IndexLaunch, assignment) -> list:
-        """The [(node, PointPlan)] list of a reissue: the kept list while
-        its assignment object and args still hold, else one rebuilt from
-        the cached plans (:meth:`point_plan`) and kept."""
+    def reissue(self, launch: IndexLaunch, assignment, runtime) -> tuple:
+        """The [(node, PointPlan)] list of a reissue and its prepared calls
+        (None: the loop prepares them): the kept list and its calls while
+        its assignment object and args still hold, else a list rebuilt
+        from the cached plans (:meth:`point_plan`) and kept."""
         if self.plan_list_key is assignment and self.reusable_for(launch):
-            return self.plan_list
+            if self.calls is None:
+                self.calls = prepared_calls(self.plan_list, runtime)
+            return self.plan_list, self.calls
         plans = [
             (node, self.point_plan(launch, point))
             for node in sorted(assignment) for point in assignment[node]
         ]
         self._keep(launch, assignment, plans)
-        return plans
+        return plans, None
 
     def _keep(self, launch: IndexLaunch, assignment, plans: list) -> None:
         if self.reusable_for(launch):
             self.plan_list_key = assignment
             self.plan_list = plans
+            self.calls = None
 
     def point_plan(self, launch: IndexLaunch, point) -> PointPlan:
         """The plan for ``point``; if args moved, a fresh plan carrying
@@ -253,7 +261,7 @@ class ExpansionTemplate:
             return plan
         extra = launch.point_args
         args = launch.args + (() if extra is None else extra.get(plan.point))
-        return PointPlan(plan.point, args, plan.accesses, plan.regions, launch)
+        return PointPlan(plan.point, args, plan.accesses, plan.regions)
 
 
 #: the verdict layer's name, by ``run_dynamic``

@@ -231,6 +231,9 @@ class LaunchPlan:
     slicing: Any = None              # the SlicingResult, without DCR
     assignment: Optional[Dict[int, list]] = None   # node -> its points
     plans: Optional[list] = None     # [(node, PointPlan)], serial plan order
+    #: the plans' prepared body calls, when the expansion template keeps
+    #: them (``ExpansionTemplate.reissue``); else the loop prepares them
+    calls: Optional[list] = None
     replay: bool = False             # set at commit: the tracer matched
     # profiler marks (None when it is off): issue, verdict, distribution,
     # expansion, end of planning
@@ -666,7 +669,8 @@ class Runtime:
                 plan.new_template = template
         else:
             plan.cache_hits += 1
-            plan.plans = template.reissue(launch, assignment)
+            plan.plans, plan.calls = template.reissue(launch, assignment,
+                                                      self)
         if template.rows_key is not assignment:
             template.rows_key = assignment
             template.rows = self._launch_rows(plan)

@@ -20,13 +20,12 @@ arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.domain import Point
-from repro.data.collection import Subregion
+from repro.data.collection import RectSubset, Subregion
 from repro.data.privileges import Privilege, PrivilegeSpec
 
 __all__ = ["Task", "TaskContext", "PhysicalRegion", "PrivilegeError", "task"]
@@ -44,15 +43,22 @@ class PhysicalRegion:
     Mirrors Legion's physical instance accessors: ``read``/``read_nd``
     require a reading privilege, ``write``/``fill`` a writing one, and
     ``reduce`` exactly the declared reduction operator.
+
+    A READ accessor is a read-only capability: ``read`` and ``read_nd``
+    return arrays with ``writeable=False``, so a body that writes through
+    one raises ``ValueError`` at the write, on every backend.  A view of
+    storage is made once per field and kept (accessors live as long as
+    their launch's expansion); a gathered copy is made per call.
     """
 
-    __slots__ = ("subregion", "privilege", "fields")
+    __slots__ = ("subregion", "privilege", "fields", "_views")
 
     def __init__(self, subregion: Subregion, privilege: PrivilegeSpec,
                  fields: Tuple[str, ...]):
         self.subregion = subregion
         self.privilege = privilege
         self.fields = fields
+        self._views = None  # READ only: {(field, nd): read-only view}
 
     # ------------------------------------------------------------- queries
     @property
@@ -101,7 +107,10 @@ class PhysicalRegion:
     # -------------------------------------------------------------- access
     def read(self, fname: str) -> np.ndarray:
         self._check_field(fname)
-        if not self.privilege.privilege.reads:
+        privilege = self.privilege.privilege
+        if privilege is Privilege.READ:
+            return self._read_only(fname, False)
+        if not privilege.reads:
             raise PrivilegeError(
                 f"task holds {self.privilege!r} on {self.subregion!r}; read denied"
             )
@@ -109,11 +118,31 @@ class PhysicalRegion:
 
     def read_nd(self, fname: str) -> np.ndarray:
         self._check_field(fname)
-        if not self.privilege.privilege.reads:
+        privilege = self.privilege.privilege
+        if privilege is Privilege.READ:
+            return self._read_only(fname, True)
+        if not privilege.reads:
             raise PrivilegeError(
                 f"task holds {self.privilege!r} on {self.subregion!r}; read denied"
             )
         return self.subregion.read_nd(fname)
+
+    def _read_only(self, fname: str, nd: bool) -> np.ndarray:
+        """``read`` (``nd`` False) or ``read_nd`` of a READ accessor, made
+        read-only: a view once per field, a gathered copy per call."""
+        views = self._views
+        if views is None:
+            views = self._views = {}
+        view = views.get((fname, nd))
+        if view is None:
+            sub = self.subregion
+            view = sub.read_nd(fname) if nd else sub.read(fname)
+            view.flags.writeable = False
+            if isinstance(sub.subset, RectSubset) and (
+                nd or sub.region.bounds.dim == 1
+            ):
+                views[fname, nd] = view   # a view of storage: keep it
+        return view
 
     def write(self, fname: str, values) -> None:
         self._check_field(fname)
@@ -156,21 +185,49 @@ class PhysicalRegion:
         return f"PhysicalRegion({self.subregion!r}, {self.privilege!r})"
 
 
-@dataclass
 class TaskContext:
-    """Execution context handed to every task body.
+    """Execution context handed to every task body: the facade a body sees
+    of the runtime.
+
+    Immutable (assigning or deleting an attribute raises
+    ``AttributeError``): a replayed launch builds its points' contexts once
+    and hands the same object to the point's body on every replay, in the
+    parent (``ExpansionTemplate.reissue``) and on a worker (its plan
+    memo).
 
     Attributes:
         point: the task's point in its index launch's domain (None for
             single launches).
         node: the simulated node the task was mapped to (0 in purely local
             runs).
-        runtime: the owning runtime, for nested launches (optional feature).
+        runtime: the owning runtime, for nested launches.  None on a
+            worker process: a body that launches from there fails, and
+            the parent re-runs the launch on the serial backend.
     """
 
-    point: Optional[Point] = None
-    node: int = 0
-    runtime: Any = None
+    __slots__ = ("point", "node", "runtime")
+
+    def __init__(self, point: Optional[Point] = None, node: int = 0,
+                 runtime: Any = None):
+        _set_point(self, point)
+        _set_node(self, node)
+        _set_runtime(self, runtime)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"TaskContext is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TaskContext is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"TaskContext(point={self.point!r}, node={self.node!r}, "
+                f"runtime={self.runtime!r})")
+
+
+# The slots' own setters: what ``__init__`` uses, as ``__setattr__`` raises.
+_set_point = TaskContext.point.__set__
+_set_node = TaskContext.node.__set__
+_set_runtime = TaskContext.runtime.__set__
 
 
 class Task:

@@ -13,6 +13,7 @@ dies with the state its expansions point into.
 
 import dataclasses
 import os
+import sys
 import time
 
 import numpy as np
@@ -405,3 +406,91 @@ def test_reset_state_clears_the_worker_plan_memo():
         assert region_a.storage("x")[0] == 3.0   # A was not written again
     finally:
         worker.reset_state()
+
+
+# ---------------------------------------------- a memo hit builds nothing
+@task(privileges=["reads writes"])
+def bump_id(ctx, r):
+    r.write("x", r.read("x") + 1.0)
+    return id(ctx)
+
+
+def test_a_memo_hit_builds_no_per_point_object(monkeypatch):
+    """A unit's second run from the worker's plan memo builds no accessor,
+    context or undo-slot view: its expansion holds each point's context,
+    accessors and argument tuple, and each slot's view is kept beside the
+    segment's mapping.  Counted on one four-point unit run twice in
+    process, with real undo slots in a real arena segment."""
+    from repro.exec.shm import _create_segment, _unlink_segment
+    from repro.runtime.task import PhysicalRegion, TaskContext
+
+    uid, part_uid = 10**9 + 10, 10**9 + 11
+    points = [(0,), (1,), (2,), (3,)]
+    name, mm = _create_segment(f"reproshm-{os.getpid()}memotest", 4096)
+    slots = [[(name, 64 + 16 * i, 2, "<f8")] for i in range(len(points))]
+    req = ReqTemplate(
+        priv=priv_token(PrivilegeSpec(Privilege.READ_WRITE)),
+        fields=("x",), resolved_fields=("x",),
+        partition_uid=part_uid, region_uid=uid, functor=IdentityFunctor(),
+    )
+    common = dict(
+        nodes=[0, 0, 1, 1], points=points, ordinals=[0, 1, 2, 3],
+        task_uid=bump_id.uid, args=(), point_extra_args=None, reqs=[req],
+        read_data=[], profile=False, undo_slots=slots,
+        undo_done=(name, 0, 1, "<i8"),
+    )
+    install = dumps(ShardPlan(
+        task_blob=dumps(bump_id),
+        regions=[(uid, "memo", (0,), (7,), (("x", "<f8"),), None)],
+        partitions=[PartitionEntry(
+            uid=part_uid, region_uid=uid,
+            colors=[((c,), ("rect", (2 * c,), (2 * c + 1,), 10**9 + 12 + c))
+                    for c in range(4)],
+        )],
+        **common,
+    ))
+    bare = dumps(ShardPlan(task_blob=None, regions=[], partitions=[],
+                           **common))
+    built = {code: 0 for code in (PhysicalRegion.__init__.__code__,
+                                  TaskContext.__init__.__code__)}
+    views = []
+    shm_view = worker._shm_view
+
+    def spy_view(slot):
+        views.append(shm_view(slot))
+        return views[-1]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            built[frame.f_code] += 1
+
+    def run(blob):
+        views.clear()
+        for code in built:
+            built[code] = 0
+        sys.setprofile(profile)
+        try:
+            status, result = loads(worker.run_shard_bytes(blob))
+        finally:
+            sys.setprofile(None)
+        assert status == "ok", result
+        return result.plan_hit, loads(result.values), list(views), \
+            sorted(built.values())
+
+    monkeypatch.setattr(worker, "_shm_view", spy_view)
+    try:
+        worker.reset_state()
+        run(install)
+        hit0, ctxs0, views0, built0 = run(bare)    # expands and memoizes
+        hit1, ctxs1, views1, built1 = run(bare)    # the memo hit
+        assert (hit0, hit1) == (False, True)
+        assert built0 == [4, 4] and built1 == [0, 0]
+        assert ctxs1 == ctxs0                     # the same contexts
+        assert len(views1) == len(views0) == 1 + len(points)
+        assert all(a is b for a, b in zip(views1, views0))
+        assert list(worker._REGIONS[uid].storage("x")) == [3.0] * 8
+        # the undo slots hold what the last run found there
+        assert list(np.frombuffer(mm, "<f8", 8, 64)) == [2.0] * 8
+    finally:
+        worker.reset_state()
+        _unlink_segment(os.getpid(), name)

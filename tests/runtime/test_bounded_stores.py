@@ -18,7 +18,8 @@ from repro.core.projection import ModularFunctor
 from repro.data.partition import equal_partition
 from repro.runtime import Runtime, RuntimeConfig, task
 from repro.runtime.store import (
-    PROCESS_BYTE_BUDGET, PROCESS_ENTRY_BUDGET, PROCESS_STORE,
+    PROCESS_BYTE_BUDGET, PROCESS_ENTRY_BUDGET, PROCESS_STORE, AnalysisStore,
+    estimate_bytes,
 )
 
 REGIONS, FUNCTORS, POINTS, BUDGET = 8, 8, 32, 16
@@ -123,3 +124,33 @@ def test_distinct_domains_stay_inside_the_entry_budget(dcr, layer):
     assert store.groups_evicted >= 28
     expected = np.repeat(np.arange(32, 0, -1, dtype=float), 2)
     assert np.array_equal(region.storage("x"), expected)
+
+
+# ------------------------------------------------- the store's own rules
+def test_a_group_alone_over_the_byte_budget_is_kept():
+    """The group just stored is never evicted, even when it alone exceeds
+    the byte budget: evicting it would make the put a silent no-op and
+    every later lookup a miss.  Older groups go first."""
+    big = np.zeros(64)
+    store = AnalysisStore(byte_budget=estimate_bytes(big) - 1)
+    store.put("check", "small", np.zeros(1))
+    store.put("check", "big", big)
+    assert store.get("check", "big") is big
+    assert store.get("check", "small") is None
+    assert len(store) == 1 and store.groups_evicted == 1
+    assert store.bytes_estimate == estimate_bytes(big)
+
+
+def test_evictions_count_the_layers_an_evicted_group_held():
+    """Evicting a group counts one eviction in each layer that held it,
+    and none in a layer that did not."""
+    store = AnalysisStore(entry_budget=2)
+    store.put("verdict", "g1", 1)
+    store.put("expansion", "g1", 2)
+    store.put("physical", "g2", 3)
+    store.put("verdict", "g3", 4)              # evicts g1, the oldest
+    assert store.groups_evicted == 1
+    assert (store.evictions["verdict"], store.evictions["expansion"],
+            store.evictions["physical"]) == (1, 1, 0)
+    assert store.get("verdict", "g1") is store.get("expansion", "g1") is None
+    assert store.get("physical", "g2") == 3

@@ -1,10 +1,12 @@
-"""The execution loop: per point, a body call and its context — nothing else.
+"""The execution loop: per point of a steady replay, a body call — nothing
+else.
 
 Every in-process body runs through ``ExecutionBackend.execute``: a serial
 launch tail, an expanded launch (fallback loop, No-IDX, early expansion)
-and a single task.  Its bookkeeping is per launch, so the count guards here
-measure Python calls per point of a steady traced replay and of a first
-issue, and the fault tests pin what the loop stamps on an
+and a single task.  Its bookkeeping is per launch, and a reissued plan
+list keeps its prepared calls (context, accessors, argument tuple), so the
+count guards here measure Python calls per point of a steady traced replay
+and of a first issue, and the fault tests pin what the loop stamps on an
 ``InjectedFaultError``.
 """
 
@@ -65,18 +67,21 @@ class TestCallsPerPoint:
     def test_a_steady_op_makes_no_more_calls(self):
         """The whole steady op, pinned: its issue and stage records are
         per launch, so a rise here is bookkeeping added to every op."""
-        assert sum(calls_in_steady_op(16).values()) <= 345
+        assert sum(calls_in_steady_op(16).values()) <= 313
 
-    def test_a_point_costs_its_body_and_its_context(self):
+    def test_a_point_costs_its_body_call_alone(self):
+        """The replay's contexts, accessors and argument tuples were
+        prepared on the plan list's first reissue: no ``__init__`` (of a
+        ``TaskContext``) or any other call per point but the body."""
         small, large = calls_in_steady_op(16), calls_in_steady_op(256)
         points = 2 * (256 - 16)
         growth = sum(large.values()) - sum(small.values())
-        assert round(growth / points, 1) <= 2.0
+        assert round(growth / points, 1) <= 1.0
         scaling = {
             name for name in large
             if large[name] - small.get(name, 0) >= points
         }
-        assert scaling == {"noop", "__init__"}      # TaskContext.__init__
+        assert scaling == {"noop"}
 
 
 def calls_in_first_issue(pieces):

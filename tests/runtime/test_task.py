@@ -96,6 +96,34 @@ class TestPhysicalRegion:
         p = PhysicalRegion(sub, PrivilegeSpec.parse("reads"), ("x",))
         assert p.volume == 2 and p.color == Point(4)
 
+    def test_read_views_are_read_only_and_made_once_per_field(self):
+        r = Region("g", Rect((0, 0), (3, 3)), {"v": "f8"})
+        r.storage("v")[:] = np.arange(16.0)
+        sub = Subregion(r, RectSubset(Rect((0, 0), (1, 1))), Point(0), None)
+        p = PhysicalRegion(sub, PrivilegeSpec.parse("reads"), ("v",))
+        view = p.read_nd("v")
+        assert not view.flags.writeable and p.read_nd("v") is view
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+        r.storage("v")[0] = -1.0              # a view: it sees later writes
+        assert view[0, 0] == -1.0
+        copy = p.read("v")                    # 2-D: a gathered copy
+        assert not copy.flags.writeable and p.read("v") is not copy
+        assert r.storage("v").flags.writeable
+
+    def test_read_of_a_sparse_read_accessor_is_a_read_only_copy(self, region):
+        sub = Subregion(region, SparseSubset(np.array([2, 5])), Point(0), None)
+        p = PhysicalRegion(sub, PrivilegeSpec.parse("reads"), ("x",))
+        first = p.read("x")
+        assert list(first) == [2.0, 5.0] and not first.flags.writeable
+        region.storage("x")[5] = 7.0
+        assert list(p.read("x")) == [2.0, 7.0]
+
+    def test_read_write_views_stay_writable(self, region):
+        view = phys(region, "reads writes").read("x")
+        view[0] = 42.0
+        assert region.storage("x")[0] == 42.0
+
 
 class TestTaskRegistration:
     def test_decorator_produces_task(self):
@@ -131,3 +159,15 @@ class TestTaskRegistration:
     def test_callable_passes_context(self):
         t = Task(lambda ctx, x: (ctx.node, x), privileges=[])
         assert t(TaskContext(node=3), 7) == (3, 7)
+
+
+class TestTaskContext:
+    def test_is_immutable(self):
+        ctx = TaskContext(Point(1), 2)
+        assert (ctx.point, ctx.node, ctx.runtime) == (Point(1), 2, None)
+        for name in ("point", "node", "runtime", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ctx, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(ctx, name)
+        assert ctx.node == 2
