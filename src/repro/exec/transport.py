@@ -9,9 +9,15 @@ parent-side I/O is non-blocking, submits append to a per-worker write
 backlog and flush opportunistically, and one ``selectors`` loop — run
 inline from ``future.result()`` on the caller's own thread, no helper
 thread anywhere — drains every worker's RESULT frames and finishes
-stalled writes.  Collecting a unit costs one ``epoll_wait`` + one
-``read``, and completion order is decided by that single loop, not by
-the host's thread scheduler.
+stalled writes; completion order is decided by that single loop, not by
+the host's thread scheduler.  A readable worker is read through its
+:class:`~repro.exec.wire.FrameDecoder`, the one read rule every framed
+stream follows: read into storage that already exists — a reused 64 KiB
+buffer, or a large payload's own exact-size buffer — until the fd has
+nothing more queued.  A read that returns fresh bytes allocates its
+whole request first, and the megabyte this engine used to ask for cost
+10.5-12.5 us per small frame against about 0.5 us for 64 KiB: the
+largest single item of a worker round trip.
 
 The pool keeps everything else — affinity, cache bookkeeping,
 generations, the shm arena, failure metrics — so the recovery ladder in
@@ -338,31 +344,28 @@ class Transport:
             self._drive(remaining)
 
     def _on_readable(self, worker: _Worker) -> None:
+        decoder = worker.decoder
         try:
-            chunk = os.read(worker.rfd, 1 << 20)
-        except BlockingIOError:
-            return
+            alive = decoder.read_until_blocked(worker.rfd)
         except OSError:
-            chunk = b""
-        if not chunk:
-            self._mark_broken(worker)
-            return
-        worker.decoder.feed(chunk)
+            alive = False
         while True:
             try:
-                frame = worker.decoder.next()
+                frame = decoder.next()
             except wire.WireError:
                 # Framing desync: the stream can never be trusted again —
                 # same failure class as a severed connection.
                 self._mark_broken(worker)
                 return
             if frame is None:
-                return
+                break
             if frame.msg != wire.RESULT:
                 continue
             future = worker.pending.pop(frame.seq, None)
             if future is not None:
                 future.set_result(frame.payload)
+        if not alive:
+            self._mark_broken(worker)
 
     # ------------------------------------------------------------ failure
     def _mark_broken(self, worker: _Worker) -> None:

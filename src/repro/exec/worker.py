@@ -484,10 +484,8 @@ def serve(rfd: int, wfd: int) -> bool:
         while True:
             frame = decoder.next()
             if frame is None:
-                chunk = os.read(rfd, 1 << 20)
-                if not chunk:
+                if not decoder.read(rfd):
                     return False
-                decoder.feed(chunk)
                 continue
             if not handle_frame(frame, reply):
                 return True

@@ -241,6 +241,10 @@ class ReproService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # The selector transport allocates its whole recv size on every
+        # read (256 KiB by default) and then shrinks it; a session's
+        # frames are small, so each recv asks for one read chunk.
+        writer.transport.max_size = wire.READ_CHUNK
         decoder = wire.FrameDecoder(check_version=False)
         session: Optional[Session] = None
         try:
@@ -341,7 +345,7 @@ class ReproService:
             frame = decoder.next()
             if frame is not None:
                 return frame
-            chunk = await reader.read(65536)
+            chunk = await reader.read(wire.READ_CHUNK)
             if not chunk:
                 return None
             decoder.feed(chunk)

@@ -4,7 +4,7 @@ Everything a transport owes the engine — byte-identity with serial,
 the fault ladder, the failure contract, no leaks — is asserted for both
 strategies in ``test_transports.py``.  What is left here is what only
 pipes have: the incremental :class:`~repro.exec.wire.FrameDecoder` that
-reassembles whatever ``os.read`` hands the engine (byte-at-a-time,
+reassembles whatever a read hands the engine (byte-at-a-time,
 back-to-back frames in one read, the same rejection rules as
 ``recv_frame``), and the fork-time discipline that lets a worker read
 EOF although a sibling was forked while the parent's end was open.
@@ -21,7 +21,7 @@ from repro.exec.transport import PipeTransport
 # ---------------------------------------------------------- frame decoder
 class TestFrameDecoder:
     def test_byte_at_a_time_reassembly(self):
-        """os.read hands back arbitrary byte runs; the decoder must
+        """A read hands back arbitrary byte runs; the decoder must
         reassemble a frame trickled one byte at a time."""
         raw = wire.pack_frame(wire.RESULT, 9, b"y" * 123)
         dec = wire.FrameDecoder()

@@ -272,6 +272,25 @@ class TestFunctionLengthRatchet:
         assert too_long <= allowed, too_long - allowed
 
 
+class TestFrameReads:
+    def test_raw_stream_reads_only_in_wire(self):
+        """Framed streams are read one way, ``wire.FrameDecoder``'s: into
+        storage that already exists, never by a call that allocates its
+        whole request (a megabyte per read cost 12.5 us a frame)."""
+        raw = re.compile(r"os\.read\(|\.recv\(|recv_into\(|readv\(")
+        calls = []
+        pattern = os.path.join(ROOT, "src", "repro", "**", "*.py")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            name = os.path.relpath(path, ROOT)
+            if name == os.path.join("src", "repro", "exec", "wire.py"):
+                continue
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if raw.search(line):
+                        calls.append(f"{name}:{lineno}")
+        assert calls == []
+
+
 class TestFunctorIdentity:
     def test_no_cache_keys_on_functor_text(self):
         """Caches key a functor on its ``key``; ``describe()`` is only
